@@ -813,14 +813,23 @@ func (r *Router) resetDamping() {
 // Local-RIB, damping state, RCN histories — and cancels every pending timer.
 // Only the origin set and the RCN sequencers survive: the former models
 // static configuration that outlives a reboot, the latter keeps root-cause
-// sequence numbers monotonic across the restart.
+// sequence numbers monotonic across the restart. Every suppressed state it
+// discards fires OnSuppress(false), so observers counting suppress/unsuppress
+// events stay balanced with DampedLinkCount.
 func (r *Router) crash() {
-	for s := range r.peers {
+	now := r.net.kernel.Now()
+	for s, peer := range r.peers {
 		colIn := r.ribIn[s]
-		for i := range colIn {
-			colIn[i].reuseTimer.Cancel()
+		for pid := range colIn {
+			e := &colIn[pid]
+			e.reuseTimer.Cancel()
+			suppressed := e.seen && e.damp != nil && e.damp.Suppressed()
+			// Clear first: a hook reading DampedLinkCount sees the post-state.
+			*e = ribInEntry{}
+			if h := r.net.hooks.OnSuppress; h != nil && suppressed {
+				h(now, r.id, peer, r.net.prefixes[pid], false)
+			}
 		}
-		clear(colIn)
 		colOut := r.ribOut[s]
 		for i := range colOut {
 			colOut[i].mrai.Cancel()

@@ -36,8 +36,6 @@ type remoteMsg struct {
 // (time, source shard, sequence) order, making runs independent of goroutine
 // scheduling and byte-identical to the sequential engine per seed.
 type ShardedNetwork struct {
-	graph   *topology.Graph
-	cfg     Config
 	owner   []int32
 	shards  []*Network
 	kernels []*sim.Kernel
@@ -79,8 +77,6 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32, opts ...si
 		return nil, err
 	}
 	sn := &ShardedNetwork{
-		graph:   g,
-		cfg:     cfg,
 		owner:   assign,
 		shards:  make([]*Network, nshards),
 		kernels: make([]*sim.Kernel, nshards),
@@ -168,20 +164,11 @@ func (sn *ShardedNetwork) Group() *sim.ShardGroup { return sn.group }
 // Close stops the group's worker goroutines.
 func (sn *ShardedNetwork) Close() { sn.group.Close() }
 
-// Graph returns the underlying topology.
-func (sn *ShardedNetwork) Graph() *topology.Graph { return sn.graph }
-
-// Config returns the ensemble's configuration.
-func (sn *ShardedNetwork) Config() Config { return sn.cfg }
-
 // NumShards returns the shard count.
 func (sn *ShardedNetwork) NumShards() int { return len(sn.shards) }
 
 // Shard returns shard s's network (its routers, hooks, counters).
 func (sn *ShardedNetwork) Shard(s int) *Network { return sn.shards[s] }
-
-// Owner returns the shard owning router id.
-func (sn *ShardedNetwork) Owner(id RouterID) int32 { return sn.owner[id] }
 
 // Router returns the live instance of router id (from its owning shard).
 func (sn *ShardedNetwork) Router(id RouterID) *Router {
@@ -231,15 +218,6 @@ func (sn *ShardedNetwork) PendingDeliveries() int {
 	return total
 }
 
-// PendingAnnouncements sums MRAI-held announcements across shards.
-func (sn *ShardedNetwork) PendingAnnouncements() int {
-	total := 0
-	for _, n := range sn.shards {
-		total += n.PendingAnnouncements()
-	}
-	return total
-}
-
 // Delivered sums delivered-message counters across shards.
 func (sn *ShardedNetwork) Delivered() uint64 {
 	var total uint64
@@ -258,17 +236,6 @@ func (sn *ShardedNetwork) Dropped() uint64 {
 	return total
 }
 
-// LastDelivery returns the latest delivery instant across shards.
-func (sn *ShardedNetwork) LastDelivery() time.Duration {
-	var max time.Duration
-	for _, n := range sn.shards {
-		if n.LastDelivery() > max {
-			max = n.LastDelivery()
-		}
-	}
-	return max
-}
-
 // ResetCounters zeroes every shard's counters.
 func (sn *ShardedNetwork) ResetCounters() {
 	for _, n := range sn.shards {
@@ -281,31 +248,6 @@ func (sn *ShardedNetwork) ResetDamping() {
 	for _, n := range sn.shards {
 		n.ResetDamping()
 	}
-}
-
-// DampedLinkCount sums suppressed damping states across shards.
-func (sn *ShardedNetwork) DampedLinkCount() int {
-	total := 0
-	for _, n := range sn.shards {
-		total += n.DampedLinkCount()
-	}
-	return total
-}
-
-// Prefixes returns the sorted union of prefixes across shards.
-func (sn *ShardedNetwork) Prefixes() []Prefix {
-	set := make(map[Prefix]struct{})
-	for _, n := range sn.shards {
-		for _, p := range n.Prefixes() {
-			set[p] = struct{}{}
-		}
-	}
-	out := make([]Prefix, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sortPrefixes(out)
-	return out
 }
 
 // SetLinkState applies the link fault to every shard's replicated state —
@@ -440,8 +382,6 @@ func (sn *ShardedNetwork) Fork() (*ShardedNetwork, error) {
 		}
 	}
 	f := &ShardedNetwork{
-		graph:  sn.graph,
-		cfg:    sn.cfg,
 		owner:  sn.owner,
 		shards: make([]*Network, len(sn.shards)),
 		outbox: make([][]remoteMsg, len(sn.shards)),
@@ -462,38 +402,4 @@ func (sn *ShardedNetwork) Fork() (*ShardedNetwork, error) {
 		f.shards[s] = fn
 	}
 	return f, nil
-}
-
-// ShardedSnapshot is an immutable checkpoint of a sharded ensemble, taken
-// with ShardedNetwork.Snapshot. Like the sequential bgp.Snapshot it holds a
-// private fork that is never run; Fork stamps out any number of independent,
-// runnable copies. Safe for concurrent Fork calls from multiple goroutines —
-// sweep workers each fork their own copy — because forking only reads the
-// parked state (the parked group's worker pool is never started).
-type ShardedSnapshot struct {
-	parked *ShardedNetwork
-}
-
-// Snapshot captures the ensemble at the current barrier. The same
-// preconditions as Fork apply (quiescent at a barrier, empty outboxes); the
-// ensemble is unaffected and may continue running.
-func (sn *ShardedNetwork) Snapshot() (*ShardedSnapshot, error) {
-	parked, err := sn.Fork()
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedSnapshot{parked: parked}, nil
-}
-
-// Now returns the virtual time the snapshot was taken at.
-func (s *ShardedSnapshot) Now() time.Duration { return s.parked.Now() }
-
-// NumShards returns the shard count captured in the snapshot.
-func (s *ShardedSnapshot) NumShards() int { return s.parked.NumShards() }
-
-// Fork materializes an independent runnable ensemble from the checkpoint.
-// Every copy starts from the identical state; given identical subsequent
-// stimuli they produce identical event sequences. No hooks are installed.
-func (s *ShardedSnapshot) Fork() (*ShardedNetwork, error) {
-	return s.parked.Fork()
 }

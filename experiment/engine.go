@@ -1,0 +1,77 @@
+package experiment
+
+import (
+	"context"
+	"time"
+
+	"rfd/bgp"
+)
+
+// engine is what converge, measure and Checkpoint need from a simulation
+// engine. *bgp.Network and *bgp.ShardedNetwork supply the exported half
+// directly; the adapters below add the rest, so the run path is written once.
+type engine interface {
+	Router(id bgp.RouterID) *bgp.Router
+	SetLinkState(a, b bgp.RouterID, up bool) error
+	ResetDamping()
+	ResetCounters()
+	Dropped() uint64
+	CheckConsistency() error
+
+	now() time.Duration
+	// run drains the engine; runUntil fires every event up to and including
+	// t. Both leave every clock of the engine at now(), so stimuli applied
+	// to routers directly between calls are stamped identically on either
+	// engine.
+	run(ctx context.Context) error
+	runUntil(ctx context.Context, t time.Duration) error
+	// shards lists the networks that carry the engine's routers (one for the
+	// sequential engine): hooks, impairments and fault plans install on each.
+	shards() []*bgp.Network
+	// fork returns an independent copy; the engine must be quiescent.
+	fork() (engine, error)
+	close()
+}
+
+type seqEngine struct{ *bgp.Network }
+
+func (e seqEngine) now() time.Duration            { return e.Kernel().Now() }
+func (e seqEngine) run(ctx context.Context) error { return e.Kernel().RunContext(ctx) }
+func (e seqEngine) runUntil(ctx context.Context, t time.Duration) error {
+	return e.Kernel().RunUntilContext(ctx, t)
+}
+func (e seqEngine) shards() []*bgp.Network { return []*bgp.Network{e.Network} }
+func (e seqEngine) fork() (engine, error) {
+	_, n, err := e.Network.Fork()
+	return seqEngine{n}, err
+}
+func (seqEngine) close() {}
+
+type shardedEngine struct{ *bgp.ShardedNetwork }
+
+func (e shardedEngine) now() time.Duration { return e.Now() }
+
+// run aligns the shard clocks after the drain: each sits at its last local
+// event, while the sequential engine's sits at the global last one.
+func (e shardedEngine) run(ctx context.Context) error {
+	err := e.Group().RunContext(ctx)
+	if err == nil {
+		e.Align()
+	}
+	return err
+}
+func (e shardedEngine) runUntil(ctx context.Context, t time.Duration) error {
+	return e.Group().RunUntilContext(ctx, t)
+}
+func (e shardedEngine) shards() []*bgp.Network {
+	nets := make([]*bgp.Network, e.NumShards())
+	for s := range nets {
+		nets[s] = e.Shard(s)
+	}
+	return nets
+}
+func (e shardedEngine) fork() (engine, error) {
+	sn, err := e.ShardedNetwork.Fork()
+	return shardedEngine{sn}, err
+}
+func (e shardedEngine) close() { e.Close() }

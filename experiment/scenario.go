@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"rfd/bgp"
@@ -86,13 +87,15 @@ type Scenario struct {
 	Watchdog *faults.WatchdogConfig
 	// Shards, when > 1, runs the scenario on the sharded engine: the run
 	// topology is partitioned across Shards shard kernels coordinated by
-	// conservative-lookahead epochs (sim.ShardGroup). Results are
-	// reconstructed from the merged per-shard event traces and are identical
-	// to a Shards<=1 run of the same scenario — the shard count is an
-	// execution detail, not a simulation input, which is why Fingerprint
-	// ignores it. Sharded runs require MinLinkDelay+MinProcDelay > 0 and are
-	// incompatible with Watchdog, Check, and impairment models that are not
-	// in per-link stream mode (faults.Impairments.UseLinkStreams).
+	// conservative-lookahead epochs (sim.ShardGroup). The run path is the
+	// same on both engines; only the Result's bookkeeping is fed differently
+	// (from the merged per-shard event traces rather than live hooks), and
+	// the Result is identical to a Shards<=1 run of the same scenario — the
+	// shard count is an execution detail, not a simulation input, which is
+	// why Fingerprint ignores it. Sharded runs require
+	// MinLinkDelay+MinProcDelay > 0 and are incompatible with Watchdog, Check,
+	// and impairment models that are not in per-link stream mode
+	// (faults.Impairments.UseLinkStreams).
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after
@@ -209,14 +212,11 @@ func Run(sc Scenario) (*Result, error) {
 // the run stays byte-identical to Run(sc), because the cooperative stop check
 // only reads the context and never touches simulation state.
 func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
-	if sc.Shards > 1 {
-		return runSharded(ctx, sc)
-	}
-	n, origin, err := converge(ctx, sc)
+	e, err := converge(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	return measure(ctx, sc, n, origin)
+	return measure(ctx, sc, e)
 }
 
 // wrapInterrupt maps a kernel/watchdog stop caused by the context into the
@@ -230,58 +230,68 @@ func wrapInterrupt(ctx context.Context, stage string, err error) error {
 }
 
 // converge validates the scenario and executes its warm-up phase: build the
-// run topology (base graph + originAS attached to the ispAS), originate the
-// flap prefix and drain the kernel until every node has learned a stable
-// route, then wipe damping state and counters (Section 5.1: "Before the
-// simulation starts, every node learns a stable route to the originAS").
-// The returned network is quiescent and ready for measure — or for a
-// bgp.Snapshot, which is how sweeps amortize this phase across pulse counts.
-func converge(ctx context.Context, sc Scenario) (*bgp.Network, bgp.RouterID, error) {
+// run topology (base graph + originAS attached to the ispAS) on the engine
+// sc.Shards selects — this is the only place that choice is made — originate
+// the flap prefix and drain until every node has learned a stable route, then
+// wipe damping state and counters (Section 5.1: "Before the simulation
+// starts, every node learns a stable route to the originAS"). No hooks are
+// installed, so nothing of the warm-up is observed. The returned engine is
+// quiescent and ready for measure — or for a fork, which is how sweeps
+// amortize this phase across pulse counts. The caller owns it (close it).
+func converge(ctx context.Context, sc Scenario) (engine, error) {
 	if err := sc.validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
-	// Build the run topology: base graph + originAS attached to the ispAS.
 	g := sc.Graph.Clone()
 	origin := g.AddNode()
 	if err := g.AddEdge(origin, sc.ISP); err != nil {
-		return nil, 0, fmt.Errorf("experiment: attach origin: %w", err)
+		return nil, fmt.Errorf("experiment: attach origin: %w", err)
 	}
 	if g.Annotated() {
 		if err := g.SetRelationship(origin, sc.ISP, topology.RelProvider); err != nil {
-			return nil, 0, fmt.Errorf("experiment: annotate origin link: %w", err)
+			return nil, fmt.Errorf("experiment: annotate origin link: %w", err)
 		}
 	}
 
-	k := sim.NewKernel(sim.WithSeed(sc.Config.Seed))
-	n, err := bgp.NewNetwork(k, g, sc.Config)
-	if err != nil {
-		return nil, 0, err
+	var e engine
+	if sc.Shards > 1 {
+		assign, err := topology.Partition(g, sc.Shards)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: partition: %w", err)
+		}
+		sn, err := bgp.NewShardedNetwork(g, sc.Config, assign)
+		if err != nil {
+			return nil, err
+		}
+		e = shardedEngine{sn}
+	} else {
+		n, err := bgp.NewNetwork(sim.NewKernel(sim.WithSeed(sc.Config.Seed)), g, sc.Config)
+		if err != nil {
+			return nil, err
+		}
+		e = seqEngine{n}
 	}
 
-	n.Router(origin).Originate(FlapPrefix)
-	if err := k.RunContext(ctx); err != nil {
-		return nil, 0, wrapInterrupt(ctx, "warm-up", err)
+	e.Router(origin).Originate(FlapPrefix)
+	if err := e.run(ctx); err != nil {
+		e.close()
+		return nil, wrapInterrupt(ctx, "warm-up", err)
 	}
-	n.ResetDamping()
-	n.ResetCounters()
-	return n, origin, nil
+	e.ResetDamping()
+	e.ResetCounters()
+	return e, nil
 }
 
-// measure executes the scenario's flap phase and drain on a converged
-// network (fresh from converge, or a fork of a converged checkpoint) and
-// computes the Result. It installs the measurement hooks, brings the fault
-// apparatus alive at the epoch, runs the pulse workload and drains.
-func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.RouterID) (*Result, error) {
-	k := n.Kernel()
-	interval := sc.FlapInterval
-	if interval == 0 {
-		interval = DefaultFlapInterval
-	}
+// recorder fills a Result from the engine's four observation points; every
+// time it is handed is flap-relative. measure feeds it live from bgp.Hooks on
+// a single network, or by replaying the merged per-shard traces.
+type recorder struct{ res *Result }
 
+func newRecorder(sc Scenario) recorder {
 	res := &Result{
 		Pulses:             sc.Pulses,
-		Origin:             origin,
+		Origin:             sc.OriginID(),
 		ISP:                bgp.RouterID(sc.ISP),
 		Updates:            &metrics.EventSeries{},
 		Damped:             &metrics.StepSeries{},
@@ -292,119 +302,208 @@ func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.Router
 	for _, w := range sc.Watch {
 		res.PenaltyTraces[w] = &metrics.FloatSeries{}
 	}
+	return recorder{res}
+}
 
-	// All result times are relative to the first flap, matching the paper's
-	// figure axes. The network is quiescent here, so nothing fires between
-	// installing the hooks and the first withdrawal.
-	epoch := k.Now()
-	hooks := bgp.Hooks{
+func (rc recorder) deliver(at time.Duration, to bgp.RouterID) {
+	rc.res.Updates.Record(at)
+	rc.res.LastUpdateByRouter[to] = at
+}
+
+// suppress records a suppression flip; damped is the network-wide damped-link
+// count after it.
+func (rc recorder) suppress(at time.Duration, router, peer bgp.RouterID, on bool, damped int) {
+	rc.res.Damped.Record(at, damped)
+	if on && router == rc.res.ISP && peer == rc.res.Origin {
+		rc.res.OriginSuppressed = true
+	}
+}
+
+func (rc recorder) reuse(at time.Duration, noisy bool) {
+	if noisy {
+		rc.res.NoisyReuses++
+		rc.res.NoisyReuseTimes.Record(at)
+	} else {
+		rc.res.SilentReuses++
+	}
+}
+
+func (rc recorder) penalty(at time.Duration, router, peer bgp.RouterID, penalty float64) {
+	if tr, ok := rc.res.PenaltyTraces[PenaltyWatch{Router: router, Peer: peer}]; ok {
+		tr.Record(at, penalty)
+	}
+}
+
+// hooks is the live feed: n's observations, rebased to epoch.
+func (rc recorder) hooks(n *bgp.Network, epoch time.Duration) bgp.Hooks {
+	return bgp.Hooks{
 		OnDeliver: func(at time.Duration, msg bgp.Message) {
-			res.Updates.Record(at - epoch)
-			res.LastUpdateByRouter[msg.To] = at - epoch
+			rc.deliver(at-epoch, msg.To)
 		},
 		OnSuppress: func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
-			res.Damped.Record(at-epoch, n.DampedLinkCount())
-			if on && router == bgp.RouterID(sc.ISP) && peer == origin {
-				res.OriginSuppressed = true
-			}
+			// The full RIB-IN scan is kept on purpose: bench's TestSmokeTraced
+			// asserts experiment.self_s > 0, which only holds because of it.
+			rc.suppress(at-epoch, router, peer, on, n.DampedLinkCount())
 		},
 		OnReuse: func(at time.Duration, _, _ bgp.RouterID, _ bgp.Prefix, noisy bool) {
-			if noisy {
-				res.NoisyReuses++
-				res.NoisyReuseTimes.Record(at - epoch)
-			} else {
-				res.SilentReuses++
-			}
+			rc.reuse(at-epoch, noisy)
 		},
 		OnPenalty: func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, penalty float64) {
-			if len(sc.Watch) == 0 {
-				return
-			}
-			if tr, ok := res.PenaltyTraces[PenaltyWatch{Router: router, Peer: peer}]; ok {
-				tr.Record(at-epoch, penalty)
-			}
+			rc.penalty(at-epoch, router, peer, penalty)
 		},
 	}
-	if sc.Trace != nil {
-		shifted := bgp.TraceHooks(sc.Trace)
-		hooks = bgp.MergeHooks(hooks, bgp.Hooks{
-			OnDeliver: func(at time.Duration, msg bgp.Message) {
-				shifted.OnDeliver(at-epoch, msg)
-			},
-			OnSuppress: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, on bool) {
-				shifted.OnSuppress(at-epoch, r, p, pf, on)
-			},
-			OnReuse: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, noisy bool) {
-				shifted.OnReuse(at-epoch, r, p, pf, noisy)
-			},
-			OnPenalty: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, pen float64) {
-				shifted.OnPenalty(at-epoch, r, p, pf, pen)
-			},
-		})
+}
+
+// replay is the other feed: events in canonical order, absolute times. The
+// damped count is a running ±1 over suppress/unsuppress events — valid
+// because damping state was reset at the epoch, so the count starts at zero.
+// Rebased events are copied to sink when it is non-nil.
+func (rc recorder) replay(events []trace.Event, epoch time.Duration, sink *trace.Log) {
+	damped := 0
+	for _, ev := range events {
+		ev.At -= epoch
+		router, peer := bgp.RouterID(ev.Router), bgp.RouterID(ev.Peer)
+		switch ev.Kind {
+		case trace.KindDeliver:
+			rc.deliver(ev.At, router)
+		case trace.KindSuppress:
+			damped++
+			rc.suppress(ev.At, router, peer, true, damped)
+		case trace.KindUnsuppress:
+			damped--
+			rc.suppress(ev.At, router, peer, false, damped)
+		case trace.KindReuse:
+			rc.reuse(ev.At, ev.Noisy)
+		case trace.KindPenalty:
+			rc.penalty(ev.At, router, peer, ev.Penalty)
+		}
+		if sink != nil {
+			sink.Append(ev)
+		}
 	}
-	n.SetHooks(hooks)
+}
+
+// rebaseHooks returns h with every observation time shifted back by epoch.
+func rebaseHooks(h bgp.Hooks, epoch time.Duration) bgp.Hooks {
+	return bgp.Hooks{
+		OnDeliver: func(at time.Duration, msg bgp.Message) {
+			h.OnDeliver(at-epoch, msg)
+		},
+		OnSuppress: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, on bool) {
+			h.OnSuppress(at-epoch, r, p, pf, on)
+		},
+		OnReuse: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, noisy bool) {
+			h.OnReuse(at-epoch, r, p, pf, noisy)
+		},
+		OnPenalty: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, pen float64) {
+			h.OnPenalty(at-epoch, r, p, pf, pen)
+		},
+	}
+}
+
+// measure executes the scenario's flap phase and drain on a converged engine
+// (fresh from converge, or a fork of a converged checkpoint) and computes the
+// Result. It installs the observers, brings the fault apparatus alive at the
+// epoch, runs the pulse workload and drains. It takes ownership of e and
+// closes it.
+func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
+	defer e.close()
+	interval := sc.FlapInterval
+	if interval == 0 {
+		interval = DefaultFlapInterval
+	}
+	origin, isp := sc.OriginID(), bgp.RouterID(sc.ISP)
+	rc := newRecorder(sc)
+	res := rc.res
+
+	// All result times are relative to the first flap, matching the paper's
+	// figure axes. The engine is quiescent here, so nothing fires between
+	// installing the observers and the first withdrawal.
+	epoch := e.now()
+	nets := e.shards()
+
+	// Observers. One network is recorded live. Several run their hooks on
+	// worker goroutines, which must not share mutable state: each records
+	// into its own unbounded log, and the Result is replayed from their
+	// canonical merge after the drain — the same events in the same order,
+	// because the engines' canonical traces are byte-identical per seed.
+	var logs []*trace.Log
+	if len(nets) == 1 {
+		hooks := rc.hooks(nets[0], epoch)
+		if sc.Trace != nil {
+			hooks = bgp.MergeHooks(hooks, rebaseHooks(bgp.TraceHooks(sc.Trace), epoch))
+		}
+		nets[0].SetHooks(hooks)
+	} else {
+		logs = make([]*trace.Log, len(nets))
+		for s, n := range nets {
+			logs[s] = trace.NewLog(math.MaxInt)
+			n.SetHooks(bgp.TraceHooks(logs[s]))
+		}
+	}
 
 	// Fault injection: impairments and the fault plan come alive at the
-	// epoch, after the clean warm-up, sharing the Result clock zero.
-	if sc.Impair != nil {
-		n.SetImpairment(sc.Impair)
-	}
-	if sc.Faults != nil {
-		if err := sc.Faults.Apply(n, epoch, sc.Impair); err != nil {
-			return nil, fmt.Errorf("experiment: fault plan: %w", err)
+	// epoch, after the clean warm-up, sharing the Result clock zero. With
+	// several networks each gets its own impairment fork (it consumes only
+	// the per-link streams of the links its shard sends on) and the plan is
+	// replicated to every one at the same virtual times, which keeps their
+	// link/session replicas in lockstep.
+	for _, n := range nets {
+		imp := sc.Impair
+		if imp != nil {
+			if len(nets) > 1 {
+				imp = imp.Fork()
+			}
+			n.SetImpairment(imp)
+		}
+		if sc.Faults != nil {
+			if err := sc.Faults.Apply(n, epoch, imp); err != nil {
+				return nil, fmt.Errorf("experiment: fault plan: %w", err)
+			}
 		}
 	}
 
 	// The invariant checker attaches after the hooks and fault apparatus so
 	// it observes (and chains to) the final observer configuration. Attaching
 	// here — on a converged network with damping state just reset — is the
-	// supported mode: every shadow damping stream starts in sync.
+	// supported mode: every shadow damping stream starts in sync. Check and
+	// Watchdog attach to one network; validate rejects them on several.
 	var chk *check.Checker
 	if sc.Check {
 		var err error
-		chk, err = check.Attach(n, check.Options{
-			ISP:    bgp.RouterID(sc.ISP),
-			Origin: origin,
-			Prefix: FlapPrefix,
-		})
+		chk, err = check.Attach(nets[0], check.Options{ISP: isp, Origin: origin, Prefix: FlapPrefix})
 		if err != nil {
 			return nil, fmt.Errorf("experiment: invariant checker: %w", err)
 		}
 		defer chk.Detach()
 	}
 
-	// Flap phase.
-	flapDown := func() error {
-		if sc.FlapViaLink {
-			return n.SetLinkState(origin, bgp.RouterID(sc.ISP), false)
+	// Flap phase. FlapStart stays zero: the first withdrawal is the epoch.
+	flap := func(up bool) error {
+		switch {
+		case sc.FlapViaLink:
+			return e.SetLinkState(origin, isp, up)
+		case up:
+			e.Router(origin).Originate(FlapPrefix)
+		default:
+			e.Router(origin).StopOriginating(FlapPrefix)
 		}
-		n.Router(origin).StopOriginating(FlapPrefix)
 		return nil
 	}
-	flapUp := func() error {
-		if sc.FlapViaLink {
-			return n.SetLinkState(origin, bgp.RouterID(sc.ISP), true)
+	for i := 1; i <= sc.Pulses; i++ {
+		if err := flap(false); err != nil {
+			return nil, fmt.Errorf("experiment: pulse %d down: %w", i, err)
 		}
-		n.Router(origin).Originate(FlapPrefix)
-		return nil
-	}
-	if sc.Pulses > 0 {
-		res.FlapStart = k.Now() - epoch
-		for i := 0; i < sc.Pulses; i++ {
-			if err := flapDown(); err != nil {
-				return nil, fmt.Errorf("experiment: pulse %d down: %w", i+1, err)
-			}
-			if err := k.RunUntilContext(ctx, k.Now()+interval); err != nil {
-				return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i+1), err)
-			}
-			if err := flapUp(); err != nil {
-				return nil, fmt.Errorf("experiment: pulse %d up: %w", i+1, err)
-			}
-			res.FlapEnd = k.Now() - epoch
-			if i < sc.Pulses-1 {
-				if err := k.RunUntilContext(ctx, k.Now()+interval); err != nil {
-					return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i+1), err)
-				}
+		if err := e.runUntil(ctx, e.now()+interval); err != nil {
+			return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i), err)
+		}
+		if err := flap(true); err != nil {
+			return nil, fmt.Errorf("experiment: pulse %d up: %w", i, err)
+		}
+		res.FlapEnd = e.now() - epoch
+		if i < sc.Pulses {
+			if err := e.runUntil(ctx, e.now()+interval); err != nil {
+				return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i), err)
 			}
 		}
 	}
@@ -414,7 +513,7 @@ func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.Router
 	// quiescent-instant consistency checks and a livelock abort instead of
 	// burning the kernel's whole event budget.
 	if sc.Watchdog != nil {
-		rep := faults.WatchContext(ctx, n, *sc.Watchdog)
+		rep := faults.WatchContext(ctx, nets[0], *sc.Watchdog)
 		res.FaultReport = rep
 		if rep.Outcome == faults.Aborted {
 			if ctx.Err() != nil {
@@ -425,7 +524,7 @@ func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.Router
 		if rep.Outcome == faults.Livelock {
 			return nil, fmt.Errorf("experiment: drain: %s", rep)
 		}
-	} else if err := k.RunContext(ctx); err != nil {
+	} else if err := e.run(ctx); err != nil {
 		return nil, wrapInterrupt(ctx, "drain", err)
 	}
 	if chk != nil {
@@ -434,8 +533,11 @@ func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.Router
 			return nil, fmt.Errorf("experiment: invariant check: %w", err)
 		}
 	}
-	res.EndTime = k.Now() - epoch
-	res.Dropped = n.Dropped()
+	if logs != nil {
+		rc.replay(trace.Merge(logs...).Events(), epoch, sc.Trace)
+	}
+	res.EndTime = e.now() - epoch
+	res.Dropped = e.Dropped()
 	res.MessageCount = res.Updates.Count()
 	if last, ok := res.Updates.Last(); ok && last > res.FlapEnd {
 		res.ConvergenceTime = last - res.FlapEnd
@@ -451,39 +553,35 @@ func measure(ctx context.Context, sc Scenario, n *bgp.Network, origin bgp.Router
 		if res.FaultReport.Outcome == faults.Diverged && sc.Impair == nil {
 			return nil, fmt.Errorf("experiment: post-run consistency: %w", res.FaultReport.Err)
 		}
-	} else if err := n.CheckConsistency(); err != nil && sc.Impair == nil {
+	} else if err := e.CheckConsistency(); err != nil && sc.Impair == nil {
 		return nil, fmt.Errorf("experiment: post-run consistency: %w", err)
 	}
 	return res, nil
 }
 
-// Checkpoint is a scenario's converged warm-up state, parked as a network
-// snapshot. Building one costs a single warm-up; Run then forks the
-// checkpoint per measurement instead of re-converging from scratch, which is
-// how sweeps amortize warm-up across pulse counts. A Checkpoint is safe for
-// concurrent Run calls — each call forks its own independent copy.
+// Checkpoint is a scenario's converged warm-up state: a fork of the converged
+// engine, parked and never run. Building one costs a single warm-up; Run then
+// forks the checkpoint per measurement instead of re-converging from scratch,
+// which is how sweeps amortize warm-up across pulse counts. A Checkpoint is
+// safe for concurrent Run calls — forking only reads the parked state, and
+// each call runs its own independent copy.
 //
-// The parked state is engine-specific: a Shards<=1 scenario parks a
-// sequential bgp.Snapshot, a Shards>1 scenario parks a bgp.ShardedSnapshot
-// with the partition baked in. A checkpoint only serves scenarios on the
-// engine (and shard count) it was built with — the run's Result is identical
-// either way (the cache fingerprint deliberately ignores Shards), but the
-// parked kernel state is not interchangeable.
+// The parked state belongs to the engine that built it, partition included: a
+// checkpoint only serves scenarios with the shard count it was built with.
+// The run's Result is identical either way (the cache fingerprint
+// deliberately ignores Shards), but the parked kernel state is not
+// interchangeable.
 type Checkpoint struct {
-	snap   *bgp.Snapshot        // sequential engine (Shards <= 1)
-	shsnap *bgp.ShardedSnapshot // sharded engine (Shards > 1)
-	shards int                  // shard count shsnap was built with
-	origin bgp.RouterID
+	parked engine
 }
 
-// Shards returns the shard count the checkpoint was built with (0 or 1 for a
-// sequential checkpoint).
-func (c *Checkpoint) Shards() int { return c.shards }
+// Shards returns the number of shard networks the checkpoint was built with
+// (1 for a sequential checkpoint).
+func (c *Checkpoint) Shards() int { return len(c.parked.shards()) }
 
 // NewCheckpoint executes the scenario's warm-up once (exactly as Run would)
 // and parks the converged state. Only the warm-up inputs matter here — the
-// graph, ISP, Config and Shards (a Shards>1 scenario converges on the sharded
-// engine and parks a sharded snapshot); measurement-phase fields (Pulses,
+// graph, ISP, Config and Shards; measurement-phase fields (Pulses,
 // FlapInterval, Watch, Trace, Impair, Faults, Watchdog) take effect in
 // Checkpoint.Run.
 func NewCheckpoint(sc Scenario) (*Checkpoint, error) {
@@ -509,27 +607,16 @@ func NewCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error)
 
 // newCheckpointContext is the hook-free warm-up body.
 func newCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error) {
-	if sc.Shards > 1 {
-		sn, origin, err := convergeSharded(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		defer sn.Close()
-		snap, err := sn.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("experiment: checkpoint: %w", err)
-		}
-		return &Checkpoint{shsnap: snap, shards: sc.Shards, origin: origin}, nil
-	}
-	n, origin, err := converge(ctx, sc)
+	e, err := converge(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := n.Snapshot()
+	defer e.close()
+	parked, err := e.fork()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint: %w", err)
 	}
-	return &Checkpoint{snap: snap, origin: origin}, nil
+	return &Checkpoint{parked: parked}, nil
 }
 
 // Run forks the converged checkpoint and measures the scenario's flap phase
@@ -549,26 +636,14 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	switch {
-	case sc.Shards > 1 && c.shsnap == nil:
-		return nil, fmt.Errorf("experiment: sharded scenario (Shards=%d) on a sequential checkpoint; build the checkpoint with the same Shards", sc.Shards)
-	case sc.Shards <= 1 && c.shsnap != nil:
-		return nil, fmt.Errorf("experiment: sequential scenario on a sharded checkpoint (built with Shards=%d)", c.shards)
-	case c.shsnap != nil:
-		if sc.Shards != c.shards {
-			return nil, fmt.Errorf("experiment: checkpoint built with Shards=%d cannot run Shards=%d (the partition is part of the parked state)", c.shards, sc.Shards)
-		}
-		sn, err := c.shsnap.Fork()
-		if err != nil {
-			return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
-		}
-		return measureSharded(ctx, sc, sn, c.origin)
+	if want := max(sc.Shards, 1); want != c.Shards() {
+		return nil, fmt.Errorf("experiment: checkpoint built with Shards=%d cannot run a Shards=%d scenario (the engine and its partition are part of the parked state)", c.Shards(), want)
 	}
-	_, n, err := c.snap.Fork()
+	e, err := c.parked.fork()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
 	}
-	return measure(ctx, sc, n, c.origin)
+	return measure(ctx, sc, e)
 }
 
 // ConvergenceSpread summarizes how long after the final announcement each

@@ -1,15 +1,9 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"rfd/bgp"
-	"rfd/faults"
-	"rfd/metrics"
-	"rfd/topology"
-	"rfd/trace"
 )
 
 // validateSharded checks Shards against the features that require the
@@ -34,217 +28,4 @@ func (s Scenario) validateSharded() error {
 		return fmt.Errorf("experiment: %w", err)
 	}
 	return nil
-}
-
-// runSharded executes the scenario on the sharded engine: the run topology is
-// partitioned across sc.Shards shard networks under conservative-lookahead
-// epochs, and the Result is reconstructed from the merged per-shard event
-// traces. Because the sharded engine's canonical trace is byte-identical to
-// the sequential engine's for the same seed, the reconstructed Result matches
-// a Shards<=1 run of the same scenario.
-func runSharded(ctx context.Context, sc Scenario) (*Result, error) {
-	sn, origin, err := convergeSharded(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	return measureSharded(ctx, sc, sn, origin)
-}
-
-// convergeSharded is converge for the sharded engine: build the partitioned
-// run topology, originate the flap prefix, drain to convergence, align the
-// shard clocks at the barrier and wipe damping state and counters. The
-// returned ensemble is quiescent at a barrier and ready for measureSharded —
-// or for a ShardedNetwork.Snapshot, which is how sharded sweeps amortize the
-// warm-up across pulse counts. The caller owns the ensemble (Close it).
-func convergeSharded(ctx context.Context, sc Scenario) (*bgp.ShardedNetwork, bgp.RouterID, error) {
-	if err := sc.validate(); err != nil {
-		return nil, 0, err
-	}
-
-	// Build the run topology exactly as converge does.
-	g := sc.Graph.Clone()
-	origin := g.AddNode()
-	if err := g.AddEdge(origin, sc.ISP); err != nil {
-		return nil, 0, fmt.Errorf("experiment: attach origin: %w", err)
-	}
-	if g.Annotated() {
-		if err := g.SetRelationship(origin, sc.ISP, topology.RelProvider); err != nil {
-			return nil, 0, fmt.Errorf("experiment: annotate origin link: %w", err)
-		}
-	}
-	assign, err := topology.Partition(g, sc.Shards)
-	if err != nil {
-		return nil, 0, fmt.Errorf("experiment: partition: %w", err)
-	}
-	sn, err := bgp.NewShardedNetwork(g, sc.Config, assign)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Warm-up: no hooks installed, so the trace covers only the flap phase.
-	sn.Router(origin).Originate(FlapPrefix)
-	if err := sn.Group().RunContext(ctx); err != nil {
-		sn.Close()
-		return nil, 0, wrapInterrupt(ctx, "warm-up", err)
-	}
-	sn.Align()
-	sn.ResetDamping()
-	sn.ResetCounters()
-	return sn, origin, nil
-}
-
-// measureSharded executes the scenario's flap phase and drain on a converged
-// ensemble (fresh from convergeSharded, or a fork of a sharded checkpoint)
-// and reconstructs the Result from the merged per-shard traces. It takes
-// ownership of sn and closes it.
-func measureSharded(ctx context.Context, sc Scenario, sn *bgp.ShardedNetwork, origin bgp.RouterID) (*Result, error) {
-	defer sn.Close()
-	grp := sn.Group()
-
-	interval := sc.FlapInterval
-	if interval == 0 {
-		interval = DefaultFlapInterval
-	}
-	epoch := grp.Now()
-
-	// Per-shard trace logs; the Result is rebuilt from their canonical merge
-	// after the run. Hooks fire on worker goroutines, so they must not share
-	// mutable state across shards — one log per shard is exactly that.
-	logs := make([]*trace.Log, sn.NumShards())
-	for s := 0; s < sn.NumShards(); s++ {
-		logs[s] = trace.NewLog(0)
-		sn.Shard(s).SetHooks(bgp.TraceHooks(logs[s]))
-	}
-
-	// Fault apparatus: one impairment fork per shard (each consumes only the
-	// per-link streams of the links its shard sends on), and the fault plan
-	// replicated to every shard at the same virtual times.
-	var imps []*faults.Impairments
-	if sc.Impair != nil {
-		imps = make([]*faults.Impairments, sn.NumShards())
-		for s := range imps {
-			imps[s] = sc.Impair.Fork()
-			sn.Shard(s).SetImpairment(imps[s])
-		}
-	}
-	if sc.Faults != nil {
-		if err := sc.Faults.ApplySharded(sn, epoch, imps); err != nil {
-			return nil, fmt.Errorf("experiment: fault plan: %w", err)
-		}
-	}
-
-	// Flap phase, mirroring measure.
-	flapDown := func() error {
-		if sc.FlapViaLink {
-			return sn.SetLinkState(origin, bgp.RouterID(sc.ISP), false)
-		}
-		sn.Router(origin).StopOriginating(FlapPrefix)
-		return nil
-	}
-	flapUp := func() error {
-		if sc.FlapViaLink {
-			return sn.SetLinkState(origin, bgp.RouterID(sc.ISP), true)
-		}
-		sn.Router(origin).Originate(FlapPrefix)
-		return nil
-	}
-	var flapStart, flapEnd time.Duration
-	if sc.Pulses > 0 {
-		flapStart = grp.Now() - epoch
-		for i := 0; i < sc.Pulses; i++ {
-			if err := flapDown(); err != nil {
-				return nil, fmt.Errorf("experiment: pulse %d down: %w", i+1, err)
-			}
-			if err := grp.RunUntilContext(ctx, grp.Now()+interval); err != nil {
-				return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i+1), err)
-			}
-			if err := flapUp(); err != nil {
-				return nil, fmt.Errorf("experiment: pulse %d up: %w", i+1, err)
-			}
-			flapEnd = grp.Now() - epoch
-			if i < sc.Pulses-1 {
-				if err := grp.RunUntilContext(ctx, grp.Now()+interval); err != nil {
-					return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i+1), err)
-				}
-			}
-		}
-	}
-
-	// Drain.
-	if err := grp.RunContext(ctx); err != nil {
-		return nil, wrapInterrupt(ctx, "drain", err)
-	}
-	if err := sn.CheckConsistency(); err != nil && sc.Impair == nil {
-		return nil, fmt.Errorf("experiment: post-run consistency: %w", err)
-	}
-
-	res := reconstructResult(sc, trace.Merge(logs...).Canonical(), epoch, origin)
-	res.FlapStart = flapStart
-	res.FlapEnd = flapEnd
-	res.EndTime = grp.Now() - epoch
-	res.Dropped = sn.Dropped()
-	res.MessageCount = res.Updates.Count()
-	if last, ok := res.Updates.Last(); ok && last > res.FlapEnd {
-		res.ConvergenceTime = last - res.FlapEnd
-	}
-	res.MaxDamped = res.Damped.Max()
-	res.Phases = metrics.ComputePhases(res.Updates, res.NoisyReuseTimes, res.FlapStart, res.FlapEnd)
-	return res, nil
-}
-
-// reconstructResult replays the merged canonical event trace into the same
-// series and counters measure's live hooks would have produced. The damped
-// count is a running ±1 over suppress/unsuppress events — valid because
-// damping state was reset at the epoch, so the count starts at zero.
-func reconstructResult(sc Scenario, events []trace.Event, epoch time.Duration, origin bgp.RouterID) *Result {
-	res := &Result{
-		Pulses:             sc.Pulses,
-		Origin:             origin,
-		ISP:                bgp.RouterID(sc.ISP),
-		Updates:            &metrics.EventSeries{},
-		Damped:             &metrics.StepSeries{},
-		NoisyReuseTimes:    &metrics.EventSeries{},
-		PenaltyTraces:      make(map[PenaltyWatch]*metrics.FloatSeries, len(sc.Watch)),
-		LastUpdateByRouter: make(map[bgp.RouterID]time.Duration),
-	}
-	for _, w := range sc.Watch {
-		res.PenaltyTraces[w] = &metrics.FloatSeries{}
-	}
-	damped := 0
-	for _, ev := range events {
-		at := ev.At - epoch
-		switch ev.Kind {
-		case trace.KindDeliver:
-			res.Updates.Record(at)
-			res.LastUpdateByRouter[bgp.RouterID(ev.Router)] = at
-		case trace.KindSuppress, trace.KindUnsuppress:
-			if ev.Kind == trace.KindSuppress {
-				damped++
-				if ev.Router == int(sc.ISP) && ev.Peer == int(origin) {
-					res.OriginSuppressed = true
-				}
-			} else {
-				damped--
-			}
-			res.Damped.Record(at, damped)
-		case trace.KindReuse:
-			if ev.Noisy {
-				res.NoisyReuses++
-				res.NoisyReuseTimes.Record(at)
-			} else {
-				res.SilentReuses++
-			}
-		case trace.KindPenalty:
-			w := PenaltyWatch{Router: bgp.RouterID(ev.Router), Peer: bgp.RouterID(ev.Peer)}
-			if tr, ok := res.PenaltyTraces[w]; ok {
-				tr.Record(at, ev.Penalty)
-			}
-		}
-		if sc.Trace != nil {
-			shifted := ev
-			shifted.At = at
-			sc.Trace.Append(shifted)
-		}
-	}
-	return res
 }

@@ -2,10 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"rfd/bgp"
 	"rfd/faults"
+	"rfd/topology"
 	"rfd/trace"
 )
 
@@ -73,28 +77,61 @@ func assertResultsEqual(t *testing.T, want, got *Result) {
 // TestRunShardedMatchesSequential is the experiment-level equivalence
 // property: Run with Shards>1 produces the same Result as Shards<=1.
 func TestRunShardedMatchesSequential(t *testing.T) {
-	base := Scenario{
+	mesh := Scenario{
 		Graph:  smallMesh(t),
 		ISP:    7,
 		Config: dampingCfg(),
 		Pulses: 3,
 		Watch:  []PenaltyWatch{{Router: 7, Peer: 25}}, // ISP watching the origin
 	}
-	base.Config.Seed = 9
-	want, err := Run(base)
+	mesh.Config.Seed = 9
+
+	// A router crashing while it holds suppressed states: the damped-link
+	// series counted from suppress/unsuppress events must agree with the
+	// live RIB-IN count, which needs the crash to report what it discards.
+	inet, err := topology.InternetDerived(topology.DefaultInternetConfig(60, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sc := base
-			sc.Shards = shards
-			got, err := Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsEqual(t, want, got)
-		})
+	nb, nb2 := bgp.RouterID(inet.Neighbors(30)[0]), bgp.RouterID(inet.Neighbors(30)[1])
+	crash := Scenario{
+		Graph:  inet,
+		ISP:    30,
+		Config: dampingCfg(),
+		Pulses: 4,
+		Faults: faults.NewPlan(
+			faults.ResetSession(100*time.Second, 30, nb),
+			faults.CrashRouter(130*time.Second, nb, 40*time.Second),
+			faults.FlapLink(200*time.Second, 30, nb2, 10*time.Second),
+		),
+	}
+
+	for _, c := range []struct {
+		prefix string
+		base   Scenario
+		shards []int
+	}{
+		{"", mesh, []int{2, 4}},
+		{"crash-while-suppressed/", crash, []int{2}},
+	} {
+		want, err := Run(c.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range c.shards {
+			t.Run(fmt.Sprintf("%sshards=%d", c.prefix, shards), func(t *testing.T) {
+				sc := c.base
+				sc.Shards = shards
+				got, err := Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertResultsEqual(t, want, got)
+				if !reflect.DeepEqual(want.Damped, got.Damped) {
+					t.Errorf("Damped series differs (max %d vs %d)", want.Damped.Max(), got.Damped.Max())
+				}
+			})
+		}
 	}
 }
 
@@ -235,10 +272,10 @@ func TestShardedValidation(t *testing.T) {
 			t.Fatalf("want lookahead error, got %v", err)
 		}
 	})
-	// Checkpoints are engine-specific state: a sequential checkpoint cannot
-	// serve a sharded scenario, a sharded one cannot serve a sequential (or
-	// differently sharded) scenario — each mismatch is a clear error, not a
-	// silent from-scratch run.
+	// A checkpoint parks engine-specific state: it serves only the shard
+	// count it was built with, and every mismatch — sequential checkpoint with
+	// a sharded scenario, sharded with a sequential, sharded with another
+	// count — is the same clear error, not a silent from-scratch run.
 	t.Run("checkpoint-engine-mismatch", func(t *testing.T) {
 		seqCP, err := NewCheckpoint(valid())
 		if err != nil {
@@ -246,9 +283,6 @@ func TestShardedValidation(t *testing.T) {
 		}
 		sharded := valid()
 		sharded.Shards = 2
-		if _, err := seqCP.Run(sharded); err == nil || !strings.Contains(err.Error(), "sequential checkpoint") {
-			t.Fatalf("sequential checkpoint accepted a sharded scenario: %v", err)
-		}
 		shCP, err := NewCheckpoint(sharded)
 		if err != nil {
 			t.Fatal(err)
@@ -256,13 +290,20 @@ func TestShardedValidation(t *testing.T) {
 		if shCP.Shards() != 2 {
 			t.Fatalf("Shards() = %d, want 2", shCP.Shards())
 		}
-		if _, err := shCP.Run(valid()); err == nil || !strings.Contains(err.Error(), "sharded checkpoint") {
-			t.Fatalf("sharded checkpoint accepted a sequential scenario: %v", err)
-		}
 		other := valid()
 		other.Shards = 3
-		if _, err := shCP.Run(other); err == nil || !strings.Contains(err.Error(), "Shards=3") {
-			t.Fatalf("sharded checkpoint accepted a different shard count: %v", err)
+		for _, c := range []struct {
+			cp   *Checkpoint
+			sc   Scenario
+			want string
+		}{
+			{seqCP, sharded, "built with Shards=1 cannot run a Shards=2 scenario"},
+			{shCP, valid(), "built with Shards=2 cannot run a Shards=1 scenario"},
+			{shCP, other, "built with Shards=2 cannot run a Shards=3 scenario"},
+		} {
+			if _, err := c.cp.Run(c.sc); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("want error %q, got %v", c.want, err)
+			}
 		}
 	})
 }

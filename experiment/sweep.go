@@ -72,8 +72,7 @@ func SweepParallelContext(ctx context.Context, base Scenario, pulses []int, work
 		return nil, nil
 	}
 	// One warm-up for the whole sweep, on whichever engine the scenario asks
-	// for: a Shards>1 base converges on the sharded engine and parks a sharded
-	// snapshot, so sharded sweeps fork per point exactly like sequential ones.
+	// for; every point forks the parked engine.
 	cp, err := NewCheckpointContext(ctx, base)
 	if err != nil {
 		return nil, err
@@ -150,14 +149,7 @@ func runSweepPoint(ctx context.Context, cp *Checkpoint, base Scenario, pulses in
 				&PanicError{Value: r, Fingerprint: fp, Stack: stackTrace()})
 		}
 	}()
-	sc := scWithPulses(base, pulses)
-	var res *Result
-	var err error
-	if cp == nil {
-		res, err = RunContext(ctx, sc)
-	} else {
-		res, err = pointRunner(ctx, cp, sc)
-	}
+	res, err := pointRunner(ctx, cp, scWithPulses(base, pulses))
 	if err != nil {
 		pt.Err = fmt.Errorf("experiment: sweep n=%d: %w", pulses, err)
 		return

@@ -236,6 +236,11 @@ func linkExists(n *bgp.Network, a, b bgp.RouterID) bool {
 // LossWindow events are folded into imp instead of scheduled; a plan that
 // contains them requires a non-nil imp, which must also be installed on the
 // network (bgp.Network.SetImpairment) for the windows to take effect.
+//
+// On the sharded engine, apply the plan to every shard network at the same
+// epoch (with that shard's own impairment model): each shard's kernel then
+// executes every fault at the same virtual time against its own replica of
+// the link/session state, which is what keeps the replicas in lockstep.
 func (p *Plan) Apply(n *bgp.Network, epoch time.Duration, imp *Impairments) error {
 	if err := p.Validate(n); err != nil {
 		return err
@@ -278,29 +283,6 @@ func (p *Plan) Apply(n *bgp.Network, epoch time.Duration, imp *Impairments) erro
 				imp.AddWindow(at, at+e.Duration, e.Rate, e.A, e.B)
 				imp.AddWindow(at, at+e.Duration, e.Rate, e.B, e.A)
 			}
-		}
-	}
-	return nil
-}
-
-// ApplySharded schedules the plan on every shard of a sharded ensemble: each
-// shard's kernel executes every fault at the same virtual time against its
-// own replica of the link/session state (shard networks nil-guard the
-// routers they don't own), which is what keeps the replicas in lockstep.
-// imps, when non-nil, must hold one per-shard impairment model (same seed,
-// link-stream mode — see Impairments.UseLinkStreams) for loss windows to fold
-// into; pass nil when the plan has none.
-func (p *Plan) ApplySharded(sn *bgp.ShardedNetwork, epoch time.Duration, imps []*Impairments) error {
-	if imps != nil && len(imps) != sn.NumShards() {
-		return fmt.Errorf("faults: %d impairment models for %d shards", len(imps), sn.NumShards())
-	}
-	for s := 0; s < sn.NumShards(); s++ {
-		var imp *Impairments
-		if imps != nil {
-			imp = imps[s]
-		}
-		if err := p.Apply(sn.Shard(s), epoch, imp); err != nil {
-			return err
 		}
 	}
 	return nil

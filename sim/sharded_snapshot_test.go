@@ -97,7 +97,7 @@ func newTickWorld(t *testing.T, rounds uint64) *tickWorld {
 	return w
 }
 
-// adopt wires a freshly forked (or snapshot-materialized) group into a new
+// adopt wires a freshly forked group into a new
 // world: fork-local exchanger with the parent's un-flushed messages copied
 // over, and every pending handler event remapped onto the new world's shards.
 func adopt(t *testing.T, g *ShardGroup, parent *tickWorld) *tickWorld {
@@ -204,56 +204,5 @@ func TestShardGroupForkParentUntouched(t *testing.T) {
 				t.Fatalf("fork total events %d, want %d (carried prefix + replayed suffix)", got, refStats.TotalEvents)
 			}
 		})
-	}
-}
-
-// TestGroupSnapshotNewGroupReplays pins the snapshot half: a GroupSnapshot
-// taken at a barrier is immutable — the source group draining afterwards does
-// not disturb it — and every group materialized from it replays the identical
-// suffix.
-func TestGroupSnapshotNewGroupReplays(t *testing.T) {
-	const rounds = 10
-	const mid = 4 * tickL
-
-	p := newTickWorld(t, rounds)
-	if err := p.g.RunUntil(mid); err != nil {
-		t.Fatal(err)
-	}
-	prefixLen := len(p.log)
-	snap := p.g.Snapshot()
-	if snap.NumShards() != 2 {
-		t.Fatalf("snapshot has %d shards, want 2", snap.NumShards())
-	}
-	for i := 0; i < snap.NumShards(); i++ {
-		if snap.Shard(i) == nil {
-			t.Fatalf("shard %d snapshot missing", i)
-		}
-	}
-	// Copy the exchanger's in-flight messages before the parent drains them.
-	pendingAtSnap := append([]hmsg(nil), p.ex.pending...)
-
-	// Drain the source first: materialized groups must replay from the capture
-	// point regardless of what the source did since.
-	if err := p.g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	suffix := append([]string(nil), p.log[prefixLen:]...)
-	if len(suffix) == 0 {
-		t.Fatal("empty suffix: the replay comparison is vacuous")
-	}
-
-	for _, name := range []string{"first", "second"} {
-		g, err := snap.NewGroup(&handlerExchanger{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A stand-in parent carrying the in-flight messages as they were at
-		// the snapshot instant, so adopt copies them into the new world.
-		atSnap := &tickWorld{ex: &handlerExchanger{pending: pendingAtSnap}}
-		m := adopt(t, g, atSnap)
-		if err := m.g.Run(); err != nil {
-			t.Fatal(err)
-		}
-		assertTrace(t, name+" materialization", m.log, suffix)
 	}
 }
