@@ -1,8 +1,9 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rfd/sim"
@@ -126,14 +127,8 @@ func (sn *ShardedNetwork) Flush() int {
 		buf = append(buf, box...)
 		sn.outbox[s] = box[:0]
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].at != buf[j].at {
-			return buf[i].at < buf[j].at
-		}
-		if buf[i].src != buf[j].src {
-			return buf[i].src < buf[j].src
-		}
-		return buf[i].seq < buf[j].seq
+	slices.SortFunc(buf, func(a, b remoteMsg) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
 	for _, m := range buf {
 		sn.shards[sn.owner[m.msg.To]].injectDelivery(m.at, m.msg, m.gen)

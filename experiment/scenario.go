@@ -285,7 +285,7 @@ func converge(ctx context.Context, sc Scenario) (engine, error) {
 
 // recorder fills a Result from the engine's four observation points; every
 // time it is handed is flap-relative. measure feeds it live from bgp.Hooks on
-// a single network, or by replaying the merged per-shard traces.
+// a single network, or after the drain from the per-shard observation feeds.
 type recorder struct{ res *Result }
 
 func newRecorder(sc Scenario) recorder {
@@ -354,31 +354,89 @@ func (rc recorder) hooks(n *bgp.Network, epoch time.Duration) bgp.Hooks {
 	}
 }
 
-// replay is the other feed: events in canonical order, absolute times. The
-// damped count is a running ±1 over suppress/unsuppress events — valid
-// because damping state was reset at the epoch, so the count starts at zero.
-// Rebased events are copied to sink when it is non-nil.
-func (rc recorder) replay(events []trace.Event, epoch time.Duration, sink *trace.Log) {
-	damped := 0
-	for _, ev := range events {
-		ev.At -= epoch
-		router, peer := bgp.RouterID(ev.Router), bgp.RouterID(ev.Peer)
-		switch ev.Kind {
-		case trace.KindDeliver:
-			rc.deliver(ev.At, router)
-		case trace.KindSuppress:
-			damped++
-			rc.suppress(ev.At, router, peer, true, damped)
-		case trace.KindUnsuppress:
-			damped--
-			rc.suppress(ev.At, router, peer, false, damped)
-		case trace.KindReuse:
-			rc.reuse(ev.At, ev.Noisy)
-		case trace.KindPenalty:
-			rc.penalty(ev.At, router, peer, ev.Penalty)
+// obsKind labels an observation: which recorder method it feeds.
+type obsKind uint8
+
+const (
+	obsDeliver obsKind = iota
+	obsSuppress
+	obsReuse
+	obsPenalty
+)
+
+// observation is what one hook call on a shard network leaves behind for the
+// recorder: the arguments the recorder reads, nothing a trace would add.
+type observation struct {
+	at           time.Duration // flap-relative
+	penalty      float64       // obsPenalty
+	router, peer bgp.RouterID  // obsDeliver: router is the receiver
+	kind         obsKind
+	flag         bool // obsSuppress: on; obsReuse: noisy
+}
+
+// feedHooks is the feed of a run on several networks. Their hooks fire on
+// worker goroutines, which must not share mutable state, so each network
+// appends to a feed of its own; replay consumes them after the drain.
+// Penalties are kept for watched pairs only, and not observed at all when
+// nothing is watched.
+func (rc recorder) feedHooks(feed *[]observation, epoch time.Duration) bgp.Hooks {
+	h := bgp.Hooks{
+		OnDeliver: func(at time.Duration, msg bgp.Message) {
+			*feed = append(*feed, observation{at: at - epoch, kind: obsDeliver, router: msg.To})
+		},
+		OnSuppress: func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
+			*feed = append(*feed, observation{at: at - epoch, kind: obsSuppress, router: router, peer: peer, flag: on})
+		},
+		OnReuse: func(at time.Duration, _, _ bgp.RouterID, _ bgp.Prefix, noisy bool) {
+			*feed = append(*feed, observation{at: at - epoch, kind: obsReuse, flag: noisy})
+		},
+	}
+	if len(rc.res.PenaltyTraces) > 0 {
+		h.OnPenalty = func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, penalty float64) {
+			// Concurrent lookups are safe: nothing writes the map after newRecorder.
+			if _, ok := rc.res.PenaltyTraces[PenaltyWatch{Router: router, Peer: peer}]; ok {
+				*feed = append(*feed, observation{at: at - epoch, kind: obsPenalty, router: router, peer: peer, penalty: penalty})
+			}
 		}
-		if sink != nil {
-			sink.Append(ev)
+	}
+	return h
+}
+
+// replay records the feeds merged by time. Each feed is already in time order
+// (one kernel's clock), and ties go to the lowest feed: nothing in a Result
+// depends on the order of observations within one instant — series of times
+// are multisets, Damped keeps the last count recorded at an instant, and
+// everything per router or per pair comes from a single feed. The damped
+// count is a running ±1 over suppression flips — valid because damping state
+// was reset at the epoch, so the count starts at zero.
+func (rc recorder) replay(feeds [][]observation) {
+	damped := 0
+	for {
+		next := -1
+		for s, f := range feeds {
+			if len(f) > 0 && (next < 0 || f[0].at < feeds[next][0].at) {
+				next = s
+			}
+		}
+		if next < 0 {
+			return
+		}
+		o := feeds[next][0]
+		feeds[next] = feeds[next][1:]
+		switch o.kind {
+		case obsDeliver:
+			rc.deliver(o.at, o.router)
+		case obsSuppress:
+			if o.flag {
+				damped++
+			} else {
+				damped--
+			}
+			rc.suppress(o.at, o.router, o.peer, o.flag, damped)
+		case obsReuse:
+			rc.reuse(o.at, o.flag)
+		case obsPenalty:
+			rc.penalty(o.at, o.router, o.peer, o.penalty)
 		}
 	}
 }
@@ -422,24 +480,33 @@ func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
 	epoch := e.now()
 	nets := e.shards()
 
-	// Observers. One network is recorded live. Several run their hooks on
-	// worker goroutines, which must not share mutable state: each records
-	// into its own unbounded log, and the Result is replayed from their
-	// canonical merge after the drain — the same events in the same order,
-	// because the engines' canonical traces are byte-identical per seed.
+	// Observers. One network feeds the recorder live; several append to a
+	// feed each, replayed after the drain. A trace is a by-product either
+	// way, recorded only on request: straight into sc.Trace from one
+	// network, into a log per network — merged into sc.Trace after the
+	// drain — from several.
+	sharded := len(nets) > 1
+	var feeds [][]observation
 	var logs []*trace.Log
-	if len(nets) == 1 {
-		hooks := rc.hooks(nets[0], epoch)
+	if sharded {
+		feeds = make([][]observation, len(nets))
+	}
+	for s, n := range nets {
+		var hooks bgp.Hooks
+		if sharded {
+			hooks = rc.feedHooks(&feeds[s], epoch)
+		} else {
+			hooks = rc.hooks(n, epoch)
+		}
 		if sc.Trace != nil {
-			hooks = bgp.MergeHooks(hooks, rebaseHooks(bgp.TraceHooks(sc.Trace), epoch))
+			log := sc.Trace
+			if sharded {
+				log = trace.NewLog(math.MaxInt)
+				logs = append(logs, log)
+			}
+			hooks = bgp.MergeHooks(hooks, rebaseHooks(bgp.TraceHooks(log), epoch))
 		}
-		nets[0].SetHooks(hooks)
-	} else {
-		logs = make([]*trace.Log, len(nets))
-		for s, n := range nets {
-			logs[s] = trace.NewLog(math.MaxInt)
-			n.SetHooks(bgp.TraceHooks(logs[s]))
-		}
+		n.SetHooks(hooks)
 	}
 
 	// Fault injection: impairments and the fault plan come alive at the
@@ -533,8 +600,11 @@ func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
 			return nil, fmt.Errorf("experiment: invariant check: %w", err)
 		}
 	}
+	rc.replay(feeds)
 	if logs != nil {
-		rc.replay(trace.Merge(logs...).Events(), epoch, sc.Trace)
+		for _, ev := range trace.Merge(logs...).Events() {
+			sc.Trace.Append(ev)
+		}
 	}
 	res.EndTime = e.now() - epoch
 	res.Dropped = e.Dropped()

@@ -351,25 +351,35 @@ func TestSweepSharded(t *testing.T) {
 	}
 }
 
-// TestRunShardedTrace checks the user-facing trace log: flap-relative times,
-// same event count as the sequential run's log.
+// TestRunShardedTrace checks the user-facing trace log — flap-relative times,
+// canonically equal to the sequential run's log — and that it is a by-product:
+// a sharded Result is the sequential one, field for field, whether or not the
+// run was traced and watched.
 func TestRunShardedTrace(t *testing.T) {
-	mk := func(shards int) Scenario {
-		sc := Scenario{Graph: smallMesh(t), ISP: 2, Config: dampingCfg(), Pulses: 1, Shards: shards}
+	run := func(shards int, observed bool) (*Result, *trace.Log) {
+		t.Helper()
+		sc := Scenario{Graph: smallMesh(t), ISP: 7, Config: dampingCfg(), Pulses: 3, Shards: shards}
 		sc.Config.Seed = 6
-		return sc
+		var log *trace.Log
+		if observed {
+			log = trace.NewLog(0)
+			sc.Trace = log
+			sc.Watch = []PenaltyWatch{{Router: 7, Peer: 25}} // ISP watching the origin
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, log
 	}
-	seq := mk(0)
-	seqLog := trace.NewLog(0)
-	seq.Trace = seqLog
-	if _, err := Run(seq); err != nil {
-		t.Fatal(err)
+	seq, seqLog := run(0, true)
+	sh, shLog := run(2, true)
+	if !reflect.DeepEqual(seq, sh) {
+		assertResultsEqual(t, seq, sh)
+		t.Errorf("traced and watched: sharded Result differs from sequential\nseq:   %+v\nshard: %+v", seq, sh)
 	}
-	sh := mk(2)
-	shLog := trace.NewLog(0)
-	sh.Trace = shLog
-	if _, err := Run(sh); err != nil {
-		t.Fatal(err)
+	if tr := sh.PenaltyTraces[PenaltyWatch{Router: 7, Peer: 25}]; tr.Len() == 0 || sh.Damped.Max() == 0 {
+		t.Fatal("degenerate scenario: no watched penalty or no suppression recorded")
 	}
 	a, b := seqLog.Canonical(), shLog.Canonical()
 	if len(a) != len(b) {
@@ -382,5 +392,18 @@ func TestRunShardedTrace(t *testing.T) {
 	}
 	if len(a) > 0 && a[0].At < 0 {
 		t.Fatalf("trace times not flap-relative: first at %v", a[0].At)
+	}
+
+	// Nothing requested: the shard networks observe no penalties and build
+	// no trace, and the rest of the Result does not notice.
+	seqBare, _ := run(0, false)
+	shBare, _ := run(2, false)
+	if !reflect.DeepEqual(seqBare, shBare) {
+		assertResultsEqual(t, seqBare, shBare)
+		t.Errorf("untraced: sharded Result differs from sequential\nseq:   %+v\nshard: %+v", seqBare, shBare)
+	}
+	shBare.PenaltyTraces = sh.PenaltyTraces
+	if !reflect.DeepEqual(sh, shBare) {
+		t.Errorf("sharded Result depends on Trace/Watch beyond PenaltyTraces")
 	}
 }

@@ -72,6 +72,9 @@ type ShardStats struct {
 	CriticalPathEvents uint64
 	// Injected is the number of cross-shard events moved at barriers.
 	Injected uint64
+	// SoloEpochs is the number of epochs in which a single shard had events
+	// before the horizon; they run on the coordinator without a barrier.
+	SoloEpochs uint64
 	// EventsPerShard is the per-shard executed-event breakdown.
 	EventsPerShard []uint64
 }
@@ -100,13 +103,16 @@ type ShardGroup struct {
 	stats ShardStats
 
 	// Worker pool state: workers persist across epochs so an epoch barrier
-	// costs two channel hops per shard, not a goroutine spawn.
+	// costs two channel hops per woken shard, not a goroutine spawn. Shard 0
+	// has no worker: whenever it is busy it is the lowest-numbered busy
+	// shard, which the coordinator runs itself.
 	workers   sync.WaitGroup
-	work      []chan time.Duration // per-shard epoch horizon
+	work      []chan time.Duration // per-shard epoch horizon; work[0] is nil
 	done      chan workerDone
 	started   bool
 	closed    bool
 	prevEpoch []uint64 // per-shard executed count at last barrier
+	busy      []int    // scratch: shards with events in the current epoch
 }
 
 type workerDone struct {
@@ -203,15 +209,15 @@ func (g *ShardGroup) Pending() int {
 	return total
 }
 
-// start spins up the worker pool.
+// start spins up the worker pool: one goroutine per shard after the first.
 func (g *ShardGroup) start() {
-	if g.started || g.sequential {
+	if g.started {
 		return
 	}
 	g.started = true
 	g.work = make([]chan time.Duration, len(g.kernels))
-	g.done = make(chan workerDone, len(g.kernels))
-	for i := range g.kernels {
+	g.done = make(chan workerDone, len(g.kernels)-1)
+	for i := 1; i < len(g.kernels); i++ {
 		g.work[i] = make(chan time.Duration)
 		g.workers.Add(1)
 		go func(shard int) {
@@ -232,7 +238,7 @@ func (g *ShardGroup) Close() {
 		return
 	}
 	g.closed = true
-	for _, ch := range g.work {
+	for _, ch := range g.work[1:] {
 		close(ch)
 	}
 	g.workers.Wait()
@@ -255,23 +261,38 @@ func (g *ShardGroup) nextEpochStart() (time.Duration, bool) {
 }
 
 // runEpoch executes one epoch with the given exclusive horizon on every
-// shard, then accounts stats. It returns the first shard error.
+// shard that has an event before it, then accounts stats. When several shards
+// fail in one epoch it returns the lowest-numbered one's error, so the text
+// (it embeds that kernel's event count and clock) does not depend on which
+// worker finished first.
 func (g *ShardGroup) runEpoch(horizon time.Duration) error {
-	var firstErr error
-	if g.sequential || g.closed {
-		for _, k := range g.kernels {
-			if err := k.RunBefore(horizon); err != nil && firstErr == nil {
-				firstErr = err
+	busy := g.busy[:0]
+	for i, k := range g.kernels {
+		if at, ok := k.NextEventTime(); ok && at < horizon {
+			busy = append(busy, i)
+		}
+	}
+	g.busy = busy
+	if len(busy) <= 1 {
+		g.stats.SoloEpochs++
+	}
+	var err error
+	if len(busy) <= 1 || g.sequential || g.closed {
+		for _, s := range busy {
+			if e := g.kernels[s].RunBefore(horizon); e != nil && err == nil {
+				err = e
 			}
 		}
 	} else {
 		g.start()
-		for _, ch := range g.work {
-			ch <- horizon
+		for _, s := range busy[1:] {
+			g.work[s] <- horizon
 		}
-		for range g.kernels {
-			if d := <-g.done; d.err != nil && firstErr == nil {
-				firstErr = d.err
+		failed := busy[0]
+		err = g.kernels[failed].RunBefore(horizon)
+		for range busy[1:] {
+			if d := <-g.done; d.err != nil && (err == nil || d.shard < failed) {
+				err, failed = d.err, d.shard
 			}
 		}
 	}
@@ -287,7 +308,7 @@ func (g *ShardGroup) runEpoch(horizon time.Duration) error {
 		}
 	}
 	g.stats.CriticalPathEvents += epochMax
-	return firstErr
+	return err
 }
 
 // Run drains every shard: epochs advance until no kernel has a pending event

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -45,19 +46,28 @@ func Partition(g *Graph, k int) ([]int32, error) {
 	seeds := pickSeeds(g, k)
 	limit := (n + k - 1) / k
 
-	// claimed[v] counts v's neighbors already assigned to shard s when v sits
-	// on s's frontier; recomputed cheaply because frontiers stay small.
+	// score[s][v] counts v's neighbors already assigned to shard s, kept up
+	// to date as nodes join: +1 for every unassigned neighbor of the joiner.
+	// Each bump pushes a fresh (score, id) entry on s's heap; entries whose
+	// node has since been claimed, or whose score is no longer current, are
+	// discarded when they surface.
 	size := make([]int, k)
-	frontier := make([]map[NodeID]bool, k)
-	for s, seed := range seeds {
-		assign[seed] = int32(s)
+	scores := make([]int32, k*n)
+	score := make([][]int32, k)
+	frontier := make([]frontierHeap, k)
+	join := func(v NodeID, s int) {
+		assign[v] = int32(s)
 		size[s]++
-		frontier[s] = make(map[NodeID]bool)
-		for _, w := range g.Neighbors(seed) {
+		for _, w := range g.Neighbors(v) {
 			if assign[w] < 0 {
-				frontier[s][w] = true
+				score[s][w]++
+				heap.Push(&frontier[s], candidate{score[s][w], w})
 			}
 		}
+	}
+	for s, seed := range seeds {
+		score[s] = scores[s*n : (s+1)*n]
+		join(seed, s)
 	}
 
 	remaining := n - k
@@ -67,35 +77,15 @@ func Partition(g *Graph, k int) ([]int32, error) {
 			if size[s] >= limit {
 				continue
 			}
-			best := NodeID(-1)
-			bestScore := -1
-			for v := range frontier[s] {
-				if assign[v] >= 0 {
-					delete(frontier[s], v)
+			for len(frontier[s]) > 0 {
+				c := heap.Pop(&frontier[s]).(candidate)
+				if assign[c.id] >= 0 || c.score != score[s][c.id] {
 					continue
 				}
-				score := 0
-				for _, w := range g.Neighbors(v) {
-					if assign[w] == int32(s) {
-						score++
-					}
-				}
-				if score > bestScore || (score == bestScore && v < best) {
-					best, bestScore = v, score
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			assign[best] = int32(s)
-			size[s]++
-			remaining--
-			progress = true
-			delete(frontier[s], best)
-			for _, w := range g.Neighbors(best) {
-				if assign[w] < 0 {
-					frontier[s][w] = true
-				}
+				join(c.id, s)
+				remaining--
+				progress = true
+				break
 			}
 		}
 		if !progress {
@@ -118,6 +108,29 @@ func Partition(g *Graph, k int) ([]int32, error) {
 		size[s]++
 	}
 	return assign, nil
+}
+
+// candidate is a frontier node with the score it had when pushed.
+type candidate struct {
+	score int32
+	id    NodeID
+}
+
+// frontierHeap is a container/heap of candidates ordered by (score
+// descending, id ascending): the claim order of Partition's step 2.
+type frontierHeap []candidate
+
+func (h frontierHeap) Len() int { return len(h) }
+func (h frontierHeap) Less(i, j int) bool {
+	return h[i].score > h[j].score || (h[i].score == h[j].score && h[i].id < h[j].id)
+}
+func (h frontierHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *frontierHeap) Push(x any)   { *h = append(*h, x.(candidate)) }
+func (h *frontierHeap) Pop() any {
+	q := *h
+	c := q[len(q)-1]
+	*h = q[:len(q)-1]
+	return c
 }
 
 // pickSeeds returns k distinct seed nodes: highest degree first, then

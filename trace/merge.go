@@ -1,6 +1,17 @@
 package trace
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
+
+// canonicalOrder is the (At, Router) key of Canonical and Merge.
+func canonicalOrder(a, b Event) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Router, b.Router)
+}
 
 // Canonical returns the log's events in canonical order: a stable sort by
 // (At, Router). The sharded engine records events in per-shard logs, so raw
@@ -10,12 +21,7 @@ import "sort"
 // one comparable sequence. Use with Merge to compare engines byte for byte.
 func (l *Log) Canonical() []Event {
 	out := l.Events()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Router < out[j].Router
-	})
+	slices.SortStableFunc(out, canonicalOrder)
 	return out
 }
 
@@ -36,11 +42,6 @@ func Merge(logs ...*Log) *Log {
 	for _, l := range logs {
 		m.events = append(m.events, l.events...)
 	}
-	sort.SliceStable(m.events, func(i, j int) bool {
-		if m.events[i].At != m.events[j].At {
-			return m.events[i].At < m.events[j].At
-		}
-		return m.events[i].Router < m.events[j].Router
-	})
+	slices.SortStableFunc(m.events, canonicalOrder)
 	return m
 }
