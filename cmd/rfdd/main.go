@@ -11,7 +11,7 @@
 //	                       per-point as each completes, terminal done summary)
 //	GET  /v1/figure        ?name=table1|fig3|fig8|fig9|fig13|fig14 [&small=1]
 //	                       [&timeout_ms=N] -> CSV
-//	GET  /healthz          liveness + cache/admission/stream statistics (JSON)
+//	GET  /healthz          liveness + cache/admission/stream/memo statistics (JSON)
 //
 // Operational behaviour:
 //
@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -49,6 +50,7 @@ import (
 	"rfd/damping"
 	"rfd/experiment"
 	"rfd/experiment/diskcache"
+	"rfd/topology"
 )
 
 func main() {
@@ -120,13 +122,14 @@ type serverConfig struct {
 }
 
 // server is the shared state behind every request: one run cache (optionally
-// persistent), the converged-snapshot pool, and the admission-control
-// semaphores.
+// persistent), the converged-snapshot pool, the topologies of recently
+// requested shapes, and the admission-control semaphores.
 type server struct {
 	cfg     serverConfig
 	cache   *experiment.RunCache
 	disk    *diskcache.Cache           // nil when memory-only
 	pool    *experiment.CheckpointPool // nil when disabled
+	graphs  *graphMemo
 	started time.Time
 
 	// Admission control: queueSlots bounds waiting+running requests;
@@ -154,9 +157,16 @@ func newServer(cfg serverConfig) (*server, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Minute
 	}
+	// A shape not worth a pooled snapshot is not worth remembering, so the
+	// graph memo takes the snapshot pool's bound.
+	shapes := cfg.Snapshots
+	if shapes <= 0 {
+		shapes = experiment.DefaultPoolSize
+	}
 	s := &server{
 		cfg:        cfg,
 		cache:      experiment.NewRunCache(),
+		graphs:     newGraphMemo(shapes),
 		started:    time.Now(),
 		queueSlots: make(chan struct{}, cfg.Queue+cfg.Concurrency),
 		runSlots:   make(chan struct{}, cfg.Concurrency),
@@ -277,11 +287,21 @@ func (s *server) decodeSweep(w http.ResponseWriter, r *http.Request) (req sweepR
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return req, base, nil, false
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	// Strict decoding: a misspelt field ("pulse") or bytes after the object
+	// would otherwise be dropped and the sweep answered 200 from defaults.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tokErr := dec.Token(); tokErr != io.EOF {
+			err = errors.New("trailing data after the request object")
+		}
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return req, base, nil, false
 	}
-	base, pulses, err := req.scenario()
+	base, pulses, err = req.scenario(s.graphs)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return req, base, nil, false
@@ -477,8 +497,10 @@ const (
 	maxFlapIntervalS = 86400   // one day, vs. a 60 min max hold-down
 )
 
-// scenario materializes the request into a runnable base scenario.
-func (r sweepRequest) scenario() (experiment.Scenario, []int, error) {
+// scenario materializes the request into a runnable base scenario whose
+// topology comes from (and stays in) graphs. The memo is consulted last, once
+// everything about the request has validated.
+func (r sweepRequest) scenario(graphs *graphMemo) (experiment.Scenario, []int, error) {
 	opts := experiment.DefaultOptions()
 	opts.MeshRows, opts.MeshCols = 5, 5
 	opts.InternetNodes = 30
@@ -542,7 +564,12 @@ func (r sweepRequest) scenario() (experiment.Scenario, []int, error) {
 	if len(pulses) > 64 {
 		return experiment.Scenario{}, nil, fmt.Errorf("too many pulse counts (%d, max 64)", len(pulses))
 	}
-	sc, err := experiment.DaemonScenario(opts, r.Topology, r.Damping, r.RCN)
+	key := shapeKey{topology: "mesh", rows: opts.MeshRows, cols: opts.MeshCols}
+	if r.Topology == "internet" {
+		key = shapeKey{topology: "internet", nodes: opts.InternetNodes, seed: opts.Seed}
+	}
+	sc, err := experiment.DaemonScenarioOn(opts, r.Topology, r.Damping, r.RCN,
+		func(build func() (*topology.Graph, error)) (*topology.Graph, error) { return graphs.get(key, build) })
 	if err != nil {
 		return experiment.Scenario{}, nil, err
 	}
@@ -663,6 +690,11 @@ type healthz struct {
 	SnapshotHits      uint64 `json:"snapshot_hits"`
 	SnapshotMisses    uint64 `json:"snapshot_misses"`
 	SnapshotEvictions uint64 `json:"snapshot_evictions"`
+	// Scenario memo: topologies kept per request shape. A hit means a sweep
+	// request built (and hashed) no graph.
+	ScenarioMemoHits   uint64 `json:"scenario_memo_hits"`
+	ScenarioMemoMisses uint64 `json:"scenario_memo_misses"`
+	ScenarioMemoSize   int    `json:"scenario_memo_size"`
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -697,6 +729,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.DiskLoads, h.DiskStores, h.DiskCorrupt = loads, stores, corrupt
 		h.DiskCacheDir = s.disk.Dir()
 	}
+	h.ScenarioMemoHits, h.ScenarioMemoMisses, h.ScenarioMemoSize = s.graphs.stats()
 	if s.pool != nil {
 		h.SnapshotCapacity = s.cfg.Snapshots
 		h.SnapshotsPooled = s.pool.Len()

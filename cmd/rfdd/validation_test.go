@@ -86,6 +86,52 @@ func TestSweepFlapIntervalValidation(t *testing.T) {
 	}
 }
 
+// TestSweepStrictDecoding: a body the decoder would only partly understand
+// is a 400 naming what was wrong, on both sweep endpoints, and reaches neither
+// the graph memo nor the run cache. Pre-fix a misspelt field ({"pulse":[9]})
+// or bytes after the object were dropped silently and the request answered
+// 200 with the default 0..4 sweep.
+func TestSweepStrictDecoding(t *testing.T) {
+	s := testServer(t, serverConfig{})
+	h := s.routes()
+	for _, tc := range []struct {
+		name, body, wantErr string
+	}{
+		{"misspelt field", `{"pulse":[9]}`, `unknown field "pulse"`},
+		{"unknown field among known ones", `{"rows":3,"cols":3,"dampening":"cisco","pulses":[0]}`, `unknown field "dampening"`},
+		{"second object", `{"rows":3,"cols":3,"pulses":[0]}{"pulses":[1]}`, "trailing data"},
+		{"trailing garbage", `{"rows":3,"cols":3,"pulses":[0]} x`, "trailing data"},
+		{"stray closing brace", `{"rows":3,"cols":3,"pulses":[0]}}`, "trailing data"},
+	} {
+		for _, path := range []string{"/v1/sweep", "/v1/sweep/stream"} {
+			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s on %s: status = %d (%s), want 400", tc.name, path, rec.Code, rec.Body)
+				continue
+			}
+			var resp errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s: bad error body %q", tc.name, rec.Body)
+			}
+			if !strings.Contains(resp.Error, tc.wantErr) {
+				t.Errorf("%s on %s: error %q does not mention %q", tc.name, path, resp.Error, tc.wantErr)
+			}
+		}
+	}
+	if hits, misses, size := s.graphs.stats(); hits+misses != 0 || size != 0 {
+		t.Errorf("refused requests touched the graph memo: %d hits, %d misses, %d kept", hits, misses, size)
+	}
+	if hits, misses, _ := s.cache.Stats(); hits+misses != 0 {
+		t.Errorf("refused requests touched the run cache: %d hits, %d misses", hits, misses)
+	}
+	// Trailing whitespace is not data.
+	if rec, _ := postSweep(t, h, `{"rows":3,"cols":3,"pulses":[0]}`+" \n\t"); rec.Code != http.StatusOK {
+		t.Fatalf("trailing whitespace rejected: %d %s", rec.Code, rec.Body)
+	}
+}
+
 // TestFigureTimeout: /v1/figure honors timeout_ms. Pre-fix the parameter was
 // silently ignored (requestContext(r, 0)) and a figure request could only be
 // bounded by the server-wide -timeout.

@@ -1,0 +1,136 @@
+package experiment
+
+import (
+	"strings"
+	"testing"
+
+	"rfd/topology"
+)
+
+// daemonOptions is the request shape the fingerprint goldens were recorded on.
+func daemonOptions() Options {
+	o := DefaultOptions()
+	o.MeshRows, o.MeshCols = 5, 5
+	o.InternetNodes = 30
+	o.Seed = 1
+	return o
+}
+
+// TestFingerprintGolden pins two cache keys literally. They were recorded on
+// the commit before Graph memoised its encoding digest and WriteTSV dropped
+// fmt: a -cachedir written by any earlier binary must keep being served, so a
+// key may never change for a scenario that did not.
+func TestFingerprintGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name, topo string
+		rcn        bool
+		pulses     int
+		want       string
+	}{
+		{"mesh-5x5/cisco/2 pulses", "mesh", false, 2, "9ce19e32a1a87e464dd819f9bd392cb6fd0881dfd48a382e9809507274f01364:p2"},
+		{"internet-30/seed 1/cisco+rcn", "internet", true, 0, "ce37211dc1a2d07746d881fb62e990b2959bf7e070094adac5100909b929df89:p0"},
+	} {
+		sc, err := DaemonScenario(daemonOptions(), tc.topo, "cisco", tc.rcn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Pulses = tc.pulses
+		// Twice: the first key hashes the graph, the second resumes the
+		// memoised digest.
+		for _, call := range []string{"first", "resumed"} {
+			if got, ok := sc.Fingerprint(); !ok || got != tc.want {
+				t.Errorf("%s, %s call: Fingerprint = %q, %v; want %q", tc.name, call, got, ok, tc.want)
+			}
+		}
+	}
+}
+
+// TestFingerprintTracksGraph: a memoised digest never outlives the graph it
+// describes — a key taken after a mutation differs from the one before and
+// equals the key of an equal graph built from scratch — and a clone keys like
+// its source.
+func TestFingerprintTracksGraph(t *testing.T) {
+	sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Pulses: 2}
+	before, ok := sc.Fingerprint()
+	if !ok {
+		t.Fatal("plain scenario should be fingerprintable")
+	}
+	cloned := sc
+	cloned.Graph = sc.Graph.Clone()
+	if got, _ := cloned.Fingerprint(); got != before {
+		t.Fatalf("clone fingerprints %s, its source %s", got, before)
+	}
+
+	if err := sc.Graph.AddEdge(0, 12); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := sc.Fingerprint()
+	if after == before {
+		t.Fatal("fingerprint unchanged by AddEdge: stale digest")
+	}
+	rebuilt := sc
+	rebuilt.Graph = smallMesh(t)
+	if err := rebuilt.Graph.AddEdge(0, 12); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := rebuilt.Fingerprint(); got != after {
+		t.Fatalf("mutated graph fingerprints %s, an equal fresh graph %s", after, got)
+	}
+	if got, _ := cloned.Fingerprint(); got != before {
+		t.Fatal("mutating the source changed its clone's fingerprint")
+	}
+}
+
+// TestDaemonScenarioOn: the graph source is asked once per valid request and
+// never for a request that is refused; the scenario built around a kept graph
+// is the one DaemonScenario builds from scratch.
+func TestDaemonScenarioOn(t *testing.T) {
+	o := daemonOptions()
+	calls := 0
+	var kept *topology.Graph
+	keep := func(build func() (*topology.Graph, error)) (*topology.Graph, error) {
+		calls++
+		if kept != nil {
+			return kept, nil
+		}
+		g, err := build()
+		kept = g
+		return g, err
+	}
+	for _, bad := range []struct{ topo, damp, wantErr string }{
+		{"hypercube", "cisco", "unknown topology"},
+		{"mesh", "strict", "unknown damping"},
+		{"internet", "none", "rcn requires damping"},
+	} {
+		if _, err := DaemonScenarioOn(o, bad.topo, bad.damp, true, keep); err == nil || !strings.Contains(err.Error(), bad.wantErr) {
+			t.Errorf("%s/%s: err = %v, want %q", bad.topo, bad.damp, err, bad.wantErr)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("graph source consulted %d times by refused requests", calls)
+	}
+
+	for _, topo := range []string{"mesh", "internet"} {
+		calls, kept = 0, nil
+		want, err := DaemonScenario(o, topo, "juniper", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantKey, _ := want.Fingerprint()
+		for i := 0; i < 2; i++ { // generated, then kept
+			sc, err := DaemonScenarioOn(o, topo, "juniper", true, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Graph != kept {
+				t.Fatalf("%s: scenario does not run on the source's graph", topo)
+			}
+			if got, _ := sc.Fingerprint(); got != wantKey || sc.ISP != want.ISP {
+				t.Fatalf("%s call %d: key %s isp %d, DaemonScenario gives %s isp %d", topo, i, got, sc.ISP, wantKey, want.ISP)
+			}
+		}
+		if calls != 2 {
+			t.Fatalf("%s: graph source consulted %d times by 2 requests", topo, calls)
+		}
+	}
+}

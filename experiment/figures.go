@@ -131,7 +131,12 @@ func (o Options) rcnConfig() bgp.Config {
 // meshScenario builds the torus scenario. All torus nodes are topologically
 // equal, so the ispAS choice (node 0) is without loss of generality.
 func (o Options) meshScenario(cfg bgp.Config) (Scenario, error) {
-	g, err := topology.Torus(o.MeshRows, o.MeshCols)
+	return o.meshScenarioOn(generate, cfg)
+}
+
+// meshScenarioOn is meshScenario with the torus taken from graph.
+func (o Options) meshScenarioOn(graph GraphSource, cfg bgp.Config) (Scenario, error) {
+	g, err := graph(func() (*topology.Graph, error) { return topology.Torus(o.MeshRows, o.MeshCols) })
 	if err != nil {
 		return Scenario{}, err
 	}
@@ -142,7 +147,14 @@ func (o Options) meshScenario(cfg bgp.Config) (Scenario, error) {
 // count. The ispAS is a deterministic mid-ID node (stand-in for the paper's
 // random selection).
 func (o Options) internetScenario(cfg bgp.Config, nodes int, policy bgp.Policy) (Scenario, error) {
-	g, err := topology.InternetDerived(topology.DefaultInternetConfig(nodes, o.Seed))
+	return o.internetScenarioOn(generate, cfg, nodes, policy)
+}
+
+// internetScenarioOn is internetScenario with the topology taken from graph.
+func (o Options) internetScenarioOn(graph GraphSource, cfg bgp.Config, nodes int, policy bgp.Policy) (Scenario, error) {
+	g, err := graph(func() (*topology.Graph, error) {
+		return topology.InternetDerived(topology.DefaultInternetConfig(nodes, o.Seed))
+	})
 	if err != nil {
 		return Scenario{}, err
 	}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -41,8 +40,11 @@ func (s Scenario) fingerprintBase() (string, bool) {
 	if s.Graph == nil {
 		return "", false
 	}
-	h := sha256.New()
-	if err := s.Graph.WriteTSV(h); err != nil {
+	// Resumes the graph's memoised encoding digest: only the first key asked
+	// of a topology encodes and hashes it, yet every key is byte-identical to
+	// hashing WriteTSV afresh (on-disk caches stay valid).
+	h, err := s.Graph.TSVDigest()
+	if err != nil {
 		return "", false
 	}
 	interval := s.FlapInterval

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -60,14 +61,43 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
+// TestRunDoesNotMutateCallerGraph pins what lets one graph serve many
+// scenarios at once (rfdd shares a graph per request shape): every way of
+// running a scenario clones sc.Graph before attaching the origin, so the
+// caller's graph keeps its shape, its annotations and its cache key.
 func TestRunDoesNotMutateCallerGraph(t *testing.T) {
-	g := smallMesh(t)
-	nodes, edges := g.NumNodes(), g.NumEdges()
-	if _, err := Run(Scenario{Graph: g, ISP: 0, Config: bgp.DefaultConfig(), Pulses: 1}); err != nil {
+	g, err := topology.InternetDerived(topology.DefaultInternetConfig(30, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != nodes || g.NumEdges() != edges {
-		t.Fatal("Run mutated the caller's graph")
+	sc := Scenario{Graph: g, ISP: 15, Config: dampingCfg(), Pulses: 1}
+	nodes, edges := g.NumNodes(), g.NumEdges()
+	key, _ := sc.Fingerprint()
+	var encoded bytes.Buffer
+	if err := g.WriteTSV(&encoded); err != nil {
+		t.Fatal(err)
+	}
+	pooled := NewRunCache()
+	pooled.SetCheckpointPool(NewCheckpointPool(1))
+	for name, run := range map[string]func() error{
+		"Run":         func() error { _, err := Run(sc); return err },
+		"Run sharded": func() error { sh := sc; sh.Shards = 2; _, err := Run(sh); return err },
+		"Sweep":       func() error { _, err := SweepParallel(sc, []int{0, 1}, 2); return err },
+		"cache+pool":  func() error { _, err := pooled.Sweep(sc, []int{0, 1}, 2); return err },
+	} {
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var after bytes.Buffer
+		if err := g.WriteTSV(&after); err != nil {
+			t.Fatal(err)
+		}
+		if g.NumNodes() != nodes || g.NumEdges() != edges || !bytes.Equal(after.Bytes(), encoded.Bytes()) {
+			t.Fatalf("%s mutated the caller's graph", name)
+		}
+		if got, _ := sc.Fingerprint(); got != key {
+			t.Fatalf("%s changed the scenario's fingerprint: %s -> %s", name, key, got)
+		}
 	}
 }
 

@@ -2,9 +2,13 @@ package topology
 
 import (
 	"bufio"
+	"cmp"
+	"crypto/sha256"
+	"encoding"
 	"fmt"
+	"hash"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -46,18 +50,49 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 // round-trip.
 func (g *Graph) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "#nodes\t%d\n", g.NumNodes())
+	b := append(bw.AvailableBuffer(), "#nodes\t"...)
+	b = strconv.AppendInt(b, int64(g.NumNodes()), 10)
+	bw.Write(append(b, '\n'))
 	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
+	slices.SortFunc(edges, func(x, y Edge) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		return edges[i].B < edges[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 	for _, e := range edges {
-		fmt.Fprintf(bw, "%d\t%d\t%s\n", e.A, e.B, g.Relationship(e.A, e.B))
+		b = strconv.AppendInt(bw.AvailableBuffer(), int64(e.A), 10)
+		b = strconv.AppendInt(append(b, '\t'), int64(e.B), 10)
+		b = append(append(b, '\t'), g.Relationship(e.A, e.B).String()...)
+		bw.Write(append(b, '\n'))
 	}
-	return bw.Flush()
+	return bw.Flush() // reports the first failed Write, if any
+}
+
+// TSVDigest returns a SHA-256 hash that has consumed exactly the bytes
+// WriteTSV emits, ready for the caller to write more into: a content key for
+// "this topology plus ...". The hash state is memoised on the graph (any
+// mutation drops it, Clone carries it), so only the first call after a change
+// encodes and hashes the graph; later calls resume from the saved state and
+// produce byte-identical sums. Safe for concurrent use on a graph nobody is
+// mutating.
+func (g *Graph) TSVDigest() (hash.Hash, error) {
+	h := sha256.New()
+	if state := g.tsvDigest.Load(); state != nil {
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(*state); err != nil {
+			return nil, fmt.Errorf("topology: resume digest: %w", err)
+		}
+		return h, nil
+	}
+	if err := g.WriteTSV(h); err != nil {
+		return nil, err
+	}
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("topology: save digest: %w", err)
+	}
+	g.tsvDigest.Store(&state)
+	return h, nil
 }
 
 // ReadTSV parses the format produced by WriteTSV.

@@ -16,6 +16,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies a node (an AS) within a Graph. IDs are dense: a graph
@@ -80,6 +81,12 @@ type Graph struct {
 	adj   [][]NodeID
 	edges []Edge
 	rel   map[[2]NodeID]Relationship // keyed (from, to); both directions stored
+
+	// tsvDigest memoises TSVDigest: the marshalled SHA-256 state after the
+	// canonical TSV encoding, nil until first asked for and after any
+	// mutation. Atomic because hashing is logically a read, and readers of a
+	// shared graph may race to fill it (they store equal bytes).
+	tsvDigest atomic.Pointer[[]byte]
 }
 
 // New returns a graph with n isolated nodes. The name is informational and
@@ -106,6 +113,7 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddNode appends a new isolated node and returns its ID.
 func (g *Graph) AddNode() NodeID {
+	g.tsvDigest.Store(nil)
 	g.adj = append(g.adj, nil)
 	return NodeID(len(g.adj) - 1)
 }
@@ -131,6 +139,7 @@ func (g *Graph) AddEdge(a, b NodeID) error {
 	if a > b {
 		a, b = b, a
 	}
+	g.tsvDigest.Store(nil)
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.edges = append(g.edges, Edge{A: a, B: b})
@@ -192,6 +201,7 @@ func (g *Graph) SetRelationship(a, b NodeID, relOfBFromA Relationship) error {
 	if !g.HasEdge(a, b) {
 		return fmt.Errorf("topology: cannot annotate missing edge (%d,%d)", a, b)
 	}
+	g.tsvDigest.Store(nil)
 	g.rel[[2]NodeID{a, b}] = relOfBFromA
 	g.rel[[2]NodeID{b, a}] = relOfBFromA.invert()
 	return nil
@@ -282,9 +292,11 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Clone returns a deep copy of the graph (nodes, edges, annotations).
+// Clone returns a deep copy of the graph (nodes, edges, annotations). The
+// copy encodes identically, so it inherits a memoised TSVDigest.
 func (g *Graph) Clone() *Graph {
 	c := New(g.name, g.NumNodes())
+	c.tsvDigest.Store(g.tsvDigest.Load())
 	c.edges = make([]Edge, len(g.edges))
 	copy(c.edges, g.edges)
 	for id := range g.adj {
