@@ -35,6 +35,19 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy resolves a policy by its command-line name: shortest or
+// novalley.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "shortest":
+		return ShortestPath, nil
+	case "novalley":
+		return NoValley, nil
+	default:
+		return 0, fmt.Errorf("bgp: unknown policy %q (want shortest or novalley)", name)
+	}
+}
+
 // Config assembles the per-network protocol parameters. The zero value is
 // not valid; start from DefaultConfig.
 type Config struct {

@@ -7,48 +7,40 @@ import (
 	"rfd/topology"
 )
 
-// shapeKey is the normalised identity of a request's topology: exactly what
-// the generated graph depends on, after defaults are applied. A torus does
-// not depend on the seed, so one mesh graph serves every seed; field order,
-// whitespace and spelled-out defaults in the request body never reach it.
-// Fields the family does not use stay zero.
-type shapeKey struct {
-	topology          string // "mesh" or "internet"
-	rows, cols, nodes int
-	seed              uint64
-}
-
-// graphMemo is a bounded LRU from request shape to generated topology, so a
-// repeated shape builds no graph — and, because the graph carries its own
-// encoding digest (topology.Graph.TSVDigest), hashes none either. The graphs
-// it hands out are shared between requests and must not be mutated; runs
-// clone the base graph before attaching the origin.
+// graphMemo is a bounded LRU from canonical topology.Shape to the graph it
+// generates, so a repeated shape builds no graph — and, because the graph
+// carries its own encoding digest (topology.Graph.TSVDigest), hashes none
+// either. The canonical shape is exactly what the generator reads: one torus
+// serves every seed, and field order, whitespace and spelled-out defaults in a
+// request body never reach the key. The graphs the memo hands out are shared
+// between requests and must not be mutated; runs clone the base graph before
+// attaching the origin.
 type graphMemo struct {
 	mu      sync.Mutex
 	max     int
-	entries map[shapeKey]*list.Element // value: *memoEntry
-	lru     *list.List                 // front = most recently used
+	entries map[topology.Shape]*list.Element // value: *memoEntry
+	lru     *list.List                       // front = most recently used
 
 	hits, misses uint64
 }
 
 type memoEntry struct {
-	key shapeKey
+	key topology.Shape
 	g   *topology.Graph
 }
 
 func newGraphMemo(max int) *graphMemo {
-	return &graphMemo{max: max, entries: make(map[shapeKey]*list.Element), lru: list.New()}
+	return &graphMemo{max: max, entries: make(map[topology.Shape]*list.Element), lru: list.New()}
 }
 
-// get returns the remembered graph for key, or builds and remembers one,
-// evicting the least recently used shape past the bound. build runs outside
-// the lock — a large topology must not stall requests for remembered ones —
-// so two first requests for a shape may both generate it; the graphs are
-// equal (generation is deterministic), and the second to finish adopts the
-// first's so every later request shares one graph and one digest. A failed
-// build is not counted and leaves nothing behind.
-func (m *graphMemo) get(key shapeKey, build func() (*topology.Graph, error)) (*topology.Graph, error) {
+// get returns the remembered graph for the canonical shape key, or generates
+// and remembers one, evicting the least recently used shape past the bound.
+// Generation runs outside the lock — a large topology must not stall requests
+// for remembered ones — so two first requests for a shape may both generate
+// it; the graphs are equal (generation is deterministic), and the second to
+// finish adopts the first's so every later request shares one graph and one
+// digest. A failed generation is not counted and leaves nothing behind.
+func (m *graphMemo) get(key topology.Shape) (*topology.Graph, error) {
 	m.mu.Lock()
 	if el, ok := m.entries[key]; ok {
 		m.lru.MoveToFront(el)
@@ -58,7 +50,7 @@ func (m *graphMemo) get(key shapeKey, build func() (*topology.Graph, error)) (*t
 	}
 	m.mu.Unlock()
 
-	g, err := build()
+	g, err := key.Generate()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -10,7 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"rfd/damping"
 	"rfd/experiment"
 	"rfd/topology"
 )
@@ -28,7 +31,7 @@ func getHealthz(t testing.TB, h http.Handler) healthz {
 
 // memoised returns the graph the server keeps for key, without counting a
 // lookup.
-func memoised(t *testing.T, s *server, key shapeKey) *topology.Graph {
+func memoised(t *testing.T, s *server, key topology.Shape) *topology.Graph {
 	t.Helper()
 	s.graphs.mu.Lock()
 	defer s.graphs.mu.Unlock()
@@ -99,7 +102,7 @@ func TestScenarioMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := memoised(t, s, shapeKey{topology: "mesh", rows: 4, cols: 4})
+	kept := memoised(t, s, topology.Shape{Family: "mesh", Rows: 4, Cols: 4})
 	if kept.NumNodes() != fresh.NumNodes() || kept.NumEdges() != fresh.NumEdges() || digest(t, kept) != digest(t, fresh) {
 		t.Fatalf("the shared mesh changed while serving sweeps: %v (digest %s), a fresh one is %v (digest %s)",
 			kept, digest(t, kept), fresh, digest(t, fresh))
@@ -108,7 +111,7 @@ func TestScenarioMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keptInet := memoised(t, s, shapeKey{topology: "internet", nodes: 20, seed: 2})
+	keptInet := memoised(t, s, topology.Shape{Family: "internet", Nodes: 20, Seed: 2})
 	if keptInet.NumNodes() != 20 || keptInet.NumEdges() != freshInet.NumEdges() || digest(t, keptInet) != digest(t, freshInet) {
 		t.Fatalf("the shared internet graph changed while serving sweeps: %v, a fresh one is %v", keptInet, freshInet)
 	}
@@ -116,9 +119,10 @@ func TestScenarioMemo(t *testing.T) {
 
 // TestScenarioMemoKeysLikeUncached makes the memo key's claim executable: the
 // scenario a request gets around a remembered graph — possibly remembered on
-// behalf of a request with another seed — has the cache key of the scenario
-// experiment.DaemonScenario builds from scratch, so memo-served and uncached
-// requests can never disagree about what they are asking the run cache for.
+// behalf of a request with another seed — has the cache key and ispAS of the
+// scenario experiment.DaemonScenario builds from scratch out of the same names
+// and sizes, so memo-served and uncached requests can never disagree about
+// what they are asking the run cache for.
 func TestScenarioMemoKeysLikeUncached(t *testing.T) {
 	graphs := newGraphMemo(experiment.DefaultPoolSize)
 	for _, req := range []sweepRequest{
@@ -135,7 +139,18 @@ func TestScenarioMemoKeysLikeUncached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := req.scenario(newGraphMemo(1))
+		opts := experiment.SmallOptions()
+		opts.MeshRows, opts.MeshCols = cmp.Or(req.Rows, opts.MeshRows), cmp.Or(req.Cols, opts.MeshCols)
+		opts.InternetNodes = cmp.Or(req.Nodes, opts.InternetNodes)
+		opts.Seed = cmp.Or(req.Seed, opts.Seed)
+		opts.DampingEngine, err = damping.ParseEngine(req.Engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.FlapIntervalS != 0 {
+			opts.FlapInterval = time.Duration(req.FlapIntervalS * float64(time.Second))
+		}
+		want, err := experiment.DaemonScenario(opts, req.Topology, req.Damping, req.RCN)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +183,10 @@ func TestScenarioMemoRefusedRequests(t *testing.T) {
 		`{"rows":4,"cols":4,"flap_interval_s":-1}`,
 		`{"rows":4,"cols":4,"pulses":[` + strings.Repeat("1,", 64) + `1]}`,
 		`{"rows":-4,"cols":4}`,
+		`{"rows":4,"cols":4,"nodes":-1}`,
 		`{"rows":1,"cols":1}`,
 		`{"topology":"internet","nodes":1}`,
+		`{"rows":70000,"cols":4}`,
 	} {
 		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -293,7 +310,7 @@ func TestScenarioMemoConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept := memoised(t, s, shapeKey{topology: "mesh", rows: 4, cols: 4}); kept.NumNodes() != 16 || digest(t, kept) != digest(t, fresh) {
+	if kept := memoised(t, s, topology.Shape{Family: "mesh", Rows: 4, Cols: 4}); kept.NumNodes() != 16 || digest(t, kept) != digest(t, fresh) {
 		t.Fatalf("the shared mesh changed under concurrent sweeps: %v", kept)
 	}
 }

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -236,14 +236,14 @@ func (s *server) requestContext(r *http.Request, requestedMS int64) (context.Con
 // runs is reproducible from the request alone (which is exactly what the
 // content-addressed cache needs).
 type sweepRequest struct {
-	// Topology is "mesh" (default) or "internet".
+	// Topology is a topology.Shape family: "mesh" (default), "internet", ….
 	Topology string `json:"topology"`
-	// Rows/Cols size the mesh (default 5x5); Nodes sizes the internet
-	// topology (default 30).
+	// Rows/Cols size the mesh (default 5x5); Nodes sizes every other family
+	// (default 30).
 	Rows  int `json:"rows"`
 	Cols  int `json:"cols"`
 	Nodes int `json:"nodes"`
-	// Damping is "none" (default), "cisco" or "juniper"; RCN adds
+	// Damping is a damping.ParsePreset name ("none" by default); RCN adds
 	// root-cause notification on top. Engine selects the damping backend:
 	// "" or "exact" (default) for the reference engine, "wheel" for the
 	// timer-wheel batch engine (cache-distinct from exact runs).
@@ -488,92 +488,68 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 // request like {"rows":100000,"cols":100000} describes a 10^10-router mesh
 // whose construction would OOM the daemon straight past admission control
 // (admission bounds how many requests run, not how big one is), so oversized
-// shapes are rejected with 400 before any allocation. maxFlapIntervalS caps
-// the flap interval far above every damping hold-down while staying far below
-// the float64 values whose nanosecond conversion overflows time.Duration
-// silently (anything past ~9.2e9 s wraps negative).
+// shapes are rejected with 400 before any allocation. maxLinks does the same
+// for the dense families, whose cost is quadratic in a node count that passes
+// maxRouters ({"topology":"fullmesh","nodes":65536} is 2·10^9 links); every
+// sparse family fits it at the router limit. maxFlapIntervalS caps the flap
+// interval far above every damping hold-down while staying far below the
+// float64 values whose nanosecond conversion overflows time.Duration silently
+// (anything past ~9.2e9 s wraps negative).
 const (
-	maxRouters       = 1 << 16 // 65536 routers
-	maxFlapIntervalS = 86400   // one day, vs. a 60 min max hold-down
+	maxRouters       = 1 << 16        // 65536 routers
+	maxLinks         = 2 * maxRouters // a 65536-router torus; 512 fully meshed routers
+	maxFlapIntervalS = 86400          // one day, vs. a 60 min max hold-down
 )
 
-// scenario materializes the request into a runnable base scenario whose
-// topology comes from (and stays in) graphs. The memo is consulted last, once
-// everything about the request has validated.
-func (r sweepRequest) scenario(graphs *graphMemo) (experiment.Scenario, []int, error) {
-	opts := experiment.DefaultOptions()
-	opts.MeshRows, opts.MeshCols = 5, 5
-	opts.InternetNodes = 30
-	if r.Rows < 0 || r.Cols < 0 || r.Nodes < 0 {
-		return experiment.Scenario{}, nil, fmt.Errorf("negative topology size (rows %d, cols %d, nodes %d)", r.Rows, r.Cols, r.Nodes)
+// scenario materializes the request into a runnable base scenario: it bounds
+// what only a service must bound, fills an experiment.Options (names and sizes
+// left out take the reduced scale) and hands it to experiment.ShapeScenario —
+// the builder behind DaemonScenario — with the topology coming from (and
+// staying in) graphs, which is consulted last, once everything has validated.
+func (r sweepRequest) scenario(graphs *graphMemo) (sc experiment.Scenario, pulses []int, err error) {
+	o := experiment.SmallOptions()
+	o.Seed = cmp.Or(r.Seed, o.Seed)
+	o.Shards = r.Shards
+	shape := topology.Shape{
+		Family: r.Topology,
+		Rows:   cmp.Or(r.Rows, o.MeshRows),
+		Cols:   cmp.Or(r.Cols, o.MeshCols),
+		Nodes:  cmp.Or(r.Nodes, o.InternetNodes),
+		Seed:   o.Seed,
 	}
-	if r.Rows > maxRouters || r.Cols > maxRouters {
-		return experiment.Scenario{}, nil, fmt.Errorf("mesh side %dx%d exceeds the %d-router limit", r.Rows, r.Cols, maxRouters)
+	if pulses = r.Pulses; len(pulses) == 0 {
+		pulses = experiment.PulseRange(0, o.MaxPulses)
 	}
-	if r.Rows > 0 {
-		opts.MeshRows = r.Rows
+	// Sizes are bounded before the shape is validated (a 70000×1 mesh is
+	// refused for its size), in every field: like a negative size, an absurd
+	// one is a caller's bug whether or not the family reads it.
+	if n := max(shape.Routers(), shape.Rows, shape.Cols, shape.Nodes); n > maxRouters {
+		return sc, nil, fmt.Errorf("topology size %d exceeds the %d-router limit", n, maxRouters)
 	}
-	if r.Cols > 0 {
-		opts.MeshCols = r.Cols
+	if l := shape.Links(); l > maxLinks {
+		return sc, nil, fmt.Errorf("topology of up to %d links exceeds the %d-link limit", l, maxLinks)
 	}
-	// Sides are already bounded by maxRouters, so the product cannot
-	// overflow int64.
-	if n := int64(opts.MeshRows) * int64(opts.MeshCols); n > maxRouters {
-		return experiment.Scenario{}, nil, fmt.Errorf("mesh %dx%d = %d routers exceeds the %d-router limit", opts.MeshRows, opts.MeshCols, n, maxRouters)
+	// NaN/Inf cannot arrive through encoding/json, but the bound must not
+	// depend on the transport, so the test is written for NaN to fail it. A
+	// large-but-finite value would overflow the nanosecond conversion below
+	// into a negative Duration (a baffling "negative flap interval" internal
+	// error) or, if merely huge, run a silently absurd workload; a negative
+	// one is a client bug, so say so rather than ignore it.
+	if f := r.FlapIntervalS; !(f >= 0 && f <= maxFlapIntervalS) {
+		return sc, nil, fmt.Errorf("flap_interval_s %v outside [0, %d] s", f, maxFlapIntervalS)
 	}
-	if r.Nodes > maxRouters {
-		return experiment.Scenario{}, nil, fmt.Errorf("nodes %d exceeds the %d-router limit", r.Nodes, maxRouters)
-	}
-	if r.Nodes > 0 {
-		opts.InternetNodes = r.Nodes
-	}
-	if r.Seed > 0 {
-		opts.Seed = r.Seed
-	}
-	if f := r.FlapIntervalS; f != 0 {
-		// NaN/Inf cannot arrive through encoding/json, but the bound must not
-		// depend on the transport; and large-but-finite values overflow the
-		// nanosecond conversion into a negative Duration, which pre-fix
-		// surfaced as a baffling "negative flap interval" internal error (or,
-		// for merely huge values, a silently absurd workload). Negative values
-		// were silently ignored before; they are a client bug, so say so.
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return experiment.Scenario{}, nil, fmt.Errorf("flap_interval_s %v is not a finite number", f)
-		}
-		if f < 0 {
-			return experiment.Scenario{}, nil, fmt.Errorf("flap_interval_s %v is negative", f)
-		}
-		if f > maxFlapIntervalS {
-			return experiment.Scenario{}, nil, fmt.Errorf("flap_interval_s %v exceeds the %d s limit", f, maxFlapIntervalS)
-		}
-		opts.FlapInterval = time.Duration(f * float64(time.Second))
-	}
-	engine, err := damping.ParseEngine(r.Engine)
-	if err != nil {
-		return experiment.Scenario{}, nil, err
-	}
-	opts.DampingEngine = engine
+	o.FlapInterval = cmp.Or(time.Duration(r.FlapIntervalS*float64(time.Second)), o.FlapInterval)
 	if r.Shards < 0 || r.Shards > 64 {
-		return experiment.Scenario{}, nil, fmt.Errorf("shards %d outside [0, 64]", r.Shards)
-	}
-	opts.Shards = r.Shards
-	pulses := r.Pulses
-	if len(pulses) == 0 {
-		pulses = experiment.PulseRange(0, 4)
+		return sc, nil, fmt.Errorf("shards %d outside [0, 64]", r.Shards)
 	}
 	if len(pulses) > 64 {
-		return experiment.Scenario{}, nil, fmt.Errorf("too many pulse counts (%d, max 64)", len(pulses))
+		return sc, nil, fmt.Errorf("too many pulse counts (%d, max 64)", len(pulses))
 	}
-	key := shapeKey{topology: "mesh", rows: opts.MeshRows, cols: opts.MeshCols}
-	if r.Topology == "internet" {
-		key = shapeKey{topology: "internet", nodes: opts.InternetNodes, seed: opts.Seed}
+	if o.DampingEngine, err = damping.ParseEngine(r.Engine); err != nil {
+		return sc, nil, err
 	}
-	sc, err := experiment.DaemonScenarioOn(opts, r.Topology, r.Damping, r.RCN,
-		func(build func() (*topology.Graph, error)) (*topology.Graph, error) { return graphs.get(key, build) })
-	if err != nil {
-		return experiment.Scenario{}, nil, err
-	}
-	return sc, pulses, nil
+	sc, err = experiment.ShapeScenario(o, shape, r.Damping, r.RCN, graphs.get)
+	return sc, pulses, err
 }
 
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -581,28 +557,28 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	name := r.URL.Query().Get("name")
+	q := r.URL.Query()
+	name := q.Get("name")
 	// The eval figures honor the same per-request budget tightening as
 	// /v1/sweep; previously the query parameter was silently ignored and a
 	// figure request could only be bounded by the server-wide -timeout.
-	var timeoutMS int64
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		t, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || t < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad timeout_ms %q", v))
-			return
-		}
-		timeoutMS = t
+	timeoutMS, err := strconv.ParseInt(cmp.Or(q.Get("timeout_ms"), "0"), 10, 64)
+	if err != nil || timeoutMS < 0 {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad timeout_ms %q", q.Get("timeout_ms")))
+		return
+	}
+	// small is read by value: small=0 asks for the paper's scale.
+	small, err := strconv.ParseBool(cmp.Or(q.Get("small"), "false"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad small %q (want a boolean)", q.Get("small")))
+		return
 	}
 	opts := experiment.DefaultOptions()
+	if small {
+		opts = experiment.SmallOptions()
+	}
 	opts.Workers = s.cfg.Workers
 	opts.Cache = s.cache
-	if r.URL.Query().Get("small") != "" {
-		opts.MeshRows, opts.MeshCols = 5, 5
-		opts.InternetNodes = 30
-		opts.PolicyNodes = 40
-		opts.MaxPulses = 4
-	}
 
 	// table1 and fig3 are cheap (analytic); the eval figures simulate and go
 	// through admission control like any sweep.

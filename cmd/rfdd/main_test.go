@@ -94,30 +94,101 @@ func TestSweepPartialFailure(t *testing.T) {
 	}
 }
 
+// TestSweepBadRequests: every field of the request body has a rejection that
+// names it — 400, on both sweep endpoints, before admission — and so do a
+// field the request type does not have and a body that is not JSON.
 func TestSweepBadRequests(t *testing.T) {
 	s := testServer(t, serverConfig{})
 	h := s.routes()
 	for _, tc := range []struct {
-		name, body string
+		field, body, wantErr string
 	}{
-		{"malformed JSON", `{`},
-		{"unknown topology", `{"topology":"hypercube"}`},
-		{"unknown damping", `{"damping":"strict"}`},
-		{"rcn without damping", `{"rcn":true}`},
-		{"too many points", `{"pulses":[` + strings.Repeat("1,", 64) + `1]}`},
+		{"(body)", `{`, "bad request body"},
+		{"(unknown)", `{"pulse":[9]}`, `unknown field "pulse"`},
+		{"topology", `{"topology":"hypercube"}`, `unknown topology family "hypercube"`},
+		{"rows", `{"rows":2}`, "rows x cols 2x5 too small"},
+		{"rows", `{"rows":-1}`, "negative topology size (rows -1,"},
+		{"cols", `{"cols":1}`, "rows x cols 5x1 too small"},
+		{"cols", `{"rows":1000,"cols":1000}`, "router limit"},
+		{"nodes", `{"topology":"internet","nodes":2}`, "needs >= 3 nodes, got 2"},
+		{"nodes", `{"topology":"fullmesh","nodes":1000}`, "link limit"},
+		{"nodes", `{"topology":"ring","nodes":70000}`, "router limit"},
+		{"nodes", `{"nodes":-5}`, "nodes -5)"},
+		{"damping", `{"damping":"strict"}`, `unknown damping preset "strict"`},
+		{"damping_engine", `{"damping":"cisco","damping_engine":"sundial"}`, `unknown engine "sundial"`},
+		{"rcn", `{"rcn":true}`, "EnableRCN requires damping"},
+		{"pulses", `{"pulses":[` + strings.Repeat("1,", 64) + `1]}`, "too many pulse counts"},
+		{"pulses", `{"pulses":3}`, "sweepRequest.pulses"},
+		{"seed", `{"seed":-1}`, "sweepRequest.seed"},
+		{"flap_interval_s", `{"flap_interval_s":-5}`, "flap_interval_s -5 outside"},
+		{"flap_interval_s", `{"flap_interval_s":1e10}`, "flap_interval_s 1e+10 outside"},
+		{"shards", `{"shards":65}`, "shards 65 outside"},
+		{"shards", `{"shards":-1}`, "shards -1 outside"},
+		{"timeout_ms", `{"timeout_ms":"soon"}`, "sweepRequest.timeout_ms"},
 	} {
-		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader([]byte(tc.body)))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", tc.name, rec.Code)
+		for _, path := range []string{"/v1/sweep", "/v1/sweep/stream"} {
+			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s on %s: status = %d, want 400", tc.field, tc.body, path, rec.Code)
+				continue
+			}
+			var resp errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s: bad error body %q", tc.field, rec.Body)
+			}
+			if !strings.Contains(resp.Error, tc.wantErr) {
+				t.Errorf("%s %s on %s: error %q does not mention %q", tc.field, tc.body, path, resp.Error, tc.wantErr)
+			}
 		}
+	}
+	if hits, misses, size := s.graphs.stats(); hits+misses != 0 || size != 0 {
+		t.Errorf("refused requests touched the graph memo: %d hits, %d misses, %d kept", hits, misses, size)
+	}
+	if hits, misses, _ := s.cache.Stats(); hits+misses != 0 {
+		t.Errorf("refused requests touched the run cache: %d hits, %d misses", hits, misses)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/v1/sweep", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/sweep status = %d, want 405", rec.Code)
+	}
+}
+
+// TestOneVocabulary: the sweep body takes every name the CLIs take — "off" for
+// no damping like rfdsim -damping off, ripe229 like rfddamp -params, and any
+// rfdtopo -type family — and a spelled-out default is the default.
+func TestOneVocabulary(t *testing.T) {
+	s := testServer(t, serverConfig{})
+	h := s.routes()
+	replies := map[string]string{}
+	for _, body := range []string{
+		`{"rows":3,"cols":3,"pulses":[1]}`,
+		`{"rows":3,"cols":3,"pulses":[1],"damping":"none"}`,
+		`{"rows":3,"cols":3,"pulses":[1],"damping":"off","topology":"mesh","damping_engine":"exact"}`,
+		`{"rows":3,"cols":3,"pulses":[1],"damping":"ripe229"}`,
+		`{"topology":"ring","nodes":6,"pulses":[1],"damping":"juniper"}`,
+		`{"topology":"tiered","pulses":[0],"damping":"cisco","rcn":true}`,
+	} {
+		rec, _ := postSweep(t, h, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", body, rec.Code, rec.Body)
+		}
+		replies[body] = rec.Body.String()
+	}
+	plain := replies[`{"rows":3,"cols":3,"pulses":[1]}`]
+	for _, same := range []string{
+		`{"rows":3,"cols":3,"pulses":[1],"damping":"none"}`,
+		`{"rows":3,"cols":3,"pulses":[1],"damping":"off","topology":"mesh","damping_engine":"exact"}`,
+	} {
+		if replies[same] != plain {
+			t.Errorf("%s answers %s, the bare request %s", same, replies[same], plain)
+		}
+	}
+	if hits, misses, _ := s.cache.Stats(); hits != 2 || misses != 4 {
+		t.Errorf("run cache hits/misses = %d/%d, want 2/4: none, off and the default are one scenario", hits, misses)
 	}
 }
 
@@ -284,6 +355,40 @@ func TestFigureEndpoint(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown figure status = %d, want 400", rec.Code)
+	}
+}
+
+// TestFigureSmallIsABoolean: small=0 and small=false ask for paper scale (they
+// used to get the reduced one, because only the parameter's presence was
+// looked at), and a value that is no boolean is a 400 naming the parameter.
+func TestFigureSmallIsABoolean(t *testing.T) {
+	s := testServer(t, serverConfig{})
+	h := s.routes()
+	rows := func(query string) int {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/figure?name=fig8"+query, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("fig8%s: status %d: %s", query, rec.Code, rec.Body)
+		}
+		return strings.Count(rec.Body.String(), "\n")
+	}
+	paper, small := rows(""), rows("&small=1")
+	if small >= paper {
+		t.Fatalf("small=1 has %d rows, paper scale %d", small, paper)
+	}
+	for _, q := range []string{"&small=0", "&small=false"} {
+		if got := rows(q); got != paper {
+			t.Errorf("fig8%s has %d rows, want the paper scale's %d", q, got, paper)
+		}
+	}
+	if got := rows("&small=true"); got != small {
+		t.Errorf("small=true has %d rows, small=1 has %d", got, small)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/figure?name=table1&small=maybe", nil))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "small") {
+		t.Errorf("small=maybe: status %d, body %s; want 400 naming small", rec.Code, rec.Body)
 	}
 }
 

@@ -23,6 +23,11 @@ func TestSweepTopologyBounds(t *testing.T) {
 		{"huge side", `{"rows":70000,"cols":1}`, "router limit"},
 		{"huge product", `{"rows":1000,"cols":1000}`, "router limit"},
 		{"huge nodes", `{"nodes":10000000}`, "router limit"},
+		{"huge internet", `{"topology":"internet","nodes":10000000}`, "router limit"},
+		{"huge unread side", `{"topology":"ring","nodes":6,"rows":70000}`, "router limit"},
+		{"dense fullmesh", `{"topology":"fullmesh","nodes":65536}`, "link limit"},
+		{"dense waxman", `{"topology":"waxman","nodes":65536}`, "link limit"},
+		{"dense fullmesh, just over", `{"topology":"fullmesh","nodes":513}`, "link limit"},
 		{"negative rows", `{"rows":-1}`, "negative topology size"},
 		{"negative nodes", `{"nodes":-5}`, "negative topology size"},
 	} {
@@ -40,6 +45,13 @@ func TestSweepTopologyBounds(t *testing.T) {
 		if !strings.Contains(resp.Error, tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, resp.Error, tc.wantErr)
 		}
+	}
+	if hits, misses, size := s.graphs.stats(); hits+misses != 0 || size != 0 {
+		t.Errorf("out-of-bounds requests touched the graph memo: %d hits, %d misses, %d kept", hits, misses, size)
+	}
+	// The largest dense shape under the link limit is materialized.
+	if sc, _, err := (sweepRequest{Topology: "fullmesh", Nodes: 512}).scenario(s.graphs); err != nil || sc.Graph.NumEdges() != 512*511/2 {
+		t.Errorf("512-router full mesh: %v, %v", sc.Graph, err)
 	}
 	// A sane large-but-bounded request still passes validation (it fails or
 	// succeeds on its merits, not with a 400).

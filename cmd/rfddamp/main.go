@@ -40,7 +40,7 @@ func main() {
 func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("rfddamp", flag.ContinueOnError)
 	var (
-		preset   = fs.String("params", "cisco", "parameter preset: cisco | juniper | ripe229")
+		name     = fs.String("params", "cisco", "parameter preset: cisco | juniper | ripe229")
 		halfLife = fs.Duration("half-life", 0, "override the half-life")
 		cutoff   = fs.Float64("cutoff", 0, "override the cut-off threshold")
 		reuse    = fs.Float64("reuse", 0, "override the reuse threshold")
@@ -50,17 +50,14 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 		return err
 	}
 
-	var params damping.Params
-	switch *preset {
-	case "cisco":
-		params = damping.Cisco()
-	case "juniper":
-		params = damping.Juniper()
-	case "ripe229":
-		params = damping.RIPE229()
-	default:
-		return fmt.Errorf("unknown -params %q", *preset)
+	preset, err := damping.ParsePreset(*name)
+	if err != nil {
+		return err
 	}
+	if preset == nil {
+		return fmt.Errorf("bad -params %q: no damping leaves nothing to replay", *name)
+	}
+	params := *preset
 	if *halfLife > 0 {
 		params.HalfLife = *halfLife
 	}

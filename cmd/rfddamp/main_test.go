@@ -48,8 +48,11 @@ func TestRunPresets(t *testing.T) {
 			t.Fatalf("%s: %v", preset, err)
 		}
 	}
-	if err := run(context.Background(), []string{"-params", "nope"}, strings.NewReader(sampleLog), &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown preset accepted")
+	// An unknown name, and the shared vocabulary's names for no damping at all.
+	for _, preset := range []string{"nope", "none", "off"} {
+		if err := run(context.Background(), []string{"-params", preset}, strings.NewReader(sampleLog), &bytes.Buffer{}); err == nil {
+			t.Fatalf("-params %s accepted", preset)
+		}
 	}
 }
 

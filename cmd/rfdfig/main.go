@@ -58,20 +58,18 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	opts := experiment.DefaultOptions()
+	if *small {
+		opts = experiment.SmallOptions()
+	}
 	opts.Seed = *seed
 	opts.Workers = *workers
 	opts.Check = *check
+	opts.Shards = *shards // as given: experiment says which counts (and -check) a run refuses
 	opts.Ctx = ctx
 	if *progress {
 		// Every sweep/checkpoint a figure runs reports through the options
 		// context; cache-served points show up flagged as cached.
 		opts.Ctx = experiment.WithProgress(ctx, experiment.TextProgress(os.Stderr))
-	}
-	if *shards > 1 {
-		if *check {
-			return fmt.Errorf("-check and -shards are incompatible (the invariant checker is sequential-engine)")
-		}
-		opts.Shards = *shards
 	}
 	var err error
 	opts.DampingEngine, err = damping.ParseEngine(*engine)
@@ -89,12 +87,6 @@ func run(ctx context.Context, args []string) error {
 		}
 	} else if *cacheDir != "" {
 		return fmt.Errorf("-cachedir requires the run cache (drop -nocache)")
-	}
-	if *small {
-		opts.MeshRows, opts.MeshCols = 5, 5
-		opts.InternetNodes = 30
-		opts.PolicyNodes = 40
-		opts.MaxPulses = 4
 	}
 
 	g := &generator{opts: opts, outDir: *outDir, plot: !*noPlot}

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"context"
+	"strings"
+	"testing"
+)
 
 // TestFigureOrder pins the -fig all execution order. The dispatch used to
 // iterate a map, so artifacts were produced in a different order on every
@@ -33,5 +37,23 @@ func TestFigureNamesUnique(t *testing.T) {
 			t.Errorf("duplicate figure name %q", f.name)
 		}
 		seen[f.name] = true
+	}
+}
+
+// TestRunRejectsBadShards: -shards reaches experiment as given, so the rule
+// book's own message is what the user sees. Pre-fix a negative count was
+// dropped and the figure ran sequentially without a word.
+func TestRunRejectsBadShards(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-shards", "-2"}, "negative shard count -2"},
+		{[]string{"-shards", "4", "-check"}, "invariant checker"},
+	} {
+		args := append([]string{"-fig", "fig7", "-small", "-noplot", "-out", t.TempDir()}, tc.args...)
+		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
+		}
 	}
 }

@@ -41,14 +41,11 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	opts := experiment.DefaultOptions()
+	if *small {
+		opts = experiment.SmallOptions()
+	}
 	opts.Seed = *seed
 	opts.Ctx = ctx
-	if *small {
-		opts.MeshRows, opts.MeshCols = 5, 5
-		opts.InternetNodes = 30
-		opts.PolicyNodes = 40
-		opts.MaxPulses = 4
-	}
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)

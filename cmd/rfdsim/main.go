@@ -50,14 +50,14 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("rfdsim", flag.ContinueOnError)
 	var (
-		topo      = fs.String("topology", "mesh", "topology family: mesh | internet | ring | line | caida:<as-rel-file>")
+		topo      = fs.String("topology", "mesh", "topology family: mesh | internet | waxman | tiered | ring | line | star | fullmesh | caida:<as-rel-file>")
 		rows      = fs.Int("rows", 10, "mesh rows")
 		cols      = fs.Int("cols", 10, "mesh cols")
-		nodes     = fs.Int("nodes", 100, "node count for internet/ring/line topologies")
-		isp       = fs.Int("isp", -1, "ispAS node id (default: 0 for mesh, nodes/2 otherwise)")
+		nodes     = fs.Int("nodes", 100, "node count for every family but mesh and tiered")
+		isp       = fs.Int("isp", -1, "ispAS node id (default: nodes/2 for internet, the best-connected AS for caida, 0 otherwise)")
 		pulses    = fs.Int("pulses", 1, "number of (withdrawal, announcement) pulses")
 		interval  = fs.Duration("interval", experiment.DefaultFlapInterval, "flapping interval")
-		damp      = fs.String("damping", "cisco", "damping parameters: off | cisco | juniper")
+		damp      = fs.String("damping", "cisco", "damping parameters: none | off | cisco | juniper | ripe229")
 		engine    = fs.String("damping-engine", "exact", "damping backend: exact | wheel (timer-wheel batch engine)")
 		rcnOn     = fs.Bool("rcn", false, "enable RCN-enhanced damping")
 		policy    = fs.String("policy", "shortest", "routing policy: shortest | novalley")
@@ -106,46 +106,28 @@ func run(ctx context.Context, args []string) error {
 		}()
 	}
 
-	g, defaultISP, err := buildTopology(*topo, *rows, *cols, *nodes, *seed)
+	g, ispID, err := loadTopology(*topo, topology.Shape{Rows: *rows, Cols: *cols, Nodes: *nodes, Seed: *seed})
 	if err != nil {
 		return err
 	}
-	ispID := topology.NodeID(*isp)
-	if *isp < 0 {
-		ispID = defaultISP
+	if *isp >= 0 {
+		ispID = topology.NodeID(*isp)
 	}
 
 	cfg := bgp.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.MRAI = *mrai
-	switch *damp {
-	case "off":
-	case "cisco":
-		params := damping.Cisco()
-		cfg.Damping = &params
-	case "juniper":
-		params := damping.Juniper()
-		cfg.Damping = &params
-	default:
-		return fmt.Errorf("unknown -damping %q", *damp)
+	if cfg.Damping, err = damping.ParsePreset(*damp); err != nil {
+		return err
 	}
-	cfg.DampingEngine, err = damping.ParseEngine(*engine)
-	if err != nil {
+	if cfg.DampingEngine, err = damping.ParseEngine(*engine); err != nil {
 		return fmt.Errorf("bad -damping-engine: %w", err)
 	}
 	cfg.EnableRCN = *rcnOn
-	switch *policy {
-	case "shortest":
-		cfg.Policy = bgp.ShortestPath
-	case "novalley":
-		cfg.Policy = bgp.NoValley
-	default:
-		return fmt.Errorf("unknown -policy %q", *policy)
+	if cfg.Policy, err = bgp.ParsePolicy(*policy); err != nil {
+		return err
 	}
 
-	if *shards > 1 && *checkOn {
-		return fmt.Errorf("-check and -shards are incompatible (the invariant checker is sequential-engine)")
-	}
 	sc := experiment.Scenario{
 		Graph:        g,
 		ISP:          ispID,
@@ -153,9 +135,7 @@ func run(ctx context.Context, args []string) error {
 		Pulses:       *pulses,
 		FlapInterval: *interval,
 		Check:        *checkOn,
-	}
-	if *shards > 1 {
-		sc.Shards = *shards
+		Shards:       *shards, // as given: experiment says which counts (and -check) a run refuses
 	}
 	if *traceFile != "" {
 		sc.Trace = trace.NewLog(0)
@@ -314,37 +294,27 @@ func runSweep(ctx context.Context, sc experiment.Scenario, spec string, workers 
 	return nil
 }
 
-// buildTopology constructs the requested base graph and its default ispAS.
-func buildTopology(kind string, rows, cols, nodes int, seed uint64) (*topology.Graph, topology.NodeID, error) {
-	if path, ok := strings.CutPrefix(kind, "caida:"); ok {
-		g, err := topology.LoadASRelationships(path)
-		if err != nil {
-			return nil, 0, err
-		}
-		// Default ispAS: the best-connected AS (ties to the lowest id, i.e.
-		// the lowest AS number).
-		best := topology.NodeID(0)
-		for v := topology.NodeID(1); int(v) < g.NumNodes(); v++ {
-			if g.Degree(v) > g.Degree(best) {
-				best = v
-			}
-		}
-		return g, best, nil
+// loadTopology returns the base graph and its default ispAS: a CAIDA
+// AS-relationship import for "caida:<file>", else the generated topology of
+// the named family at the given sizes.
+func loadTopology(kind string, sizes topology.Shape) (*topology.Graph, topology.NodeID, error) {
+	path, ok := strings.CutPrefix(kind, "caida:")
+	if !ok {
+		sizes.Family = kind
+		g, err := sizes.Generate()
+		return g, sizes.DefaultISP(), err
 	}
-	switch kind {
-	case "mesh":
-		g, err := topology.Torus(rows, cols)
-		return g, 0, err
-	case "internet":
-		g, err := topology.InternetDerived(topology.DefaultInternetConfig(nodes, seed))
-		return g, topology.NodeID(nodes / 2), err
-	case "ring":
-		g, err := topology.Ring(nodes)
-		return g, 0, err
-	case "line":
-		g, err := topology.Line(nodes)
-		return g, 0, err
-	default:
-		return nil, 0, fmt.Errorf("unknown -topology %q", kind)
+	g, err := topology.LoadASRelationships(path)
+	if err != nil {
+		return nil, 0, err
 	}
+	// Default ispAS: the best-connected AS (ties to the lowest id, i.e. the
+	// lowest AS number).
+	best := topology.NodeID(0)
+	for v := topology.NodeID(1); int(v) < g.NumNodes(); v++ {
+		if g.Degree(v) > g.Degree(best) {
+			best = v
+		}
+	}
+	return g, best, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +18,9 @@ func TestRunSmallScenario(t *testing.T) {
 func TestRunVariants(t *testing.T) {
 	cases := [][]string{
 		{"-rows", "4", "-cols", "4", "-pulses", "1", "-damping", "off"},
+		{"-rows", "4", "-cols", "4", "-pulses", "1", "-damping", "none"}, // rfdd's spelling of off
+		{"-rows", "4", "-cols", "4", "-pulses", "1", "-damping", "ripe229"},
+		{"-topology", "star", "-nodes", "6", "-pulses", "1"}, // any rfdtopo family
 		{"-rows", "4", "-cols", "4", "-pulses", "2", "-damping", "juniper", "-v"},
 		{"-rows", "4", "-cols", "4", "-pulses", "1", "-rcn"},
 		{"-topology", "ring", "-nodes", "10", "-pulses", "1"},
@@ -48,15 +52,21 @@ func TestRunWritesTrace(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-topology", "moebius"},
-		{"-damping", "huawei"},
-		{"-policy", "chaos"},
-		{"-topology", "ring", "-nodes", "2"},
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-topology", "moebius"}, "unknown topology family"},
+		{[]string{"-damping", "huawei"}, "unknown damping preset"},
+		{[]string{"-policy", "chaos"}, "unknown policy"},
+		{[]string{"-topology", "ring", "-nodes", "2"}, "ring needs >= 3 nodes, got 2"},
+		// Pre-fix a negative shard count ran sequentially without a word.
+		{[]string{"-rows", "4", "-cols", "4", "-shards", "-2"}, "negative shard count -2"},
+		{[]string{"-rows", "4", "-cols", "4", "-shards", "4", "-check"}, "invariant checker"},
 	}
-	for _, args := range cases {
-		if err := run(context.Background(), args); err == nil {
-			t.Fatalf("%v accepted", args)
+	for _, tc := range cases {
+		if err := run(context.Background(), tc.args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
 		}
 	}
 }

@@ -36,36 +36,15 @@ func run(ctx context.Context, args []string) error {
 		kind   = fs.String("type", "mesh", "mesh | internet | waxman | tiered | ring | line | star | fullmesh")
 		rows   = fs.Int("rows", 10, "mesh rows")
 		cols   = fs.Int("cols", 10, "mesh cols")
-		nodes  = fs.Int("nodes", 100, "node count (non-mesh)")
-		seed   = fs.Uint64("seed", 1, "random seed (internet)")
+		nodes  = fs.Int("nodes", 100, "node count (every family but mesh and tiered)")
+		seed   = fs.Uint64("seed", 1, "random seed (internet, waxman, tiered)")
 		format = fs.String("format", "stats", "stats | tsv | dot")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var g *topology.Graph
-	var err error
-	switch *kind {
-	case "mesh":
-		g, err = topology.Torus(*rows, *cols)
-	case "internet":
-		g, err = topology.InternetDerived(topology.DefaultInternetConfig(*nodes, *seed))
-	case "waxman":
-		g, err = topology.Waxman(topology.DefaultWaxmanConfig(*nodes, *seed))
-	case "tiered":
-		g, err = topology.Tiered(topology.DefaultTieredConfig(*seed))
-	case "ring":
-		g, err = topology.Ring(*nodes)
-	case "line":
-		g, err = topology.Line(*nodes)
-	case "star":
-		g, err = topology.Star(*nodes)
-	case "fullmesh":
-		g, err = topology.FullMesh(*nodes)
-	default:
-		return fmt.Errorf("unknown -type %q", *kind)
-	}
+	g, err := topology.Shape{Family: *kind, Rows: *rows, Cols: *cols, Nodes: *nodes, Seed: *seed}.Generate()
 	if err != nil {
 		return err
 	}

@@ -137,6 +137,26 @@ func RIPE229() Params {
 	}
 }
 
+// ParsePreset resolves a parameter preset by the name every front end uses:
+// cisco and juniper (Table 1), ripe229, and none, off or the empty string for
+// no damping at all, which is the nil result.
+func ParsePreset(name string) (*Params, error) {
+	var p Params
+	switch name {
+	case "", "none", "off":
+		return nil, nil
+	case "cisco":
+		p = Cisco()
+	case "juniper":
+		p = Juniper()
+	case "ripe229":
+		p = RIPE229()
+	default:
+		return nil, fmt.Errorf("damping: unknown damping preset %q (want none, off, cisco, juniper or ripe229)", name)
+	}
+	return &p, nil
+}
+
 // errInvalidParams sentinels parameter validation failures.
 var errInvalidParams = errors.New("damping: invalid parameters")
 

@@ -81,29 +81,40 @@ func TestFingerprintTracksGraph(t *testing.T) {
 	}
 }
 
-// TestDaemonScenarioOn: the graph source is asked once per valid request and
-// never for a request that is refused; the scenario built around a kept graph
-// is the one DaemonScenario builds from scratch.
-func TestDaemonScenarioOn(t *testing.T) {
+// TestDaemonScenarioShape: the graph source is asked once per valid request,
+// with the canonical shape, and never for a request that is refused; the
+// scenario built around a kept graph is the one DaemonScenario builds from
+// scratch, at the shape's default ispAS.
+func TestDaemonScenarioShape(t *testing.T) {
 	o := daemonOptions()
+	shape := func(topo string) topology.Shape {
+		return topology.Shape{Family: topo, Rows: o.MeshRows, Cols: o.MeshCols, Nodes: o.InternetNodes, Seed: o.Seed}
+	}
 	calls := 0
-	var kept *topology.Graph
-	keep := func(build func() (*topology.Graph, error)) (*topology.Graph, error) {
+	kept := map[topology.Shape]*topology.Graph{}
+	keep := func(sh topology.Shape) (*topology.Graph, error) {
 		calls++
-		if kept != nil {
-			return kept, nil
+		if c, err := sh.Canonical(); err != nil || c != sh {
+			t.Errorf("graph source handed %+v, canonical form %+v (%v)", sh, c, err)
 		}
-		g, err := build()
-		kept = g
+		if g, ok := kept[sh]; ok {
+			return g, nil
+		}
+		g, err := sh.Generate()
+		kept[sh] = g
 		return g, err
 	}
 	for _, bad := range []struct{ topo, damp, wantErr string }{
 		{"hypercube", "cisco", "unknown topology"},
 		{"mesh", "strict", "unknown damping"},
-		{"internet", "none", "rcn requires damping"},
+		{"internet", "none", "EnableRCN requires damping"},
+		{"hypercube", "none", "EnableRCN requires damping"}, // refused before the topology is looked at
 	} {
-		if _, err := DaemonScenarioOn(o, bad.topo, bad.damp, true, keep); err == nil || !strings.Contains(err.Error(), bad.wantErr) {
+		if _, err := ShapeScenario(o, shape(bad.topo), bad.damp, true, keep); err == nil || !strings.Contains(err.Error(), bad.wantErr) {
 			t.Errorf("%s/%s: err = %v, want %q", bad.topo, bad.damp, err, bad.wantErr)
+		}
+		if _, err := DaemonScenario(o, bad.topo, bad.damp, true); err == nil || !strings.Contains(err.Error(), bad.wantErr) {
+			t.Errorf("%s/%s uncached: err = %v, want %q", bad.topo, bad.damp, err, bad.wantErr)
 		}
 	}
 	if calls != 0 {
@@ -111,18 +122,22 @@ func TestDaemonScenarioOn(t *testing.T) {
 	}
 
 	for _, topo := range []string{"mesh", "internet"} {
-		calls, kept = 0, nil
+		calls = 0
 		want, err := DaemonScenario(o, topo, "juniper", true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantKey, _ := want.Fingerprint()
+		canon := mustCanonical(t, shape(topo))
+		if want.ISP != canon.DefaultISP() {
+			t.Fatalf("%s: DaemonScenario puts the ispAS at %d, the shape at %d", topo, want.ISP, canon.DefaultISP())
+		}
 		for i := 0; i < 2; i++ { // generated, then kept
-			sc, err := DaemonScenarioOn(o, topo, "juniper", true, keep)
+			sc, err := ShapeScenario(o, shape(topo), "juniper", true, keep)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sc.Graph != kept {
+			if sc.Graph == nil || sc.Graph != kept[canon] {
 				t.Fatalf("%s: scenario does not run on the source's graph", topo)
 			}
 			if got, _ := sc.Fingerprint(); got != wantKey || sc.ISP != want.ISP {
@@ -133,4 +148,16 @@ func TestDaemonScenarioOn(t *testing.T) {
 			t.Fatalf("%s: graph source consulted %d times by 2 requests", topo, calls)
 		}
 	}
+	if len(kept) != 2 {
+		t.Fatalf("graph source kept %d graphs for 2 shapes", len(kept))
+	}
+}
+
+func mustCanonical(t *testing.T, sh topology.Shape) topology.Shape {
+	t.Helper()
+	c, err := sh.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -8,6 +8,7 @@ import (
 
 	"rfd/bgp"
 	"rfd/damping"
+	"rfd/topology"
 )
 
 // This file holds the experiments beyond the paper's figures: the
@@ -235,9 +236,7 @@ type SizeRow struct {
 func TopologySizeSweep(o Options, sides []int, pulses int) ([]SizeRow, error) {
 	rows := make([]SizeRow, 0, len(sides))
 	for _, side := range sides {
-		local := o
-		local.MeshRows, local.MeshCols = side, side
-		sc, err := local.meshScenario(local.dampingConfig())
+		sc, err := o.scenario(topology.Shape{Rows: side, Cols: side}, o.dampingConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -47,9 +47,9 @@ type Options struct {
 	DampingEngine damping.EngineKind
 	// Shards, when > 1, runs every figure scenario on the sharded engine
 	// (Scenario.Shards). Figures come out identical — the shard count is an
-	// execution detail, not a simulation input — but sharded sweeps run each
-	// point from scratch instead of forking a shared warm-up checkpoint.
-	// Incompatible with Check (the invariant checker is sequential-engine).
+	// execution detail, not a simulation input — and sweeps still warm up
+	// once: every point forks a sharded checkpoint. Incompatible with Check
+	// (the invariant checker is sequential-engine).
 	Shards int
 	// Ctx, when non-nil, supervises every run and sweep the figure executes:
 	// cancelling it stops the figure with a typed ErrCanceled, a deadline
@@ -71,6 +71,18 @@ func DefaultOptions() Options {
 	}
 }
 
+// SmallOptions returns the reduced scale every front end's -small means: a
+// 5×5 mesh, 30- and 40-node Internet-derived topologies, pulses 0..4. It is
+// also the scale of an rfdd sweep request that names no sizes.
+func SmallOptions() Options {
+	o := DefaultOptions()
+	o.MeshRows, o.MeshCols = 5, 5
+	o.InternetNodes = 30
+	o.PolicyNodes = 40
+	o.MaxPulses = 4
+	return o
+}
+
 // workers resolves the worker bound.
 func (o Options) workers() int {
 	if o.Workers > 0 {
@@ -87,21 +99,14 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// sweep runs a pulse sweep honoring the options' context, worker bound and
-// run cache.
+// sweep runs a pulse sweep under the options' context, worker bound and cache.
 func (o Options) sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
-	if o.Cache != nil {
-		return o.Cache.SweepContext(o.ctx(), base, pulses, o.workers())
-	}
-	return SweepParallelContext(o.ctx(), base, pulses, o.workers())
+	return o.Cache.SweepContext(o.ctx(), base, pulses, o.workers())
 }
 
-// run executes one scenario through the options' run cache when set.
+// run executes one scenario through the options' cache (a nil cache runs it).
 func (o Options) run(sc Scenario) (*Result, error) {
-	if o.Cache != nil {
-		return o.Cache.RunContext(o.ctx(), sc)
-	}
-	return RunContext(o.ctx(), sc)
+	return o.Cache.RunContext(o.ctx(), sc)
 }
 
 // baseConfig returns the protocol configuration shared by all runs.
@@ -128,38 +133,68 @@ func (o Options) rcnConfig() bgp.Config {
 	return cfg
 }
 
-// meshScenario builds the torus scenario. All torus nodes are topologically
-// equal, so the ispAS choice (node 0) is without loss of generality.
-func (o Options) meshScenario(cfg bgp.Config) (Scenario, error) {
-	return o.meshScenarioOn(generate, cfg)
+// scenario builds the base scenario on the topology sh describes, with the
+// originAS at the shape's default ispAS. Every figure, DaemonScenario and the
+// Labovitz events get their graph here.
+func (o Options) scenario(sh topology.Shape, cfg bgp.Config) (Scenario, error) {
+	return o.scenarioFrom(sh, cfg, topology.Shape.Generate)
 }
 
-// meshScenarioOn is meshScenario with the torus taken from graph.
-func (o Options) meshScenarioOn(graph GraphSource, cfg bgp.Config) (Scenario, error) {
-	g, err := graph(func() (*topology.Graph, error) { return topology.Torus(o.MeshRows, o.MeshCols) })
+// scenarioFrom is the one place a Scenario is assembled from options, a shape
+// and a configuration. graph is handed the canonical shape — exactly what the
+// generator reads, so a correct key for a graph kept from an earlier call.
+func (o Options) scenarioFrom(sh topology.Shape, cfg bgp.Config, graph func(topology.Shape) (*topology.Graph, error)) (Scenario, error) {
+	sh, err := sh.Canonical()
 	if err != nil {
 		return Scenario{}, err
 	}
-	return Scenario{Graph: g, ISP: 0, Config: cfg, FlapInterval: o.FlapInterval, Check: o.Check, Shards: o.Shards}, nil
+	g, err := graph(sh)
+	if err != nil {
+		return Scenario{}, err
+	}
+	return Scenario{Graph: g, ISP: sh.DefaultISP(), Config: cfg, FlapInterval: o.FlapInterval, Check: o.Check, Shards: o.Shards}, nil
+}
+
+// meshScenario builds the torus scenario.
+func (o Options) meshScenario(cfg bgp.Config) (Scenario, error) {
+	return o.scenario(topology.Shape{Rows: o.MeshRows, Cols: o.MeshCols}, cfg)
 }
 
 // internetScenario builds the Internet-derived scenario with the given node
-// count. The ispAS is a deterministic mid-ID node (stand-in for the paper's
-// random selection).
+// count and policy.
 func (o Options) internetScenario(cfg bgp.Config, nodes int, policy bgp.Policy) (Scenario, error) {
-	return o.internetScenarioOn(generate, cfg, nodes, policy)
+	cfg.Policy = policy
+	return o.scenario(topology.Shape{Family: "internet", Nodes: nodes, Seed: o.Seed}, cfg)
 }
 
-// internetScenarioOn is internetScenario with the topology taken from graph.
-func (o Options) internetScenarioOn(graph GraphSource, cfg bgp.Config, nodes int, policy bgp.Policy) (Scenario, error) {
-	g, err := graph(func() (*topology.Graph, error) {
-		return topology.InternetDerived(topology.DefaultInternetConfig(nodes, o.Seed))
-	})
-	if err != nil {
-		return Scenario{}, err
+// DaemonScenario builds a base scenario from names and sizes — the form a
+// service request arrives in (cmd/rfdd): small, self-describing and
+// reproducible, which is what the content-addressed run cache keys on. topo is
+// a topology.Shape family sized by o (MeshRows×MeshCols, InternetNodes, Seed);
+// the rest is ShapeScenario's. Every call generates its topology afresh.
+func DaemonScenario(o Options, topo, damp string, rcn bool) (Scenario, error) {
+	sh := topology.Shape{Family: topo, Rows: o.MeshRows, Cols: o.MeshCols, Nodes: o.InternetNodes, Seed: o.Seed}
+	return ShapeScenario(o, sh, damp, rcn, topology.Shape.Generate)
+}
+
+// ShapeScenario is DaemonScenario on an explicit shape, with the topology
+// taken from graph: Shape.Generate, or a server's cache of the graphs it is
+// asked for repeatedly (runs clone the base graph before attaching the origin,
+// so one graph can serve any number of scenarios, concurrently). damp is a
+// damping.ParsePreset name; rcn layers root-cause notification on a damped
+// configuration. graph is called at most once, with the canonical shape, and
+// only after everything else has validated — a request that is going to be
+// refused never reaches it.
+func ShapeScenario(o Options, sh topology.Shape, damp string, rcn bool, graph func(topology.Shape) (*topology.Graph, error)) (sc Scenario, err error) {
+	cfg := o.baseConfig()
+	cfg.EnableRCN = rcn
+	if cfg.Damping, err = damping.ParsePreset(damp); err != nil {
+		return sc, err
 	}
-	cfg.Policy = policy
-	return Scenario{Graph: g, ISP: topology.NodeID(nodes / 2), Config: cfg, FlapInterval: o.FlapInterval, Check: o.Check, Shards: o.Shards}, nil
+	if err = cfg.Validate(); err != nil {
+		return sc, err
+	}
+	return o.scenarioFrom(sh, cfg, graph)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import (
 
 	"rfd/bgp"
 	"rfd/sim"
-	"rfd/topology"
 )
 
 // The paper's analysis builds on Labovitz et al.'s delayed-convergence
@@ -42,11 +41,11 @@ type EventMeasurement struct {
 // via a relay attached to the node farthest from the ispAS. Damping is off —
 // this is the plain-BGP baseline the paper compares against.
 func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
-	g, err := topology.Torus(o.MeshRows, o.MeshCols)
+	mesh, err := o.meshScenario(o.baseConfig())
 	if err != nil {
 		return nil, err
 	}
-	isp := topology.NodeID(0)
+	g, isp, cfg := mesh.Graph, mesh.ISP, mesh.Config
 	// Backup attachment point: the node farthest from the ispAS, so backup
 	// paths are strictly longer nearly everywhere.
 	far := isp
@@ -68,7 +67,6 @@ func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
 		return nil, err
 	}
 
-	cfg := o.baseConfig()
 	k := sim.NewKernel(sim.WithSeed(cfg.Seed))
 	n, err := bgp.NewNetwork(k, g, cfg)
 	if err != nil {

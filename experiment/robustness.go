@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rfd/faults"
+	"rfd/topology"
 )
 
 // This file holds the robustness experiments: the same pulse workload as the
@@ -49,17 +50,15 @@ type LossCell struct {
 // convergence watchdog. Each rate uses an independently seeded impairment
 // RNG so the sweep is a pure function of o.Seed.
 func LossSweep(o Options, rates []float64, pulses int) ([]LossRow, error) {
-	local := o
-	local.MeshRows, local.MeshCols = 5, 5
 	rows := make([]LossRow, 0, len(rates))
 	for i, rate := range rates {
 		row := LossRow{Rate: rate}
 		for _, damped := range []bool{false, true} {
-			cfg := local.baseConfig()
+			cfg := o.baseConfig()
 			if damped {
-				cfg = local.dampingConfig()
+				cfg = o.dampingConfig()
 			}
-			sc, err := local.meshScenario(cfg)
+			sc, err := o.scenario(topology.Shape{Rows: 5, Cols: 5}, cfg)
 			if err != nil {
 				return nil, err
 			}

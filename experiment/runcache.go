@@ -157,11 +157,8 @@ func (c *RunCache) SetCheckpointPool(p *CheckpointPool) {
 	c.pool = p
 }
 
-// checkpointPool returns the layered pool (nil-safe).
+// checkpointPool returns the layered pool.
 func (c *RunCache) checkpointPool() *CheckpointPool {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pool
@@ -277,13 +274,14 @@ func (c *RunCache) Run(sc Scenario) (*Result, error) {
 // execution keeps running for whoever else wants it). A cancelled or failed
 // execution is evicted, never negative-cached.
 func (c *RunCache) RunContext(ctx context.Context, sc Scenario) (res *Result, err error) {
+	if c == nil {
+		return cachedRunner(ctx, sc)
+	}
 	key, ok := sc.Fingerprint()
-	if c == nil || !ok {
-		if c != nil {
-			c.mu.Lock()
-			c.uncached++
-			c.mu.Unlock()
-		}
+	if !ok {
+		c.mu.Lock()
+		c.uncached++
+		c.mu.Unlock()
 		return cachedRunner(ctx, sc)
 	}
 	e, owner := c.claim(key)
@@ -405,17 +403,12 @@ func (c *RunCache) SweepContext(ctx context.Context, base Scenario, pulses []int
 			}
 			release(nil)
 		}()
-		// With a pool, the sweep's one warm-up comes from (and stays in) the
-		// pool, so repeat sweeps of the same scenario skip it entirely.
+		// With a pool, the sweep's one warm-up comes from (and stays in) it, so
+		// repeat sweeps of the scenario skip it; a nil pool converges afresh.
 		var pts []SweepPoint
-		var err error
-		if pool := c.checkpointPool(); pool != nil {
-			var cp *Checkpoint
-			if cp, err = pool.Get(ctx, base); err == nil {
-				pts, err = sweepCheckpointed(ctx, cp, base, missPulses, workers)
-			}
-		} else {
-			pts, err = SweepParallelContext(ctx, base, missPulses, workers)
+		cp, err := c.checkpointPool().Get(ctx, base)
+		if err == nil {
+			pts, err = sweepCheckpointed(ctx, cp, base, missPulses, workers)
 		}
 		if err == nil || pts != nil {
 			for j, e := range missEntries {

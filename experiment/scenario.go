@@ -89,13 +89,13 @@ type Scenario struct {
 	// topology is partitioned across Shards shard kernels coordinated by
 	// conservative-lookahead epochs (sim.ShardGroup). The run path is the
 	// same on both engines; only the Result's bookkeeping is fed differently
-	// (from the merged per-shard event traces rather than live hooks), and
-	// the Result is identical to a Shards<=1 run of the same scenario — the
-	// shard count is an execution detail, not a simulation input, which is
-	// why Fingerprint ignores it. Sharded runs require
-	// MinLinkDelay+MinProcDelay > 0 and are incompatible with Watchdog, Check,
-	// and impairment models that are not in per-link stream mode
-	// (faults.Impairments.UseLinkStreams).
+	// (from per-shard observation feeds merged by time after the drain,
+	// rather than live hooks), and the Result is identical to a Shards<=1 run
+	// of the same scenario — the shard count is an execution detail, not a
+	// simulation input, which is why Fingerprint ignores it. Sharded runs
+	// require MinLinkDelay+MinProcDelay > 0 and are incompatible with
+	// Watchdog, Check, and impairment models that are not in per-link stream
+	// mode (faults.Impairments.UseLinkStreams).
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after

@@ -110,6 +110,9 @@ func DefaultTieredConfig(seed uint64) TieredConfig {
 	}
 }
 
+// nodes is the hierarchy's size: the core, the transit ASes and their stubs.
+func (cfg TieredConfig) nodes() int { return cfg.Tier1 + cfg.Tier2*(1+cfg.StubsPerTier2) }
+
 // Tiered generates a three-level AS hierarchy annotated for the no-valley
 // policy, in the spirit of the classic Internet structure the paper's policy
 // discussion assumes:
@@ -131,7 +134,7 @@ func Tiered(cfg TieredConfig) (*Graph, error) {
 		return nil, fmt.Errorf("topology: negative tier sizes")
 	}
 	rng := xrand.New(cfg.Seed)
-	total := cfg.Tier1 + cfg.Tier2*(1+cfg.StubsPerTier2)
+	total := cfg.nodes()
 	g := New(fmt.Sprintf("tiered-%d", total), total)
 
 	peer := func(a, b NodeID) error {

@@ -16,7 +16,7 @@ import (
 // links.
 func Torus(rows, cols int) (*Graph, error) {
 	if rows < 3 || cols < 3 {
-		return nil, fmt.Errorf("topology: torus dimensions %dx%d too small (need >= 3)", rows, cols)
+		return nil, fmt.Errorf("topology: torus rows x cols %dx%d too small (need >= 3)", rows, cols)
 	}
 	g := New(fmt.Sprintf("torus-%dx%d", rows, cols), rows*cols)
 	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
