@@ -23,13 +23,16 @@ func sweepBenchScenario(b *testing.B) (experiment.Scenario, []int) {
 	return experiment.Scenario{Graph: g, ISP: 0, Config: cfg}, experiment.PulseRange(0, 10)
 }
 
-// BenchmarkSweepFork measures the warm-up amortization of checkpoint/fork
-// sweeps. "scratch" is the pre-optimization execution model — every pulse
-// point converges the network from nothing — while "fork" warms up once,
-// snapshots the converged network, and forks the checkpoint per point
-// (experiment.SweepParallel's model). Both run the points sequentially so the
-// comparison isolates forking from parallelism. Results are recorded in
-// BENCH_sweep.json; refresh with
+// BenchmarkSweepFork measures what a sweep shares between its points.
+// "scratch" shares nothing — every pulse point converges the network from
+// nothing; "fork" shares the warm-up — converge once, park the checkpoint,
+// fork it per point and replay that point's pulses from the first; "chain"
+// shares the pulses as well — experiment.SweepParallel's model: one trajectory
+// flapped through every count and forked at each, so each pulse is simulated
+// once. All three run the points sequentially (chain with one worker), so the
+// comparison isolates sharing from parallelism, and all three report the
+// 10-pulse point. scratch and fork are recorded in BENCH_sweep.json; refresh
+// with
 //
 //	go test -run '^$' -bench BenchmarkSweepFork -benchtime 3x -benchmem .
 func BenchmarkSweepFork(b *testing.B) {
@@ -69,6 +72,20 @@ func BenchmarkSweepFork(b *testing.B) {
 				}
 				last = res
 			}
+		}
+		b.ReportMetric(last.ConvergenceTime.Seconds(), "conv_s")
+		b.ReportMetric(float64(last.MessageCount), "msgs")
+	})
+	b.Run("chain", func(b *testing.B) {
+		base, pulses := sweepBenchScenario(b)
+		b.ReportAllocs()
+		var last *experiment.Result
+		for i := 0; i < b.N; i++ {
+			pts, err := experiment.SweepParallel(base, pulses, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			last = pts[len(pts)-1].Result
 		}
 		b.ReportMetric(last.ConvergenceTime.Seconds(), "conv_s")
 		b.ReportMetric(float64(last.MessageCount), "msgs")

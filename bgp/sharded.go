@@ -362,25 +362,25 @@ func (sn *ShardedNetwork) CheckConsistency() error {
 }
 
 // Fork returns an independent copy of the ensemble, leaving the original
-// untouched. The ensemble must be quiescent at a barrier with empty
-// outboxes — fork at the same instants you would snapshot the sequential
-// engine (experiment checkpoints are taken at quiescent epochs). The kernel
-// group is forked as a unit (sim.ShardGroup.Fork), so the copy's coordinator
-// resumes with the parent's epoch statistics, exactly as a from-scratch run
-// would report; each shard network is then forked onto its pre-forked kernel
-// and rebound to the copy's outboxes. Safe for concurrent Fork calls on the
-// same parked ensemble — forking only reads.
+// untouched. The ensemble must be parked at a barrier (between Run/RunUntil
+// calls); it need not be quiescent. Cross-shard messages still waiting in an
+// outbox — a stimulus applied at the barrier, such as Originate, can park one
+// there — are carried into the copy with their sequence numbers, so both
+// sides inject them at their next barrier exactly as an unforked run would.
+// The kernel group is forked as a unit (sim.ShardGroup.Fork), so the copy's
+// coordinator resumes with the parent's epoch statistics, exactly as a
+// from-scratch run would report; each shard network is then forked onto its
+// pre-forked kernel and rebound to the copy's outboxes. Safe for concurrent
+// Fork calls on the same parked ensemble — forking only reads.
 func (sn *ShardedNetwork) Fork() (*ShardedNetwork, error) {
-	for _, box := range sn.outbox {
-		if len(box) > 0 {
-			return nil, fmt.Errorf("bgp: fork with %d cross-shard messages in outboxes; run to a barrier first", sn.PendingDeliveries())
-		}
-	}
 	f := &ShardedNetwork{
 		owner:  sn.owner,
 		shards: make([]*Network, len(sn.shards)),
 		outbox: make([][]remoteMsg, len(sn.shards)),
 		seq:    append([]uint64(nil), sn.seq...),
+	}
+	for s, box := range sn.outbox {
+		f.outbox[s] = slices.Clone(box) // message paths are interned, immutable
 	}
 	group, err := sn.group.Fork(f)
 	if err != nil {

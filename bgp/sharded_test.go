@@ -58,11 +58,7 @@ func shardTrace(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bgp.Rout
 		t.Fatal(err)
 	}
 	defer sn.Close()
-	logs := make([]*trace.Log, sn.NumShards())
-	for s := 0; s < sn.NumShards(); s++ {
-		logs[s] = trace.NewLog(0)
-		sn.Shard(s).SetHooks(bgp.TraceHooks(logs[s]))
-	}
+	logs := observeShards(sn)
 	g2 := sn.Group()
 	sn.Router(origin).Originate(prefix)
 	if err := g2.Run(); err != nil {
@@ -209,11 +205,7 @@ func TestShardedForkEquivalence(t *testing.T) {
 
 func drivePulses(t *testing.T, sn *bgp.ShardedNetwork, origin bgp.RouterID, prefix bgp.Prefix) []byte {
 	t.Helper()
-	logs := make([]*trace.Log, sn.NumShards())
-	for s := 0; s < sn.NumShards(); s++ {
-		logs[s] = trace.NewLog(0)
-		sn.Shard(s).SetHooks(bgp.TraceHooks(logs[s]))
-	}
+	logs := observeShards(sn)
 	g := sn.Group()
 	const interval = 60 * time.Second
 	for pulse := 0; pulse < 2; pulse++ {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strconv"
 	"testing"
 	"time"
 
@@ -46,12 +45,7 @@ func convergedMesh(t testing.TB) (*sim.Kernel, *bgp.Network, bgp.RouterID, bgp.P
 func flapTrace(t testing.TB, k *sim.Kernel, n *bgp.Network, origin bgp.RouterID, prefix bgp.Prefix) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	k.SetTrace(func(at time.Duration, name string) {
-		buf.WriteString(strconv.FormatInt(int64(at), 10))
-		buf.WriteByte(' ')
-		buf.WriteString(name)
-		buf.WriteByte('\n')
-	})
+	kernelTrace(k, &buf)
 	defer k.SetTrace(nil)
 	const interval = 60 * time.Second
 	for pulse := 0; pulse < 2; pulse++ {

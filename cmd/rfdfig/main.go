@@ -6,6 +6,7 @@
 //	rfdfig -fig fig8 -out out/            # Fig 8 at paper scale (slow-ish)
 //	rfdfig -fig all -small -out out/      # everything, reduced scale
 //	rfdfig -fig fig3                      # print to stdout (no -out)
+//	rfdfig -fig all -noplot -cpuprofile cpu.out   # profile the build (go tool pprof cpu.out)
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -52,9 +54,37 @@ func run(ctx context.Context, args []string) error {
 		engine   = fs.String("damping-engine", "exact", "damping backend for every run: exact | wheel (timer-wheel batch engine)")
 		shards   = fs.Int("shards", 1, "run every scenario on the sharded engine with this many shards (1 = sequential; figures are identical either way)")
 		progress = fs.Bool("progress", false, "print a live line per warm-up/sweep point to stderr as each completes (long figure builds stop being silent)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the figure build to this file")
+		memProf  = fs.String("memprofile", "", "write a post-build heap profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProf != "" {
+		defer func() {
+			f, err := os.Create(*memProf)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "rfdfig: memprofile:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // settle the heap so the profile shows live objects
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "rfdfig: memprofile:", err)
+			}
+		}()
 	}
 
 	opts := experiment.DefaultOptions()

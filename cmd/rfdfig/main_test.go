@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,22 @@ func TestRunRejectsBadShards(t *testing.T) {
 		args := append([]string{"-fig", "fig7", "-small", "-noplot", "-out", t.TempDir()}, tc.args...)
 		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
+		}
+	}
+}
+
+// TestRunWritesProfiles: -cpuprofile / -memprofile leave a profile each behind
+// a figure build, as rfdsim's pair does behind a run.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	args := []string{"-fig", "fig10", "-small", "-noplot", "-out", dir, "-cpuprofile", cpu, "-memprofile", mem}
+	if err := run(context.Background(), args); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{cpu, mem} {
+		if st, err := os.Stat(name); err != nil || st.Size() == 0 {
+			t.Errorf("%s: missing or empty (err %v)", filepath.Base(name), err)
 		}
 	}
 }

@@ -266,8 +266,9 @@ func run(ctx context.Context, args []string) error {
 }
 
 // runSweep runs the scenario once per pulse count in [from, to] and prints
-// one row per point. The warm-up phase is shared: it executes once and every
-// point forks the converged checkpoint (see experiment.SweepParallel).
+// one row per point. The warm-up and the flap phases are shared: the warm-up
+// executes once, and one flight flaps through every pulse count, each point
+// branching off it (see experiment.SweepParallel).
 func runSweep(ctx context.Context, sc experiment.Scenario, spec string, workers int) error {
 	var from, to int
 	if n, err := fmt.Sscanf(spec, "%d:%d", &from, &to); n != 2 || err != nil {

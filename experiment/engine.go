@@ -7,7 +7,7 @@ import (
 	"rfd/bgp"
 )
 
-// engine is what converge, measure and Checkpoint need from a simulation
+// engine is what converge, a flight and Checkpoint need from a simulation
 // engine. *bgp.Network and *bgp.ShardedNetwork supply the exported half
 // directly; the adapters below add the rest, so the run path is written once.
 type engine interface {
@@ -28,7 +28,9 @@ type engine interface {
 	// shards lists the networks that carry the engine's routers (one for the
 	// sequential engine): hooks, impairments and fault plans install on each.
 	shards() []*bgp.Network
-	// fork returns an independent copy; the engine must be quiescent.
+	// fork returns an independent copy of the engine as it stands between
+	// run calls — in-flight messages, pending timers and stream positions
+	// included. It fails while a closure event (a fault plan's) is pending.
 	fork() (engine, error)
 	close()
 }

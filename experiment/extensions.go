@@ -120,18 +120,11 @@ func FilterComparison(o Options, pulses []int) ([]FilterRow, error) {
 		return nil, err
 	}
 
-	classic, err := o.sweep(classicSc, pulses)
+	pts, err := o.sweeps(pulses, classicSc, selSc, rcnSc)
 	if err != nil {
 		return nil, err
 	}
-	selective, err := o.sweep(selSc, pulses)
-	if err != nil {
-		return nil, err
-	}
-	rcnRes, err := o.sweep(rcnSc, pulses)
-	if err != nil {
-		return nil, err
-	}
+	classic, selective, rcnRes := pts[0], pts[1], pts[2]
 	// t_up for the intended curve.
 	plainSc.Pulses = 1
 	plain, err := o.run(plainSc)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"rfd/analytic"
@@ -29,8 +30,8 @@ type Options struct {
 	FlapInterval time.Duration
 	// Seed drives topology generation and protocol randomness.
 	Seed uint64
-	// Workers bounds the number of concurrent runs in sweeps
-	// (runtime.NumCPU() when 0).
+	// Workers bounds the number of simulations running at once in a figure's
+	// sweeps — a sweep's trunk counts as one (runtime.NumCPU() when 0).
 	Workers int
 	// Cache, when non-nil, dedupes identical runs across figures: scenarios
 	// shared between figures (the undamped mesh baseline, the damped sweeps)
@@ -48,7 +49,8 @@ type Options struct {
 	// Shards, when > 1, runs every figure scenario on the sharded engine
 	// (Scenario.Shards). Figures come out identical — the shard count is an
 	// execution detail, not a simulation input — and sweeps still warm up
-	// once: every point forks a sharded checkpoint. Incompatible with Check
+	// once and simulate each pulse once: one flight forks the sharded
+	// checkpoint and every point branches off it. Incompatible with Check
 	// (the invariant checker is sequential-engine).
 	Shards int
 	// Ctx, when non-nil, supervises every run and sweep the figure executes:
@@ -102,6 +104,32 @@ func (o Options) ctx() context.Context {
 // sweep runs a pulse sweep under the options' context, worker bound and cache.
 func (o Options) sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 	return o.Cache.SweepContext(o.ctx(), base, pulses, o.workers())
+}
+
+// sweeps runs the same pulse sweep of several scenarios at once, all under
+// the one worker bound, so that a figure made of independent sweeps waits for
+// their total work spread over the workers rather than for each sweep's trunk
+// in turn. The points come back in the order of bases; the error is that of
+// the first sweep, in that order, that failed.
+func (o Options) sweeps(pulses []int, bases ...Scenario) ([][]SweepPoint, error) {
+	b := newBudget(o.workers())
+	pts := make([][]SweepPoint, len(bases))
+	errs := make([]error, len(bases))
+	var wg sync.WaitGroup
+	for i, base := range bases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pts[i], errs[i] = o.Cache.sweep(o.ctx(), base, pulses, b)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return pts, nil
 }
 
 // run executes one scenario through the options' cache (a nil cache runs it).
@@ -454,22 +482,11 @@ func Eval(o Options) (*EvalData, error) {
 		return nil, err
 	}
 
-	plain, err := o.sweep(meshPlain, pulses)
+	pts, err := o.sweeps(pulses, meshPlain, meshDamp, meshRCN, inetDamp)
 	if err != nil {
 		return nil, err
 	}
-	damp, err := o.sweep(meshDamp, pulses)
-	if err != nil {
-		return nil, err
-	}
-	rcnRes, err := o.sweep(meshRCN, pulses)
-	if err != nil {
-		return nil, err
-	}
-	inet, err := o.sweep(inetDamp, pulses)
-	if err != nil {
-		return nil, err
-	}
+	plain, damp, rcnRes, inet := pts[0], pts[1], pts[2], pts[3]
 
 	// t_up for the calculation: the measured no-damping convergence of a
 	// single pulse (ordinary BGP up-convergence).
@@ -608,14 +625,11 @@ func Fig15(o Options) (*Fig15Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	polRes, err := o.sweep(withPolicy, pulses)
+	pts, err := o.sweeps(pulses, withPolicy, noPolicy)
 	if err != nil {
 		return nil, err
 	}
-	plainRes, err := o.sweep(noPolicy, pulses)
-	if err != nil {
-		return nil, err
-	}
+	polRes, plainRes := pts[0], pts[1]
 	// t_up for the calculation: ordinary (undamped) BGP up-convergence on
 	// the same topology.
 	undamped := withPolicy

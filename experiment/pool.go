@@ -17,7 +17,8 @@ const DefaultPoolSize = 16
 // engine-specific kernel state even though Result fingerprints deliberately
 // ignore Shards). A hot scenario served repeatedly skips warm-up entirely:
 // the first request converges and parks the snapshot, every later request —
-// any pulse count, sweep or single run — forks it.
+// any pulse count, sweep or single run — forks it (a sweep once, for the one
+// flight all its points branch off).
 //
 // Population is singleflight: concurrent requests for the same key converge
 // on one warm-up, with waiters blocking on the owner (or their own context).

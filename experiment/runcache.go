@@ -336,15 +336,20 @@ func (c *RunCache) Sweep(base Scenario, pulses []int, workers int) ([]SweepPoint
 // discards the other points. Unfingerprintable scenarios fall through to a
 // plain SweepParallelContext.
 func (c *RunCache) SweepContext(ctx context.Context, base Scenario, pulses []int, workers int) ([]SweepPoint, error) {
+	return c.sweep(ctx, base, pulses, newBudget(workers))
+}
+
+// sweep is SweepContext under a budget the caller may share between sweeps.
+func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	if c == nil {
-		return SweepParallelContext(ctx, base, pulses, workers)
+		return sweepWarm(ctx, nil, base, pulses, b)
 	}
 	baseKey, ok := base.fingerprintBase()
 	if !ok {
 		c.mu.Lock()
 		c.uncached += uint64(len(pulses))
 		c.mu.Unlock()
-		return SweepParallelContext(ctx, base, pulses, workers)
+		return sweepWarm(ctx, nil, base, pulses, b)
 	}
 	pr := progressFrom(ctx)
 	keys := make([]string, len(pulses))
@@ -403,13 +408,7 @@ func (c *RunCache) SweepContext(ctx context.Context, base Scenario, pulses []int
 			}
 			release(nil)
 		}()
-		// With a pool, the sweep's one warm-up comes from (and stays in) it, so
-		// repeat sweeps of the scenario skip it; a nil pool converges afresh.
-		var pts []SweepPoint
-		cp, err := c.checkpointPool().Get(ctx, base)
-		if err == nil {
-			pts, err = sweepCheckpointed(ctx, cp, base, missPulses, workers)
-		}
+		pts, err := sweepWarm(ctx, c.checkpointPool(), base, missPulses, b)
 		if err == nil || pts != nil {
 			for j, e := range missEntries {
 				e.res, e.err = pts[j].Result, pts[j].Err

@@ -18,7 +18,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"time"
 
 	"rfd/bgp"
@@ -284,13 +286,12 @@ func converge(ctx context.Context, sc Scenario) (engine, error) {
 }
 
 // recorder fills a Result from the engine's four observation points; every
-// time it is handed is flap-relative. measure feeds it live from bgp.Hooks on
+// time it is handed is flap-relative. A flight feeds it live from bgp.Hooks on
 // a single network, or after the drain from the per-shard observation feeds.
 type recorder struct{ res *Result }
 
 func newRecorder(sc Scenario) recorder {
 	res := &Result{
-		Pulses:             sc.Pulses,
 		Origin:             sc.OriginID(),
 		ISP:                bgp.RouterID(sc.ISP),
 		Updates:            &metrics.EventSeries{},
@@ -303,6 +304,20 @@ func newRecorder(sc Scenario) recorder {
 		res.PenaltyTraces[w] = &metrics.FloatSeries{}
 	}
 	return recorder{res}
+}
+
+// clone returns a recorder over a deep copy of everything recorded so far.
+func (rc recorder) clone() recorder {
+	res := *rc.res
+	res.Updates = res.Updates.Clone()
+	res.Damped = res.Damped.Clone()
+	res.NoisyReuseTimes = res.NoisyReuseTimes.Clone()
+	res.PenaltyTraces = make(map[PenaltyWatch]*metrics.FloatSeries, len(rc.res.PenaltyTraces))
+	for w, tr := range rc.res.PenaltyTraces {
+		res.PenaltyTraces[w] = tr.Clone()
+	}
+	res.LastUpdateByRouter = maps.Clone(rc.res.LastUpdateByRouter)
+	return recorder{&res}
 }
 
 func (rc recorder) deliver(at time.Duration, to bgp.RouterID) {
@@ -461,53 +476,62 @@ func rebaseHooks(h bgp.Hooks, epoch time.Duration) bgp.Hooks {
 
 // measure executes the scenario's flap phase and drain on a converged engine
 // (fresh from converge, or a fork of a converged checkpoint) and computes the
-// Result. It installs the observers, brings the fault apparatus alive at the
-// epoch, runs the pulse workload and drains. It takes ownership of e and
+// Result: begin, pulse to sc.Pulses, finish. It takes ownership of e and
 // closes it.
 func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
-	defer e.close()
-	interval := sc.FlapInterval
-	if interval == 0 {
-		interval = DefaultFlapInterval
+	f, err := begin(sc, e)
+	if err != nil {
+		return nil, err
 	}
-	origin, isp := sc.OriginID(), bgp.RouterID(sc.ISP)
-	rc := newRecorder(sc)
-	res := rc.res
+	return f.run(ctx, sc.Pulses)
+}
 
+// flight is a run between its epoch and its Result: a converged engine with
+// the observers and fault apparatus of one scenario installed, the recorder
+// they feed, and the number of pulses flapped so far. A run is begin → pulseTo
+// → finish; a sweep drives one flight through every pulse count it was asked
+// for and forks it at each, so the n-pulse and (n+1)-pulse points share the
+// simulation of their first n pulses (sweepCheckpointed).
+type flight struct {
+	sc    Scenario // sc.Pulses is not read: the caller says how far to pulse
+	e     engine
+	epoch time.Duration // engine time of the first flap; zero of every Result time
+	rc    recorder
+	// feeds holds one observation feed per network when there are several
+	// (replayed into rc by finish); logs the per-network trace logs when a
+	// trace was asked of them as well.
+	feeds [][]observation
+	logs  []*trace.Log
+	chk   *check.Checker
+	// pulses counts the completed (withdrawal, announcement) pairs; between
+	// pulseTo calls the engine stands at the instant right after the last
+	// re-announcement (at the epoch when zero).
+	pulses int
+}
+
+// forksMidFlight reports whether a flight of the scenario can be forked
+// between pulses. What cannot be copied is apparatus, not simulation state: a
+// fault plan is pending closure events that mutate the network they were
+// applied to (sim.ErrClosureEvent), a checker holds shadow state chained into
+// one network's hooks, and a caller's trace log would be written by every
+// branch. Sweeps of such a scenario fly every point on its own.
+func (s Scenario) forksMidFlight() bool {
+	return s.Faults == nil && !s.Check && s.Trace == nil
+}
+
+// begin turns a converged engine into a flight of sc: it installs the
+// observers and brings the fault apparatus alive at the epoch. The engine is
+// quiescent here, so nothing fires between installing the observers and the
+// first withdrawal. begin takes ownership of e (closed on error).
+func begin(sc Scenario, e engine) (*flight, error) {
 	// All result times are relative to the first flap, matching the paper's
-	// figure axes. The engine is quiescent here, so nothing fires between
-	// installing the observers and the first withdrawal.
-	epoch := e.now()
+	// figure axes.
+	f := &flight{sc: sc, e: e, epoch: e.now(), rc: newRecorder(sc)}
 	nets := e.shards()
-
-	// Observers. One network feeds the recorder live; several append to a
-	// feed each, replayed after the drain. A trace is a by-product either
-	// way, recorded only on request: straight into sc.Trace from one
-	// network, into a log per network — merged into sc.Trace after the
-	// drain — from several.
-	sharded := len(nets) > 1
-	var feeds [][]observation
-	var logs []*trace.Log
-	if sharded {
-		feeds = make([][]observation, len(nets))
+	if len(nets) > 1 {
+		f.feeds = make([][]observation, len(nets))
 	}
-	for s, n := range nets {
-		var hooks bgp.Hooks
-		if sharded {
-			hooks = rc.feedHooks(&feeds[s], epoch)
-		} else {
-			hooks = rc.hooks(n, epoch)
-		}
-		if sc.Trace != nil {
-			log := sc.Trace
-			if sharded {
-				log = trace.NewLog(math.MaxInt)
-				logs = append(logs, log)
-			}
-			hooks = bgp.MergeHooks(hooks, rebaseHooks(bgp.TraceHooks(log), epoch))
-		}
-		n.SetHooks(hooks)
-	}
+	f.observe()
 
 	// Fault injection: impairments and the fault plan come alive at the
 	// epoch, after the clean warm-up, sharing the Result clock zero. With
@@ -524,7 +548,8 @@ func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
 			n.SetImpairment(imp)
 		}
 		if sc.Faults != nil {
-			if err := sc.Faults.Apply(n, epoch, imp); err != nil {
+			if err := sc.Faults.Apply(n, f.epoch, imp); err != nil {
+				f.close()
 				return nil, fmt.Errorf("experiment: fault plan: %w", err)
 			}
 		}
@@ -535,52 +560,140 @@ func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
 	// here — on a converged network with damping state just reset — is the
 	// supported mode: every shadow damping stream starts in sync. Check and
 	// Watchdog attach to one network; validate rejects them on several.
-	var chk *check.Checker
 	if sc.Check {
-		var err error
-		chk, err = check.Attach(nets[0], check.Options{ISP: isp, Origin: origin, Prefix: FlapPrefix})
+		chk, err := check.Attach(nets[0], check.Options{ISP: bgp.RouterID(sc.ISP), Origin: sc.OriginID(), Prefix: FlapPrefix})
 		if err != nil {
+			f.close()
 			return nil, fmt.Errorf("experiment: invariant checker: %w", err)
 		}
-		defer chk.Detach()
+		f.chk = chk
 	}
+	return f, nil
+}
 
-	// Flap phase. FlapStart stays zero: the first withdrawal is the epoch.
-	flap := func(up bool) error {
-		switch {
-		case sc.FlapViaLink:
-			return e.SetLinkState(origin, isp, up)
-		case up:
-			e.Router(origin).Originate(FlapPrefix)
-		default:
-			e.Router(origin).StopOriginating(FlapPrefix)
+// observe installs the observers on the flight's engine. One network feeds
+// the recorder live; several append to a feed each, replayed by finish. A
+// trace is a by-product either way, recorded only on request: straight into
+// sc.Trace from one network, into a log per network — merged into sc.Trace
+// by finish — from several.
+func (f *flight) observe() {
+	for s, n := range f.e.shards() {
+		var hooks bgp.Hooks
+		if f.feeds != nil {
+			hooks = f.rc.feedHooks(&f.feeds[s], f.epoch)
+		} else {
+			hooks = f.rc.hooks(n, f.epoch)
 		}
-		return nil
+		if f.sc.Trace != nil {
+			log := f.sc.Trace
+			if f.feeds != nil {
+				log = trace.NewLog(math.MaxInt)
+				f.logs = append(f.logs, log)
+			}
+			hooks = bgp.MergeHooks(hooks, rebaseHooks(bgp.TraceHooks(log), f.epoch))
+		}
+		n.SetHooks(hooks)
 	}
-	for i := 1; i <= sc.Pulses; i++ {
-		if err := flap(false); err != nil {
-			return nil, fmt.Errorf("experiment: pulse %d down: %w", i, err)
+}
+
+// fork returns an independent copy of the flight at this instant: a fork of
+// the engine (in-flight messages, pending timers and stream positions
+// included), a deep copy of everything recorded so far, and observers of its
+// own feeding that copy. Only a scenario that forksMidFlight has one.
+func (f *flight) fork() (*flight, error) {
+	e, err := f.e.fork()
+	if err != nil {
+		return nil, fmt.Errorf("experiment: flight fork: %w", err)
+	}
+	b := *f
+	b.e = e
+	b.rc = f.rc.clone()
+	if f.feeds != nil {
+		b.feeds = make([][]observation, len(f.feeds))
+		for s, feed := range f.feeds {
+			b.feeds[s] = slices.Clone(feed)
 		}
-		if err := e.runUntil(ctx, e.now()+interval); err != nil {
-			return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i), err)
-		}
-		if err := flap(true); err != nil {
-			return nil, fmt.Errorf("experiment: pulse %d up: %w", i, err)
-		}
-		res.FlapEnd = e.now() - epoch
-		if i < sc.Pulses {
-			if err := e.runUntil(ctx, e.now()+interval); err != nil {
-				return nil, wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i), err)
+	}
+	b.observe()
+	return &b, nil
+}
+
+// close releases the flight's checker and engine. Safe to call twice.
+func (f *flight) close() {
+	if f.chk != nil {
+		f.chk.Detach()
+	}
+	f.e.close()
+}
+
+// flap applies one half of a pulse at the origin.
+func (f *flight) flap(up bool) error {
+	origin := f.sc.OriginID()
+	switch {
+	case f.sc.FlapViaLink:
+		return f.e.SetLinkState(origin, bgp.RouterID(f.sc.ISP), up)
+	case up:
+		f.e.Router(origin).Originate(FlapPrefix)
+	default:
+		f.e.Router(origin).StopOriginating(FlapPrefix)
+	}
+	return nil
+}
+
+// pulseTo flaps until n pulses are complete — the one flap loop. Each pulse
+// is a withdrawal, one interval of simulation and the re-announcement; one
+// more interval separates it from the next. It stops right after the n-th
+// re-announcement, before anything that re-announcement causes has run, which
+// is where an n-pulse run starts draining and an (n+1)-pulse run keeps
+// flapping. FlapStart stays zero: the first withdrawal is the epoch.
+func (f *flight) pulseTo(ctx context.Context, n int) error {
+	interval := f.sc.FlapInterval
+	if interval == 0 {
+		interval = DefaultFlapInterval
+	}
+	for f.pulses < n {
+		if f.pulses > 0 {
+			if err := f.e.runUntil(ctx, f.e.now()+interval); err != nil {
+				return wrapInterrupt(ctx, fmt.Sprintf("pulse %d", f.pulses), err)
 			}
 		}
+		i := f.pulses + 1
+		if err := f.flap(false); err != nil {
+			return fmt.Errorf("experiment: pulse %d down: %w", i, err)
+		}
+		if err := f.e.runUntil(ctx, f.e.now()+interval); err != nil {
+			return wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i), err)
+		}
+		if err := f.flap(true); err != nil {
+			return fmt.Errorf("experiment: pulse %d up: %w", i, err)
+		}
+		f.rc.res.FlapEnd = f.e.now() - f.epoch
+		f.pulses = i
 	}
+	return nil
+}
+
+// run pulses the flight to n and finishes it. It closes the flight.
+func (f *flight) run(ctx context.Context, n int) (*Result, error) {
+	defer f.close()
+	if err := f.pulseTo(ctx, n); err != nil {
+		return nil, err
+	}
+	return f.finish(ctx)
+}
+
+// finish drains the flight and computes its Result — the only place one is
+// filled.
+func (f *flight) finish(ctx context.Context) (*Result, error) {
+	sc, e, res := f.sc, f.e, f.rc.res
+	res.Pulses = f.pulses
 
 	// Drain: every in-flight update and every reuse timer fires within the
 	// max hold-down horizon. With a watchdog the drain is supervised —
 	// quiescent-instant consistency checks and a livelock abort instead of
 	// burning the kernel's whole event budget.
 	if sc.Watchdog != nil {
-		rep := faults.WatchContext(ctx, nets[0], *sc.Watchdog)
+		rep := faults.WatchContext(ctx, e.shards()[0], *sc.Watchdog)
 		res.FaultReport = rep
 		if rep.Outcome == faults.Aborted {
 			if ctx.Err() != nil {
@@ -594,19 +707,19 @@ func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
 	} else if err := e.run(ctx); err != nil {
 		return nil, wrapInterrupt(ctx, "drain", err)
 	}
-	if chk != nil {
-		res.Check = chk.Finish()
+	if f.chk != nil {
+		res.Check = f.chk.Finish()
 		if err := res.Check.Err(); err != nil {
 			return nil, fmt.Errorf("experiment: invariant check: %w", err)
 		}
 	}
-	rc.replay(feeds)
-	if logs != nil {
-		for _, ev := range trace.Merge(logs...).Events() {
+	f.rc.replay(f.feeds)
+	if f.logs != nil {
+		for _, ev := range trace.Merge(f.logs...).Events() {
 			sc.Trace.Append(ev)
 		}
 	}
-	res.EndTime = e.now() - epoch
+	res.EndTime = e.now() - f.epoch
 	res.Dropped = e.Dropped()
 	res.MessageCount = res.Updates.Count()
 	if last, ok := res.Updates.Last(); ok && last > res.FlapEnd {
@@ -632,9 +745,9 @@ func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
 // Checkpoint is a scenario's converged warm-up state: a fork of the converged
 // engine, parked and never run. Building one costs a single warm-up; Run then
 // forks the checkpoint per measurement instead of re-converging from scratch,
-// which is how sweeps amortize warm-up across pulse counts. A Checkpoint is
-// safe for concurrent Run calls — forking only reads the parked state, and
-// each call runs its own independent copy.
+// and a sweep forks it once for all its pulse counts, which is how both
+// amortize warm-up. A Checkpoint is safe for concurrent Run calls — forking
+// only reads the parked state, and each call runs its own independent copy.
 //
 // The parked state belongs to the engine that built it, partition included: a
 // checkpoint only serves scenarios with the shard count it was built with.
@@ -643,6 +756,10 @@ func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
 // interchangeable.
 type Checkpoint struct {
 	parked engine
+	// branch is set on the value a sweep hands one point's runner: a flight
+	// of the sweep's scenario already pulsed to that point's count, on parked.
+	// The one RunContext call it is made for finishes it in place, no fork.
+	branch *flight
 }
 
 // Shards returns the number of shard networks the checkpoint was built with
@@ -706,6 +823,21 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
+	if c.branch != nil {
+		if sc.Pulses < c.branch.pulses {
+			return nil, fmt.Errorf("experiment: sweep branch stands at pulse %d, past the %d asked of it", c.branch.pulses, sc.Pulses)
+		}
+		return c.branch.run(ctx, sc.Pulses)
+	}
+	f, err := c.begin(sc)
+	if err != nil {
+		return nil, err
+	}
+	return f.run(ctx, sc.Pulses)
+}
+
+// begin forks the parked engine and begins a flight of sc on the fork.
+func (c *Checkpoint) begin(sc Scenario) (*flight, error) {
 	if want := max(sc.Shards, 1); want != c.Shards() {
 		return nil, fmt.Errorf("experiment: checkpoint built with Shards=%d cannot run a Shards=%d scenario (the engine and its partition are part of the parked state)", c.Shards(), want)
 	}
@@ -713,7 +845,7 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
 	}
-	return measure(ctx, sc, e)
+	return begin(sc, e)
 }
 
 // ConvergenceSpread summarizes how long after the final announcement each

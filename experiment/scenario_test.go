@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"context"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,25 +318,61 @@ func TestConvergenceSpread(t *testing.T) {
 	}
 }
 
+// TestSweepOrderAndParallel: whatever order the pulse counts are given in —
+// shuffled, descending, with repeats — the points come back in that order,
+// each distinct count is simulated once, every point equals a standalone Run
+// of its count, and the worker bound changes nothing.
 func TestSweepOrderAndParallel(t *testing.T) {
-	sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: bgp.DefaultConfig()}
-	pulses := []int{2, 0, 1}
-	seq, err := SweepParallel(sc, pulses, 1)
-	if err != nil {
-		t.Fatal(err)
+	var runs atomic.Int64
+	orig := pointRunner
+	pointRunner = func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+		runs.Add(1)
+		return orig(ctx, cp, sc)
 	}
-	par, err := SweepParallel(sc, pulses, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pulses {
-		if seq[i].Pulses != pulses[i] {
-			t.Fatalf("sweep order broken: %d != %d", seq[i].Pulses, pulses[i])
-		}
-		if seq[i].Result.MessageCount != par[i].Result.MessageCount ||
-			seq[i].Result.ConvergenceTime != par[i].Result.ConvergenceTime {
-			t.Fatalf("parallel sweep diverges from sequential at n=%d", pulses[i])
-		}
+	defer func() { pointRunner = orig }()
+
+	for _, tc := range []struct {
+		name     string
+		cfg      bgp.Config
+		pulses   []int
+		distinct int64
+	}{
+		{"shuffled", bgp.DefaultConfig(), []int{2, 0, 1}, 3},
+		{"descending", dampingCfg(), []int{3, 2, 1, 0}, 4},
+		{"duplicates", dampingCfg(), []int{1, 3, 1, 0, 3}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: tc.cfg}
+			runs.Store(0)
+			seq, err := SweepParallel(sc, tc.pulses, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runs.Load(); got != tc.distinct {
+				t.Errorf("sweep of %v ran %d points, want one per distinct count (%d)", tc.pulses, got, tc.distinct)
+			}
+			par, err := SweepParallel(sc, tc.pulses, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range tc.pulses {
+				if seq[i].Pulses != n || par[i].Pulses != n {
+					t.Fatalf("sweep order broken at %d: %d / %d, want %d", i, seq[i].Pulses, par[i].Pulses, n)
+				}
+				one := sc
+				one.Pulses = n
+				want, err := Run(one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(seq[i].Result, want) {
+					t.Errorf("workers=1 point n=%d differs from a standalone Run", n)
+				}
+				if !reflect.DeepEqual(par[i].Result, want) {
+					t.Errorf("workers=4 point n=%d differs from a standalone Run", n)
+				}
+			}
+		})
 	}
 }
 

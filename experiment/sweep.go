@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -32,30 +33,43 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 //
 // The scenario's warm-up — identical for every pulse count, and the dominant
 // cost of small runs — executes exactly once: the converged state is parked
-// as a Checkpoint and every pulse point forks it. Runs are independent (each
-// fork owns its kernel and state), so results are deterministic regardless
-// of scheduling and identical to from-scratch Run calls for each point;
-// results are returned in the order of the pulses slice. A fixed pool of
-// `workers` goroutines drains the points, so at most that many runs are in
-// flight at once.
+// as a Checkpoint. Every pulse is then simulated once as well: the n-pulse
+// and (n+1)-pulse runs are the same simulation up to the n-th
+// re-announcement, so the sweep forks the checkpoint once, flaps that one
+// trunk through the requested counts in ascending order and forks it at each
+// — the branch drains into the n-pulse Result while the trunk flaps on; the
+// largest count drains on the trunk itself. A fork copies everything that
+// makes the simulation (in-flight messages, timers, RNG and impairment stream
+// positions) and everything recorded so far, so every point is identical to a
+// from-scratch Run of its pulse count, whatever the scheduling; results are
+// returned in the order of the pulses slice, and a count asked for twice is
+// simulated once. workers bounds the simulations running at once, the trunk
+// being one of them: with one worker the sweep is strictly flap, drain, flap.
+//
+// A scenario whose flight cannot be forked between pulses — a fault plan, the
+// invariant checker or a caller's trace log is attached to it — forks the
+// checkpoint per point instead and replays each point's flap phase in full.
 //
 // Failure is per-point, not all-or-nothing: a point that errors (or panics —
 // the worker recovers it into a *PanicError carrying the quarantined stack)
 // sets its SweepPoint.Err, every other point still returns its Result, and
-// the returned error joins the per-point errors in pulses order. Callers that
-// only check the error keep the old semantics; callers that want the partial
+// the returned error joins the per-point errors in pulses order. A failure of
+// the trunk itself fails the points it had not reached yet. Callers that only
+// check the error keep the old semantics; callers that want the partial
 // results read the slice despite the error.
 //
-// A scenario-level Impair model is forked per point — every point sees the
-// impairment stream from its warm-up-end position, exactly as a standalone
-// Run would, and no mutable RNG state is shared between workers.
+// A scenario-level Impair model is forked for the sweep — every point sees
+// the impairment stream from its warm-up-end position, exactly as a
+// standalone Run would, and no mutable RNG state is shared between workers.
 func SweepParallel(base Scenario, pulses []int, workers int) ([]SweepPoint, error) {
 	return SweepParallelContext(context.Background(), base, pulses, workers)
 }
 
-// pointRunner executes one sweep point on a forked checkpoint. It is a
-// variable so the robustness tests can inject transient errors and panics
-// into the worker pool without needing a scenario that misbehaves on cue.
+// pointRunner executes one sweep point: cp is the sweep's converged
+// checkpoint or, for a point that rode the trunk, the branch standing at its
+// pulse count, and cp.RunContext(ctx, sc) is the point's run either way. It is
+// a variable so the robustness tests can inject transient errors and panics
+// into the sweep without needing a scenario that misbehaves on cue.
 var pointRunner = func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
 	return cp.RunContext(ctx, sc)
 }
@@ -65,67 +79,139 @@ var pointRunner = func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Resul
 // interval per in-flight run): in-flight points stop with a typed
 // ErrCanceled / ErrBudgetExceeded, not-yet-started points are marked the
 // same way without running, and every point that already completed keeps its
-// Result. The worker pool always drains before the call returns — no
-// goroutines are left behind.
+// Result. Every goroutine the sweep started has exited before the call
+// returns.
 func SweepParallelContext(ctx context.Context, base Scenario, pulses []int, workers int) ([]SweepPoint, error) {
-	if len(pulses) == 0 {
-		return nil, nil
-	}
-	// One warm-up for the whole sweep, on whichever engine the scenario asks
-	// for; every point forks the parked engine.
-	cp, err := NewCheckpointContext(ctx, base)
-	if err != nil {
-		return nil, err
-	}
-	return sweepCheckpointed(ctx, cp, base, pulses, workers)
+	return sweepWarm(ctx, nil, base, pulses, newBudget(workers))
 }
 
-// sweepCheckpointed runs the fixed worker pool over pulses, forking cp per
-// point. It is the shared back half of SweepParallelContext and the
-// RunCache's pooled sweep path (which reuses a checkpoint across requests
-// instead of building one per sweep).
-func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulses []int, workers int) ([]SweepPoint, error) {
-	if len(pulses) == 0 {
-		return nil, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pulses) {
-		workers = len(pulses)
-	}
-	pr := progressFrom(ctx)
-	out := make([]SweepPoint, len(pulses))
-	for i, n := range pulses {
-		out[i].Pulses = n
-		pr.pointQueued(n)
-	}
-	// The jobs channel is buffered with every index up front so neither the
-	// feeder nor the workers can block on it: a worker that exits early
-	// (context trip) never wedges the pipeline.
-	jobs := make(chan int, len(pulses))
-	for i := range pulses {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+// budget bounds the simulations running at once — a warm-up, a trunk flapping
+// or a point draining — by one token each. Sweeps submitted together share
+// one (Options.sweeps), so the bound holds across them.
+type budget chan struct{}
+
+func newBudget(workers int) budget { return make(budget, max(workers, 1)) }
+
+// spawn runs job under a token of its own on a new goroutine when one is
+// free, and otherwise here, under the token the caller already holds — so the
+// caller never idles while there is work it could be doing.
+func (b budget) spawn(wg *sync.WaitGroup, job func()) {
+	select {
+	case b <- struct{}{}:
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					// Mark skipped points instead of running them; the sweep
-					// still reports every already-finished Result.
-					out[i].Err = fmt.Errorf("experiment: sweep n=%d: %w", pulses[i], ctxErr(ctx))
-					pr.pointDone(out[i])
-					continue
-				}
-				pr.pointStarted(pulses[i])
-				runSweepPoint(ctx, cp, base, pulses[i], &out[i])
-				pr.pointDone(out[i])
-			}
+			defer func() { <-b }()
+			job()
 		}()
+	default:
+		job()
+	}
+}
+
+// sweepWarm runs one sweep under a token of b: the warm-up checkpoint comes
+// from pool (and stays there, so repeat sweeps of the scenario skip it; a nil
+// pool converges afresh), the points from sweepCheckpointed.
+func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
+	if len(pulses) == 0 {
+		return nil, nil
+	}
+	b <- struct{}{}
+	defer func() { <-b }()
+	cp, err := pool.Get(ctx, base)
+	if err != nil {
+		return nil, err
+	}
+	return sweepCheckpointed(ctx, cp, base, pulses, b)
+}
+
+// sweepCheckpointed computes the points of a sweep from its converged
+// checkpoint; the caller holds one token of b. Each distinct pulse count is a
+// job, taken in ascending order. A count that can ride the trunk does (see
+// SweepParallel); a negative one, or any count of a scenario that cannot be
+// forked mid-flight, flies on its own from cp, where the former fails
+// validation.
+func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
+	pr := progressFrom(ctx)
+	out := make([]SweepPoint, len(pulses))
+	asked := make(map[int][]int, len(pulses)) // pulse count → indices of out
+	for i, n := range pulses {
+		out[i].Pulses = n
+		asked[n] = append(asked[n], i)
+		pr.pointQueued(n)
+	}
+	counts := make([]int, 0, len(asked))
+	for n := range asked {
+		counts = append(counts, n)
+	}
+	slices.Sort(counts)
+	// settle and runPoint are called from several goroutines, each for a
+	// count of its own: they touch disjoint elements of out.
+	settle := func(n int, res *Result, err error) {
+		if err != nil {
+			err = fmt.Errorf("experiment: sweep n=%d: %w", n, err)
+		}
+		for _, i := range asked[n] {
+			out[i].Result, out[i].Err = res, err
+			pr.pointDone(out[i])
+		}
+	}
+	runPoint := func(from *Checkpoint, n int) {
+		if ctx.Err() != nil {
+			// Mark skipped points instead of running them; the sweep still
+			// reports every already-finished Result.
+			settle(n, nil, ctxErr(ctx))
+			return
+		}
+		for range asked[n] {
+			pr.pointStarted(n)
+		}
+		res, err := isolate(base, n, func() (*Result, error) { return pointRunner(ctx, from, scWithPulses(base, n)) })
+		settle(n, res, err)
+	}
+
+	var wg sync.WaitGroup
+	var trunk *flight
+	var trunkErr error // once set, fails every count the trunk had not reached
+	for k, n := range counts {
+		if n < 0 || !base.forksMidFlight() {
+			b.spawn(&wg, func() { runPoint(cp, n) })
+			continue
+		}
+		if trunkErr == nil {
+			_, trunkErr = isolate(base, n, func() (*Result, error) {
+				if ctx.Err() != nil {
+					return nil, ctxErr(ctx)
+				}
+				if trunk == nil {
+					var err error
+					if trunk, err = cp.begin(scWithPulses(base, n)); err != nil {
+						return nil, err
+					}
+				}
+				return nil, trunk.pulseTo(ctx, n)
+			})
+		}
+		if trunkErr != nil {
+			settle(n, nil, trunkErr)
+			continue
+		}
+		if k == len(counts)-1 {
+			runPoint(&Checkpoint{parked: trunk.e, branch: trunk}, n)
+			break
+		}
+		branch, err := trunk.fork()
+		if err != nil {
+			settle(n, nil, err)
+			continue
+		}
+		b.spawn(&wg, func() {
+			defer branch.close() // a runner that fails before running it leaves it open
+			runPoint(&Checkpoint{parked: branch.e, branch: branch}, n)
+		})
+	}
+	if trunk != nil {
+		trunk.close() // again, if its last point ran it; closing twice is safe
 	}
 	wg.Wait()
 	errs := make([]error, 0, len(pulses))
@@ -137,24 +223,18 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 	return out, errors.Join(errs...)
 }
 
-// runSweepPoint executes one point with panic isolation: a panicking run is
-// recovered into a *PanicError on the point (pulse count in the message,
-// quarantined stack attached) so the process — and the other points — survive
-// it.
-func runSweepPoint(ctx context.Context, cp *Checkpoint, base Scenario, pulses int, pt *SweepPoint) {
+// isolate calls run — the simulation of base at one pulse count, or a stretch
+// of it — with panic isolation: a panic is recovered into a *PanicError
+// (quarantined stack and the point's fingerprint attached) so the process —
+// and the other points — survive it.
+func isolate(base Scenario, pulses int, run func() (*Result, error)) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fp, _ := scWithPulses(base, pulses).Fingerprint()
-			pt.Err = fmt.Errorf("experiment: sweep n=%d: %w", pulses,
-				&PanicError{Value: r, Fingerprint: fp, Stack: stackTrace()})
+			res, err = nil, &PanicError{Value: r, Fingerprint: fp, Stack: stackTrace()}
 		}
 	}()
-	res, err := pointRunner(ctx, cp, scWithPulses(base, pulses))
-	if err != nil {
-		pt.Err = fmt.Errorf("experiment: sweep n=%d: %w", pulses, err)
-		return
-	}
-	pt.Result = res
+	return run()
 }
 
 // scWithPulses specializes the base scenario to one pulse count, forking the

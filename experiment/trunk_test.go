@@ -1,0 +1,198 @@
+package experiment
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"rfd/bgp"
+	"rfd/damping"
+	"rfd/faults"
+	"rfd/trace"
+)
+
+// countBranches makes pointRunner count, for the rest of the test, the points
+// handed a trunk branch and the points handed the converged checkpoint.
+func countBranches(t *testing.T) (branched, solo *atomic.Int64) {
+	t.Helper()
+	branched, solo = new(atomic.Int64), new(atomic.Int64)
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+		if cp.branch != nil {
+			branched.Add(1)
+		} else {
+			solo.Add(1)
+		}
+		return cp.RunContext(ctx, sc)
+	})
+	return branched, solo
+}
+
+// TestSweepTrunkDecidedByScenario: whether a sweep's points branch off one
+// shared flap trajectory or fly on their own is read off the scenario — the
+// apparatus that cannot be copied mid-flight (fault plan, invariant checker,
+// caller's trace log) forces per-point flights, nothing else does — and every
+// point equals a standalone Run either way.
+func TestSweepTrunkDecidedByScenario(t *testing.T) {
+	lossy := func() *faults.Impairments {
+		imp := faults.NewImpairments(7)
+		if err := imp.SetDefault(faults.Profile{Loss: 0.02, MaxJitter: 3 * time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		return imp
+	}
+	wheel := dampingCfg()
+	wheel.DampingEngine = damping.EngineWheel
+	rcn := dampingCfg()
+	rcn.EnableRCN = true
+	for _, tc := range []struct {
+		name  string
+		trunk bool
+		edit  func(*Scenario)
+	}{
+		{"plain", true, func(*Scenario) {}},
+		{"wheel", true, func(sc *Scenario) { sc.Config = wheel }},
+		{"rcn", true, func(sc *Scenario) { sc.Config = rcn }},
+		{"via-link", true, func(sc *Scenario) { sc.FlapViaLink = true }},
+		{"watch", true, func(sc *Scenario) { sc.Watch = []PenaltyWatch{{Router: 0, Peer: sc.OriginID()}, {Router: 7, Peer: 2}} }},
+		{"watchdog", true, func(sc *Scenario) { sc.Watchdog = &faults.WatchdogConfig{} }},
+		{"impaired", true, func(sc *Scenario) { sc.Impair = lossy() }},
+		{"sharded", true, func(sc *Scenario) { sc.Shards = 2 }},
+		{"sharded-impaired-watch", true, func(sc *Scenario) {
+			sc.Shards = 3
+			sc.Impair = lossy()
+			sc.Impair.UseLinkStreams()
+			sc.Watch = []PenaltyWatch{{Router: 0, Peer: sc.OriginID()}}
+		}},
+		{"fault-plan", false, func(sc *Scenario) {
+			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
+		}},
+		{"check", false, func(sc *Scenario) { sc.Check = true }},
+		{"trace", false, func(sc *Scenario) { sc.Trace = trace.NewLog(1 << 20) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			branched, solo := countBranches(t)
+			base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
+			tc.edit(&base)
+			pulses := []int{0, 1, 3}
+			workers := 2
+			if base.Trace != nil {
+				workers = 1 // every point writes the one log
+			}
+			pts, err := SweepParallel(base, pulses, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBranched, wantSolo := int64(len(pulses)), int64(0)
+			if !tc.trunk {
+				wantBranched, wantSolo = wantSolo, wantBranched
+			}
+			if branched.Load() != wantBranched || solo.Load() != wantSolo {
+				t.Errorf("%d points rode the trunk and %d flew alone, want %d / %d",
+					branched.Load(), solo.Load(), wantBranched, wantSolo)
+			}
+			for i, n := range pulses {
+				one := base
+				tc.edit(&one) // fresh impairment stream / trace log
+				one.Pulses = n
+				want, err := Run(one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(pts[i].Result, want) {
+					t.Errorf("n=%d: sweep point differs from a standalone Run", n)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepSnapshotWarm is rfdd's snapshot-warm request shape: a first sweep
+// parks the warm-up in the pool, later sweeps of other pulse counts start
+// their trunk from that pooled checkpoint — not from pulse zero of an earlier
+// request — and every point equals a standalone Run.
+func TestSweepSnapshotWarm(t *testing.T) {
+	branched, solo := countBranches(t)
+	base := poolScenario(t, 3)
+	pool := NewCheckpointPool(2)
+	cache := NewRunCache()
+	cache.SetCheckpointPool(pool)
+	for _, pulses := range [][]int{{0, 1}, {6, 7, 8}, {9, 10}} {
+		pts, err := cache.Sweep(base, pulses, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range pulses {
+			one := base
+			one.Pulses = n
+			want, err := Run(one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pts[i].Pulses != n || !reflect.DeepEqual(pts[i].Result, want) {
+				t.Errorf("pooled sweep %v: point %d (n=%d) differs from a standalone Run", pulses, i, n)
+			}
+		}
+	}
+	if hits, misses, _ := pool.Stats(); hits != 2 || misses != 1 {
+		t.Errorf("pool stats = %d hits / %d misses, want 2 / 1 (one warm-up for three sweeps)", hits, misses)
+	}
+	if branched.Load() != 7 || solo.Load() != 0 {
+		t.Errorf("%d points rode a trunk and %d flew alone, want 7 / 0", branched.Load(), solo.Load())
+	}
+}
+
+// TestSweepTrunkStopMarksTheRest: with one worker the sweep is strictly flap,
+// drain, flap, so a context tripped while n=1 drains stops the trunk before
+// it flaps on: the points it had not reached carry the typed error, the ones
+// that had branched off keep their Results.
+func TestSweepTrunkStopMarksTheRest(t *testing.T) {
+	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	swapPointRunner(t, func(_ context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+		res, err := cp.RunContext(context.Background(), sc)
+		if sc.Pulses == 1 {
+			cancel()
+		}
+		return res, err
+	})
+	rec := &progressRecorder{}
+	pts, err := SweepParallelContext(WithProgress(ctx, rec.hook()), base, []int{3, 0, 1, 2}, 1)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	for _, p := range pts {
+		switch reached := p.Pulses <= 1; {
+		case reached && (p.Err != nil || p.Result == nil):
+			t.Errorf("n=%d had branched off before the stop, yet: %v", p.Pulses, p.Err)
+		case !reached && (!errors.Is(p.Err, ErrCanceled) || p.Result != nil):
+			t.Errorf("n=%d was not reached, want the typed cancel, got result %v err %v", p.Pulses, p.Result, p.Err)
+		}
+	}
+	if len(rec.queued) != 4 || len(rec.started) != 2 || len(rec.done) != 4 {
+		t.Errorf("progress = %d queued / %d started / %d done, want 4 / 2 / 4",
+			len(rec.queued), len(rec.started), len(rec.done))
+	}
+}
+
+// TestSweepBranchRefusesFewerPulses pins the contract of the value a point's
+// runner is handed: a branch cannot run fewer pulses than it has flapped.
+func TestSweepBranchRefusesFewerPulses(t *testing.T) {
+	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: bgp.DefaultConfig()}
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+		if sc.Pulses == 2 {
+			sc.Pulses = 1
+		}
+		return cp.RunContext(ctx, sc)
+	})
+	pts, err := SweepParallel(base, []int{0, 2}, 1)
+	if err == nil || pts[1].Err == nil || pts[1].Result != nil {
+		t.Fatalf("a branch at pulse 2 ran a 1-pulse scenario: %+v", pts[1])
+	}
+	if pts[0].Err != nil || pts[0].Result == nil {
+		t.Fatalf("n=0 should be unaffected: %v", pts[0].Err)
+	}
+}

@@ -111,4 +111,31 @@ func TestForkEquivalence(t *testing.T) {
 			}
 		})
 	}
+
+	// Sweep rows, one per engine: a pulse sweep flaps one trajectory and forks
+	// it mid-flight at every requested count, and each point must still be
+	// deeply equal to a from-scratch run of that count.
+	for _, name := range []string{"internet-rcn", "internet-wheel-sharded"} {
+		t.Run("sweep/"+name, func(t *testing.T) {
+			base := forkEquivalenceScenarios(t)[name]
+			pts, err := experiment.SweepParallel(base, experiment.PulseRange(0, base.Pulses), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pt := range pts {
+				sc := base
+				sc.Pulses = pt.Pulses
+				want, err := experiment.Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.MessageCount == 0 && pt.Pulses > 0 {
+					t.Fatal("empty run: the comparison is vacuous")
+				}
+				if !reflect.DeepEqual(want, pt.Result) {
+					t.Fatalf("sweep point n=%d differs from a from-scratch run", pt.Pulses)
+				}
+			}
+		})
+	}
 }

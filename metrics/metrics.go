@@ -12,6 +12,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -31,6 +32,9 @@ func (s *EventSeries) Record(at time.Duration) {
 	}
 	s.times = append(s.times, at)
 }
+
+// Clone returns an independent copy of the series.
+func (s *EventSeries) Clone() *EventSeries { return &EventSeries{times: slices.Clone(s.times)} }
 
 // Count returns the total number of events.
 func (s *EventSeries) Count() int { return len(s.times) }
@@ -125,6 +129,9 @@ func (s *StepSeries) Record(at time.Duration, value int) {
 	s.points = append(s.points, StepPoint{At: at, Value: value})
 }
 
+// Clone returns an independent copy of the series.
+func (s *StepSeries) Clone() *StepSeries { return &StepSeries{points: slices.Clone(s.points)} }
+
 // ValueAt returns the value in effect at time t (0 before the first record).
 func (s *StepSeries) ValueAt(t time.Duration) int {
 	idx := sort.Search(len(s.points), func(i int) bool { return s.points[i].At > t })
@@ -184,6 +191,9 @@ func (s *FloatSeries) Record(at time.Duration, v float64) {
 	}
 	s.points = append(s.points, FloatPoint{At: at, Value: v})
 }
+
+// Clone returns an independent copy of the series.
+func (s *FloatSeries) Clone() *FloatSeries { return &FloatSeries{points: slices.Clone(s.points)} }
 
 // Len returns the number of samples.
 func (s *FloatSeries) Len() int { return len(s.points) }

@@ -448,6 +448,59 @@ func TestShardedForkDifferential(t *testing.T) {
 			}
 		}
 	}
+
+	// Sweep rows: on either engine, every point of a pulse sweep — a branch
+	// forked off one shared flap trajectory, mid-flap, with cross-shard
+	// announcements parked in outboxes — must equal a standalone sequential
+	// run of its pulse count. The impaired legs still branch (stream positions
+	// fork with the engine); a fault plan would not — the matrix above has it.
+	g, err := topology.Torus(6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, impaired := range []bool{false, true} {
+		mk := func(shards int) experiment.Scenario {
+			cfg := bgp.DefaultConfig()
+			params := damping.Cisco()
+			cfg.Damping = &params
+			cfg.Seed = 13
+			sc := experiment.Scenario{Graph: g, ISP: topology.NodeID(g.NumNodes() / 2), Config: cfg, Shards: shards}
+			if impaired {
+				im := faults.NewImpairments(cfg.Seed)
+				im.UseLinkStreams()
+				if err := im.SetDefault(faults.Profile{Loss: 0.01, MaxJitter: 2 * time.Millisecond}); err != nil {
+					t.Fatal(err)
+				}
+				sc.Impair = im
+			}
+			return sc
+		}
+		pulses := experiment.PulseRange(0, 3)
+		want := make([]*experiment.Result, len(pulses))
+		for i, n := range pulses {
+			sc := mk(0)
+			sc.Pulses = n
+			if want[i], err = experiment.Run(sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("sweep/mesh6x6/impaired=%t/shards=%d", impaired, shards), func(t *testing.T) {
+				pts, err := experiment.SweepParallel(mk(shards), pulses, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pt := range pts {
+					if impaired && pt.Pulses > 0 && pt.Result.Dropped == 0 {
+						t.Fatalf("n=%d: the impaired sweep dropped nothing", pt.Pulses)
+					}
+					if !reflect.DeepEqual(want[i], pt.Result) {
+						t.Fatalf("sweep point n=%d differs from a standalone sequential run:\nwant %+v\ngot  %+v", pt.Pulses, want[i], pt.Result)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestShardedGoldenInternet208 pins the sharded engine's behaviour at scale:

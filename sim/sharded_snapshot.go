@@ -8,9 +8,9 @@ import "time"
 // structure itself is derived — the next epoch start is recomputed from the
 // kernel queues and the exchanger at every barrier, so capturing the kernels
 // at a barrier captures the whole schedule. Exchanger contents are the
-// caller's state, not the group's: Fork requires empty outboxes (callers
-// such as bgp.ShardedNetwork enforce this) and the caller supplies the
-// fork's exchanger, already bound to the forked components.
+// caller's state, not the group's: the caller supplies the fork's exchanger,
+// already bound to the forked components and holding a copy of whatever the
+// original's outboxes hold (bgp.ShardedNetwork.Fork carries them over).
 
 // Fork returns an independent copy of the group at its current barrier state
 // (call only with the group parked, between Run/RunUntil calls). The fork
