@@ -53,7 +53,7 @@ func run(ctx context.Context, args []string) error {
 		check    = fs.Bool("check", false, "run every scenario under the runtime invariant checker (slower; any violation fails the figure)")
 		engine   = fs.String("damping-engine", "exact", "damping backend for every run: exact | wheel (timer-wheel batch engine)")
 		shards   = fs.Int("shards", 1, "run every scenario on the sharded engine with this many shards (1 = sequential; figures are identical either way)")
-		progress = fs.Bool("progress", false, "print a live line per warm-up/sweep point to stderr as each completes (long figure builds stop being silent)")
+		progress = fs.Bool("progress", false, "print a live line per warm-up/point (sweep points and single runs) to stderr as each completes (long figure builds stop being silent)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the figure build to this file")
 		memProf  = fs.String("memprofile", "", "write a post-build heap profile to this file")
 	)

@@ -65,7 +65,7 @@ func run(ctx context.Context, args []string) error {
 		seed      = fs.Uint64("seed", 1, "random seed")
 		sweep     = fs.String("sweep", "", `run a pulse sweep "from:to" (e.g. "0:10") instead of a single -pulses run`)
 		workers   = fs.Int("workers", runtime.NumCPU(), "parallel runs in -sweep mode")
-		progress  = fs.Bool("progress", false, "in -sweep mode, print a live line per warm-up/point to stderr as each completes")
+		progress  = fs.Bool("progress", false, "print a live line per warm-up/point to stderr as each completes")
 		verbose   = fs.Bool("v", false, "print the update series summary")
 		checkOn   = fs.Bool("check", false, "run under the runtime invariant checker (slower; any violation fails the run)")
 		traceFile = fs.String("trace", "", "write a JSONL event trace to this file")
@@ -173,19 +173,17 @@ func run(ctx context.Context, args []string) error {
 			sc.Faults = plan
 		}
 	}
+	if *progress {
+		// Long runs stop being silent: the warm-up and each point (a single
+		// run is a sweep of one) report to stderr as they happen, leaving
+		// stdout untouched.
+		ctx = experiment.WithProgress(ctx, experiment.TextProgress(os.Stderr))
+	}
 	if *sweep != "" {
 		if *traceFile != "" {
 			return fmt.Errorf("-trace is incompatible with -sweep (one trace log cannot record parallel runs)")
 		}
-		if *progress {
-			// Long sweeps stop being silent: warm-up and each point report to
-			// stderr as they happen, leaving stdout's table untouched.
-			ctx = experiment.WithProgress(ctx, experiment.TextProgress(os.Stderr))
-		}
 		return runSweep(ctx, sc, *sweep, *workers)
-	}
-	if *progress {
-		return fmt.Errorf("-progress requires -sweep (single runs have no per-point feed)")
 	}
 	start := time.Now()
 	res, err := experiment.RunContext(ctx, sc)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,64 @@ func TestRunSharded(t *testing.T) {
 	if err := run(context.Background(), []string{"-rows", "4", "-cols", "4", "-shards", "2", "-check"}); err == nil {
 		t.Fatal("-shards with -check accepted")
 	}
+}
+
+// TestRunProgressSingleRun: a single run is a sweep of one, so -progress
+// reports its warm-up and its one point on stderr, and stdout reads as it does
+// without the flag (but for the wall time).
+func TestRunProgressSingleRun(t *testing.T) {
+	args := []string{"-rows", "4", "-cols", "4", "-pulses", "1"}
+	plain, _ := capture(t, args...)
+	out, progress := capture(t, append(args, "-progress")...)
+	for _, want := range []string{"progress: warm-up started", "progress: warm-up done", "progress: n=1 done"} {
+		if !strings.Contains(progress, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, progress)
+		}
+	}
+	if withoutWallTime(out) != withoutWallTime(plain) {
+		t.Errorf("-progress changed stdout:\n%s\nwithout it:\n%s", out, plain)
+	}
+}
+
+// capture runs rfdsim with args and returns what it wrote to stdout and to
+// stderr.
+func capture(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	files := [2]*os.File{}
+	for i, name := range []string{"stdout", "stderr"} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[i] = f
+	}
+	origOut, origErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = files[0], files[1]
+	err := run(context.Background(), args)
+	os.Stdout, os.Stderr = origOut, origErr
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	out, err := os.ReadFile(files[0].Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errOut, err := os.ReadFile(files[1].Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), string(errOut)
+}
+
+// withoutWallTime drops the one line of rfdsim's output that varies between
+// identical runs.
+func withoutWallTime(out string) string {
+	lines := strings.Split(out, "\n")
+	return strings.Join(slices.DeleteFunc(lines, func(l string) bool {
+		return strings.HasPrefix(l, "wall time")
+	}), "\n")
 }
 
 func TestRunCAIDATopology(t *testing.T) {

@@ -11,8 +11,10 @@ import (
 // Progress observes the sweep pipeline as it executes: the shared warm-up
 // (the dominant latency of a small sweep), each point's lifecycle, and —
 // through RunCache.SweepContext — whether a point was computed live or served
-// from cache. Every field is optional; a nil field (or a nil *Progress) is
-// simply not called, and an unhooked sweep takes the exact same path as
+// from cache. A single run (Run, RunCache.Run) is a sweep of one count and
+// reports the same way: its warm-up and its one point, or a CacheHit when the
+// cache served it. Every field is optional; a nil field (or a nil *Progress)
+// is simply not called, and an unhooked sweep takes the exact same path as
 // before the hook existed.
 //
 // The hook rides on the request's context (WithProgress), not on the

@@ -100,15 +100,12 @@ type cacheEntry struct {
 	err  error
 }
 
-// cachedRunner executes a cache miss. It is a variable so the robustness
-// tests can inject transient failures and panics with a stable fingerprint —
-// something no real (deterministic) scenario can produce on demand.
-var cachedRunner = RunContext
-
 // RunCache deduplicates runs by scenario fingerprint: the first request for
 // a fingerprint executes it, concurrent requests for the same fingerprint
 // wait for that execution (singleflight), and later requests return the
-// cached Result immediately. rfdfig uses one cache across all figures, which
+// cached Result immediately. A run is a sweep of one pulse count, so every
+// request — Run or Sweep — claims its points in the one singleflight,
+// RunCache.sweep. rfdfig uses one cache across all figures, which
 // share scenarios (e.g. the undamped mesh baseline appears in the Eval sweep
 // and as Fig 10/15 inputs); rfdd shares one across all requests, layered
 // over a persistent ResultStore.
@@ -264,62 +261,24 @@ func (c *RunCache) storeResult(key string, res *Result) {
 
 // Run executes the scenario through the cache: a fingerprint hit returns the
 // cached (shared, read-only) Result, a miss runs and stores it, and
-// unfingerprintable scenarios fall through to a plain Run.
+// unfingerprintable scenarios run uncached. It is Sweep of the one count
+// sc.Pulses with one worker, so it shares the sweep's singleflight, pool,
+// progress reports and panic isolation.
 func (c *RunCache) Run(sc Scenario) (*Result, error) {
 	return c.RunContext(context.Background(), sc)
 }
 
-// RunContext is Run under a supervising context. The owner of a miss runs
-// with ctx; waiters stop waiting when their own ctx trips (the claimed
-// execution keeps running for whoever else wants it). A cancelled or failed
-// execution is evicted, never negative-cached.
-func (c *RunCache) RunContext(ctx context.Context, sc Scenario) (res *Result, err error) {
-	if c == nil {
-		return cachedRunner(ctx, sc)
+// RunContext is Run under a supervising context, as SweepContext is Sweep.
+// The error is the point's, without the sweep's pulse-count prefix.
+func (c *RunCache) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
+	pts, err := c.sweep(ctx, sc, []int{sc.Pulses}, newBudget(1))
+	if pts == nil {
+		return nil, err // the uncached warm-up failed
 	}
-	key, ok := sc.Fingerprint()
-	if !ok {
-		c.mu.Lock()
-		c.uncached++
-		c.mu.Unlock()
-		return cachedRunner(ctx, sc)
+	if pe, ok := pts[0].Err.(*pointError); ok {
+		return nil, pe.err
 	}
-	e, owner := c.claim(key)
-	if !owner {
-		select {
-		case <-e.done:
-			return e.res, e.err
-		case <-ctx.Done():
-			return nil, ctxErr(ctx)
-		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			e.err = &PanicError{Value: r, Fingerprint: key, Stack: stackTrace()}
-			e.res = nil
-			res, err = nil, e.err
-		}
-		c.finish(key, e)
-	}()
-	if stored, ok := c.loadStored(key); ok {
-		e.res = stored
-	} else if pool := c.checkpointPool(); pool != nil {
-		e.res, e.err = runPooled(ctx, pool, sc)
-	} else {
-		e.res, e.err = cachedRunner(ctx, sc)
-	}
-	return e.res, e.err
-}
-
-// runPooled executes a cache miss by forking a pooled warm-up checkpoint —
-// byte-identical to a from-scratch run, minus the warm-up when the pool is
-// warm.
-func runPooled(ctx context.Context, pool *CheckpointPool, sc Scenario) (*Result, error) {
-	cp, err := pool.Get(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	return cp.RunContext(ctx, sc)
+	return pts[0].Result, pts[0].Err
 }
 
 // Sweep is SweepParallel through the cache; see SweepContext.
@@ -444,7 +403,7 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 			// Keep the pulse count in the diagnosis; points that already
 			// carry it (the sweep's own errors) are left as-is.
 			if _, isPanic := out[i].Err.(*PanicError); isPanic {
-				out[i].Err = fmt.Errorf("experiment: sweep n=%d: %w", pulses[i], out[i].Err)
+				out[i].Err = &pointError{pulses[i], out[i].Err}
 			}
 			errs = append(errs, out[i].Err)
 		}

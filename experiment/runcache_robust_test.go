@@ -10,16 +10,9 @@ import (
 	"time"
 )
 
-// swapCachedRunner installs fn as the cache's run function for the test.
-// The hook exists because a deterministic scenario cannot fail transiently
-// on cue; it is restored (and the default behaviour re-verified) on cleanup.
-func swapCachedRunner(t *testing.T, fn func(context.Context, Scenario) (*Result, error)) {
-	t.Helper()
-	orig := cachedRunner
-	cachedRunner = fn
-	t.Cleanup(func() { cachedRunner = orig })
-}
-
+// swapPointRunner installs fn as the run function of every sweep point — and
+// so of every Run — for the test. The hook exists because a deterministic
+// scenario cannot fail transiently on cue; it is restored on cleanup.
 func swapPointRunner(t *testing.T, fn func(context.Context, *Checkpoint, Scenario) (*Result, error)) {
 	t.Helper()
 	orig := pointRunner
@@ -33,11 +26,11 @@ func swapPointRunner(t *testing.T, fn func(context.Context, *Checkpoint, Scenari
 func TestRunCacheRetriesAfterError(t *testing.T) {
 	sc := cancelScenario(t, 1)
 	var calls atomic.Int64
-	swapCachedRunner(t, func(ctx context.Context, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, s Scenario) (*Result, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("injected transient failure")
 		}
-		return RunContext(ctx, s)
+		return cp.RunContext(ctx, s)
 	})
 	c := NewRunCache()
 	if _, err := c.Run(sc); err == nil {
@@ -107,12 +100,12 @@ func TestRunCachePanicUnblocksWaiters(t *testing.T) {
 	sc := cancelScenario(t, 1)
 	var calls atomic.Int64
 	release := make(chan struct{})
-	swapCachedRunner(t, func(ctx context.Context, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, s Scenario) (*Result, error) {
 		if calls.Add(1) == 1 {
 			<-release // hold until the waiters have queued up
 			panic("injected owner panic")
 		}
-		return RunContext(ctx, s)
+		return cp.RunContext(ctx, s)
 	})
 	c := NewRunCache()
 
@@ -174,10 +167,10 @@ func TestRunCacheWaiterHonorsOwnContext(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	swapCachedRunner(t, func(ctx context.Context, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, s Scenario) (*Result, error) {
 		once.Do(func() { close(started) })
 		<-release
-		return RunContext(ctx, s)
+		return cp.RunContext(ctx, s)
 	})
 	c := NewRunCache()
 	go c.Run(sc) //nolint:errcheck — owner outcome is not under test
@@ -276,21 +269,28 @@ func TestChaosSweep(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
 	cancelArmed := make(chan struct{}, 1)
+	chaosFired := make(chan struct{}, 2)
 	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
 		switch sc.Pulses {
 		case 2:
 			if panicsLeft.Add(-1) >= 0 {
+				chaosFired <- struct{}{}
 				panic(fmt.Sprintf("chaos: injected panic at n=%d", sc.Pulses))
 			}
 		case 4:
 			if failsLeft.Add(-1) >= 0 {
+				chaosFired <- struct{}{}
 				return nil, errors.New("chaos: injected transient error")
 			}
 		case 7:
 			select {
 			case cancelArmed <- struct{}{}:
-				// First visit: trigger the mid-flight cancel, then proceed —
-				// the run itself observes the tripped context.
+				// First visit: once n=2 and n=4 have fired their chaos (a
+				// point the cancel beat to its worker would skip it, leaving
+				// it armed for sweep 2), trigger the mid-flight cancel, then
+				// proceed — the run itself observes the tripped context.
+				<-chaosFired
+				<-chaosFired
 				cancel1()
 			default:
 			}

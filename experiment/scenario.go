@@ -213,12 +213,12 @@ func Run(sc Scenario) (*Result, error) {
 // ErrCanceled or ErrBudgetExceeded. An un-tripped context changes nothing —
 // the run stays byte-identical to Run(sc), because the cooperative stop check
 // only reads the context and never touches simulation state.
+//
+// A run is a sweep of one pulse count without a cache (see RunCache.Run): it
+// reports to the context's Progress hook, and a panic comes back as a
+// *PanicError.
 func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
-	e, err := converge(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	return measure(ctx, sc, e)
+	return (*RunCache)(nil).RunContext(ctx, sc)
 }
 
 // wrapInterrupt maps a kernel/watchdog stop caused by the context into the
@@ -238,7 +238,7 @@ func wrapInterrupt(ctx context.Context, stage string, err error) error {
 // wipe damping state and counters (Section 5.1: "Before the simulation
 // starts, every node learns a stable route to the originAS"). No hooks are
 // installed, so nothing of the warm-up is observed. The returned engine is
-// quiescent and ready for measure — or for a fork, which is how sweeps
+// quiescent and ready for a flight — or for a fork, which is how sweeps
 // amortize this phase across pulse counts. The caller owns it (close it).
 func converge(ctx context.Context, sc Scenario) (engine, error) {
 	if err := sc.validate(); err != nil {
@@ -472,18 +472,6 @@ func rebaseHooks(h bgp.Hooks, epoch time.Duration) bgp.Hooks {
 			h.OnPenalty(at-epoch, r, p, pf, pen)
 		},
 	}
-}
-
-// measure executes the scenario's flap phase and drain on a converged engine
-// (fresh from converge, or a fork of a converged checkpoint) and computes the
-// Result: begin, pulse to sc.Pulses, finish. It takes ownership of e and
-// closes it.
-func measure(ctx context.Context, sc Scenario, e engine) (*Result, error) {
-	f, err := begin(sc, e)
-	if err != nil {
-		return nil, err
-	}
-	return f.run(ctx, sc.Pulses)
 }
 
 // flight is a run between its epoch and its Result: a converged engine with
@@ -760,6 +748,10 @@ type Checkpoint struct {
 	// of the sweep's scenario already pulsed to that point's count, on parked.
 	// The one RunContext call it is made for finishes it in place, no fork.
 	branch *flight
+	// own marks a warm-up no pool holds, handed to the flight of a single
+	// run: parked is then the converged engine itself, and begin takes it
+	// instead of forking it.
+	own bool
 }
 
 // Shards returns the number of shard networks the checkpoint was built with
@@ -778,32 +770,33 @@ func NewCheckpoint(sc Scenario) (*Checkpoint, error) {
 // NewCheckpointContext is NewCheckpoint with the warm-up run under ctx; a
 // tripped context stops it with a typed ErrCanceled / ErrBudgetExceeded.
 // The warm-up reports to the context's Progress hook (WithProgress):
-// WarmupStarted before convergence begins, WarmupDone once the converged
-// state is parked — warm-up dominates the latency of small sweeps, so a
-// streaming client must be able to see it.
+// WarmupStarted before convergence begins, WarmupDone once it has converged —
+// warm-up dominates the latency of small sweeps, so a streaming client must
+// be able to see it.
 func NewCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error) {
-	pr := progressFrom(ctx)
-	pr.warmupStarted()
-	cp, err := newCheckpointContext(ctx, sc)
+	cp, err := warmUp(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	pr.warmupDone()
-	return cp, nil
-}
-
-// newCheckpointContext is the hook-free warm-up body.
-func newCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error) {
-	e, err := converge(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	defer e.close()
-	parked, err := e.fork()
+	defer cp.parked.close()
+	parked, err := cp.parked.fork()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint: %w", err)
 	}
 	return &Checkpoint{parked: parked}, nil
+}
+
+// warmUp is the reported warm-up without the parking: the Checkpoint it
+// returns is own, the converged engine itself.
+func warmUp(ctx context.Context, sc Scenario) (*Checkpoint, error) {
+	pr := progressFrom(ctx)
+	pr.warmupStarted()
+	e, err := converge(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	pr.warmupDone()
+	return &Checkpoint{parked: e, own: true}, nil
 }
 
 // Run forks the converged checkpoint and measures the scenario's flap phase
@@ -836,14 +829,18 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	return f.run(ctx, sc.Pulses)
 }
 
-// begin forks the parked engine and begins a flight of sc on the fork.
+// begin forks the parked engine and begins a flight of sc on the fork — or,
+// when the checkpoint is own, on the engine itself.
 func (c *Checkpoint) begin(sc Scenario) (*flight, error) {
 	if want := max(sc.Shards, 1); want != c.Shards() {
 		return nil, fmt.Errorf("experiment: checkpoint built with Shards=%d cannot run a Shards=%d scenario (the engine and its partition are part of the parked state)", c.Shards(), want)
 	}
-	e, err := c.parked.fork()
-	if err != nil {
-		return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
+	e := c.parked
+	if !c.own {
+		var err error
+		if e, err = c.parked.fork(); err != nil {
+			return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
+		}
 	}
 	return begin(sc, e)
 }

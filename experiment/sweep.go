@@ -32,23 +32,25 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // SweepParallel is Sweep with an explicit worker bound (minimum 1).
 //
 // The scenario's warm-up — identical for every pulse count, and the dominant
-// cost of small runs — executes exactly once: the converged state is parked
-// as a Checkpoint. Every pulse is then simulated once as well: the n-pulse
-// and (n+1)-pulse runs are the same simulation up to the n-th
-// re-announcement, so the sweep forks the checkpoint once, flaps that one
-// trunk through the requested counts in ascending order and forks it at each
-// — the branch drains into the n-pulse Result while the trunk flaps on; the
-// largest count drains on the trunk itself. A fork copies everything that
-// makes the simulation (in-flight messages, timers, RNG and impairment stream
-// positions) and everything recorded so far, so every point is identical to a
-// from-scratch Run of its pulse count, whatever the scheduling; results are
-// returned in the order of the pulses slice, and a count asked for twice is
-// simulated once. workers bounds the simulations running at once, the trunk
-// being one of them: with one worker the sweep is strictly flap, drain, flap.
+// cost of small runs — executes exactly once. Every pulse is then simulated
+// once as well: the n-pulse and (n+1)-pulse runs are the same simulation up
+// to the n-th re-announcement, so the sweep forks the converged engine once,
+// flaps that one trunk through the requested counts in ascending order and
+// forks it at each — the branch drains into the n-pulse Result while the
+// trunk flaps on; the largest count drains on the trunk itself. A fork copies
+// everything that makes the simulation (in-flight messages, timers, RNG and
+// impairment stream positions) and everything recorded so far, so every
+// point is identical to a from-scratch Run of its pulse count, whatever the
+// scheduling; results are returned in the order of the pulses slice, and a
+// count asked for twice is simulated once. workers bounds the simulations
+// running at once, the trunk being one of them: with one worker the sweep is
+// strictly flap, drain, flap. Run is this sweep with one count and one
+// worker, whose one flight takes the converged engine itself, unforked.
 //
 // A scenario whose flight cannot be forked between pulses — a fault plan, the
 // invariant checker or a caller's trace log is attached to it — forks the
-// checkpoint per point instead and replays each point's flap phase in full.
+// converged engine per point instead and replays each point's flap phase in
+// full.
 //
 // Failure is per-point, not all-or-nothing: a point that errors (or panics —
 // the worker recovers it into a *PanicError carrying the quarantined stack)
@@ -110,17 +112,25 @@ func (b budget) spawn(wg *sync.WaitGroup, job func()) {
 }
 
 // sweepWarm runs one sweep under a token of b: the warm-up checkpoint comes
-// from pool (and stays there, so repeat sweeps of the scenario skip it; a nil
-// pool converges afresh), the points from sweepCheckpointed.
+// from pool (and stays there, so repeat sweeps of the scenario skip it), the
+// points from sweepCheckpointed. With a nil pool the sweep converges afresh
+// and owns the converged engine, closed when the sweep is over.
 func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	if len(pulses) == 0 {
 		return nil, nil
 	}
 	b <- struct{}{}
 	defer func() { <-b }()
-	cp, err := pool.Get(ctx, base)
+	get := warmUp
+	if pool != nil {
+		get = pool.Get
+	}
+	cp, err := get(ctx, base)
 	if err != nil {
 		return nil, err
+	}
+	if cp.own {
+		defer cp.parked.close() // again, if the flight took it; closing twice is safe
 	}
 	return sweepCheckpointed(ctx, cp, base, pulses, b)
 }
@@ -130,7 +140,8 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 // job, taken in ascending order. A count that can ride the trunk does (see
 // SweepParallel); a negative one, or any count of a scenario that cannot be
 // forked mid-flight, flies on its own from cp, where the former fails
-// validation.
+// validation. An own cp is handed to the flight of a single pulse count and
+// forked when there are several counts.
 func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	pr := progressFrom(ctx)
 	out := make([]SweepPoint, len(pulses))
@@ -145,11 +156,18 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 		counts = append(counts, n)
 	}
 	slices.Sort(counts)
+	if cp.own && len(counts) > 1 {
+		// Only a single run takes the converged engine. Several counts fork
+		// it, the trunk too: a fork is a compact copy, and measured on
+		// paper-figs a trunk flaps faster on it than on the engine that ran
+		// the warm-up.
+		cp = &Checkpoint{parked: cp.parked}
+	}
 	// settle and runPoint are called from several goroutines, each for a
 	// count of its own: they touch disjoint elements of out.
 	settle := func(n int, res *Result, err error) {
 		if err != nil {
-			err = fmt.Errorf("experiment: sweep n=%d: %w", n, err)
+			err = &pointError{n, err}
 		}
 		for _, i := range asked[n] {
 			out[i].Result, out[i].Err = res, err
@@ -222,6 +240,19 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 	}
 	return out, errors.Join(errs...)
 }
+
+// pointError is a sweep point's failure, named by its pulse count. A single
+// run, being a sweep of that one count, reports the error it wraps instead.
+type pointError struct {
+	pulses int
+	err    error
+}
+
+func (e *pointError) Error() string {
+	return fmt.Sprintf("experiment: sweep n=%d: %v", e.pulses, e.err)
+}
+
+func (e *pointError) Unwrap() error { return e.err }
 
 // isolate calls run — the simulation of base at one pulse count, or a stretch
 // of it — with panic isolation: a panic is recovered into a *PanicError

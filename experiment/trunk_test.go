@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,6 +70,12 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 		{"fault-plan", false, func(sc *Scenario) {
 			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
 		}},
+		// Its points fork the converged sharded engine, one that has run,
+		// from two goroutines at once.
+		{"sharded-fault-plan", false, func(sc *Scenario) {
+			sc.Shards = 2
+			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
+		}},
 		{"check", false, func(sc *Scenario) { sc.Check = true }},
 		{"trace", false, func(sc *Scenario) { sc.Trace = trace.NewLog(1 << 20) }},
 	} {
@@ -114,24 +121,29 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 // their trunk from that pooled checkpoint — not from pulse zero of an earlier
 // request — and every point equals a standalone Run.
 func TestSweepSnapshotWarm(t *testing.T) {
-	branched, solo := countBranches(t)
 	base := poolScenario(t, 3)
+	sweeps := [][]int{{0, 1}, {6, 7, 8}, {9, 10}}
+	want := make(map[int]*Result)
+	for _, n := range slices.Concat(sweeps...) {
+		one := base
+		one.Pulses = n
+		res, err := Run(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[n] = res
+	}
+	branched, solo := countBranches(t) // a Run is a sweep too: count after the references
 	pool := NewCheckpointPool(2)
 	cache := NewRunCache()
 	cache.SetCheckpointPool(pool)
-	for _, pulses := range [][]int{{0, 1}, {6, 7, 8}, {9, 10}} {
+	for _, pulses := range sweeps {
 		pts, err := cache.Sweep(base, pulses, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, n := range pulses {
-			one := base
-			one.Pulses = n
-			want, err := Run(one)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pts[i].Pulses != n || !reflect.DeepEqual(pts[i].Result, want) {
+			if pts[i].Pulses != n || !reflect.DeepEqual(pts[i].Result, want[n]) {
 				t.Errorf("pooled sweep %v: point %d (n=%d) differs from a standalone Run", pulses, i, n)
 			}
 		}
