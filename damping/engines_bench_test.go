@@ -16,8 +16,10 @@ import (
 // per-prefix reuse-timer cancel+re-arm (two indexed-heap operations) on
 // every suppressed update and one timer pop per release, while the wheel
 // pays a quantized table lookup plus an O(1) reuse-list enrollment, with a
-// single periodic sweep handler per router. Results are recorded in
-// BENCH_damping.json.
+// single periodic sweep handler per router. The end-to-end benchmark's
+// damping probes (damping.exact.update_ns, damping.wheel.update_ns under
+// go run ./bench -trace 1) time one stream without a kernel; this is the
+// large-table comparison.
 //
 //	update/* — per-update cost with every stream suppressed (the flap
 //	           storm steady state), timer bookkeeping included.

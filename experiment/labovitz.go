@@ -23,8 +23,8 @@ import (
 //
 // Labovitz's headline result — Tdown and Tlong take far longer than Tup and
 // Tshort because bad news triggers path exploration while good news replaces
-// routes directly — is asserted by the tests and reported by the
-// BenchmarkLabovitzEvents bench.
+// routes directly — is asserted by the tests and written as ext_events.csv
+// by rfdfig -fig events.
 
 // EventMeasurement is the outcome of one canonical routing event.
 type EventMeasurement struct {

@@ -71,7 +71,9 @@ type Scenario struct {
 	// refer to the base graph; use OriginID() for the attached origin.
 	Watch []PenaltyWatch
 	// Trace, when non-nil, records every flap-phase event into the log
-	// (times are flap-relative, like all Result times).
+	// (times are flap-relative, like all Result times). A sweep of a traced
+	// scenario runs its points one after another, in ascending pulse count,
+	// each appending its flap phase to the log.
 	Trace *trace.Log
 	// Impair, when non-nil, is installed on the network after warm-up, so
 	// the flap phase and drain run under message loss / delay jitter while

@@ -50,7 +50,8 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // A scenario whose flight cannot be forked between pulses — a fault plan, the
 // invariant checker or a caller's trace log is attached to it — forks the
 // converged engine per point instead and replays each point's flap phase in
-// full.
+// full — one point at a time, in ascending count order, when it is the trace
+// log that every point appends to.
 //
 // Failure is per-point, not all-or-nothing: a point that errors (or panics —
 // the worker recovers it into a *PanicError carrying the quarantined stack)
@@ -140,7 +141,8 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 // job, taken in ascending order. A count that can ride the trunk does (see
 // SweepParallel); a negative one, or any count of a scenario that cannot be
 // forked mid-flight, flies on its own from cp, where the former fails
-// validation. An own cp is handed to the flight of a single pulse count and
+// validation; such flights run concurrently, except that a traced scenario's
+// run here, in ascending order, since they all append to one log. An own cp is handed to the flight of a single pulse count and
 // forked when there are several counts.
 func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	pr := progressFrom(ctx)
@@ -193,7 +195,11 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 	var trunkErr error // once set, fails every count the trunk had not reached
 	for k, n := range counts {
 		if n < 0 || !base.forksMidFlight() {
-			b.spawn(&wg, func() { runPoint(cp, n) })
+			if base.Trace != nil {
+				runPoint(cp, n) // every point appends to the one log
+			} else {
+				b.spawn(&wg, func() { runPoint(cp, n) })
+			}
 			continue
 		}
 		if trunkErr == nil {

@@ -84,11 +84,7 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 			base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
 			tc.edit(&base)
 			pulses := []int{0, 1, 3}
-			workers := 2
-			if base.Trace != nil {
-				workers = 1 // every point writes the one log
-			}
-			pts, err := SweepParallel(base, pulses, workers)
+			pts, err := SweepParallel(base, pulses, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
