@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +88,7 @@ type midFlapLeg struct {
 	name   string
 	cfg    func(*bgp.Config)
 	impair bool
+	faults bool
 }
 
 var midFlapLegs = []midFlapLeg{
@@ -94,6 +96,30 @@ var midFlapLegs = []midFlapLeg{
 	{name: "wheel", cfg: func(c *bgp.Config) { c.DampingEngine = damping.EngineWheel }},
 	{name: "rcn", cfg: func(c *bgp.Config) { c.EnableRCN = true }},
 	{name: "impaired", cfg: func(*bgp.Config) {}, impair: true},
+	{name: "fault-plan", cfg: func(*bgp.Config) {}, faults: true},
+}
+
+// pendingFaults names the plan leg's faults that are still pending at both
+// fork instants, as the kernel trace spells them.
+var pendingFaults = []string{" faults.up\n", " faults.restart\n", " faults.reset\n"}
+
+// applyPlan applies the leg's fault plan, if it has one, to n with n's current
+// instant as the epoch. The pulse-1 and pulse-3 fork instants are 60 s and
+// 300 s after it: the flap's restore, the crash's restart and the reset are
+// pending at both, the flap's failure and the crash itself at the first only.
+func (l midFlapLeg) applyPlan(t testing.TB, n *bgp.Network) {
+	t.Helper()
+	if !l.faults {
+		return
+	}
+	plan := faults.NewPlan(
+		faults.FlapLink(90*time.Second, 5, 6, 240*time.Second),
+		faults.CrashRouter(200*time.Second, 3, 150*time.Second),
+		faults.ResetSession(310*time.Second, 10, 14),
+	)
+	if err := plan.Apply(n, n.Kernel().Now(), nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (l midFlapLeg) config() bgp.Config {
@@ -121,7 +147,8 @@ func (l midFlapLeg) impairment(t testing.TB) *faults.Impairments {
 }
 
 // convergedSeq builds the leg's sequential network on g, converged on origin's
-// prefix, damping reset and the impairment installed — a flap episode's epoch.
+// prefix, damping reset and the impairment and fault plan installed — a flap
+// episode's epoch.
 func convergedSeq(t testing.TB, g *topology.Graph, l midFlapLeg, origin bgp.RouterID) (*sim.Kernel, *bgp.Network) {
 	t.Helper()
 	cfg := l.config()
@@ -139,6 +166,7 @@ func convergedSeq(t testing.TB, g *topology.Graph, l midFlapLeg, origin bgp.Rout
 	if imp := l.impairment(t); imp != nil {
 		n.SetImpairment(imp)
 	}
+	l.applyPlan(t, n)
 	return k, n
 }
 
@@ -201,6 +229,11 @@ func TestForkMidFlapReplaysIdenticalTrace(t *testing.T) {
 
 				if leg.impair && n.Dropped() == 0 {
 					t.Fatal("the impaired leg dropped nothing")
+				}
+				for _, name := range pendingFaults {
+					if leg.faults && !bytes.Contains(forked.Bytes(), []byte(name)) {
+						t.Fatalf("no%s fired on the fork", strings.TrimSuffix(name, "\n"))
+					}
 				}
 				if want := orig.Bytes()[mark:]; !bytes.Equal(want, forked.Bytes()) {
 					t.Fatalf("mid-flap fork diverges from the original: %s", diffPoint(want, forked.Bytes()))
@@ -274,10 +307,12 @@ func TestShardedForkMidFlapMatchesSequential(t *testing.T) {
 					sn.Align()
 					sn.ResetDamping()
 					sn.ResetCounters()
-					if imp := leg.impairment(t); imp != nil {
-						for s := 0; s < sn.NumShards(); s++ {
+					imp := leg.impairment(t)
+					for s := 0; s < sn.NumShards(); s++ {
+						if imp != nil {
 							sn.Shard(s).SetImpairment(imp.Fork())
 						}
+						leg.applyPlan(t, sn.Shard(s))
 					}
 					logs := observeShards(sn)
 					flapTo(t, shardFlapEngine(sn), origin, forkAt)

@@ -10,16 +10,18 @@ package bgp
 // interned Path slices (immutable by convention; sharing them keeps
 // Path.Equal's pointer fast path working across forks).
 //
-// The intended use is the experiment layer's warm-up amortization: converge
-// once, snapshot, then fork the converged checkpoint per sweep point. Because
-// queue clones preserve slot indices and generations, the Timer handles
-// embedded in RIB entries (MRAI, damping reuse) remain valid in the fork
-// after Kernel.Adopt rebinds them.
+// The intended use is the experiment layer's warm-up amortization and pulse
+// sweeps: converge once and fork the converged checkpoint per sweep, then
+// fork one flap trajectory at every pulse count. Because queue clones preserve
+// slot indices and generations, the Timer handles embedded in RIB entries
+// (MRAI, damping reuse) remain valid in the fork after Kernel.Adopt rebinds
+// them.
 //
-// Two things deliberately do not cross a fork: observation hooks (forks start
-// unobserved; measurement apparatus is per-run, not simulation state) and
-// pending closure events (sim.ErrClosureEvent — fault plans and experiment
-// orchestration must be applied to each fork after it is taken).
+// Pending events cross a fork whoever scheduled them, as long as their handler
+// can be rebound: the network's own handlers are, and so is any foreign one
+// that implements HandlerForker (package faults' fault plans do). Observation
+// hooks deliberately do not cross: forks start unobserved, since measurement
+// apparatus is per-run, not simulation state.
 
 import (
 	"fmt"
@@ -39,11 +41,22 @@ type ImpairmentForker interface {
 	ForkImpairment() LinkImpairment
 }
 
+// HandlerForker is implemented by sim.Handler values outside this package
+// that schedule events against a network (package faults' fault plans do).
+// When such an event is pending at a fork, ForkHandler returns the handler
+// that acts on the forked network f instead, and every pending event of the
+// original handler is rebound to it. A pending event whose handler neither
+// belongs to the network nor implements this cannot be forked.
+type HandlerForker interface {
+	ForkHandler(f *Network) sim.Handler
+}
+
 // Snapshot is an immutable checkpoint of a network and its kernel, taken with
 // Network.Snapshot. It holds a private fork that is never run; Fork stamps
-// out any number of independent, runnable copies from it. A Snapshot is safe
-// for concurrent Fork calls from multiple goroutines — sweep workers each
-// fork their own copy — because forking only reads the parked state.
+// out any number of independent, runnable copies from it, pending events and
+// all. A Snapshot is safe for concurrent Fork calls from multiple goroutines
+// — sweep workers each fork their own copy — because forking only reads the
+// parked state.
 type Snapshot struct {
 	parked *Network
 }
@@ -53,8 +66,9 @@ func (s *Snapshot) Now() time.Duration { return s.parked.kernel.Now() }
 
 // Snapshot captures the network and its kernel at the current instant. The
 // network is unaffected and may continue running. It returns an error when
-// the state cannot be forked: a pending closure event (sim.ErrClosureEvent)
-// or an installed impairment model that does not implement ImpairmentForker.
+// the state cannot be forked: a pending event whose handler cannot be rebound
+// (see HandlerForker) or an installed impairment model that does not
+// implement ImpairmentForker.
 func (n *Network) Snapshot() (*Snapshot, error) {
 	parked, err := n.fork()
 	if err != nil {
@@ -146,7 +160,8 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		}
 	}
 	// The cloned queue's pending events still point at the original's handler
-	// values; rebind them to the fork's.
+	// values; rebind them to the fork's. A foreign handler is forked on first
+	// sight and remembered, so all its events share one copy.
 	remap := make(map[sim.Handler]sim.Handler, 1+2*len(n.routers))
 	remap[&n.deliverH] = &f.deliverH
 	for id := range n.routers {
@@ -157,7 +172,16 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		remap[&n.routers[id].reuseH] = &f.routers[id].reuseH
 		remap[&n.routers[id].sweepH] = &f.routers[id].sweepH
 	}
-	if err := k2.RemapHandlers(func(h sim.Handler) sim.Handler { return remap[h] }); err != nil {
+	if err := k2.RemapHandlers(func(h sim.Handler) sim.Handler {
+		to, ok := remap[h]
+		if !ok {
+			if forker, foreign := h.(HandlerForker); foreign {
+				to = forker.ForkHandler(f)
+				remap[h] = to
+			}
+		}
+		return to
+	}); err != nil {
 		return nil, fmt.Errorf("bgp: fork: %w", err)
 	}
 	return f, nil

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,38 @@ func TestRunVariants(t *testing.T) {
 			t.Fatalf("%v: %v", args, err)
 		}
 	}
+
+	// A fault-plan sweep rides the trunk: every row must read as the
+	// standalone run of its pulse count.
+	plan := filepath.Join(t.TempDir(), "plan.txt")
+	if err := os.WriteFile(plan, []byte("90s reset 0 1\n150s flap 5 6 100s\n200s crash 10 90s\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	faulty := []string{"-rows", "4", "-cols", "4", "-faults", plan}
+	sweep, _ := capture(t, slices.Concat(faulty, []string{"-sweep", "0:3"})...)
+	rows := make(map[string][]string)
+	for _, line := range strings.Split(sweep, "\n") {
+		if f := strings.Fields(line); len(f) == 6 {
+			rows[f[0]] = f // pulses, convergence_s, messages, …
+		}
+	}
+	for n := 0; n <= 3; n++ {
+		one, _ := capture(t, slices.Concat(faulty, []string{"-pulses", strconv.Itoa(n)})...)
+		conv, msgs := field(one, "convergence time"), field(one, "message count")
+		if row := rows[strconv.Itoa(n)]; row == nil || row[1] != conv || row[2] != msgs {
+			t.Errorf("-sweep row %v, want convergence %s and messages %s as -pulses %d reports", row, conv, msgs, n)
+		}
+	}
+}
+
+// field returns the first word after label on the line of out it starts.
+func field(out, label string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, label); ok {
+			return strings.Fields(rest)[0]
+		}
+	}
+	return ""
 }
 
 func TestRunWritesTrace(t *testing.T) {

@@ -29,8 +29,8 @@ type engine interface {
 	// sequential engine): hooks, impairments and fault plans install on each.
 	shards() []*bgp.Network
 	// fork returns an independent copy of the engine as it stands between
-	// run calls — in-flight messages, pending timers and stream positions
-	// included. It fails while a closure event (a fault plan's) is pending.
+	// run calls — in-flight messages, pending timers and faults, and stream
+	// positions included.
 	fork() (engine, error)
 	close()
 }

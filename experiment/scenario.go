@@ -83,7 +83,8 @@ type Scenario struct {
 	Impair *faults.Impairments
 	// Faults, when non-nil, is applied after warm-up with the first flap as
 	// its epoch: every Event.At is relative to the same clock zero as the
-	// Result times.
+	// Result times. Its faults are typed kernel events, so a sweep's points
+	// branch off one flap trajectory with the plan's pending faults in it.
 	Faults *faults.Plan
 	// Watchdog, when non-nil, drains the run under the convergence watchdog
 	// instead of a bare kernel run: quiescent-instant consistency checks,
@@ -501,12 +502,12 @@ type flight struct {
 
 // forksMidFlight reports whether a flight of the scenario can be forked
 // between pulses. What cannot be copied is apparatus, not simulation state: a
-// fault plan is pending closure events that mutate the network they were
-// applied to (sim.ErrClosureEvent), a checker holds shadow state chained into
-// one network's hooks, and a caller's trace log would be written by every
-// branch. Sweeps of such a scenario fly every point on its own.
+// checker holds shadow state chained into one network's hooks, and a caller's
+// trace log would be written by every branch. A fault plan is simulation
+// state — its pending faults fork with the engine. Sweeps of a scenario that
+// cannot fork fly every point on its own.
 func (s Scenario) forksMidFlight() bool {
-	return s.Faults == nil && !s.Check && s.Trace == nil
+	return !s.Check && s.Trace == nil
 }
 
 // begin turns a converged engine into a flight of sc: it installs the

@@ -45,13 +45,15 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // count asked for twice is simulated once. workers bounds the simulations
 // running at once, the trunk being one of them: with one worker the sweep is
 // strictly flap, drain, flap. Run is this sweep with one count and one
-// worker, whose one flight takes the converged engine itself, unforked.
+// worker, whose one flight takes the converged engine itself, unforked. A
+// fault plan rides the trunk too: its pending faults are kernel events, and a
+// fork carries them.
 //
-// A scenario whose flight cannot be forked between pulses — a fault plan, the
-// invariant checker or a caller's trace log is attached to it — forks the
-// converged engine per point instead and replays each point's flap phase in
-// full — one point at a time, in ascending count order, when it is the trace
-// log that every point appends to.
+// A scenario whose flight cannot be forked between pulses — the invariant
+// checker or a caller's trace log is attached to it — forks the converged
+// engine per point instead and replays each point's flap phase in full. With
+// a trace log, which every point appends to, those points run one at a time
+// in ascending count order.
 //
 // Failure is per-point, not all-or-nothing: a point that errors (or panics —
 // the worker recovers it into a *PanicError carrying the quarantined stack)
@@ -139,10 +141,11 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 // sweepCheckpointed computes the points of a sweep from its converged
 // checkpoint; the caller holds one token of b. Each distinct pulse count is a
 // job, taken in ascending order. A count that can ride the trunk does (see
-// SweepParallel); a negative one, or any count of a scenario that cannot be
-// forked mid-flight, flies on its own from cp, where the former fails
-// validation; such flights run concurrently, except that a traced scenario's
-// run here, in ascending order, since they all append to one log. An own cp is handed to the flight of a single pulse count and
+// SweepParallel). Any other count flies on its own from cp: a negative count,
+// which fails validation there, and every count of a scenario that cannot be
+// forked mid-flight. Such flights run concurrently, except a traced
+// scenario's: those run here, in ascending order, since they all append to
+// one log. An own cp is handed to the flight of a single pulse count and
 // forked when there are several counts.
 func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	pr := progressFrom(ctx)

@@ -33,9 +33,9 @@ func countBranches(t *testing.T) (branched, solo *atomic.Int64) {
 
 // TestSweepTrunkDecidedByScenario: whether a sweep's points branch off one
 // shared flap trajectory or fly on their own is read off the scenario — the
-// apparatus that cannot be copied mid-flight (fault plan, invariant checker,
-// caller's trace log) forces per-point flights, nothing else does — and every
-// point equals a standalone Run either way.
+// apparatus that cannot be copied mid-flight (invariant checker, caller's
+// trace log) forces per-point flights, nothing else does, a fault plan
+// included — and every point equals a standalone Run either way.
 func TestSweepTrunkDecidedByScenario(t *testing.T) {
 	lossy := func() *faults.Impairments {
 		imp := faults.NewImpairments(7)
@@ -67,12 +67,12 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 			sc.Impair.UseLinkStreams()
 			sc.Watch = []PenaltyWatch{{Router: 0, Peer: sc.OriginID()}}
 		}},
-		{"fault-plan", false, func(sc *Scenario) {
+		{"fault-plan", true, func(sc *Scenario) {
 			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
 		}},
-		// Its points fork the converged sharded engine, one that has run,
-		// from two goroutines at once.
-		{"sharded-fault-plan", false, func(sc *Scenario) {
+		// The n=1 branch forks the sharded trunk with the reset still pending
+		// on every shard's kernel.
+		{"sharded-fault-plan", true, func(sc *Scenario) {
 			sc.Shards = 2
 			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
 		}},

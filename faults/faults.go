@@ -21,9 +21,11 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rfd/bgp"
+	"rfd/sim"
 	"rfd/topology"
 )
 
@@ -235,7 +237,12 @@ func linkExists(n *bgp.Network, a, b bgp.RouterID) bool {
 // each at epoch+Event.At (epoch must not precede the kernel's current time).
 // LossWindow events are folded into imp instead of scheduled; a plan that
 // contains them requires a non-nil imp, which must also be installed on the
-// network (bgp.Network.SetImpairment) for the windows to take effect.
+// network (bgp.Network.SetImpairment) for the windows to take effect. Apply
+// is all-or-nothing: a plan it refuses leaves the kernel and imp untouched.
+//
+// The scheduled faults are typed events of one handler bound to n, so they
+// are simulation state like any timer: a fork of the network taken while
+// some are pending carries them, rebound to the fork (bgp.HandlerForker).
 //
 // On the sharded engine, apply the plan to every shard network at the same
 // epoch (with that shard's own impairment model): each shard's kernel then
@@ -245,38 +252,34 @@ func (p *Plan) Apply(n *bgp.Network, epoch time.Duration, imp *Impairments) erro
 	if err := p.Validate(n); err != nil {
 		return err
 	}
+	if imp == nil && slices.ContainsFunc(p.Events, func(e Event) bool { return e.Kind == KindLossWindow }) {
+		return fmt.Errorf("faults: plan contains a loss window but no impairment model was given")
+	}
 	k := n.Kernel()
 	if epoch < k.Now() {
 		return fmt.Errorf("faults: epoch %v precedes kernel time %v", epoch, k.Now())
 	}
-	// The network entry points error only on unknown links/routers, which
-	// Validate has ruled out; overlapping faults (crashing a crashed router,
-	// failing a failed link) are defined no-ops, so the callbacks have no
-	// error to surface.
-	for _, e := range p.Events {
-		e := e
-		at := epoch + e.At
+	h := &planHandler{n: n, events: slices.Clone(p.Events)}
+	for i, e := range h.events {
+		at, arg := epoch+e.At, uint64(i)<<1
 		switch e.Kind {
 		case KindLinkDown:
-			k.At(at, "faults.down", func() { n.SetLinkState(e.A, e.B, false) })
+			k.AtHandler(at, "faults.down", h, arg)
 		case KindLinkUp:
-			k.At(at, "faults.up", func() { n.SetLinkState(e.A, e.B, true) })
+			k.AtHandler(at, "faults.up", h, arg)
 		case KindLinkFlap:
-			k.At(at, "faults.down", func() { n.SetLinkState(e.A, e.B, false) })
-			k.At(at+e.Duration, "faults.up", func() { n.SetLinkState(e.A, e.B, true) })
+			k.AtHandler(at, "faults.down", h, arg)
+			k.AtHandler(at+e.Duration, "faults.up", h, arg|1)
 		case KindSessionReset:
-			k.At(at, "faults.reset", func() { n.ResetSession(e.A, e.B) })
+			k.AtHandler(at, "faults.reset", h, arg)
 		case KindRouterCrash:
-			k.At(at, "faults.crash", func() { n.CrashRouter(e.Router) })
+			k.AtHandler(at, "faults.crash", h, arg)
 			if e.Duration > 0 {
-				k.At(at+e.Duration, "faults.restart", func() { n.RestartRouter(e.Router) })
+				k.AtHandler(at+e.Duration, "faults.restart", h, arg|1)
 			}
 		case KindRouterRestart:
-			k.At(at, "faults.restart", func() { n.RestartRouter(e.Router) })
+			k.AtHandler(at, "faults.restart", h, arg)
 		case KindLossWindow:
-			if imp == nil {
-				return fmt.Errorf("faults: plan contains a loss window but no impairment model was given")
-			}
 			if e.A == Wildcard && e.B == Wildcard {
 				imp.AddWindow(at, at+e.Duration, e.Rate, Wildcard, Wildcard)
 			} else {
@@ -286,4 +289,43 @@ func (p *Plan) Apply(n *bgp.Network, epoch time.Duration, imp *Impairments) erro
 		}
 	}
 	return nil
+}
+
+// planHandler fires the scheduled faults of one applied plan on one network.
+// An event's arg is its index in events shifted left by one, with the low bit
+// set for the second half of a two-part fault (a flap's restore, a crash's
+// restart).
+type planHandler struct {
+	n      *bgp.Network
+	events []Event // a copy taken by Apply; never written after
+}
+
+// HandleEvent implements sim.Handler. The network entry points error only on
+// unknown links/routers, which Validate has ruled out; overlapping faults
+// (crashing a crashed router, failing a failed link) are defined no-ops, so
+// there is no error to surface.
+func (h *planHandler) HandleEvent(arg uint64) {
+	e, second := h.events[arg>>1], arg&1 == 1
+	switch e.Kind {
+	case KindLinkDown, KindLinkFlap:
+		_ = h.n.SetLinkState(e.A, e.B, second)
+	case KindLinkUp:
+		_ = h.n.SetLinkState(e.A, e.B, true)
+	case KindSessionReset:
+		_ = h.n.ResetSession(e.A, e.B)
+	case KindRouterCrash:
+		if !second {
+			_ = h.n.CrashRouter(e.Router)
+			return
+		}
+		_ = h.n.RestartRouter(e.Router)
+	case KindRouterRestart:
+		_ = h.n.RestartRouter(e.Router)
+	}
+}
+
+// ForkHandler implements bgp.HandlerForker: the copy fires the same faults on
+// the forked network f.
+func (h *planHandler) ForkHandler(f *bgp.Network) sim.Handler {
+	return &planHandler{n: f, events: h.events}
 }

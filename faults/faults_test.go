@@ -178,6 +178,25 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
+// TestPlanApplyAllOrNothing: a plan Apply refuses schedules nothing, even when
+// the events it refuses over come after ones it could have scheduled.
+func TestPlanApplyAllOrNothing(t *testing.T) {
+	k, n := buildNet(t, 1)
+	n.Router(0).Originate(testPrefix)
+	pending := k.Pending()
+	plan := NewPlan(
+		FlapLink(10*time.Second, 0, 1, 5*time.Second),
+		CrashRouter(20*time.Second, 5, 10*time.Second),
+		NetworkLoss(30*time.Second, 10*time.Second, 1),
+	)
+	if err := plan.Apply(n, k.Now(), nil); err == nil {
+		t.Fatal("Apply accepted a loss window without an impairment model")
+	}
+	if k.Pending() != pending {
+		t.Fatalf("a refused Apply left %d events scheduled", k.Pending()-pending)
+	}
+}
+
 func TestParsePlanRoundTrip(t *testing.T) {
 	const text = `
 # fault plan

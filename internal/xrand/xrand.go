@@ -51,27 +51,12 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64())
 }
 
-// State returns the generator's full internal state. Together with SetState
-// and FromState it lets a caller checkpoint a stream mid-run and later resume
-// it at exactly the same position — the basis of the simulator's
-// snapshot/fork capability.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator's internal state with a value previously
-// obtained from State. The next Uint64 continues the captured stream.
-func (r *Rand) SetState(s [4]uint64) { r.s = s }
-
 // Clone returns an independent generator at the same stream position: both
 // copies produce the identical remaining sequence without affecting each
-// other.
+// other. It is the basis of the simulator's fork capability.
 func (r *Rand) Clone() *Rand {
 	c := *r
 	return &c
-}
-
-// FromState constructs a generator resuming the stream captured by State.
-func FromState(s [4]uint64) *Rand {
-	return &Rand{s: s}
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

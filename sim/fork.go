@@ -1,0 +1,55 @@
+package sim
+
+import (
+	"errors"
+	"time"
+)
+
+// Fork returns an independent copy of the kernel at its current state: the
+// full event queue (slot indices and generations preserved, so outstanding
+// Timer handles resolve identically in the copy once adopted), the virtual
+// clock, the RNG stream position and the executed-event count. The fork
+// shares no mutable state with the original; pending events still reference
+// the original's Handler values until RemapHandlers rebinds them. No trace
+// observer is installed on the fork — observers are measurement apparatus,
+// not simulation state.
+func (k *Kernel) Fork() *Kernel {
+	return &Kernel{
+		q:         *k.q.Clone(),
+		now:       k.now,
+		rng:       k.rng.Clone(),
+		executed:  k.executed,
+		maxEvents: k.maxEvents,
+	}
+}
+
+// RemapHandlers rewrites the Handler of every pending event through f, which
+// must return the replacement handler (typically the corresponding field of a
+// forked component). It is the second half of forking a kernel whose pending
+// events point into component state: Fork copies the queue, RemapHandlers
+// rebinds it. The packed args are preserved. It returns an error naming the
+// first event f has no replacement (nil) for.
+func (k *Kernel) RemapHandlers(f func(Handler) Handler) error {
+	var err error
+	k.q.ForEach(func(_ time.Duration, ev *event) {
+		if err != nil {
+			return
+		}
+		if ev.h = f(ev.h); ev.h == nil {
+			err = errors.New("sim: fork has no handler for pending event " + ev.name)
+		}
+	})
+	return err
+}
+
+// Adopt rebinds a Timer taken out against another kernel to this one. Because
+// queue clones preserve slot indices and generations, a Timer captured before
+// a Fork refers to the same logical entry in the copy; Adopt makes the handle
+// operate on the copy instead of the original. The zero Timer adopts to the
+// zero Timer.
+func (k *Kernel) Adopt(t Timer) Timer {
+	if t.k == nil {
+		return Timer{}
+	}
+	return Timer{k: k, h: t.h}
+}

@@ -12,9 +12,9 @@ import (
 const tickL = 7 * time.Millisecond
 
 // tickWorld is a fork-friendly two-shard ping-pong. Unlike pingPong it is
-// built entirely from typed handler events — closures cannot survive
-// RemapHandlers — and its exchanger injects via AtHandler, so a forked world
-// rebinds every pending event onto its own shards.
+// built entirely from handlers the fork can map — an At closure has no
+// counterpart in the forked world — and its exchanger injects via AtHandler,
+// so a forked world rebinds every pending event onto its own shards.
 type tickWorld struct {
 	kernels []*Kernel
 	ex      *handlerExchanger

@@ -9,18 +9,14 @@
 // exactly reproducible. (Parallelism lives a level up — independent runs of a
 // parameter sweep execute on separate kernels in separate goroutines.)
 //
-// Scheduling comes in two flavors. At/After take an ordinary closure and are
-// right for cold-path events (fault injection, experiment orchestration).
-// AtHandler/AfterHandler take a Handler plus a packed uint64 argument and
-// allocate nothing in steady state — the event queue is slab-backed, the
-// Timer handle is a value, and no closure is created — which is what the BGP
-// engine's per-message hot path (deliver, MRAI, damping reuse) uses.
-//
-// Basic use:
-//
-//	k := sim.NewKernel(sim.WithSeed(1))
-//	k.After(2*time.Second, "hello", func() { fmt.Println(k.Now()) })
-//	if err := k.Run(); err != nil { ... }
+// Every event is a typed one: AtHandler/AfterHandler take a Handler plus a
+// packed uint64 argument and allocate nothing in steady state — the event
+// queue is slab-backed, the Timer handle is a value, and no closure is
+// created. The BGP engine's hot path (deliver, MRAI, damping reuse) and fault
+// plans alike schedule this way, which is what lets Fork copy any pending
+// schedule: RemapHandlers rebinds each event to the forked component. At and
+// After wrap a closure in a handler of their own for tests and examples; a
+// fork cannot rebind such an event to anything.
 package sim
 
 import (
@@ -120,11 +116,10 @@ func (t Timer) When() time.Duration {
 	return at
 }
 
-// event is what the queue stores: a closure callback (fn non-nil) or a typed
-// handler/arg pair. The name is used only for tracing and diagnostics.
+// event is what the queue stores: a typed handler/arg pair. The name is used
+// only for tracing and diagnostics.
 type event struct {
 	name string
-	fn   func()
 	h    Handler
 	arg  uint64
 }
@@ -220,28 +215,35 @@ func (k *Kernel) checkSchedule(at time.Duration, name string) {
 	}
 }
 
-// At schedules fn at absolute virtual time at. Scheduling in the past panics:
-// it would break the causal order every experiment relies on. The name is
-// only used for tracing and diagnostics. The closure this stores allocates;
-// hot paths should use AtHandler instead.
-func (k *Kernel) At(at time.Duration, name string, fn func()) Timer {
-	k.checkSchedule(at, name)
+// closure is the Handler At and After wrap a callback in.
+type closure struct{ fn func() }
+
+func (c *closure) HandleEvent(uint64) { c.fn() }
+
+func wrap(fn func()) Handler {
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
-	h := k.q.Push(at, event{name: name, fn: fn})
-	return Timer{k: k, h: h}
+	return &closure{fn}
+}
+
+// At schedules fn at absolute virtual time at, as AtHandler would a handler
+// that calls fn. It allocates, and a fork cannot rebind the event, so it is
+// for tests and examples only.
+func (k *Kernel) At(at time.Duration, name string, fn func()) Timer {
+	return k.AtHandler(at, name, wrap(fn), 0)
 }
 
 // After schedules fn d after the current virtual time. Negative d panics.
 func (k *Kernel) After(d time.Duration, name string, fn func()) Timer {
-	return k.At(k.now+d, name, fn)
+	return k.AfterHandler(d, name, wrap(fn), 0)
 }
 
 // AtHandler schedules h.HandleEvent(arg) at absolute virtual time at. It is
 // the allocation-free scheduling path: no closure is created and the queue
-// entry lives in a pooled slab. Semantics otherwise match At — scheduling in
-// the past panics, and the name is used only for tracing.
+// entry lives in a pooled slab. Scheduling in the past panics: it would break
+// the causal order every experiment relies on. The name is used only for
+// tracing and diagnostics.
 func (k *Kernel) AtHandler(at time.Duration, name string, h Handler, arg uint64) Timer {
 	k.checkSchedule(at, name)
 	if h == nil {
@@ -269,11 +271,7 @@ func (k *Kernel) Step() bool {
 	if k.trace != nil {
 		k.trace(k.now, ev.name)
 	}
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.HandleEvent(ev.arg)
-	}
+	ev.h.HandleEvent(ev.arg)
 	if k.afterEvent != nil {
 		k.afterEvent(k.now, ev.name)
 	}
