@@ -63,7 +63,7 @@ func main() {
 		concurrency = fs.Int("concurrency", 2, "max requests simulating at once")
 		timeout     = fs.Duration("timeout", 5*time.Minute, "per-request deadline cap")
 		drain       = fs.Duration("drain", 30*time.Second, "shutdown drain bound for in-flight requests")
-		snapshots   = fs.Int("snapshots", experiment.DefaultPoolSize, "converged-snapshot pool capacity (0 disables warm-up reuse)")
+		snapshots   = fs.Int("snapshots", experiment.DefaultPoolSize, "converged-snapshot pool capacity, counting parked sweep trunks too (0 disables warm-up reuse)")
 	)
 	fs.Parse(os.Args[1:])
 
@@ -117,7 +117,8 @@ type serverConfig struct {
 	Concurrency int
 	Timeout     time.Duration
 	// Snapshots bounds the converged-snapshot pool (warm-up states keyed by
-	// scenario fingerprint, LRU-evicted). <= 0 disables the pool.
+	// scenario fingerprint, and the sweep trunks parked beside them;
+	// LRU-evicted). <= 0 disables the pool.
 	Snapshots int
 }
 
@@ -666,6 +667,10 @@ type healthz struct {
 	SnapshotHits      uint64 `json:"snapshot_hits"`
 	SnapshotMisses    uint64 `json:"snapshot_misses"`
 	SnapshotEvictions uint64 `json:"snapshot_evictions"`
+	// Parked sweep trunks: entries holding one now, and sweeps that resumed
+	// one instead of flapping from pulse 0.
+	FlightsParked int    `json:"flights_parked"`
+	FlightResumes uint64 `json:"flight_resumes"`
 	// Scenario memo: topologies kept per request shape. A hit means a sweep
 	// request built (and hashed) no graph.
 	ScenarioMemoHits   uint64 `json:"scenario_memo_hits"`
@@ -711,6 +716,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.SnapshotsPooled = s.pool.Len()
 		h.SnapshotHits, h.SnapshotMisses, h.SnapshotEvictions = s.pool.Stats()
 	}
+	h.FlightsParked, h.FlightResumes = s.pool.Flights()
 	writeJSON(w, h)
 }
 

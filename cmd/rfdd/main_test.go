@@ -301,6 +301,11 @@ func TestSnapshotPool(t *testing.T) {
 	if hz.SnapshotHits != hits || hz.SnapshotMisses != misses {
 		t.Fatalf("healthz pool stats = %d/%d, pool reports %d/%d", hz.SnapshotHits, hz.SnapshotMisses, hits, misses)
 	}
+	// The first sweep parked its trunk at pulse 1, the second resumed it and
+	// parked its own at pulse 3.
+	if hz.FlightsParked != 1 || hz.FlightResumes != 1 {
+		t.Fatalf("healthz flights = %d parked / %d resumes, want 1/1", hz.FlightsParked, hz.FlightResumes)
+	}
 }
 
 // TestSnapshotPoolConcurrent races several sweeps sharing one warm-up through

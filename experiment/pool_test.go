@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func poolScenario(t *testing.T, seed uint64) Scenario {
@@ -13,6 +16,213 @@ func poolScenario(t *testing.T, seed uint64) Scenario {
 	cfg := dampingCfg()
 	cfg.Seed = seed
 	return Scenario{Graph: smallMesh(t), ISP: 0, Config: cfg, Pulses: 2}
+}
+
+// standalone returns the sequential standalone Run of base at each count.
+func standalone(t *testing.T, base Scenario, counts ...int) map[int]*Result {
+	t.Helper()
+	want := make(map[int]*Result, len(counts))
+	for _, n := range counts {
+		one := base
+		one.Pulses, one.Shards = n, 0
+		res, err := Run(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[n] = res
+	}
+	return want
+}
+
+// poolSweep sweeps base from pool as a RunCache miss would, without the
+// cache, and with one worker: strictly flap, drain, flap, on the calling
+// goroutine.
+func poolSweep(ctx context.Context, pool *CheckpointPool, base Scenario, pulses ...int) ([]SweepPoint, error) {
+	return sweepWarm(ctx, pool, base, pulses, newBudget(1))
+}
+
+// checkPoints fails the test for every point that is not the standalone Run
+// of its count.
+func checkPoints(t *testing.T, pts []SweepPoint, want map[int]*Result) {
+	t.Helper()
+	for _, pt := range pts {
+		if pt.Err != nil || !reflect.DeepEqual(pt.Result, want[pt.Pulses]) {
+			t.Errorf("n=%d differs from a standalone Run (err %v)", pt.Pulses, pt.Err)
+		}
+	}
+}
+
+// TestPoolResumedTrunkCancelled: a sweep that resumed the parked trunk and is
+// cancelled mid-flap closes it — no worker of the sharded trunk outlives the
+// sweep — and parks nothing, so the retry begins from the checkpoint and
+// equals a standalone Run.
+func TestPoolResumedTrunkCancelled(t *testing.T) {
+	base := poolScenario(t, 1)
+	base.Shards = 2
+	want := standalone(t, base, 5)
+	pool := NewCheckpointPool(4)
+	flaps := countFlaps(t, pool, base)
+	if _, err := poolSweep(context.Background(), pool, base, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop := flaps.halves.Load() + 3 // pulse 3 down, pulse 3 up, pulse 4 down
+	flaps.onFlap = func(n int64) {
+		if n == stop {
+			cancel()
+		}
+	}
+	before := numGoroutineSettled()
+	_, err := poolSweep(ctx, pool, base, 5)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if after := numGoroutineSettled(); after > before {
+		t.Errorf("goroutines grew from %d to %d: the cancelled trunk was not closed", before, after)
+	}
+	if parked, resumes := pool.Flights(); parked != 0 || resumes != 1 {
+		t.Fatalf("pool flights = %d parked / %d resumes, want 0 / 1 (taken, not re-parked)", parked, resumes)
+	}
+
+	flaps.onFlap = nil
+	var pts []SweepPoint
+	if flapped := flaps.pulsesFlapped(func() { pts, err = poolSweep(context.Background(), pool, base, 5) }); flapped != 5 {
+		t.Errorf("the retry flapped %d pulses, want 5 (from the checkpoint)", flapped)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPoints(t, pts, want)
+}
+
+// TestPoolPanickingPointLeavesEntryUsable: a point that panics through the
+// point runner — the trunk's own last point, after the sweep parked its fork —
+// fails alone with a *PanicError, and the entry keeps its checkpoint and the
+// parked flight: the next sweep resumes it and equals standalone Runs.
+func TestPoolPanickingPointLeavesEntryUsable(t *testing.T) {
+	base := poolScenario(t, 1)
+	want := standalone(t, base, 1, 2, 3)
+	var panicked atomic.Bool
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+		if sc.Pulses == 2 && panicked.CompareAndSwap(false, true) {
+			panic("injected point panic")
+		}
+		return cp.RunContext(ctx, sc)
+	})
+	pool := NewCheckpointPool(4)
+	pts, err := poolSweep(context.Background(), pool, base, 1, 2)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pts[1].Err == nil || pts[0].Err != nil {
+		t.Fatalf("want n=2 alone to fail with a *PanicError, got %v", err)
+	}
+	if pool.Len() != 1 {
+		t.Fatalf("pool holds %d entries, want 1", pool.Len())
+	}
+	pts, err = poolSweep(context.Background(), pool, base, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPoints(t, pts, want)
+	if _, resumes := pool.Flights(); resumes != 1 {
+		t.Errorf("flight resumes = %d, want 1 (the flight parked before the panic)", resumes)
+	}
+}
+
+// TestCheckpointPoolFlightAccounting pins how parked flights count against
+// the bound: an entry holding one weighs two, so in a two-slot pool base B's
+// warm-up evicts base A together with its flight, and the counters stay
+// consistent — evictions = misses − Len(). A's flight is sharded and was never
+// run, so it holds no shard workers, and closing it on eviction leaves the
+// goroutine count as it was. A one-slot pool never parks.
+func TestCheckpointPoolFlightAccounting(t *testing.T) {
+	ctx := context.Background()
+	a, b := poolScenario(t, 1), poolScenario(t, 2)
+	a.Shards = 2
+	pool := NewCheckpointPool(2)
+	if _, err := poolSweep(ctx, pool, a, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if parked, _ := pool.Flights(); parked != 1 || pool.Len() != 1 {
+		t.Fatalf("after A's sweep: %d flights in %d entries, want 1 / 1", parked, pool.Len())
+	}
+	before := numGoroutineSettled()
+	if _, err := pool.Get(ctx, b); err != nil {
+		t.Fatal(err)
+	}
+	if after := numGoroutineSettled(); after > before {
+		t.Errorf("goroutines grew from %d to %d on evicting a parked sharded flight", before, after)
+	}
+	_, misses, evictions := pool.Stats()
+	if parked, _ := pool.Flights(); parked != 0 || pool.Len() != 1 || evictions != 1 {
+		t.Fatalf("after B's warm-up: %d flights, %d entries, %d evictions; want A evicted with its flight", parked, pool.Len(), evictions)
+	}
+	if evictions != misses-uint64(pool.Len()) {
+		t.Errorf("evictions %d != misses %d - pooled %d", evictions, misses, pool.Len())
+	}
+	if _, err := poolSweep(ctx, pool, b, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if parked, _ := pool.Flights(); parked != 1 || pool.Len() != 1 {
+		t.Errorf("after B's sweep: %d flights in %d entries, want 1 / 1", parked, pool.Len())
+	}
+
+	one := NewCheckpointPool(1)
+	if _, err := poolSweep(ctx, one, b, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if parked, _ := one.Flights(); parked != 0 || one.Len() != 1 {
+		t.Errorf("a one-slot pool holds %d flights in %d entries, want 0 / 1", parked, one.Len())
+	}
+}
+
+// TestPoolConcurrentSweepsTakeOneFlight: two sweeps of one base that both
+// stand at their smallest count before either reaches its largest — where it
+// parks — compete for one parked flight. Exactly one takes it, the other
+// begins from the checkpoint, and both equal standalone Runs. Run under
+// -race this is the take/park race check.
+func TestPoolConcurrentSweepsTakeOneFlight(t *testing.T) {
+	base := poolScenario(t, 1)
+	want := standalone(t, base, 3, 5)
+	pool := NewCheckpointPool(4)
+	if _, err := poolSweep(context.Background(), pool, base, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	both := make(chan struct{})
+	go func() { arrived.Wait(); close(both) }()
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+		if sc.Pulses == 3 {
+			// With one worker the n=3 branch drains on the trunk's goroutine,
+			// so both trunks have started and neither has parked.
+			arrived.Done()
+			select {
+			case <-both:
+			case <-time.After(time.Minute):
+				return nil, errors.New("the other sweep never reached n=3")
+			}
+		}
+		return cp.RunContext(ctx, sc)
+	})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pts, err := poolSweep(context.Background(), pool, base, 3, 5)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			checkPoints(t, pts, want)
+		}()
+	}
+	wg.Wait()
+	if parked, resumes := pool.Flights(); parked != 1 || resumes != 1 {
+		t.Errorf("pool flights = %d parked / %d resumes, want 1 / 1", parked, resumes)
+	}
 }
 
 // TestCheckpointPoolSingleflight pins the pool's population contract: N

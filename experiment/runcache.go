@@ -145,9 +145,11 @@ func (c *RunCache) SetStore(s ResultStore) {
 
 // SetCheckpointPool layers a converged-snapshot pool under the cache (nil
 // detaches it): cache misses then fork a pooled warm-up checkpoint instead of
-// re-converging from scratch. Results are identical either way — checkpoint
-// forks are pinned byte-identical to from-scratch runs — so the pool is a
-// pure execution optimization, invisible to cache keys and stored Results.
+// re-converging from scratch, and resume the sweep trunk an earlier miss
+// parked there instead of re-flapping its pulses. Results are identical
+// either way — checkpoint and trunk forks are pinned byte-identical to
+// from-scratch runs — so the pool is a pure execution optimization, invisible
+// to cache keys and stored Results.
 func (c *RunCache) SetCheckpointPool(p *CheckpointPool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -739,6 +739,9 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 // and a sweep forks it once for all its pulse counts, which is how both
 // amortize warm-up. A Checkpoint is safe for concurrent Run calls — forking
 // only reads the parked state, and each call runs its own independent copy.
+// A checkpoint a CheckpointPool holds also leads to the sweep flight parked
+// beside it, which a sweep of the scenario resumes instead of beginning a
+// trunk here; Run always begins from the converged state.
 //
 // The parked state belongs to the engine that built it, partition included: a
 // checkpoint only serves scenarios with the shard count it was built with.
@@ -755,6 +758,9 @@ type Checkpoint struct {
 	// run: parked is then the converged engine itself, and begin takes it
 	// instead of forking it.
 	own bool
+	// entry is the pool slot holding the checkpoint (nil when none does),
+	// where sweeps take and park their trunks.
+	entry *poolEntry
 }
 
 // Shards returns the number of shard networks the checkpoint was built with
@@ -846,6 +852,18 @@ func (c *Checkpoint) begin(sc Scenario) (*flight, error) {
 		}
 	}
 	return begin(sc, e)
+}
+
+// trunk begins the flight a sweep's points branch off, sc.Pulses being the
+// smallest count it is to reach. A flight parked beside a pooled checkpoint at
+// or below that count is taken as it stands — no fork — and flies sc from
+// there; otherwise the trunk begins from the checkpoint.
+func (c *Checkpoint) trunk(sc Scenario) (*flight, error) {
+	if f := c.entry.take(sc.Pulses); f != nil {
+		f.sc = sc
+		return f, nil
+	}
+	return c.begin(sc)
 }
 
 // ConvergenceSpread summarizes how long after the final announcement each

@@ -49,6 +49,12 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // fault plan rides the trunk too: its pending faults are kernel events, and a
 // fork carries them.
 //
+// SweepParallel converges afresh; a sweep through a RunCache with a
+// CheckpointPool starts from the pooled warm-up, and its trunk outlives it:
+// before draining its largest count the sweep parks a fork of the trunk in
+// the pool, and the next sweep of the scenario whose counts all lie at or
+// past that pulse resumes the parked flight rather than flapping from pulse 0.
+//
 // A scenario whose flight cannot be forked between pulses — the invariant
 // checker or a caller's trace log is attached to it — forks the converged
 // engine per point instead and replays each point's flap phase in full. With
@@ -147,6 +153,13 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 // scenario's: those run here, in ascending order, since they all append to
 // one log. An own cp is handed to the flight of a single pulse count and
 // forked when there are several counts.
+//
+// A pooled cp lets the trunk outlive the sweep. The trunk takes the flight
+// parked beside cp when it stands at or below the smallest count the trunk
+// rides, and begins from cp otherwise (Checkpoint.trunk). Before draining the
+// largest count, the sweep offers the pool a fork of the trunk, parked when it
+// is deeper than the flight the pool holds then. A trunk that fails is closed
+// and never parked.
 func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	pr := progressFrom(ctx)
 	out := make([]SweepPoint, len(pulses))
@@ -212,7 +225,7 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 				}
 				if trunk == nil {
 					var err error
-					if trunk, err = cp.begin(scWithPulses(base, n)); err != nil {
+					if trunk, err = cp.trunk(scWithPulses(base, n)); err != nil {
 						return nil, err
 					}
 				}
@@ -224,6 +237,7 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 			continue
 		}
 		if k == len(counts)-1 {
+			cp.entry.park(trunk)
 			runPoint(&Checkpoint{parked: trunk.e, branch: trunk}, n)
 			break
 		}

@@ -112,43 +112,114 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 	}
 }
 
+// flapCounter is an engine that counts the flaps flown on it and on every
+// fork of it: a flight asks for the origin's router once per half pulse. A
+// flap-via-link scenario flaps without asking, so it counts nothing.
+type flapCounter struct {
+	engine
+	*flapCount
+}
+
+// flapCount is what a flapCounter and all its forks share.
+type flapCount struct {
+	halves atomic.Int64
+	onFlap func(halves int64) // called, when set, after each count
+}
+
+func (c flapCounter) Router(id bgp.RouterID) *bgp.Router {
+	n := c.halves.Add(1)
+	if c.onFlap != nil {
+		c.onFlap(n)
+	}
+	return c.engine.Router(id)
+}
+
+func (c flapCounter) fork() (engine, error) {
+	e, err := c.engine.fork()
+	if err != nil {
+		return nil, err
+	}
+	c.engine = e
+	return c, nil
+}
+
+// countFlaps converges base's warm-up in pool (one miss) and makes every
+// flight begun from the pooled checkpoint — or forked from one that was —
+// count its flaps.
+func countFlaps(t *testing.T, pool *CheckpointPool, base Scenario) *flapCount {
+	t.Helper()
+	cp, err := pool.Get(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := flapCounter{cp.parked, new(flapCount)}
+	cp.parked = c
+	return c.flapCount
+}
+
+// pulsesFlapped returns how many pulses run flaps on the counted flights.
+func (c *flapCount) pulsesFlapped(run func()) int {
+	before := c.halves.Load()
+	run()
+	return int(c.halves.Load()-before) / 2
+}
+
 // TestSweepSnapshotWarm is rfdd's snapshot-warm request shape: a first sweep
-// parks the warm-up in the pool, later sweeps of other pulse counts start
-// their trunk from that pooled checkpoint — not from pulse zero of an earlier
-// request — and every point equals a standalone Run.
+// parks the warm-up in the pool, and later sweeps of other pulse counts
+// resume the trunk the previous one parked — flapping only the pulses it had
+// not reached — or, when that trunk is past their smallest count, begin from
+// the pooled checkpoint and leave the deeper trunk parked. Every point, on
+// either engine, equals a standalone sequential Run.
 func TestSweepSnapshotWarm(t *testing.T) {
-	base := poolScenario(t, 3)
-	sweeps := [][]int{{0, 1}, {6, 7, 8}, {9, 10}}
-	want := make(map[int]*Result)
-	for _, n := range slices.Concat(sweeps...) {
-		one := base
-		one.Pulses = n
-		res, err := Run(one)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[n] = res
-	}
-	branched, solo := countBranches(t) // a Run is a sweep too: count after the references
-	pool := NewCheckpointPool(2)
-	cache := NewRunCache()
-	cache.SetCheckpointPool(pool)
-	for _, pulses := range sweeps {
-		pts, err := cache.Sweep(base, pulses, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, n := range pulses {
-			if pts[i].Pulses != n || !reflect.DeepEqual(pts[i].Result, want[n]) {
-				t.Errorf("pooled sweep %v: point %d (n=%d) differs from a standalone Run", pulses, i, n)
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		sweeps  [][]int
+		flapped []int // pulses each sweep flaps; from pulse 0 every time: 1, 8, 10
+		resumes uint64
+	}{
+		{"in-order", 0, [][]int{{0, 1}, {6, 7, 8}, {9, 10}}, []int{1, 7, 2}, 2},
+		{"in-order-sharded", 2, [][]int{{0, 1}, {6, 7, 8}, {9, 10}}, []int{1, 7, 2}, 2},
+		// [2,3] starts from the checkpoint; [9,10] still resumes pulse 8.
+		{"out-of-order", 0, [][]int{{6, 7, 8}, {2, 3}, {9, 10}}, []int{8, 3, 2}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := poolScenario(t, 3)
+			want := standalone(t, base, slices.Concat(tc.sweeps...)...)
+			base.Shards = tc.shards
+			branched, solo := countBranches(t) // a Run is a sweep too: count after the references
+			pool := NewCheckpointPool(2)
+			flaps := countFlaps(t, pool, base)
+			cache := NewRunCache()
+			cache.SetCheckpointPool(pool)
+			points := 0
+			for s, pulses := range tc.sweeps {
+				var pts []SweepPoint
+				var err error
+				flapped := flaps.pulsesFlapped(func() { pts, err = cache.Sweep(base, pulses, 1) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if flapped != tc.flapped[s] {
+					t.Errorf("sweep %v flapped %d pulses, want %d", pulses, flapped, tc.flapped[s])
+				}
+				for i, n := range pulses {
+					if pts[i].Pulses != n || !reflect.DeepEqual(pts[i].Result, want[n]) {
+						t.Errorf("pooled sweep %v: point %d (n=%d) differs from a standalone Run", pulses, i, n)
+					}
+				}
+				points += len(pulses)
 			}
-		}
-	}
-	if hits, misses, _ := pool.Stats(); hits != 2 || misses != 1 {
-		t.Errorf("pool stats = %d hits / %d misses, want 2 / 1 (one warm-up for three sweeps)", hits, misses)
-	}
-	if branched.Load() != 7 || solo.Load() != 0 {
-		t.Errorf("%d points rode a trunk and %d flew alone, want 7 / 0", branched.Load(), solo.Load())
+			if hits, misses, _ := pool.Stats(); hits != 3 || misses != 1 {
+				t.Errorf("pool stats = %d hits / %d misses, want 3 / 1 (one warm-up for three sweeps)", hits, misses)
+			}
+			if parked, resumes := pool.Flights(); parked != 1 || resumes != tc.resumes {
+				t.Errorf("pool flights = %d parked / %d resumes, want 1 / %d", parked, resumes, tc.resumes)
+			}
+			if branched.Load() != int64(points) || solo.Load() != 0 {
+				t.Errorf("%d points rode a trunk and %d flew alone, want %d / 0", branched.Load(), solo.Load(), points)
+			}
+		})
 	}
 }
 
