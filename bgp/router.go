@@ -160,8 +160,8 @@ func newRouter(n *Network, id RouterID, rng *xrand.Rand) *Router {
 }
 
 // newHistory returns a fresh per-peer root-cause history, or nil when RCN is
-// disabled (histories are only consulted under EnableRCN, and the default
-// capacity map is far too expensive to allocate per session for nothing).
+// disabled (histories are only consulted under EnableRCN, so a session without
+// RCN carries none). A fresh history is a header that grows as causes arrive.
 func (r *Router) newHistory() *rcn.History {
 	if !r.net.cfg.EnableRCN {
 		return nil

@@ -1,8 +1,8 @@
 // Command rfdd serves the flap-damping experiment pipeline over HTTP: sweep
 // and figure requests run through a shared worker pool and a two-level run
-// cache (in-memory singleflight over a crash-safe persistent disk cache), so
-// repeated requests for the same scenario are served without re-simulating —
-// across requests and across daemon restarts.
+// cache (a byte-bounded in-memory LRU and singleflight over a crash-safe
+// persistent disk cache), so repeated requests for the same scenario are
+// served without re-simulating — across requests and across daemon restarts.
 //
 // Endpoints:
 //
@@ -109,7 +109,10 @@ func run(ctx context.Context, addr string, drain time.Duration, srv *server) err
 	return nil
 }
 
-// serverConfig sizes the daemon.
+// serverConfig sizes the daemon. The run cache is not configured here: it keeps
+// experiment.DefaultCacheBytes of the most recently used Results in memory,
+// and CacheDir only decides whether an evicted Result is reloaded from disk or
+// re-simulated.
 type serverConfig struct {
 	Workers     int
 	CacheDir    string
@@ -122,9 +125,11 @@ type serverConfig struct {
 	Snapshots int
 }
 
-// server is the shared state behind every request: one run cache (optionally
-// persistent), the converged-snapshot pool, the topologies of recently
-// requested shapes, and the admission-control semaphores.
+// server is the shared state behind every request: one run cache (bounded in
+// memory by bytes, optionally persistent), the converged-snapshot pool, the
+// topologies of recently requested shapes, and the admission-control
+// semaphores. Each of the three memories is bounded, so the daemon's heap is
+// bounded by what it serves, not by how long it has run.
 type server struct {
 	cfg     serverConfig
 	cache   *experiment.RunCache
@@ -656,6 +661,11 @@ type healthz struct {
 	MemoryOnly    bool    `json:"memory_only"`
 	Concurrency   int     `json:"concurrency"`
 	QueueCapacity int     `json:"queue_capacity"`
+	// Run cache residency: Results held now, their estimated bytes (bounded
+	// by experiment.DefaultCacheBytes), and Results the bound has evicted.
+	CacheEntries   int    `json:"cache_entries"`
+	CacheBytes     int64  `json:"cache_bytes"`
+	CacheEvictions uint64 `json:"cache_evictions"`
 	// Streaming: requests currently emitting NDJSON on /v1/sweep/stream, and
 	// the total point events streamed since startup.
 	StreamsActive  int64  `json:"streams_active"`
@@ -705,6 +715,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		StreamsActive:  s.streamsActive.Load(),
 		StreamedPoints: s.streamedPoints.Load(),
 	}
+	h.CacheEntries, h.CacheBytes, h.CacheEvictions = s.cache.Resident()
 	if s.disk != nil {
 		loads, _, stores, corrupt, _ := s.disk.Stats()
 		h.DiskLoads, h.DiskStores, h.DiskCorrupt = loads, stores, corrupt

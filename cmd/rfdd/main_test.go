@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rfd/experiment"
 )
 
 func testServer(t *testing.T, cfg serverConfig) *server {
@@ -256,6 +258,10 @@ func TestHealthz(t *testing.T) {
 	}
 	if hz.CacheMisses != 2 || hz.DiskStores != 2 {
 		t.Fatalf("healthz stats = %+v, want 2 misses stored to disk", hz)
+	}
+	if hz.CacheEntries != 2 || hz.CacheBytes <= 0 || hz.CacheBytes > experiment.DefaultCacheBytes || hz.CacheEvictions != 0 {
+		t.Fatalf("healthz cache residency = %d entries, %d bytes, %d evictions; want both points resident within the bound",
+			hz.CacheEntries, hz.CacheBytes, hz.CacheEvictions)
 	}
 	if hz.Running != 0 || hz.Queued != 0 {
 		t.Fatalf("healthz admission = running %d queued %d, want idle", hz.Running, hz.Queued)

@@ -134,7 +134,8 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("unknown -fig %q", *fig)
 	}
 	if hits, misses, uncacheable := opts.Cache.Stats(); hits+misses+uncacheable > 0 {
-		fmt.Printf("run cache: %d hits, %d misses, %d uncacheable\n", hits, misses, uncacheable)
+		_, _, evicted := opts.Cache.Resident()
+		fmt.Printf("run cache: %d hits, %d misses, %d uncacheable, %d evicted\n", hits, misses, uncacheable, evicted)
 		if storeHits, storeErrors := opts.Cache.StoreStats(); *cacheDir != "" {
 			fmt.Printf("disk cache: %d served from %s, %d store errors\n", storeHits, *cacheDir, storeErrors)
 		}

@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"container/list"
 	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"rfd/damping"
 )
@@ -92,12 +94,46 @@ type ResultStore interface {
 	Store(key string, res *Result) error
 }
 
-// cacheEntry is one singleflight slot: the claimant runs the scenario and
-// closes done; everyone else waits on done and reads res/err.
+// DefaultCacheBytes is the bound, in estimated bytes of resident Results
+// (see Result.sizeBytes), that NewRunCache uses. A paper-scale rfdfig pass
+// holds about a third of it, so figures never evict; a daemon serving
+// distinct requests keeps the most recently used 16 MiB of Results.
+const DefaultCacheBytes = 16 << 20
+
+// resultBytes is the size of a Result's own struct, and lastUpdateEntryBytes
+// the estimated cost of one LastUpdateByRouter entry: an 8-byte key and an
+// 8-byte value, plus the map's control byte and load-factor slack averaged
+// over its growth.
+const (
+	resultBytes          = int64(unsafe.Sizeof(Result{}))
+	lastUpdateEntryBytes = 32
+)
+
+// sizeBytes estimates the memory a cached Result holds: its struct, the
+// backing arrays of its series by capacity, and a fixed cost per
+// LastUpdateByRouter entry. The series dominate — every update delivery time
+// is kept.
+func (r *Result) sizeBytes() int64 {
+	n := resultBytes + r.Updates.Bytes() + r.Damped.Bytes() + r.NoisyReuseTimes.Bytes()
+	for _, tr := range r.PenaltyTraces {
+		n += tr.Bytes()
+	}
+	return n + int64(len(r.LastUpdateByRouter))*lastUpdateEntryBytes
+}
+
+// cacheEntry is one singleflight slot for the fingerprint key: the claimant
+// runs the scenario and closes done; everyone else waits on done and reads
+// res/err. A successfully resolved entry is on the cache's LRU (el non-nil,
+// size its Result's estimate), both under the cache mutex, until it is
+// evicted.
 type cacheEntry struct {
+	key  string
 	done chan struct{}
 	res  *Result
 	err  error
+
+	size int64
+	el   *list.Element
 }
 
 // RunCache deduplicates runs by scenario fingerprint: the first request for
@@ -116,23 +152,40 @@ type cacheEntry struct {
 // error forever. Owners release their waiters via defer — a panicking run
 // unblocks everyone with a *PanicError instead of deadlocking them.
 //
+// Memory is bounded by estimated bytes (DefaultCacheBytes). A successfully
+// resolved entry joins an LRU, and a hit moves it to the front; once the
+// resident total exceeds the bound, least-recently-used entries are dropped
+// from the back — the newest too, when it alone exceeds the bound. An entry
+// still being computed is not on the LRU, so it is never evicted, and its
+// waiters hold the entry itself, so eviction never takes a Result from a
+// caller. An evicted key is claimed afresh by its next request: served from
+// the ResultStore when one is layered, re-simulated otherwise.
+//
 // Cached Results are shared between callers and must be treated as
 // read-only. Scenarios whose Fingerprint reports ok=false (trace logs,
 // impairments, fault plans, watchdogs, damping selectors) bypass the cache
 // and always run. A nil *RunCache is valid and bypasses caching entirely.
 type RunCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	store   ResultStore
-	pool    *CheckpointPool
+	mu       sync.Mutex
+	entries  map[string]*cacheEntry
+	lru      *list.List // resolved entries, front = most recently used
+	bytes    int64      // estimated size of the entries on lru
+	maxBytes int64
+	store    ResultStore
+	pool     *CheckpointPool
 
-	hits, misses, uncached    uint64
-	diskHits, diskStoreErrors uint64
+	hits, misses, uncached, evictions uint64
+	diskHits, diskStoreErrors         uint64
 }
 
-// NewRunCache returns an empty cache.
+// NewRunCache returns an empty cache bounded by DefaultCacheBytes.
 func NewRunCache() *RunCache {
-	return &RunCache{entries: make(map[string]*cacheEntry)}
+	return newRunCache(DefaultCacheBytes)
+}
+
+// newRunCache returns an empty cache bounded by maxBytes.
+func newRunCache(maxBytes int64) *RunCache {
+	return &RunCache{entries: make(map[string]*cacheEntry), lru: list.New(), maxBytes: maxBytes}
 }
 
 // SetStore layers a persistent store under the cache (nil detaches it).
@@ -166,7 +219,8 @@ func (c *RunCache) checkpointPool() *CheckpointPool {
 // Stats reports how many Run/Sweep points were served from cache (hits),
 // executed and stored (misses), and executed uncached because the scenario
 // has no fingerprint (uncacheable). In-memory misses that a persistent store
-// satisfied count as misses here and as hits in StoreStats.
+// satisfied count as misses here and as hits in StoreStats, and so does the
+// next request for a key the byte bound evicted.
 func (c *RunCache) Stats() (hits, misses, uncacheable uint64) {
 	if c == nil {
 		return 0, 0, 0
@@ -188,40 +242,78 @@ func (c *RunCache) StoreStats() (storeHits, storeErrors uint64) {
 	return c.diskHits, c.diskStoreErrors
 }
 
+// Resident reports the Results held now — how many, and their estimated
+// bytes (never above the bound once a request has resolved) — and how many
+// the bound has evicted so far.
+func (c *RunCache) Resident() (entries int, bytes int64, evictions uint64) {
+	if c == nil {
+		return 0, 0, 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len(), c.bytes, c.evictions
+}
+
 // claim returns the entry for key and whether this caller owns its
-// execution (true exactly once per key while the entry lives).
+// execution (true exactly once per key while the entry lives). A hit on a
+// resolved entry refreshes its recency.
 func (c *RunCache) claim(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, found := c.entries[key]; found {
 		c.hits++
+		if e.el != nil {
+			c.lru.MoveToFront(e.el)
+		}
 		return e, false
 	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{done: make(chan struct{}), key: key}
 	c.entries[key] = e
 	c.misses++
 	return e, true
 }
 
-// evict removes key's entry if it is still e — a failed execution must not
-// negative-cache, so the next claim retries the scenario.
-func (c *RunCache) evict(key string, e *cacheEntry) {
+// keep puts a successfully resolved entry at the front of the LRU, then drops
+// least-recently-used entries from the back until the resident Results fit
+// the bound — e itself included, if it alone does not fit.
+func (c *RunCache) keep(e *cacheEntry) {
+	size := e.res.sizeBytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries[key] == e {
-		delete(c.entries, key)
+	e.size = size
+	e.el = c.lru.PushFront(e)
+	c.bytes += size
+	for c.bytes > c.maxBytes {
+		old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		old.el = nil
+		delete(c.entries, old.key)
+		c.bytes -= old.size
+		c.evictions++
+	}
+}
+
+// evict removes e's key if it still maps to e — a failed execution must not
+// negative-cache, so the next claim retries the scenario.
+func (c *RunCache) evict(e *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[e.key] == e {
+		delete(c.entries, e.key)
 	}
 }
 
 // finish resolves an owned entry: on failure the entry is evicted (no
-// negative caching), on success it is offered to the persistent store; either
-// way the waiters are released. It runs from the owner's defer so a panic in
-// the run still unblocks every waiter.
-func (c *RunCache) finish(key string, e *cacheEntry) {
+// negative caching), on success it is offered to the persistent store and
+// kept on the LRU; either way the waiters are released. It runs from the
+// owner's defer so a panic in the run still unblocks every waiter.
+func (c *RunCache) finish(e *cacheEntry) {
 	if e.err != nil {
-		c.evict(key, e)
-	} else if e.res != nil && !e.res.fromStore {
-		c.storeResult(key, e.res)
+		c.evict(e)
+	} else if e.res != nil {
+		if !e.res.fromStore {
+			c.storeResult(e.key, e.res)
+		}
+		c.keep(e)
 	}
 	close(e.done)
 }
@@ -313,7 +405,6 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 		return sweepWarm(ctx, nil, base, pulses, b)
 	}
 	pr := progressFrom(ctx)
-	keys := make([]string, len(pulses))
 	entries := make([]*cacheEntry, len(pulses))
 	// live marks the points this call claimed and will execute itself; every
 	// other point resolves without running here (an in-memory or stored hit,
@@ -321,23 +412,20 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 	// live Queued/Started/Done sequence.
 	live := make([]bool, len(pulses))
 	var missPulses []int
-	var missKeys []string
 	var missEntries []*cacheEntry
 	for i, n := range pulses {
-		keys[i] = fmt.Sprintf("%s:p%d", baseKey, n)
-		e, owner := c.claim(keys[i])
+		e, owner := c.claim(fmt.Sprintf("%s:p%d", baseKey, n))
 		entries[i] = e
 		if !owner {
 			continue
 		}
-		if stored, ok := c.loadStored(keys[i]); ok {
+		if stored, ok := c.loadStored(e.key); ok {
 			e.res = stored
-			c.finish(keys[i], e)
+			c.finish(e)
 			continue
 		}
 		live[i] = true
 		missPulses = append(missPulses, n)
-		missKeys = append(missKeys, keys[i])
 		missEntries = append(missEntries, e)
 	}
 	if len(missPulses) > 0 {
@@ -349,12 +437,12 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 			for j, e := range missEntries {
 				if e.res == nil && e.err == nil {
 					if panicked != nil {
-						e.err = &PanicError{Value: panicked, Fingerprint: missKeys[j], Stack: stackTrace()}
+						e.err = &PanicError{Value: panicked, Fingerprint: e.key, Stack: stackTrace()}
 					} else {
 						e.err = fmt.Errorf("experiment: sweep did not produce n=%d", missPulses[j])
 					}
 				}
-				c.finish(missKeys[j], e)
+				c.finish(e)
 			}
 		}
 		defer func() {

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rfd/bgp"
+	"rfd/metrics"
 )
 
 // swapPointRunner installs fn as the run function of every sweep point — and
@@ -369,5 +373,253 @@ func TestChaosSweep(t *testing.T) {
 	}
 	if storeHits, _ := c2.StoreStats(); storeHits != uint64(len(pulses)) {
 		t.Errorf("cold cache store hits = %d, want %d", storeHits, len(pulses))
+	}
+}
+
+// withSeed returns sc with its configuration seeded: a distinct fingerprint
+// (and run) per seed.
+func withSeed(sc Scenario, seed uint64) Scenario {
+	sc.Config.Seed = seed
+	return sc
+}
+
+func withPulses(sc Scenario, n int) Scenario {
+	sc.Pulses = n
+	return sc
+}
+
+// countRuns wraps every sweep point's execution with a counter of the runs
+// that actually simulated.
+func countRuns(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var runs atomic.Int64
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+		runs.Add(1)
+		return cp.RunContext(ctx, sc)
+	})
+	return &runs
+}
+
+// TestRunCacheBoundedByBytes drives ten times the bound's worth of distinct
+// scenarios through a small cache: after every request the resident Results
+// fit the bound, and every Result served — first runs and re-runs of evicted
+// keys alike — equals a fresh uncached Run.
+func TestRunCacheBoundedByBytes(t *testing.T) {
+	base := cancelScenario(t, 0)
+	pulses := []int{0, 1}
+	probe, err := Run(withPulses(base, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := 3 * probe.sizeBytes()
+	c := newRunCache(limit)
+	check := func(sc Scenario, pts []SweepPoint) int64 {
+		t.Helper()
+		if _, bytes, _ := c.Resident(); bytes > limit {
+			t.Fatalf("resident %d bytes after a request, bound %d", bytes, limit)
+		}
+		var served int64
+		for _, p := range pts {
+			want, err := Run(withPulses(sc, p.Pulses))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p.Result, want) {
+				t.Fatalf("seed %d n=%d: cached Result differs from a fresh Run", sc.Config.Seed, p.Pulses)
+			}
+			served += p.Result.sizeBytes()
+		}
+		return served
+	}
+	var served int64
+	seed := uint64(1)
+	for ; served < 10*limit; seed++ {
+		sc := withSeed(base, seed)
+		pts, err := c.Sweep(sc, pulses, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served += check(sc, pts)
+	}
+	entries, _, evictions := c.Resident()
+	if misses := uint64(len(pulses)) * (seed - 1); evictions != misses-uint64(entries) {
+		t.Errorf("evictions %d, want misses %d - resident %d", evictions, misses, entries)
+	}
+	// The first seed was evicted long ago: asking again re-simulates it.
+	_, missesBefore, _ := c.Stats()
+	sc := withSeed(base, 1)
+	pts, err := c.Sweep(sc, pulses, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(sc, pts)
+	if _, misses, _ := c.Stats(); misses != missesBefore+uint64(len(pulses)) {
+		t.Errorf("re-requested evicted keys: misses %d -> %d, want +%d", missesBefore, misses, len(pulses))
+	}
+}
+
+// TestRunCacheHitRefreshesRecency: with room for all but one of three
+// Results, a hit on the oldest moves it to the front, so the next insert
+// evicts the middle one instead.
+func TestRunCacheHitRefreshesRecency(t *testing.T) {
+	base := cancelScenario(t, 1)
+	a, b, cc := withSeed(base, 1), withSeed(base, 2), withSeed(base, 3)
+	var total int64
+	for _, sc := range []Scenario{a, b, cc} {
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += res.sizeBytes()
+	}
+	c := newRunCache(total - 1) // any one eviction makes the three fit
+	runs := countRuns(t)
+	for _, sc := range []Scenario{a, b, a, cc} {
+		if _, err := c.Run(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs.Load() != 3 {
+		t.Fatalf("simulated %d runs, want 3 (a, b, c)", runs.Load())
+	}
+	if entries, _, evictions := c.Resident(); entries != 2 || evictions != 1 {
+		t.Fatalf("resident %d, evictions %d, want 2 and 1", entries, evictions)
+	}
+	if _, err := c.Run(a); err != nil || runs.Load() != 3 {
+		t.Fatalf("re-touched a was evicted (runs %d, err %v)", runs.Load(), err)
+	}
+	if _, err := c.Run(b); err != nil || runs.Load() != 4 {
+		t.Fatalf("least recently used b was kept (runs %d, err %v)", runs.Load(), err)
+	}
+}
+
+// TestRunCacheEvictedKeyRefetched: a key the bound evicted is claimed afresh —
+// one more miss — and re-simulated, or, with a ResultStore layered, served
+// from the store without simulating.
+func TestRunCacheEvictedKeyRefetched(t *testing.T) {
+	base := cancelScenario(t, 1)
+	a, b := withSeed(base, 1), withSeed(base, 2)
+	want, err := Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withStore := range []bool{false, true} {
+		t.Run(fmt.Sprintf("store=%t", withStore), func(t *testing.T) {
+			c := newRunCache(want.sizeBytes()) // one Result at a time
+			if withStore {
+				c.SetStore(&chaosStore{})
+			}
+			runs := countRuns(t)
+			for _, sc := range []Scenario{a, b} {
+				if _, err := c.Run(sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, evictions := c.Resident(); evictions == 0 {
+				t.Fatal("b's insert evicted nothing")
+			}
+			got, err := c.Run(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Field by field: a store-served Result carries the unexported
+			// fromStore mark a fresh Run lacks.
+			if got.MessageCount != want.MessageCount || got.ConvergenceTime != want.ConvergenceTime ||
+				!reflect.DeepEqual(got.Updates.Times(), want.Updates.Times()) {
+				t.Fatal("refetched Result differs from a fresh Run")
+			}
+			if _, misses, _ := c.Stats(); misses != 3 {
+				t.Errorf("misses %d, want 3 (a, b, evicted a)", misses)
+			}
+			storeHits, _ := c.StoreStats()
+			wantRuns, wantStoreHits := int64(3), uint64(0)
+			if withStore {
+				wantRuns, wantStoreHits = 2, 1
+			}
+			if runs.Load() != wantRuns || storeHits != wantStoreHits {
+				t.Errorf("runs %d, store hits %d, want %d and %d", runs.Load(), storeHits, wantRuns, wantStoreHits)
+			}
+		})
+	}
+}
+
+// TestRunCacheTinyBoundServesWaiters: a bound smaller than one Result evicts
+// every entry the moment it resolves, yet the owner and every concurrent
+// waiter of that key still get its Result — they hold the entry, not the LRU.
+func TestRunCacheTinyBoundServesWaiters(t *testing.T) {
+	sc := cancelScenario(t, 1)
+	want, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, s Scenario) (*Result, error) {
+		once.Do(func() { close(started) })
+		<-release
+		return cp.RunContext(ctx, s)
+	})
+	c := newRunCache(1)
+	const callers = 4
+	got := make([]*Result, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got[0], errs[0] = c.Run(sc)
+	}()
+	<-started
+	for i := 1; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = c.Run(sc)
+		}(i)
+	}
+	// Every waiter has joined the owner's entry once it counts as a hit.
+	for {
+		if hits, _, _ := c.Stats(); hits == callers-1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("caller %d: %v (Result equal to a fresh Run: %t)", i, errs[i], reflect.DeepEqual(got[i], want))
+		}
+	}
+	if entries, bytes, evictions := c.Resident(); entries != 0 || bytes != 0 || evictions != 1 {
+		t.Fatalf("resident %d (%d bytes), evictions %d, want nothing kept and one eviction", entries, bytes, evictions)
+	}
+}
+
+// TestResultSizeBytes pins the size estimate on a hand-built Result: the
+// struct, each series by capacity, and a fixed cost per router entry.
+func TestResultSizeBytes(t *testing.T) {
+	r := &Result{
+		Updates:            &metrics.EventSeries{},
+		Damped:             &metrics.StepSeries{},
+		NoisyReuseTimes:    &metrics.EventSeries{},
+		PenaltyTraces:      map[PenaltyWatch]*metrics.FloatSeries{{Router: 1, Peer: 2}: {}},
+		LastUpdateByRouter: map[bgp.RouterID]time.Duration{1: 0, 2: 0, 3: 0},
+	}
+	// Appending from empty doubles capacity: 5 records hold room for 8.
+	for i := 0; i < 5; i++ {
+		r.Updates.Record(time.Duration(i))
+	}
+	r.Damped.Record(0, 1)
+	r.Damped.Record(1, 0)
+	r.NoisyReuseTimes.Record(0)
+	r.PenaltyTraces[PenaltyWatch{Router: 1, Peer: 2}].Record(0, 1000)
+	want := resultBytes + 8*8 + 2*16 + 1*8 + 1*16 + 3*lastUpdateEntryBytes
+	if got := r.sizeBytes(); got != want {
+		t.Fatalf("sizeBytes = %d, want %d", got, want)
+	}
+	if got := (&Result{}).sizeBytes(); got != resultBytes {
+		t.Fatalf("empty Result sizeBytes = %d, want the struct's %d", got, resultBytes)
 	}
 }

@@ -39,6 +39,15 @@ func (s *EventSeries) Clone() *EventSeries { return &EventSeries{times: slices.C
 // Count returns the total number of events.
 func (s *EventSeries) Count() int { return len(s.times) }
 
+// Bytes returns the size of the series' backing array: its capacity, which is
+// what the series holds in memory, not its length (0 for a nil series).
+func (s *EventSeries) Bytes() int64 {
+	if s == nil {
+		return 0
+	}
+	return int64(cap(s.times)) * 8
+}
+
 // Times returns a copy of the event times.
 func (s *EventSeries) Times() []time.Duration {
 	out := make([]time.Duration, len(s.times))
@@ -132,6 +141,14 @@ func (s *StepSeries) Record(at time.Duration, value int) {
 // Clone returns an independent copy of the series.
 func (s *StepSeries) Clone() *StepSeries { return &StepSeries{points: slices.Clone(s.points)} }
 
+// Bytes returns the size of the series' backing array, as EventSeries.Bytes.
+func (s *StepSeries) Bytes() int64 {
+	if s == nil {
+		return 0
+	}
+	return int64(cap(s.points)) * 16
+}
+
 // ValueAt returns the value in effect at time t (0 before the first record).
 func (s *StepSeries) ValueAt(t time.Duration) int {
 	idx := sort.Search(len(s.points), func(i int) bool { return s.points[i].At > t })
@@ -197,6 +214,14 @@ func (s *FloatSeries) Clone() *FloatSeries { return &FloatSeries{points: slices.
 
 // Len returns the number of samples.
 func (s *FloatSeries) Len() int { return len(s.points) }
+
+// Bytes returns the size of the series' backing array, as EventSeries.Bytes.
+func (s *FloatSeries) Bytes() int64 {
+	if s == nil {
+		return 0
+	}
+	return int64(cap(s.points)) * 16
+}
 
 // Points returns a copy of the samples.
 func (s *FloatSeries) Points() []FloatPoint {

@@ -96,14 +96,16 @@ type History struct {
 }
 
 // NewHistory returns a history that remembers up to capacity causes
-// (DefaultHistorySize if capacity <= 0).
+// (DefaultHistorySize if capacity <= 0). Storage grows with the causes
+// witnessed, not with the bound: a network builds one history per session,
+// and a flap leaves two causes in each.
 func NewHistory(capacity int) *History {
 	if capacity <= 0 {
 		capacity = DefaultHistorySize
 	}
 	return &History{
 		capacity: capacity,
-		seen:     make(map[Cause]struct{}, capacity),
+		seen:     make(map[Cause]struct{}),
 	}
 }
 

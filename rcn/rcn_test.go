@@ -167,6 +167,23 @@ func TestNewHistoryDefaultCapacity(t *testing.T) {
 	}
 }
 
+var historySink *History
+
+// TestNewHistoryAllocatesOnDemand pins that a fresh history costs its header,
+// not its bound: an RCN network builds one per (router, peer) twice per
+// warm-up, and a map sized to the 1024-cause default was most of a figure
+// pass's allocation.
+func TestNewHistoryAllocatesOnDemand(t *testing.T) {
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			historySink = NewHistory(0)
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got >= 1024 {
+		t.Fatalf("NewHistory(0) allocates %d bytes, want < 1 KiB", got)
+	}
+}
+
 // TestQuickWitnessSetSemantics: within capacity, Witness returns true exactly
 // once per distinct cause regardless of arrival order.
 func TestQuickWitnessSetSemantics(t *testing.T) {
