@@ -10,7 +10,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,13 +35,13 @@ func main() {
 	// partially written figure files are abandoned where they are.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rfdfig:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rfdfig", flag.ContinueOnError)
 	var (
 		fig      = fs.String("fig", "all", "table1 | fig3 | fig7 | fig8 | fig9 | fig10 | fig13 | fig14 | fig15 | deployment | filters | intervals | sizes | events | loss | all")
@@ -47,7 +49,7 @@ func run(ctx context.Context, args []string) error {
 		small    = fs.Bool("small", false, "reduced scale (5x5 mesh, 30/40-node internet, 4 pulses) for quick runs")
 		seed     = fs.Uint64("seed", 1, "random seed")
 		noPlot   = fs.Bool("noplot", false, "suppress ASCII previews")
-		workers  = fs.Int("workers", runtime.NumCPU(), "parallel simulation runs per sweep")
+		workers  = fs.Int("workers", runtime.NumCPU(), "simulations running at once across the build")
 		noCache  = fs.Bool("nocache", false, "disable the cross-figure run cache (re-run scenarios shared between figures)")
 		cacheDir = fs.String("cachedir", "", "persist the run cache in this directory (shared with rfdd; survives restarts)")
 		check    = fs.Bool("check", false, "run every scenario under the runtime invariant checker (slower; any violation fails the figure)")
@@ -119,34 +121,31 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("-cachedir requires the run cache (drop -nocache)")
 	}
 
-	g := &generator{opts: opts, outDir: *outDir, plot: !*noPlot}
-	all := *fig == "all"
-	ran := false
-	for _, f := range figures {
-		if all || *fig == f.name {
-			ran = true
-			if err := f.fn(g); err != nil {
-				return fmt.Errorf("%s: %w", f.name, err)
-			}
-		}
-	}
-	if !ran {
+	todo := jobs(*fig)
+	if len(todo) == 0 {
 		return fmt.Errorf("unknown -fig %q", *fig)
+	}
+	g := generator{opts: opts.SharedBudget(), outDir: *outDir, plot: !*noPlot}
+	if err := build(g, todo, stdout); err != nil {
+		return err
 	}
 	if hits, misses, uncacheable := opts.Cache.Stats(); hits+misses+uncacheable > 0 {
 		_, _, evicted := opts.Cache.Resident()
-		fmt.Printf("run cache: %d hits, %d misses, %d uncacheable, %d evicted\n", hits, misses, uncacheable, evicted)
+		fmt.Fprintf(stdout, "run cache: %d hits, %d misses, %d uncacheable, %d evicted\n", hits, misses, uncacheable, evicted)
 		if storeHits, storeErrors := opts.Cache.StoreStats(); *cacheDir != "" {
-			fmt.Printf("disk cache: %d served from %s, %d store errors\n", storeHits, *cacheDir, storeErrors)
+			fmt.Fprintf(stdout, "disk cache: %d served from %s, %d store errors\n", storeHits, *cacheDir, storeErrors)
 		}
 	}
 	return nil
 }
 
-// figure is one named generator step.
+// figure is one named generator step. Figures that come out of one shared
+// pass name it: a build runs the pass once, as the job of the first such
+// figure requested.
 type figure struct {
 	name string
 	fn   func(*generator) error
+	pass string
 }
 
 // figures lists every generator in the fixed order -fig all runs them.
@@ -155,38 +154,108 @@ type figure struct {
 // "wrote ..." lines) in different sequences; the slice makes the order part
 // of the CLI contract. TestFigureOrder pins it.
 var figures = []figure{
-	{"table1", (*generator).table1},
-	{"fig3", (*generator).fig3},
-	{"fig7", (*generator).fig7},
-	{"fig8", (*generator).eval}, // fig8/9/13/14 share one evaluation pass
-	{"fig9", (*generator).eval},
-	{"fig10", (*generator).fig10},
-	{"fig13", (*generator).eval},
-	{"fig14", (*generator).eval},
-	{"fig15", (*generator).fig15},
+	{"table1", (*generator).table1, ""},
+	{"fig3", (*generator).fig3, ""},
+	{"fig7", (*generator).fig7, ""},
+	{"fig8", (*generator).eval, "eval"}, // fig8/9/13/14 share one evaluation pass
+	{"fig9", (*generator).eval, "eval"},
+	{"fig10", (*generator).fig10, ""},
+	{"fig13", (*generator).eval, "eval"},
+	{"fig14", (*generator).eval, "eval"},
+	{"fig15", (*generator).fig15, ""},
 	// Extensions beyond the paper's figures (tech-report variations).
-	{"deployment", (*generator).deployment},
-	{"filters", (*generator).filters},
-	{"intervals", (*generator).intervals},
-	{"sizes", (*generator).sizes},
-	{"events", (*generator).events},
-	{"loss", (*generator).loss},
+	{"deployment", (*generator).deployment, ""},
+	{"filters", (*generator).filters, ""},
+	{"intervals", (*generator).intervals, ""},
+	{"sizes", (*generator).sizes, ""},
+	{"events", (*generator).events, ""},
+	{"loss", (*generator).loss, ""},
 }
 
-// generator carries shared state so the eval pass runs once even when
-// several of figs 8/9/13/14 are requested.
+// jobs returns the figures -fig name builds, in figures order: every one for
+// "all", else the one named. A shared pass is the job of the first figure
+// that names it; the others are dropped.
+func jobs(name string) []figure {
+	var out []figure
+	passes := map[string]bool{}
+	for _, f := range figures {
+		if name != "all" && name != f.name || passes[f.pass] {
+			continue
+		}
+		if f.pass != "" {
+			passes[f.pass] = true
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// errAbandoned is the cancellation cause of the figures after a failed one.
+var errAbandoned = errors.New("an earlier figure failed")
+
+// build runs every job's generator at once, each on a copy of g with a
+// buffer of its own, and writes the buffers to w in jobs order, each as soon
+// as the jobs before it are done. The options' budget, not the number of
+// jobs, bounds the simulations running. A failed job cancels the jobs after
+// it, and the output stops after it; the error is the first job's, in order,
+// that failed for a reason other than that cancellation. build returns once
+// every job's goroutine has finished.
+func build(g generator, jobs []figure, w io.Writer) error {
+	parent := g.opts.Ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	gens := make([]generator, len(jobs))
+	cancels := make([]context.CancelCauseFunc, len(jobs))
+	for i := range jobs {
+		gens[i] = g
+		gens[i].out = new(bytes.Buffer)
+		gens[i].opts.Ctx, cancels[i] = context.WithCancelCause(parent)
+	}
+	errs := make([]error, len(jobs))
+	done := make([]chan struct{}, len(jobs))
+	for i, f := range jobs {
+		done[i] = make(chan struct{})
+		go func() {
+			defer close(done[i])
+			if errs[i] = f.fn(&gens[i]); errs[i] != nil {
+				errs[i] = fmt.Errorf("%s: %w", f.name, errs[i])
+				for _, cancel := range cancels[i+1:] {
+					cancel(errAbandoned)
+				}
+			}
+		}()
+	}
+	var first error
+	for i := range jobs {
+		<-done[i]
+		cancels[i](nil)
+		if first == nil {
+			if _, err := w.Write(gens[i].out.Bytes()); err != nil {
+				first = err
+			}
+		}
+		if errs[i] != nil && (first == nil || errors.Is(first, errAbandoned) && !errors.Is(errs[i], errAbandoned)) {
+			first = errs[i]
+		}
+	}
+	return first
+}
+
+// generator is one figure's job: the build's options and destination, and
+// the buffer its report lines, previews and stdout artifacts go to.
 type generator struct {
-	opts    experiment.Options
-	outDir  string
-	plot    bool
-	evalRan bool
+	opts   experiment.Options
+	outDir string
+	plot   bool
+	out    *bytes.Buffer
 }
 
-// sink returns the writer for one artifact (file under outDir, else stdout).
+// sink returns the writer for one artifact (file under outDir, else out).
 func (g *generator) sink(name string) (io.Writer, func() error, error) {
 	if g.outDir == "" {
-		fmt.Printf("--- %s ---\n", name)
-		return os.Stdout, func() error { return nil }, nil
+		fmt.Fprintf(g.out, "--- %s ---\n", name)
+		return g.out, func() error { return nil }, nil
 	}
 	if err := os.MkdirAll(g.outDir, 0o755); err != nil {
 		return nil, nil, err
@@ -195,7 +264,7 @@ func (g *generator) sink(name string) (io.Writer, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Printf("wrote %s\n", filepath.Join(g.outDir, name))
+	fmt.Fprintf(g.out, "wrote %s\n", filepath.Join(g.outDir, name))
 	return f, f.Close, nil
 }
 
@@ -231,7 +300,7 @@ func (g *generator) fig3() error {
 			xs = append(xs, p.At.Seconds())
 			ys = append(ys, p.Penalty)
 		}
-		return asciiplot.Plot(os.Stdout, "Fig 3: damping penalty (cutoff 2000, reuse 750)",
+		return asciiplot.Plot(g.out, "Fig 3: damping penalty (cutoff 2000, reuse 750)",
 			[]asciiplot.Series{{Name: "penalty", X: xs, Y: ys}}, 72, 16)
 	}
 	return nil
@@ -252,7 +321,7 @@ func (g *generator) fig7() error {
 	if err := done(); err != nil {
 		return err
 	}
-	fmt.Printf("fig7: watched router %d peer %d; %d secondary-charging increments; convergence %.0f s\n",
+	fmt.Fprintf(g.out, "fig7: watched router %d peer %d; %d secondary-charging increments; convergence %.0f s\n",
 		data.Watched.Router, data.Watched.Peer, data.Recharges, data.Result.ConvergenceTime.Seconds())
 	if g.plot && len(data.Trace) > 0 {
 		var xs, ys []float64
@@ -260,24 +329,19 @@ func (g *generator) fig7() error {
 			xs = append(xs, p.At.Seconds())
 			ys = append(ys, p.Penalty)
 		}
-		return asciiplot.Plot(os.Stdout, "Fig 7: penalty at a remote router (single pulse, secondary charging)",
+		return asciiplot.Plot(g.out, "Fig 7: penalty at a remote router (single pulse, secondary charging)",
 			[]asciiplot.Series{{Name: "penalty", X: xs, Y: ys}}, 72, 16)
 	}
 	return nil
 }
 
 func (g *generator) eval() error {
-	if g.evalRan {
-		return nil
-	}
-	g.evalRan = true
-	start := time.Now()
 	data, err := experiment.Eval(g.opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("eval: %d pulse counts x 4 configurations in %v (critical point Nh = %d)\n",
-		len(data.Rows), time.Since(start).Round(time.Second), data.Nh)
+	fmt.Fprintf(g.out, "eval: %d pulse counts x 4 configurations (critical point Nh = %d)\n",
+		len(data.Rows), data.Nh)
 	for _, out := range []struct {
 		name  string
 		write func(io.Writer) error
@@ -311,7 +375,7 @@ func (g *generator) eval() error {
 		rcnC = append(rcnC, r.RCNMeshConv.Seconds())
 		calc = append(calc, r.CalcConv.Seconds())
 	}
-	return asciiplot.Plot(os.Stdout, "Fig 8/13: convergence time (s) vs pulses",
+	return asciiplot.Plot(g.out, "Fig 8/13: convergence time (s) vs pulses",
 		[]asciiplot.Series{
 			{Name: "no damping (mesh)", X: xs, Y: noDamp},
 			{Name: "full damping (mesh)", X: xs, Y: damp},
@@ -338,7 +402,7 @@ func (g *generator) fig10() error {
 	}
 	for _, n := range []int{1, 3, 5} {
 		res := data.Runs[n]
-		fmt.Printf("fig10 n=%d: convergence %.0f s, %d updates, peak damped links %d, %s\n",
+		fmt.Fprintf(g.out, "fig10 n=%d: convergence %.0f s, %d updates, peak damped links %d, %s\n",
 			n, res.ConvergenceTime.Seconds(), res.MessageCount, res.MaxDamped, res.Phases)
 	}
 	return nil
@@ -385,7 +449,7 @@ func (g *generator) filters() error {
 		rcnC = append(rcnC, r.RCN.Seconds())
 		intended = append(intended, r.Intended.Seconds())
 	}
-	return asciiplot.Plot(os.Stdout, "Penalty filters: convergence time (s) vs pulses",
+	return asciiplot.Plot(g.out, "Penalty filters: convergence time (s) vs pulses",
 		[]asciiplot.Series{
 			{Name: "classic damping", X: xs, Y: classic},
 			{Name: "selective damping (Mao et al.)", X: xs, Y: selective},
@@ -462,7 +526,7 @@ func (g *generator) loss() error {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("loss %5.1f%%: plain %4.0f s (%s), damped %4.0f s peak %d damped links (%s), %d+%d dropped\n",
+		fmt.Fprintf(g.out, "loss %5.1f%%: plain %4.0f s (%s), damped %4.0f s peak %d damped links (%s), %d+%d dropped\n",
 			r.Rate*100, r.Plain.Conv.Seconds(), r.Plain.Outcome,
 			r.Damped.Conv.Seconds(), r.Damped.MaxDamped, r.Damped.Outcome,
 			r.Plain.Dropped, r.Damped.Dropped)
@@ -495,7 +559,7 @@ func (g *generator) fig15() error {
 		noPol = append(noPol, r.NoPolicy.Seconds())
 		intended = append(intended, r.Intended.Seconds())
 	}
-	return asciiplot.Plot(os.Stdout, fmt.Sprintf("Fig 15: policy impact (%d-node internet)", data.Nodes),
+	return asciiplot.Plot(g.out, fmt.Sprintf("Fig 15: policy impact (%d-node internet)", data.Nodes),
 		[]asciiplot.Series{
 			{Name: "with policy (no-valley)", X: xs, Y: withPol},
 			{Name: "no policy (shortest path)", X: xs, Y: noPol},

@@ -2,10 +2,19 @@ package main
 
 import (
 	"context"
+	"errors"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"rfd/experiment"
 )
 
 // TestFigureOrder pins the -fig all execution order. The dispatch used to
@@ -54,7 +63,7 @@ func TestRunRejectsBadShards(t *testing.T) {
 		{[]string{"-shards", "4", "-check"}, "invariant checker"},
 	} {
 		args := append([]string{"-fig", "fig7", "-small", "-noplot", "-out", t.TempDir()}, tc.args...)
-		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+		if err := run(context.Background(), args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
 		}
 	}
@@ -66,12 +75,135 @@ func TestRunWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
 	args := []string{"-fig", "fig10", "-small", "-noplot", "-out", dir, "-cpuprofile", cpu, "-memprofile", mem}
-	if err := run(context.Background(), args); err != nil {
+	if err := run(context.Background(), args, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{cpu, mem} {
 		if st, err := os.Stat(name); err != nil || st.Size() == 0 {
 			t.Errorf("%s: missing or empty (err %v)", filepath.Base(name), err)
 		}
+	}
+}
+
+// TestJobsRunEvalOnce: figs 8/9/13/14 come out of one evaluation pass, which
+// a build runs once, as the job of the first of them requested.
+func TestJobsRunEvalOnce(t *testing.T) {
+	for _, tc := range []struct {
+		fig  string
+		want []string
+	}{
+		{"all", []string{"table1", "fig3", "fig7", "fig8", "fig10", "fig15",
+			"deployment", "filters", "intervals", "sizes", "events", "loss"}},
+		{"fig13", []string{"fig13"}},
+		{"nosuch", nil},
+	} {
+		var got []string
+		for _, f := range jobs(tc.fig) {
+			got = append(got, f.name)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("jobs(%q) = %v, want %v", tc.fig, got, tc.want)
+		}
+	}
+}
+
+// TestBuildIndependentOfWorkers: the figures build concurrently under one
+// budget of -workers simulations, yet one at a time and four at a time write
+// the same CSVs and the same stdout, run-cache line included.
+func TestBuildIndependentOfWorkers(t *testing.T) {
+	buildAt := func(workers string) (map[string]string, string) {
+		dir := t.TempDir()
+		var stdout strings.Builder
+		args := []string{"-fig", "all", "-small", "-noplot", "-workers", workers, "-out", dir}
+		if err := run(context.Background(), args, &stdout); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files, strings.ReplaceAll(stdout.String(), dir, "OUT")
+	}
+	files1, out1 := buildAt("1")
+	files4, out4 := buildAt("4")
+	if len(files1) != 15 || !maps.Equal(files1, files4) {
+		t.Errorf("CSVs differ between -workers 1 (%d files) and -workers 4 (%d files)", len(files1), len(files4))
+	}
+	if !strings.Contains(out1, "run cache: ") || out1 != out4 {
+		t.Errorf("stdout differs between -workers 1 and 4:\n%s\n---\n%s", out1, out4)
+	}
+}
+
+// TestRunFailureStopsBuild: the error of a failing build is that of the first
+// failing figure in figures order — fig7, as in TestRunRejectsBadShards; every
+// figure simulating after it is cancelled — and a cancelled context stops the
+// build with a typed ErrCanceled. Either way no figure goroutine outlives run.
+func TestRunFailureStopsBuild(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		args  []string
+		check func(error) bool
+	}{
+		{"bad shards", context.Background(), []string{"-shards", "4", "-check"}, func(err error) bool {
+			return strings.HasPrefix(err.Error(), "fig7: ") && strings.Contains(err.Error(), "invariant checker")
+		}},
+		{"cancelled", cancelled, nil, func(err error) bool { return errors.Is(err, experiment.ErrCanceled) }},
+	} {
+		before := runtime.NumGoroutine()
+		args := append([]string{"-fig", "all", "-small", "-noplot", "-out", t.TempDir()}, tc.args...)
+		if err := run(tc.ctx, args, io.Discard); err == nil || !tc.check(err) {
+			t.Errorf("%s: err = %v", tc.name, err)
+		}
+		// A finished goroutine may take a moment to leave the count.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines after run, %d before", tc.name, n, before)
+		}
+	}
+}
+
+// TestBuildReportsFirstFailureInOrder: build reports the first failure in jobs
+// order, not in time, writes the output of the jobs up to it, cancels the
+// jobs after a failed one, and returns only once they have all finished.
+func TestBuildReportsFirstFailureInOrder(t *testing.T) {
+	var finished atomic.Bool
+	jobs := []figure{
+		{"ok", func(g *generator) error { _, err := io.WriteString(g.out, "ok\n"); return err }, ""},
+		{"slow", func(g *generator) error {
+			time.Sleep(50 * time.Millisecond)
+			io.WriteString(g.out, "slow\n")
+			return errors.New("failed late")
+		}, ""},
+		{"fast", func(*generator) error { return errors.New("failed at once") }, ""},
+		{"cancelled", func(g *generator) error {
+			<-g.opts.Ctx.Done()
+			time.Sleep(100 * time.Millisecond)
+			finished.Store(true)
+			return context.Cause(g.opts.Ctx)
+		}, ""},
+	}
+	var out strings.Builder
+	err := build(generator{}, jobs, &out)
+	if err == nil || err.Error() != "slow: failed late" {
+		t.Errorf("err = %v, want slow's", err)
+	}
+	if out.String() != "ok\nslow\n" {
+		t.Errorf("output %q, want the jobs' up to slow", out.String())
+	}
+	if !finished.Load() {
+		t.Error("build returned before the cancelled job finished")
 	}
 }

@@ -31,7 +31,8 @@ type Options struct {
 	// Seed drives topology generation and protocol randomness.
 	Seed uint64
 	// Workers bounds the number of simulations running at once in a figure's
-	// sweeps — a sweep's trunk counts as one (runtime.NumCPU() when 0).
+	// sweeps — a sweep's trunk counts as one (runtime.NumCPU() when 0). Under
+	// SharedBudget it bounds them across every figure built from the options.
 	Workers int
 	// Cache, when non-nil, dedupes identical runs across figures: scenarios
 	// shared between figures (the undamped mesh baseline, the damped sweeps)
@@ -58,6 +59,11 @@ type Options struct {
 	// with ErrBudgetExceeded. Nil means context.Background(). An un-tripped
 	// context leaves every figure byte-identical.
 	Ctx context.Context
+
+	// shared, set by SharedBudget, is the one budget every sweep and run made
+	// through these options and their copies takes its tokens from; nil gives
+	// each call a budget of its own.
+	shared budget
 }
 
 // DefaultOptions returns the paper-scale settings.
@@ -93,6 +99,25 @@ func (o Options) workers() int {
 	return runtime.NumCPU()
 }
 
+// SharedBudget returns o with one budget of o.Workers simulations
+// (runtime.NumCPU() when 0) that every sweep and run made through the result,
+// or through a copy of it, takes its tokens from. Figures generated
+// concurrently from it run no more simulations at once between them than one
+// figure alone may; without it each sweep and run is bounded on its own.
+func (o Options) SharedBudget() Options {
+	o.shared = newBudget(o.workers())
+	return o
+}
+
+// tokens returns the budget a sweep or run draws on: the shared one, else a
+// fresh one of n tokens for this call alone.
+func (o Options) tokens(n int) budget {
+	if o.shared != nil {
+		return o.shared
+	}
+	return newBudget(n)
+}
+
 // ctx resolves the supervising context.
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {
@@ -101,18 +126,18 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// sweep runs a pulse sweep under the options' context, worker bound and cache.
+// sweep runs a pulse sweep under the options' context, budget and cache.
 func (o Options) sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
-	return o.Cache.SweepContext(o.ctx(), base, pulses, o.workers())
+	return o.Cache.sweep(o.ctx(), base, pulses, o.tokens(o.workers()))
 }
 
 // sweeps runs the same pulse sweep of several scenarios at once, all under
-// the one worker bound, so that a figure made of independent sweeps waits for
+// the one budget, so that a figure made of independent sweeps waits for
 // their total work spread over the workers rather than for each sweep's trunk
 // in turn. The points come back in the order of bases; the error is that of
 // the first sweep, in that order, that failed.
 func (o Options) sweeps(pulses []int, bases ...Scenario) ([][]SweepPoint, error) {
-	b := newBudget(o.workers())
+	b := o.tokens(o.workers())
 	pts := make([][]SweepPoint, len(bases))
 	errs := make([]error, len(bases))
 	var wg sync.WaitGroup
@@ -132,9 +157,10 @@ func (o Options) sweeps(pulses []int, bases ...Scenario) ([][]SweepPoint, error)
 	return pts, nil
 }
 
-// run executes one scenario through the options' cache (a nil cache runs it).
+// run executes one scenario through the options' cache (a nil cache runs it)
+// under one token of the options' budget.
 func (o Options) run(sc Scenario) (*Result, error) {
-	return o.Cache.RunContext(o.ctx(), sc)
+	return o.Cache.run(o.ctx(), sc, o.tokens(1))
 }
 
 // baseConfig returns the protocol configuration shared by all runs.

@@ -67,6 +67,11 @@ func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
 		return nil, err
 	}
 
+	// A simulation of the build, though neither sweep nor run: it too runs
+	// under a token of the options' budget.
+	b := o.tokens(1)
+	b <- struct{}{}
+	defer func() { <-b }()
 	k := sim.NewKernel(sim.WithSeed(cfg.Seed))
 	n, err := bgp.NewNetwork(k, g, cfg)
 	if err != nil {

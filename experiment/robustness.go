@@ -71,7 +71,9 @@ func LossSweep(o Options, rates []float64, pulses int) ([]LossRow, error) {
 			}
 			sc.Impair = imp
 			sc.Watchdog = &faults.WatchdogConfig{}
-			res, err := RunContext(o.ctx(), sc)
+			// Around the cache: an impaired, watchdogged run has no
+			// fingerprint, and the cache's uncacheable count would log it.
+			res, err := (*RunCache)(nil).run(o.ctx(), sc, o.tokens(1))
 			if err != nil {
 				return nil, fmt.Errorf("experiment: loss %g (damped=%t): %w", rate, damped, err)
 			}

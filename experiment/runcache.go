@@ -365,7 +365,12 @@ func (c *RunCache) Run(sc Scenario) (*Result, error) {
 // RunContext is Run under a supervising context, as SweepContext is Sweep.
 // The error is the point's, without the sweep's pulse-count prefix.
 func (c *RunCache) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
-	pts, err := c.sweep(ctx, sc, []int{sc.Pulses}, newBudget(1))
+	return c.run(ctx, sc, newBudget(1))
+}
+
+// run is RunContext under a token of a budget the caller may share.
+func (c *RunCache) run(ctx context.Context, sc Scenario, b budget) (*Result, error) {
+	pts, err := c.sweep(ctx, sc, []int{sc.Pulses}, b)
 	if pts == nil {
 		return nil, err // the uncached warm-up failed
 	}

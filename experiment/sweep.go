@@ -98,7 +98,10 @@ func SweepParallelContext(ctx context.Context, base Scenario, pulses []int, work
 
 // budget bounds the simulations running at once — a warm-up, a trunk flapping
 // or a point draining — by one token each. Sweeps submitted together share
-// one (Options.sweeps), so the bound holds across them.
+// one (Options.sweeps), so the bound holds across them, and so does every
+// sweep and run of a build under Options.SharedBudget. No goroutine waits for
+// a token while it holds one, and none holds one while it waits on another
+// caller's cache entry, so a shared budget cannot deadlock.
 type budget chan struct{}
 
 func newBudget(workers int) budget { return make(budget, max(workers, 1)) }
