@@ -121,18 +121,6 @@ func TestFlapSteadyStateDoesNotAllocate(t *testing.T) {
 		adjust func(*Config)
 	}{
 		{"exact", func(*Config) {}},
-		// The wheel leg pins the whole timer-wheel path — quantized decay,
-		// reuse-list enrollment, the batch sweep timer, reuse lifts — as
-		// allocation-free too. A small ring lets the warm-up pulses touch
-		// (and size) every reuse list; under the default 722-list ring each
-		// pulse would enroll into cold buckets and their one-time append
-		// growth would read as steady-state allocation.
-		{"wheel", func(cfg *Config) {
-			cfg.DampingEngine = damping.EngineWheel
-			cfg.WheelConfig = damping.WheelConfig{
-				DeltaT: time.Second, DeltaTReuse: 5 * time.Second, MaxLists: 8,
-			}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := topology.Torus(3, 3)

@@ -67,22 +67,6 @@ type Config struct {
 	// must be pure — it is part of the deterministic run identity.
 	DampingSelect func(RouterID) *damping.Params
 
-	// DampingEngine selects the damping backend at routers with damping
-	// enabled. The zero value (damping.EngineExact) keeps the reference
-	// per-prefix exact-decay implementation and its bit-for-bit behavior;
-	// damping.EngineWheel switches to the timer-wheel backend (quantized
-	// decay table, bucketed reuse lists, one batch sweep timer per router)
-	// for large tables, trading a bounded quantization error — see
-	// damping.Wheel. No effect when damping is disabled.
-	DampingEngine damping.EngineKind
-
-	// WheelConfig tunes the timer-wheel backend's quantization geometry
-	// when DampingEngine is damping.EngineWheel. Zero-valued fields fall
-	// back to damping.DefaultWheelConfig. It changes quantized results, so
-	// it is part of the deterministic run identity. Ignored under the
-	// exact engine.
-	WheelConfig damping.WheelConfig
-
 	// EnableRCN attaches root causes to updates and charges the damping
 	// penalty only once per (peer, root cause), per Section 6. It has no
 	// effect at routers without damping.
@@ -154,13 +138,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("bgp: invalid processing delay range [%v, %v]", c.MinProcDelay, c.MaxProcDelay)
 	case c.RCNHistorySize < 0:
 		return fmt.Errorf("bgp: negative RCN history size %d", c.RCNHistorySize)
-	case c.DampingEngine != damping.EngineExact && c.DampingEngine != damping.EngineWheel:
-		return fmt.Errorf("bgp: unknown damping engine %v", c.DampingEngine)
-	}
-	if c.DampingEngine == damping.EngineWheel {
-		if err := c.WheelConfig.WithDefaults().Validate(); err != nil {
-			return fmt.Errorf("bgp: %w", err)
-		}
 	}
 	if c.Damping != nil {
 		if err := c.Damping.Validate(); err != nil {

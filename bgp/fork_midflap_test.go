@@ -93,7 +93,6 @@ type midFlapLeg struct {
 
 var midFlapLegs = []midFlapLeg{
 	{name: "exact", cfg: func(*bgp.Config) {}},
-	{name: "wheel", cfg: func(c *bgp.Config) { c.DampingEngine = damping.EngineWheel }},
 	{name: "rcn", cfg: func(c *bgp.Config) { c.EnableRCN = true }},
 	{name: "impaired", cfg: func(*bgp.Config) {}, impair: true},
 	{name: "fault-plan", cfg: func(*bgp.Config) {}, faults: true},

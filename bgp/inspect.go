@@ -25,9 +25,8 @@ type RIBInView struct {
 	Penalty    float64
 	Suppressed bool
 	// ReuseAt is when the entry's suppression will next be reconsidered:
-	// the per-entry reuse timer's firing instant under the exact engine, or
-	// the sweep instant of the reuse list the entry is enrolled under with
-	// the wheel engine. sim.Never when neither is pending.
+	// the per-entry reuse timer's firing instant, sim.Never when none is
+	// pending.
 	ReuseAt time.Duration
 }
 
@@ -76,11 +75,6 @@ func (r *Router) EachRIBIn(now time.Duration, fn func(RIBInView)) {
 				v.HasDamping = true
 				v.Penalty = e.damp.Penalty(now)
 				v.Suppressed = e.damp.Suppressed()
-				if ws, ok := e.damp.(*damping.WheelState); ok {
-					if at, enrolled := ws.ReuseAt(); enrolled {
-						v.ReuseAt = at
-					}
-				}
 			}
 			fn(v)
 		}
@@ -138,12 +132,11 @@ func (r *Router) DampingParams() (damping.Params, bool) {
 }
 
 // DebugDampingState returns the live damping state for (peer, prefix), nil
-// when none exists. Under the exact engine it is a *damping.State, under the
-// wheel engine a *damping.WheelState. It is a deliberate back door for
+// when none exists. It is a deliberate back door for
 // fault-seeding tests of the invariant checker: mutating the returned state
 // desynchronizes the engine from its own bookkeeping, which is exactly what
 // such a test wants to provoke. Engine and experiment code must not use it.
-func (r *Router) DebugDampingState(peer RouterID, prefix Prefix) damping.Engine {
+func (r *Router) DebugDampingState(peer RouterID, prefix Prefix) *damping.State {
 	pid, ok := r.net.lookupPrefix(prefix)
 	if !ok {
 		return nil

@@ -25,7 +25,7 @@ type ribInEntry struct {
 	everPresent bool
 	seen        bool
 	cause       rcn.Cause
-	damp        damping.Engine
+	damp        *damping.State
 	reuseTimer  sim.Timer
 }
 
@@ -74,12 +74,6 @@ func (h *reuseHandler) HandleEvent(arg uint64) {
 	h.r.reuseExpired(int32(arg>>32), int32(uint32(arg)))
 }
 
-// sweepHandler drives the wheel engine's periodic batch reuse sweep: one
-// timer per router instead of one per suppressed prefix.
-type sweepHandler struct{ r *Router }
-
-func (h *sweepHandler) HandleEvent(uint64) { h.r.sweepExpired() }
-
 // Router is one BGP speaker. Routers are created by NewNetwork — one per
 // topology node — and driven entirely by simulation events.
 //
@@ -98,15 +92,6 @@ type Router struct {
 	// here), resolved once at construction from Config.Damping /
 	// Config.DampingSelect.
 	damp *damping.Params
-	// wheel is the router's timer-wheel damping backend, non-nil exactly
-	// when damping is enabled here and Config.DampingEngine is EngineWheel.
-	// All of the router's RIB-IN damping states are then WheelStates owned
-	// by this wheel, and reuse is driven by sweepTimer instead of
-	// per-entry reuseTimers.
-	wheel *damping.Wheel
-	// wheelLift adapts Wheel.Sweep's lift callback to reuseLifted. Built
-	// once at construction so sweeps allocate nothing.
-	wheelLift func(key uint64)
 
 	ribIn      [][]ribInEntry   // [peer slot][prefix id]
 	ribOut     [][]ribOutEntry  // [peer slot][prefix id]
@@ -117,10 +102,8 @@ type Router struct {
 	sequencers []*rcn.Sequencer // [prefix id] origination root causes
 	linkSeq    []*rcn.Sequencer // [peer slot] link status-change root causes
 
-	mraiH      mraiHandler
-	reuseH     reuseHandler
-	sweepH     sweepHandler
-	sweepTimer sim.Timer
+	mraiH  mraiHandler
+	reuseH reuseHandler
 }
 
 func newRouter(n *Network, id RouterID, rng *xrand.Rand) *Router {
@@ -147,15 +130,8 @@ func newRouter(n *Network, id RouterID, rng *xrand.Rand) *Router {
 		r.peerSlot[p] = int32(s)
 		r.history[s] = r.newHistory()
 	}
-	if r.damp != nil && n.cfg.DampingEngine == damping.EngineWheel {
-		r.wheel = damping.NewWheel(*r.damp, n.cfg.WheelConfig)
-		r.wheelLift = func(key uint64) {
-			r.reuseLifted(int32(key>>32), int32(uint32(key)))
-		}
-	}
 	r.mraiH = mraiHandler{r: r}
 	r.reuseH = reuseHandler{r: r}
-	r.sweepH = sweepHandler{r: r}
 	return r
 }
 
@@ -317,9 +293,7 @@ func (r *Router) ensureRibIn(slot, pid int32) *ribInEntry {
 	e := &col[pid]
 	if !e.seen {
 		e.seen = true
-		if r.wheel != nil {
-			e.damp = r.wheel.NewState(packSlotPrefix(slot, pid))
-		} else if r.damp != nil {
+		if r.damp != nil {
 			e.damp = damping.NewState(*r.damp)
 		}
 	}
@@ -420,17 +394,10 @@ func (r *Router) applyUpdate(slot int32, from RouterID, pid int32, withdraw bool
 			}
 		}
 		if ev.Suppressed && ev.ReuseIn > 0 {
-			if r.wheel != nil {
-				// The wheel state enrolled itself in a reuse list inside
-				// Update; just make sure the router's periodic sweep is
-				// running.
-				r.armSweep(now)
-			} else {
-				// (Re-)arm the reuse timer for the latest penalty value;
-				// charges while suppressed push the reuse instant later (the
-				// timer interaction at the heart of the paper).
-				r.armReuse(e, slot, pid, now+ev.ReuseIn)
-			}
+			// (Re-)arm the reuse timer for the latest penalty value;
+			// charges while suppressed push the reuse instant later (the
+			// timer interaction at the heart of the paper).
+			r.armReuse(e, slot, pid, now+ev.ReuseIn)
 		}
 	}
 
@@ -567,48 +534,6 @@ func (r *Router) reuseExpired(slot, pid int32) {
 		r.armReuse(e, slot, pid, now+e.damp.ReuseIn(now))
 		return
 	}
-	peer := r.peers[slot]
-	if h := r.net.hooks.OnSuppress; h != nil {
-		h(now, r.id, peer, r.net.prefixes[pid], false)
-	}
-	noisy := r.reconcile(pid, e.cause)
-	if h := r.net.hooks.OnReuse; h != nil {
-		h(now, r.id, peer, r.net.prefixes[pid], noisy)
-	}
-}
-
-// armSweep makes sure the wheel engine's periodic reuse sweep is armed for
-// the next sweep boundary. A no-op while a sweep is already pending; the
-// timer stays armed exactly while the wheel has enrolled streams.
-func (r *Router) armSweep(now time.Duration) {
-	if r.sweepTimer.Active() {
-		return
-	}
-	r.sweepTimer = r.net.kernel.AtHandler(r.wheel.NextSweepAt(now), "bgp.dampsweep", &r.sweepH, 0)
-}
-
-// sweepExpired handles the wheel engine's periodic sweep: drain every reuse
-// list that has come due, lifting suppression in batch, then re-arm while
-// any stream remains enrolled (never on an empty wheel, so the kernel's
-// event queue can drain).
-func (r *Router) sweepExpired() {
-	r.sweepTimer = sim.Timer{}
-	now := r.net.kernel.Now()
-	r.wheel.Sweep(now, r.wheelLift)
-	if r.wheel.Enrolled() > 0 {
-		r.armSweep(now)
-	}
-}
-
-// reuseLifted is the wheel sweep's per-stream callback: suppression has
-// already been lifted inside the wheel; re-run the decision process and
-// emit the same hooks as the exact engine's reuseExpired.
-func (r *Router) reuseLifted(slot, pid int32) {
-	e := r.ribInAt(slot, pid)
-	if e == nil {
-		return
-	}
-	now := r.net.kernel.Now()
 	peer := r.peers[slot]
 	if h := r.net.hooks.OnSuppress; h != nil {
 		h(now, r.id, peer, r.net.prefixes[pid], false)
@@ -796,8 +721,6 @@ func (r *Router) resetDamping() {
 				continue
 			}
 			if e.damp != nil {
-				// For wheel states Reset also detaches the entry from its
-				// reuse list, so the wheel drains to empty here.
 				e.damp.Reset()
 			}
 			e.reuseTimer.Cancel()
@@ -805,8 +728,6 @@ func (r *Router) resetDamping() {
 		}
 		r.history[s] = r.newHistory()
 	}
-	r.sweepTimer.Cancel()
-	r.sweepTimer = sim.Timer{}
 }
 
 // crash discards the router's entire protocol state — RIB-IN, RIB-OUT,
@@ -837,11 +758,6 @@ func (r *Router) crash() {
 		clear(colOut)
 		r.history[s] = r.newHistory()
 	}
-	if r.wheel != nil {
-		r.wheel.Reset()
-	}
-	r.sweepTimer.Cancel()
-	r.sweepTimer = sim.Timer{}
 	clear(r.local)
 }
 

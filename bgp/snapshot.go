@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"time"
 
-	"rfd/damping"
 	"rfd/rcn"
 	"rfd/sim"
 )
@@ -170,7 +169,6 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		}
 		remap[&n.routers[id].mraiH] = &f.routers[id].mraiH
 		remap[&n.routers[id].reuseH] = &f.routers[id].reuseH
-		remap[&n.routers[id].sweepH] = &f.routers[id].sweepH
 	}
 	if err := k2.RemapHandlers(func(h sim.Handler) sim.Handler {
 		to, ok := remap[h]
@@ -207,24 +205,11 @@ func (r *Router) forkInto(f *Network, k2 *sim.Kernel) *Router {
 		sequencers: make([]*rcn.Sequencer, len(r.sequencers)),
 		linkSeq:    make([]*rcn.Sequencer, len(r.linkSeq)),
 	}
-	// Wheel routers clone the whole wheel once — reuse lists, sweep clock and
-	// all minted states, in order — then rebind each RIB entry to its cloned
-	// state via the returned pointer map, preserving list membership exactly.
-	var wmap map[*damping.WheelState]*damping.WheelState
-	if r.wheel != nil {
-		c.wheel, wmap = r.wheel.Clone()
-		c.wheelLift = func(key uint64) {
-			c.reuseLifted(int32(key>>32), int32(uint32(key)))
-		}
-	}
 	for s, col := range r.ribIn {
 		nc := cloneSlice(col)
 		for i := range nc {
-			switch d := nc[i].damp.(type) {
-			case *damping.State:
+			if d := nc[i].damp; d != nil {
 				nc[i].damp = d.Clone()
-			case *damping.WheelState:
-				nc[i].damp = wmap[d]
 			}
 			nc[i].reuseTimer = k2.Adopt(nc[i].reuseTimer)
 		}
@@ -256,8 +241,6 @@ func (r *Router) forkInto(f *Network, k2 *sim.Kernel) *Router {
 	}
 	c.mraiH = mraiHandler{r: c}
 	c.reuseH = reuseHandler{r: c}
-	c.sweepH = sweepHandler{r: c}
-	c.sweepTimer = k2.Adopt(r.sweepTimer)
 	return c
 }
 

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"rfd/bgp"
-	"rfd/damping"
 	"rfd/rcn"
 	"rfd/sim"
 )
@@ -61,20 +60,6 @@ type Options struct {
 	// engine and the oracle. Default 1e-9 — the shadow performs bit-identical
 	// float operations, so only accumulated rounding in independent decay
 	// paths needs headroom.
-	//
-	// When the network runs the timer-wheel damping engine
-	// (bgp.Config.DampingEngine == damping.EngineWheel), the oracle
-	// automatically switches to wheel-vs-exact mode: instead of demanding
-	// equality within Epsilon, it checks the engine's quantized penalty
-	// against the documented two-sided bound exact/e^(lambda*DeltaT) <=
-	// wheel <= exact*e^(lambda*DeltaT) (update instants round down to decay
-	// ticks, so the quantized interval between a charge and a query misses
-	// the exact one by less than one tick either way), tolerates
-	// suppression onsets that diverge — in either direction — only while
-	// the shadow sits within one decay tick of the cutoff threshold, and
-	// accepts reuse lifted anywhere in [exact - DeltaT, exact + DeltaT +
-	// DeltaTReuse]. Epsilon still supplies the floating-point slack on
-	// every band edge.
 	Epsilon float64
 
 	// NoOracle disables the differential damping oracle, leaving only the
@@ -163,10 +148,6 @@ type Checker struct {
 	k    *sim.Kernel
 	opts Options
 	cfg  bgp.Config
-	// wheel marks wheel-vs-exact oracle mode (the network runs the
-	// timer-wheel damping engine); wheelCfg is its quantization geometry.
-	wheel    bool
-	wheelCfg damping.WheelConfig
 
 	prevTrace sim.TraceFunc
 	prevAfter sim.TraceFunc
@@ -233,10 +214,6 @@ func Attach(n *bgp.Network, opts Options) (*Checker, error) {
 		links:    make(map[linkKey]*linkTally),
 		cand:     make(map[bgp.Prefix]candidate),
 		locals:   make(map[bgp.Prefix]bgp.LocalView),
-	}
-	if c.cfg.DampingEngine == damping.EngineWheel {
-		c.wheel = true
-		c.wheelCfg = c.cfg.WheelConfig.WithDefaults()
 	}
 	c.lastAt = c.k.Now()
 	c.baseDelivered = n.Delivered()

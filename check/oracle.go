@@ -226,19 +226,11 @@ func (c *Checker) compareShadow(at time.Duration, rid bgp.RouterID, v bgp.RIBInV
 	}
 	if v.Suppressed != st.state.Suppressed() {
 		if !v.Suppressed {
-			// The engine lifted suppression (reuse timer or wheel sweep). The
+			// The engine lifted suppression (its reuse timer fired). The
 			// shadow lifts only through this path, so mirror it — and if the
 			// shadow's penalty has not decayed to the reuse threshold, the
-			// engine reused the route too early. Under the wheel the engine's
-			// penalty can undershoot the exact one by up to one decay tick
-			// (and its cutoff crossing can diverge the same way), so an early
-			// lift within that band is quantization, not a violation — but
-			// the two histories diverge from here, so stop comparing.
+			// engine reused the route too early.
 			if !st.state.TryReuse(at) {
-				if c.wheel && c.wheelLiftBorderline(at, st) {
-					st.desynced = true
-					return
-				}
 				c.record(at, rid, "damping-oracle", fmt.Sprintf(
 					"peer %d prefix %s: engine lifted suppression but shadow penalty %.6g is still above the reuse threshold",
 					v.Peer, v.Prefix, st.state.Penalty(at)))
@@ -246,16 +238,6 @@ func (c *Checker) compareShadow(at time.Duration, rid bgp.RouterID, v bgp.RIBInV
 				return
 			}
 		} else {
-			if c.wheel && c.wheelCutoffBorderline(at, st) {
-				// Wheel quantization shifts update instants by up to one decay
-				// tick either way, so its penalty can cross the cutoff
-				// threshold when the exact shadow's stays within one tick's
-				// decay below it. Within the documented bound — not a
-				// violation, but the two histories diverge from here, so stop
-				// comparing this stream.
-				st.desynced = true
-				return
-			}
 			c.record(at, rid, "damping-oracle", fmt.Sprintf(
 				"peer %d prefix %s: engine suppressed, shadow not (penalty %.6g vs %.6g)",
 				v.Peer, v.Prefix, v.Penalty, st.state.Penalty(at)))
@@ -264,74 +246,12 @@ func (c *Checker) compareShadow(at time.Duration, rid bgp.RouterID, v bgp.RIBInV
 		}
 	}
 	sp := st.state.Penalty(at)
-	if c.wheel {
-		if !c.wheelPenaltyClose(v.Penalty, sp, st.state.Params()) {
-			c.record(at, rid, "damping-oracle", fmt.Sprintf(
-				"peer %d prefix %s: engine penalty %.6g outside wheel bound [%.6g/e^(lambda*dt), %.6g*e^(lambda*dt)]",
-				v.Peer, v.Prefix, v.Penalty, sp, sp))
-			st.desynced = true
-		}
-	} else if !c.floatClose(v.Penalty, sp) {
+	if !c.floatClose(v.Penalty, sp) {
 		c.record(at, rid, "damping-oracle", fmt.Sprintf(
 			"peer %d prefix %s: engine penalty %.6g != shadow penalty %.6g",
 			v.Peer, v.Prefix, v.Penalty, sp))
 		st.desynced = true
 	}
-}
-
-// wheelTickFactor returns e^(lambda*DeltaT) for the given parameters: the
-// maximum ratio by which the wheel's quantized penalty can deviate from the
-// exact one in either direction. Update instants round down to decay ticks,
-// so the quantized interval between a charge and a later query misses the
-// exact interval by strictly less than one tick either way.
-func (c *Checker) wheelTickFactor(p damping.Params) float64 {
-	return math.Exp(p.Lambda() * c.wheelCfg.DeltaT.Seconds())
-}
-
-// wheelCutoffBorderline reports whether the exact shadow's penalty sits
-// close enough below the cutoff threshold that the wheel engine's quantized
-// penalty could legitimately have crossed it: within one decay tick's worth
-// of decay (modulo Epsilon float slack).
-func (c *Checker) wheelCutoffBorderline(at time.Duration, st *stream) bool {
-	p := st.state.Params()
-	sp := st.state.Penalty(at)
-	lo := p.CutoffThreshold / c.wheelTickFactor(p) * (1 - c.opts.Epsilon)
-	return sp > lo && sp <= p.CutoffThreshold*(1+c.opts.Epsilon)
-}
-
-// wheelLiftBorderline reports whether an engine state observed unsuppressed
-// while the exact shadow is still suppressed is within the wheel's
-// quantization bound. Two legitimate causes: the wheel's penalty undershot
-// the exact one by up to one decay tick at a sweep (early reuse lift,
-// shadow within one tick's decay above the reuse threshold), or the
-// shadow's penalty crossed the cutoff at an update whose quantized penalty
-// stayed below it (divergent suppression onset, shadow within one tick's
-// decay above the cutoff threshold).
-func (c *Checker) wheelLiftBorderline(at time.Duration, st *stream) bool {
-	p := st.state.Params()
-	sp := st.state.Penalty(at)
-	factor := c.wheelTickFactor(p)
-	reuseHi := p.ReuseThreshold * factor * (1 + c.opts.Epsilon)
-	cutLo := p.CutoffThreshold * (1 - c.opts.Epsilon)
-	cutHi := p.CutoffThreshold * factor * (1 + c.opts.Epsilon)
-	return sp <= reuseHi || (sp >= cutLo && sp <= cutHi)
-}
-
-// wheelPenaltyClose checks the engine's quantized penalty against the
-// two-sided wheel bound: shadow/e^(lambda*DeltaT) <= engine <=
-// shadow*e^(lambda*DeltaT), with Epsilon slack on both edges (scaled as
-// floatClose does), which also absorbs the wheel's flush-to-zero floor.
-func (c *Checker) wheelPenaltyClose(engine, shadow float64, p damping.Params) bool {
-	scale := 1.0
-	if aa := math.Abs(engine); aa > scale {
-		scale = aa
-	}
-	if bb := math.Abs(shadow); bb > scale {
-		scale = bb
-	}
-	slack := c.opts.Epsilon * scale
-	factor := c.wheelTickFactor(p)
-	return engine >= shadow/factor-slack && engine <= shadow*factor+slack
 }
 
 // finishOracle runs the end-of-run cross-checks: damping.Replay over every
@@ -363,19 +283,7 @@ func (c *Checker) finishOracle(at time.Duration) {
 				"peer %d prefix %s: replay failed: %v", k.Peer, k.Prefix, err))
 			continue
 		}
-		if c.wheel {
-			// Replay lifts suppression at exact reuse instants; the shadow
-			// mirrors the wheel engine's lifts, which lag by up to one decay
-			// tick plus one sweep period. A re-charge landing inside that lag
-			// window merges two exact suppression periods into one wheel
-			// period, so the shadow may legitimately count fewer onsets than
-			// replay — never more.
-			if res.Suppressions < st.suppressions {
-				c.record(at, k.Router, "replay-oracle", fmt.Sprintf(
-					"peer %d prefix %s: replay saw %d suppression onsets, engine stream saw %d (wheel lifts lag, so the stream can only see fewer)",
-					k.Peer, k.Prefix, res.Suppressions, st.suppressions))
-			}
-		} else if res.Suppressions != st.suppressions {
+		if res.Suppressions != st.suppressions {
 			c.record(at, k.Router, "replay-oracle", fmt.Sprintf(
 				"peer %d prefix %s: replay saw %d suppression onsets, engine stream saw %d",
 				k.Peer, k.Prefix, res.Suppressions, st.suppressions))
@@ -421,20 +329,11 @@ func (c *Checker) finishAnalytic(at time.Duration) {
 			c.opts.Origin, c.opts.Prefix, pred.FinalPenalty, st.lastPenalty))
 	}
 	if pred.Suppressed != st.suppressedAfterLast {
-		// Wheel mode: the shadow lifts when the wheel engine does, up to one
-		// decay tick plus one sweep period after the exact reuse instant the
-		// analytic model uses, so still-suppressed-under-wheel is within
-		// bound. The opposite direction (shadow lifted, analytic suppressed)
-		// is impossible under a lagging lift and always a violation.
-		if !(c.wheel && st.suppressedAfterLast && !pred.Suppressed) {
-			c.record(at, c.opts.ISP, "analytic-oracle", fmt.Sprintf(
-				"origin %d prefix %s: analytic suppressed=%t at last event, engine %t",
-				c.opts.Origin, c.opts.Prefix, pred.Suppressed, st.suppressedAfterLast))
-		}
+		c.record(at, c.opts.ISP, "analytic-oracle", fmt.Sprintf(
+			"origin %d prefix %s: analytic suppressed=%t at last event, engine %t",
+			c.opts.Origin, c.opts.Prefix, pred.Suppressed, st.suppressedAfterLast))
 	}
 	if pred.SuppressedAtEvent != st.firstSuppression {
-		// The first onset precedes any reuse lift, so it is engine-exact even
-		// in wheel mode (divergent onsets desync the stream before Finish).
 		c.record(at, c.opts.ISP, "analytic-oracle", fmt.Sprintf(
 			"origin %d prefix %s: analytic suppression onset at event %d, engine at %d",
 			c.opts.Origin, c.opts.Prefix, pred.SuppressedAtEvent, st.firstSuppression))

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"rfd/damping"
 	"rfd/experiment"
 	"rfd/topology"
 )
@@ -132,7 +131,7 @@ func TestScenarioMemoKeysLikeUncached(t *testing.T) {
 		{Topology: "mesh"},
 		{Topology: "internet", Nodes: 25, Damping: "cisco", Seed: 1},
 		{Topology: "internet", Nodes: 25, Damping: "cisco", Seed: 2},
-		{Topology: "internet", Nodes: 25, Seed: 1, Engine: "wheel", Damping: "cisco"},
+		{Topology: "internet", Nodes: 25, Seed: 1, Damping: "juniper"},
 		{Topology: "internet", Nodes: 25, Seed: 1, Rows: 9, Cols: 9}, // the other family's sizes are not part of a shape
 	} {
 		got, _, err := req.scenario(graphs)
@@ -143,10 +142,6 @@ func TestScenarioMemoKeysLikeUncached(t *testing.T) {
 		opts.MeshRows, opts.MeshCols = cmp.Or(req.Rows, opts.MeshRows), cmp.Or(req.Cols, opts.MeshCols)
 		opts.InternetNodes = cmp.Or(req.Nodes, opts.InternetNodes)
 		opts.Seed = cmp.Or(req.Seed, opts.Seed)
-		opts.DampingEngine, err = damping.ParseEngine(req.Engine)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if req.FlapIntervalS != 0 {
 			opts.FlapInterval = time.Duration(req.FlapIntervalS * float64(time.Second))
 		}

@@ -47,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"rfd/damping"
 	"rfd/experiment"
 	"rfd/experiment/diskcache"
 	"rfd/topology"
@@ -250,11 +249,8 @@ type sweepRequest struct {
 	Cols  int `json:"cols"`
 	Nodes int `json:"nodes"`
 	// Damping is a damping.ParsePreset name ("none" by default); RCN adds
-	// root-cause notification on top. Engine selects the damping backend:
-	// "" or "exact" (default) for the reference engine, "wheel" for the
-	// timer-wheel batch engine (cache-distinct from exact runs).
+	// root-cause notification on top.
 	Damping string `json:"damping"`
-	Engine  string `json:"damping_engine"`
 	RCN     bool   `json:"rcn"`
 	// Pulses lists the pulse counts to sweep (default 0..4).
 	Pulses []int `json:"pulses"`
@@ -550,9 +546,6 @@ func (r sweepRequest) scenario(graphs *graphMemo) (sc experiment.Scenario, pulse
 	}
 	if len(pulses) > 64 {
 		return sc, nil, fmt.Errorf("too many pulse counts (%d, max 64)", len(pulses))
-	}
-	if o.DampingEngine, err = damping.ParseEngine(r.Engine); err != nil {
-		return sc, nil, err
 	}
 	sc, err = experiment.ShapeScenario(o, shape, r.Damping, r.RCN, graphs.get)
 	return sc, pulses, err

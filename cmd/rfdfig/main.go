@@ -24,7 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"rfd/damping"
 	"rfd/experiment"
 	"rfd/experiment/diskcache"
 	"rfd/internal/asciiplot"
@@ -53,7 +52,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		noCache  = fs.Bool("nocache", false, "disable the cross-figure run cache (re-run scenarios shared between figures)")
 		cacheDir = fs.String("cachedir", "", "persist the run cache in this directory (shared with rfdd; survives restarts)")
 		check    = fs.Bool("check", false, "run every scenario under the runtime invariant checker (slower; any violation fails the figure)")
-		engine   = fs.String("damping-engine", "exact", "damping backend for every run: exact | wheel (timer-wheel batch engine)")
 		shards   = fs.Int("shards", 1, "run every scenario on the sharded engine with this many shards (1 = sequential; figures are identical either way)")
 		progress = fs.Bool("progress", false, "print a live line per warm-up/point (sweep points and single runs) to stderr as each completes (long figure builds stop being silent)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the figure build to this file")
@@ -102,11 +100,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// Every sweep/checkpoint a figure runs reports through the options
 		// context; cache-served points show up flagged as cached.
 		opts.Ctx = experiment.WithProgress(ctx, experiment.TextProgress(os.Stderr))
-	}
-	var err error
-	opts.DampingEngine, err = damping.ParseEngine(*engine)
-	if err != nil {
-		return fmt.Errorf("bad -damping-engine: %w", err)
 	}
 	if !*noCache {
 		opts.Cache = experiment.NewRunCache()

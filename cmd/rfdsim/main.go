@@ -23,6 +23,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -58,7 +59,6 @@ func run(ctx context.Context, args []string) error {
 		pulses    = fs.Int("pulses", 1, "number of (withdrawal, announcement) pulses")
 		interval  = fs.Duration("interval", experiment.DefaultFlapInterval, "flapping interval")
 		damp      = fs.String("damping", "cisco", "damping parameters: none | off | cisco | juniper | ripe229")
-		engine    = fs.String("damping-engine", "exact", "damping backend: exact | wheel (timer-wheel batch engine)")
 		rcnOn     = fs.Bool("rcn", false, "enable RCN-enhanced damping")
 		policy    = fs.String("policy", "shortest", "routing policy: shortest | novalley")
 		mrai      = fs.Duration("mrai", 30*time.Second, "minimum route advertisement interval (0 disables)")
@@ -119,9 +119,6 @@ func run(ctx context.Context, args []string) error {
 	cfg.MRAI = *mrai
 	if cfg.Damping, err = damping.ParsePreset(*damp); err != nil {
 		return err
-	}
-	if cfg.DampingEngine, err = damping.ParseEngine(*engine); err != nil {
-		return fmt.Errorf("bad -damping-engine: %w", err)
 	}
 	cfg.EnableRCN = *rcnOn
 	if cfg.Policy, err = bgp.ParsePolicy(*policy); err != nil {
@@ -225,11 +222,7 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 	fmt.Printf("workload          %d pulses, %v interval\n", res.Pulses, *interval)
-	dampDesc := *damp
-	if cfg.DampingEngine != damping.EngineExact {
-		dampDesc += "/" + cfg.DampingEngine.String()
-	}
-	fmt.Printf("damping           %s (rcn=%t, policy=%s, mrai=%v)\n", dampDesc, *rcnOn, cfg.Policy, *mrai)
+	fmt.Printf("damping           %s (rcn=%t, policy=%s, mrai=%v)\n", *damp, *rcnOn, cfg.Policy, *mrai)
 	fmt.Printf("convergence time  %.0f s\n", res.ConvergenceTime.Seconds())
 	fmt.Printf("message count     %d\n", res.MessageCount)
 	fmt.Printf("damped links max  %d\n", res.MaxDamped)
@@ -268,8 +261,10 @@ func run(ctx context.Context, args []string) error {
 // executes once, and one flight flaps through every pulse count, each point
 // branching off it (see experiment.SweepParallel).
 func runSweep(ctx context.Context, sc experiment.Scenario, spec string, workers int) error {
-	var from, to int
-	if n, err := fmt.Sscanf(spec, "%d:%d", &from, &to); n != 2 || err != nil {
+	fromS, toS, ok := strings.Cut(spec, ":")
+	from, errFrom := strconv.Atoi(fromS)
+	to, errTo := strconv.Atoi(toS)
+	if !ok || errFrom != nil || errTo != nil {
 		return fmt.Errorf(`bad -sweep %q (want "from:to", e.g. "0:10")`, spec)
 	}
 	pulses := experiment.PulseRange(from, to)

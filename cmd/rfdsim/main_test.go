@@ -48,8 +48,13 @@ func TestRunVariants(t *testing.T) {
 	rows := make(map[string][]string)
 	for _, line := range strings.Split(sweep, "\n") {
 		if f := strings.Fields(line); len(f) == 6 {
-			rows[f[0]] = f // pulses, convergence_s, messages, …
+			if _, err := strconv.Atoi(f[0]); err == nil {
+				rows[f[0]] = f // pulses, convergence_s, messages, …
+			}
 		}
+	}
+	if len(rows) != 4 {
+		t.Errorf("-sweep 0:3 printed %d points, want 4:\n%s", len(rows), sweep)
 	}
 	for n := 0; n <= 3; n++ {
 		one, _ := capture(t, slices.Concat(faulty, []string{"-pulses", strconv.Itoa(n)})...)
@@ -97,6 +102,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		// Pre-fix a negative shard count ran sequentially without a word.
 		{[]string{"-rows", "4", "-cols", "4", "-shards", "-2"}, "negative shard count -2"},
 		{[]string{"-rows", "4", "-cols", "4", "-shards", "4", "-check"}, "invariant checker"},
+		// Pre-fix the spec was scanned, not parsed: trailing input was ignored.
+		{[]string{"-rows", "4", "-cols", "4", "-sweep", "1:2:9"}, `bad -sweep "1:2:9" (want "from:to"`},
+		{[]string{"-rows", "4", "-cols", "4", "-sweep", "1:2abc"}, `bad -sweep "1:2abc" (want "from:to"`},
+		{[]string{"-rows", "4", "-cols", "4", "-sweep", ":3"}, `bad -sweep ":3" (want "from:to"`},
+		{[]string{"-rows", "4", "-cols", "4", "-sweep", "a:b"}, `bad -sweep "a:b" (want "from:to"`},
 	}
 	for _, tc := range cases {
 		if err := run(context.Background(), tc.args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkDampingEngines compares the two damping backends on the workload
-// the timer-wheel engine exists for: a router holding 10^5..10^6 damped
-// prefixes. Both backends are driven through a real sim.Kernel exactly as
-// bgp.Router drives them, because the timer machinery is the point of the
+// the timer-wheel structure exists for: a router holding 10^5..10^6 damped
+// prefixes. Both backends are driven through a real sim.Kernel (the exact
+// one as bgp.Router drives it), because the timer machinery is the point of the
 // comparison: the exact engine pays a math.Exp materialization plus a
 // per-prefix reuse-timer cancel+re-arm (two indexed-heap operations) on
 // every suppressed update and one timer pop per release, while the wheel
@@ -138,7 +138,7 @@ func benchUpdateWheel(b *testing.B, n int) {
 		}
 		states[idx].Update(now, kind, true)
 		// The batch path: one sweep timer per router, armed only when it
-		// is not already pending (bgp.Router.armSweep).
+		// is not already pending.
 		if !sweepTimer.Active() {
 			sweepTimer = k.AtHandler(w.NextSweepAt(now), "bench.sweep", &discard, 0)
 		}
@@ -190,8 +190,7 @@ func benchSweepExact(b *testing.B, n int) {
 }
 
 // wheelSweepHandler is the per-router batch sweep callback: it drains the
-// due reuse bucket and re-arms itself while anything stays enrolled
-// (bgp.Router.sweepExpired).
+// due reuse bucket and re-arms itself while anything stays enrolled.
 type wheelSweepHandler struct {
 	k      *sim.Kernel
 	w      *Wheel

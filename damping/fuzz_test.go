@@ -64,7 +64,7 @@ func FuzzParseUpdateLog(f *testing.F) {
 // FuzzWheelMatchesExact is the differential harness for the timer-wheel
 // backend: it decodes the fuzz input into an update schedule, drives an
 // exact State and a WheelState through it in lockstep (sweeping the wheel
-// at every DeltaTReuse boundary, as the router does), and asserts the
+// at every DeltaTReuse boundary, as its owning router would), and asserts the
 // wheel's documented quantization bounds:
 //
 //   - penalty stays within [exact/e^(lambda*DeltaT), exact*e^(lambda*DeltaT)]

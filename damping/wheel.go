@@ -23,8 +23,8 @@ type WheelConfig struct {
 	MaxLists int
 }
 
-// DefaultWheelConfig returns the geometry used by the wheel engine across
-// the simulator: 1s decay ticks, 5s reuse sweeps, up to 4096 reuse lists.
+// DefaultWheelConfig returns BIRD's geometry: 1s decay ticks, 5s reuse
+// sweeps, up to 4096 reuse lists.
 func DefaultWheelConfig() WheelConfig {
 	return WheelConfig{DeltaT: time.Second, DeltaTReuse: 5 * time.Second, MaxLists: 4096}
 }
@@ -72,13 +72,14 @@ const maxDecayTable = 1 << 16
 const reuseTolerance = 1e-9
 
 // minWheelPenalty is the flush-to-zero floor: quantized penalties below it
-// are clamped to exactly zero. It sits far below the checker's 1e-9
-// relative tolerance, so the clamp is invisible to the oracle.
+// are clamped to exactly zero. It sits far below the 1e-9 relative
+// tolerance the wheel is compared against the exact State with.
 const minWheelPenalty = 1e-12
 
-// Wheel is the timer-wheel damping backend (BIRD-style). One Wheel per
-// router owns every WheelState the router's RIB-IN entries hold and
-// amortizes their bookkeeping three ways:
+// Wheel is a timer-wheel damping structure (BIRD-style) for routers that
+// carry 10^5–10^6 damped prefixes. One Wheel per router owns every
+// WheelState the router's RIB-IN entries hold and amortizes their
+// bookkeeping three ways:
 //
 //   - decay is quantized to DeltaT ticks and computed by table lookup
 //     (decay[i] = e^(-lambda*i*DeltaT)), never math.Exp on the hot path;
@@ -99,6 +100,11 @@ const minWheelPenalty = 1e-12
 // exactPenalty * e^(lambda*DeltaT). Reuse is lifted at the first sweep
 // tick at which the quantized penalty has decayed to the threshold, which
 // lands within [exactReuse - DeltaT, exactReuse + DeltaT + DeltaTReuse].
+//
+// The simulator does not damp with it: moving reuse instants changes the
+// timer interaction the paper measures, and every scenario announces one
+// prefix, where the exact State is faster. The bench package's
+// damping.wheel probes measure it.
 type Wheel struct {
 	params Params
 	cfg    WheelConfig
@@ -206,42 +212,6 @@ func (w *Wheel) Sweep(now time.Duration, lift func(key uint64)) {
 	}
 }
 
-// Clone deep-copies the wheel and every state it has minted, returning a
-// map from old state pointers to their clones so the caller can rebind
-// RIB entries. List membership and ordering are preserved exactly, which
-// keeps forked networks byte-identical to their originals.
-func (w *Wheel) Clone() (*Wheel, map[*WheelState]*WheelState) {
-	c := &Wheel{
-		params:    w.params,
-		cfg:       w.cfg,
-		max:       w.max,
-		decay:     w.decay,   // immutable after construction
-		ceiling:   w.ceiling, // immutable after construction
-		lists:     make([][]*WheelState, len(w.lists)),
-		states:    make([]*WheelState, 0, len(w.states)),
-		enrolled:  w.enrolled,
-		lastSweep: w.lastSweep,
-	}
-	m := make(map[*WheelState]*WheelState, len(w.states))
-	for _, s := range w.states {
-		cs := *s
-		cs.w = c
-		c.states = append(c.states, &cs)
-		m[s] = &cs
-	}
-	for i, list := range w.lists {
-		if len(list) == 0 {
-			continue
-		}
-		nl := make([]*WheelState, len(list))
-		for j, s := range list {
-			nl[j] = m[s]
-		}
-		c.lists[i] = nl
-	}
-	return c, m
-}
-
 // Reset discards every state the wheel has minted and empties all reuse
 // lists. Used when a router crashes and drops its RIB wholesale; states
 // still referenced elsewhere become inert (reset, detached).
@@ -341,9 +311,9 @@ func (w *Wheel) remove(s *WheelState) {
 	w.enrolled--
 }
 
-// WheelState is one stream's damping state inside a Wheel. It implements
-// Engine; unlike the exact State it never calls math.Exp or math.Log after
-// construction of its wheel.
+// WheelState is one stream's damping state inside a Wheel. It has the
+// exact State's per-stream methods; unlike the exact State it never calls
+// math.Exp or math.Log after construction of its wheel.
 type WheelState struct {
 	w          *Wheel
 	key        uint64

@@ -182,66 +182,6 @@ func TestWheelReuseLatencyDistribution(t *testing.T) {
 		n, sum/time.Duration(n), worst, cfg.DeltaT+cfg.DeltaTReuse)
 }
 
-func TestWheelCloneIndependence(t *testing.T) {
-	params := Cisco()
-	w := NewWheel(params, DefaultWheelConfig())
-	a := w.NewState(1)
-	b := w.NewState(2)
-	for k := 0; k < 3; k++ {
-		at := sec(float64(k) * 2)
-		a.Update(at, KindWithdrawal, true)
-		b.Update(at+sec(1), KindWithdrawal, true)
-	}
-	if w.Enrolled() != 2 {
-		t.Fatalf("Enrolled() = %d, want 2", w.Enrolled())
-	}
-
-	c, m := w.Clone()
-	ca, cb := m[a], m[b]
-	if ca == nil || cb == nil || ca == a || cb == b {
-		t.Fatal("clone map must cover every state with fresh pointers")
-	}
-	if c.Enrolled() != 2 {
-		t.Fatalf("clone Enrolled() = %d, want 2", c.Enrolled())
-	}
-	origAt, _ := a.ReuseAt()
-	cloneAt, _ := ca.ReuseAt()
-	if cloneAt != origAt {
-		t.Fatalf("clone reuse instant %v != original %v", cloneAt, origAt)
-	}
-
-	// Identical stimuli keep them identical.
-	var origLifts, cloneLifts []uint64
-	now := sec(10)
-	for w.Enrolled() > 0 {
-		now = w.NextSweepAt(now)
-		sweepTo(w, now, &origLifts)
-	}
-	now = sec(10)
-	for c.Enrolled() > 0 {
-		now = c.NextSweepAt(now)
-		sweepTo(c, now, &cloneLifts)
-	}
-	if len(origLifts) != len(cloneLifts) {
-		t.Fatalf("lift counts differ: %v vs %v", origLifts, cloneLifts)
-	}
-	for i := range origLifts {
-		if origLifts[i] != cloneLifts[i] {
-			t.Fatalf("lift order differs at %d: %v vs %v", i, origLifts, cloneLifts)
-		}
-	}
-	// Divergent stimuli must not alias: re-suppress only the clone.
-	for k := 0; k < 3; k++ {
-		ca.Update(now+sec(float64(k)), KindWithdrawal, true)
-	}
-	if a.Suppressed() {
-		t.Fatal("original state aliases its clone")
-	}
-	if c.Enrolled() != 1 || w.Enrolled() != 0 {
-		t.Fatalf("enrollment aliasing: orig %d, clone %d", w.Enrolled(), c.Enrolled())
-	}
-}
-
 func TestWheelStateResetDetaches(t *testing.T) {
 	params := Cisco()
 	w := NewWheel(params, DefaultWheelConfig())

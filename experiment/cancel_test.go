@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,17 +103,15 @@ func TestSweepCancelMidFlight(t *testing.T) {
 	before := numGoroutineSettled()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		// Let the sweep get going, then pull the plug.
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-		close(done)
-	}()
+	defer cancel()
+	// Pull the plug once the first point settles: the sweep is then
+	// certainly under way, with most of its 21 points still to fly. A fixed
+	// wall-clock delay would let a fast host finish the sweep first.
+	var once sync.Once
+	ctx = WithProgress(ctx, &Progress{PointDone: func(SweepPoint) { once.Do(cancel) }})
 	start := time.Now()
 	pts, err := SweepParallelContext(ctx, base, PulseRange(0, 20), 4)
 	elapsed := time.Since(start)
-	<-done
 
 	if err == nil {
 		t.Skip("sweep finished before the cancel landed; nothing to assert")

@@ -42,11 +42,6 @@ type Options struct {
 	// (Scenario.Check). Figures come out identical — the checker only
 	// observes — but any invariant violation fails the figure loudly.
 	Check bool
-	// DampingEngine selects the damping backend for every run (see
-	// bgp.Config.DampingEngine). The zero value is the exact reference
-	// engine; damping.EngineWheel switches to the timer-wheel backend and
-	// makes every run cache-distinct from its exact-engine twin.
-	DampingEngine damping.EngineKind
 	// Shards, when > 1, runs every figure scenario on the sharded engine
 	// (Scenario.Shards). Figures come out identical — the shard count is an
 	// execution detail, not a simulation input — and sweeps still warm up
@@ -167,7 +162,6 @@ func (o Options) run(sc Scenario) (*Result, error) {
 func (o Options) baseConfig() bgp.Config {
 	cfg := bgp.DefaultConfig()
 	cfg.Seed = o.Seed
-	cfg.DampingEngine = o.DampingEngine
 	return cfg
 }
 

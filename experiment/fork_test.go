@@ -4,9 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
-	"rfd/damping"
 	"rfd/faults"
 )
 
@@ -145,30 +143,6 @@ func TestFingerprint(t *testing.T) {
 	diff.Config.EnableRCN = true
 	if k3, _ := diff.Fingerprint(); k3 == k1 {
 		t.Fatal("RCN flag not part of the fingerprint")
-	}
-
-	// The damping engine changes quantized results, so a wheel run must
-	// never share a cache entry with an exact run of the same scenario —
-	// and the wheel's geometry is part of the identity too, except that an
-	// explicit default geometry and the zero value are the same run.
-	wheel := base
-	wheel.Config.DampingEngine = damping.EngineWheel
-	kw, ok := wheel.Fingerprint()
-	if !ok {
-		t.Fatal("wheel scenario should be fingerprintable")
-	}
-	if kw == k1 {
-		t.Fatal("damping engine not part of the fingerprint")
-	}
-	geo := wheel
-	geo.Config.WheelConfig = damping.WheelConfig{DeltaT: 2 * time.Second}
-	if k3, _ := geo.Fingerprint(); k3 == kw {
-		t.Fatal("wheel geometry not part of the fingerprint")
-	}
-	geo = wheel
-	geo.Config.WheelConfig = damping.DefaultWheelConfig()
-	if k3, _ := geo.Fingerprint(); k3 != kw {
-		t.Fatal("explicit default wheel geometry must fingerprint like the zero value")
 	}
 
 	uncacheable := base

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"sync"
 	"unsafe"
-
-	"rfd/damping"
 )
 
 // Fingerprint returns a canonical content hash of everything that determines
@@ -66,15 +64,6 @@ func (s Scenario) fingerprintBase() (string, bool) {
 		fmt.Fprintf(h, "damping %g %g %g %g %g %d %d\n",
 			d.WithdrawalPenalty, d.ReannouncementPenalty, d.AttrChangePenalty,
 			d.CutoffThreshold, d.ReuseThreshold, d.HalfLife, d.MaxHoldDown)
-	}
-	// Written only for non-default engines, so every fingerprint minted
-	// before the engine knob existed stays valid. The wheel geometry
-	// changes quantized results, so it is folded in (post-normalization:
-	// an explicit default config and the zero value are the same run).
-	if cfg.DampingEngine != damping.EngineExact {
-		wc := cfg.WheelConfig.WithDefaults()
-		fmt.Fprintf(h, "dampingengine %d %d %d %d\n",
-			cfg.DampingEngine, wc.DeltaT, wc.DeltaTReuse, wc.MaxLists)
 	}
 	for _, w := range s.Watch {
 		fmt.Fprintf(h, "watch %d %d\n", w.Router, w.Peer)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rfd/bgp"
-	"rfd/damping"
 	"rfd/faults"
 	"rfd/trace"
 )
@@ -44,8 +43,6 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 		}
 		return imp
 	}
-	wheel := dampingCfg()
-	wheel.DampingEngine = damping.EngineWheel
 	rcn := dampingCfg()
 	rcn.EnableRCN = true
 	for _, tc := range []struct {
@@ -54,7 +51,6 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 		edit  func(*Scenario)
 	}{
 		{"plain", true, func(*Scenario) {}},
-		{"wheel", true, func(sc *Scenario) { sc.Config = wheel }},
 		{"rcn", true, func(sc *Scenario) { sc.Config = rcn }},
 		{"via-link", true, func(sc *Scenario) { sc.FlapViaLink = true }},
 		{"watch", true, func(sc *Scenario) { sc.Watch = []PenaltyWatch{{Router: 0, Peer: sc.OriginID()}, {Router: 7, Peer: 2}} }},

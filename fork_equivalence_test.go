@@ -30,26 +30,17 @@ func forkEquivalenceScenarios(t *testing.T) map[string]experiment.Scenario {
 	damped.Damping = &params
 	rcn := damped
 	rcn.EnableRCN = true
-	// The timer-wheel engine must survive fork byte-identically too: reuse
-	// list membership, list order, the sweep clock and the per-router sweep
-	// timer are all part of the forked state.
-	wheel := damped
-	wheel.DampingEngine = damping.EngineWheel
 
 	return map[string]experiment.Scenario{
 		"mesh-damped":     {Graph: mesh, ISP: 0, Config: damped, Pulses: 3},
 		"mesh-rcn":        {Graph: mesh, ISP: 0, Config: rcn, Pulses: 3},
-		"mesh-wheel":      {Graph: mesh, ISP: 0, Config: wheel, Pulses: 3},
 		"internet-damped": {Graph: inet, ISP: 15, Config: damped, Pulses: 3},
 		"internet-rcn":    {Graph: inet, ISP: 15, Config: rcn, Pulses: 3},
-		"internet-wheel":  {Graph: inet, ISP: 15, Config: wheel, Pulses: 3},
 		// Sharded legs: the same invariant on the parallel engine, where the
 		// checkpoint parks a whole kernel group plus the coordinator state and
 		// a fork must remap every shard's handlers onto its forked network.
 		"mesh-damped-sharded":     {Graph: mesh, ISP: 0, Config: damped, Pulses: 3, Shards: 2},
-		"mesh-wheel-sharded":      {Graph: mesh, ISP: 0, Config: wheel, Pulses: 3, Shards: 2},
 		"internet-damped-sharded": {Graph: inet, ISP: 15, Config: damped, Pulses: 3, Shards: 2},
-		"internet-wheel-sharded":  {Graph: inet, ISP: 15, Config: wheel, Pulses: 3, Shards: 2},
 	}
 }
 
@@ -115,7 +106,7 @@ func TestForkEquivalence(t *testing.T) {
 	// Sweep rows, one per engine: a pulse sweep flaps one trajectory and forks
 	// it mid-flight at every requested count, and each point must still be
 	// deeply equal to a from-scratch run of that count.
-	for _, name := range []string{"internet-rcn", "internet-wheel-sharded"} {
+	for _, name := range []string{"internet-rcn", "internet-damped-sharded"} {
 		t.Run("sweep/"+name, func(t *testing.T) {
 			base := forkEquivalenceScenarios(t)[name]
 			pts, err := experiment.SweepParallel(base, experiment.PulseRange(0, base.Pulses), 2)

@@ -31,7 +31,6 @@ const shardedGoldenPath = "testdata/golden_shard_internet208.digest"
 type diffCase struct {
 	name   string
 	graph  func(t *testing.T) *topology.Graph
-	engine damping.EngineKind
 	faults bool
 	pulses int
 	shards int
@@ -216,9 +215,8 @@ func canonicalSharded(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bg
 
 // TestShardedDifferentialMatrix is the tentpole's pinning property at the
 // repo root: across topology families (mesh, internet-derived, CAIDA-
-// imported), damping engines (exact, timer-wheel) and fault injection
-// (off/on), the sharded engine's canonical trace is byte-identical to the
-// sequential engine's for the same seed.
+// imported) and fault injection (off/on), the sharded engine's canonical
+// trace is byte-identical to the sequential engine's for the same seed.
 func TestShardedDifferentialMatrix(t *testing.T) {
 	mesh := func(t *testing.T) *topology.Graph {
 		g, err := topology.Torus(6, 6)
@@ -246,27 +244,18 @@ func TestShardedDifferentialMatrix(t *testing.T) {
 		{"internet208", internet, 1},
 		{"imported60", imported, 2},
 	} {
-		for _, eng := range []struct {
-			name string
-			kind damping.EngineKind
-		}{
-			{"exact", damping.EngineExact},
-			{"wheel", damping.EngineWheel},
-		} {
-			for _, withFaults := range []bool{false, true} {
-				fname := "clean"
-				if withFaults {
-					fname = "faulty"
-				}
-				cases = append(cases, diffCase{
-					name:   gr.name + "/" + eng.name + "/" + fname,
-					graph:  gr.graph,
-					engine: eng.kind,
-					faults: withFaults,
-					pulses: gr.pulses,
-					shards: 4,
-				})
+		for _, withFaults := range []bool{false, true} {
+			fname := "clean"
+			if withFaults {
+				fname = "faulty"
 			}
+			cases = append(cases, diffCase{
+				name:   gr.name + "/exact/" + fname,
+				graph:  gr.graph,
+				faults: withFaults,
+				pulses: gr.pulses,
+				shards: 4,
+			})
 		}
 	}
 
@@ -278,7 +267,6 @@ func TestShardedDifferentialMatrix(t *testing.T) {
 			params := damping.Cisco()
 			cfg.Damping = &params
 			cfg.Seed = 13
-			cfg.DampingEngine = c.engine
 			origin := bgp.RouterID(g.NumNodes() / 2)
 			want := canonicalSharded(t, g, cfg, origin, c.pulses, 1, c.faults)
 			got := canonicalSharded(t, g, cfg, origin, c.pulses, c.shards, c.faults)
@@ -294,8 +282,8 @@ func TestShardedDifferentialMatrix(t *testing.T) {
 }
 
 // TestShardedForkDifferential extends the differential matrix with the fork
-// legs the sharded checkpoint work introduces: for every {topology} × {exact,
-// wheel} × {clean, faulty} cell, a point resumed from a forked sharded
+// legs the sharded checkpoint work introduces: for every {topology} ×
+// {clean, faulty} cell, a point resumed from a forked sharded
 // checkpoint must produce the byte-identical canonical trace of (a) a
 // from-scratch sharded run and (b) a run resumed from a sequential checkpoint
 // of the same scenario. (a) pins Snapshot/Fork round-tripping on the sharded
@@ -359,93 +347,84 @@ func TestShardedForkDifferential(t *testing.T) {
 			return g
 		}, 1},
 	} {
-		for _, eng := range []struct {
-			name string
-			kind damping.EngineKind
-		}{
-			{"exact", damping.EngineExact},
-			{"wheel", damping.EngineWheel},
-		} {
-			for _, withFaults := range []bool{false, true} {
-				fname := "clean"
-				if withFaults {
-					fname = "faulty"
-				}
-				gr, eng, withFaults := gr, eng, withFaults
-				t.Run(gr.name+"/"+eng.name+"/"+fname, func(t *testing.T) {
-					g := gr.graph(t)
-					// mk builds a fresh scenario per leg: impairment streams are
-					// consumed during a run, so legs must never share an
-					// Impairments instance (same seed → identical streams).
-					mk := func(shards int) experiment.Scenario {
-						cfg := bgp.DefaultConfig()
-						params := damping.Cisco()
-						cfg.Damping = &params
-						cfg.Seed = 13
-						cfg.DampingEngine = eng.kind
-						sc := experiment.Scenario{
-							Graph:  g,
-							ISP:    topology.NodeID(g.NumNodes() / 2),
-							Config: cfg,
-							Pulses: gr.pulses,
-							Shards: shards,
-						}
-						if withFaults {
-							im := faults.NewImpairments(cfg.Seed)
-							im.UseLinkStreams()
-							if err := im.SetDefault(faults.Profile{Loss: 0.01, MaxJitter: 2 * time.Millisecond}); err != nil {
-								t.Fatal(err)
-							}
-							sc.Impair = im
-							sc.Faults = faults.NewPlan(
-								faults.FlapLink(30*time.Second, 0, 1, 30*time.Second),
-								faults.ResetSession(45*time.Second, 2, 3),
-							)
-						}
-						return sc
-					}
-
-					scratchRes, scratchTrace := runLeg(t, mk(4), experiment.Run)
-					if len(scratchTrace) == 0 {
-						t.Fatal("empty trace: the comparison is vacuous")
-					}
-
-					cp4, err := experiment.NewCheckpoint(mk(4))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if cp4.Shards() != 4 {
-						t.Fatalf("checkpoint shards = %d, want 4", cp4.Shards())
-					}
-					shRes, shTrace := runLeg(t, mk(4), cp4.Run)
-					diverge(t, "sharded-fork", scratchTrace, shTrace)
-					if !reflect.DeepEqual(scratchRes, shRes) {
-						t.Fatal("sharded-fork Result differs from scratch sharded Result")
-					}
-
-					cp1, err := experiment.NewCheckpoint(mk(0))
-					if err != nil {
-						t.Fatal(err)
-					}
-					seqRes, seqTrace := runLeg(t, mk(0), cp1.Run)
-					diverge(t, "sequential-fork", scratchTrace, seqTrace)
-					// Cross-engine Results are built by different observers
-					// (live hooks vs trace reconstruction); compare the
-					// measured quantities rather than the struct graphs.
-					if seqRes.MessageCount != scratchRes.MessageCount ||
-						seqRes.ConvergenceTime != scratchRes.ConvergenceTime ||
-						seqRes.FlapStart != scratchRes.FlapStart ||
-						seqRes.FlapEnd != scratchRes.FlapEnd ||
-						seqRes.EndTime != scratchRes.EndTime ||
-						seqRes.MaxDamped != scratchRes.MaxDamped ||
-						seqRes.NoisyReuses != scratchRes.NoisyReuses ||
-						seqRes.SilentReuses != scratchRes.SilentReuses ||
-						seqRes.OriginSuppressed != scratchRes.OriginSuppressed ||
-						seqRes.Dropped != scratchRes.Dropped {
-						t.Fatalf("sequential-fork Result diverges:\nseq:     %+v\nsharded: %+v", seqRes, scratchRes)
-					}
-				})
+		for _, withFaults := range []bool{false, true} {
+			fname := "clean"
+			if withFaults {
+				fname = "faulty"
 			}
+			gr, withFaults := gr, withFaults
+			t.Run(gr.name+"/exact/"+fname, func(t *testing.T) {
+				g := gr.graph(t)
+				// mk builds a fresh scenario per leg: impairment streams are
+				// consumed during a run, so legs must never share an
+				// Impairments instance (same seed → identical streams).
+				mk := func(shards int) experiment.Scenario {
+					cfg := bgp.DefaultConfig()
+					params := damping.Cisco()
+					cfg.Damping = &params
+					cfg.Seed = 13
+					sc := experiment.Scenario{
+						Graph:  g,
+						ISP:    topology.NodeID(g.NumNodes() / 2),
+						Config: cfg,
+						Pulses: gr.pulses,
+						Shards: shards,
+					}
+					if withFaults {
+						im := faults.NewImpairments(cfg.Seed)
+						im.UseLinkStreams()
+						if err := im.SetDefault(faults.Profile{Loss: 0.01, MaxJitter: 2 * time.Millisecond}); err != nil {
+							t.Fatal(err)
+						}
+						sc.Impair = im
+						sc.Faults = faults.NewPlan(
+							faults.FlapLink(30*time.Second, 0, 1, 30*time.Second),
+							faults.ResetSession(45*time.Second, 2, 3),
+						)
+					}
+					return sc
+				}
+
+				scratchRes, scratchTrace := runLeg(t, mk(4), experiment.Run)
+				if len(scratchTrace) == 0 {
+					t.Fatal("empty trace: the comparison is vacuous")
+				}
+
+				cp4, err := experiment.NewCheckpoint(mk(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cp4.Shards() != 4 {
+					t.Fatalf("checkpoint shards = %d, want 4", cp4.Shards())
+				}
+				shRes, shTrace := runLeg(t, mk(4), cp4.Run)
+				diverge(t, "sharded-fork", scratchTrace, shTrace)
+				if !reflect.DeepEqual(scratchRes, shRes) {
+					t.Fatal("sharded-fork Result differs from scratch sharded Result")
+				}
+
+				cp1, err := experiment.NewCheckpoint(mk(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				seqRes, seqTrace := runLeg(t, mk(0), cp1.Run)
+				diverge(t, "sequential-fork", scratchTrace, seqTrace)
+				// Cross-engine Results are built by different observers
+				// (live hooks vs trace reconstruction); compare the
+				// measured quantities rather than the struct graphs.
+				if seqRes.MessageCount != scratchRes.MessageCount ||
+					seqRes.ConvergenceTime != scratchRes.ConvergenceTime ||
+					seqRes.FlapStart != scratchRes.FlapStart ||
+					seqRes.FlapEnd != scratchRes.FlapEnd ||
+					seqRes.EndTime != scratchRes.EndTime ||
+					seqRes.MaxDamped != scratchRes.MaxDamped ||
+					seqRes.NoisyReuses != scratchRes.NoisyReuses ||
+					seqRes.SilentReuses != scratchRes.SilentReuses ||
+					seqRes.OriginSuppressed != scratchRes.OriginSuppressed ||
+					seqRes.Dropped != scratchRes.Dropped {
+					t.Fatalf("sequential-fork Result diverges:\nseq:     %+v\nsharded: %+v", seqRes, scratchRes)
+				}
+			})
 		}
 	}
 
