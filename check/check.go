@@ -35,6 +35,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,22 +52,16 @@ type Options struct {
 	ISP    bgp.RouterID
 	Origin bgp.RouterID
 	Prefix bgp.Prefix
-
-	// MaxViolations bounds how many violations are kept with full diagnoses
-	// (the total count keeps counting past it). Default 16.
-	MaxViolations int
-
-	// Epsilon is the relative tolerance for penalty comparisons between the
-	// engine and the oracle. Default 1e-9 — the shadow performs bit-identical
-	// float operations, so only accumulated rounding in independent decay
-	// paths needs headroom.
-	Epsilon float64
-
-	// NoOracle disables the differential damping oracle, leaving only the
-	// structural invariants. Useful when attaching mid-run to a network whose
-	// damping state is already nonzero.
-	NoOracle bool
 }
+
+// maxViolations bounds how many violations are kept with full diagnoses (the
+// total count keeps counting past it).
+const maxViolations = 16
+
+// epsilon is the relative tolerance for penalty comparisons between the
+// engine and the oracle. The shadow performs bit-identical float operations,
+// so only accumulated rounding in independent decay paths needs headroom.
+const epsilon = 1e-9
 
 // Violation is one invariant failure: where it happened, which invariant, and
 // an expected-vs-actual diagnosis.
@@ -106,8 +101,8 @@ type Report struct {
 	Updates uint64
 	// Streams is how many (router, peer, prefix) update streams were shadowed.
 	Streams int
-	// Total counts every violation detected; Violations keeps the first
-	// MaxViolations of them with full diagnoses.
+	// Total counts every violation detected; Violations keeps the first 16
+	// of them with full diagnoses.
 	Total      int
 	Violations []Violation
 }
@@ -139,10 +134,11 @@ func (r *Report) String() string {
 		r.Events, r.Updates, r.Streams, r.Total)
 }
 
-// Checker observes one Network. Create with Attach; call Finish at the end of
-// the run for the replay/analytic cross-checks, then Detach to restore the
-// hooks it chained. Checker is not safe for concurrent use (neither is the
-// kernel it watches).
+// Checker observes one Network. Create with Attach, or with Fork for a fork of
+// an observed network; call Finish at the end of the run for the
+// replay/analytic cross-checks, then Detach to restore the hooks it chained.
+// Checker is not safe for concurrent use (neither is the kernel it watches);
+// a checker and its forks share nothing mutable.
 type Checker struct {
 	n    *bgp.Network
 	k    *sim.Kernel
@@ -197,29 +193,62 @@ func Attach(n *bgp.Network, opts Options) (*Checker, error) {
 	if n == nil {
 		return nil, fmt.Errorf("check: nil network")
 	}
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = 16
-	}
-	if opts.Epsilon <= 0 {
-		opts.Epsilon = 1e-9
-	}
 	c := &Checker{
-		n:        n,
-		k:        n.Kernel(),
 		opts:     opts,
 		cfg:      n.Config(),
 		curEvent: "(attach)",
 		streams:  make(map[streamKey]*stream),
 		hists:    make(map[histKey]*rcn.History),
 		links:    make(map[linkKey]*linkTally),
-		cand:     make(map[bgp.Prefix]candidate),
-		locals:   make(map[bgp.Prefix]bgp.LocalView),
 	}
+	c.install(n)
 	c.lastAt = c.k.Now()
 	c.baseDelivered = n.Delivered()
 	c.baseDropped = n.Dropped()
 	c.seedStreams()
+	c.sweep(c.lastAt)
+	c.curEvent = "(external)"
+	return c, nil
+}
 
+// Fork returns an independent copy of the checker installed on n, which must
+// be a fork of the checker's network taken at this instant (bgp.Network.Fork).
+// Shadow streams, RCN histories, link ledgers, counters and violations are
+// deep-copied, so the two checkers go on certifying their own networks: a
+// violation on one side is reported on that side only. The copy chains
+// whatever observers n carries now, as Attach would.
+func (c *Checker) Fork(n *bgp.Network) *Checker {
+	f := *c
+	f.streams = make(map[streamKey]*stream, len(c.streams))
+	for k, st := range c.streams {
+		cp := *st
+		if st.state != nil {
+			cp.state = st.state.Clone()
+		}
+		cp.updates = slices.Clone(st.updates)
+		f.streams[k] = &cp
+	}
+	f.hists = make(map[histKey]*rcn.History, len(c.hists))
+	for k, h := range c.hists {
+		f.hists[k] = h.Clone()
+	}
+	f.links = make(map[linkKey]*linkTally, len(c.links))
+	for k, t := range c.links {
+		cp := *t
+		f.links[k] = &cp
+	}
+	f.violations = slices.Clone(c.violations)
+	f.install(n)
+	return &f
+}
+
+// install points the checker at n and chains its observers into n's kernel
+// and debug hooks. The sweep scratch is the checker's own.
+func (c *Checker) install(n *bgp.Network) {
+	c.n, c.k = n, n.Kernel()
+	c.cand = make(map[bgp.Prefix]candidate)
+	c.locals = make(map[bgp.Prefix]bgp.LocalView)
+	c.pathBuf = nil
 	c.prevTrace = c.k.Trace()
 	c.k.SetTrace(c.onTrace)
 	c.prevAfter = c.k.AfterEvent()
@@ -231,10 +260,6 @@ func Attach(n *bgp.Network, opts Options) (*Checker, error) {
 		OnDrop:    c.onDrop,
 		OnUpdate:  c.onUpdate,
 	})
-
-	c.sweep(c.lastAt)
-	c.curEvent = "(external)"
-	return c, nil
 }
 
 // Detach restores the observers the checker displaced. Safe to call more than
@@ -270,9 +295,7 @@ func (c *Checker) Finish() *Report {
 		c.finished = true
 		c.curEvent = "(finish)"
 		c.sweep(c.k.Now())
-		if !c.opts.NoOracle {
-			c.finishOracle(c.k.Now())
-		}
+		c.finishOracle(c.k.Now())
 	}
 	return c.Report()
 }
@@ -280,7 +303,7 @@ func (c *Checker) Finish() *Report {
 // record adds one violation.
 func (c *Checker) record(at time.Duration, router bgp.RouterID, invariant, detail string) {
 	c.total++
-	if len(c.violations) < c.opts.MaxViolations {
+	if len(c.violations) < maxViolations {
 		c.violations = append(c.violations, Violation{
 			At:        at,
 			Event:     c.curEvent,

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -240,4 +241,109 @@ func findViolation(rep *Report, router bgp.RouterID, invariant string) (Violatio
 		}
 	}
 	return Violation{}, false
+}
+
+// flapHead and flapRest split the three-pulse scenario halfway into the second
+// withdrawal, while its updates are in flight: the instant the fork tests cut
+// the checked network in two.
+func flapHead(t *testing.T, k *sim.Kernel, n *bgp.Network, origin bgp.RouterID) {
+	t.Helper()
+	pulse(t, k, n, origin)
+	n.Router(origin).StopOriginating(testPrefix)
+	if err := k.RunUntil(k.Now() + 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func flapRest(t *testing.T, k *sim.Kernel, n *bgp.Network, origin bgp.RouterID) {
+	t.Helper()
+	if err := k.RunUntil(k.Now() + 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	n.Router(origin).Originate(testPrefix)
+	if err := k.RunUntil(k.Now() + 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	pulse(t, k, n, origin)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checked is one copy of a checked network.
+type checked struct {
+	k   *sim.Kernel
+	n   *bgp.Network
+	chk *Checker
+}
+
+// forkChecked runs flapHead under a checker, then forks the network and the
+// checker mid-flap: copies[0] is the original, copies[1] the fork.
+func forkChecked(t *testing.T) (copies [2]checked, origin, isp bgp.RouterID) {
+	t.Helper()
+	k, n, origin, isp := buildDamped(t, nil)
+	chk := attach(t, n, origin, isp)
+	flapHead(t, k, n, origin)
+	k2, n2, err := n.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [2]checked{{k, n, chk}, {k2, n2, chk.Fork(n2)}}, origin, isp
+}
+
+// TestForkMatchesUnforkedRun: a checker forked mid-flap with its network
+// certifies both copies as if each had been checked from the start — each
+// drained copy's report equals an unforked checked run's, counters included.
+func TestForkMatchesUnforkedRun(t *testing.T) {
+	k, n, origin, isp := buildDamped(t, nil)
+	ref := attach(t, n, origin, isp)
+	flapHead(t, k, n, origin)
+	flapRest(t, k, n, origin)
+	want := ref.Finish()
+	if err := want.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	copies, origin, _ := forkChecked(t)
+	orig, fork := copies[0], copies[1]
+	flapRest(t, fork.k, fork.n, origin) // the fork drains first: it must not disturb the original
+	flapRest(t, orig.k, orig.n, origin)
+	for i, c := range copies {
+		if got := c.chk.Finish(); !reflect.DeepEqual(got, want) {
+			t.Errorf("copy %d: report %v differs from the unforked run's %v", i, got, want)
+		}
+	}
+	fork.chk.Detach()
+	if fork.k.Trace() != nil || fork.k.AfterEvent() != nil || fork.n.DebugHooks().OnUpdate != nil {
+		t.Error("Detach of the fork left observers on the forked network")
+	}
+	if orig.k.AfterEvent() == nil {
+		t.Error("Detach of the fork removed the original checker's observers")
+	}
+}
+
+// TestForkIsolatesViolations: a penalty corrupted on one copy after the fork
+// is reported by that copy's checker only.
+func TestForkIsolatesViolations(t *testing.T) {
+	for bad, name := range []string{"original", "fork"} {
+		t.Run(name, func(t *testing.T) {
+			copies, origin, isp := forkChecked(t)
+			c := copies[bad]
+			st := c.n.Router(isp).DebugDampingState(origin, testPrefix)
+			if st == nil {
+				t.Fatal("no damping state at isp mid-flap")
+			}
+			st.Update(c.k.Now(), damping.KindWithdrawal, true) // the seeded fault
+			for _, c := range copies {
+				flapRest(t, c.k, c.n, origin)
+			}
+			rep := c.chk.Finish()
+			if _, ok := findViolation(rep, isp, "damping-oracle"); !ok {
+				t.Errorf("corrupted %s: no damping-oracle violation; report %v", name, rep)
+			}
+			if err := copies[1-bad].chk.Finish().Err(); err != nil {
+				t.Errorf("the other copy reported the corruption:\n%v", err)
+			}
+		})
+	}
 }

@@ -128,9 +128,7 @@ func (c *Checker) dropRouterShadows(rid bgp.RouterID) {
 func (c *Checker) onUpdate(at time.Duration, router, peer bgp.RouterID, prefix bgp.Prefix,
 	withdraw bool, path bgp.Path, cause rcn.Cause) {
 	c.updates++
-	if !c.opts.NoOracle {
-		c.oracleUpdate(at, router, peer, prefix, withdraw, path, cause)
-	}
+	c.oracleUpdate(at, router, peer, prefix, withdraw, path, cause)
 	if h := c.prevDebug.OnUpdate; h != nil {
 		h(at, router, peer, prefix, withdraw, path, cause)
 	}
@@ -340,7 +338,7 @@ func (c *Checker) finishAnalytic(at time.Duration) {
 	}
 }
 
-// floatClose compares penalties with relative tolerance Epsilon.
+// floatClose compares penalties with relative tolerance epsilon.
 func (c *Checker) floatClose(a, b float64) bool {
 	diff := math.Abs(a - b)
 	scale := 1.0
@@ -350,5 +348,5 @@ func (c *Checker) floatClose(a, b float64) bool {
 	if bb := math.Abs(b); bb > scale {
 		scale = bb
 	}
-	return diff <= c.opts.Epsilon*scale
+	return diff <= epsilon*scale
 }

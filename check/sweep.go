@@ -127,7 +127,7 @@ func (c *Checker) sweepRouter(at time.Duration, r *bgp.Router) {
 
 	r.EachRIBIn(at, func(v bgp.RIBInView) {
 		if v.HasDamping {
-			if v.Penalty < 0 || v.Penalty > maxPenalty*(1+c.opts.Epsilon) {
+			if v.Penalty < 0 || v.Penalty > maxPenalty*(1+epsilon) {
 				c.record(at, rid, "penalty-bounds", fmt.Sprintf(
 					"peer %d prefix %s: penalty %.6g outside [0, %.6g]",
 					v.Peer, v.Prefix, v.Penalty, maxPenalty))
@@ -143,9 +143,7 @@ func (c *Checker) sweepRouter(at time.Duration, r *bgp.Router) {
 					v.Peer, v.Prefix, v.ReuseAt))
 			}
 		}
-		if !c.opts.NoOracle {
-			c.compareShadow(at, rid, v)
-		}
+		c.compareShadow(at, rid, v)
 		if v.Path != nil && !v.Suppressed {
 			c.offerCandidate(r, v)
 		}

@@ -75,9 +75,10 @@ func TestSweepMatchesStandaloneRuns(t *testing.T) {
 	}
 }
 
-// TestSweepImpairedMatchesStandaloneRuns covers the impairment path: the base
-// scenario's impairment model is forked per point, so each point sees exactly
-// the stream a standalone Run would.
+// TestSweepImpairedMatchesStandaloneRuns covers the impairment path: a flight
+// installs forks of the scenario's impairment model and never consumes it, so
+// each sweep point sees exactly the stream a standalone Run would, and so does
+// every Checkpoint.Run of the same scenario.
 func TestSweepImpairedMatchesStandaloneRuns(t *testing.T) {
 	mkImpair := func() *faults.Impairments {
 		imp := faults.NewImpairments(3)
@@ -102,6 +103,21 @@ func TestSweepImpairedMatchesStandaloneRuns(t *testing.T) {
 		}
 		if !reflect.DeepEqual(pts[i].Result, want) {
 			t.Fatalf("impaired sweep point n=%d differs from standalone Run", n)
+		}
+	}
+	cp, err := NewCheckpoint(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := base
+	sc.Pulses = 2
+	for run := 1; run <= 2; run++ {
+		res, err := cp.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, pts[1].Result) {
+			t.Fatalf("Checkpoint.Run #%d of the sweep's scenario differs from its n=2 point", run)
 		}
 	}
 }

@@ -72,14 +72,15 @@ type Scenario struct {
 	Watch []PenaltyWatch
 	// Trace, when non-nil, records every flap-phase event into the log
 	// (times are flap-relative, like all Result times). A sweep of a traced
-	// scenario runs its points one after another, in ascending pulse count,
-	// each appending its flap phase to the log.
+	// scenario appends its points' flap phases to the log one after another,
+	// in ascending pulse count, once every point has drained.
 	Trace *trace.Log
-	// Impair, when non-nil, is installed on the network after warm-up, so
-	// the flap phase and drain run under message loss / delay jitter while
-	// the warm-up stays clean. A lossy run may legitimately end with
-	// divergent RIBs (dropped updates are never retransmitted), so the
-	// post-run consistency check is fatal only when Impair is nil.
+	// Impair, when non-nil, is installed on the network after warm-up — a
+	// fork of it, so the model itself is never consumed — and the flap phase
+	// and drain run under message loss / delay jitter while the warm-up stays
+	// clean. A lossy run may legitimately end with divergent RIBs (dropped
+	// updates are never retransmitted), so the post-run consistency check is
+	// fatal only when Impair is nil.
 	Impair *faults.Impairments
 	// Faults, when non-nil, is applied after warm-up with the first flap as
 	// its epoch: every Event.At is relative to the same clock zero as the
@@ -489,8 +490,8 @@ type flight struct {
 	epoch time.Duration // engine time of the first flap; zero of every Result time
 	rc    recorder
 	// feeds holds one observation feed per network when there are several
-	// (replayed into rc by finish); logs the per-network trace logs when a
-	// trace was asked of them as well.
+	// (replayed into rc by finish); logs holds one trace log per network when
+	// sc.Trace is set (appended to it by finish).
 	feeds [][]observation
 	logs  []*trace.Log
 	chk   *check.Checker
@@ -498,16 +499,6 @@ type flight struct {
 	// pulseTo calls the engine stands at the instant right after the last
 	// re-announcement (at the epoch when zero).
 	pulses int
-}
-
-// forksMidFlight reports whether a flight of the scenario can be forked
-// between pulses. What cannot be copied is apparatus, not simulation state: a
-// checker holds shadow state chained into one network's hooks, and a caller's
-// trace log would be written by every branch. A fault plan is simulation
-// state — its pending faults fork with the engine. Sweeps of a scenario that
-// cannot fork fly every point on its own.
-func (s Scenario) forksMidFlight() bool {
-	return !s.Check && s.Trace == nil
 }
 
 // begin turns a converged engine into a flight of sc: it installs the
@@ -522,20 +513,18 @@ func begin(sc Scenario, e engine) (*flight, error) {
 	if len(nets) > 1 {
 		f.feeds = make([][]observation, len(nets))
 	}
-	f.observe()
 
 	// Fault injection: impairments and the fault plan come alive at the
-	// epoch, after the clean warm-up, sharing the Result clock zero. With
-	// several networks each gets its own impairment fork (it consumes only
-	// the per-link streams of the links its shard sends on) and the plan is
-	// replicated to every one at the same virtual times, which keeps their
-	// link/session replicas in lockstep.
+	// epoch, after the clean warm-up, sharing the Result clock zero. Each
+	// network gets its own fork of the impairment model, so the caller's is
+	// never consumed and a shard consumes only the per-link streams of the
+	// links it sends on; the plan is replicated to every network at the same
+	// virtual times, which keeps their link/session replicas in lockstep. A
+	// trace is recorded into a log per network.
 	for _, n := range nets {
 		imp := sc.Impair
 		if imp != nil {
-			if len(nets) > 1 {
-				imp = imp.Fork()
-			}
+			imp = imp.Fork()
 			n.SetImpairment(imp)
 		}
 		if sc.Faults != nil {
@@ -544,13 +533,18 @@ func begin(sc Scenario, e engine) (*flight, error) {
 				return nil, fmt.Errorf("experiment: fault plan: %w", err)
 			}
 		}
+		if sc.Trace != nil {
+			f.logs = append(f.logs, trace.NewLog(math.MaxInt))
+		}
 	}
+	f.observe()
 
 	// The invariant checker attaches after the hooks and fault apparatus so
 	// it observes (and chains to) the final observer configuration. Attaching
 	// here — on a converged network with damping state just reset — is the
-	// supported mode: every shadow damping stream starts in sync. Check and
-	// Watchdog attach to one network; validate rejects them on several.
+	// supported mode: every shadow damping stream starts in sync, and every
+	// fork of the flight forks the checker with it. Check and Watchdog attach
+	// to one network; validate rejects them on several.
 	if sc.Check {
 		chk, err := check.Attach(nets[0], check.Options{ISP: bgp.RouterID(sc.ISP), Origin: sc.OriginID(), Prefix: FlapPrefix})
 		if err != nil {
@@ -564,9 +558,8 @@ func begin(sc Scenario, e engine) (*flight, error) {
 
 // observe installs the observers on the flight's engine. One network feeds
 // the recorder live; several append to a feed each, replayed by finish. A
-// trace is a by-product either way, recorded only on request: straight into
-// sc.Trace from one network, into a log per network — merged into sc.Trace
-// by finish — from several.
+// trace is a by-product either way, recorded only on request, into the
+// network's own log.
 func (f *flight) observe() {
 	for s, n := range f.e.shards() {
 		var hooks bgp.Hooks
@@ -575,13 +568,8 @@ func (f *flight) observe() {
 		} else {
 			hooks = f.rc.hooks(n, f.epoch)
 		}
-		if f.sc.Trace != nil {
-			log := f.sc.Trace
-			if f.feeds != nil {
-				log = trace.NewLog(math.MaxInt)
-				f.logs = append(f.logs, log)
-			}
-			hooks = bgp.MergeHooks(hooks, rebaseHooks(bgp.TraceHooks(log), f.epoch))
+		if f.logs != nil {
+			hooks = bgp.MergeHooks(hooks, rebaseHooks(bgp.TraceHooks(f.logs[s]), f.epoch))
 		}
 		n.SetHooks(hooks)
 	}
@@ -589,8 +577,9 @@ func (f *flight) observe() {
 
 // fork returns an independent copy of the flight at this instant: a fork of
 // the engine (in-flight messages, pending timers and stream positions
-// included), a deep copy of everything recorded so far, and observers of its
-// own feeding that copy. Only a scenario that forksMidFlight has one.
+// included), a deep copy of everything recorded so far — trace logs and the
+// invariant checker's shadow state too — and observers of its own feeding
+// that copy.
 func (f *flight) fork() (*flight, error) {
 	e, err := f.e.fork()
 	if err != nil {
@@ -605,7 +594,14 @@ func (f *flight) fork() (*flight, error) {
 			b.feeds[s] = slices.Clone(feed)
 		}
 	}
+	b.logs = slices.Clone(f.logs)
+	for s, log := range b.logs {
+		b.logs[s] = log.Clone()
+	}
 	b.observe()
+	if f.chk != nil {
+		b.chk = f.chk.Fork(e.shards()[0]) // after observe, as in begin
+	}
 	return &b, nil
 }
 
@@ -698,6 +694,11 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	} else if err := e.run(ctx); err != nil {
 		return nil, wrapInterrupt(ctx, "drain", err)
 	}
+	if len(f.logs) == 1 {
+		appendTrace(sc.Trace, f.logs[0]) // as recorded
+	} else if f.logs != nil {
+		appendTrace(sc.Trace, trace.Merge(f.logs...))
+	}
 	if f.chk != nil {
 		res.Check = f.chk.Finish()
 		if err := res.Check.Err(); err != nil {
@@ -705,11 +706,6 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 		}
 	}
 	f.rc.replay(f.feeds)
-	if f.logs != nil {
-		for _, ev := range trace.Merge(f.logs...).Events() {
-			sc.Trace.Append(ev)
-		}
-	}
 	res.EndTime = e.now() - f.epoch
 	res.Dropped = e.Dropped()
 	res.MessageCount = res.Updates.Count()
@@ -752,7 +748,8 @@ type Checkpoint struct {
 	parked engine
 	// branch is set on the value a sweep hands one point's runner: a flight
 	// of the sweep's scenario already pulsed to that point's count, on parked.
-	// The one RunContext call it is made for finishes it in place, no fork.
+	// The one RunContext call it is made for finishes it in place, under the
+	// scenario that call is given, no fork.
 	branch *flight
 	// own marks a warm-up no pool holds, handed to the flight of a single
 	// run: parked is then the converged engine itself, and begin takes it
@@ -829,6 +826,7 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 		if sc.Pulses < c.branch.pulses {
 			return nil, fmt.Errorf("experiment: sweep branch stands at pulse %d, past the %d asked of it", c.branch.pulses, sc.Pulses)
 		}
+		c.branch.sc = sc // the branch finishes into sc's trace log, not the trunk's
 		return c.branch.run(ctx, sc.Pulses)
 	}
 	f, err := c.begin(sc)

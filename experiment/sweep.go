@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
+
+	"rfd/trace"
 )
 
 // SweepPoint pairs a pulse count with its run result. In the partial-result
@@ -45,21 +48,17 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // count asked for twice is simulated once. workers bounds the simulations
 // running at once, the trunk being one of them: with one worker the sweep is
 // strictly flap, drain, flap. Run is this sweep with one count and one
-// worker, whose one flight takes the converged engine itself, unforked. A
-// fault plan rides the trunk too: its pending faults are kernel events, and a
-// fork carries them.
+// worker, whose one flight takes the converged engine itself, unforked.
+// Whatever a flight carries rides the trunk with it: a fault plan's pending
+// faults are kernel events, the invariant checker's shadow state forks with
+// its network, and a trace is recorded per flight and appended to the
+// scenario's log in ascending count order once every point has drained.
 //
 // SweepParallel converges afresh; a sweep through a RunCache with a
 // CheckpointPool starts from the pooled warm-up, and its trunk outlives it:
 // before draining its largest count the sweep parks a fork of the trunk in
 // the pool, and the next sweep of the scenario whose counts all lie at or
 // past that pulse resumes the parked flight rather than flapping from pulse 0.
-//
-// A scenario whose flight cannot be forked between pulses — the invariant
-// checker or a caller's trace log is attached to it — forks the converged
-// engine per point instead and replays each point's flap phase in full. With
-// a trace log, which every point appends to, those points run one at a time
-// in ascending count order.
 //
 // Failure is per-point, not all-or-nothing: a point that errors (or panics —
 // the worker recovers it into a *PanicError carrying the quarantined stack)
@@ -69,18 +68,19 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // check the error keep the old semantics; callers that want the partial
 // results read the slice despite the error.
 //
-// A scenario-level Impair model is forked for the sweep — every point sees
-// the impairment stream from its warm-up-end position, exactly as a
-// standalone Run would, and no mutable RNG state is shared between workers.
+// A scenario-level Impair model is never consumed: a flight installs forks of
+// it, so every point sees the impairment stream from its warm-up-end position,
+// exactly as a standalone Run would, and no mutable RNG state is shared
+// between workers.
 func SweepParallel(base Scenario, pulses []int, workers int) ([]SweepPoint, error) {
 	return SweepParallelContext(context.Background(), base, pulses, workers)
 }
 
-// pointRunner executes one sweep point: cp is the sweep's converged
-// checkpoint or, for a point that rode the trunk, the branch standing at its
-// pulse count, and cp.RunContext(ctx, sc) is the point's run either way. It is
-// a variable so the robustness tests can inject transient errors and panics
-// into the sweep without needing a scenario that misbehaves on cue.
+// pointRunner executes one sweep point: cp carries the branch of the sweep's
+// trunk standing at the point's pulse count, and cp.RunContext(ctx, sc) is the
+// point's run. It is a variable so the robustness tests can inject transient
+// errors and panics into the sweep without needing a scenario that misbehaves
+// on cue.
 var pointRunner = func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
 	return cp.RunContext(ctx, sc)
 }
@@ -149,13 +149,12 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 
 // sweepCheckpointed computes the points of a sweep from its converged
 // checkpoint; the caller holds one token of b. Each distinct pulse count is a
-// job, taken in ascending order. A count that can ride the trunk does (see
-// SweepParallel). Any other count flies on its own from cp: a negative count,
-// which fails validation there, and every count of a scenario that cannot be
-// forked mid-flight. Such flights run concurrently, except a traced
-// scenario's: those run here, in ascending order, since they all append to
-// one log. An own cp is handed to the flight of a single pulse count and
-// forked when there are several counts.
+// job, taken in ascending order, and every valid one rides the trunk (see
+// SweepParallel); a negative count fails validation and never flies. Each
+// point finishes into a trace log of its own (scWithPulses), and the sweep
+// appends them to base.Trace in ascending count order after the last point
+// has drained, so the log has one writer. An own cp is handed to the flight of
+// a single pulse count and forked when there are several counts.
 //
 // A pooled cp lets the trunk outlive the sweep. The trunk takes the flight
 // parked beside cp when it stands at or below the smallest count the trunk
@@ -195,7 +194,8 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 			pr.pointDone(out[i])
 		}
 	}
-	runPoint := func(from *Checkpoint, n int) {
+	runPoint := func(from *Checkpoint, sc Scenario) {
+		n := sc.Pulses
 		if ctx.Err() != nil {
 			// Mark skipped points instead of running them; the sweep still
 			// reports every already-finished Result.
@@ -205,20 +205,17 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 		for range asked[n] {
 			pr.pointStarted(n)
 		}
-		res, err := isolate(base, n, func() (*Result, error) { return pointRunner(ctx, from, scWithPulses(base, n)) })
+		res, err := isolate(base, n, func() (*Result, error) { return pointRunner(ctx, from, sc) })
 		settle(n, res, err)
 	}
 
+	logs := make([]*trace.Log, len(counts)) // each point's trace, by count
 	var wg sync.WaitGroup
 	var trunk *flight
 	var trunkErr error // once set, fails every count the trunk had not reached
 	for k, n := range counts {
-		if n < 0 || !base.forksMidFlight() {
-			if base.Trace != nil {
-				runPoint(cp, n) // every point appends to the one log
-			} else {
-				b.spawn(&wg, func() { runPoint(cp, n) })
-			}
+		if n < 0 {
+			settle(n, nil, scWithPulses(base, n).validate())
 			continue
 		}
 		if trunkErr == nil {
@@ -239,9 +236,11 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 			settle(n, nil, trunkErr)
 			continue
 		}
+		sc := scWithPulses(base, n)
+		logs[k] = sc.Trace
 		if k == len(counts)-1 {
 			cp.entry.park(trunk)
-			runPoint(&Checkpoint{parked: trunk.e, branch: trunk}, n)
+			runPoint(&Checkpoint{parked: trunk.e, branch: trunk}, sc)
 			break
 		}
 		branch, err := trunk.fork()
@@ -251,13 +250,18 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 		}
 		b.spawn(&wg, func() {
 			defer branch.close() // a runner that fails before running it leaves it open
-			runPoint(&Checkpoint{parked: branch.e, branch: branch}, n)
+			runPoint(&Checkpoint{parked: branch.e, branch: branch}, sc)
 		})
 	}
 	if trunk != nil {
 		trunk.close() // again, if its last point ran it; closing twice is safe
 	}
 	wg.Wait()
+	for _, log := range logs {
+		if log != nil {
+			appendTrace(base.Trace, log)
+		}
+	}
 	errs := make([]error, 0, len(pulses))
 	for i := range out {
 		if out[i].Err != nil {
@@ -294,15 +298,23 @@ func isolate(base Scenario, pulses int, run func() (*Result, error)) (res *Resul
 	return run()
 }
 
-// scWithPulses specializes the base scenario to one pulse count, forking the
-// impairment model so no mutable RNG state is shared between workers.
+// scWithPulses specializes the base scenario to one pulse count, giving a
+// traced scenario a log of its own, so no log is shared between workers. (No
+// impairment model is shared either: a flight installs forks of it.)
 func scWithPulses(base Scenario, pulses int) Scenario {
 	sc := base
 	sc.Pulses = pulses
-	if sc.Impair != nil {
-		sc.Impair = sc.Impair.Fork()
+	if sc.Trace != nil {
+		sc.Trace = trace.NewLog(math.MaxInt)
 	}
 	return sc
+}
+
+// appendTrace appends src's events to dst, in order and under dst's bound.
+func appendTrace(dst, src *trace.Log) {
+	for _, ev := range src.Events() {
+		dst.Append(ev)
+	}
 }
 
 // stackTrace captures the current goroutine's stack for a PanicError.

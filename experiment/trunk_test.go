@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -30,11 +32,10 @@ func countBranches(t *testing.T) (branched, solo *atomic.Int64) {
 	return branched, solo
 }
 
-// TestSweepTrunkDecidedByScenario: whether a sweep's points branch off one
-// shared flap trajectory or fly on their own is read off the scenario — the
-// apparatus that cannot be copied mid-flight (invariant checker, caller's
-// trace log) forces per-point flights, nothing else does, a fault plan
-// included — and every point equals a standalone Run either way.
+// TestSweepTrunkDecidedByScenario: every scenario's sweep branches its points
+// off one shared flap trajectory — a fault plan, the invariant checker and a
+// caller's trace log included — and every point equals a standalone Run,
+// Result.Check included.
 func TestSweepTrunkDecidedByScenario(t *testing.T) {
 	lossy := func() *faults.Impairments {
 		imp := faults.NewImpairments(7)
@@ -72,8 +73,8 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 			sc.Shards = 2
 			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
 		}},
-		{"check", false, func(sc *Scenario) { sc.Check = true }},
-		{"trace", false, func(sc *Scenario) { sc.Trace = trace.NewLog(1 << 20) }},
+		{"check", true, func(sc *Scenario) { sc.Check = true }},
+		{"trace", true, func(sc *Scenario) { sc.Trace = trace.NewLog(1 << 20) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			branched, solo := countBranches(t)
@@ -105,6 +106,50 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepTraceMatchesStandaloneRuns: a traced sweep leaves in its log its
+// points' flap phases one after another in ascending count order, byte for
+// byte what standalone traced Runs appended to one log leave — the log's
+// bound and drop count included — whatever the worker count, on either engine.
+func TestSweepTraceMatchesStandaloneRuns(t *testing.T) {
+	const capacity = 3500 // the 3-pulse point's events straddle it
+	jsonl := func(log *trace.Log) []byte {
+		var b bytes.Buffer
+		if err := log.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, shards := range []int{0, 2} {
+		base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Shards: shards}
+		want := trace.NewLog(capacity)
+		for n := 0; n <= 3; n++ {
+			one := base
+			one.Pulses, one.Trace = n, want
+			if _, err := Run(one); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want.Dropped() == 0 {
+			t.Fatal("the standalone runs fit the log: its bound goes untested")
+		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				sc := base
+				sc.Trace = trace.NewLog(capacity)
+				if _, err := SweepParallel(sc, []int{3, 1, 0, 2}, workers); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(jsonl(sc.Trace), jsonl(want)) {
+					t.Errorf("sweep trace (%d events) differs from the standalone runs' (%d events)", sc.Trace.Len(), want.Len())
+				}
+				if sc.Trace.Dropped() != want.Dropped() {
+					t.Errorf("sweep trace dropped %d events, standalone runs %d", sc.Trace.Dropped(), want.Dropped())
+				}
+			})
+		}
 	}
 }
 

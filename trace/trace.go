@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -117,6 +118,14 @@ func (l *Log) Append(e Event) {
 		return
 	}
 	l.events = append(l.events, e)
+}
+
+// Clone returns an independent copy of the log: same capacity, events and
+// drop count.
+func (l *Log) Clone() *Log {
+	c := *l
+	c.events = slices.Clone(l.events)
+	return &c
 }
 
 // Len returns the number of stored events.
