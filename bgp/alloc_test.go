@@ -89,13 +89,14 @@ func TestSendPathDoesNotAllocate(t *testing.T) {
 	// the FIFO/generation bookkeeping, the pooled message slab, the typed
 	// deliver event and receive.
 	msg := Message{From: peer, To: r.id, Prefix: allocPrefix, Path: e.path}
+	slot := n.Router(peer).slotOf(r.id)
 	for i := 0; i < 32; i++ { // warm the message slab and event-queue slab
-		n.send(msg)
+		n.send(slot, msg)
 		for k.Step() {
 		}
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		n.send(msg)
+		n.send(slot, msg)
 		for k.Step() {
 		}
 	})

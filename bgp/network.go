@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -38,10 +39,13 @@ type LinkImpairment interface {
 }
 
 // pendingMsg is an in-flight message parked in the network's slab between
-// send and deliver, stamped with the session generation it was sent on.
+// send and deliver, stamped with the session generation it was sent on and
+// the receiver-side directed slot (To->From) of its link, so delivery looks
+// nothing up.
 type pendingMsg struct {
 	msg Message
 	gen uint64
+	dir int32
 }
 
 // deliverHandler adapts the kernel's typed-event interface to message
@@ -55,18 +59,19 @@ func (h *deliverHandler) HandleEvent(arg uint64) {
 	pm := n.msgSlab[idx]
 	n.msgSlab[idx] = pendingMsg{}
 	n.msgFree = append(n.msgFree, idx)
-	n.deliver(pm.msg, pm.gen)
+	n.deliver(pm.msg, pm.gen, pm.dir)
 }
 
 // Network wires routers built from a topology onto a simulation kernel.
 //
 // Link and session state live in flat edge-indexed arrays over a compressed
-// sparse row (CSR) view of the topology, so the per-message hot path performs
-// no map lookups and no allocation — in-flight messages are parked in a
-// freelist-backed slab and delivery events carry the slab index — while
-// memory stays O(V+E) rather than O(V²), which is what makes internet-scale
-// graphs (and the sharded engine's per-shard replicas of the link state)
-// affordable.
+// sparse row (CSR) view of the topology, and every per-router table is sized
+// by the router's degree, so a network's memory is O(V+E) — which is what
+// makes internet-scale graphs (and the sharded engine's per-shard replicas of
+// the link state) affordable. The per-message hot path performs no lookups
+// and no allocation: senders pass their peer slot, in-flight messages carry
+// the receiver's directed slot, and they are parked in a freelist-backed slab
+// whose index the delivery event carries.
 type Network struct {
 	kernel  *sim.Kernel
 	graph   *topology.Graph
@@ -75,14 +80,15 @@ type Network struct {
 	nn      int // number of nodes
 
 	// CSR adjacency, fixed at construction and shared by forks: node v's
-	// neighbors are adjNbr[adjStart[v]:adjStart[v+1]], sorted ascending —
-	// the same order as Router.peers, so a router's peerSlot doubles as the
-	// offset into its CSR row. A directed link (from,to) is identified by
-	// its slot in adjNbr; adjEdge maps the slot to the undirected edge id
-	// (the index into graph.Edges() order).
+	// neighbors are adjNbr[adjStart[v]:adjStart[v+1]], sorted ascending.
+	// Router.peers is that row, so a peer slot is the offset into it. A
+	// directed link (from,to) is identified by its slot in adjNbr; adjEdge
+	// maps the slot to the undirected edge id (the index into graph.Edges()
+	// order) and adjRev to the slot of the reverse link (to,from).
 	adjStart []int32
 	adjNbr   []RouterID
 	adjEdge  []int32
+	adjRev   []int32
 
 	// linkDelay holds the symmetric propagation delay per undirected edge,
 	// fixed at construction and shared by forks.
@@ -119,7 +125,7 @@ type Network struct {
 	// its arrival time and session generation — in the ensemble's outbox
 	// for injection at the next epoch barrier. Non-nil only on shard
 	// networks.
-	remoteSend func(at time.Duration, msg Message, gen uint64)
+	remoteSend func(at time.Duration, pm pendingMsg)
 	// impair, when non-nil, is consulted once per message sent on a healthy
 	// session (loss and jitter injection).
 	impair LinkImpairment
@@ -226,7 +232,8 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 }
 
 // buildCSR fills the adjacency arrays from the edge list: counting sort into
-// per-node rows, then an in-row sort by neighbor id carrying edge ids along.
+// per-node rows, then an in-row sort by neighbor id carrying edge ids along,
+// then the reverse slot of every directed link.
 func (n *Network) buildCSR(edges []topology.Edge) {
 	n.adjStart = make([]int32, n.nn+1)
 	for _, e := range edges {
@@ -254,6 +261,12 @@ func (n *Network) buildCSR(edges []topology.Edge) {
 		}
 		sort.Sort(row)
 	}
+	n.adjRev = make([]int32, 2*len(edges))
+	for v := 0; v < n.nn; v++ {
+		for d := n.adjStart[v]; d < n.adjStart[v+1]; d++ {
+			n.adjRev[d] = n.dirSlot(n.adjNbr[d], RouterID(v))
+		}
+	}
 }
 
 // adjRow sorts one CSR row by neighbor id, keeping edge ids aligned.
@@ -270,24 +283,24 @@ func (r adjRow) Swap(i, j int) {
 }
 
 // dirSlot returns the directed slot of link from->to (the index into adjNbr,
-// lastArrival), or -1 when no such link exists. Binary search within the
-// node's CSR row; hot paths that already hold the from-side router use its
-// peerSlot for an O(1) lookup instead.
+// lastArrival), or -1 when no such link exists. It binary-searches the
+// node's CSR row, as Router.slotOf does; the update path never calls either,
+// since it carries its slots.
 func (n *Network) dirSlot(from, to RouterID) int32 {
-	if !n.inRange(from) || !n.inRange(to) {
+	if !n.inRange(from) {
 		return -1
 	}
-	lo, hi := n.adjStart[from], n.adjStart[from+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.adjNbr[mid] < to {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if s := rowSlot(n.neighbors(from), to); s >= 0 {
+		return n.adjStart[from] + s
 	}
-	if lo < n.adjStart[from+1] && n.adjNbr[lo] == to {
-		return lo
+	return -1
+}
+
+// rowSlot returns id's offset in the ascending CSR row, -1 when absent (also
+// for self and out-of-range ids, which no row holds).
+func rowSlot(row []RouterID, id RouterID) int32 {
+	if i, ok := slices.BinarySearch(row, id); ok {
+		return int32(i)
 	}
 	return -1
 }
@@ -449,9 +462,10 @@ func (n *Network) RouterUp(id RouterID) bool {
 // and post-recovery traffic must not be serialized behind the arrival times
 // of messages that were lost.
 func (n *Network) severSession(a, b RouterID) {
-	n.sessionGen[n.edgeOf(a, b)]++
-	n.lastArrival[n.dirSlot(a, b)] = 0
-	n.lastArrival[n.dirSlot(b, a)] = 0
+	d := n.dirSlot(a, b)
+	n.sessionGen[n.adjEdge[d]]++
+	n.lastArrival[d] = 0
+	n.lastArrival[n.adjRev[d]] = 0
 }
 
 // SetLinkState fails (up=false) or restores (up=true) the link between a
@@ -589,37 +603,33 @@ func (n *Network) RestartRouter(id RouterID) error {
 	return nil
 }
 
-// neighbors returns id's CSR row: its neighbors in ascending id order (the
-// same order as the router's peers slice). Valid for unowned routers too.
+// neighbors returns id's CSR row: its neighbors in ascending id order. A
+// router's peers slice is this row. Valid for unowned routers too.
 func (n *Network) neighbors(id RouterID) []RouterID {
 	return n.adjNbr[n.adjStart[id]:n.adjStart[id+1]]
 }
 
-// allocMsg parks msg in the slab and returns its index.
-func (n *Network) allocMsg(msg Message, gen uint64) int32 {
+// allocMsg parks an in-flight message in the slab and returns its index.
+func (n *Network) allocMsg(pm pendingMsg) int32 {
 	if k := len(n.msgFree); k > 0 {
 		idx := n.msgFree[k-1]
 		n.msgFree = n.msgFree[:k-1]
-		n.msgSlab[idx] = pendingMsg{msg: msg, gen: gen}
+		n.msgSlab[idx] = pm
 		return idx
 	}
-	n.msgSlab = append(n.msgSlab, pendingMsg{msg: msg, gen: gen})
+	n.msgSlab = append(n.msgSlab, pm)
 	return int32(len(n.msgSlab) - 1)
 }
 
 // send schedules delivery of msg across the directed link (msg.From,
-// msg.To). The message leaves after the sender's processing delay and
-// arrives after the link's propagation delay plus any impairment jitter;
-// FIFO order per direction is enforced so updates never overtake each other
-// within a session. Messages sent while no session is established, or
-// dropped by the impairment model, are lost.
-func (n *Network) send(msg Message) {
+// msg.To); slot is msg.To's peer slot at the sender. The message
+// leaves after the sender's processing delay and arrives after the link's
+// propagation delay plus any impairment jitter; FIFO order per direction is
+// enforced so updates never overtake each other within a session. Messages
+// sent while no session is established, or dropped by the impairment model,
+// are lost.
+func (n *Network) send(slot int32, msg Message) {
 	sender := n.routers[msg.From]
-	slot := sender.slotOf(msg.To)
-	if slot < 0 {
-		panic(fmt.Sprintf("bgp: send on nonexistent link %d->%d", msg.From, msg.To))
-	}
-	// peers is sorted like the CSR row, so the peer slot is the row offset.
 	dir := n.adjStart[msg.From] + slot
 	edge := n.adjEdge[dir]
 	delay := n.linkDelay[edge]
@@ -649,41 +659,38 @@ func (n *Network) send(msg Message) {
 		at = last + time.Nanosecond
 	}
 	n.lastArrival[dir] = at
-	gen := n.sessionGen[edge]
+	pm := pendingMsg{msg: msg, gen: n.sessionGen[edge], dir: n.adjRev[dir]}
 	if n.owner != nil && n.owner[msg.To] != n.shardID {
 		// The receiver lives on another shard: park the message in the
 		// ensemble outbox instead of the local slab. The arrival time is
 		// final (FIFO stamp included) — only the owner of msg.From ever
 		// sends on this directed link, so its lastArrival is authoritative.
-		n.remoteSend(at, msg, gen)
+		n.remoteSend(at, pm)
 		return
 	}
-	n.pendingDeliveries++
-	idx := n.allocMsg(msg, gen)
-	n.kernel.AtHandler(at, "bgp.deliver", &n.deliverH, uint64(uint32(idx)))
+	n.injectDelivery(at, pm)
 }
 
-// injectDelivery schedules delivery of a cross-shard message on the owning
-// shard's kernel. Called only at epoch barriers, in the ensemble's canonical
-// (time, source shard, sequence) order; the lookahead guarantees at is never
+// injectDelivery schedules delivery of an in-flight message at at. send
+// calls it for a local receiver; the sharded engine calls it for a
+// cross-shard message at epoch barriers, in the ensemble's canonical (time,
+// source shard, sequence) order, where the lookahead guarantees at is never
 // in the kernel's past.
-func (n *Network) injectDelivery(at time.Duration, msg Message, gen uint64) {
+func (n *Network) injectDelivery(at time.Duration, pm pendingMsg) {
 	n.pendingDeliveries++
-	idx := n.allocMsg(msg, gen)
+	idx := n.allocMsg(pm)
 	n.kernel.AtHandler(at, "bgp.deliver", &n.deliverH, uint64(uint32(idx)))
 }
 
 // deliver counts the message, notifies hooks, and hands it to the receiver.
+// dir is the receiver-side directed slot (msg.To->msg.From) of the link.
 // Messages whose session died while they were in flight — link failure,
 // session reset, or a crash of either endpoint — are lost, even when the
 // session has since been re-established (gen identifies the incarnation the
 // message was sent on).
-func (n *Network) deliver(msg Message, gen uint64) {
+func (n *Network) deliver(msg Message, gen uint64, dir int32) {
 	n.pendingDeliveries--
-	// Resolve the edge through the receiver's peer slot (the receiver is
-	// always instantiated locally; under sharding the sender may not be).
-	receiver := n.routers[msg.To]
-	edge := n.adjEdge[n.adjStart[msg.To]+receiver.slotOf(msg.From)]
+	edge := n.adjEdge[dir]
 	if n.sessionGen[edge] != gen || !n.sessionUpEdge(edge, msg.From, msg.To) {
 		n.dropped++
 		if n.debugHooks.OnDrop != nil {
@@ -699,7 +706,7 @@ func (n *Network) deliver(msg Message, gen uint64) {
 	if n.debugHooks.OnDeliver != nil {
 		n.debugHooks.OnDeliver(n.kernel.Now(), msg)
 	}
-	n.routers[msg.To].receive(msg)
+	n.routers[msg.To].receive(dir-n.adjStart[msg.To], msg)
 }
 
 // CheckConsistency verifies steady-state invariants and returns the first

@@ -82,12 +82,13 @@ func (h *reuseHandler) HandleEvent(arg uint64) {
 // network's dense prefix ids, so the hot path indexes flat arrays instead of
 // walking nested string-keyed maps.
 type Router struct {
-	id    RouterID
-	net   *Network
-	rng   *xrand.Rand
-	peers []RouterID // sorted ascending; fixed at construction
-	// peerSlot maps a RouterID to its slot in peers (-1 when not a peer).
-	peerSlot []int32
+	id  RouterID
+	net *Network
+	rng *xrand.Rand
+	// peers is the router's CSR row (sorted ascending, fixed at
+	// construction, shared with the network and its forks): a peer's slot is
+	// its offset in the row.
+	peers []RouterID
 	// damp holds this router's damping parameters (nil = damping disabled
 	// here), resolved once at construction from Config.Damping /
 	// Config.DampingSelect.
@@ -107,27 +108,19 @@ type Router struct {
 }
 
 func newRouter(n *Network, id RouterID, rng *xrand.Rand) *Router {
-	neighbors := n.graph.Neighbors(id)
-	peers := make([]RouterID, len(neighbors))
-	copy(peers, neighbors)
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	peers := n.neighbors(id)
 	r := &Router{
-		id:       id,
-		net:      n,
-		rng:      rng,
-		peers:    peers,
-		peerSlot: make([]int32, n.graph.NumNodes()),
-		damp:     n.cfg.dampingFor(id),
-		ribIn:    make([][]ribInEntry, len(peers)),
-		ribOut:   make([][]ribOutEntry, len(peers)),
-		history:  make([]*rcn.History, len(peers)),
-		linkSeq:  make([]*rcn.Sequencer, len(peers)),
+		id:      id,
+		net:     n,
+		rng:     rng,
+		peers:   peers,
+		damp:    n.cfg.dampingFor(id),
+		ribIn:   make([][]ribInEntry, len(peers)),
+		ribOut:  make([][]ribOutEntry, len(peers)),
+		history: make([]*rcn.History, len(peers)),
+		linkSeq: make([]*rcn.Sequencer, len(peers)),
 	}
-	for i := range r.peerSlot {
-		r.peerSlot[i] = -1
-	}
-	for s, p := range peers {
-		r.peerSlot[p] = int32(s)
+	for s := range peers {
 		r.history[s] = r.newHistory()
 	}
 	r.mraiH = mraiHandler{r: r}
@@ -152,12 +145,10 @@ func (r *Router) ID() RouterID { return r.id }
 // shared and must not be modified.
 func (r *Router) Peers() []RouterID { return r.peers }
 
-// slotOf returns the peer's slot, -1 when peer is not a neighbor.
+// slotOf returns the peer's slot, -1 when peer is not a neighbor. It is for
+// cold paths: the update path carries slots instead of looking them up.
 func (r *Router) slotOf(peer RouterID) int32 {
-	if peer < 0 || int(peer) >= len(r.peerSlot) {
-		return -1
-	}
-	return r.peerSlot[peer]
+	return rowSlot(r.peers, peer)
 }
 
 // Originate starts advertising prefix from this router. It is the
@@ -322,17 +313,13 @@ func (r *Router) procDelay() time.Duration {
 	return d
 }
 
-// receive processes one delivered update: damping charge, RIB-IN update,
-// decision process, export.
-func (r *Router) receive(msg Message) {
+// receive processes one delivered update from the peer in slot: damping
+// charge, RIB-IN update, decision process, export.
+func (r *Router) receive(slot int32, msg Message) {
 	if !msg.Withdraw && msg.Path.Contains(r.id) {
 		// Sender-side loop filtering makes this unreachable in this engine,
 		// but a real peer could send such a route; BGP discards it.
 		return
-	}
-	slot := r.slotOf(msg.From)
-	if slot < 0 {
-		panic(fmt.Sprintf("bgp: router %d has no session with %d", r.id, msg.From))
 	}
 	pid := r.net.prefixID(msg.Prefix)
 	r.applyUpdate(slot, msg.From, pid, msg.Withdraw, msg.Path, msg.Cause)
@@ -669,7 +656,7 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause) 
 		// Withdrawals are not rate limited.
 		out.advertised = nil
 		out.pending = false
-		r.net.send(Message{From: r.id, To: q, Prefix: r.net.prefixes[pid], Withdraw: true, Cause: trigger})
+		r.net.send(slot, Message{From: r.id, To: q, Prefix: r.net.prefixes[pid], Withdraw: true, Cause: trigger})
 	case desired.Equal(out.advertised):
 		out.pending = false
 	default:
@@ -688,7 +675,7 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause) 
 func (r *Router) sendAnnouncement(slot int32, q RouterID, pid int32, out *ribOutEntry, path Path, cause rcn.Cause) {
 	out.advertised = path
 	out.pending = false
-	r.net.send(Message{From: r.id, To: q, Prefix: r.net.prefixes[pid], Path: path, Cause: cause})
+	r.net.send(slot, Message{From: r.id, To: q, Prefix: r.net.prefixes[pid], Path: path, Cause: cause})
 	mrai := r.net.cfg.MRAI
 	if mrai <= 0 {
 		return

@@ -12,12 +12,11 @@ import (
 
 // remoteMsg is a cross-shard message parked in the ensemble outbox between
 // the send and the next epoch barrier. at is the final arrival time (FIFO
-// stamp included) and gen the session generation it was sent on; src/seq give
-// the canonical injection order.
+// stamp included) and pm the message with its session generation and
+// receiver-side directed slot; src/seq give the canonical injection order.
 type remoteMsg struct {
 	at  time.Duration
-	msg Message
-	gen uint64
+	pm  pendingMsg
 	src int32
 	seq uint64
 }
@@ -105,9 +104,9 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32, opts ...si
 // bindShard points a shard network's remote-send callback at this ensemble's
 // outbox (used at construction and again after Fork).
 func (sn *ShardedNetwork) bindShard(n *Network, s int32) {
-	n.remoteSend = func(at time.Duration, msg Message, gen uint64) {
+	n.remoteSend = func(at time.Duration, pm pendingMsg) {
 		sn.seq[s]++
-		sn.outbox[s] = append(sn.outbox[s], remoteMsg{at: at, msg: msg, gen: gen, src: s, seq: sn.seq[s]})
+		sn.outbox[s] = append(sn.outbox[s], remoteMsg{at: at, pm: pm, src: s, seq: sn.seq[s]})
 	}
 }
 
@@ -131,7 +130,7 @@ func (sn *ShardedNetwork) Flush() int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
 	for _, m := range buf {
-		sn.shards[sn.owner[m.msg.To]].injectDelivery(m.at, m.msg, m.gen)
+		sn.shards[sn.owner[m.pm.msg.To]].injectDelivery(m.at, m.pm)
 	}
 	sn.flushBuf = buf[:0]
 	return total

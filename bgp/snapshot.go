@@ -129,6 +129,7 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		adjStart:          n.adjStart, // CSR adjacency and delays are
 		adjNbr:            n.adjNbr,   // immutable after construction —
 		adjEdge:           n.adjEdge,  // shared, not copied
+		adjRev:            n.adjRev,
 		linkDelay:         n.linkDelay,
 		lastArrival:       cloneSlice(n.lastArrival),
 		downLinks:         cloneSlice(n.downLinks),
@@ -186,15 +187,14 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 }
 
 // forkInto deep-copies the router into network f, whose kernel k2 adopts the
-// router's pending timers. Shared with the original: peers, peerSlot and damp
-// (fixed at construction) and canonical Path slices (immutable).
+// router's pending timers. Shared with the original: peers (the CSR row) and
+// damp (fixed at construction) and canonical Path slices (immutable).
 func (r *Router) forkInto(f *Network, k2 *sim.Kernel) *Router {
 	c := &Router{
 		id:         r.id,
 		net:        f,
 		rng:        r.rng.Clone(),
 		peers:      r.peers,
-		peerSlot:   r.peerSlot,
 		damp:       r.damp,
 		ribIn:      make([][]ribInEntry, len(r.ribIn)),
 		ribOut:     make([][]ribOutEntry, len(r.ribOut)),
