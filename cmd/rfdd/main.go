@@ -308,6 +308,7 @@ func (s *server) decodeSweep(w http.ResponseWriter, r *http.Request) (req sweepR
 		httpError(w, http.StatusBadRequest, err)
 		return req, base, nil, false
 	}
+	base.NoSeries = true // a reply reads three scalars
 	return req, base, pulses, true
 }
 

@@ -271,6 +271,19 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestSweepCachesNoSeries: a reply reads three scalars of each point, so the
+// Results a sweep caches hold no series — three points of a damped 4×4 mesh
+// take under 4 KiB between them.
+func TestSweepCachesNoSeries(t *testing.T) {
+	s := testServer(t, serverConfig{})
+	if rec, _ := postSweep(t, s.routes(), `{"rows":4,"cols":4,"damping":"cisco","pulses":[0,1,2]}`); rec.Code != http.StatusOK {
+		t.Fatalf("sweep status = %d", rec.Code)
+	}
+	if entries, bytes, _ := s.cache.Resident(); entries != 3 || bytes >= 4<<10 {
+		t.Fatalf("run cache holds %d Results in %d bytes, want 3 in under 4 KiB", entries, bytes)
+	}
+}
+
 // TestSnapshotPool pins the converged-snapshot pool end to end: a repeat
 // request for the same scenario with fresh pulse counts forks the pooled
 // warm-up instead of re-converging, and healthz surfaces the pool counters.

@@ -132,7 +132,8 @@ func run(ctx context.Context, args []string) error {
 		Pulses:       *pulses,
 		FlapInterval: *interval,
 		Check:        *checkOn,
-		Shards:       *shards, // as given: experiment says which counts (and -check) a run refuses
+		Shards:       *shards,   // as given: experiment says which counts (and -check) a run refuses
+		NoSeries:     !*verbose, // only -v prints the series
 	}
 	if *traceFile != "" {
 		sc.Trace = trace.NewLog(0)

@@ -273,6 +273,83 @@ func TestLayeredUnderRunCache(t *testing.T) {
 	}
 }
 
+// TestNoSeriesServedFromFullEntry pins the store's compatibility rule: a
+// full entry serves a NoSeries request with its series dropped, so a cache
+// directory filled before NoSeries existed keeps serving, but a NoSeries
+// entry never serves a request that needs the series.
+func TestNoSeriesServedFromFullEntry(t *testing.T) {
+	disk, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := testScenario(t, 2)
+	lean := full
+	lean.NoSeries = true
+
+	c1 := experiment.NewRunCache()
+	c1.SetStore(disk)
+	fullRes, err := c1.Run(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiment.Run(lean)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh process asks for the NoSeries point: it misses memory and its
+	// own key on disk, and is served from the full entry without running.
+	c2 := experiment.NewRunCache()
+	c2.SetStore(disk)
+	got, err := c2.Run(lean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if storeHits, _ := c2.StoreStats(); storeHits != 1 {
+		t.Fatalf("NoSeries request: store hits %d, want 1 (the full entry)", storeHits)
+	}
+	if got.Updates != nil || got.Damped != nil || got.NoisyReuseTimes != nil || got.LastUpdateByRouter != nil {
+		t.Fatal("a NoSeries request was served a Result with series")
+	}
+	scalars := func(r *experiment.Result) []any {
+		return []any{r.Pulses, r.FlapEnd, r.ConvergenceTime, r.MessageCount, r.MaxDamped,
+			r.NoisyReuses, r.SilentReuses, r.Phases, r.OriginSuppressed, r.EndTime, r.Dropped,
+			r.PenaltyTraces[full.Watch[0]].Points()}
+	}
+	if !reflect.DeepEqual(scalars(got), scalars(want)) {
+		t.Fatalf("served from the full entry: %v, want a NoSeries run's %v", scalars(got), scalars(want))
+	}
+	if fullRes.Updates == nil {
+		t.Fatal("dropping the series for a NoSeries request reached the full Result")
+	}
+	if _, _, stores, _, _ := disk.Stats(); stores != 1 {
+		t.Fatalf("disk stores %d, want 1: a stored Result is not written back", stores)
+	}
+
+	// The reverse: with only a NoSeries entry on disk, a full request runs.
+	disk2, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c3 := experiment.NewRunCache()
+	c3.SetStore(disk2)
+	if _, err := c3.Run(lean); err != nil {
+		t.Fatal(err)
+	}
+	c4 := experiment.NewRunCache()
+	c4.SetStore(disk2)
+	res, err := c4.Run(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if storeHits, _ := c4.StoreStats(); storeHits != 0 {
+		t.Fatalf("full request: store hits %d, want 0 (a NoSeries entry cannot serve it)", storeHits)
+	}
+	if res.Updates == nil || res.Updates.Count() != res.MessageCount {
+		t.Fatal("a full request was served without its series")
+	}
+}
+
 // TestStoreUnencodableResultCounted: a Result carrying process-local state
 // that gob cannot encode must fail Store with an error, not panic, and the
 // failure must show in the stats.

@@ -182,10 +182,13 @@ func (o Options) rcnConfig() bgp.Config {
 }
 
 // scenario builds the base scenario on the topology sh describes, with the
-// originAS at the shape's default ispAS. Every figure, DaemonScenario and the
-// Labovitz events get their graph here.
+// originAS at the shape's default ispAS. Every figure and the Labovitz events
+// get their graph here. It records no series (Scenario.NoSeries): every
+// figure but Fig 10 reads scalars only, and Fig10 asks for them again.
 func (o Options) scenario(sh topology.Shape, cfg bgp.Config) (Scenario, error) {
-	return o.scenarioFrom(sh, cfg, topology.Shape.Generate)
+	sc, err := o.scenarioFrom(sh, cfg, topology.Shape.Generate)
+	sc.NoSeries = true
+	return sc, err
 }
 
 // scenarioFrom is the one place a Scenario is assembled from options, a shape
@@ -601,6 +604,7 @@ func Fig10(o Options) (*Fig10Data, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc.NoSeries = false // the one figure that plots series
 	points, err := o.sweep(sc, []int{1, 3, 5})
 	if err != nil {
 		return nil, err

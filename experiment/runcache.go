@@ -68,12 +68,17 @@ func (s Scenario) fingerprintBase() (string, bool) {
 	for _, w := range s.Watch {
 		fmt.Fprintf(h, "watch %d %d\n", w.Router, w.Peer)
 	}
+	// Written only when set, so every full key stays what it was.
+	if s.NoSeries {
+		fmt.Fprintf(h, "noseries\n")
+	}
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 
 // ResultStore is a persistent layer under the in-memory RunCache: Load is
 // consulted on every in-memory miss (by the claiming owner, so singleflight
-// semantics extend to disk reads), and Store is offered every freshly
+// semantics extend to disk reads) — for a NoSeries point that misses its own
+// key, under its scenario's full key too — and Store is offered every freshly
 // computed Result. Implementations must be safe for concurrent use and must
 // treat stored Results as immutable. experiment/diskcache provides the
 // on-disk implementation; both methods are best-effort — a Load error is
@@ -101,7 +106,7 @@ const (
 // sizeBytes estimates the memory a cached Result holds: its struct, the
 // backing arrays of its series by capacity, and a fixed cost per
 // LastUpdateByRouter entry. The series dominate — every update delivery time
-// is kept.
+// is kept — unless the scenario was NoSeries.
 func (r *Result) sizeBytes() int64 {
 	n := resultBytes + r.Updates.Bytes() + r.Damped.Bytes() + r.NoisyReuseTimes.Bytes()
 	for _, tr := range r.PenaltyTraces {
@@ -326,6 +331,14 @@ func (c *RunCache) loadStored(key string) (*Result, bool) {
 	return res, true
 }
 
+// withoutSeries returns a copy of r that holds what a NoSeries run of its
+// scenario would: the scalars, without the series.
+func (r *Result) withoutSeries() *Result {
+	c := *r
+	c.Updates, c.Damped, c.NoisyReuseTimes, c.LastUpdateByRouter = nil, nil, nil, nil
+	return &c
+}
+
 // storeResult offers a fresh Result to the persistent store (nil-safe,
 // best-effort).
 func (c *RunCache) storeResult(key string, res *Result) {
@@ -407,13 +420,27 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 	live := make([]bool, len(pulses))
 	var missPulses []int
 	var missEntries []*cacheEntry
+	fullKey := "" // base's key with series, computed on the first NoSeries store miss
 	for i, n := range pulses {
 		e, owner := c.claim(fmt.Sprintf("%s:p%d", baseKey, n))
 		entries[i] = e
 		if !owner {
 			continue
 		}
-		if stored, ok := c.loadStored(e.key); ok {
+		stored, ok := c.loadStored(e.key)
+		if !ok && base.NoSeries {
+			// A stored full Result serves a NoSeries point, its series
+			// dropped; never the reverse, as the noseries line keys them apart.
+			if fullKey == "" {
+				full := base
+				full.NoSeries = false
+				fullKey, _ = full.fingerprintBase()
+			}
+			if stored, ok = c.loadStored(fmt.Sprintf("%s:p%d", fullKey, n)); ok {
+				stored = stored.withoutSeries()
+			}
+		}
+		if ok {
 			e.res = stored
 			c.finish(e)
 			continue

@@ -111,6 +111,15 @@ type Scenario struct {
 	// measurement mode (the checker's own hooks do not perturb the
 	// simulation, only wall-clock time).
 	Check bool
+	// NoSeries, when true, records the Result's scalars only: Updates,
+	// Damped, NoisyReuseTimes and LastUpdateByRouter stay nil, so nothing is
+	// kept per update delivery and ConvergenceSpread has nothing to
+	// summarize. Every other field — ConvergenceTime, MessageCount,
+	// MaxDamped, Phases, the reuse counts and the penalty traces Watch asks
+	// for — is identical to a full run's. The simulation is unchanged, but a
+	// NoSeries Result is a few hundred bytes where a full one holds every
+	// delivery time, so Fingerprint tells the two apart.
+	NoSeries bool
 }
 
 // OriginID returns the router ID the attached originAS will receive: the
@@ -160,7 +169,8 @@ type Result struct {
 	// from the first flap on.
 	MessageCount int
 	// Updates records every update delivery time (basis of Fig 10's 5 s
-	// series).
+	// series); nil under Scenario.NoSeries, as are Damped, NoisyReuseTimes
+	// and LastUpdateByRouter.
 	Updates *metrics.EventSeries
 	// Damped tracks the number of suppressed (router, peer) states over
 	// time (Fig 10's damped-link count).
@@ -292,78 +302,168 @@ func converge(ctx context.Context, sc Scenario) (engine, error) {
 // recorder fills a Result from the engine's four observation points; every
 // time it is handed is flap-relative. A flight feeds it live from bgp.Hooks on
 // a single network, or after the drain from the per-shard observation feeds.
-type recorder struct{ res *Result }
+// Every scalar is computed as the observations arrive, exactly as the series
+// would yield it; the series themselves are kept only when series is set.
+type recorder struct {
+	res    *Result
+	series bool
 
-func newRecorder(sc Scenario) recorder {
+	// prev is the latest delivery before the instant of the latest one
+	// (res.Phases.End), valid when hasPrev; charged says the first noisy reuse
+	// found a delivery before it to end charging at.
+	prev             time.Duration
+	hasPrev, charged bool
+	// damped is the running damped-link count, ±1 per suppression flip;
+	// dampedAt is the instant of the last count recorded and dampedNow that
+	// count, which a later flip at the same instant overwrites before it can
+	// raise res.MaxDamped — the peak of Damped, whose last record of an
+	// instant wins.
+	damped, dampedNow int
+	dampedAt          time.Duration
+}
+
+func newRecorder(sc Scenario) *recorder {
 	res := &Result{
-		Origin:             sc.OriginID(),
-		ISP:                bgp.RouterID(sc.ISP),
-		Updates:            &metrics.EventSeries{},
-		Damped:             &metrics.StepSeries{},
-		NoisyReuseTimes:    &metrics.EventSeries{},
-		PenaltyTraces:      make(map[PenaltyWatch]*metrics.FloatSeries, len(sc.Watch)),
-		LastUpdateByRouter: make(map[bgp.RouterID]time.Duration),
+		Origin:        sc.OriginID(),
+		ISP:           bgp.RouterID(sc.ISP),
+		PenaltyTraces: make(map[PenaltyWatch]*metrics.FloatSeries, len(sc.Watch)),
+	}
+	if !sc.NoSeries {
+		res.Updates = &metrics.EventSeries{}
+		res.Damped = &metrics.StepSeries{}
+		res.NoisyReuseTimes = &metrics.EventSeries{}
+		res.LastUpdateByRouter = make(map[bgp.RouterID]time.Duration)
 	}
 	for _, w := range sc.Watch {
 		res.PenaltyTraces[w] = &metrics.FloatSeries{}
 	}
-	return recorder{res}
+	return &recorder{res: res, series: !sc.NoSeries}
 }
 
 // clone returns a recorder over a deep copy of everything recorded so far.
-func (rc recorder) clone() recorder {
+func (rc *recorder) clone() *recorder {
+	c := *rc
 	res := *rc.res
-	res.Updates = res.Updates.Clone()
-	res.Damped = res.Damped.Clone()
-	res.NoisyReuseTimes = res.NoisyReuseTimes.Clone()
+	c.res = &res
+	if rc.series {
+		res.Updates = res.Updates.Clone()
+		res.Damped = res.Damped.Clone()
+		res.NoisyReuseTimes = res.NoisyReuseTimes.Clone()
+		res.LastUpdateByRouter = maps.Clone(rc.res.LastUpdateByRouter)
+	}
 	res.PenaltyTraces = make(map[PenaltyWatch]*metrics.FloatSeries, len(rc.res.PenaltyTraces))
 	for w, tr := range rc.res.PenaltyTraces {
 		res.PenaltyTraces[w] = tr.Clone()
 	}
-	res.LastUpdateByRouter = maps.Clone(rc.res.LastUpdateByRouter)
-	return recorder{&res}
+	return &c
 }
 
-func (rc recorder) deliver(at time.Duration, to bgp.RouterID) {
-	rc.res.Updates.Record(at)
-	rc.res.LastUpdateByRouter[to] = at
+func (rc *recorder) deliver(at time.Duration, to bgp.RouterID) {
+	res := rc.res
+	if res.MessageCount > 0 && at > res.Phases.End {
+		rc.prev, rc.hasPrev = res.Phases.End, true
+	}
+	res.Phases.End = at
+	res.MessageCount++
+	if rc.series {
+		res.Updates.Record(at)
+		res.LastUpdateByRouter[to] = at
+	}
+}
+
+// flip applies one suppression flip to the running damped-link count and
+// returns the count after it.
+func (rc *recorder) flip(on bool) int {
+	if on {
+		rc.damped++
+	} else {
+		rc.damped--
+	}
+	return rc.damped
 }
 
 // suppress records a suppression flip; damped is the network-wide damped-link
 // count after it.
-func (rc recorder) suppress(at time.Duration, router, peer bgp.RouterID, on bool, damped int) {
-	rc.res.Damped.Record(at, damped)
+func (rc *recorder) suppress(at time.Duration, router, peer bgp.RouterID, on bool, damped int) {
+	if at > rc.dampedAt {
+		rc.res.MaxDamped = max(rc.res.MaxDamped, rc.dampedNow)
+	}
+	rc.dampedAt, rc.dampedNow = at, damped
+	if rc.series {
+		rc.res.Damped.Record(at, damped)
+	}
 	if on && router == rc.res.ISP && peer == rc.res.Origin {
 		rc.res.OriginSuppressed = true
 	}
 }
 
-func (rc recorder) reuse(at time.Duration, noisy bool) {
-	if noisy {
-		rc.res.NoisyReuses++
-		rc.res.NoisyReuseTimes.Record(at)
-	} else {
-		rc.res.SilentReuses++
+// reuse records a reuse-timer outcome. The first noisy one starts the
+// releasing phase, and charging ends at the last delivery strictly before it.
+func (rc *recorder) reuse(at time.Duration, noisy bool) {
+	res := rc.res
+	if !noisy {
+		res.SilentReuses++
+		return
+	}
+	res.NoisyReuses++
+	if rc.series {
+		res.NoisyReuseTimes.Record(at)
+	}
+	if ph := &res.Phases; !ph.HasRelease {
+		ph.HasRelease, ph.ReleaseStart = true, at
+		switch {
+		case res.MessageCount > 0 && ph.End < at:
+			ph.ChargingEnd, rc.charged = ph.End, true
+		case rc.hasPrev:
+			ph.ChargingEnd, rc.charged = rc.prev, true
+		}
 	}
 }
 
-func (rc recorder) penalty(at time.Duration, router, peer bgp.RouterID, penalty float64) {
+func (rc *recorder) penalty(at time.Duration, router, peer bgp.RouterID, penalty float64) {
 	if tr, ok := rc.res.PenaltyTraces[PenaltyWatch{Router: router, Peer: peer}]; ok {
 		tr.Record(at, penalty)
 	}
 }
 
+// seal completes the scalars once the last observation is in: the peak
+// damped count and the phases as metrics.ComputePhases defines them, with
+// the convergence time they imply.
+func (rc *recorder) seal() {
+	res := rc.res
+	res.MaxDamped = max(res.MaxDamped, rc.dampedNow)
+	ph := &res.Phases
+	switch {
+	case res.MessageCount == 0:
+		// No updates at all: everything collapses to the flap.
+		*ph = metrics.Phases{ChargingEnd: res.FlapEnd, End: res.FlapEnd}
+	case !ph.HasRelease:
+		ph.ChargingEnd = ph.End
+	case !rc.charged:
+		ph.ChargingEnd = res.FlapEnd
+	}
+	ph.FlapStart, ph.FlapEnd = res.FlapStart, res.FlapEnd
+	res.ConvergenceTime = ph.ConvergenceTime()
+}
+
 // hooks is the live feed: n's observations, rebased to epoch.
-func (rc recorder) hooks(n *bgp.Network, epoch time.Duration) bgp.Hooks {
+func (rc *recorder) hooks(n *bgp.Network, epoch time.Duration) bgp.Hooks {
+	suppress := func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
+		rc.suppress(at-epoch, router, peer, on, rc.flip(on))
+	}
+	if rc.series {
+		suppress = func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
+			// The full RIB-IN scan is kept on purpose on the series path:
+			// bench's TestSmokeTraced asserts experiment.self_s > 0, which
+			// only holds because of it (ROADMAP item 1).
+			rc.suppress(at-epoch, router, peer, on, n.DampedLinkCount())
+		}
+	}
 	return bgp.Hooks{
 		OnDeliver: func(at time.Duration, msg bgp.Message) {
 			rc.deliver(at-epoch, msg.To)
 		},
-		OnSuppress: func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
-			// The full RIB-IN scan is kept on purpose: bench's TestSmokeTraced
-			// asserts experiment.self_s > 0, which only holds because of it.
-			rc.suppress(at-epoch, router, peer, on, n.DampedLinkCount())
-		},
+		OnSuppress: suppress,
 		OnReuse: func(at time.Duration, _, _ bgp.RouterID, _ bgp.Prefix, noisy bool) {
 			rc.reuse(at-epoch, noisy)
 		},
@@ -398,7 +498,7 @@ type observation struct {
 // appends to a feed of its own; replay consumes them after the drain.
 // Penalties are kept for watched pairs only, and not observed at all when
 // nothing is watched.
-func (rc recorder) feedHooks(feed *[]observation, epoch time.Duration) bgp.Hooks {
+func (rc *recorder) feedHooks(feed *[]observation, epoch time.Duration) bgp.Hooks {
 	h := bgp.Hooks{
 		OnDeliver: func(at time.Duration, msg bgp.Message) {
 			*feed = append(*feed, observation{at: at - epoch, kind: obsDeliver, router: msg.To})
@@ -424,12 +524,12 @@ func (rc recorder) feedHooks(feed *[]observation, epoch time.Duration) bgp.Hooks
 // replay records the feeds merged by time. Each feed is already in time order
 // (one kernel's clock), and ties go to the lowest feed: nothing in a Result
 // depends on the order of observations within one instant — series of times
-// are multisets, Damped keeps the last count recorded at an instant, and
+// are multisets, Damped and MaxDamped keep the last count recorded at an
+// instant, the phases compare deliveries with a reuse strictly by time, and
 // everything per router or per pair comes from a single feed. The damped
 // count is a running ±1 over suppression flips — valid because damping state
 // was reset at the epoch, so the count starts at zero.
-func (rc recorder) replay(feeds [][]observation) {
-	damped := 0
+func (rc *recorder) replay(feeds [][]observation) {
 	for {
 		next := -1
 		for s, f := range feeds {
@@ -446,12 +546,7 @@ func (rc recorder) replay(feeds [][]observation) {
 		case obsDeliver:
 			rc.deliver(o.at, o.router)
 		case obsSuppress:
-			if o.flag {
-				damped++
-			} else {
-				damped--
-			}
-			rc.suppress(o.at, o.router, o.peer, o.flag, damped)
+			rc.suppress(o.at, o.router, o.peer, o.flag, rc.flip(o.flag))
 		case obsReuse:
 			rc.reuse(o.at, o.flag)
 		case obsPenalty:
@@ -488,7 +583,7 @@ type flight struct {
 	sc    Scenario // sc.Pulses is not read: the caller says how far to pulse
 	e     engine
 	epoch time.Duration // engine time of the first flap; zero of every Result time
-	rc    recorder
+	rc    *recorder
 	// feeds holds one observation feed per network when there are several
 	// (replayed into rc by finish); logs holds one trace log per network when
 	// sc.Trace is set (appended to it by finish).
@@ -706,14 +801,9 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 		}
 	}
 	f.rc.replay(f.feeds)
+	f.rc.seal()
 	res.EndTime = e.now() - f.epoch
 	res.Dropped = e.Dropped()
-	res.MessageCount = res.Updates.Count()
-	if last, ok := res.Updates.Last(); ok && last > res.FlapEnd {
-		res.ConvergenceTime = last - res.FlapEnd
-	}
-	res.MaxDamped = res.Damped.Max()
-	res.Phases = metrics.ComputePhases(res.Updates, res.NoisyReuseTimes, res.FlapStart, res.FlapEnd)
 
 	// The watchdog already ran the final consistency check (its verdict is
 	// on the Result). Without one, run it here — but a lossy run may
@@ -867,7 +957,8 @@ func (c *Checkpoint) trunk(sc Scenario) (*flight, error) {
 // ConvergenceSpread summarizes how long after the final announcement each
 // router kept receiving updates (seconds). The maximum equals
 // ConvergenceTime; the gap between median and maximum exposes how uneven
-// the damping delay is across the network.
+// the damping delay is across the network. It reads LastUpdateByRouter, so a
+// NoSeries Result summarizes nothing.
 func (r *Result) ConvergenceSpread() metrics.Summary {
 	vals := make([]float64, 0, len(r.LastUpdateByRouter))
 	for _, at := range r.LastUpdateByRouter {
