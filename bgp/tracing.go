@@ -6,44 +6,8 @@ import (
 	"rfd/trace"
 )
 
-// MergeHooks fans every observation out to all the given hook sets, in
-// order. Nil callbacks are skipped. Use it to combine metrics collection
-// with tracing on one network.
-func MergeHooks(hooks ...Hooks) Hooks {
-	return Hooks{
-		OnDeliver: func(at time.Duration, msg Message) {
-			for _, h := range hooks {
-				if h.OnDeliver != nil {
-					h.OnDeliver(at, msg)
-				}
-			}
-		},
-		OnSuppress: func(at time.Duration, router, peer RouterID, prefix Prefix, on bool) {
-			for _, h := range hooks {
-				if h.OnSuppress != nil {
-					h.OnSuppress(at, router, peer, prefix, on)
-				}
-			}
-		},
-		OnReuse: func(at time.Duration, router, peer RouterID, prefix Prefix, noisy bool) {
-			for _, h := range hooks {
-				if h.OnReuse != nil {
-					h.OnReuse(at, router, peer, prefix, noisy)
-				}
-			}
-		},
-		OnPenalty: func(at time.Duration, router, peer RouterID, prefix Prefix, penalty float64) {
-			for _, h := range hooks {
-				if h.OnPenalty != nil {
-					h.OnPenalty(at, router, peer, prefix, penalty)
-				}
-			}
-		},
-	}
-}
-
-// TraceHooks returns hooks that record every observation into log.
-// Combine with other hooks via MergeHooks.
+// TraceHooks returns hooks that record every observation into log, at the
+// times they are handed.
 func TraceHooks(log *trace.Log) Hooks {
 	return Hooks{
 		OnDeliver: func(at time.Duration, msg Message) {

@@ -2,33 +2,9 @@ package bgp
 
 import (
 	"testing"
-	"time"
 
 	"rfd/trace"
 )
-
-func TestMergeHooksFansOut(t *testing.T) {
-	var aCalls, bCalls int
-	a := Hooks{
-		OnDeliver:  func(time.Duration, Message) { aCalls++ },
-		OnSuppress: func(time.Duration, RouterID, RouterID, Prefix, bool) { aCalls++ },
-	}
-	b := Hooks{
-		OnDeliver: func(time.Duration, Message) { bCalls++ },
-		OnReuse:   func(time.Duration, RouterID, RouterID, Prefix, bool) { bCalls++ },
-	}
-	m := MergeHooks(a, b)
-	m.OnDeliver(0, Message{})
-	m.OnSuppress(0, 1, 2, "p", true)
-	m.OnReuse(0, 1, 2, "p", false)
-	m.OnPenalty(0, 1, 2, "p", 1) // nobody subscribed; must not panic
-	if aCalls != 2 {
-		t.Fatalf("a received %d calls, want 2", aCalls)
-	}
-	if bCalls != 2 {
-		t.Fatalf("b received %d calls, want 2", bCalls)
-	}
-}
 
 func TestTraceHooksRecordFullEpisode(t *testing.T) {
 	log := trace.NewLog(0)

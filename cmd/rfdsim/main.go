@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string) error {
 		progress  = fs.Bool("progress", false, "print a live line per warm-up/point to stderr as each completes")
 		verbose   = fs.Bool("v", false, "print the update series summary")
 		checkOn   = fs.Bool("check", false, "run under the runtime invariant checker (slower; any violation fails the run)")
-		traceFile = fs.String("trace", "", "write a JSONL event trace to this file")
+		traceFile = fs.String("trace", "", "write a JSONL event trace to this file (a -sweep writes its points' flap phases in ascending pulse order)")
 		faultFile = fs.String("faults", "", "apply the fault plan in this file (faults.ParsePlan format)")
 		loss      = fs.Float64("loss", 0, "uniform message-loss probability in [0, 1]")
 		jitter    = fs.Duration("jitter", 0, "maximum extra per-message delay (uniform in [0, jitter))")
@@ -178,30 +178,18 @@ func run(ctx context.Context, args []string) error {
 		ctx = experiment.WithProgress(ctx, experiment.TextProgress(os.Stderr))
 	}
 	if *sweep != "" {
-		if *traceFile != "" {
-			return fmt.Errorf("-trace is incompatible with -sweep (one trace log cannot record parallel runs)")
+		if err := runSweep(ctx, sc, *sweep, *workers); err != nil {
+			return err
 		}
-		return runSweep(ctx, sc, *sweep, *workers)
+		return writeTrace(sc.Trace, *traceFile)
 	}
 	start := time.Now()
 	res, err := experiment.RunContext(ctx, sc)
 	if err != nil {
 		return err
 	}
-	if sc.Trace != nil {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		if err := sc.Trace.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace             %d events -> %s (%d dropped)\n",
-			sc.Trace.Len(), *traceFile, sc.Trace.Dropped())
+	if err := writeTrace(sc.Trace, *traceFile); err != nil {
+		return err
 	}
 
 	fmt.Printf("topology          %s (isp=%d, origin=%d)\n", g, res.ISP, res.Origin)
@@ -254,6 +242,26 @@ func run(ctx context.Context, args []string) error {
 				bin.Start.Seconds(), bin.Count, res.Damped.ValueAt(bin.Start))
 		}
 	}
+	return nil
+}
+
+// writeTrace writes log, when there is one, to path as JSONL and reports it.
+func writeTrace(log *trace.Log, path string) error {
+	if log == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := log.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("trace             %d events -> %s (%d dropped)\n", log.Len(), path, log.Dropped())
 	return nil
 }
 

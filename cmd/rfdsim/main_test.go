@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -87,6 +88,35 @@ func TestRunWritesTrace(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Fatal("empty trace file")
+	}
+}
+
+// TestRunSweepWritesTrace: a traced sweep's file is the files of the
+// standalone traced runs of its pulse counts, one after another in ascending
+// order, on either engine.
+func TestRunSweepWritesTrace(t *testing.T) {
+	dir := t.TempDir()
+	for _, shards := range []string{"1", "2"} {
+		args := []string{"-rows", "4", "-cols", "4", "-shards", shards}
+		path := filepath.Join(dir, "sweep.jsonl")
+		capture(t, append(args, "-sweep", "0:2", "-trace", path)...)
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for n := 0; n <= 2; n++ {
+			path := filepath.Join(dir, "pulses.jsonl")
+			capture(t, append(args, "-pulses", strconv.Itoa(n), "-trace", path)...)
+			one, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, one...)
+		}
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("-shards %s: -sweep 0:2 trace (%d bytes) differs from the -pulses 0, 1, 2 traces concatenated (%d bytes)", shards, len(got), len(want))
+		}
 	}
 }
 

@@ -94,14 +94,14 @@ type Scenario struct {
 	// Shards, when > 1, runs the scenario on the sharded engine: the run
 	// topology is partitioned across Shards shard kernels coordinated by
 	// conservative-lookahead epochs (sim.ShardGroup). The run path is the
-	// same on both engines; only the Result's bookkeeping is fed differently
-	// (from per-shard observation feeds merged by time after the drain,
-	// rather than live hooks), and the Result is identical to a Shards<=1 run
-	// of the same scenario — the shard count is an execution detail, not a
-	// simulation input, which is why Fingerprint ignores it. Sharded runs
-	// require MinLinkDelay+MinProcDelay > 0 and are incompatible with
-	// Watchdog, Check, and impairment models that are not in per-link stream
-	// mode (faults.Impairments.UseLinkStreams).
+	// same on both engines, and so is each network's one observer; only
+	// where it hands its observations differs (a feed per network, merged by
+	// time after the drain, rather than the recorder as they happen). The
+	// Result is identical to a Shards<=1 run of the same scenario — the shard
+	// count is an execution detail, not a simulation input, which is why
+	// Fingerprint ignores it. Sharded runs require MinLinkDelay+MinProcDelay
+	// > 0 and are incompatible with Watchdog, Check, and impairment models
+	// that are not in per-link stream mode (faults.Impairments.UseLinkStreams).
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after
@@ -299,14 +299,21 @@ func converge(ctx context.Context, sc Scenario) (engine, error) {
 	return e, nil
 }
 
-// recorder fills a Result from the engine's four observation points; every
-// time it is handed is flap-relative. A flight feeds it live from bgp.Hooks on
-// a single network, or after the drain from the per-shard observation feeds.
-// Every scalar is computed as the observations arrive, exactly as the series
-// would yield it; the series themselves are kept only when series is set.
+// recorder fills a Result from a stream of observations, every time in it
+// flap-relative. A flight's one observer per network hands it each observation
+// as it happens on a single network, or parks it in that network's feed, which
+// replay merges after the drain, on several. Every scalar is computed as the
+// observations arrive, exactly as the series would yield it; the series
+// themselves are kept only when series is set.
 type recorder struct {
 	res    *Result
 	series bool
+	// scan, when set, counts the network's damped links afresh at each flip,
+	// and Damped records that count instead of the running one. A flight sets
+	// it on the series path of one network only: bench's TestSmokeTraced
+	// asserts experiment.self_s > 0, which only holds because of the full
+	// RIB-IN scan (ROADMAP item 1).
+	scan func() int
 
 	// prev is the latest delivery before the instant of the latest one
 	// (res.Phases.End), valid when hasPrev; charged says the first noisy reuse
@@ -371,20 +378,18 @@ func (rc *recorder) deliver(at time.Duration, to bgp.RouterID) {
 	}
 }
 
-// flip applies one suppression flip to the running damped-link count and
-// returns the count after it.
-func (rc *recorder) flip(on bool) int {
+// suppress records a suppression flip and the network-wide damped-link count
+// after it.
+func (rc *recorder) suppress(at time.Duration, router, peer bgp.RouterID, on bool) {
 	if on {
 		rc.damped++
 	} else {
 		rc.damped--
 	}
-	return rc.damped
-}
-
-// suppress records a suppression flip; damped is the network-wide damped-link
-// count after it.
-func (rc *recorder) suppress(at time.Duration, router, peer bgp.RouterID, on bool, damped int) {
+	damped := rc.damped
+	if rc.scan != nil {
+		damped = rc.scan()
+	}
 	if at > rc.dampedAt {
 		rc.res.MaxDamped = max(rc.res.MaxDamped, rc.dampedNow)
 	}
@@ -446,33 +451,6 @@ func (rc *recorder) seal() {
 	res.ConvergenceTime = ph.ConvergenceTime()
 }
 
-// hooks is the live feed: n's observations, rebased to epoch.
-func (rc *recorder) hooks(n *bgp.Network, epoch time.Duration) bgp.Hooks {
-	suppress := func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
-		rc.suppress(at-epoch, router, peer, on, rc.flip(on))
-	}
-	if rc.series {
-		suppress = func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
-			// The full RIB-IN scan is kept on purpose on the series path:
-			// bench's TestSmokeTraced asserts experiment.self_s > 0, which
-			// only holds because of it (ROADMAP item 1).
-			rc.suppress(at-epoch, router, peer, on, n.DampedLinkCount())
-		}
-	}
-	return bgp.Hooks{
-		OnDeliver: func(at time.Duration, msg bgp.Message) {
-			rc.deliver(at-epoch, msg.To)
-		},
-		OnSuppress: suppress,
-		OnReuse: func(at time.Duration, _, _ bgp.RouterID, _ bgp.Prefix, noisy bool) {
-			rc.reuse(at-epoch, noisy)
-		},
-		OnPenalty: func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, penalty float64) {
-			rc.penalty(at-epoch, router, peer, penalty)
-		},
-	}
-}
-
 // obsKind labels an observation: which recorder method it feeds.
 type obsKind uint8
 
@@ -483,8 +461,8 @@ const (
 	obsPenalty
 )
 
-// observation is what one hook call on a shard network leaves behind for the
-// recorder: the arguments the recorder reads, nothing a trace would add.
+// observation is what one hook call leaves behind for the recorder: the
+// arguments the recorder reads, nothing a trace would add.
 type observation struct {
 	at           time.Duration // flap-relative
 	penalty      float64       // obsPenalty
@@ -493,32 +471,18 @@ type observation struct {
 	flag         bool // obsSuppress: on; obsReuse: noisy
 }
 
-// feedHooks is the feed of a run on several networks. Their hooks fire on
-// worker goroutines, which must not share mutable state, so each network
-// appends to a feed of its own; replay consumes them after the drain.
-// Penalties are kept for watched pairs only, and not observed at all when
-// nothing is watched.
-func (rc *recorder) feedHooks(feed *[]observation, epoch time.Duration) bgp.Hooks {
-	h := bgp.Hooks{
-		OnDeliver: func(at time.Duration, msg bgp.Message) {
-			*feed = append(*feed, observation{at: at - epoch, kind: obsDeliver, router: msg.To})
-		},
-		OnSuppress: func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, on bool) {
-			*feed = append(*feed, observation{at: at - epoch, kind: obsSuppress, router: router, peer: peer, flag: on})
-		},
-		OnReuse: func(at time.Duration, _, _ bgp.RouterID, _ bgp.Prefix, noisy bool) {
-			*feed = append(*feed, observation{at: at - epoch, kind: obsReuse, flag: noisy})
-		},
+// record hands one observation to the recorder method of its kind.
+func (rc *recorder) record(o observation) {
+	switch o.kind {
+	case obsDeliver:
+		rc.deliver(o.at, o.router)
+	case obsSuppress:
+		rc.suppress(o.at, o.router, o.peer, o.flag)
+	case obsReuse:
+		rc.reuse(o.at, o.flag)
+	case obsPenalty:
+		rc.penalty(o.at, o.router, o.peer, o.penalty)
 	}
-	if len(rc.res.PenaltyTraces) > 0 {
-		h.OnPenalty = func(at time.Duration, router, peer bgp.RouterID, _ bgp.Prefix, penalty float64) {
-			// Concurrent lookups are safe: nothing writes the map after newRecorder.
-			if _, ok := rc.res.PenaltyTraces[PenaltyWatch{Router: router, Peer: peer}]; ok {
-				*feed = append(*feed, observation{at: at - epoch, kind: obsPenalty, router: router, peer: peer, penalty: penalty})
-			}
-		}
-	}
-	return h
 }
 
 // replay records the feeds merged by time. Each feed is already in time order
@@ -540,36 +504,8 @@ func (rc *recorder) replay(feeds [][]observation) {
 		if next < 0 {
 			return
 		}
-		o := feeds[next][0]
+		rc.record(feeds[next][0])
 		feeds[next] = feeds[next][1:]
-		switch o.kind {
-		case obsDeliver:
-			rc.deliver(o.at, o.router)
-		case obsSuppress:
-			rc.suppress(o.at, o.router, o.peer, o.flag, rc.flip(o.flag))
-		case obsReuse:
-			rc.reuse(o.at, o.flag)
-		case obsPenalty:
-			rc.penalty(o.at, o.router, o.peer, o.penalty)
-		}
-	}
-}
-
-// rebaseHooks returns h with every observation time shifted back by epoch.
-func rebaseHooks(h bgp.Hooks, epoch time.Duration) bgp.Hooks {
-	return bgp.Hooks{
-		OnDeliver: func(at time.Duration, msg bgp.Message) {
-			h.OnDeliver(at-epoch, msg)
-		},
-		OnSuppress: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, on bool) {
-			h.OnSuppress(at-epoch, r, p, pf, on)
-		},
-		OnReuse: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, noisy bool) {
-			h.OnReuse(at-epoch, r, p, pf, noisy)
-		},
-		OnPenalty: func(at time.Duration, r, p bgp.RouterID, pf bgp.Prefix, pen float64) {
-			h.OnPenalty(at-epoch, r, p, pf, pen)
-		},
 	}
 }
 
@@ -585,8 +521,9 @@ type flight struct {
 	epoch time.Duration // engine time of the first flap; zero of every Result time
 	rc    *recorder
 	// feeds holds one observation feed per network when there are several
-	// (replayed into rc by finish); logs holds one trace log per network when
-	// sc.Trace is set (appended to it by finish).
+	// (replayed into rc by finish), each filled by its network's observer;
+	// logs holds one trace log per network when sc.Trace is set (appended to
+	// it by finish).
 	feeds [][]observation
 	logs  []*trace.Log
 	chk   *check.Checker
@@ -651,23 +588,71 @@ func begin(sc Scenario, e engine) (*flight, error) {
 	return f, nil
 }
 
-// observe installs the observers on the flight's engine. One network feeds
-// the recorder live; several append to a feed each, replayed by finish. A
-// trace is a by-product either way, recorded only on request, into the
-// network's own log.
+// observe installs one observer on each of the flight's networks. One network
+// hands its observations to the recorder as they happen. Several fire their
+// hooks on worker goroutines, which must not share mutable state, so each
+// appends to a feed of its own, replayed by finish. A trace is a by-product
+// either way, recorded only on request, into the network's own log.
 func (f *flight) observe() {
 	for s, n := range f.e.shards() {
-		var hooks bgp.Hooks
+		emit := f.rc.record
 		if f.feeds != nil {
-			hooks = f.rc.feedHooks(&f.feeds[s], f.epoch)
-		} else {
-			hooks = f.rc.hooks(n, f.epoch)
+			feed := &f.feeds[s]
+			emit = func(o observation) { *feed = append(*feed, o) }
+		} else if f.rc.series {
+			f.rc.scan = n.DampedLinkCount
 		}
+		var tr bgp.Hooks
 		if f.logs != nil {
-			hooks = bgp.MergeHooks(hooks, rebaseHooks(bgp.TraceHooks(f.logs[s]), f.epoch))
+			tr = bgp.TraceHooks(f.logs[s])
 		}
-		n.SetHooks(hooks)
+		n.SetHooks(f.observer(emit, tr))
 	}
+}
+
+// observer is a network's one set of hooks. Each callback rebases its time to
+// the epoch once, hands emit the observation and, when the flight is traced,
+// forwards the rebased event to tr, the hooks of the network's trace log.
+// Penalties are observed only when a pair is watched or the flight is traced,
+// and only watched pairs reach emit.
+func (f *flight) observer(emit func(observation), tr bgp.Hooks) bgp.Hooks {
+	epoch, traced, watched := f.epoch, tr.OnDeliver != nil, f.rc.res.PenaltyTraces
+	h := bgp.Hooks{
+		OnDeliver: func(at time.Duration, msg bgp.Message) {
+			at -= epoch
+			emit(observation{at: at, kind: obsDeliver, router: msg.To})
+			if traced {
+				tr.OnDeliver(at, msg)
+			}
+		},
+		OnSuppress: func(at time.Duration, router, peer bgp.RouterID, pfx bgp.Prefix, on bool) {
+			at -= epoch
+			emit(observation{at: at, kind: obsSuppress, router: router, peer: peer, flag: on})
+			if traced {
+				tr.OnSuppress(at, router, peer, pfx, on)
+			}
+		},
+		OnReuse: func(at time.Duration, router, peer bgp.RouterID, pfx bgp.Prefix, noisy bool) {
+			at -= epoch
+			emit(observation{at: at, kind: obsReuse, flag: noisy})
+			if traced {
+				tr.OnReuse(at, router, peer, pfx, noisy)
+			}
+		},
+	}
+	if len(watched) > 0 || traced {
+		h.OnPenalty = func(at time.Duration, router, peer bgp.RouterID, pfx bgp.Prefix, penalty float64) {
+			at -= epoch
+			// Concurrent lookups are safe: nothing writes the map after newRecorder.
+			if _, ok := watched[PenaltyWatch{Router: router, Peer: peer}]; ok {
+				emit(observation{at: at, kind: obsPenalty, router: router, peer: peer, penalty: penalty})
+			}
+			if traced {
+				tr.OnPenalty(at, router, peer, pfx, penalty)
+			}
+		}
+	}
+	return h
 }
 
 // fork returns an independent copy of the flight at this instant: a fork of
