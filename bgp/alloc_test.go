@@ -164,3 +164,53 @@ func TestFlapSteadyStateDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestHoldAndReleaseDoesNotAllocate pins the MRAI path: an announcement held
+// while its interval runs pushes the interval's expiry under a reserved mark,
+// and the expiry releases it; neither allocates. Each cycle withdraws and
+// re-originates the prefix at one instant, so the routers downstream explore
+// and hold their second announcement behind the interval their first one
+// started.
+func TestHoldAndReleaseDoesNotAllocate(t *testing.T) {
+	g, err := topology.Torus(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	cfg.MRAIJitter = false
+	cfg.MinProcDelay = 5 * time.Millisecond
+	cfg.MaxProcDelay = 5 * time.Millisecond
+	k := sim.NewKernel(sim.WithSeed(7))
+	n, err := NewNetwork(k, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := n.Router(4)
+	origin.Originate(allocPrefix)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	releases := 0
+	k.SetTrace(func(_ time.Duration, name string) {
+		if name == "bgp.mrai" {
+			releases++
+		}
+	})
+	cycle := func() {
+		origin.StopOriginating(allocPrefix)
+		origin.Originate(allocPrefix)
+		for k.Step() {
+		}
+	}
+	for i := 0; i < 4; i++ { // warm the slabs and the intern table
+		cycle()
+	}
+	if releases == 0 {
+		t.Fatal("the cycle holds no announcement behind MRAI")
+	}
+	allocs := testing.AllocsPerRun(20, cycle)
+	if allocs != 0 {
+		t.Errorf("holding and releasing announcements allocates %.1f per cycle, want 0", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"rfd/damping"
+	"rfd/sim"
 )
 
 // This file is the read-only inspection surface the runtime invariant checker
@@ -39,7 +40,8 @@ type RIBOutView struct {
 	// it would advertise.
 	Pending     bool
 	PendingPath Path
-	// MRAIAt is when the MRAI timer fires, sim.Never when none is pending.
+	// MRAIAt is when the running MRAI interval ends, sim.Never when none is
+	// running.
 	MRAIAt time.Duration
 }
 
@@ -97,10 +99,19 @@ func (r *Router) EachRIBOut(fn func(RIBOutView)) {
 				Advertised:  e.advertised,
 				Pending:     e.pending,
 				PendingPath: e.pendingPath,
-				MRAIAt:      e.mrai.When(),
+				MRAIAt:      r.mraiEnd(e),
 			})
 		}
 	}
+}
+
+// mraiEnd returns when e's MRAI interval ends, sim.Never when none is
+// running.
+func (r *Router) mraiEnd(e *ribOutEntry) time.Duration {
+	if !r.net.kernel.Ahead(e.mrai) {
+		return sim.Never
+	}
+	return e.mrai.At()
 }
 
 // EachLocal calls fn for every live Local-RIB entry, in prefix id order.

@@ -219,3 +219,105 @@ func TestDampedInternetRunConverges(t *testing.T) {
 		t.Fatal("links still suppressed after drain")
 	}
 }
+
+// TestMRAIEventsAreHeldAnnouncements: an MRAI interval end is an event only
+// when an announcement waits for it. On a damped mesh flapping through a
+// session reset, every bgp.mrai event releases exactly one held announcement,
+// every held announcement is either released so or dropped (superseded by a
+// withdrawal or an unchanged decision, or lost with its session), and the
+// intervals no announcement waited for fire nothing. Holds, releases and
+// drops are read off the RIB-OUT pending flags after every event and every
+// stimulus.
+func TestMRAIEventsAreHeldAnnouncements(t *testing.T) {
+	k, n := buildNet(t, mustTorus(t, 5, 5), func(c *Config) {
+		p := damping.Cisco()
+		c.Damping = &p
+	})
+	converge(t, k, n, 0)
+
+	type entry struct {
+		r         RouterID
+		slot, pid int
+	}
+	held := map[entry]bool{}
+	var holds, releases, drops, mraiEvents, intervals int
+	scan := func(event string) {
+		released := 0
+		for _, r := range n.routers {
+			for s, col := range r.ribOut {
+				for pid := range col {
+					e := entry{r.id, s, pid}
+					was, is := held[e], col[pid].pending
+					switch {
+					case is && !was:
+						holds++
+					case was && !is && event == "bgp.mrai":
+						released++
+					case was && !is:
+						drops++
+					}
+					held[e] = is
+				}
+			}
+		}
+		releases += released
+		if event == "bgp.mrai" && released != 1 {
+			t.Fatalf("a bgp.mrai event at %v released %d announcements, want 1", k.Now(), released)
+		}
+	}
+	k.SetTrace(func(_ time.Duration, name string) {
+		if name == "bgp.mrai" {
+			mraiEvents++
+		}
+	})
+	k.SetAfterEvent(func(_ time.Duration, name string) { scan(name) })
+	n.SetDebugHooks(DebugHooks{OnSend: func(_ time.Duration, m Message) {
+		if !m.Withdraw {
+			intervals++ // every announcement starts an MRAI interval
+		}
+	}})
+	scan("")
+
+	run := func(d time.Duration) {
+		t.Helper()
+		if err := k.RunUntil(k.Now() + d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pulse := 0; pulse < 3; pulse++ {
+		n.Router(0).StopOriginating(testPrefix)
+		scan("")
+		run(60 * time.Second)
+		n.Router(0).Originate(testPrefix)
+		scan("")
+		if pulse == 1 {
+			run(2 * time.Second) // mid-exploration: announcements are held
+			if err := n.ResetSession(6, 7); err != nil {
+				t.Fatal(err)
+			}
+			scan("")
+		}
+		run(60 * time.Second)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Logf("%d intervals, %d held announcements: %d released by %d bgp.mrai events, %d dropped",
+		intervals, holds, releases, mraiEvents, drops)
+	if mraiEvents != releases {
+		t.Fatalf("%d bgp.mrai events, %d releases", mraiEvents, releases)
+	}
+	if holds != releases+drops {
+		t.Fatalf("%d announcements held, %d released + %d dropped", holds, releases, drops)
+	}
+	if mraiEvents == 0 || drops == 0 {
+		t.Fatalf("the run does not exercise both fates of a held announcement (%d released, %d dropped)", releases, drops)
+	}
+	if intervals <= mraiEvents {
+		t.Fatalf("%d MRAI intervals but %d bgp.mrai events: idle interval ends must not be events", intervals, mraiEvents)
+	}
+}

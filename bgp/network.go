@@ -209,6 +209,7 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 		prefixIDs:   make(map[Prefix]int32, 8),
 	}
 	n.deliverH = deliverHandler{n: n}
+	k.SetMarks(n.latestMark)
 	n.buildCSR(edges)
 	rng := xrand.New(cfg.Seed)
 	for i := range edges {
@@ -403,6 +404,27 @@ func (n *Network) PendingAnnouncements() int {
 		}
 	}
 	return total
+}
+
+// latestMark returns the latest MRAI interval end any RIB-OUT entry holds
+// (the zero Mark when none does). It is the kernel's mark source
+// (sim.Kernel.SetMarks), asked once per drain: a drain ends where the last
+// interval would have, had its expiry been queued.
+func (n *Network) latestMark() sim.Mark {
+	var latest sim.Mark
+	for _, r := range n.routers {
+		if r == nil {
+			continue
+		}
+		for _, col := range r.ribOut {
+			for i := range col {
+				if m := col[i].mrai; m.After(latest) {
+					latest = m
+				}
+			}
+		}
+	}
+	return latest
 }
 
 // ResetDamping clears every router's damping state and RCN history. The

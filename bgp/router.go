@@ -30,12 +30,16 @@ type ribInEntry struct {
 }
 
 // ribOutEntry is the adj-RIB-out state for one (peer slot, prefix id): what
-// has been advertised, the MRAI timer, and the announcement waiting for it.
+// has been advertised, the end of the MRAI interval the last announcement
+// started, and the announcement waiting for it. The interval end is a
+// reserved place in the kernel's event order, not an event: expiry is pushed
+// under it only while an announcement is pending, and cancelled when none is.
 type ribOutEntry struct {
 	advertised   Path
 	pendingPath  Path
 	pendingCause rcn.Cause
-	mrai         sim.Timer
+	mrai         sim.Mark
+	expiry       sim.Timer
 	pending      bool
 	seen         bool
 }
@@ -61,7 +65,8 @@ func packSlotPrefix(slot, pid int32) uint64 {
 
 // mraiHandler and reuseHandler adapt the kernel's typed-event interface to
 // the router's timer callbacks. They are fields of Router (not fresh
-// allocations), so arming an MRAI or reuse timer allocates nothing.
+// allocations), so pushing an MRAI expiry or arming a reuse timer allocates
+// nothing.
 type mraiHandler struct{ r *Router }
 
 func (h *mraiHandler) HandleEvent(arg uint64) {
@@ -422,8 +427,8 @@ func (r *Router) peerDown(peer RouterID) {
 		pid, _ := r.net.lookupPrefix(prefix)
 		out := r.ribOutAt(slot, pid)
 		out.advertised = nil
-		out.pending = false
-		out.mrai.Cancel()
+		dropPending(out)
+		out.mrai = sim.Mark{}
 	}
 	for _, prefix := range r.ribInPrefixes(slot) {
 		pid, _ := r.net.lookupPrefix(prefix)
@@ -441,7 +446,8 @@ func (r *Router) peerUp(peer RouterID) {
 	cause := r.linkCause(slot, peer, rcn.LinkUp)
 	for _, prefix := range r.localPrefixes() {
 		pid, _ := r.net.lookupPrefix(prefix)
-		r.syncPeer(slot, peer, pid, cause)
+		var adv Path
+		r.syncPeer(slot, peer, pid, cause, &adv)
 	}
 }
 
@@ -601,16 +607,19 @@ func (r *Router) reconcile(pid int32, trigger rcn.Cause) bool {
 	}
 	best.seen = true
 	r.local[pid] = best
+	var adv Path // built once, at the first peer the policy exports to
 	for s, q := range r.peers {
-		r.syncPeer(int32(s), q, pid, trigger)
+		r.syncPeer(int32(s), q, pid, trigger, &adv)
 	}
 	return true
 }
 
 // exportPath computes what (if anything) the router should advertise to peer
 // q for a prefix id under the active policy: the canonical (interned) best
-// path with the router prepended, or nil when filtered.
-func (r *Router) exportPath(q RouterID, pid int32) Path {
+// path with the router prepended, or nil when filtered. adv caches the
+// prepended path across the peers of one decision: it is built on first use
+// (when *adv is nil) and reused after.
+func (r *Router) exportPath(q RouterID, pid int32, adv *Path) Path {
 	l := r.localAt(pid)
 	if !l.hasRoute {
 		return nil
@@ -624,20 +633,23 @@ func (r *Router) exportPath(q RouterID, pid int32) Path {
 			return nil
 		}
 	}
-	adv := r.net.paths.prepend(r.id, l.bestPath)
+	if *adv == nil {
+		*adv = r.net.paths.prepend(r.id, l.bestPath)
+	}
 	if adv.Contains(q) {
 		// Sender-side loop filter; also covers "don't echo a route back to
 		// the peer it was learned from".
 		return nil
 	}
-	return adv
+	return *adv
 }
 
 // syncPeer brings the RIB-OUT for (q, prefix id) in line with the current
 // export decision. Withdrawals leave immediately; announcements respect the
-// MRAI timer (pending until it fires).
-func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause) {
-	if !r.net.SessionUp(r.id, q) {
+// MRAI interval (pending until it ends). adv is exportPath's cache.
+func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, adv *Path) {
+	n := r.net
+	if !n.sessionUpEdge(n.adjEdge[n.adjStart[r.id]+slot], r.id, q) { // SessionUp, by slot
 		// No established session: nothing to synchronize. RIB-OUT state for
 		// the session was discarded when it went down, and recording a new
 		// advertisement here would desynchronize the RIBs — the message
@@ -647,31 +659,45 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause) 
 		return
 	}
 	out := r.ensureRibOut(slot, pid)
-	desired := r.exportPath(q, pid)
+	desired := r.exportPath(q, pid, adv)
 	switch {
 	case desired == nil && out.advertised == nil:
 		// Nothing advertised, nothing to advertise; drop any pending update.
-		out.pending = false
+		dropPending(out)
 	case desired == nil:
 		// Withdrawals are not rate limited.
 		out.advertised = nil
-		out.pending = false
-		r.net.send(slot, Message{From: r.id, To: q, Prefix: r.net.prefixes[pid], Withdraw: true, Cause: trigger})
+		dropPending(out)
+		n.send(slot, Message{From: r.id, To: q, Prefix: n.prefixes[pid], Withdraw: true, Cause: trigger})
 	case desired.Equal(out.advertised):
-		out.pending = false
-	default:
-		if r.net.cfg.MRAI > 0 && out.mrai.Active() {
+		dropPending(out)
+	case n.kernel.Ahead(out.mrai):
+		// The MRAI interval is running: hold the announcement, and push the
+		// interval's expiry if nothing waited for it yet.
+		if !out.pending {
 			out.pending = true
-			out.pendingPath = desired
-			out.pendingCause = trigger
-		} else {
-			r.sendAnnouncement(slot, q, pid, out, desired, trigger)
+			out.expiry = n.kernel.AtMark(out.mrai, "bgp.mrai", &r.mraiH, packSlotPrefix(slot, pid))
 		}
+		out.pendingPath = desired
+		out.pendingCause = trigger
+	default:
+		r.sendAnnouncement(slot, q, pid, out, desired, trigger)
 	}
 }
 
-// sendAnnouncement transmits an announcement and starts the MRAI timer. path
-// must be interned: the message carries it without copying.
+// dropPending discards the entry's held announcement, if any, and the expiry
+// pushed for it. The MRAI interval itself keeps running.
+func dropPending(out *ribOutEntry) {
+	if out.pending {
+		out.pending = false
+		out.expiry.Cancel()
+	}
+}
+
+// sendAnnouncement transmits an announcement and starts an MRAI interval,
+// reserving its end in the event order (no event is queued until an
+// announcement waits for it). The caller holds no announcement, or is its
+// expiry. path must be interned: the message carries it without copying.
 func (r *Router) sendAnnouncement(slot int32, q RouterID, pid int32, out *ribOutEntry, path Path, cause rcn.Cause) {
 	out.advertised = path
 	out.pending = false
@@ -685,10 +711,10 @@ func (r *Router) sendAnnouncement(slot int32, q RouterID, pid int32, out *ribOut
 		// [0.75, 1.0).
 		mrai = time.Duration(float64(mrai) * (0.75 + 0.25*r.rng.Float64()))
 	}
-	out.mrai = r.net.kernel.AfterHandler(mrai, "bgp.mrai", &r.mraiH, packSlotPrefix(slot, pid))
+	out.mrai = r.net.kernel.Reserve(r.net.kernel.Now() + mrai)
 }
 
-// mraiExpired releases a pending announcement, if one is still wanted.
+// mraiExpired releases the pending announcement its expiry was pushed for.
 func (r *Router) mraiExpired(slot, pid int32) {
 	out := r.ribOutAt(slot, pid)
 	if out == nil || !out.pending {
@@ -740,7 +766,7 @@ func (r *Router) crash() {
 		}
 		colOut := r.ribOut[s]
 		for i := range colOut {
-			colOut[i].mrai.Cancel()
+			colOut[i].expiry.Cancel()
 		}
 		clear(colOut)
 		r.history[s] = r.newHistory()

@@ -14,8 +14,9 @@ package bgp
 // sweeps: converge once and fork the converged checkpoint per sweep, then
 // fork one flap trajectory at every pulse count. Because queue clones preserve
 // slot indices and generations, the Timer handles embedded in RIB entries
-// (MRAI, damping reuse) remain valid in the fork after Kernel.Adopt rebinds
-// them.
+// (a pending MRAI expiry, damping reuse) remain valid in the fork after
+// Kernel.Adopt rebinds them; MRAI interval ends are sim.Marks, plain values
+// that mean the same on the forked kernel.
 //
 // Pending events cross a fork whoever scheduled them, as long as their handler
 // can be rebound: the network's own handlers are, and so is any foreign one
@@ -153,6 +154,7 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		f.prefixIDs[p] = id
 	}
 	f.deliverH = deliverHandler{n: f}
+	k2.SetMarks(f.latestMark)
 	f.routers = make([]*Router, n.nn)
 	for id, r := range n.routers {
 		if r != nil { // shard networks leave unowned routers nil
@@ -218,7 +220,7 @@ func (r *Router) forkInto(f *Network, k2 *sim.Kernel) *Router {
 	for s, col := range r.ribOut {
 		nc := cloneSlice(col)
 		for i := range nc {
-			nc[i].mrai = k2.Adopt(nc[i].mrai)
+			nc[i].expiry = k2.Adopt(nc[i].expiry) // marks copy by value
 		}
 		c.ribOut[s] = nc
 	}

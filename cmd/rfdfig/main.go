@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"syscall"
 	"time"
 
@@ -52,13 +53,20 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		noCache  = fs.Bool("nocache", false, "disable the cross-figure run cache (re-run scenarios shared between figures)")
 		cacheDir = fs.String("cachedir", "", "persist the run cache in this directory (shared with rfdd; survives restarts)")
 		check    = fs.Bool("check", false, "run every scenario under the runtime invariant checker (slower; any violation fails the figure)")
-		shards   = fs.Int("shards", 1, "run every scenario on the sharded engine with this many shards (1 = sequential; figures are identical either way)")
+		shards   = fs.Int("shards", 1, "run every scenario on the sharded engine with this many shards (1 = sequential; figures are identical either way, and -fig loss or all needs 1: the loss figure runs under the convergence watchdog, which supervises one kernel)")
 		progress = fs.Bool("progress", false, "print a live line per warm-up/point (sweep points and single runs) to stderr as each completes (long figure builds stop being silent)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the figure build to this file")
 		memProf  = fs.String("memprofile", "", "write a post-build heap profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	todo := jobs(*fig)
+	if len(todo) == 0 {
+		return fmt.Errorf("unknown -fig %q", *fig)
+	}
+	if *shards > 1 && slices.ContainsFunc(todo, func(f figure) bool { return f.name == "loss" }) {
+		return fmt.Errorf("-fig %s with -shards %d: the loss figure runs under the convergence watchdog, which cannot supervise a sharded run (use -shards 1)", *fig, *shards)
 	}
 
 	if *cpuProf != "" {
@@ -114,10 +122,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-cachedir requires the run cache (drop -nocache)")
 	}
 
-	todo := jobs(*fig)
-	if len(todo) == 0 {
-		return fmt.Errorf("unknown -fig %q", *fig)
-	}
 	g := generator{opts: opts.SharedBudget(), outDir: *outDir, plot: !*noPlot}
 	if err := build(g, todo, stdout); err != nil {
 		return err

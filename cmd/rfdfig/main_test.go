@@ -69,6 +69,30 @@ func TestRunRejectsBadShards(t *testing.T) {
 	}
 }
 
+// TestRunRefusesShardedLossFigure: the loss figure runs under the
+// convergence watchdog, which drives one kernel, so -shards > 1 with -fig
+// loss or all is refused while the flags are read — before any figure is
+// built — naming the figure. Other figures still take -shards.
+func TestRunRefusesShardedLossFigure(t *testing.T) {
+	for _, fig := range []string{"loss", "all"} {
+		dir := t.TempDir()
+		args := []string{"-fig", fig, "-small", "-noplot", "-shards", "2", "-out", dir}
+		err := run(context.Background(), args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-fig "+fig) || !strings.Contains(err.Error(), "loss figure") {
+			t.Errorf("-fig %s -shards 2: err = %v, want a refusal naming the figure", fig, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("-fig %s -shards 2 wrote %d files before refusing", fig, len(entries))
+		}
+	}
+	if err := run(context.Background(), []string{"-fig", "loss", "-small", "-noplot", "-shards", "1", "-out", t.TempDir()}, io.Discard); err != nil {
+		t.Errorf("-fig loss -shards 1: %v", err)
+	}
+	if err := run(context.Background(), []string{"-fig", "fig7", "-small", "-noplot", "-shards", "2", "-out", t.TempDir()}, io.Discard); err != nil {
+		t.Errorf("-fig fig7 -shards 2: %v", err)
+	}
+}
+
 // TestRunWritesProfiles: -cpuprofile / -memprofile leave a profile each behind
 // a figure build, as rfdsim's pair does behind a run.
 func TestRunWritesProfiles(t *testing.T) {
@@ -155,8 +179,8 @@ func TestRunFailureStopsBuild(t *testing.T) {
 		args  []string
 		check func(error) bool
 	}{
-		{"bad shards", context.Background(), []string{"-shards", "4", "-check"}, func(err error) bool {
-			return strings.HasPrefix(err.Error(), "fig7: ") && strings.Contains(err.Error(), "invariant checker")
+		{"bad shards", context.Background(), []string{"-shards", "-2"}, func(err error) bool {
+			return strings.HasPrefix(err.Error(), "fig7: ") && strings.Contains(err.Error(), "negative shard count -2")
 		}},
 		{"cancelled", cancelled, nil, func(err error) bool { return errors.Is(err, experiment.ErrCanceled) }},
 	} {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,11 +21,16 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenTracePath is the recorded kernel event trace of the reference run.
-// It was captured before the allocation-free core rewrite (interned paths,
-// slab event queue, dense RIBs) and pins the engine's event-for-event
-// behaviour: any change to scheduling order, timer interaction, or fault
-// handling shows up as a trace diff.
+// It pins the engine's event-for-event behaviour: any change to scheduling
+// order, timer interaction, or fault handling shows up as a trace diff.
 const goldenTracePath = "testdata/golden_trace_mesh5x5_faulty.txt"
+
+// eagerTracePath is the same run's trace from the engine that queued every
+// MRAI interval end as a bgp.mrai event, whether or not an announcement
+// waited for it (recorded before the allocation-free core rewrite and
+// unchanged until MRAI expiries became lazy). It is the oracle for the lazy
+// engine: see TestGoldenTraceDropsOnlyIdleMRAI.
+const eagerTracePath = "testdata/golden_trace_mesh5x5_faulty_eager.txt"
 
 // mesh5FaultyTrace runs the reference scenario — a seeded 5×5 torus with
 // Cisco damping, 1% uniform message loss plus delivery jitter, three
@@ -143,5 +149,54 @@ func TestGoldenTraceRepeatable(t *testing.T) {
 	b := mesh5FaultyTrace(t)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical runs produced different traces")
+	}
+}
+
+// TestGoldenTraceDropsOnlyIdleMRAI holds the engine to the eager-MRAI trace:
+// the reference run fires exactly the eager run's events, in order and at the
+// same instants, minus some bgp.mrai lines (the interval ends no announcement
+// waited for), and its end line differs only in the executed count, by the
+// number of lines dropped.
+func TestGoldenTraceDropsOnlyIdleMRAI(t *testing.T) {
+	eager, err := os.ReadFile(eagerTracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSuffix(string(mesh5FaultyTrace(t)), "\n"), "\n")
+	want := strings.Split(strings.TrimSuffix(string(eager), "\n"), "\n")
+	gotEnd, wantEnd := got[len(got)-1], want[len(want)-1]
+	got, want = got[:len(got)-1], want[:len(want)-1]
+
+	i, dropped := 0, 0
+	for _, line := range want {
+		if i < len(got) && got[i] == line {
+			i++
+			continue
+		}
+		if !strings.HasSuffix(line, " bgp.mrai") {
+			t.Fatalf("eager line %q is missing from the trace (trace line %d)", line, i+1)
+		}
+		dropped++
+	}
+	if i != len(got) {
+		t.Fatalf("trace line %d %q has no eager counterpart", i+1, got[i])
+	}
+	if dropped == 0 {
+		t.Fatal("no idle bgp.mrai line dropped: the eager oracle no longer tests anything")
+	}
+
+	// "end <now> executed <n> delivered <d> dropped <x>"
+	gf, wf := strings.Fields(gotEnd), strings.Fields(wantEnd)
+	if len(gf) != 8 || len(wf) != 8 || gf[2] != "executed" || wf[2] != "executed" {
+		t.Fatalf("malformed end lines %q, %q", gotEnd, wantEnd)
+	}
+	gn, _ := strconv.Atoi(gf[3])
+	wn, _ := strconv.Atoi(wf[3])
+	if gn != wn-dropped || gn != len(got) {
+		t.Fatalf("executed %d, eager %d, %d lines dropped, %d traced", gn, wn, dropped, len(got))
+	}
+	gf[3], wf[3] = "", ""
+	if strings.Join(gf, " ") != strings.Join(wf, " ") {
+		t.Fatalf("end line %q differs from eager %q beyond executed", gotEnd, wantEnd)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rfd/bgp"
 	"rfd/faults"
 	"rfd/topology"
 )
@@ -103,5 +104,32 @@ func TestCheckedFingerprintDistinct(t *testing.T) {
 	}
 	if plain == checked {
 		t.Fatal("checked and unchecked scenarios share a fingerprint")
+	}
+}
+
+// TestWatchdogDrainKeepsEndTime: a watchdog-drained run reports the same
+// EndTime as a Run-drained one. Both drains settle the clock at the latest
+// MRAI interval end still running (sim.Kernel.Settle); the run is undamped,
+// so no reuse timer outlives that interval and the settle is what sets
+// EndTime.
+func TestWatchdogDrainKeepsEndTime(t *testing.T) {
+	sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: bgp.DefaultConfig(), Pulses: 2}
+	plain, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.EndTime <= plain.ConvergenceTime {
+		t.Fatalf("EndTime %v is the last delivery: no MRAI interval outlived it", plain.EndTime)
+	}
+	sc.Watchdog = &faults.WatchdogConfig{}
+	watched, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if watched.FaultReport == nil || watched.FaultReport.Outcome != faults.Converged {
+		t.Fatalf("watchdog report %v, want converged", watched.FaultReport)
+	}
+	if watched.EndTime != plain.EndTime {
+		t.Fatalf("watchdog-drained EndTime %v, Run-drained %v", watched.EndTime, plain.EndTime)
 	}
 }

@@ -99,7 +99,11 @@ type Report struct {
 	// (zero if it never was before the run ended).
 	QuiescentAt time.Duration
 	// Events is how many kernel events the watchdog stepped; Checks how
-	// many consistency checks it ran.
+	// many consistency checks it ran. An MRAI interval that no
+	// announcement waits for is a reserved mark, not an event (see
+	// sim.Kernel.Reserve): it is not stepped, and it does not interrupt a
+	// quiet gap, so the watchdog finds quiescent instants sooner and checks
+	// more of them than if every interval end were queued.
 	Events uint64
 	Checks int
 	// Recent holds the last events before the run stopped, oldest first —
@@ -216,8 +220,10 @@ func WatchContext(ctx context.Context, n *bgp.Network, cfg WatchdogConfig) *Repo
 		rep.Events++
 	}
 
-	// Queue drained: the network is quiescent by construction — run the
-	// final consistency check.
+	// Queue drained: the network is quiescent by construction. Settle the
+	// clock where a Run drain would leave it, then run the final
+	// consistency check.
+	k.Settle()
 	rep.Checks++
 	if err := n.CheckConsistency(); err != nil && rep.Err == nil {
 		rep.Outcome = Diverged

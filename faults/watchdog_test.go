@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"rfd/bgp"
+	"rfd/sim"
+	"rfd/topology"
 )
 
 func TestWatchdogConverges(t *testing.T) {
@@ -198,5 +200,50 @@ func TestWatchContextUncancelledMatchesWatch(t *testing.T) {
 	rep := WatchContext(context.Background(), n, WatchdogConfig{WallBudget: time.Hour})
 	if rep.Outcome != Converged || rep.Err != nil {
 		t.Fatalf("report = %s, want converged", rep)
+	}
+}
+
+// TestWatchdogDrainEndsWhereRunDoes: a drain ends where the last MRAI
+// interval would have, had its end been an event (sim.Kernel.Settle). The
+// watchdog steps the queue itself, so it must settle as Run does, or the
+// clock, and every stimulus stamped from it, would move.
+func TestWatchdogDrainEndsWhereRunDoes(t *testing.T) {
+	drained := func(watch bool) (end, lastEvent time.Duration) {
+		g, err := topology.Torus(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Undamped, so no reuse timer outlives the last MRAI interval.
+		k := sim.NewKernel(sim.WithSeed(5))
+		n, err := bgp.NewNetwork(k, g, bgp.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Router(0).Originate(testPrefix)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		n.Router(0).StopOriginating(testPrefix)
+		if err := k.RunUntil(k.Now() + 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		n.Router(0).Originate(testPrefix)
+		k.SetTrace(func(at time.Duration, _ string) { lastEvent = at })
+		if watch {
+			if rep := Watch(n, WatchdogConfig{}); rep.Outcome != Converged {
+				t.Fatalf("report = %s, want converged", rep)
+			}
+		} else if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return k.Now(), lastEvent
+	}
+	runEnd, lastEvent := drained(false)
+	watchEnd, _ := drained(true)
+	if watchEnd != runEnd {
+		t.Fatalf("watchdog drain ends at %v, Run drain at %v", watchEnd, runEnd)
+	}
+	if runEnd <= lastEvent {
+		t.Fatalf("drain ends at its last event (%v): no MRAI interval outlived it, so the test settles nothing", lastEvent)
 	}
 }

@@ -3,9 +3,12 @@
 //
 // It is an indexed binary min-heap ordered by (time, sequence number): events
 // scheduled for the same instant fire in the order they were scheduled, which
-// is what makes whole-network simulations deterministic. Entries can be
-// cancelled or rescheduled in O(log n) via the Handle returned at push time,
-// which the BGP engine uses for MRAI and damping reuse timers.
+// is what makes whole-network simulations deterministic. A sequence number
+// can also be reserved without pushing anything and used for a push later
+// (Reserve, PushReserved): the entry then fires exactly where an entry pushed
+// at reservation time would have. Entries can be cancelled or rescheduled in
+// O(log n) via the Handle returned at push time, which the BGP engine uses
+// for MRAI expiries and damping reuse timers.
 //
 // The queue is slab-backed: entries live in a freelist-managed slice of slots
 // rather than one heap allocation each, and handles are (index, generation)
@@ -42,10 +45,10 @@ type slot[P any] struct {
 // The zero value is an empty queue ready for use. Entries pushed with equal
 // times fire in push order (FIFO by sequence number).
 type Queue[P any] struct {
-	slots   []slot[P]
-	heap    []int32 // heap[i] is a slot index
-	free    []int32 // free slot indices
-	nextSeq uint64
+	slots []slot[P]
+	heap  []int32 // heap[i] is a slot index
+	free  []int32 // free slot indices
+	seq   uint64  // last sequence number handed out; the first is 1
 }
 
 // Len returns the number of pending entries.
@@ -54,6 +57,27 @@ func (q *Queue[P]) Len() int { return len(q.heap) }
 // Push schedules payload at time t and returns a handle usable with Cancel,
 // Reschedule and When. Entries pushed with equal t fire in push order.
 func (q *Queue[P]) Push(t time.Duration, payload P) Handle {
+	q.seq++
+	return q.PushReserved(t, q.seq, payload)
+}
+
+// Reserve hands out the next sequence number without pushing anything, as
+// if an entry had been pushed and never fired. Sequence numbers start at 1,
+// so 0 never names a reservation.
+func (q *Queue[P]) Reserve() uint64 {
+	q.seq++
+	return q.seq
+}
+
+// LastSeq returns the last sequence number handed out by Push or Reserve (0
+// before the first).
+func (q *Queue[P]) LastSeq() uint64 { return q.seq }
+
+// PushReserved schedules payload at time t under a sequence number taken
+// earlier from Reserve: among entries at t it fires where an entry pushed at
+// reservation time would have. A reserved number names one live entry at a
+// time; it may be pushed again after its entry fired or was cancelled.
+func (q *Queue[P]) PushReserved(t time.Duration, seq uint64, payload P) Handle {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
@@ -64,10 +88,9 @@ func (q *Queue[P]) Push(t time.Duration, payload P) Handle {
 	}
 	s := &q.slots[idx]
 	s.time = t
-	s.seq = q.nextSeq
+	s.seq = seq
 	s.payload = payload
 	s.pos = int32(len(q.heap))
-	q.nextSeq++
 	q.heap = append(q.heap, idx)
 	q.up(int(s.pos))
 	return Handle{idx: idx, gen: s.gen}
@@ -84,15 +107,19 @@ func (q *Queue[P]) PeekTime() (time.Duration, bool) {
 // Pop removes the earliest entry and returns its time and payload. ok is
 // false when the queue is empty. The entry's handle becomes invalid.
 func (q *Queue[P]) Pop() (at time.Duration, payload P, ok bool) {
+	at, _, payload, ok = q.PopSeq()
+	return at, payload, ok
+}
+
+// PopSeq is Pop that also returns the entry's sequence number.
+func (q *Queue[P]) PopSeq() (at time.Duration, seq uint64, payload P, ok bool) {
 	if len(q.heap) == 0 {
-		return 0, payload, false
+		return 0, 0, payload, false
 	}
-	idx := q.heap[0]
-	s := &q.slots[idx]
-	at = s.time
-	payload = s.payload
+	s := &q.slots[q.heap[0]]
+	at, seq, payload = s.time, s.seq, s.payload
 	q.removeAt(0)
-	return at, payload, true
+	return at, seq, payload, true
 }
 
 // Cancel removes the entry h refers to. It reports whether the entry was
@@ -138,11 +165,12 @@ func (q *Queue[P]) When(h Handle) (time.Duration, bool) {
 // Clone returns a deep copy of the queue. The copy is independently mutable,
 // and — because slot indices, generations and sequence numbers are preserved
 // exactly — a Handle obtained from the original resolves to the corresponding
-// entry in the clone. Payloads are copied by assignment; payloads containing
+// entry in the clone, and a number reserved from the original may be pushed
+// on the clone. Payloads are copied by assignment; payloads containing
 // pointers share referents with the original, which the caller must remap if
 // the referents are themselves copied (see sim.Kernel.RemapHandlers).
 func (q *Queue[P]) Clone() *Queue[P] {
-	c := &Queue[P]{nextSeq: q.nextSeq}
+	c := &Queue[P]{seq: q.seq}
 	if q.slots != nil {
 		c.slots = append(make([]slot[P], 0, len(q.slots)), q.slots...)
 	}

@@ -209,6 +209,32 @@ func TestRescheduleKeepsSeq(t *testing.T) {
 	}
 }
 
+func TestPushReservedFiresAtReservation(t *testing.T) {
+	var q Queue[string]
+	q.Push(time.Second, "a")
+	seq := q.Reserve()
+	q.Push(time.Second, "c")
+	if q.LastSeq() != seq+1 {
+		t.Fatalf("LastSeq = %d after reserving %d and one push", q.LastSeq(), seq)
+	}
+	h := q.PushReserved(time.Second, seq, "b")
+	q.Cancel(h)
+	q.PushReserved(time.Second, seq, "b") // a cancelled reservation may be pushed again
+	var got []string
+	var seqs []uint64
+	for q.Len() > 0 {
+		_, s, p, _ := q.PopSeq()
+		got = append(got, p)
+		seqs = append(seqs, s)
+	}
+	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+		t.Fatalf("order = %v, want the reserved entry between its neighbours", got)
+	}
+	if seqs[0] == 0 || seqs[1] != seq || seqs[2] <= seq {
+		t.Fatalf("sequence numbers %v (reserved %d); the first must be nonzero", seqs, seq)
+	}
+}
+
 func TestScheduledReporting(t *testing.T) {
 	var q Queue[string]
 	a := q.Push(1*time.Second, "a")

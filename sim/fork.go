@@ -6,17 +6,20 @@ import (
 )
 
 // Fork returns an independent copy of the kernel at its current state: the
-// full event queue (slot indices and generations preserved, so outstanding
-// Timer handles resolve identically in the copy once adopted), the virtual
-// clock, the RNG stream position and the executed-event count. The fork
-// shares no mutable state with the original; pending events still reference
-// the original's Handler values until RemapHandlers rebinds them. No trace
-// observer is installed on the fork — observers are measurement apparatus,
-// not simulation state.
+// full event queue (slot indices, generations and sequence numbers preserved,
+// so outstanding Timer handles resolve identically in the copy once adopted
+// and Marks, being values, are ahead in the copy exactly when in the
+// original), the position in the event order, the RNG stream position and
+// the executed-event count. The fork shares no mutable state with the
+// original; pending events still reference the original's Handler values
+// until RemapHandlers rebinds them. No trace observer is installed on the
+// fork — observers are measurement apparatus, not simulation state — and no
+// mark source (see SetMarks), which belongs to the forked component.
 func (k *Kernel) Fork() *Kernel {
 	return &Kernel{
 		q:         *k.q.Clone(),
 		now:       k.now,
+		last:      k.last,
 		rng:       k.rng.Clone(),
 		executed:  k.executed,
 		maxEvents: k.maxEvents,

@@ -312,7 +312,9 @@ func (g *ShardGroup) runEpoch(horizon time.Duration) error {
 }
 
 // Run drains every shard: epochs advance until no kernel has a pending event
-// and no outbox holds one. Clocks are left at each shard's last fired event.
+// and no outbox holds one. Each shard's clock is then settled (see
+// Kernel.Settle): it is left at its last fired event or its latest mark still
+// ahead, whichever is later.
 func (g *ShardGroup) Run() error {
 	return g.RunContext(context.Background())
 }
@@ -323,6 +325,9 @@ func (g *ShardGroup) RunContext(ctx context.Context) error {
 		g.stats.Injected += uint64(g.exchange.Flush())
 		start, ok := g.nextEpochStart()
 		if !ok {
+			for _, k := range g.kernels {
+				k.Settle()
+			}
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -335,10 +340,11 @@ func (g *ShardGroup) RunContext(ctx context.Context) error {
 }
 
 // RunUntil fires every event with time <= horizon (leaving later events
-// pending) and advances every shard clock to exactly horizon, matching
-// Kernel.RunUntil's inclusive boundary. Events at exactly the horizon instant
-// are executed only after every cross-shard message that can arrive at or
-// before it has been exchanged, so the inclusive boundary is safe.
+// pending) and advances every shard clock to exactly horizon, past every mark
+// at or before it, matching Kernel.RunUntil's inclusive boundary. Events at
+// exactly the horizon instant are executed only after every cross-shard
+// message that can arrive at or before it has been exchanged, so the
+// inclusive boundary is safe.
 func (g *ShardGroup) RunUntil(horizon time.Duration) error {
 	return g.RunUntilContext(context.Background(), horizon)
 }
@@ -365,6 +371,8 @@ func (g *ShardGroup) RunUntilContext(ctx context.Context, horizon time.Duration)
 			return err
 		}
 	}
-	g.AdvanceTo(horizon)
+	for _, k := range g.kernels {
+		k.passTo(horizon)
+	}
 	return nil
 }

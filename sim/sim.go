@@ -17,6 +17,15 @@
 // schedule: RemapHandlers rebinds each event to the forked component. At and
 // After wrap a closure in a handler of their own for tests and examples; a
 // fork cannot rebind such an event to anything.
+//
+// A component may also hold a place in the event order without occupying the
+// queue: Reserve returns a Mark (an instant plus the sequence number an event
+// pushed now would take), Ahead tells whether that event would still be
+// pending, and AtMark pushes it late under exactly that key, so it fires where
+// the eager push would have. The BGP engine keeps its MRAI interval ends this
+// way and pushes an expiry only when an announcement waits for it. A drain
+// settles the clock at the latest mark still ahead (SetMarks, Settle), where
+// the last of those unpushed events would have left it.
 package sim
 
 import (
@@ -116,6 +125,22 @@ func (t Timer) When() time.Duration {
 	return at
 }
 
+// Mark is a reserved place in the kernel's event order: an instant and the
+// sequence number an event pushed at the moment of reservation would have
+// taken. It is a value; the zero Mark is never ahead.
+type Mark struct {
+	at  time.Duration
+	seq uint64
+}
+
+// At returns the mark's instant.
+func (m Mark) At() time.Duration { return m.at }
+
+// After reports whether m comes after o in the event order.
+func (m Mark) After(o Mark) bool {
+	return m.at > o.at || m.at == o.at && m.seq > o.seq
+}
+
 // event is what the queue stores: a typed handler/arg pair. The name is used
 // only for tracing and diagnostics.
 type event struct {
@@ -130,8 +155,13 @@ type TraceFunc func(at time.Duration, name string)
 // Kernel is a deterministic discrete-event scheduler. Construct with
 // NewKernel; a Kernel must not be shared between goroutines.
 type Kernel struct {
-	q          eventq.Queue[event]
-	now        time.Duration
+	q   eventq.Queue[event]
+	now time.Duration
+	// last is the sequence number of the last event fired at now (0 when
+	// none has): (now, last) is the kernel's position in the event order,
+	// which Ahead compares marks against.
+	last       uint64
+	marks      func() Mark
 	rng        *xrand.Rand
 	executed   uint64
 	maxEvents  uint64
@@ -175,7 +205,8 @@ func (k *Kernel) Rand() *xrand.Rand { return k.rng }
 // Executed returns the number of events fired so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Pending returns the number of scheduled events not yet fired.
+// Pending returns the number of scheduled events not yet fired. Reserved
+// marks are not events and are not counted.
 func (k *Kernel) Pending() int { return k.q.Len() }
 
 // SetTrace installs fn to observe every fired event (nil disables tracing).
@@ -203,7 +234,9 @@ func (k *Kernel) AfterEvent() TraceFunc { return k.afterEvent }
 // whether one exists. It is the kernel's idle-detection hook: between Now and
 // that instant nothing in the simulation can change, so a caller that finds
 // the gap larger than its grace window knows the system is quiescent for at
-// least that long (the convergence watchdog relies on this).
+// least that long (the convergence watchdog relies on this). Reserved marks
+// are not events: a mark that nothing was pushed under does not shorten the
+// gap.
 func (k *Kernel) NextEventTime() (time.Duration, bool) {
 	return k.q.PeekTime()
 }
@@ -259,14 +292,78 @@ func (k *Kernel) AfterHandler(d time.Duration, name string, h Handler, arg uint6
 	return k.AtHandler(k.now+d, name, h, arg)
 }
 
+// Reserve returns a Mark at instant at holding the sequence number AtHandler
+// would give an event scheduled now. Nothing is queued: the mark stays ahead
+// (see Ahead) until the kernel passes the place an event pushed now would
+// have fired at, and AtMark may push an event there until then. Reserving in
+// the past panics, as scheduling there would.
+func (k *Kernel) Reserve(at time.Duration) Mark {
+	k.checkSchedule(at, "mark")
+	return Mark{at: at, seq: k.q.Reserve()}
+}
+
+// Ahead reports whether an event pushed at m's reservation would still be
+// pending: m's instant is after Now, or equal to it and not yet passed.
+// Kernel.RunUntil(h) passes every mark at or before h; AdvanceTo(at) leaves
+// marks at exactly at ahead. The zero Mark is never ahead.
+func (k *Kernel) Ahead(m Mark) bool {
+	return m.at > k.now || m.at == k.now && m.seq > k.last
+}
+
+// AtMark schedules h.HandleEvent(arg) under m's (time, sequence) key, so it
+// fires exactly where an event pushed at the reservation would have. The mark
+// must be ahead; at most one event may be pending under it at a time.
+func (k *Kernel) AtMark(m Mark, name string, h Handler, arg uint64) Timer {
+	if !k.Ahead(m) {
+		panic(fmt.Sprintf("sim: schedule %q at passed mark %v", name, m.at))
+	}
+	if h == nil {
+		panic("sim: schedule with nil handler")
+	}
+	hd := k.q.PushReserved(m.at, m.seq, event{name: name, h: h, arg: arg})
+	return Timer{k: k, h: hd}
+}
+
+// SetMarks installs fn as the kernel's source of reserved marks (nil removes
+// it): fn returns the latest mark its component still holds, or the zero
+// Mark. The kernel asks once per drain (see Settle). The source is simulation
+// state, not an observer, but it points into one component, so Fork leaves it
+// unset for the forked component to install its own.
+func (k *Kernel) SetMarks(fn func() Mark) { k.marks = fn }
+
+// Settle ends a drain. With the queue empty, it moves the clock to the latest
+// mark still ahead, which is where the last event pushed under a mark would
+// have left it. With events pending, or no mark ahead, it does nothing. Run,
+// RunContext, a Step that finds the queue empty and a ShardGroup drain call it
+// themselves; a caller that drains with its own loop calls it at the end.
+func (k *Kernel) Settle() {
+	if k.q.Len() > 0 || k.marks == nil {
+		return
+	}
+	if m := k.marks(); k.Ahead(m) {
+		k.now, k.last = m.at, m.seq
+	}
+}
+
+// passTo ends a run up to and including horizon: the clock moves to horizon
+// and every mark at or before it is passed, as its event would have fired. A
+// horizon before Now changes nothing.
+func (k *Kernel) passTo(horizon time.Duration) {
+	if horizon >= k.now {
+		k.now, k.last = horizon, k.q.LastSeq()
+	}
+}
+
 // Step fires the earliest pending event, advancing the clock to its time.
-// It reports whether an event was fired.
+// It reports whether an event was fired; finding the queue empty, it settles
+// the clock (see Settle) and reports false.
 func (k *Kernel) Step() bool {
-	at, ev, ok := k.q.Pop()
+	at, seq, ev, ok := k.q.PopSeq()
 	if !ok {
+		k.Settle()
 		return false
 	}
-	k.now = at
+	k.now, k.last = at, seq
 	k.executed++
 	if k.trace != nil {
 		k.trace(k.now, ev.name)
@@ -278,8 +375,9 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty. It returns ErrEventLimit if the
-// configured maximum number of events is exceeded.
+// Run fires events until the queue is empty, then settles the clock (see
+// Settle). It returns ErrEventLimit if the configured maximum number of
+// events is exceeded.
 func (k *Kernel) Run() error {
 	for k.q.Len() > 0 {
 		if k.executed >= k.maxEvents {
@@ -287,12 +385,13 @@ func (k *Kernel) Run() error {
 		}
 		k.Step()
 	}
+	k.Settle()
 	return nil
 }
 
 // RunUntil fires events with time <= horizon, leaving later events pending,
-// and advances the clock to exactly horizon. It returns ErrEventLimit under
-// the same condition as Run.
+// and advances the clock to exactly horizon, past every mark at or before it.
+// It returns ErrEventLimit under the same condition as Run.
 func (k *Kernel) RunUntil(horizon time.Duration) error {
 	for {
 		headAt, ok := k.q.PeekTime()
@@ -304,9 +403,7 @@ func (k *Kernel) RunUntil(horizon time.Duration) error {
 		}
 		k.Step()
 	}
-	if horizon > k.now {
-		k.now = horizon
-	}
+	k.passTo(horizon)
 	return nil
 }
 
@@ -315,7 +412,9 @@ func (k *Kernel) RunUntil(horizon time.Duration) error {
 // clock to the horizon: the clock is left at the last fired event (or wherever
 // it already was), so a caller may still schedule events at any instant >= the
 // last fired one — which is exactly what the sharded coordinator's cross-shard
-// injection needs at an epoch barrier.
+// injection needs at an epoch barrier. Marks pass only as the clock passes
+// them: one ordered after the last fired event stays ahead, and one at the
+// horizon always does.
 //
 // The exclusive boundary is deliberate and load-bearing: an epoch [T, T+L)
 // must not execute events at exactly T+L, because a cross-shard message sent
@@ -339,10 +438,10 @@ func (k *Kernel) RunBefore(horizon time.Duration) error {
 
 // AdvanceTo moves the clock forward to at without firing anything. It panics
 // if an event earlier than at is pending (advancing past it would corrupt the
-// causal order) or if at precedes the current clock. The sharded coordinator
-// uses it to align every shard's clock at a barrier instant so that
-// subsequent relative scheduling (flap pulses, fault plans) sees one
-// consistent "now" across shards.
+// causal order) or if at precedes the current clock. Events and marks at
+// exactly at stay ahead. The sharded coordinator uses it to align every
+// shard's clock at a barrier instant so that subsequent relative scheduling
+// (flap pulses, fault plans) sees one consistent "now" across shards.
 func (k *Kernel) AdvanceTo(at time.Duration) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: advance to %v before now %v", at, k.now))
@@ -350,7 +449,9 @@ func (k *Kernel) AdvanceTo(at time.Duration) {
 	if headAt, ok := k.q.PeekTime(); ok && headAt < at {
 		panic(fmt.Sprintf("sim: advance to %v past pending event at %v", at, headAt))
 	}
-	k.now = at
+	if at > k.now {
+		k.now, k.last = at, 0
+	}
 }
 
 // interrupted builds the typed stop error for a tripped context.
@@ -360,9 +461,10 @@ func (k *Kernel) interrupted(ctx context.Context) error {
 
 // RunContext is Run with a cooperative stop: the kernel polls ctx every
 // StopCheckInterval events (and once on entry) and returns ErrInterrupted —
-// wrapping the context's cause — when it has tripped. The kernel stays valid
-// and resumable after an interrupt: the clock, queue and RNG are exactly as
-// the last fired event left them, so a caller may inspect partial state or
+// wrapping the context's cause — when it has tripped. A drain settles the
+// clock as Run does. The kernel stays valid and resumable after an
+// interrupt: the clock, queue and RNG are exactly as the last fired event
+// left them, so a caller may inspect partial state or
 // continue with a fresh context. An un-tripped ctx leaves the event sequence
 // byte-identical to Run: the poll reads the context but never touches kernel
 // state.
@@ -380,6 +482,7 @@ func (k *Kernel) RunContext(ctx context.Context) error {
 		}
 		k.Step()
 	}
+	k.Settle()
 	return nil
 }
 
@@ -404,8 +507,6 @@ func (k *Kernel) RunUntilContext(ctx context.Context, horizon time.Duration) err
 		}
 		k.Step()
 	}
-	if horizon > k.now {
-		k.now = horizon
-	}
+	k.passTo(horizon)
 	return nil
 }
