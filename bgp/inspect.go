@@ -9,7 +9,7 @@ import (
 
 // This file is the read-only inspection surface the runtime invariant checker
 // (package check) walks on every event. The views copy scalar state out of
-// the dense RIB columns; paths are the engine's interned slices and must not
+// the network's flat RIBs; paths are the engine's interned slices and must not
 // be mutated. Iteration order is deterministic: ascending peer slot (= peer
 // id) and prefix id.
 
@@ -59,21 +59,20 @@ type LocalView struct {
 // EachRIBIn calls fn for every live RIB-IN entry, in (peer slot, prefix id)
 // order. Penalties are decayed to the given instant.
 func (r *Router) EachRIBIn(now time.Duration, fn func(RIBInView)) {
-	for s := range r.peers {
-		col := r.ribIn[s]
-		for pid := range col {
-			e := &col[pid]
+	for s, peer := range r.peers {
+		for pid, prefix := range r.net.prefixes {
+			e := r.ribIn(int32(s), int32(pid))
 			if !e.seen {
 				continue
 			}
 			v := RIBInView{
-				Peer:        r.peers[s],
-				Prefix:      r.net.prefixes[pid],
+				Peer:        peer,
+				Prefix:      prefix,
 				Path:        e.path,
 				EverPresent: e.everPresent,
 				ReuseAt:     e.reuseTimer.When(),
 			}
-			if e.damp != nil {
+			if r.damp != nil {
 				v.HasDamping = true
 				v.Penalty = e.damp.Penalty(now)
 				v.Suppressed = e.damp.Suppressed()
@@ -86,16 +85,15 @@ func (r *Router) EachRIBIn(now time.Duration, fn func(RIBInView)) {
 // EachRIBOut calls fn for every live RIB-OUT entry, in (peer slot, prefix id)
 // order.
 func (r *Router) EachRIBOut(fn func(RIBOutView)) {
-	for s := range r.peers {
-		col := r.ribOut[s]
-		for pid := range col {
-			e := &col[pid]
+	for s, peer := range r.peers {
+		for pid, prefix := range r.net.prefixes {
+			e := r.ribOut(int32(s), int32(pid))
 			if !e.seen {
 				continue
 			}
 			fn(RIBOutView{
-				Peer:        r.peers[s],
-				Prefix:      r.net.prefixes[pid],
+				Peer:        peer,
+				Prefix:      prefix,
 				Advertised:  e.advertised,
 				Pending:     e.pending,
 				PendingPath: e.pendingPath,
@@ -118,13 +116,13 @@ func (r *Router) mraiEnd(e *ribOutEntry) time.Duration {
 // Prefixes the router originates but has no Local-RIB slot for yet are not
 // reported (they gain one on the first reconcile).
 func (r *Router) EachLocal(fn func(LocalView)) {
-	for pid := range r.local {
-		e := r.local[pid]
+	for pid, prefix := range r.net.prefixes {
+		e := r.local(int32(pid))
 		if !e.seen {
 			continue
 		}
 		fn(LocalView{
-			Prefix:         r.net.prefixes[pid],
+			Prefix:         prefix,
 			HasRoute:       e.hasRoute,
 			SelfOriginated: e.hasRoute && e.bestPeer == selfPeer,
 			BestPeer:       e.bestPeer,
@@ -153,8 +151,8 @@ func (r *Router) DebugDampingState(peer RouterID, prefix Prefix) *damping.State 
 		return nil
 	}
 	e := r.ribInAt(r.slotOf(peer), pid)
-	if e == nil {
+	if e == nil || r.damp == nil {
 		return nil
 	}
-	return e.damp
+	return &e.damp
 }

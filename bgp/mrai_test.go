@@ -236,29 +236,27 @@ func TestMRAIEventsAreHeldAnnouncements(t *testing.T) {
 	converge(t, k, n, 0)
 
 	type entry struct {
-		r         RouterID
-		slot, pid int
+		r, peer RouterID
+		prefix  Prefix
 	}
 	held := map[entry]bool{}
 	var holds, releases, drops, mraiEvents, intervals int
 	scan := func(event string) {
 		released := 0
-		for _, r := range n.routers {
-			for s, col := range r.ribOut {
-				for pid := range col {
-					e := entry{r.id, s, pid}
-					was, is := held[e], col[pid].pending
-					switch {
-					case is && !was:
-						holds++
-					case was && !is && event == "bgp.mrai":
-						released++
-					case was && !is:
-						drops++
-					}
-					held[e] = is
+		for id := 0; id < n.NumRouters(); id++ {
+			n.Router(RouterID(id)).EachRIBOut(func(v RIBOutView) {
+				e := entry{RouterID(id), v.Peer, v.Prefix}
+				was, is := held[e], v.Pending
+				switch {
+				case is && !was:
+					holds++
+				case was && !is && event == "bgp.mrai":
+					released++
+				case was && !is:
+					drops++
 				}
-			}
+				held[e] = is
+			})
 		}
 		releases += released
 		if event == "bgp.mrai" && released != 1 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rfd/internal/xrand"
+	"rfd/rcn"
 	"rfd/sim"
 	"rfd/topology"
 )
@@ -64,20 +65,23 @@ func (h *deliverHandler) HandleEvent(arg uint64) {
 
 // Network wires routers built from a topology onto a simulation kernel.
 //
-// Link and session state live in flat edge-indexed arrays over a compressed
-// sparse row (CSR) view of the topology, and every per-router table is sized
-// by the router's degree, so a network's memory is O(V+E) — which is what
-// makes internet-scale graphs (and the sharded engine's per-shard replicas of
-// the link state) affordable. The per-message hot path performs no lookups
-// and no allocation: senders pass their peer slot, in-flight messages carry
-// the receiver's directed slot, and they are parked in a freelist-backed slab
-// whose index the delivery event carries.
+// Link, session and RIB state live in flat arrays indexed by edge, directed
+// slot or router over a compressed sparse row (CSR) view of the topology, so
+// a network's memory is O(V+E) per prefix — which is what makes
+// internet-scale graphs (and the sharded engine's per-shard replicas of the
+// link state) affordable, and a fork a few slice copies. The per-message hot
+// path performs no lookups and no allocation: senders pass their peer slot,
+// in-flight messages carry the receiver's directed slot, and they are parked
+// in a freelist-backed slab whose index the delivery event carries.
 type Network struct {
-	kernel  *sim.Kernel
-	graph   *topology.Graph
-	cfg     Config
-	routers []*Router
-	nn      int // number of nodes
+	kernel *sim.Kernel
+	graph  *topology.Graph
+	cfg    Config
+	nn     int // number of nodes
+	// routers is the router slab, one value per router id. A shard network
+	// builds every router but runs only those its shard owns: router and
+	// Router return nil for the rest.
+	routers []Router
 
 	// CSR adjacency, fixed at construction and shared by forks: node v's
 	// neighbors are adjNbr[adjStart[v]:adjStart[v+1]], sorted ascending.
@@ -113,12 +117,11 @@ type Network struct {
 	// nothing is sent to or from it until RestartRouter.
 	downRouters []bool
 	// owner maps each router id to its owning shard; nil when this network
-	// owns every router (the sequential engine). A shard network
-	// instantiates only the routers it owns (the rest stay nil) and hands
-	// messages bound for remote owners to remoteSend instead of scheduling
-	// a local delivery. Link and session state is replicated per shard and
-	// kept in sync by applying every fault to every shard at the same
-	// virtual time.
+	// owns every router (the sequential engine). A shard network runs only
+	// the routers it owns and hands messages bound for remote owners to
+	// remoteSend instead of scheduling a local delivery. Link and session
+	// state is replicated per shard and kept in sync by applying every fault
+	// to every shard at the same virtual time.
 	owner   []int32
 	shardID int32
 	// remoteSend parks a cross-shard message — already FIFO-stamped with
@@ -133,11 +136,39 @@ type Network struct {
 	// (including ones that will be dropped on arrival).
 	pendingDeliveries int
 
+	// Every router's mutable protocol state lives in flat network-wide
+	// slices, so a fork copies a handful of arrays instead of walking
+	// routers. RIB-IN and RIB-OUT are indexed by (prefix id, directed slot)
+	// (ribIdx), Local-RIB and origination state by (prefix id, router id)
+	// (locIdx); each new prefix id appends one row to each (prefixID). A
+	// shard network's rows for routers it does not own stay zero.
+	ribIn  []ribInEntry
+	ribOut []ribOutEntry
+	local  []localEntry
+	orig   []origin
+	// RCN state, nil unless cfg.EnableRCN (without it every root cause is
+	// zero): the root cause of every RIB-IN route and of every pending
+	// RIB-OUT announcement, by ribIdx; the root-cause history and the
+	// link-status sequencer of every directed slot; and the origination
+	// sequencer of every (prefix id, router id).
+	inCause  []rcn.Cause
+	outCause []rcn.Cause
+	history  []*rcn.History
+	linkSeq  []rcn.Sequencer
+	origSeq  []rcn.Sequencer
+	// mraiH and reuseH receive every router's MRAI expiries and reuse
+	// timers; the event arg names the directed slot and prefix id.
+	mraiH  mraiHandler
+	reuseH reuseHandler
+
 	// paths interns every AS path the engine handles; prefixIDs/prefixes
-	// map prefixes to the dense ids the routers' RIBs are indexed by.
-	paths     *pathTable
-	prefixIDs map[Prefix]int32
-	prefixes  []Prefix
+	// map prefixes to the dense ids the RIBs are indexed by, and
+	// prefixOrder lists the ids in ascending prefix order, the order every
+	// prefix walk takes.
+	paths       *pathTable
+	prefixIDs   map[Prefix]int32
+	prefixes    []Prefix
+	prefixOrder []int32
 
 	// msgSlab parks in-flight messages; msgFree is its freelist.
 	msgSlab  []pendingMsg
@@ -205,10 +236,11 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 		downRouters: make([]bool, nn),
 		owner:       owner,
 		shardID:     shardID,
-		paths:       newPathTable(),
-		prefixIDs:   make(map[Prefix]int32, 8),
+		paths:       &pathTable{},
 	}
 	n.deliverH = deliverHandler{n: n}
+	n.mraiH = mraiHandler{n: n}
+	n.reuseH = reuseHandler{n: n}
 	k.SetMarks(n.latestMark)
 	n.buildCSR(edges)
 	rng := xrand.New(cfg.Seed)
@@ -220,16 +252,86 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 		}
 		n.linkDelay[i] = d
 	}
-	n.routers = make([]*Router, nn)
-	for id := 0; id < nn; id++ {
-		// Split unconditionally: unowned routers still consume their slot in
-		// the parent stream so owned routers get their sequential streams.
-		sub := rng.Split()
-		if owner == nil || owner[id] == shardID {
-			n.routers[id] = newRouter(n, RouterID(id), sub)
+	n.routers = make([]Router, nn)
+	for id := range n.routers {
+		// Split for every router: unowned routers still consume their slot
+		// in the parent stream so owned routers get their sequential streams.
+		n.routers[id] = Router{
+			id:    RouterID(id),
+			net:   n,
+			base:  n.adjStart[id],
+			peers: n.neighbors(RouterID(id)),
+			damp:  cfg.dampingFor(RouterID(id)),
+			rng:   *rng.Split(),
+		}
+	}
+	if cfg.EnableRCN {
+		n.history = make([]*rcn.History, len(n.adjNbr))
+		n.linkSeq = make([]rcn.Sequencer, len(n.adjNbr))
+		for id := range n.routers {
+			if n.owns(RouterID(id)) {
+				for d := n.adjStart[id]; d < n.adjStart[id+1]; d++ {
+					n.history[d] = n.newHistory()
+				}
+			}
 		}
 	}
 	return n, nil
+}
+
+// newHistory returns a fresh per-session root-cause history (RCN only): a
+// header that grows as causes arrive.
+func (n *Network) newHistory() *rcn.History {
+	return rcn.NewHistory(n.cfg.RCNHistorySize)
+}
+
+// owns reports whether this network runs router id: always on the
+// sequential engine, only for its own routers on a shard network.
+func (n *Network) owns(id RouterID) bool {
+	return n.owner == nil || n.owner[id] == n.shardID
+}
+
+// router returns the running router id, nil when a shard network does not
+// own it. id must be in range.
+func (n *Network) router(id RouterID) *Router {
+	if !n.owns(id) {
+		return nil
+	}
+	return &n.routers[id]
+}
+
+// dirRouter returns the router a directed slot belongs to and the slot's
+// offset in its row.
+func (n *Network) dirRouter(dir int32) (*Router, int32) {
+	r := &n.routers[n.adjNbr[n.adjRev[dir]]]
+	return r, dir - r.base
+}
+
+// ribIdx returns the flat RIB-IN/RIB-OUT index of (directed slot, prefix id).
+func (n *Network) ribIdx(dir, pid int32) int {
+	return int(pid)*len(n.adjNbr) + int(dir)
+}
+
+// causeAt returns the root cause causes (inCause or outCause) holds for
+// (directed slot, prefix id): zero when RCN is off.
+func (n *Network) causeAt(causes []rcn.Cause, dir, pid int32) rcn.Cause {
+	if causes == nil {
+		return rcn.Cause{}
+	}
+	return causes[n.ribIdx(dir, pid)]
+}
+
+// setCause stores c in causes (inCause or outCause) for (directed slot,
+// prefix id); a no-op when RCN is off, where every cause is zero.
+func (n *Network) setCause(causes []rcn.Cause, dir, pid int32, c rcn.Cause) {
+	if causes != nil {
+		causes[n.ribIdx(dir, pid)] = c
+	}
+}
+
+// locIdx returns the flat Local-RIB/origination index of (router, prefix id).
+func (n *Network) locIdx(id RouterID, pid int32) int {
+	return int(pid)*n.nn + int(id)
 }
 
 // buildCSR fills the adjacency arrays from the edge list: counting sort into
@@ -342,7 +444,7 @@ func (n *Network) Router(id RouterID) *Router {
 	if !n.inRange(id) {
 		return nil
 	}
-	return n.routers[id]
+	return n.router(id)
 }
 
 // SetHooks installs observation hooks (replacing any previous ones).
@@ -391,16 +493,9 @@ func (n *Network) PendingDeliveries() int { return n.pendingDeliveries }
 // before the next damping-reuse instant without further external input.
 func (n *Network) PendingAnnouncements() int {
 	total := 0
-	for _, r := range n.routers {
-		if r == nil {
-			continue
-		}
-		for s := range r.peers {
-			for i := range r.ribOut[s] {
-				if r.ribOut[s][i].pending {
-					total++
-				}
-			}
+	for i := range n.ribOut {
+		if n.ribOut[i].pending {
+			total++
 		}
 	}
 	return total
@@ -412,16 +507,9 @@ func (n *Network) PendingAnnouncements() int {
 // interval would have, had its expiry been queued.
 func (n *Network) latestMark() sim.Mark {
 	var latest sim.Mark
-	for _, r := range n.routers {
-		if r == nil {
-			continue
-		}
-		for _, col := range r.ribOut {
-			for i := range col {
-				if m := col[i].mrai; m.After(latest) {
-					latest = m
-				}
-			}
+	for i := range n.ribOut {
+		if m := n.ribOut[i].mrai; m.After(latest) {
+			latest = m
 		}
 	}
 	return latest
@@ -432,8 +520,8 @@ func (n *Network) latestMark() sim.Mark {
 // studies flaps against clean damping state; experiments call this at the
 // end of warm-up.
 func (n *Network) ResetDamping() {
-	for _, r := range n.routers {
-		if r != nil {
+	for id := range n.routers {
+		if r := n.router(RouterID(id)); r != nil {
 			r.resetDamping()
 		}
 	}
@@ -445,9 +533,9 @@ func (n *Network) ResetDamping() {
 // of links per prefix; footnote 2).
 func (n *Network) DampedLinkCount() int {
 	total := 0
-	for _, r := range n.routers {
-		if r != nil {
-			total += r.suppressedCount()
+	for i := range n.ribIn {
+		if e := &n.ribIn[i]; e.seen && e.damp.Suppressed() {
+			total++
 		}
 	}
 	return total
@@ -512,19 +600,19 @@ func (n *Network) SetLinkState(a, b RouterID, up bool) error {
 	}
 	if up {
 		n.downLinks[key] = false
-		if r := n.routers[a]; r != nil {
+		if r := n.router(a); r != nil {
 			r.peerUp(b)
 		}
-		if r := n.routers[b]; r != nil {
+		if r := n.router(b); r != nil {
 			r.peerUp(a)
 		}
 	} else {
 		n.downLinks[key] = true
 		n.severSession(a, b)
-		if r := n.routers[a]; r != nil {
+		if r := n.router(a); r != nil {
 			r.peerDown(b)
 		}
-		if r := n.routers[b]; r != nil {
+		if r := n.router(b); r != nil {
 			r.peerDown(a)
 		}
 	}
@@ -546,16 +634,16 @@ func (n *Network) ResetSession(a, b RouterID) error {
 		return nil
 	}
 	n.severSession(a, b)
-	if r := n.routers[a]; r != nil {
+	if r := n.router(a); r != nil {
 		r.peerDown(b)
 	}
-	if r := n.routers[b]; r != nil {
+	if r := n.router(b); r != nil {
 		r.peerDown(a)
 	}
-	if r := n.routers[a]; r != nil {
+	if r := n.router(a); r != nil {
 		r.peerUp(b)
 	}
-	if r := n.routers[b]; r != nil {
+	if r := n.router(b); r != nil {
 		r.peerUp(a)
 	}
 	return nil
@@ -582,7 +670,7 @@ func (n *Network) CrashRouter(id RouterID) error {
 	for _, q := range n.neighbors(id) {
 		n.severSession(id, q)
 	}
-	if r := n.routers[id]; r != nil {
+	if r := n.router(id); r != nil {
 		r.crash()
 	}
 	for i, q := range n.neighbors(id) {
@@ -591,7 +679,7 @@ func (n *Network) CrashRouter(id RouterID) error {
 			// withdraw.
 			continue
 		}
-		if rq := n.routers[q]; rq != nil {
+		if rq := n.router(q); rq != nil {
 			rq.peerDown(id)
 		}
 	}
@@ -611,14 +699,14 @@ func (n *Network) RestartRouter(id RouterID) error {
 		return nil
 	}
 	n.downRouters[id] = false
-	if r := n.routers[id]; r != nil {
+	if r := n.router(id); r != nil {
 		r.restart()
 	}
 	for _, q := range n.neighbors(id) {
 		if !n.SessionUp(id, q) {
 			continue
 		}
-		if rq := n.routers[q]; rq != nil {
+		if rq := n.router(q); rq != nil {
 			rq.peerUp(id)
 		}
 	}
@@ -651,7 +739,7 @@ func (n *Network) allocMsg(pm pendingMsg) int32 {
 // sent while no session is established, or dropped by the impairment model,
 // are lost.
 func (n *Network) send(slot int32, msg Message) {
-	sender := n.routers[msg.From]
+	sender := &n.routers[msg.From]
 	dir := n.adjStart[msg.From] + slot
 	edge := n.adjEdge[dir]
 	delay := n.linkDelay[edge]
@@ -728,7 +816,8 @@ func (n *Network) deliver(msg Message, gen uint64, dir int32) {
 	if n.debugHooks.OnDeliver != nil {
 		n.debugHooks.OnDeliver(n.kernel.Now(), msg)
 	}
-	n.routers[msg.To].receive(dir-n.adjStart[msg.To], msg)
+	r := &n.routers[msg.To]
+	r.receive(dir-r.base, msg)
 }
 
 // CheckConsistency verifies steady-state invariants and returns the first
@@ -750,43 +839,47 @@ func (n *Network) CheckConsistency() error {
 	if !n.Quiescent() {
 		return fmt.Errorf("bgp: consistency check on a non-quiescent network (%d deliveries in flight)", n.pendingDeliveries)
 	}
-	for _, r := range n.routers {
-		if r == nil || n.downRouters[r.id] {
+	for id := range n.routers {
+		r := n.router(RouterID(id))
+		if r == nil || n.downRouters[id] {
 			// Remote (other-shard) routers are checked by their owner; a
 			// crashed router holds no state to be consistent about.
 			continue
 		}
 		for s, q := range r.peers {
-			if !n.SessionUp(r.id, q) {
+			if !n.sessionUpEdge(n.adjEdge[r.base+int32(s)], r.id, q) {
 				// No session: the peers legitimately disagree until the
 				// link recovers or the crashed endpoint restarts.
 				continue
 			}
-			peer := n.routers[q]
+			peer := n.router(q)
 			if peer == nil {
 				// Cross-shard session: the ensemble-level check pairs the
 				// two shard-local views.
 				continue
 			}
-			backSlot := peer.slotOf(r.id)
-			for _, prefix := range r.ribOutPrefixes(int32(s)) {
-				pid, _ := n.lookupPrefix(prefix)
-				var sent, held Path
-				if out := r.ribOutAt(int32(s), pid); out != nil {
-					sent = out.advertised
+			backSlot := n.adjRev[r.base+int32(s)] - peer.base
+			for _, pid := range n.prefixOrder {
+				out := r.ribOutAt(int32(s), pid)
+				if out == nil {
+					continue
 				}
+				var held Path
 				if in := peer.ribInAt(backSlot, pid); in != nil {
 					held = in.path
 				}
-				if !sent.Equal(held) {
+				if !out.advertised.Equal(held) {
 					return fmt.Errorf(
 						"bgp: session %d->%d prefix %s: RIB-OUT [%s] != peer RIB-IN [%s]",
-						r.id, q, prefix, sent, held)
+						r.id, q, n.prefixes[pid], out.advertised, held)
 				}
 			}
 		}
-		for _, prefix := range r.localPrefixes() {
-			if err := r.checkLocalRIB(prefix); err != nil {
+		for _, pid := range n.prefixOrder {
+			if !r.hasLocalState(pid) {
+				continue
+			}
+			if err := r.checkLocalRIB(pid); err != nil {
 				return err
 			}
 		}
@@ -797,19 +890,14 @@ func (n *Network) CheckConsistency() error {
 // Prefixes returns the sorted set of prefixes any router currently holds
 // state for.
 func (n *Network) Prefixes() []Prefix {
-	set := make(map[Prefix]struct{})
-	for _, r := range n.routers {
-		if r == nil {
-			continue
-		}
-		for _, p := range r.localPrefixes() {
-			set[p] = struct{}{}
+	var out []Prefix
+	for _, pid := range n.prefixOrder {
+		for id := range n.routers {
+			if r := n.router(RouterID(id)); r != nil && r.hasLocalState(pid) {
+				out = append(out, n.prefixes[pid])
+				break
+			}
 		}
 	}
-	out := make([]Prefix, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sortPrefixes(out)
 	return out
 }

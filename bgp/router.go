@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"rfd/damping"
@@ -15,38 +14,39 @@ import (
 // selfPeer marks a Local-RIB entry whose route is originated locally.
 const selfPeer = RouterID(-1)
 
-// ribInEntry is the adj-RIB-in state for one (peer slot, prefix id): the last
-// route received (nil when withdrawn), the flap history damping needs, the
-// damping state itself, and the pending reuse timer. Entries live inline in
-// the router's dense RIB columns; seen distinguishes a live entry from the
-// column's zero-valued padding.
+// ribInEntry is the adj-RIB-in state for one (directed slot, prefix id): the
+// last route received (nil when withdrawn), the flap history damping needs,
+// the damping state itself (zero and unused on a router without damping), and
+// the pending reuse timer. Entries live inline in the network's flat RIB-IN;
+// seen distinguishes a live entry from the zero-valued padding. The root
+// cause the route arrived with is kept beside it, in Network.inCause.
 type ribInEntry struct {
 	path        Path
+	damp        damping.State
+	reuseTimer  sim.Timer
 	everPresent bool
 	seen        bool
-	cause       rcn.Cause
-	damp        *damping.State
-	reuseTimer  sim.Timer
 }
 
-// ribOutEntry is the adj-RIB-out state for one (peer slot, prefix id): what
-// has been advertised, the end of the MRAI interval the last announcement
-// started, and the announcement waiting for it. The interval end is a
-// reserved place in the kernel's event order, not an event: expiry is pushed
-// under it only while an announcement is pending, and cancelled when none is.
+// ribOutEntry is the adj-RIB-out state for one (directed slot, prefix id):
+// what has been advertised, the end of the MRAI interval the last
+// announcement started, and the announcement waiting for it. The interval end
+// is a reserved place in the kernel's event order, not an event: expiry is
+// pushed under it only while an announcement is pending, and cancelled when
+// none is. The pending announcement's root cause is kept beside it, in
+// Network.outCause.
 type ribOutEntry struct {
-	advertised   Path
-	pendingPath  Path
-	pendingCause rcn.Cause
-	mrai         sim.Mark
-	expiry       sim.Timer
-	pending      bool
-	seen         bool
+	advertised  Path
+	pendingPath Path
+	mrai        sim.Mark
+	expiry      sim.Timer
+	pending     bool
+	seen        bool
 }
 
-// localEntry is the Local-RIB entry for one prefix id. seen marks slots the
-// decision process has ever written (the dense equivalent of map-key
-// presence) and is ignored by equal.
+// localEntry is the Local-RIB entry for one (prefix id, router). seen marks
+// entries the decision process has ever written (the dense equivalent of
+// map-key presence) and is ignored by equal.
 type localEntry struct {
 	hasRoute bool
 	seen     bool
@@ -58,38 +58,47 @@ func (l localEntry) equal(o localEntry) bool {
 	return l.hasRoute == o.hasRoute && l.bestPeer == o.bestPeer && l.bestPath.Equal(o.bestPath)
 }
 
-// packSlotPrefix packs a peer slot and prefix id into a typed-event arg.
-func packSlotPrefix(slot, pid int32) uint64 {
-	return uint64(uint32(slot))<<32 | uint64(uint32(pid))
+// origin is one router's origination state for one prefix id: on while it
+// originates the prefix, ever once it has.
+type origin struct{ on, ever bool }
+
+// packDirPrefix packs a directed slot and prefix id into a typed-event arg.
+func packDirPrefix(dir, pid int32) uint64 {
+	return uint64(uint32(dir))<<32 | uint64(uint32(pid))
 }
 
 // mraiHandler and reuseHandler adapt the kernel's typed-event interface to
-// the router's timer callbacks. They are fields of Router (not fresh
+// the routers' timer callbacks. They are fields of Network (not fresh
 // allocations), so pushing an MRAI expiry or arming a reuse timer allocates
-// nothing.
-type mraiHandler struct{ r *Router }
+// nothing, and a fork rebinds every pending timer by rebinding two handlers.
+// The event arg names the directed slot, which names the router.
+type mraiHandler struct{ n *Network }
 
 func (h *mraiHandler) HandleEvent(arg uint64) {
-	h.r.mraiExpired(int32(arg>>32), int32(uint32(arg)))
+	r, slot := h.n.dirRouter(int32(arg >> 32))
+	r.mraiExpired(slot, int32(uint32(arg)))
 }
 
-type reuseHandler struct{ r *Router }
+type reuseHandler struct{ n *Network }
 
 func (h *reuseHandler) HandleEvent(arg uint64) {
-	h.r.reuseExpired(int32(arg>>32), int32(uint32(arg)))
+	r, slot := h.n.dirRouter(int32(arg >> 32))
+	r.reuseExpired(slot, int32(uint32(arg)))
 }
 
 // Router is one BGP speaker. Routers are created by NewNetwork — one per
 // topology node — and driven entirely by simulation events.
 //
-// All per-session and per-prefix state is held in dense slices: peers map to
-// slots 0..len(peers)-1 (ascending peer id order) and prefixes to the
-// network's dense prefix ids, so the hot path indexes flat arrays instead of
-// walking nested string-keyed maps.
+// A Router holds only what is fixed at construction plus its RNG stream; its
+// RIBs live in the network's flat per-(directed slot, prefix id) and
+// per-(prefix id, router) slices. Peers map to slots 0..len(peers)-1
+// (ascending peer id order), and the router's directed slots are base+slot,
+// so the hot path indexes flat arrays instead of walking nested maps.
 type Router struct {
 	id  RouterID
 	net *Network
-	rng *xrand.Rand
+	// base is the router's first directed slot (its CSR row start).
+	base int32
 	// peers is the router's CSR row (sorted ascending, fixed at
 	// construction, shared with the network and its forks): a peer's slot is
 	// its offset in the row.
@@ -98,49 +107,7 @@ type Router struct {
 	// here), resolved once at construction from Config.Damping /
 	// Config.DampingSelect.
 	damp *damping.Params
-
-	ribIn      [][]ribInEntry   // [peer slot][prefix id]
-	ribOut     [][]ribOutEntry  // [peer slot][prefix id]
-	local      []localEntry     // [prefix id]
-	originated []bool           // [prefix id] currently originating
-	origSeen   []bool           // [prefix id] ever originated
-	history    []*rcn.History   // per-peer-slot root-cause history (RCN)
-	sequencers []*rcn.Sequencer // [prefix id] origination root causes
-	linkSeq    []*rcn.Sequencer // [peer slot] link status-change root causes
-
-	mraiH  mraiHandler
-	reuseH reuseHandler
-}
-
-func newRouter(n *Network, id RouterID, rng *xrand.Rand) *Router {
-	peers := n.neighbors(id)
-	r := &Router{
-		id:      id,
-		net:     n,
-		rng:     rng,
-		peers:   peers,
-		damp:    n.cfg.dampingFor(id),
-		ribIn:   make([][]ribInEntry, len(peers)),
-		ribOut:  make([][]ribOutEntry, len(peers)),
-		history: make([]*rcn.History, len(peers)),
-		linkSeq: make([]*rcn.Sequencer, len(peers)),
-	}
-	for s := range peers {
-		r.history[s] = r.newHistory()
-	}
-	r.mraiH = mraiHandler{r: r}
-	r.reuseH = reuseHandler{r: r}
-	return r
-}
-
-// newHistory returns a fresh per-peer root-cause history, or nil when RCN is
-// disabled (histories are only consulted under EnableRCN, so a session without
-// RCN carries none). A fresh history is a header that grows as causes arrive.
-func (r *Router) newHistory() *rcn.History {
-	if !r.net.cfg.EnableRCN {
-		return nil
-	}
-	return rcn.NewHistory(r.net.cfg.RCNHistorySize)
+	rng  xrand.Rand
 }
 
 // ID returns the router's identifier.
@@ -162,13 +129,11 @@ func (r *Router) slotOf(peer RouterID) int32 {
 // RCN is enabled. Originating an already-originated prefix is a no-op.
 func (r *Router) Originate(prefix Prefix) {
 	pid := r.net.prefixID(prefix)
-	r.originated = extend(r.originated, int(pid)+1)
-	r.origSeen = extend(r.origSeen, int(pid)+1)
-	if r.originated[pid] {
+	o := r.origin(pid)
+	if o.on {
 		return
 	}
-	r.originated[pid] = true
-	r.origSeen[pid] = true
+	*o = origin{on: true, ever: true}
 	r.reconcile(pid, r.originationCause(pid, rcn.LinkUp))
 }
 
@@ -179,7 +144,7 @@ func (r *Router) StopOriginating(prefix Prefix) {
 	if !ok || !r.isOriginated(pid) {
 		return
 	}
-	r.originated[pid] = false
+	r.origin(pid).on = false
 	r.reconcile(pid, r.originationCause(pid, rcn.LinkDown))
 }
 
@@ -189,9 +154,14 @@ func (r *Router) Originates(prefix Prefix) bool {
 	return ok && r.isOriginated(pid)
 }
 
+// origin returns the router's origination state for prefix id pid.
+func (r *Router) origin(pid int32) *origin {
+	return &r.net.orig[r.net.locIdx(r.id, pid)]
+}
+
 // isOriginated reports whether the router currently originates prefix id pid.
 func (r *Router) isOriginated(pid int32) bool {
-	return pid >= 0 && int(pid) < len(r.originated) && r.originated[pid]
+	return r.origin(pid).on
 }
 
 // originationCause stamps an origination change with a root cause when RCN
@@ -201,13 +171,7 @@ func (r *Router) originationCause(pid int32, status rcn.Status) rcn.Cause {
 	if !r.net.cfg.EnableRCN {
 		return rcn.Cause{}
 	}
-	r.sequencers = extend(r.sequencers, int(pid)+1)
-	seq := r.sequencers[pid]
-	if seq == nil {
-		seq = &rcn.Sequencer{}
-		r.sequencers[pid] = seq
-	}
-	return seq.Next(int(r.id), int(r.id), status)
+	return r.net.origSeq[r.net.locIdx(r.id, pid)].Next(int(r.id), int(r.id), status)
 }
 
 // LocalRoute returns the router's current best path for prefix (nil for a
@@ -227,19 +191,24 @@ func (r *Router) BestPeer(prefix Prefix) (RouterID, bool) {
 	return l.bestPeer, l.hasRoute
 }
 
+// local returns the Local-RIB entry for prefix id pid.
+func (r *Router) local(pid int32) *localEntry {
+	return &r.net.local[r.net.locIdx(r.id, pid)]
+}
+
 // localAt returns the Local-RIB entry for prefix id pid (zero when absent).
 func (r *Router) localAt(pid int32) localEntry {
-	if pid < 0 || int(pid) >= len(r.local) {
+	if pid < 0 {
 		return localEntry{}
 	}
-	return r.local[pid]
+	return *r.local(pid)
 }
 
 // Penalty returns the damping penalty for (peer, prefix) at virtual time
 // now; zero when damping is disabled or no state exists.
 func (r *Router) Penalty(peer RouterID, prefix Prefix, now time.Duration) float64 {
 	pid, _ := r.net.lookupPrefix(prefix)
-	if e := r.ribInAt(r.slotOf(peer), pid); e != nil && e.damp != nil {
+	if e := r.ribInAt(r.slotOf(peer), pid); e != nil && r.damp != nil {
 		return e.damp.Penalty(now)
 	}
 	return 0
@@ -249,48 +218,53 @@ func (r *Router) Penalty(peer RouterID, prefix Prefix, now time.Duration) float6
 func (r *Router) Suppressed(peer RouterID, prefix Prefix) bool {
 	pid, _ := r.net.lookupPrefix(prefix)
 	e := r.ribInAt(r.slotOf(peer), pid)
-	return e != nil && e.damp != nil && e.damp.Suppressed()
+	return e != nil && e.damp.Suppressed()
+}
+
+// ribIn returns the RIB-IN entry for (peer slot, prefix id), live or not.
+// The pointer is invalidated when a new prefix id grows the RIBs; do not hold
+// it across calls that may assign one.
+func (r *Router) ribIn(slot, pid int32) *ribInEntry {
+	return &r.net.ribIn[r.net.ribIdx(r.base+slot, pid)]
+}
+
+// ribOut returns the RIB-OUT entry for (peer slot, prefix id), live or not.
+// Same aliasing caveat as ribIn.
+func (r *Router) ribOut(slot, pid int32) *ribOutEntry {
+	return &r.net.ribOut[r.net.ribIdx(r.base+slot, pid)]
 }
 
 // ribInAt returns the live RIB-IN entry for (peer slot, prefix id), nil when
-// absent. The pointer is invalidated by the next column growth; do not hold
-// it across calls that may create entries.
+// absent.
 func (r *Router) ribInAt(slot, pid int32) *ribInEntry {
 	if slot < 0 || pid < 0 {
 		return nil
 	}
-	col := r.ribIn[slot]
-	if int(pid) >= len(col) || !col[pid].seen {
-		return nil
+	if e := r.ribIn(slot, pid); e.seen {
+		return e
 	}
-	return &col[pid]
+	return nil
 }
 
 // ribOutAt returns the live RIB-OUT entry for (peer slot, prefix id), nil
-// when absent. Same aliasing caveat as ribInAt.
+// when absent.
 func (r *Router) ribOutAt(slot, pid int32) *ribOutEntry {
 	if slot < 0 || pid < 0 {
 		return nil
 	}
-	col := r.ribOut[slot]
-	if int(pid) >= len(col) || !col[pid].seen {
-		return nil
+	if e := r.ribOut(slot, pid); e.seen {
+		return e
 	}
-	return &col[pid]
+	return nil
 }
 
 // ensureRibIn returns (creating if needed) the RIB-IN entry for (slot, pid).
 func (r *Router) ensureRibIn(slot, pid int32) *ribInEntry {
-	col := r.ribIn[slot]
-	if int(pid) >= len(col) {
-		col = extend(col, int(pid)+1)
-		r.ribIn[slot] = col
-	}
-	e := &col[pid]
+	e := r.ribIn(slot, pid)
 	if !e.seen {
 		e.seen = true
 		if r.damp != nil {
-			e.damp = damping.NewState(*r.damp)
+			e.damp = *damping.NewState(*r.damp)
 		}
 	}
 	return e
@@ -298,12 +272,7 @@ func (r *Router) ensureRibIn(slot, pid int32) *ribInEntry {
 
 // ensureRibOut returns (creating if needed) the RIB-OUT entry for (slot, pid).
 func (r *Router) ensureRibOut(slot, pid int32) *ribOutEntry {
-	col := r.ribOut[slot]
-	if int(pid) >= len(col) {
-		col = extend(col, int(pid)+1)
-		r.ribOut[slot] = col
-	}
-	e := &col[pid]
+	e := r.ribOut(slot, pid)
 	e.seen = true
 	return e
 }
@@ -345,7 +314,7 @@ func (r *Router) applyUpdate(slot int32, from RouterID, pid int32, withdraw bool
 	attrsDiffer := !withdraw && !path.Equal(e.path)
 	kind := damping.Classify(withdraw, present, e.everPresent, attrsDiffer)
 
-	if e.damp != nil {
+	if r.damp != nil {
 		charge := true
 		chargeKind := kind
 		if r.net.cfg.SelectiveDamping && !withdraw && present && len(path) > len(e.path) {
@@ -359,7 +328,7 @@ func (r *Router) applyUpdate(slot int32, from RouterID, pid int32, withdraw bool
 			charge = false
 		}
 		if r.net.cfg.EnableRCN {
-			charge = r.history[slot].Witness(cause)
+			charge = r.net.history[r.base+slot].Witness(cause)
 			if charge && !cause.IsZero() {
 				// RCN-enhanced damping penalizes the *flap itself*, not the
 				// perceived result of the flap (Section 7): a link-down root
@@ -399,7 +368,7 @@ func (r *Router) applyUpdate(slot int32, from RouterID, pid int32, withdraw bool
 		e.path = path
 		e.everPresent = true
 	}
-	e.cause = cause
+	r.net.setCause(r.net.inCause, r.base+slot, pid, cause)
 }
 
 // linkCause stamps a session status change with a root cause when RCN is on
@@ -408,12 +377,7 @@ func (r *Router) linkCause(slot int32, peer RouterID, status rcn.Status) rcn.Cau
 	if !r.net.cfg.EnableRCN {
 		return rcn.Cause{}
 	}
-	seq := r.linkSeq[slot]
-	if seq == nil {
-		seq = &rcn.Sequencer{}
-		r.linkSeq[slot] = seq
-	}
-	return seq.Next(int(r.id), int(peer), status)
+	return r.net.linkSeq[r.base+slot].Next(int(r.id), int(peer), status)
 }
 
 // peerDown handles the local side of a failed link: the session's RIB-OUT
@@ -423,17 +387,18 @@ func (r *Router) linkCause(slot int32, peer RouterID, status rcn.Status) rcn.Cau
 func (r *Router) peerDown(peer RouterID) {
 	slot := r.slotOf(peer)
 	cause := r.linkCause(slot, peer, rcn.LinkDown)
-	for _, prefix := range r.ribOutPrefixes(slot) {
-		pid, _ := r.net.lookupPrefix(prefix)
-		out := r.ribOutAt(slot, pid)
-		out.advertised = nil
-		dropPending(out)
-		out.mrai = sim.Mark{}
+	for _, pid := range r.net.prefixOrder {
+		if out := r.ribOutAt(slot, pid); out != nil {
+			out.advertised = nil
+			dropPending(out)
+			out.mrai = sim.Mark{}
+		}
 	}
-	for _, prefix := range r.ribInPrefixes(slot) {
-		pid, _ := r.net.lookupPrefix(prefix)
-		r.applyUpdate(slot, peer, pid, true, nil, cause)
-		r.reconcile(pid, cause)
+	for _, pid := range r.net.prefixOrder {
+		if r.ribInAt(slot, pid) != nil {
+			r.applyUpdate(slot, peer, pid, true, nil, cause)
+			r.reconcile(pid, cause)
+		}
 	}
 }
 
@@ -444,72 +409,25 @@ func (r *Router) peerDown(peer RouterID) {
 func (r *Router) peerUp(peer RouterID) {
 	slot := r.slotOf(peer)
 	cause := r.linkCause(slot, peer, rcn.LinkUp)
-	for _, prefix := range r.localPrefixes() {
-		pid, _ := r.net.lookupPrefix(prefix)
-		var adv Path
-		r.syncPeer(slot, peer, pid, cause, &adv)
+	for _, pid := range r.net.prefixOrder {
+		if r.hasLocalState(pid) {
+			var adv Path
+			r.syncPeer(slot, peer, pid, cause, &adv)
+		}
 	}
 }
 
-// sortPrefixes sorts prefixes ascending. It is the single shared ordering
-// used by every prefix-enumeration site (RIB-IN, RIB-OUT, Local-RIB and the
-// network-wide set): fault handling and consistency checking walk prefixes
-// in this order, which is part of the engine's determinism contract.
-func sortPrefixes(ps []Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-}
-
-// ribInPrefixes returns the sorted prefixes with RIB-IN state from the peer
-// in slot.
-func (r *Router) ribInPrefixes(slot int32) []Prefix {
-	col := r.ribIn[slot]
-	out := make([]Prefix, 0, len(col))
-	for pid := range col {
-		if col[pid].seen {
-			out = append(out, r.net.prefixes[pid])
-		}
-	}
-	sortPrefixes(out)
-	return out
-}
-
-// ribOutPrefixes returns the sorted prefixes with RIB-OUT state toward the
-// peer in slot.
-func (r *Router) ribOutPrefixes(slot int32) []Prefix {
-	col := r.ribOut[slot]
-	out := make([]Prefix, 0, len(col))
-	for pid := range col {
-		if col[pid].seen {
-			out = append(out, r.net.prefixes[pid])
-		}
-	}
-	sortPrefixes(out)
-	return out
-}
-
-// localPrefixes returns the sorted prefixes with Local-RIB or origination
-// state.
-func (r *Router) localPrefixes() []Prefix {
-	out := make([]Prefix, 0, len(r.local))
-	for pid := range r.local {
-		if r.local[pid].seen {
-			out = append(out, r.net.prefixes[pid])
-		}
-	}
-	for pid := range r.origSeen {
-		if r.origSeen[pid] && (pid >= len(r.local) || !r.local[pid].seen) {
-			out = append(out, r.net.prefixes[pid])
-		}
-	}
-	sortPrefixes(out)
-	return out
+// hasLocalState reports whether the router holds Local-RIB state for prefix
+// id pid or has ever originated it.
+func (r *Router) hasLocalState(pid int32) bool {
+	return r.local(pid).seen || r.origin(pid).ever
 }
 
 // armReuse replaces the entry's reuse timer with one firing at the given
 // virtual instant.
 func (r *Router) armReuse(e *ribInEntry, slot, pid int32, at time.Duration) {
 	e.reuseTimer.Cancel()
-	e.reuseTimer = r.net.kernel.AtHandler(at, "bgp.reuse", &r.reuseH, packSlotPrefix(slot, pid))
+	e.reuseTimer = r.net.kernel.AtHandler(at, "bgp.reuse", &r.net.reuseH, packDirPrefix(r.base+slot, pid))
 }
 
 // reuseExpired handles a reuse-timer firing: lift suppression if the penalty
@@ -517,7 +435,7 @@ func (r *Router) armReuse(e *ribInEntry, slot, pid int32, at time.Duration) {
 // the Local-RIB is the paper's noisy/silent distinction (Section 4.2).
 func (r *Router) reuseExpired(slot, pid int32) {
 	e := r.ribInAt(slot, pid)
-	if e == nil || e.damp == nil || !e.damp.Suppressed() {
+	if e == nil || r.damp == nil || !e.damp.Suppressed() {
 		return
 	}
 	now := r.net.kernel.Now()
@@ -531,7 +449,7 @@ func (r *Router) reuseExpired(slot, pid int32) {
 	if h := r.net.hooks.OnSuppress; h != nil {
 		h(now, r.id, peer, r.net.prefixes[pid], false)
 	}
-	noisy := r.reconcile(pid, e.cause)
+	noisy := r.reconcile(pid, r.net.causeAt(r.net.inCause, r.base+slot, pid))
 	if h := r.net.hooks.OnReuse; h != nil {
 		h(now, r.id, peer, r.net.prefixes[pid], noisy)
 	}
@@ -563,16 +481,11 @@ func (r *Router) decide(pid int32) localEntry {
 	}
 	var best localEntry
 	bestClass := 0
+	row := r.net.ribIdx(r.base, pid)
+	ins := r.net.ribIn[row : row+len(r.peers)]
 	for s, p := range r.peers {
-		col := r.ribIn[s]
-		if int(pid) >= len(col) {
-			continue
-		}
-		e := &col[pid]
-		if !e.seen || e.path == nil {
-			continue
-		}
-		if e.damp != nil && e.damp.Suppressed() {
+		e := &ins[s]
+		if !e.seen || e.path == nil || e.damp.Suppressed() {
 			continue
 		}
 		class := r.prefClass(p)
@@ -599,14 +512,13 @@ func (r *Router) decide(pid int32) localEntry {
 // synchronizes every RIB-OUT (sending or scheduling updates stamped with the
 // triggering root cause). It reports whether the Local-RIB changed.
 func (r *Router) reconcile(pid int32, trigger rcn.Cause) bool {
-	r.local = extend(r.local, int(pid)+1)
-	old := r.local[pid]
+	l := r.local(pid)
 	best := r.decide(pid)
-	if best.equal(old) {
+	if best.equal(*l) {
 		return false
 	}
 	best.seen = true
-	r.local[pid] = best
+	*l = best
 	var adv Path // built once, at the first peer the policy exports to
 	for s, q := range r.peers {
 		r.syncPeer(int32(s), q, pid, trigger, &adv)
@@ -620,7 +532,7 @@ func (r *Router) reconcile(pid int32, trigger rcn.Cause) bool {
 // prepended path across the peers of one decision: it is built on first use
 // (when *adv is nil) and reused after.
 func (r *Router) exportPath(q RouterID, pid int32, adv *Path) Path {
-	l := r.localAt(pid)
+	l := r.local(pid)
 	if !l.hasRoute {
 		return nil
 	}
@@ -649,7 +561,7 @@ func (r *Router) exportPath(q RouterID, pid int32, adv *Path) Path {
 // MRAI interval (pending until it ends). adv is exportPath's cache.
 func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, adv *Path) {
 	n := r.net
-	if !n.sessionUpEdge(n.adjEdge[n.adjStart[r.id]+slot], r.id, q) { // SessionUp, by slot
+	if !n.sessionUpEdge(n.adjEdge[r.base+slot], r.id, q) { // SessionUp, by slot
 		// No established session: nothing to synchronize. RIB-OUT state for
 		// the session was discarded when it went down, and recording a new
 		// advertisement here would desynchronize the RIBs — the message
@@ -676,10 +588,10 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, 
 		// interval's expiry if nothing waited for it yet.
 		if !out.pending {
 			out.pending = true
-			out.expiry = n.kernel.AtMark(out.mrai, "bgp.mrai", &r.mraiH, packSlotPrefix(slot, pid))
+			out.expiry = n.kernel.AtMark(out.mrai, "bgp.mrai", &n.mraiH, packDirPrefix(r.base+slot, pid))
 		}
 		out.pendingPath = desired
-		out.pendingCause = trigger
+		n.setCause(n.outCause, r.base+slot, pid, trigger)
 	default:
 		r.sendAnnouncement(slot, q, pid, out, desired, trigger)
 	}
@@ -720,26 +632,28 @@ func (r *Router) mraiExpired(slot, pid int32) {
 	if out == nil || !out.pending {
 		return
 	}
-	r.sendAnnouncement(slot, r.peers[slot], pid, out, out.pendingPath, out.pendingCause)
+	r.sendAnnouncement(slot, r.peers[slot], pid, out, out.pendingPath, r.net.causeAt(r.net.outCause, r.base+slot, pid))
 }
 
 // resetDamping clears damping penalties, suppression flags, reuse timers and
 // RCN histories, leaving routes untouched. See Network.ResetDamping.
 func (r *Router) resetDamping() {
+	n := r.net
 	for s := range r.peers {
-		col := r.ribIn[s]
-		for i := range col {
-			e := &col[i]
+		for pid := range n.prefixes {
+			e := r.ribIn(int32(s), int32(pid))
 			if !e.seen {
 				continue
 			}
-			if e.damp != nil {
+			if r.damp != nil {
 				e.damp.Reset()
 			}
 			e.reuseTimer.Cancel()
 			e.reuseTimer = sim.Timer{}
 		}
-		r.history[s] = r.newHistory()
+		if n.history != nil {
+			n.history[r.base+int32(s)] = n.newHistory()
+		}
 	}
 }
 
@@ -751,27 +665,33 @@ func (r *Router) resetDamping() {
 // discards fires OnSuppress(false), so observers counting suppress/unsuppress
 // events stay balanced with DampedLinkCount.
 func (r *Router) crash() {
-	now := r.net.kernel.Now()
+	n := r.net
+	now := n.kernel.Now()
 	for s, peer := range r.peers {
-		colIn := r.ribIn[s]
-		for pid := range colIn {
-			e := &colIn[pid]
+		for pid := range n.prefixes {
+			e := r.ribIn(int32(s), int32(pid))
 			e.reuseTimer.Cancel()
-			suppressed := e.seen && e.damp != nil && e.damp.Suppressed()
+			suppressed := e.seen && e.damp.Suppressed()
 			// Clear first: a hook reading DampedLinkCount sees the post-state.
 			*e = ribInEntry{}
-			if h := r.net.hooks.OnSuppress; h != nil && suppressed {
-				h(now, r.id, peer, r.net.prefixes[pid], false)
+			n.setCause(n.inCause, r.base+int32(s), int32(pid), rcn.Cause{})
+			if h := n.hooks.OnSuppress; h != nil && suppressed {
+				h(now, r.id, peer, n.prefixes[pid], false)
 			}
 		}
-		colOut := r.ribOut[s]
-		for i := range colOut {
-			colOut[i].expiry.Cancel()
+		for pid := range n.prefixes {
+			out := r.ribOut(int32(s), int32(pid))
+			out.expiry.Cancel()
+			*out = ribOutEntry{}
+			n.setCause(n.outCause, r.base+int32(s), int32(pid), rcn.Cause{})
 		}
-		clear(colOut)
-		r.history[s] = r.newHistory()
+		if n.history != nil {
+			n.history[r.base+int32(s)] = n.newHistory()
+		}
 	}
-	clear(r.local)
+	for pid := range n.prefixes {
+		*r.local(int32(pid)) = localEntry{}
+	}
 }
 
 // restart rebuilds the router after a crash: it re-runs origination for its
@@ -779,16 +699,10 @@ func (r *Router) crash() {
 // sessions with. Routes from peers arrive as the peers re-advertise
 // (Network.RestartRouter drives that side).
 func (r *Router) restart() {
-	prefixes := make([]Prefix, 0, len(r.originated))
-	for pid, on := range r.originated {
-		if on {
-			prefixes = append(prefixes, r.net.prefixes[pid])
+	for _, pid := range r.net.prefixOrder {
+		if r.isOriginated(pid) {
+			r.reconcile(pid, r.originationCause(pid, rcn.LinkUp))
 		}
-	}
-	sortPrefixes(prefixes)
-	for _, prefix := range prefixes {
-		pid, _ := r.net.lookupPrefix(prefix)
-		r.reconcile(pid, r.originationCause(pid, rcn.LinkUp))
 	}
 }
 
@@ -797,9 +711,8 @@ func (r *Router) restart() {
 func (r *Router) suppressedCount() int {
 	total := 0
 	for s := range r.peers {
-		col := r.ribIn[s]
-		for i := range col {
-			if e := &col[i]; e.seen && e.damp != nil && e.damp.Suppressed() {
+		for pid := range r.net.prefixes {
+			if e := r.ribIn(int32(s), int32(pid)); e.seen && e.damp.Suppressed() {
 				total++
 			}
 		}
@@ -807,15 +720,14 @@ func (r *Router) suppressedCount() int {
 	return total
 }
 
-// checkLocalRIB verifies the stored Local-RIB entry equals a fresh run of
-// the decision process.
-func (r *Router) checkLocalRIB(prefix Prefix) error {
-	pid, _ := r.net.lookupPrefix(prefix)
+// checkLocalRIB verifies the stored Local-RIB entry for prefix id pid equals
+// a fresh run of the decision process.
+func (r *Router) checkLocalRIB(pid int32) error {
 	want := r.decide(pid)
 	got := r.localAt(pid)
 	if !got.equal(want) {
 		return fmt.Errorf("bgp: router %d prefix %s: Local-RIB (peer %d, path [%s]) != decision (peer %d, path [%s])",
-			r.id, prefix, got.bestPeer, got.bestPath, want.bestPeer, want.bestPath)
+			r.id, r.net.prefixes[pid], got.bestPeer, got.bestPath, want.bestPeer, want.bestPath)
 	}
 	return nil
 }

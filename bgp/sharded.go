@@ -322,10 +322,10 @@ func (sn *ShardedNetwork) CheckConsistency() error {
 	// what the peer's owner holds.
 	for id := range sn.owner {
 		r := sn.Router(RouterID(id))
-		if r == nil || sn.shards[sn.owner[id]].downRouters[id] {
+		n := sn.shards[sn.owner[id]]
+		if r == nil || n.downRouters[id] {
 			continue
 		}
-		n := sn.shards[sn.owner[id]]
 		for s, q := range r.peers {
 			if sn.owner[q] == sn.owner[id] {
 				continue // checked intra-shard
@@ -334,25 +334,23 @@ func (sn *ShardedNetwork) CheckConsistency() error {
 				continue
 			}
 			peer := sn.Router(q)
-			backSlot := peer.slotOf(r.id)
-			for _, prefix := range r.ribOutPrefixes(int32(s)) {
-				pid, ok := n.lookupPrefix(prefix)
-				var sent, held Path
-				if ok {
-					if out := r.ribOutAt(int32(s), pid); out != nil {
-						sent = out.advertised
-					}
+			peerNet := sn.shards[sn.owner[q]]
+			backSlot := n.adjRev[r.base+int32(s)] - peer.base
+			for _, pid := range n.prefixOrder {
+				out := r.ribOutAt(int32(s), pid)
+				if out == nil {
+					continue
 				}
-				peerNet := sn.shards[sn.owner[q]]
-				if ppid, pok := peerNet.lookupPrefix(prefix); pok {
+				var held Path
+				if ppid, ok := peerNet.lookupPrefix(n.prefixes[pid]); ok {
 					if in := peer.ribInAt(backSlot, ppid); in != nil {
 						held = in.path
 					}
 				}
-				if !sent.Equal(held) {
+				if !out.advertised.Equal(held) {
 					return fmt.Errorf(
 						"bgp: cross-shard session %d->%d prefix %s: RIB-OUT [%s] != peer RIB-IN [%s]",
-						r.id, q, prefix, sent, held)
+						r.id, q, n.prefixes[pid], out.advertised, held)
 				}
 			}
 		}

@@ -2,13 +2,19 @@ package bgp
 
 // This file implements deterministic snapshot/fork of a running network.
 //
-// A fork is a deep copy of everything mutable — kernel event queue, RIB
-// columns, damping states, link/session arrays, interning tables, the
-// in-flight message slab, every RNG stream position — wired to fresh handler
-// values so the copy and the original evolve independently. Immutable
-// structure is shared: the topology graph, the peer tables, and canonical
-// interned Path slices (immutable by convention; sharing them keeps
-// Path.Equal's pointer fast path working across forks).
+// A fork copies everything mutable — the kernel's event queue, the flat
+// RIB-IN/RIB-OUT/Local-RIB/origination slices with their damping states
+// inline, the router slab with each router's RNG inline, link/session arrays,
+// the in-flight message slab — as a handful of slice copies, then makes one
+// pass that points each router at the fork and rebinds each RIB timer to the
+// forked kernel. Nothing is copied object by object, so a fork's cost is a
+// few memmoves and a few dozen allocations whatever the network's size (RCN
+// histories, per-session maps, are the exception: they clone one by one).
+// Immutable structure is shared: the topology graph, the CSR tables, the
+// prefix tables (replaced, never written in place) and the canonical
+// interned paths, which the parent's table freezes into read-only layers at
+// the fork (pathTable.fork). Sharing them keeps Path.Equal's pointer fast
+// path working across forks.
 //
 // The intended use is the experiment layer's warm-up amortization and pulse
 // sweeps: converge once and fork the converged checkpoint per sweep, then
@@ -26,6 +32,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rfd/rcn"
@@ -100,9 +107,10 @@ func (n *Network) Fork() (*sim.Kernel, *Network, error) {
 	return f.kernel, f, nil
 }
 
-// fork builds the deep copy. Concurrent forks of the same receiver are safe
-// (pure reads of the receiver); running the receiver concurrently with
-// forking it is not.
+// fork builds the copy. Concurrent forks of the same receiver are safe: they
+// read the receiver, apart from freezing its path-intern overlay, which they
+// serialize (pathTable.fork). Running the receiver concurrently with forking
+// it is not.
 func (n *Network) fork() (*Network, error) {
 	return n.forkOnto(n.kernel.Fork())
 }
@@ -132,53 +140,76 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		adjEdge:           n.adjEdge,  // shared, not copied
 		adjRev:            n.adjRev,
 		linkDelay:         n.linkDelay,
-		lastArrival:       cloneSlice(n.lastArrival),
-		downLinks:         cloneSlice(n.downLinks),
-		sessionGen:        cloneSlice(n.sessionGen),
-		downRouters:       cloneSlice(n.downRouters),
+		lastArrival:       slices.Clone(n.lastArrival),
+		downLinks:         slices.Clone(n.downLinks),
+		sessionGen:        slices.Clone(n.sessionGen),
+		downRouters:       slices.Clone(n.downRouters),
 		owner:             n.owner, // immutable partition assignment
 		shardID:           n.shardID,
 		impair:            impair,
 		pendingDeliveries: n.pendingDeliveries,
-		paths:             n.paths.clone(),
-		prefixIDs:         make(map[Prefix]int32, len(n.prefixIDs)),
-		prefixes:          cloneSlice(n.prefixes),
-		msgSlab:           cloneSlice(n.msgSlab),
-		msgFree:           cloneSlice(n.msgFree),
+		routers:           slices.Clone(n.routers),
+		ribIn:             slices.Clone(n.ribIn),
+		ribOut:            slices.Clone(n.ribOut),
+		local:             slices.Clone(n.local),
+		orig:              slices.Clone(n.orig),
+		inCause:           slices.Clone(n.inCause),
+		outCause:          slices.Clone(n.outCause),
+		linkSeq:           slices.Clone(n.linkSeq),
+		origSeq:           slices.Clone(n.origSeq),
+		paths:             n.paths.fork(),
+		prefixIDs:         n.prefixIDs,   // the prefix tables are
+		prefixes:          n.prefixes,    // replaced, never written in
+		prefixOrder:       n.prefixOrder, // place (prefixID) — shared
+		msgSlab:           slices.Clone(n.msgSlab),
+		msgFree:           slices.Clone(n.msgFree),
 		delivered:         n.delivered,
 		dropped:           n.dropped,
 		lastDelivery:      n.lastDelivery,
 		// hooks intentionally left zero: forks start unobserved.
 	}
-	for p, id := range n.prefixIDs {
-		f.prefixIDs[p] = id
-	}
 	f.deliverH = deliverHandler{n: f}
+	f.mraiH = mraiHandler{n: f}
+	f.reuseH = reuseHandler{n: f}
 	k2.SetMarks(f.latestMark)
-	f.routers = make([]*Router, n.nn)
-	for id, r := range n.routers {
-		if r != nil { // shard networks leave unowned routers nil
-			f.routers[id] = r.forkInto(f, k2)
+	for id := range f.routers {
+		f.routers[id].net = f
+	}
+	for i := range f.ribIn {
+		f.ribIn[i].reuseTimer = k2.Adopt(f.ribIn[i].reuseTimer)
+	}
+	for i := range f.ribOut {
+		f.ribOut[i].expiry = k2.Adopt(f.ribOut[i].expiry) // marks copy by value
+	}
+	if n.history != nil {
+		f.history = make([]*rcn.History, len(n.history))
+		for d, h := range n.history {
+			if h != nil {
+				f.history[d] = h.Clone()
+			}
 		}
 	}
 	// The cloned queue's pending events still point at the original's handler
 	// values; rebind them to the fork's. A foreign handler is forked on first
 	// sight and remembered, so all its events share one copy.
-	remap := make(map[sim.Handler]sim.Handler, 1+2*len(n.routers))
-	remap[&n.deliverH] = &f.deliverH
-	for id := range n.routers {
-		if n.routers[id] == nil {
-			continue
-		}
-		remap[&n.routers[id].mraiH] = &f.routers[id].mraiH
-		remap[&n.routers[id].reuseH] = &f.routers[id].reuseH
-	}
+	var foreign map[sim.Handler]sim.Handler
 	if err := k2.RemapHandlers(func(h sim.Handler) sim.Handler {
-		to, ok := remap[h]
+		switch h {
+		case &n.deliverH:
+			return &f.deliverH
+		case &n.mraiH:
+			return &f.mraiH
+		case &n.reuseH:
+			return &f.reuseH
+		}
+		to, ok := foreign[h]
 		if !ok {
-			if forker, foreign := h.(HandlerForker); foreign {
+			if forker, isForker := h.(HandlerForker); isForker {
 				to = forker.ForkHandler(f)
-				remap[h] = to
+				if foreign == nil {
+					foreign = make(map[sim.Handler]sim.Handler, 1)
+				}
+				foreign[h] = to
 			}
 		}
 		return to
@@ -186,83 +217,4 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		return nil, fmt.Errorf("bgp: fork: %w", err)
 	}
 	return f, nil
-}
-
-// forkInto deep-copies the router into network f, whose kernel k2 adopts the
-// router's pending timers. Shared with the original: peers (the CSR row) and
-// damp (fixed at construction) and canonical Path slices (immutable).
-func (r *Router) forkInto(f *Network, k2 *sim.Kernel) *Router {
-	c := &Router{
-		id:         r.id,
-		net:        f,
-		rng:        r.rng.Clone(),
-		peers:      r.peers,
-		damp:       r.damp,
-		ribIn:      make([][]ribInEntry, len(r.ribIn)),
-		ribOut:     make([][]ribOutEntry, len(r.ribOut)),
-		local:      cloneSlice(r.local),
-		originated: cloneSlice(r.originated),
-		origSeen:   cloneSlice(r.origSeen),
-		history:    make([]*rcn.History, len(r.history)),
-		sequencers: make([]*rcn.Sequencer, len(r.sequencers)),
-		linkSeq:    make([]*rcn.Sequencer, len(r.linkSeq)),
-	}
-	for s, col := range r.ribIn {
-		nc := cloneSlice(col)
-		for i := range nc {
-			if d := nc[i].damp; d != nil {
-				nc[i].damp = d.Clone()
-			}
-			nc[i].reuseTimer = k2.Adopt(nc[i].reuseTimer)
-		}
-		c.ribIn[s] = nc
-	}
-	for s, col := range r.ribOut {
-		nc := cloneSlice(col)
-		for i := range nc {
-			nc[i].expiry = k2.Adopt(nc[i].expiry) // marks copy by value
-		}
-		c.ribOut[s] = nc
-	}
-	for s, h := range r.history {
-		if h != nil {
-			c.history[s] = h.Clone()
-		}
-	}
-	for i, seq := range r.sequencers {
-		if seq != nil {
-			cp := *seq
-			c.sequencers[i] = &cp
-		}
-	}
-	for i, seq := range r.linkSeq {
-		if seq != nil {
-			cp := *seq
-			c.linkSeq[i] = &cp
-		}
-	}
-	c.mraiH = mraiHandler{r: c}
-	c.reuseH = reuseHandler{r: c}
-	return c
-}
-
-// clone duplicates the intern table: a fresh map (forks intern new paths
-// independently) and a fresh scratch buffer (the buffer is written on every
-// lookup). The canonical Path values themselves are shared — they are
-// immutable, and sharing keeps pointer-equality fast paths consistent
-// between a fork and routes copied from its parent.
-func (t *pathTable) clone() *pathTable {
-	c := &pathTable{m: make(map[string]Path, len(t.m)), key: make([]byte, 0, cap(t.key))}
-	for k, v := range t.m {
-		c.m[k] = v
-	}
-	return c
-}
-
-// cloneSlice returns an independent copy of s, preserving nil.
-func cloneSlice[T any](s []T) []T {
-	if s == nil {
-		return nil
-	}
-	return append(make([]T, 0, len(s)), s...)
 }

@@ -153,8 +153,8 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 // SweepParallel); a negative count fails validation and never flies. Each
 // point finishes into a trace log of its own (scWithPulses), and the sweep
 // appends them to base.Trace in ascending count order after the last point
-// has drained, so the log has one writer. An own cp is handed to the flight of
-// a single pulse count and forked when there are several counts.
+// has drained, so the log has one writer. The trunk of an own cp flies on the
+// converged engine itself.
 //
 // A pooled cp lets the trunk outlive the sweep. The trunk takes the flight
 // parked beside cp when it stands at or below the smallest count the trunk
@@ -176,13 +176,6 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 		counts = append(counts, n)
 	}
 	slices.Sort(counts)
-	if cp.own && len(counts) > 1 {
-		// Only a single run takes the converged engine. Several counts fork
-		// it, the trunk too: a fork is a compact copy, and measured on
-		// paper-figs a trunk flaps faster on it than on the engine that ran
-		// the warm-up.
-		cp = &Checkpoint{parked: cp.parked}
-	}
 	// settle and runPoint are called from several goroutines, each for a
 	// count of its own: they touch disjoint elements of out.
 	settle := func(n int, res *Result, err error) {
