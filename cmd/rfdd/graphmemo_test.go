@@ -124,7 +124,7 @@ func TestScenarioMemo(t *testing.T) {
 // what they are asking the run cache for.
 func TestScenarioMemoKeysLikeUncached(t *testing.T) {
 	graphs := newGraphMemo(experiment.DefaultPoolSize)
-	for _, req := range []sweepRequest{
+	for _, req := range []experiment.Spec{
 		{Rows: 4, Cols: 5, Damping: "cisco", Seed: 1},
 		{Rows: 4, Cols: 5, Damping: "cisco", Seed: 2},
 		{Cols: 5, Rows: 4, Nodes: 99, Damping: "juniper", RCN: true, Seed: 3, FlapIntervalS: 30},
@@ -134,7 +134,7 @@ func TestScenarioMemoKeysLikeUncached(t *testing.T) {
 		{Topology: "internet", Nodes: 25, Seed: 1, Damping: "juniper"},
 		{Topology: "internet", Nodes: 25, Seed: 1, Rows: 9, Cols: 9}, // the other family's sizes are not part of a shape
 	} {
-		got, _, err := req.scenario(graphs)
+		got, _, err := req.Scenario(experiment.SmallOptions(), graphs.get)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,21 +38,20 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"rfd/experiment"
 	"rfd/experiment/diskcache"
-	"rfd/topology"
+	"rfd/internal/cli"
 )
 
-func main() {
+func main() { cli.Main("rfdd", serve) }
+
+func serve(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("rfdd", flag.ExitOnError)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -64,7 +63,7 @@ func main() {
 		drain       = fs.Duration("drain", 30*time.Second, "shutdown drain bound for in-flight requests")
 		snapshots   = fs.Int("snapshots", experiment.DefaultPoolSize, "converged-snapshot pool capacity, counting parked sweep trunks too (0 disables warm-up reuse)")
 	)
-	fs.Parse(os.Args[1:])
+	fs.Parse(args)
 
 	srv, err := newServer(serverConfig{
 		Workers:     *workers,
@@ -75,15 +74,9 @@ func main() {
 		Snapshots:   *snapshots,
 	})
 	if err != nil {
-		log.Fatalf("rfdd: %v", err)
+		return err
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-
-	if err := run(ctx, *addr, *drain, srv); err != nil {
-		log.Fatalf("rfdd: %v", err)
-	}
+	return run(ctx, *addr, *drain, srv)
 }
 
 // run serves until ctx trips, then drains.
@@ -236,31 +229,12 @@ func (s *server) requestContext(r *http.Request, requestedMS int64) (context.Con
 	return context.WithTimeout(r.Context(), d)
 }
 
-// sweepRequest is the POST /v1/sweep body. The topology is specified by
-// shape, not by adjacency: requests are small and every scenario the daemon
-// runs is reproducible from the request alone (which is exactly what the
-// content-addressed cache needs).
+// sweepRequest is the POST /v1/sweep body: the run's experiment.Spec — a
+// topology by shape, so every scenario the daemon runs is reproducible from
+// the request alone, as the content-addressed cache needs — whose left-out
+// fields take the reduced scale (experiment.SmallOptions), and a deadline.
 type sweepRequest struct {
-	// Topology is a topology.Shape family: "mesh" (default), "internet", ….
-	Topology string `json:"topology"`
-	// Rows/Cols size the mesh (default 5x5); Nodes sizes every other family
-	// (default 30).
-	Rows  int `json:"rows"`
-	Cols  int `json:"cols"`
-	Nodes int `json:"nodes"`
-	// Damping is a damping.ParsePreset name ("none" by default); RCN adds
-	// root-cause notification on top.
-	Damping string `json:"damping"`
-	RCN     bool   `json:"rcn"`
-	// Pulses lists the pulse counts to sweep (default 0..4).
-	Pulses []int `json:"pulses"`
-	// Seed and FlapIntervalS parameterize the workload.
-	Seed          uint64  `json:"seed"`
-	FlapIntervalS float64 `json:"flap_interval_s"`
-	// Shards > 1 runs each point on the sharded engine. Results — and cache
-	// keys — are identical to sequential runs; this only changes how a point
-	// executes.
-	Shards int `json:"shards"`
+	experiment.Spec
 	// TimeoutMS tightens (never loosens) the server's per-request deadline.
 	TimeoutMS int64 `json:"timeout_ms"`
 }
@@ -303,7 +277,8 @@ func (s *server) decodeSweep(w http.ResponseWriter, r *http.Request) (req sweepR
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return req, base, nil, false
 	}
-	base, pulses, err = req.scenario(s.graphs)
+	// The graph memo is consulted last, once everything has validated.
+	base, pulses, err = req.Scenario(experiment.SmallOptions(), s.graphs.get)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return req, base, nil, false
@@ -485,71 +460,6 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		done.HTTPStatus = statusForErr(sweepErr)
 	}
 	es.emit(done)
-}
-
-// Request-validation bounds. maxRouters caps the simulated topology: a
-// request like {"rows":100000,"cols":100000} describes a 10^10-router mesh
-// whose construction would OOM the daemon straight past admission control
-// (admission bounds how many requests run, not how big one is), so oversized
-// shapes are rejected with 400 before any allocation. maxLinks does the same
-// for the dense families, whose cost is quadratic in a node count that passes
-// maxRouters ({"topology":"fullmesh","nodes":65536} is 2·10^9 links); every
-// sparse family fits it at the router limit. maxFlapIntervalS caps the flap
-// interval far above every damping hold-down while staying far below the
-// float64 values whose nanosecond conversion overflows time.Duration silently
-// (anything past ~9.2e9 s wraps negative).
-const (
-	maxRouters       = 1 << 16        // 65536 routers
-	maxLinks         = 2 * maxRouters // a 65536-router torus; 512 fully meshed routers
-	maxFlapIntervalS = 86400          // one day, vs. a 60 min max hold-down
-)
-
-// scenario materializes the request into a runnable base scenario: it bounds
-// what only a service must bound, fills an experiment.Options (names and sizes
-// left out take the reduced scale) and hands it to experiment.ShapeScenario —
-// the builder behind DaemonScenario — with the topology coming from (and
-// staying in) graphs, which is consulted last, once everything has validated.
-func (r sweepRequest) scenario(graphs *graphMemo) (sc experiment.Scenario, pulses []int, err error) {
-	o := experiment.SmallOptions()
-	o.Seed = cmp.Or(r.Seed, o.Seed)
-	o.Shards = r.Shards
-	shape := topology.Shape{
-		Family: r.Topology,
-		Rows:   cmp.Or(r.Rows, o.MeshRows),
-		Cols:   cmp.Or(r.Cols, o.MeshCols),
-		Nodes:  cmp.Or(r.Nodes, o.InternetNodes),
-		Seed:   o.Seed,
-	}
-	if pulses = r.Pulses; len(pulses) == 0 {
-		pulses = experiment.PulseRange(0, o.MaxPulses)
-	}
-	// Sizes are bounded before the shape is validated (a 70000×1 mesh is
-	// refused for its size), in every field: like a negative size, an absurd
-	// one is a caller's bug whether or not the family reads it.
-	if n := max(shape.Routers(), shape.Rows, shape.Cols, shape.Nodes); n > maxRouters {
-		return sc, nil, fmt.Errorf("topology size %d exceeds the %d-router limit", n, maxRouters)
-	}
-	if l := shape.Links(); l > maxLinks {
-		return sc, nil, fmt.Errorf("topology of up to %d links exceeds the %d-link limit", l, maxLinks)
-	}
-	// NaN/Inf cannot arrive through encoding/json, but the bound must not
-	// depend on the transport, so the test is written for NaN to fail it. A
-	// large-but-finite value would overflow the nanosecond conversion below
-	// into a negative Duration (a baffling "negative flap interval" internal
-	// error) or, if merely huge, run a silently absurd workload; a negative
-	// one is a client bug, so say so rather than ignore it.
-	if f := r.FlapIntervalS; !(f >= 0 && f <= maxFlapIntervalS) {
-		return sc, nil, fmt.Errorf("flap_interval_s %v outside [0, %d] s", f, maxFlapIntervalS)
-	}
-	o.FlapInterval = cmp.Or(time.Duration(r.FlapIntervalS*float64(time.Second)), o.FlapInterval)
-	if r.Shards < 0 || r.Shards > 64 {
-		return sc, nil, fmt.Errorf("shards %d outside [0, 64]", r.Shards)
-	}
-	if len(pulses) > 64 {
-		return sc, nil, fmt.Errorf("too many pulse counts (%d, max 64)", len(pulses))
-	}
-	sc, err = experiment.ShapeScenario(o, shape, r.Damping, r.RCN, graphs.get)
-	return sc, pulses, err
 }
 
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {

@@ -120,8 +120,8 @@ func TestSweepBadRequests(t *testing.T) {
 		{"damping_engine", `{"damping":"cisco","damping_engine":"sundial"}`, `unknown field "damping_engine"`},
 		{"rcn", `{"rcn":true}`, "EnableRCN requires damping"},
 		{"pulses", `{"pulses":[` + strings.Repeat("1,", 64) + `1]}`, "too many pulse counts"},
-		{"pulses", `{"pulses":3}`, "sweepRequest.pulses"},
-		{"seed", `{"seed":-1}`, "sweepRequest.seed"},
+		{"pulses", `{"pulses":3}`, "Spec.pulses"},
+		{"seed", `{"seed":-1}`, "Spec.seed"},
 		{"flap_interval_s", `{"flap_interval_s":-5}`, "flap_interval_s -5 outside"},
 		{"flap_interval_s", `{"flap_interval_s":1e10}`, "flap_interval_s 1e+10 outside"},
 		{"shards", `{"shards":65}`, "shards 65 outside"},

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"rfd/experiment"
 )
 
 // TestSweepTopologyBounds: oversized or negative topology requests are
@@ -50,7 +52,7 @@ func TestSweepTopologyBounds(t *testing.T) {
 		t.Errorf("out-of-bounds requests touched the graph memo: %d hits, %d misses, %d kept", hits, misses, size)
 	}
 	// The largest dense shape under the link limit is materialized.
-	if sc, _, err := (sweepRequest{Topology: "fullmesh", Nodes: 512}).scenario(s.graphs); err != nil || sc.Graph.NumEdges() != 512*511/2 {
+	if sc, _, err := (experiment.Spec{Topology: "fullmesh", Nodes: 512}).Scenario(experiment.SmallOptions(), s.graphs.get); err != nil || sc.Graph.NumEdges() != 512*511/2 {
 		t.Errorf("512-router full mesh: %v, %v", sc.Graph, err)
 	}
 	// A sane large-but-bounded request still passes validation (it fails or

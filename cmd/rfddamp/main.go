@@ -21,20 +21,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"rfd/damping"
+	"rfd/internal/cli"
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "rfddamp:", err)
-		os.Exit(1)
-	}
+	cli.Main("rfddamp", func(ctx context.Context, args []string) error { return run(ctx, args, os.Stdin, os.Stdout) })
 }
 
 func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error {

@@ -17,28 +17,21 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"slices"
-	"syscall"
 	"time"
 
 	"rfd/experiment"
 	"rfd/experiment/diskcache"
 	"rfd/internal/asciiplot"
+	"rfd/internal/cli"
 )
 
+// Ctrl-C / SIGTERM cancels every in-flight sweep via the options context;
+// partially written figure files are abandoned where they are.
 func main() {
-	// Ctrl-C / SIGTERM cancels every in-flight sweep via the options context;
-	// partially written figure files are abandoned where they are.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "rfdfig:", err)
-		os.Exit(1)
-	}
+	cli.Main("rfdfig", func(ctx context.Context, args []string) error { return run(ctx, args, os.Stdout) })
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
@@ -69,31 +62,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-fig %s with -shards %d: the loss figure runs under the convergence watchdog, which cannot supervise a sharded run (use -shards 1)", *fig, *shards)
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := cli.Profile(*cpuProf, *memProf)
+	if err != nil {
+		return err
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rfdfig: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "rfdfig: memprofile:", err)
-			}
-		}()
-	}
+	defer stop()
 
 	opts := experiment.DefaultOptions()
 	if *small {

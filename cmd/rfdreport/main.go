@@ -11,24 +11,15 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"rfd/experiment"
+	"rfd/internal/cli"
 )
 
-func main() {
-	// Ctrl-C / SIGTERM cancels the report's sweeps mid-run; an -o file is
-	// left incomplete rather than silently truncated to a valid-looking one.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "rfdreport:", err)
-		os.Exit(1)
-	}
-}
+// Ctrl-C / SIGTERM cancels the report's sweeps mid-run; an -o file is left
+// incomplete rather than silently truncated to a valid-looking one.
+func main() { cli.Main("rfdreport", run) }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("rfdreport", flag.ContinueOnError)

@@ -20,33 +20,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"rfd/bgp"
-	"rfd/damping"
 	"rfd/experiment"
 	"rfd/faults"
+	"rfd/internal/cli"
 	"rfd/topology"
 	"rfd/trace"
 )
 
-func main() {
-	// Ctrl-C (or a SIGTERM from a supervisor) cancels the run's context: the
-	// kernel stops at its next poll, profiles and deferred cleanups still
-	// run, and the error names the interruption point.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "rfdsim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("rfdsim", run) }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("rfdsim", flag.ContinueOnError)
@@ -80,60 +67,40 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rfdsim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "rfdsim: memprofile:", err)
-			}
-		}()
-	}
-
-	g, ispID, err := loadTopology(*topo, topology.Shape{Rows: *rows, Cols: *cols, Nodes: *nodes, Seed: *seed})
+	stop, err := cli.Profile(*cpuProf, *memProf)
 	if err != nil {
 		return err
 	}
-	if *isp >= 0 {
-		ispID = topology.NodeID(*isp)
-	}
+	defer stop()
 
-	cfg := bgp.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.MRAI = *mrai
-	if cfg.Damping, err = damping.ParsePreset(*damp); err != nil {
+	// The run is the Spec rfdd would build from the same names, so rfdsim
+	// refuses what rfdd refuses; the rest of the flags adjust its scenario.
+	spec := experiment.Spec{Topology: *topo, Rows: *rows, Cols: *cols, Nodes: *nodes, Damping: *damp, RCN: *rcnOn,
+		Seed: *seed, FlapIntervalS: interval.Seconds(), Shards: *shards, Pulses: []int{*pulses}}
+	if *sweep != "" {
+		if spec.Pulses, err = parseSweep(*sweep); err != nil {
+			return err
+		}
+	}
+	graph, ispID, err := loadTopology(&spec, topology.NodeID(*isp))
+	if err != nil {
 		return err
 	}
-	cfg.EnableRCN = *rcnOn
-	if cfg.Policy, err = bgp.ParsePolicy(*policy); err != nil {
+	// Zero Options: every size, the seed and the interval are the flags'
+	// values, zeros included.
+	sc, _, err := spec.Scenario(experiment.Options{Check: *checkOn}, graph)
+	if err != nil {
 		return err
 	}
-
-	sc := experiment.Scenario{
-		Graph:        g,
-		ISP:          ispID,
-		Config:       cfg,
-		Pulses:       *pulses,
-		FlapInterval: *interval,
-		Check:        *checkOn,
-		Shards:       *shards,   // as given: experiment says which counts (and -check) a run refuses
-		NoSeries:     !*verbose, // only -v prints the series
+	if ispID >= 0 {
+		sc.ISP = ispID
+	}
+	sc.Pulses = *pulses
+	sc.FlapInterval = *interval // exact: FlapIntervalS, in float seconds, only bounds it
+	sc.NoSeries = !*verbose     // only -v prints the series
+	sc.Config.MRAI = *mrai
+	if sc.Config.Policy, err = bgp.ParsePolicy(*policy); err != nil {
+		return err
 	}
 	if *traceFile != "" {
 		sc.Trace = trace.NewLog(0)
@@ -178,7 +145,7 @@ func run(ctx context.Context, args []string) error {
 		ctx = experiment.WithProgress(ctx, experiment.TextProgress(os.Stderr))
 	}
 	if *sweep != "" {
-		if err := runSweep(ctx, sc, *sweep, *workers); err != nil {
+		if err := runSweep(ctx, sc, spec.Pulses, *workers); err != nil {
 			return err
 		}
 		return writeTrace(sc.Trace, *traceFile)
@@ -192,15 +159,15 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	fmt.Printf("topology          %s (isp=%d, origin=%d)\n", g, res.ISP, res.Origin)
+	fmt.Printf("topology          %s (isp=%d, origin=%d)\n", sc.Graph, res.ISP, res.Origin)
 	if sc.Shards > 1 {
 		fmt.Printf("shards            %d\n", sc.Shards)
 		if *verbose {
 			// Reconstruct the run topology (base graph + attached origin) the
 			// sharded engine partitioned and report the cut quality.
-			rg := g.Clone()
+			rg := sc.Graph.Clone()
 			o := rg.AddNode()
-			if err := rg.AddEdge(o, ispID); err != nil {
+			if err := rg.AddEdge(o, sc.ISP); err != nil {
 				return err
 			}
 			assign, err := topology.Partition(rg, sc.Shards)
@@ -211,7 +178,7 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 	fmt.Printf("workload          %d pulses, %v interval\n", res.Pulses, *interval)
-	fmt.Printf("damping           %s (rcn=%t, policy=%s, mrai=%v)\n", *damp, *rcnOn, cfg.Policy, *mrai)
+	fmt.Printf("damping           %s (rcn=%t, policy=%s, mrai=%v)\n", *damp, *rcnOn, sc.Config.Policy, *mrai)
 	fmt.Printf("convergence time  %.0f s\n", res.ConvergenceTime.Seconds())
 	fmt.Printf("message count     %d\n", res.MessageCount)
 	fmt.Printf("damped links max  %d\n", res.MaxDamped)
@@ -265,27 +232,32 @@ func writeTrace(log *trace.Log, path string) error {
 	return nil
 }
 
-// runSweep runs the scenario once per pulse count in [from, to] and prints
-// one row per point. The warm-up and the flap phases are shared: the warm-up
-// executes once, and one flight flaps through every pulse count, each point
-// branching off it (see experiment.SweepParallel).
-func runSweep(ctx context.Context, sc experiment.Scenario, spec string, workers int) error {
+// parseSweep reads a -sweep "from:to" as the pulse counts from..to.
+func parseSweep(spec string) ([]int, error) {
 	fromS, toS, ok := strings.Cut(spec, ":")
 	from, errFrom := strconv.Atoi(fromS)
 	to, errTo := strconv.Atoi(toS)
 	if !ok || errFrom != nil || errTo != nil {
-		return fmt.Errorf(`bad -sweep %q (want "from:to", e.g. "0:10")`, spec)
+		return nil, fmt.Errorf(`bad -sweep %q (want "from:to", e.g. "0:10")`, spec)
 	}
 	pulses := experiment.PulseRange(from, to)
 	if len(pulses) == 0 {
-		return fmt.Errorf("bad -sweep %q: empty range", spec)
+		return nil, fmt.Errorf("bad -sweep %q: empty range", spec)
 	}
+	return pulses, nil
+}
+
+// runSweep runs the scenario once per pulse count (ascending) and prints one
+// row per point. The warm-up and the flap phases are shared: the warm-up
+// executes once, and one flight flaps through every pulse count, each point
+// branching off it (see experiment.SweepParallel).
+func runSweep(ctx context.Context, sc experiment.Scenario, pulses []int, workers int) error {
 	start := time.Now()
 	pts, err := experiment.SweepParallelContext(ctx, sc, pulses, workers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sweep             pulses %d..%d, %d workers, shared warm-up\n", from, to, workers)
+	fmt.Printf("sweep             pulses %d..%d, %d workers, shared warm-up\n", pulses[0], pulses[len(pulses)-1], workers)
 	fmt.Printf("%6s %14s %9s %11s %6s %7s\n",
 		"pulses", "convergence_s", "messages", "max_damped", "noisy", "silent")
 	for _, p := range pts {
@@ -297,27 +269,30 @@ func runSweep(ctx context.Context, sc experiment.Scenario, spec string, workers 
 	return nil
 }
 
-// loadTopology returns the base graph and its default ispAS: a CAIDA
-// AS-relationship import for "caida:<file>", else the generated topology of
-// the named family at the given sizes.
-func loadTopology(kind string, sizes topology.Shape) (*topology.Graph, topology.NodeID, error) {
-	path, ok := strings.CutPrefix(kind, "caida:")
+// loadTopology returns the graph source for spec's topology and the ispAS:
+// isp when one is named, else -1 for the shape's default. A "caida:<file>"
+// import is rfdsim's own — no Spec family reads a file, so a daemon never
+// opens one a client names. It clears spec's family (the sizes are still
+// bounded) and defaults the ispAS to the best-connected AS (ties to the
+// lowest id, i.e. the lowest AS number).
+func loadTopology(spec *experiment.Spec, isp topology.NodeID) (func(topology.Shape) (*topology.Graph, error), topology.NodeID, error) {
+	path, ok := strings.CutPrefix(spec.Topology, "caida:")
 	if !ok {
-		sizes.Family = kind
-		g, err := sizes.Generate()
-		return g, sizes.DefaultISP(), err
+		return topology.Shape.Generate, isp, nil
 	}
 	g, err := topology.LoadASRelationships(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Default ispAS: the best-connected AS (ties to the lowest id, i.e. the
-	// lowest AS number).
 	best := topology.NodeID(0)
 	for v := topology.NodeID(1); int(v) < g.NumNodes(); v++ {
 		if g.Degree(v) > g.Degree(best) {
 			best = v
 		}
 	}
-	return g, best, nil
+	if isp < 0 {
+		isp = best
+	}
+	spec.Topology = ""
+	return func(topology.Shape) (*topology.Graph, error) { return g, nil }, isp, nil
 }

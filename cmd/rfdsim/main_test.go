@@ -130,7 +130,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-policy", "chaos"}, "unknown policy"},
 		{[]string{"-topology", "ring", "-nodes", "2"}, "ring needs >= 3 nodes, got 2"},
 		// Pre-fix a negative shard count ran sequentially without a word.
-		{[]string{"-rows", "4", "-cols", "4", "-shards", "-2"}, "negative shard count -2"},
+		{[]string{"-rows", "4", "-cols", "4", "-shards", "-2"}, "shards -2 outside [0, 64]"},
+		// rfdd's bounds, from the one Spec both build through.
+		{[]string{"-rows", "100000", "-cols", "100000"}, "router limit"},
+		{[]string{"-topology", "fullmesh", "-nodes", "513"}, "link limit"},
+		{[]string{"-rows", "4", "-cols", "4", "-interval", "48h"}, "flap_interval_s 172800 outside [0, 86400] s"},
+		{[]string{"-rows", "4", "-cols", "4", "-shards", "65"}, "shards 65 outside [0, 64]"},
 		{[]string{"-rows", "4", "-cols", "4", "-shards", "4", "-check"}, "invariant checker"},
 		// Pre-fix the spec was scanned, not parsed: trailing input was ignored.
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", "1:2:9"}, `bad -sweep "1:2:9" (want "from:to"`},

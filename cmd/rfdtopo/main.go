@@ -14,21 +14,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 
+	"rfd/internal/cli"
 	"rfd/topology"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "rfdtopo:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("rfdtopo", run) }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("rfdtopo", flag.ContinueOnError)

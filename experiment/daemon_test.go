@@ -81,7 +81,7 @@ func TestFingerprintTracksGraph(t *testing.T) {
 	}
 }
 
-// TestDaemonScenarioShape: the graph source is asked once per valid request,
+// TestDaemonScenarioShape: the graph source is asked once per valid Spec,
 // with the canonical shape, and never for a request that is refused; the
 // scenario built around a kept graph is the one DaemonScenario builds from
 // scratch, at the shape's default ispAS.
@@ -110,7 +110,7 @@ func TestDaemonScenarioShape(t *testing.T) {
 		{"internet", "none", "EnableRCN requires damping"},
 		{"hypercube", "none", "EnableRCN requires damping"}, // refused before the topology is looked at
 	} {
-		if _, err := ShapeScenario(o, shape(bad.topo), bad.damp, true, keep); err == nil || !strings.Contains(err.Error(), bad.wantErr) {
+		if _, _, err := (Spec{Topology: bad.topo, Damping: bad.damp, RCN: true}).Scenario(o, keep); err == nil || !strings.Contains(err.Error(), bad.wantErr) {
 			t.Errorf("%s/%s: err = %v, want %q", bad.topo, bad.damp, err, bad.wantErr)
 		}
 		if _, err := DaemonScenario(o, bad.topo, bad.damp, true); err == nil || !strings.Contains(err.Error(), bad.wantErr) {
@@ -133,7 +133,7 @@ func TestDaemonScenarioShape(t *testing.T) {
 			t.Fatalf("%s: DaemonScenario puts the ispAS at %d, the shape at %d", topo, want.ISP, canon.DefaultISP())
 		}
 		for i := 0; i < 2; i++ { // generated, then kept
-			sc, err := ShapeScenario(o, shape(topo), "juniper", true, keep)
+			sc, _, err := Spec{Topology: topo, Damping: "juniper", RCN: true}.Scenario(o, keep)
 			if err != nil {
 				t.Fatal(err)
 			}

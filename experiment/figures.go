@@ -218,34 +218,12 @@ func (o Options) internetScenario(cfg bgp.Config, nodes int, policy bgp.Policy) 
 	return o.scenario(topology.Shape{Family: "internet", Nodes: nodes, Seed: o.Seed}, cfg)
 }
 
-// DaemonScenario builds a base scenario from names and sizes — the form a
-// service request arrives in (cmd/rfdd): small, self-describing and
-// reproducible, which is what the content-addressed run cache keys on. topo is
-// a topology.Shape family sized by o (MeshRows×MeshCols, InternetNodes, Seed);
-// the rest is ShapeScenario's. Every call generates its topology afresh.
+// DaemonScenario builds a base scenario from names alone, sized by o
+// (MeshRows×MeshCols, InternetNodes, Seed): the Spec of a request that names
+// no sizes. Every call generates its topology afresh.
 func DaemonScenario(o Options, topo, damp string, rcn bool) (Scenario, error) {
-	sh := topology.Shape{Family: topo, Rows: o.MeshRows, Cols: o.MeshCols, Nodes: o.InternetNodes, Seed: o.Seed}
-	return ShapeScenario(o, sh, damp, rcn, topology.Shape.Generate)
-}
-
-// ShapeScenario is DaemonScenario on an explicit shape, with the topology
-// taken from graph: Shape.Generate, or a server's cache of the graphs it is
-// asked for repeatedly (runs clone the base graph before attaching the origin,
-// so one graph can serve any number of scenarios, concurrently). damp is a
-// damping.ParsePreset name; rcn layers root-cause notification on a damped
-// configuration. graph is called at most once, with the canonical shape, and
-// only after everything else has validated — a request that is going to be
-// refused never reaches it.
-func ShapeScenario(o Options, sh topology.Shape, damp string, rcn bool, graph func(topology.Shape) (*topology.Graph, error)) (sc Scenario, err error) {
-	cfg := o.baseConfig()
-	cfg.EnableRCN = rcn
-	if cfg.Damping, err = damping.ParsePreset(damp); err != nil {
-		return sc, err
-	}
-	if err = cfg.Validate(); err != nil {
-		return sc, err
-	}
-	return o.scenarioFrom(sh, cfg, graph)
+	sc, _, err := Spec{Topology: topo, Damping: damp, RCN: rcn}.Scenario(o, topology.Shape.Generate)
+	return sc, err
 }
 
 // ---------------------------------------------------------------------------

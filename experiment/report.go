@@ -123,10 +123,3 @@ func WriteReport(w io.Writer, o Options) error {
 
 	return bw.Flush()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
