@@ -1,11 +1,13 @@
 // Command rfdfig regenerates the tables and figures of "Timer Interaction in
-// Route Flap Damping" (ICDCS 2005): CSV data files plus ASCII previews.
+// Route Flap Damping" (ICDCS 2005): CSV data files plus ASCII previews, and
+// the Markdown report of the whole evaluation.
 //
 // Examples:
 //
 //	rfdfig -fig fig8 -out out/            # Fig 8 at paper scale (slow-ish)
 //	rfdfig -fig all -small -out out/      # everything, reduced scale
 //	rfdfig -fig fig3                      # print to stdout (no -out)
+//	rfdfig -fig report -out docs          # regenerate docs/report.md
 //	rfdfig -fig all -noplot -cpuprofile cpu.out   # profile the build (go tool pprof cpu.out)
 package main
 
@@ -37,13 +39,12 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rfdfig", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "all", "table1 | fig3 | fig7 | fig8 | fig9 | fig10 | fig13 | fig14 | fig15 | deployment | filters | intervals | sizes | events | loss | all")
+		fig      = fs.String("fig", "all", "table1 | fig3 | fig7 | fig8 | fig9 | fig10 | fig13 | fig14 | fig15 | deployment | filters | intervals | sizes | events | loss | all | report")
 		outDir   = fs.String("out", "", "directory for CSV output (stdout when empty)")
 		small    = fs.Bool("small", false, "reduced scale (5x5 mesh, 30/40-node internet, 4 pulses) for quick runs")
 		seed     = fs.Uint64("seed", 1, "random seed")
 		noPlot   = fs.Bool("noplot", false, "suppress ASCII previews")
 		workers  = fs.Int("workers", runtime.NumCPU(), "simulations running at once across the build")
-		noCache  = fs.Bool("nocache", false, "disable the cross-figure run cache (re-run scenarios shared between figures)")
 		cacheDir = fs.String("cachedir", "", "persist the run cache in this directory (shared with rfdd; survives restarts)")
 		check    = fs.Bool("check", false, "run every scenario under the runtime invariant checker (slower; any violation fails the figure)")
 		shards   = fs.Int("shards", 1, "run every scenario on the sharded engine with this many shards (1 = sequential; figures are identical either way, and -fig loss or all needs 1: the loss figure runs under the convergence watchdog, which supervises one kernel)")
@@ -82,17 +83,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// context; cache-served points show up flagged as cached.
 		opts.Ctx = experiment.WithProgress(ctx, experiment.TextProgress(os.Stderr))
 	}
-	if !*noCache {
-		opts.Cache = experiment.NewRunCache()
-		if *cacheDir != "" {
-			disk, err := diskcache.Open(*cacheDir)
-			if err != nil {
-				return err
-			}
-			opts.Cache.SetStore(disk)
+	opts.Cache = experiment.NewRunCache()
+	if *cacheDir != "" {
+		disk, err := diskcache.Open(*cacheDir)
+		if err != nil {
+			return err
 		}
-	} else if *cacheDir != "" {
-		return fmt.Errorf("-cachedir requires the run cache (drop -nocache)")
+		opts.Cache.SetStore(disk)
 	}
 
 	g := generator{opts: opts.SharedBudget(), outDir: *outDir, plot: !*noPlot}
@@ -144,8 +141,12 @@ var figures = []figure{
 
 // jobs returns the figures -fig name builds, in figures order: every one for
 // "all", else the one named. A shared pass is the job of the first figure
-// that names it; the others are dropped.
+// that names it; the others are dropped. The Markdown report of the whole
+// evaluation is not one of the figures: only -fig report builds it.
 func jobs(name string) []figure {
+	if name == "report" {
+		return []figure{{"report", (*generator).report, ""}}
+	}
 	var out []figure
 	passes := map[string]bool{}
 	for _, f := range figures {
@@ -221,32 +222,34 @@ type generator struct {
 	out    *bytes.Buffer
 }
 
-// sink returns the writer for one artifact (file under outDir, else out).
-func (g *generator) sink(name string) (io.Writer, func() error, error) {
+// write writes one artifact with fn: to a file under outDir, else to out.
+func (g *generator) write(name string, fn func(io.Writer) error) error {
 	if g.outDir == "" {
 		fmt.Fprintf(g.out, "--- %s ---\n", name)
-		return g.out, func() error { return nil }, nil
+		return fn(g.out)
 	}
 	if err := os.MkdirAll(g.outDir, 0o755); err != nil {
-		return nil, nil, err
+		return err
 	}
-	f, err := os.Create(filepath.Join(g.outDir, name))
+	path := filepath.Join(g.outDir, name)
+	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	fmt.Fprintf(g.out, "wrote %s\n", filepath.Join(g.outDir, name))
-	return f, f.Close, nil
+	fmt.Fprintf(g.out, "wrote %s\n", path)
+	if err := fn(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func (g *generator) report() error {
+	return g.write("report.md", func(w io.Writer) error { return experiment.WriteReport(w, g.opts) })
 }
 
 func (g *generator) table1() error {
-	w, done, err := g.sink("table1.csv")
-	if err != nil {
-		return err
-	}
-	if err := experiment.WriteTable1CSV(w); err != nil {
-		return err
-	}
-	return done()
+	return g.write("table1.csv", experiment.WriteTable1CSV)
 }
 
 func (g *generator) fig3() error {
@@ -254,14 +257,7 @@ func (g *generator) fig3() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("fig3_penalty.csv")
-	if err != nil {
-		return err
-	}
-	if err := data.WriteCSV(w); err != nil {
-		return err
-	}
-	if err := done(); err != nil {
+	if err := g.write("fig3_penalty.csv", data.WriteCSV); err != nil {
 		return err
 	}
 	if g.plot {
@@ -281,14 +277,7 @@ func (g *generator) fig7() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("fig7_penalty.csv")
-	if err != nil {
-		return err
-	}
-	if err := data.WriteCSV(w); err != nil {
-		return err
-	}
-	if err := done(); err != nil {
+	if err := g.write("fig7_penalty.csv", data.WriteCSV); err != nil {
 		return err
 	}
 	fmt.Fprintf(g.out, "fig7: watched router %d peer %d; %d secondary-charging increments; convergence %.0f s\n",
@@ -322,14 +311,7 @@ func (g *generator) eval() error {
 		{"fig13_rcn_convergence.csv", data.WriteFig13CSV},
 		{"fig14_rcn_messages.csv", data.WriteFig14CSV},
 	} {
-		w, done, err := g.sink(out.name)
-		if err != nil {
-			return err
-		}
-		if err := out.write(w); err != nil {
-			return err
-		}
-		if err := done(); err != nil {
+		if err := g.write(out.name, out.write); err != nil {
 			return err
 		}
 	}
@@ -360,14 +342,7 @@ func (g *generator) fig10() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("fig10_series.csv")
-	if err != nil {
-		return err
-	}
-	if err := data.WriteCSV(w); err != nil {
-		return err
-	}
-	if err := done(); err != nil {
+	if err := g.write("fig10_series.csv", data.WriteCSV); err != nil {
 		return err
 	}
 	for _, n := range []int{1, 3, 5} {
@@ -383,14 +358,7 @@ func (g *generator) deployment() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("ext_deployment.csv")
-	if err != nil {
-		return err
-	}
-	if err := experiment.WriteDeploymentCSV(w, rows); err != nil {
-		return err
-	}
-	return done()
+	return g.write("ext_deployment.csv", func(w io.Writer) error { return experiment.WriteDeploymentCSV(w, rows) })
 }
 
 func (g *generator) filters() error {
@@ -398,14 +366,7 @@ func (g *generator) filters() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("ext_filters.csv")
-	if err != nil {
-		return err
-	}
-	if err := experiment.WriteFilterCSV(w, rows); err != nil {
-		return err
-	}
-	if err := done(); err != nil {
+	if err := g.write("ext_filters.csv", func(w io.Writer) error { return experiment.WriteFilterCSV(w, rows) }); err != nil {
 		return err
 	}
 	if !g.plot {
@@ -436,14 +397,7 @@ func (g *generator) intervals() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("ext_intervals.csv")
-	if err != nil {
-		return err
-	}
-	if err := experiment.WriteIntervalCSV(w, rows); err != nil {
-		return err
-	}
-	return done()
+	return g.write("ext_intervals.csv", func(w io.Writer) error { return experiment.WriteIntervalCSV(w, rows) })
 }
 
 func (g *generator) sizes() error {
@@ -455,14 +409,7 @@ func (g *generator) sizes() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("ext_sizes.csv")
-	if err != nil {
-		return err
-	}
-	if err := experiment.WriteSizeCSV(w, rows); err != nil {
-		return err
-	}
-	return done()
+	return g.write("ext_sizes.csv", func(w io.Writer) error { return experiment.WriteSizeCSV(w, rows) })
 }
 
 func (g *generator) events() error {
@@ -470,14 +417,7 @@ func (g *generator) events() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("ext_events.csv")
-	if err != nil {
-		return err
-	}
-	if err := experiment.WriteEventsCSV(w, rows); err != nil {
-		return err
-	}
-	return done()
+	return g.write("ext_events.csv", func(w io.Writer) error { return experiment.WriteEventsCSV(w, rows) })
 }
 
 func (g *generator) loss() error {
@@ -485,14 +425,7 @@ func (g *generator) loss() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("ext_loss.csv")
-	if err != nil {
-		return err
-	}
-	if err := experiment.WriteLossCSV(w, rows); err != nil {
-		return err
-	}
-	if err := done(); err != nil {
+	if err := g.write("ext_loss.csv", func(w io.Writer) error { return experiment.WriteLossCSV(w, rows) }); err != nil {
 		return err
 	}
 	for _, r := range rows {
@@ -509,14 +442,7 @@ func (g *generator) fig15() error {
 	if err != nil {
 		return err
 	}
-	w, done, err := g.sink("fig15_policy.csv")
-	if err != nil {
-		return err
-	}
-	if err := data.WriteCSV(w); err != nil {
-		return err
-	}
-	if err := done(); err != nil {
+	if err := g.write("fig15_policy.csv", data.WriteCSV); err != nil {
 		return err
 	}
 	if !g.plot {

@@ -119,6 +119,7 @@ func TestJobsRunEvalOnce(t *testing.T) {
 		{"all", []string{"table1", "fig3", "fig7", "fig8", "fig10", "fig15",
 			"deployment", "filters", "intervals", "sizes", "events", "loss"}},
 		{"fig13", []string{"fig13"}},
+		{"report", []string{"report"}},
 		{"nosuch", nil},
 	} {
 		var got []string
@@ -128,6 +129,27 @@ func TestJobsRunEvalOnce(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("jobs(%q) = %v, want %v", tc.fig, got, tc.want)
 		}
+	}
+}
+
+// TestReportMatchesCommitted: -fig report at paper scale writes exactly the
+// committed docs/report.md, so every number in it (the critical point Nh = 5
+// among them) is one the code still produces.
+func TestReportMatchesCommitted(t *testing.T) {
+	dir := t.TempDir()
+	if err := run(context.Background(), []string{"-fig", "report", "-out", dir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "report.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../docs/report.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("docs/report.md is stale; regenerate it from the repository root with\n\tgo run ./cmd/rfdfig -fig report -out docs\nand review the diff")
 	}
 }
 

@@ -91,15 +91,15 @@ const minWheelPenalty = 1e-12
 //     keyed by sweep tick, and a single periodic sweep per router drains
 //     the due bucket — no per-prefix kernel timers.
 //
-// Error bound (see docs/performance.md): update instants round down to
-// tick boundaries, so the quantized elapsed time between any charge and a
-// later query misses the exact elapsed time by strictly less than one
-// DeltaT in either direction (the error is frac(charge) - frac(query),
-// which telescopes — it does not accumulate across charges). At every
-// instant, exactPenalty / e^(lambda*DeltaT) <= wheelPenalty <=
-// exactPenalty * e^(lambda*DeltaT). Reuse is lifted at the first sweep
-// tick at which the quantized penalty has decayed to the threshold, which
-// lands within [exactReuse - DeltaT, exactReuse + DeltaT + DeltaTReuse].
+// Error bound: update instants round down to tick boundaries, so the
+// quantized elapsed time between any charge and a later query misses the
+// exact elapsed time by strictly less than one DeltaT in either direction
+// (the error is frac(charge) - frac(query), which telescopes — it does not
+// accumulate across charges). At every instant,
+// exactPenalty / e^(lambda*DeltaT) <= wheelPenalty <= exactPenalty * e^(lambda*DeltaT).
+// Reuse is lifted at the first sweep tick at which the quantized penalty has
+// decayed to the threshold, which lands within
+// [exactReuse - DeltaT, exactReuse + DeltaT + DeltaTReuse].
 //
 // The simulator does not damp with it: moving reuse instants changes the
 // timer interaction the paper measures, and every scenario announces one

@@ -10,9 +10,9 @@ import (
 // WriteReport runs the full evaluation at the given scale and renders a
 // self-contained Markdown report: every paper figure as a table plus the
 // extension experiments, with the headline checks (suppression onset,
-// critical point, RCN tracking) called out. This is what cmd/rfdreport
-// prints; EXPERIMENTS.md in the repository is the curated version of the
-// same data at paper scale.
+// critical point, RCN tracking) called out. This is what `rfdfig -fig
+// report` writes; docs/report.md is its committed paper-scale output, and
+// EXPERIMENTS.md the curated version of the same data.
 func WriteReport(w io.Writer, o Options) error {
 	bw := bufio.NewWriter(w)
 

@@ -22,13 +22,6 @@ type WatchdogConfig struct {
 	// Recent is the size of the recent-event ring kept for the livelock /
 	// divergence diagnosis. Default 32.
 	Recent int
-	// WallBudget bounds the watchdog's wall-clock time (virtual event budgets
-	// catch scheduling loops; the wall budget catches runs that are merely
-	// pathologically slow, which is what a service has to defend against).
-	// Exhausting it aborts the run with Outcome Aborted. Zero means no wall
-	// bound. The clock is polled at the same amortized granularity as the
-	// context, so the overhead is unmeasurable.
-	WallBudget time.Duration
 }
 
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
@@ -59,8 +52,8 @@ const (
 	// Livelock: the event budget was exhausted before the queue drained —
 	// almost always a scheduling loop. The run is aborted at that point.
 	Livelock
-	// Aborted: the supervising context was cancelled or the wall-clock
-	// budget ran out before the queue drained. Unlike Livelock this says
+	// Aborted: the supervising context was cancelled or passed its
+	// deadline before the queue drained. Unlike Livelock this says
 	// nothing about the simulation's health — the caller stopped waiting.
 	Aborted
 )
@@ -134,23 +127,20 @@ func Watch(n *bgp.Network, cfg WatchdogConfig) *Report {
 }
 
 // wallCheckInterval is how many events WatchContext steps between polls of
-// the context and the wall clock — frequent enough that an abort lands
-// within microseconds, rare enough that the poll cost disappears.
+// the context — frequent enough that a cancel or a deadline lands within
+// microseconds, rare enough that the poll cost disappears.
 const wallCheckInterval = 1024
 
-// WatchContext is Watch under a supervising context and the config's
-// wall-clock budget: both are polled every wallCheckInterval events, and
-// tripping either aborts the run with Outcome Aborted, the cause on
-// Report.Err and the recent-event ring attached. The network is left exactly
-// as the last fired event left it, so a caller can inspect partial state.
+// WatchContext is Watch under a supervising context, polled every
+// wallCheckInterval events: a cancel or a passed deadline (the wall-clock
+// bound for runs that are merely pathologically slow) aborts the run with
+// Outcome Aborted, the cause on Report.Err and the recent-event ring
+// attached. The network is left exactly as the last fired event left it, so
+// a caller can inspect partial state.
 func WatchContext(ctx context.Context, n *bgp.Network, cfg WatchdogConfig) *Report {
 	cfg = cfg.withDefaults()
 	k := n.Kernel()
 	rep := &Report{}
-	var deadline time.Time
-	if cfg.WallBudget > 0 {
-		deadline = time.Now().Add(cfg.WallBudget)
-	}
 
 	// Chain onto any existing trace observer to keep the diagnosis ring.
 	ring := make([]TraceEntry, 0, cfg.Recent)
@@ -206,12 +196,6 @@ func WatchContext(ctx context.Context, n *bgp.Network, cfg WatchdogConfig) *Repo
 			if err := ctx.Err(); err != nil {
 				rep.Outcome = Aborted
 				rep.Err = fmt.Errorf("faults: watchdog aborted (%d events, now %v): %w", rep.Events, k.Now(), context.Cause(ctx))
-				rep.Recent = ringSlice(ring, next)
-				return rep
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				rep.Outcome = Aborted
-				rep.Err = fmt.Errorf("faults: watchdog wall budget %v exhausted (%d events, now %v)", cfg.WallBudget, rep.Events, k.Now())
 				rep.Recent = ringSlice(ring, next)
 				return rep
 			}
