@@ -706,20 +706,6 @@ func (r *Router) restart() {
 	}
 }
 
-// suppressedCount returns how many of the router's RIB-IN entries are
-// currently suppressed.
-func (r *Router) suppressedCount() int {
-	total := 0
-	for s := range r.peers {
-		for pid := range r.net.prefixes {
-			if e := r.ribIn(int32(s), int32(pid)); e.seen && e.damp.Suppressed() {
-				total++
-			}
-		}
-	}
-	return total
-}
-
 // checkLocalRIB verifies the stored Local-RIB entry for prefix id pid equals
 // a fresh run of the decision process.
 func (r *Router) checkLocalRIB(pid int32) error {

@@ -123,7 +123,7 @@ func run(ctx context.Context, args []string) error {
 			// checked at quiescent instants and a livelock aborts with a
 			// diagnosis instead of burning the kernel's event limit. The
 			// watchdog drives a single kernel, so sharded runs skip it.
-			sc.Watchdog = &faults.WatchdogConfig{}
+			sc.Watchdog = true
 		}
 		if *faultFile != "" {
 			f, err := os.Open(*faultFile)

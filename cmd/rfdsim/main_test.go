@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -38,31 +39,58 @@ func TestRunVariants(t *testing.T) {
 		}
 	}
 
-	// A fault-plan sweep rides the trunk: every row must read as the
+	// A fault-plan sweep rides the trunk: its rows must not depend on how
+	// many branches drain at once, and every row must read as the
 	// standalone run of its pulse count.
 	plan := filepath.Join(t.TempDir(), "plan.txt")
-	if err := os.WriteFile(plan, []byte("90s reset 0 1\n150s flap 5 6 100s\n200s crash 10 90s\n"), 0o644); err != nil {
+	if err := os.WriteFile(plan, []byte("90s reset 0 1\n150s flap 5 6 100s\n200s crash 10 90s\n400s reset 20 21\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	faulty := []string{"-rows", "4", "-cols", "4", "-faults", plan}
-	sweep, _ := capture(t, slices.Concat(faulty, []string{"-sweep", "0:3"})...)
-	rows := make(map[string][]string)
-	for _, line := range strings.Split(sweep, "\n") {
-		if f := strings.Fields(line); len(f) == 6 {
-			if _, err := strconv.Atoi(f[0]); err == nil {
-				rows[f[0]] = f // pulses, convergence_s, messages, …
+	faulty := []string{"-rows", "12", "-cols", "12", "-faults", plan}
+	var rows map[string][]string
+	for _, workers := range []string{"1", "4"} {
+		sweep, _ := capture(t, slices.Concat(faulty, []string{"-sweep", "0:6", "-workers", workers})...)
+		got := make(map[string][]string)
+		for _, line := range strings.Split(sweep, "\n") {
+			if f := strings.Fields(line); len(f) == 6 {
+				if _, err := strconv.Atoi(f[0]); err == nil {
+					got[f[0]] = f // pulses, convergence_s, messages, …
+				}
 			}
 		}
+		if len(got) != 7 {
+			t.Errorf("-sweep 0:6 printed %d points, want 7:\n%s", len(got), sweep)
+		}
+		if rows != nil && !maps.EqualFunc(rows, got, slices.Equal) {
+			t.Errorf("-sweep 0:6 rows differ between -workers 1 and -workers %s:\n%s", workers, sweep)
+		}
+		rows = got
 	}
-	if len(rows) != 4 {
-		t.Errorf("-sweep 0:3 printed %d points, want 4:\n%s", len(rows), sweep)
-	}
-	for n := 0; n <= 3; n++ {
+	for n := 0; n <= 6; n++ {
 		one, _ := capture(t, slices.Concat(faulty, []string{"-pulses", strconv.Itoa(n)})...)
 		conv, msgs := field(one, "convergence time"), field(one, "message count")
 		if row := rows[strconv.Itoa(n)]; row == nil || row[1] != conv || row[2] != msgs {
 			t.Errorf("-sweep row %v, want convergence %s and messages %s as -pulses %d reports", row, conv, msgs, n)
 		}
+	}
+}
+
+// TestScalarsIndependentOfVerbose: without -v rfdsim records no series
+// (Scenario.NoSeries) and counts the damped links as they flip instead of
+// scanning every RIB-IN; every scalar line must match a -v run's.
+func TestScalarsIndependentOfVerbose(t *testing.T) {
+	args := []string{"-topology", "internet", "-nodes", "300"}
+	scalars := func(out string) string {
+		out, _, _ = strings.Cut(withoutWallTime(out), "\n\n") // the series follow a blank line
+		return strings.TrimSuffix(out, "\n")
+	}
+	plain, _ := capture(t, args...)
+	verbose, _ := capture(t, append(args, "-v")...)
+	if scalars(plain) != scalars(verbose) {
+		t.Errorf("scalar lines differ with -v:\n%s\nwithout:\n%s", scalars(verbose), scalars(plain))
+	}
+	if damped := field(plain, "damped links max"); damped == "" || damped == "0" {
+		t.Errorf("damped links max %q, want a damped run:\n%s", damped, plain)
 	}
 }
 

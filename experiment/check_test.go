@@ -71,7 +71,7 @@ func TestCheckedFaultyRun(t *testing.T) {
 		Pulses:   2,
 		Impair:   imp,
 		Faults:   plan,
-		Watchdog: &faults.WatchdogConfig{},
+		Watchdog: true,
 	}
 	runChecked(t, sc)
 }
@@ -121,7 +121,7 @@ func TestWatchdogDrainKeepsEndTime(t *testing.T) {
 	if plain.EndTime <= plain.ConvergenceTime {
 		t.Fatalf("EndTime %v is the last delivery: no MRAI interval outlived it", plain.EndTime)
 	}
-	sc.Watchdog = &faults.WatchdogConfig{}
+	sc.Watchdog = true
 	watched, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

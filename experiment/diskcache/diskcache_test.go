@@ -87,9 +87,6 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Damped.Points(), res.Damped.Points()) {
 		t.Error("damped step series differs after round trip")
 	}
-	if !reflect.DeepEqual(got.LastUpdateByRouter, res.LastUpdateByRouter) {
-		t.Error("per-router map differs after round trip")
-	}
 	w := experiment.PenaltyWatch{Router: 0, Peer: 1}
 	if !reflect.DeepEqual(got.PenaltyTraces[w].Points(), res.PenaltyTraces[w].Points()) {
 		t.Error("penalty trace differs after round trip")
@@ -308,7 +305,7 @@ func TestNoSeriesServedFromFullEntry(t *testing.T) {
 	if storeHits, _ := c2.StoreStats(); storeHits != 1 {
 		t.Fatalf("NoSeries request: store hits %d, want 1 (the full entry)", storeHits)
 	}
-	if got.Updates != nil || got.Damped != nil || got.NoisyReuseTimes != nil || got.LastUpdateByRouter != nil {
+	if got.Updates != nil || got.Damped != nil || got.NoisyReuseTimes != nil {
 		t.Fatal("a NoSeries request was served a Result with series")
 	}
 	scalars := func(r *experiment.Result) []any {

@@ -70,7 +70,7 @@ func LossSweep(o Options, rates []float64, pulses int) ([]LossRow, error) {
 				return nil, fmt.Errorf("experiment: loss %g: %w", rate, err)
 			}
 			sc.Impair = imp
-			sc.Watchdog = &faults.WatchdogConfig{}
+			sc.Watchdog = true
 			// Around the cache: an impaired, watchdogged run has no
 			// fingerprint, and the cache's uncacheable count would log it.
 			res, err := (*RunCache)(nil).run(o.ctx(), sc, o.tokens(1))

@@ -1,11 +1,15 @@
 package experiment
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"rfd/faults"
+	"rfd/sim"
 	"rfd/topology"
 )
 
@@ -81,7 +85,7 @@ func TestScenarioFaultPlan(t *testing.T) {
 	}
 	o := DefaultOptions()
 	base := Scenario{Graph: g, ISP: 0, Config: o.dampingConfig(), Pulses: 1,
-		Watchdog: &faults.WatchdogConfig{}}
+		Watchdog: true}
 	clean, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -120,15 +124,26 @@ func TestScenarioFaultPlan(t *testing.T) {
 	}
 }
 
+// TestScenarioLivelockAborts: a watched drain that ends in a livelock fails
+// the run with an error naming it, and one aborted by a tripped context fails
+// it with the context's typed stop. (A real livelock needs the kernel's whole
+// event budget; faults.TestWatchdogLivelock drives one on a small budget.)
 func TestScenarioLivelockAborts(t *testing.T) {
-	g, err := topology.Torus(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := DefaultOptions()
-	sc := Scenario{Graph: g, ISP: 0, Config: o.dampingConfig(), Pulses: 2,
-		Watchdog: &faults.WatchdogConfig{MaxEvents: 5}}
-	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "livelock") {
+	livelock := &faults.Report{Outcome: faults.Livelock, Events: 5,
+		Err: fmt.Errorf("faults: watchdog event budget exhausted: %w", sim.ErrEventLimit)}
+	if err := watchErr(context.Background(), livelock); err == nil || !strings.Contains(err.Error(), "livelock") {
 		t.Fatalf("err = %v, want a livelock abort", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	aborted := &faults.Report{Outcome: faults.Aborted,
+		Err: fmt.Errorf("faults: watchdog aborted: %w", fmt.Errorf("%w: %w", sim.ErrInterrupted, context.Canceled))}
+	if err := watchErr(ctx, aborted); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	for _, o := range []faults.Outcome{faults.Converged, faults.Diverged} {
+		if err := watchErr(context.Background(), &faults.Report{Outcome: o}); err != nil {
+			t.Fatalf("%s drain: err = %v, want the run to finish", o, err)
+		}
 	}
 }

@@ -34,7 +34,7 @@ func (s Scenario) Fingerprint() (key string, ok bool) {
 // rather than once per point.
 func (s Scenario) fingerprintBase() (string, bool) {
 	if s.Config.DampingSelect != nil || s.Trace != nil || s.Impair != nil ||
-		s.Faults != nil || s.Watchdog != nil {
+		s.Faults != nil || s.Watchdog {
 		return "", false
 	}
 	if s.Graph == nil {
@@ -94,25 +94,18 @@ type ResultStore interface {
 // distinct requests keeps the most recently used 16 MiB of Results.
 const DefaultCacheBytes = 16 << 20
 
-// resultBytes is the size of a Result's own struct, and lastUpdateEntryBytes
-// the estimated cost of one LastUpdateByRouter entry: an 8-byte key and an
-// 8-byte value, plus the map's control byte and load-factor slack averaged
-// over its growth.
-const (
-	resultBytes          = int64(unsafe.Sizeof(Result{}))
-	lastUpdateEntryBytes = 32
-)
+// resultBytes is the size of a Result's own struct.
+const resultBytes = int64(unsafe.Sizeof(Result{}))
 
-// sizeBytes estimates the memory a cached Result holds: its struct, the
-// backing arrays of its series by capacity, and a fixed cost per
-// LastUpdateByRouter entry. The series dominate — every update delivery time
-// is kept — unless the scenario was NoSeries.
+// sizeBytes estimates the memory a cached Result holds: its struct and the
+// backing arrays of its series by capacity. The series dominate — every
+// update delivery time is kept — unless the scenario was NoSeries.
 func (r *Result) sizeBytes() int64 {
 	n := resultBytes + r.Updates.Bytes() + r.Damped.Bytes() + r.NoisyReuseTimes.Bytes()
 	for _, tr := range r.PenaltyTraces {
 		n += tr.Bytes()
 	}
-	return n + int64(len(r.LastUpdateByRouter))*lastUpdateEntryBytes
+	return n
 }
 
 // cacheEntry is one singleflight slot for the fingerprint key: the claimant
@@ -335,7 +328,7 @@ func (c *RunCache) loadStored(key string) (*Result, bool) {
 // scenario would: the scalars, without the series.
 func (r *Result) withoutSeries() *Result {
 	c := *r
-	c.Updates, c.Damped, c.NoisyReuseTimes, c.LastUpdateByRouter = nil, nil, nil, nil
+	c.Updates, c.Damped, c.NoisyReuseTimes = nil, nil, nil
 	return &c
 }
 

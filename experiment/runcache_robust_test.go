@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"rfd/bgp"
 	"rfd/metrics"
 )
 
@@ -598,14 +597,13 @@ func TestRunCacheTinyBoundServesWaiters(t *testing.T) {
 }
 
 // TestResultSizeBytes pins the size estimate on a hand-built Result: the
-// struct, each series by capacity, and a fixed cost per router entry.
+// struct and each series by capacity.
 func TestResultSizeBytes(t *testing.T) {
 	r := &Result{
-		Updates:            &metrics.EventSeries{},
-		Damped:             &metrics.StepSeries{},
-		NoisyReuseTimes:    &metrics.EventSeries{},
-		PenaltyTraces:      map[PenaltyWatch]*metrics.FloatSeries{{Router: 1, Peer: 2}: {}},
-		LastUpdateByRouter: map[bgp.RouterID]time.Duration{1: 0, 2: 0, 3: 0},
+		Updates:         &metrics.EventSeries{},
+		Damped:          &metrics.StepSeries{},
+		NoisyReuseTimes: &metrics.EventSeries{},
+		PenaltyTraces:   map[PenaltyWatch]*metrics.FloatSeries{{Router: 1, Peer: 2}: {}},
 	}
 	// Appending from empty doubles capacity: 5 records hold room for 8.
 	for i := 0; i < 5; i++ {
@@ -615,7 +613,7 @@ func TestResultSizeBytes(t *testing.T) {
 	r.Damped.Record(1, 0)
 	r.NoisyReuseTimes.Record(0)
 	r.PenaltyTraces[PenaltyWatch{Router: 1, Peer: 2}].Record(0, 1000)
-	want := resultBytes + 8*8 + 2*16 + 1*8 + 1*16 + 3*lastUpdateEntryBytes
+	want := resultBytes + 8*8 + 2*16 + 1*8 + 1*16
 	if got := r.sizeBytes(); got != want {
 		t.Fatalf("sizeBytes = %d, want %d", got, want)
 	}

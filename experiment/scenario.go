@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"time"
@@ -87,10 +86,10 @@ type Scenario struct {
 	// Result times. Its faults are typed kernel events, so a sweep's points
 	// branch off one flap trajectory with the plan's pending faults in it.
 	Faults *faults.Plan
-	// Watchdog, when non-nil, drains the run under the convergence watchdog
-	// instead of a bare kernel run: quiescent-instant consistency checks,
-	// livelock abort, and a FaultReport on the Result.
-	Watchdog *faults.WatchdogConfig
+	// Watchdog, when true, drains the run under the convergence watchdog
+	// (faults.Watch) instead of a bare kernel run: quiescent-instant
+	// consistency checks, livelock diagnosis, and a FaultReport on the Result.
+	Watchdog bool
 	// Shards, when > 1, runs the scenario on the sharded engine: the run
 	// topology is partitioned across Shards shard kernels coordinated by
 	// conservative-lookahead epochs (sim.ShardGroup). The run path is the
@@ -112,9 +111,8 @@ type Scenario struct {
 	// simulation, only wall-clock time).
 	Check bool
 	// NoSeries, when true, records the Result's scalars only: Updates,
-	// Damped, NoisyReuseTimes and LastUpdateByRouter stay nil, so nothing is
-	// kept per update delivery and ConvergenceSpread has nothing to
-	// summarize. Every other field — ConvergenceTime, MessageCount,
+	// Damped and NoisyReuseTimes stay nil, so nothing is kept per update
+	// delivery. Every other field — ConvergenceTime, MessageCount,
 	// MaxDamped, Phases, the reuse counts and the penalty traces Watch asks
 	// for — is identical to a full run's. The simulation is unchanged, but a
 	// NoSeries Result is a few hundred bytes where a full one holds every
@@ -169,8 +167,8 @@ type Result struct {
 	// from the first flap on.
 	MessageCount int
 	// Updates records every update delivery time (basis of Fig 10's 5 s
-	// series); nil under Scenario.NoSeries, as are Damped, NoisyReuseTimes
-	// and LastUpdateByRouter.
+	// series); nil under Scenario.NoSeries, as are Damped and
+	// NoisyReuseTimes.
 	Updates *metrics.EventSeries
 	// Damped tracks the number of suppressed (router, peer) states over
 	// time (Fig 10's damped-link count).
@@ -189,11 +187,6 @@ type Result struct {
 	// PenaltyTraces holds the recorded traces for each Watch entry, keyed
 	// as given.
 	PenaltyTraces map[PenaltyWatch]*metrics.FloatSeries
-	// LastUpdateByRouter records when each router received its final
-	// update, exposing how unevenly the convergence delay is distributed
-	// (Section 7 observes that policy shrinks the affected set but the
-	// affected nodes still converge very late).
-	LastUpdateByRouter map[bgp.RouterID]time.Duration
 	// EndTime is when the network fully drained (every in-flight update
 	// delivered and every reuse timer fired), on the same flap-relative
 	// clock.
@@ -201,7 +194,7 @@ type Result struct {
 	// Dropped counts messages lost to impairments, session churn, and
 	// crashes (zero in a fault-free run).
 	Dropped uint64
-	// FaultReport is the watchdog's verdict when Scenario.Watchdog was set,
+	// FaultReport is the watchdog's verdict when Scenario.Watchdog was true,
 	// nil otherwise.
 	FaultReport *faults.Report
 	// Check is the invariant checker's report when Scenario.Check was set,
@@ -339,7 +332,6 @@ func newRecorder(sc Scenario) *recorder {
 		res.Updates = &metrics.EventSeries{}
 		res.Damped = &metrics.StepSeries{}
 		res.NoisyReuseTimes = &metrics.EventSeries{}
-		res.LastUpdateByRouter = make(map[bgp.RouterID]time.Duration)
 	}
 	for _, w := range sc.Watch {
 		res.PenaltyTraces[w] = &metrics.FloatSeries{}
@@ -356,7 +348,6 @@ func (rc *recorder) clone() *recorder {
 		res.Updates = res.Updates.Clone()
 		res.Damped = res.Damped.Clone()
 		res.NoisyReuseTimes = res.NoisyReuseTimes.Clone()
-		res.LastUpdateByRouter = maps.Clone(rc.res.LastUpdateByRouter)
 	}
 	res.PenaltyTraces = make(map[PenaltyWatch]*metrics.FloatSeries, len(rc.res.PenaltyTraces))
 	for w, tr := range rc.res.PenaltyTraces {
@@ -365,7 +356,7 @@ func (rc *recorder) clone() *recorder {
 	return &c
 }
 
-func (rc *recorder) deliver(at time.Duration, to bgp.RouterID) {
+func (rc *recorder) deliver(at time.Duration) {
 	res := rc.res
 	if res.MessageCount > 0 && at > res.Phases.End {
 		rc.prev, rc.hasPrev = res.Phases.End, true
@@ -374,7 +365,6 @@ func (rc *recorder) deliver(at time.Duration, to bgp.RouterID) {
 	res.MessageCount++
 	if rc.series {
 		res.Updates.Record(at)
-		res.LastUpdateByRouter[to] = at
 	}
 }
 
@@ -466,7 +456,7 @@ const (
 type observation struct {
 	at           time.Duration // flap-relative
 	penalty      float64       // obsPenalty
-	router, peer bgp.RouterID  // obsDeliver: router is the receiver
+	router, peer bgp.RouterID
 	kind         obsKind
 	flag         bool // obsSuppress: on; obsReuse: noisy
 }
@@ -475,7 +465,7 @@ type observation struct {
 func (rc *recorder) record(o observation) {
 	switch o.kind {
 	case obsDeliver:
-		rc.deliver(o.at, o.router)
+		rc.deliver(o.at)
 	case obsSuppress:
 		rc.suppress(o.at, o.router, o.peer, o.flag)
 	case obsReuse:
@@ -620,7 +610,7 @@ func (f *flight) observer(emit func(observation), tr bgp.Hooks) bgp.Hooks {
 	h := bgp.Hooks{
 		OnDeliver: func(at time.Duration, msg bgp.Message) {
 			at -= epoch
-			emit(observation{at: at, kind: obsDeliver, router: msg.To})
+			emit(observation{at: at, kind: obsDeliver})
 			if traced {
 				tr.OnDeliver(at, msg)
 			}
@@ -757,19 +747,12 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 
 	// Drain: every in-flight update and every reuse timer fires within the
 	// max hold-down horizon. With a watchdog the drain is supervised —
-	// quiescent-instant consistency checks and a livelock abort instead of
-	// burning the kernel's whole event budget.
-	if sc.Watchdog != nil {
-		rep := faults.WatchContext(ctx, e.shards()[0], *sc.Watchdog)
-		res.FaultReport = rep
-		if rep.Outcome == faults.Aborted {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("experiment: drain: %w", ctxErr(ctx))
-			}
-			return nil, fmt.Errorf("experiment: drain: %w: %w", ErrBudgetExceeded, rep.Err)
-		}
-		if rep.Outcome == faults.Livelock {
-			return nil, fmt.Errorf("experiment: drain: %s", rep)
+	// quiescent-instant consistency checks, and a livelock diagnosis when
+	// the kernel's event budget runs out.
+	if sc.Watchdog {
+		res.FaultReport = faults.Watch(ctx, e.shards()[0])
+		if err := watchErr(ctx, res.FaultReport); err != nil {
+			return nil, err
 		}
 	} else if err := e.run(ctx); err != nil {
 		return nil, wrapInterrupt(ctx, "drain", err)
@@ -794,7 +777,7 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	// on the Result). Without one, run it here — but a lossy run may
 	// legitimately diverge, so the failure is fatal only when no impairment
 	// was configured.
-	if sc.Watchdog != nil {
+	if sc.Watchdog {
 		if res.FaultReport.Outcome == faults.Diverged && sc.Impair == nil {
 			return nil, fmt.Errorf("experiment: post-run consistency: %w", res.FaultReport.Err)
 		}
@@ -802,6 +785,19 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("experiment: post-run consistency: %w", err)
 	}
 	return res, nil
+}
+
+// watchErr maps a watched drain's report to the run's error: an abort is the
+// context's typed stop (see wrapInterrupt), a livelock fails the run with the
+// watchdog's diagnosis, and a converged or diverged drain lets it finish.
+func watchErr(ctx context.Context, rep *faults.Report) error {
+	switch rep.Outcome {
+	case faults.Aborted:
+		return wrapInterrupt(ctx, "drain", rep.Err)
+	case faults.Livelock:
+		return fmt.Errorf("experiment: drain: %s", rep)
+	}
+	return nil
 }
 
 // Checkpoint is a scenario's converged warm-up state: a fork of the converged
@@ -937,21 +933,4 @@ func (c *Checkpoint) trunk(sc Scenario) (*flight, error) {
 		return f, nil
 	}
 	return c.begin(sc)
-}
-
-// ConvergenceSpread summarizes how long after the final announcement each
-// router kept receiving updates (seconds). The maximum equals
-// ConvergenceTime; the gap between median and maximum exposes how uneven
-// the damping delay is across the network. It reads LastUpdateByRouter, so a
-// NoSeries Result summarizes nothing.
-func (r *Result) ConvergenceSpread() metrics.Summary {
-	vals := make([]float64, 0, len(r.LastUpdateByRouter))
-	for _, at := range r.LastUpdateByRouter {
-		d := at - r.FlapEnd
-		if d < 0 {
-			d = 0
-		}
-		vals = append(vals, d.Seconds())
-	}
-	return metrics.Summarize(vals)
 }

@@ -295,29 +295,6 @@ func TestFlapViaLinkWithRCN(t *testing.T) {
 	}
 }
 
-func TestConvergenceSpread(t *testing.T) {
-	res, err := Run(Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Pulses: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.LastUpdateByRouter) == 0 {
-		t.Fatal("no per-router timestamps recorded")
-	}
-	spread := res.ConvergenceSpread()
-	if spread.N == 0 {
-		t.Fatal("empty spread")
-	}
-	// The slowest router defines the convergence time.
-	if diff := spread.Max - res.ConvergenceTime.Seconds(); diff > 1 || diff < -1 {
-		t.Fatalf("spread max %.0f != convergence %v", spread.Max, res.ConvergenceTime)
-	}
-	// Damping delay is uneven: the median router converges well before the
-	// slowest (secondary charging keeps a tail of routers busy).
-	if spread.Median >= spread.Max {
-		t.Fatalf("median %.0f not below max %.0f", spread.Median, spread.Max)
-	}
-}
-
 // TestSweepOrderAndParallel: whatever order the pulse counts are given in —
 // shuffled, descending, with repeats — the points come back in that order,
 // each distinct count is simulated once, every point equals a standalone Run

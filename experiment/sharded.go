@@ -15,7 +15,7 @@ func (s Scenario) validateSharded() error {
 	if s.Shards <= 1 {
 		return nil
 	}
-	if s.Watchdog != nil {
+	if s.Watchdog {
 		return fmt.Errorf("experiment: the convergence watchdog drives a single kernel; it cannot supervise a sharded run (Shards=%d)", s.Shards)
 	}
 	if s.Check {

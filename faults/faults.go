@@ -9,10 +9,10 @@
 //   - A Plan of typed, scheduled fault events: link flaps, session resets,
 //     router crash/restart, and loss windows, replacing ad-hoc SetLinkState
 //     scripting in experiments and cmd/rfdsim.
-//   - A convergence Watchdog that detects quiescence, runs consistency
-//     checks only then, and reports divergence or livelock with a
-//     bounded-event diagnosis instead of silently running to the kernel's
-//     event limit.
+//   - A convergence watchdog (Watch) that observes the kernel's drain,
+//     runs consistency checks at quiescent instants only, and reports
+//     divergence or livelock (the kernel's event limit) with a
+//     bounded-event diagnosis instead of a bare error.
 //
 // Everything here is deterministic: the same seed and the same Plan yield
 // byte-identical event traces, including runs with loss, session resets and

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,8 +16,8 @@ import (
 const testPrefix = bgp.Prefix("origin/8")
 
 // buildNet constructs a 4×4 torus network with Cisco damping on a fresh
-// kernel.
-func buildNet(t testing.TB, seed uint64) (*sim.Kernel, *bgp.Network) {
+// kernel, built with opts after the seed.
+func buildNet(t testing.TB, seed uint64, opts ...sim.Option) (*sim.Kernel, *bgp.Network) {
 	t.Helper()
 	g, err := topology.Torus(4, 4)
 	if err != nil {
@@ -26,7 +27,7 @@ func buildNet(t testing.TB, seed uint64) (*sim.Kernel, *bgp.Network) {
 	cfg.Seed = seed
 	params := damping.Cisco()
 	cfg.Damping = &params
-	k := sim.NewKernel(sim.WithSeed(seed))
+	k := sim.NewKernel(append([]sim.Option{sim.WithSeed(seed)}, opts...)...)
 	n, err := bgp.NewNetwork(k, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func runGauntlet(t testing.TB, seed uint64) (trace string, delivered, dropped ui
 	k.At(epoch+20*time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
 	k.At(epoch+40*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
 
-	rep = Watch(n, WatchdogConfig{})
+	rep = Watch(context.Background(), n)
 	return sb.String(), n.Delivered(), n.Dropped(), rep
 }
 
@@ -138,7 +139,7 @@ func TestPlanApplyFaultSequence(t *testing.T) {
 	if n.RouterUp(5) {
 		t.Fatal("router 5 up during its crash window")
 	}
-	rep := Watch(n, WatchdogConfig{})
+	rep := Watch(context.Background(), n)
 	if rep.Outcome != Converged {
 		t.Fatalf("outcome = %s, want converged", rep)
 	}

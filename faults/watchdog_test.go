@@ -26,7 +26,7 @@ func TestWatchdogConverges(t *testing.T) {
 	k.At(epoch+2*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
 	k.At(epoch+time.Hour, "test.noop", func() {})
 
-	rep := Watch(n, WatchdogConfig{})
+	rep := Watch(context.Background(), n)
 	if rep.Outcome != Converged || rep.Err != nil {
 		t.Fatalf("report = %s, want converged", rep)
 	}
@@ -45,7 +45,15 @@ func TestWatchdogConverges(t *testing.T) {
 }
 
 func TestWatchdogLivelock(t *testing.T) {
+	// The livelock budget is the kernel's own: an identical network whose
+	// kernel may fire 40 events past its warm-up gives the watch 40.
+	const budget = 40
 	k, n := buildNet(t, 3)
+	n.Router(0).Originate(testPrefix)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k, n = buildNet(t, 3, sim.WithMaxEvents(k.Executed()+budget))
 	n.Router(0).Originate(testPrefix)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -55,18 +63,21 @@ func TestWatchdogLivelock(t *testing.T) {
 	rearm = func() { k.At(k.Now()+time.Second, "test.rearm", rearm) }
 	rearm()
 
-	rep := Watch(n, WatchdogConfig{MaxEvents: 10, Recent: 4})
+	rep := Watch(context.Background(), n)
 	if rep.Outcome != Livelock {
 		t.Fatalf("report = %s, want livelock", rep)
 	}
-	if rep.Events != 10 {
-		t.Fatalf("Events = %d, want exactly the 10-event budget", rep.Events)
+	if rep.Events != budget {
+		t.Fatalf("Events = %d, want exactly the %d events left of the kernel's budget", rep.Events, budget)
 	}
 	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "budget") {
 		t.Fatalf("Err = %v, want budget exhaustion", rep.Err)
 	}
-	if len(rep.Recent) != 4 {
-		t.Fatalf("Recent has %d entries, want the full ring of 4", len(rep.Recent))
+	if !errors.Is(rep.Err, sim.ErrEventLimit) {
+		t.Fatalf("Err = %v, want to wrap sim.ErrEventLimit", rep.Err)
+	}
+	if len(rep.Recent) != recent {
+		t.Fatalf("Recent has %d entries, want the full ring of %d", len(rep.Recent), recent)
 	}
 	for _, e := range rep.Recent {
 		if e.Name != "test.rearm" {
@@ -97,7 +108,7 @@ func TestWatchdogDiverges(t *testing.T) {
 	epoch := k.Now()
 	k.At(epoch+time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
 
-	rep := Watch(n, WatchdogConfig{})
+	rep := Watch(context.Background(), n)
 	if rep.Outcome != Diverged {
 		t.Fatalf("report = %s, want diverged", rep)
 	}
@@ -120,7 +131,7 @@ func TestWatchdogRestoresTrace(t *testing.T) {
 	n.Router(0).Originate(testPrefix)
 	calls := 0
 	k.SetTrace(func(time.Duration, string) { calls++ })
-	Watch(n, WatchdogConfig{})
+	Watch(context.Background(), n)
 	if calls == 0 {
 		t.Fatal("watchdog did not chain onto the existing trace observer")
 	}
@@ -130,6 +141,25 @@ func TestWatchdogRestoresTrace(t *testing.T) {
 	k.Step()
 	if calls != before+1 {
 		t.Fatalf("trace observer not restored after Watch (calls %d, want %d)", calls, before+1)
+	}
+}
+
+// TestWatchdogRestoresAfterEvent: the quiescence check rides the kernel's
+// after-event hook, chained onto the observer already there (the invariant
+// checker's, in a checked run), and Watch leaves both hooks as it found them.
+func TestWatchdogRestoresAfterEvent(t *testing.T) {
+	k, n := buildNet(t, 3)
+	n.Router(0).Originate(testPrefix)
+	Watch(context.Background(), n)
+	if k.AfterEvent() != nil || k.Trace() != nil {
+		t.Fatal("Watch left its observers installed")
+	}
+	calls := 0
+	k.SetAfterEvent(func(time.Duration, string) { calls++ })
+	n.Router(0).StopOriginating(testPrefix)
+	rep := Watch(context.Background(), n)
+	if rep.Events == 0 || uint64(calls) != rep.Events {
+		t.Fatalf("chained after-event observer saw %d of %d events", calls, rep.Events)
 	}
 }
 
@@ -152,7 +182,7 @@ func TestWatchdogAbortsOnCancel(t *testing.T) {
 	rearm()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep := WatchContext(ctx, n, WatchdogConfig{MaxEvents: 1_000_000, Recent: 4})
+	rep := Watch(ctx, n)
 	if rep.Outcome != Aborted {
 		t.Fatalf("report = %s, want aborted", rep)
 	}
@@ -161,8 +191,8 @@ func TestWatchdogAbortsOnCancel(t *testing.T) {
 	}
 	// The cancel is polled amortized: the watch must stop within one poll
 	// interval, not run anywhere near the event budget.
-	if rep.Events > wallCheckInterval {
-		t.Fatalf("aborted watch stepped %d events, want at most the %d-event poll interval", rep.Events, wallCheckInterval)
+	if rep.Events > sim.StopCheckInterval {
+		t.Fatalf("aborted watch stepped %d events, want at most the %d-event poll interval", rep.Events, sim.StopCheckInterval)
 	}
 }
 
@@ -174,7 +204,7 @@ func TestWatchdogAbortsOnDeadline(t *testing.T) {
 	rearm()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	rep := WatchContext(ctx, n, WatchdogConfig{MaxEvents: 1_000_000_000, Recent: 4})
+	rep := Watch(ctx, n)
 	if rep.Outcome != Aborted {
 		t.Fatalf("report = %s, want aborted", rep)
 	}
@@ -202,16 +232,16 @@ func TestWatchContextUncancelledMatchesWatch(t *testing.T) {
 	k.At(epoch+2*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	rep := WatchContext(ctx, n, WatchdogConfig{})
+	rep := Watch(ctx, n)
 	if rep.Outcome != Converged || rep.Err != nil {
 		t.Fatalf("report = %s, want converged", rep)
 	}
 }
 
 // TestWatchdogDrainEndsWhereRunDoes: a drain ends where the last MRAI
-// interval would have, had its end been an event (sim.Kernel.Settle). The
-// watchdog steps the queue itself, so it must settle as Run does, or the
-// clock, and every stimulus stamped from it, would move.
+// interval would have, had its end been an event (sim.Kernel.Settle). A
+// watched drain must settle as Run does, or the clock, and every stimulus
+// stamped from it, would move.
 func TestWatchdogDrainEndsWhereRunDoes(t *testing.T) {
 	drained := func(watch bool) (end, lastEvent time.Duration) {
 		g, err := topology.Torus(4, 4)
@@ -235,7 +265,7 @@ func TestWatchdogDrainEndsWhereRunDoes(t *testing.T) {
 		n.Router(0).Originate(testPrefix)
 		k.SetTrace(func(at time.Duration, _ string) { lastEvent = at })
 		if watch {
-			if rep := Watch(n, WatchdogConfig{}); rep.Outcome != Converged {
+			if rep := Watch(context.Background(), n); rep.Outcome != Converged {
 				t.Fatalf("report = %s, want converged", rep)
 			}
 		} else if err := k.Run(); err != nil {

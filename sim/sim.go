@@ -38,7 +38,7 @@ import (
 	"rfd/internal/xrand"
 )
 
-// ErrEventLimit is returned by Run and RunUntil when the kernel has executed
+// ErrEventLimit is returned by the Run methods when the kernel has executed
 // its configured maximum number of events, which almost always indicates a
 // scheduling loop (e.g. a timer that re-arms itself unconditionally).
 var ErrEventLimit = errors.New("sim: event limit exceeded")
@@ -333,9 +333,9 @@ func (k *Kernel) SetMarks(fn func() Mark) { k.marks = fn }
 
 // Settle ends a drain. With the queue empty, it moves the clock to the latest
 // mark still ahead, which is where the last event pushed under a mark would
-// have left it. With events pending, or no mark ahead, it does nothing. Run,
-// RunContext, a Step that finds the queue empty and a ShardGroup drain call it
-// themselves; a caller that drains with its own loop calls it at the end.
+// have left it. With events pending, or no mark ahead, it does nothing.
+// RunContext (and so Run), a Step that finds the queue empty and a ShardGroup
+// drain call it; calling it again is harmless.
 func (k *Kernel) Settle() {
 	if k.q.Len() > 0 || k.marks == nil {
 		return
@@ -375,36 +375,12 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty, then settles the clock (see
-// Settle). It returns ErrEventLimit if the configured maximum number of
-// events is exceeded.
-func (k *Kernel) Run() error {
-	for k.q.Len() > 0 {
-		if k.executed >= k.maxEvents {
-			return fmt.Errorf("%w (%d events, now %v)", ErrEventLimit, k.executed, k.now)
-		}
-		k.Step()
-	}
-	k.Settle()
-	return nil
-}
+// Run is RunContext with a context that never trips.
+func (k *Kernel) Run() error { return k.RunContext(context.Background()) }
 
-// RunUntil fires events with time <= horizon, leaving later events pending,
-// and advances the clock to exactly horizon, past every mark at or before it.
-// It returns ErrEventLimit under the same condition as Run.
+// RunUntil is RunUntilContext with a context that never trips.
 func (k *Kernel) RunUntil(horizon time.Duration) error {
-	for {
-		headAt, ok := k.q.PeekTime()
-		if !ok || headAt > horizon {
-			break
-		}
-		if k.executed >= k.maxEvents {
-			return fmt.Errorf("%w (%d events, now %v)", ErrEventLimit, k.executed, k.now)
-		}
-		k.Step()
-	}
-	k.passTo(horizon)
-	return nil
+	return k.RunUntilContext(context.Background(), horizon)
 }
 
 // RunBefore fires events with time strictly less than horizon, leaving events
@@ -459,15 +435,15 @@ func (k *Kernel) interrupted(ctx context.Context) error {
 	return fmt.Errorf("%w at %v (%d events): %w", ErrInterrupted, k.now, k.executed, context.Cause(ctx))
 }
 
-// RunContext is Run with a cooperative stop: the kernel polls ctx every
+// RunContext fires events until the queue is empty, then settles the clock
+// (see Settle). It returns ErrEventLimit if the configured maximum number of
+// events is exceeded, and has a cooperative stop: the kernel polls ctx every
 // StopCheckInterval events (and once on entry) and returns ErrInterrupted —
-// wrapping the context's cause — when it has tripped. A drain settles the
-// clock as Run does. The kernel stays valid and resumable after an
-// interrupt: the clock, queue and RNG are exactly as the last fired event
-// left them, so a caller may inspect partial state or
+// wrapping the context's cause — when it has tripped. The kernel stays valid
+// and resumable after an interrupt: the clock, queue and RNG are exactly as
+// the last fired event left them, so a caller may inspect partial state or
 // continue with a fresh context. An un-tripped ctx leaves the event sequence
-// byte-identical to Run: the poll reads the context but never touches kernel
-// state.
+// unchanged: the poll reads the context but never touches kernel state.
 func (k *Kernel) RunContext(ctx context.Context) error {
 	next := k.executed // poll on entry, then every StopCheckInterval events
 	for k.q.Len() > 0 {
@@ -486,9 +462,11 @@ func (k *Kernel) RunContext(ctx context.Context) error {
 	return nil
 }
 
-// RunUntilContext is RunUntil with the same cooperative stop as RunContext.
-// On interrupt the clock is left at the last fired event's time, not advanced
-// to the horizon.
+// RunUntilContext fires events with time <= horizon, leaving later events
+// pending, and advances the clock to exactly horizon, past every mark at or
+// before it. It returns ErrEventLimit and stops cooperatively as RunContext
+// does; on interrupt the clock is left at the last fired event's time, not
+// advanced to the horizon.
 func (k *Kernel) RunUntilContext(ctx context.Context, horizon time.Duration) error {
 	next := k.executed
 	for {
