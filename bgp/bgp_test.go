@@ -66,10 +66,6 @@ func TestPathHelpers(t *testing.T) {
 	if !p.Equal(Path{3, 7, 12}) || p.Equal(Path{3, 7}) || p.Equal(Path{3, 7, 13}) {
 		t.Fatal("Equal wrong")
 	}
-	pre := p.Prepend(1)
-	if !pre.Equal(Path{1, 3, 7, 12}) {
-		t.Fatalf("Prepend = %v", pre)
-	}
 	if p.String() != "3 7 12" {
 		t.Fatalf("String = %q", p.String())
 	}
@@ -84,13 +80,7 @@ func TestPathHelpers(t *testing.T) {
 
 func TestMessageString(t *testing.T) {
 	w := Message{From: 1, To: 2, Prefix: testPrefix, Withdraw: true}
-	if w.IsAnnouncement() {
-		t.Fatal("withdrawal reported as announcement")
-	}
 	a := Message{From: 1, To: 2, Prefix: testPrefix, Path: Path{1, 0}}
-	if !a.IsAnnouncement() {
-		t.Fatal("announcement misreported")
-	}
 	if w.String() == "" || a.String() == "" {
 		t.Fatal("empty String")
 	}
@@ -356,8 +346,8 @@ func TestRouterAccessors(t *testing.T) {
 	if r.ID() != 1 {
 		t.Fatalf("ID = %d", r.ID())
 	}
-	if len(r.Peers()) != 2 {
-		t.Fatalf("peers = %v", r.Peers())
+	if len(r.peers) != 2 {
+		t.Fatalf("peers = %v", r.peers)
 	}
 	converge(t, k, n, 0)
 	if n.Router(0).Penalty(1, testPrefix, k.Now()) != 0 {
@@ -395,19 +385,6 @@ func TestPathExplorationOnWithdrawal(t *testing.T) {
 		if _, ok := n.Router(RouterID(id)).LocalRoute(testPrefix); ok {
 			t.Fatalf("router %d kept a route to a withdrawn prefix", id)
 		}
-	}
-}
-
-func TestPrefixesEnumeration(t *testing.T) {
-	k, n := buildNet(t, mustLine(t, 3), nil)
-	n.Router(0).Originate(Prefix("b/8"))
-	n.Router(2).Originate(Prefix("a/8"))
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := n.Prefixes()
-	if len(got) != 2 || got[0] != "a/8" || got[1] != "b/8" {
-		t.Fatalf("Prefixes = %v", got)
 	}
 }
 

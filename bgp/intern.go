@@ -110,9 +110,8 @@ func (t *pathTable) intern(p Path) Path {
 	return t.canonical(p.Clone)
 }
 
-// prepend returns the canonical path (id, tail...). This is the send-path
-// replacement for tail.Prepend(id): on a table hit it costs one key build
-// and one map probe, with no copy.
+// prepend returns the canonical path (id, tail...). On a table hit it costs
+// one key build and one map probe, with no copy.
 func (t *pathTable) prepend(id RouterID, tail Path) Path {
 	k := appendHop(t.key[:0], id)
 	for _, hop := range tail {

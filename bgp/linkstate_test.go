@@ -15,16 +15,16 @@ func TestSetLinkStateValidation(t *testing.T) {
 	if err := n.SetLinkState(0, 2, false); err == nil {
 		t.Fatal("nonexistent link accepted")
 	}
-	if !n.LinkUp(0, 1) {
+	if !n.SessionUp(0, 1) {
 		t.Fatal("fresh link reported down")
 	}
-	if n.LinkUp(0, 2) {
+	if n.SessionUp(0, 2) {
 		t.Fatal("nonexistent link reported up")
 	}
 	if err := n.SetLinkState(0, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if n.LinkUp(0, 1) || n.LinkUp(1, 0) {
+	if n.SessionUp(0, 1) || n.SessionUp(1, 0) {
 		t.Fatal("failed link reported up")
 	}
 	// Idempotent.
@@ -34,7 +34,7 @@ func TestSetLinkStateValidation(t *testing.T) {
 	if err := n.SetLinkState(0, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	if !n.LinkUp(0, 1) {
+	if !n.SessionUp(0, 1) {
 		t.Fatal("restored link reported down")
 	}
 }

@@ -541,14 +541,6 @@ func (n *Network) DampedLinkCount() int {
 	return total
 }
 
-// LinkUp reports whether the link between a and b is currently up (false
-// also for nonexistent links). A link can be up while no session runs over
-// it — when an endpoint router is crashed; see SessionUp.
-func (n *Network) LinkUp(a, b RouterID) bool {
-	e := n.edgeOf(a, b)
-	return e >= 0 && !n.downLinks[e]
-}
-
 // SessionUp reports whether a BGP session is currently established between
 // a and b: the link exists and is up, and both routers are running.
 func (n *Network) SessionUp(a, b RouterID) bool {
@@ -885,19 +877,4 @@ func (n *Network) CheckConsistency() error {
 		}
 	}
 	return nil
-}
-
-// Prefixes returns the sorted set of prefixes any router currently holds
-// state for.
-func (n *Network) Prefixes() []Prefix {
-	var out []Prefix
-	for _, pid := range n.prefixOrder {
-		for id := range n.routers {
-			if r := n.router(RouterID(id)); r != nil && r.hasLocalState(pid) {
-				out = append(out, n.prefixes[pid])
-				break
-			}
-		}
-	}
-	return out
 }

@@ -113,10 +113,6 @@ type Router struct {
 // ID returns the router's identifier.
 func (r *Router) ID() RouterID { return r.id }
 
-// Peers returns the router's neighbors in ascending order. The slice is
-// shared and must not be modified.
-func (r *Router) Peers() []RouterID { return r.peers }
-
 // slotOf returns the peer's slot, -1 when peer is not a neighbor. It is for
 // cold paths: the update path carries slots instead of looking them up.
 func (r *Router) slotOf(peer RouterID) int32 {

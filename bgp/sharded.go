@@ -59,7 +59,7 @@ func Lookahead(cfg Config) (time.Duration, error) {
 // NewShardedNetwork partitions g's routers across shards per assign (node id
 // → shard, as produced by topology.Partition) and builds one shard network
 // per shard on a fresh kernel. Every Option is applied to the group.
-func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32, opts ...sim.GroupOption) (*ShardedNetwork, error) {
+func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32) (*ShardedNetwork, error) {
 	if len(assign) != g.NumNodes() {
 		return nil, fmt.Errorf("bgp: partition covers %d nodes, topology has %d", len(assign), g.NumNodes())
 	}
@@ -93,7 +93,7 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32, opts ...si
 		sn.kernels[s] = k
 		sn.shards[s] = n
 	}
-	group, err := sim.NewShardGroup(lookahead, sn.kernels, sn, opts...)
+	group, err := sim.NewShardGroup(lookahead, sn.kernels, sn)
 	if err != nil {
 		return nil, err
 	}

@@ -47,13 +47,13 @@ func seqTrace(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bgp.Router
 }
 
 // shardTrace is seqTrace on the sharded engine with the given shard count.
-func shardTrace(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bgp.RouterID, prefix bgp.Prefix, shards int, opts ...sim.GroupOption) []byte {
+func shardTrace(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bgp.RouterID, prefix bgp.Prefix, shards int) []byte {
 	t.Helper()
 	assign, err := topology.Partition(g, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := bgp.NewShardedNetwork(g, cfg, assign, opts...)
+	sn, err := bgp.NewShardedNetwork(g, cfg, assign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +142,6 @@ func TestShardedMatchesSequential(t *testing.T) {
 			}
 		})
 	}
-	t.Run("shards=2/sequential-mode", func(t *testing.T) {
-		got := shardTrace(t, g, cfg, origin, prefix, 2, sim.WithSequentialGroup())
-		if !bytes.Equal(want, got) {
-			t.Fatalf("sequential-mode sharded trace differs: %s", diffPoint(want, got))
-		}
-	})
 }
 
 // TestShardedForkEquivalence forks a converged sharded ensemble and verifies

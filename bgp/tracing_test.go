@@ -34,7 +34,10 @@ func TestTraceHooksRecordFullEpisode(t *testing.T) {
 			kinds[trace.KindSuppress], kinds[trace.KindUnsuppress])
 	}
 	// Deliveries must name both parties and the prefix.
-	for _, e := range log.Filter(func(e trace.Event) bool { return e.Kind == trace.KindDeliver }) {
+	for _, e := range log.Events() {
+		if e.Kind != trace.KindDeliver {
+			continue
+		}
 		if e.Prefix == "" || e.Router == e.Peer {
 			t.Fatalf("malformed deliver event %+v", e)
 		}
@@ -52,10 +55,13 @@ func TestTraceHooksRecordCauses(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	withCause := log.Filter(func(e trace.Event) bool {
-		return e.Kind == trace.KindDeliver && e.Cause != ""
-	})
-	if len(withCause) == 0 {
+	withCause := 0
+	for _, e := range log.Events() {
+		if e.Kind == trace.KindDeliver && e.Cause != "" {
+			withCause++
+		}
+	}
+	if withCause == 0 {
 		t.Fatal("no delivered update carried a root cause with RCN enabled")
 	}
 }

@@ -68,15 +68,6 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Prepend returns a new path with id prepended (what a router advertises to
-// its peers: itself followed by its best path).
-func (p Path) Prepend(id RouterID) Path {
-	out := make(Path, len(p)+1)
-	out[0] = id
-	copy(out[1:], p)
-	return out
-}
-
 // String renders the path like "3 7 12".
 func (p Path) String() string {
 	if len(p) == 0 {
@@ -110,9 +101,6 @@ type Message struct {
 	// update has no known cause.
 	Cause rcn.Cause
 }
-
-// IsAnnouncement reports whether the message announces a route.
-func (m Message) IsAnnouncement() bool { return !m.Withdraw }
 
 // String renders the message for traces.
 func (m Message) String() string {

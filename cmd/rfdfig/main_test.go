@@ -155,12 +155,14 @@ func TestReportMatchesCommitted(t *testing.T) {
 
 // TestBuildIndependentOfWorkers: the figures build concurrently under one
 // budget of -workers simulations, yet one at a time and four at a time write
-// the same CSVs and the same stdout, run-cache line included.
+// the same CSVs and the same stdout, run-cache line included. A -check build
+// writes them too: every checked sweep rides the trunk with a checker forked
+// into each branch, every invariant holds, and the checker perturbs nothing.
 func TestBuildIndependentOfWorkers(t *testing.T) {
-	buildAt := func(workers string) (map[string]string, string) {
+	buildAt := func(flags ...string) (map[string]string, string) {
 		dir := t.TempDir()
 		var stdout strings.Builder
-		args := []string{"-fig", "all", "-small", "-noplot", "-workers", workers, "-out", dir}
+		args := append([]string{"-fig", "all", "-small", "-noplot", "-out", dir}, flags...)
 		if err := run(context.Background(), args, &stdout); err != nil {
 			t.Fatal(err)
 		}
@@ -178,13 +180,18 @@ func TestBuildIndependentOfWorkers(t *testing.T) {
 		}
 		return files, strings.ReplaceAll(stdout.String(), dir, "OUT")
 	}
-	files1, out1 := buildAt("1")
-	files4, out4 := buildAt("4")
-	if len(files1) != 15 || !maps.Equal(files1, files4) {
-		t.Errorf("CSVs differ between -workers 1 (%d files) and -workers 4 (%d files)", len(files1), len(files4))
+	files1, out1 := buildAt("-workers", "1")
+	if len(files1) != 15 || !strings.Contains(out1, "run cache: ") {
+		t.Fatalf("-workers 1 wrote %d CSVs and stdout:\n%s", len(files1), out1)
 	}
-	if !strings.Contains(out1, "run cache: ") || out1 != out4 {
-		t.Errorf("stdout differs between -workers 1 and 4:\n%s\n---\n%s", out1, out4)
+	for _, flags := range [][]string{{"-workers", "4"}, {"-check"}} {
+		files, out := buildAt(flags...)
+		if !maps.Equal(files1, files) {
+			t.Errorf("CSVs differ between -workers 1 (%d files) and %v (%d files)", len(files1), flags, len(files))
+		}
+		if out != out1 {
+			t.Errorf("stdout differs between -workers 1 and %v:\n%s\n---\n%s", flags, out1, out)
+		}
 	}
 }
 

@@ -220,7 +220,7 @@ func benchSweepWheel(b *testing.B, n int) {
 	// enrollments in the same (warmed) buckets, so the measurement is the
 	// steady state rather than one-time list growth in rotating cold
 	// buckets.
-	revolution := w.Config().DeltaTReuse * time.Duration(w.NumLists())
+	revolution := w.Config().DeltaTReuse * time.Duration(len(w.lists))
 	base := 10 * time.Second
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -125,7 +125,7 @@ func Replay(params Params, updates []TimedUpdate) (*ReplayResult, error) {
 func ParseUpdateLog(r io.Reader) ([]TimedUpdate, error) {
 	sc := bufio.NewScanner(r)
 	// The default Scanner token limit is 64 KiB, which a long generated
-	// comment can exceed; allow lines up to 1 MiB, like trace.ReadJSONL.
+	// comment can exceed; allow lines up to 1 MiB.
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var raw []struct {
 		at   time.Duration

@@ -173,11 +173,6 @@ func (w *Wheel) NewState(key uint64) *WheelState {
 	return s
 }
 
-// NumLists returns the number of reuse list buckets the wheel actually
-// built: min(MaxHoldDown/DeltaTReuse + 2, MaxLists), at least 3. One full
-// ring revolution spans NumLists * DeltaTReuse of virtual time.
-func (w *Wheel) NumLists() int { return len(w.lists) }
-
 // NextSweepAt returns the first sweep instant strictly after now: the next
 // DeltaTReuse boundary.
 func (w *Wheel) NextSweepAt(now time.Duration) time.Duration {
@@ -329,9 +324,6 @@ func (s *WheelState) Params() Params { return s.w.params }
 
 // Suppressed reports whether the route is currently suppressed.
 func (s *WheelState) Suppressed() bool { return s.suppressed }
-
-// Key returns the opaque identifier the state was minted with.
-func (s *WheelState) Key() uint64 { return s.key }
 
 // ReuseAt returns the sweep instant this state is enrolled under; ok is
 // false when the state is not in any reuse list.

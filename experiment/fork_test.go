@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // a from-scratch Run.
 func TestCheckpointRunMatchesRun(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
-	cp, err := NewCheckpoint(base)
+	cp, err := NewCheckpointContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSweepImpairedMatchesStandaloneRuns(t *testing.T) {
 			t.Fatalf("impaired sweep point n=%d differs from standalone Run", n)
 		}
 	}
-	cp, err := NewCheckpoint(base)
+	cp, err := NewCheckpointContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

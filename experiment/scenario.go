@@ -835,17 +835,12 @@ type Checkpoint struct {
 // (1 for a sequential checkpoint).
 func (c *Checkpoint) Shards() int { return len(c.parked.shards()) }
 
-// NewCheckpoint executes the scenario's warm-up once (exactly as Run would)
-// and parks the converged state. Only the warm-up inputs matter here — the
-// graph, ISP, Config and Shards; measurement-phase fields (Pulses,
-// FlapInterval, Watch, Trace, Impair, Faults, Watchdog) take effect in
-// Checkpoint.Run.
-func NewCheckpoint(sc Scenario) (*Checkpoint, error) {
-	return NewCheckpointContext(context.Background(), sc)
-}
-
-// NewCheckpointContext is NewCheckpoint with the warm-up run under ctx; a
-// tripped context stops it with a typed ErrCanceled / ErrBudgetExceeded.
+// NewCheckpointContext executes the scenario's warm-up once (exactly as Run
+// would) under ctx and parks the converged state. Only the warm-up inputs
+// matter here — the graph, ISP, Config and Shards; measurement-phase fields
+// (Pulses, FlapInterval, Watch, Trace, Impair, Faults, Watchdog) take effect
+// in Checkpoint.Run. A tripped context stops it with a typed ErrCanceled /
+// ErrBudgetExceeded.
 // The warm-up reports to the context's Progress hook (WithProgress):
 // WarmupStarted before convergence begins, WarmupDone once it has converged —
 // warm-up dominates the latency of small sweeps, so a streaming client must

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -269,13 +270,13 @@ func TestShardedValidation(t *testing.T) {
 	// a sharded scenario, sharded with a sequential, sharded with another
 	// count — is the same clear error, not a silent from-scratch run.
 	t.Run("checkpoint-engine-mismatch", func(t *testing.T) {
-		seqCP, err := NewCheckpoint(valid())
+		seqCP, err := NewCheckpointContext(context.Background(), valid())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sharded := valid()
 		sharded.Shards = 2
-		shCP, err := NewCheckpoint(sharded)
+		shCP, err := NewCheckpointContext(context.Background(), sharded)
 		if err != nil {
 			t.Fatal(err)
 		}

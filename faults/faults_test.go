@@ -253,7 +253,7 @@ func TestImpairmentProfilesAndWindows(t *testing.T) {
 	if err := im.SetDefault(Profile{Loss: 1.5}); err == nil {
 		t.Fatal("accepted loss > 1")
 	}
-	if err := im.SetDirection(0, 1, Profile{MaxJitter: -time.Second}); err == nil {
+	if err := im.SetDefault(Profile{MaxJitter: -time.Second}); err == nil {
 		t.Fatal("accepted negative jitter")
 	}
 	// Perfect default: nothing dropped, no jitter.
@@ -276,11 +276,8 @@ func TestImpairmentProfilesAndWindows(t *testing.T) {
 	if drop, _ := im.Impair(20*time.Second, 0, 1); drop {
 		t.Fatal("window fired at its (exclusive) end")
 	}
-	if im.Drops() != 1 {
-		t.Fatalf("Drops = %d, want 1", im.Drops())
-	}
-	// Per-direction profile: all jitter, bounded.
-	if err := im.SetDirection(2, 3, Profile{MaxJitter: 10 * time.Millisecond}); err != nil {
+	// Jitter-only profile: nothing dropped, jitter bounded.
+	if err := im.SetDefault(Profile{MaxJitter: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {

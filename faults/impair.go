@@ -37,8 +37,8 @@ type window struct {
 	from, to   bgp.RouterID // Wildcard/Wildcard matches every direction
 }
 
-// Impairments is the standard bgp.LinkImpairment: a default profile, optional
-// per-direction overrides, and time-bounded burst-loss windows. All
+// Impairments is the standard bgp.LinkImpairment: one profile for every
+// direction, and time-bounded burst-loss windows. All
 // randomness comes from one seeded stream consumed in the engine's
 // deterministic send order, so a run with a given seed and plan is exactly
 // reproducible.
@@ -49,14 +49,11 @@ type Impairments struct {
 	rng     *xrand.Rand
 	seed    uint64
 	def     Profile
-	perDir  map[dirKey]Profile
 	windows []window
 	// perLink, when non-nil, holds one lazily-derived RNG stream per
 	// directed link instead of the single global stream (see
 	// UseLinkStreams).
 	perLink map[dirKey]*xrand.Rand
-
-	drops uint64
 }
 
 // dirKey keys a directed link endpoint pair.
@@ -69,9 +66,8 @@ type dirKey struct {
 // network's own streams for the same seed).
 func NewImpairments(seed uint64) *Impairments {
 	return &Impairments{
-		rng:    xrand.New(seed).Split(),
-		seed:   seed,
-		perDir: make(map[dirKey]Profile),
+		rng:  xrand.New(seed).Split(),
+		seed: seed,
 	}
 }
 
@@ -109,23 +105,12 @@ func (im *Impairments) linkRNG(from, to bgp.RouterID) *xrand.Rand {
 	return r
 }
 
-// SetDefault installs the profile applied to every direction without a
-// per-direction override.
+// SetDefault installs the profile applied to every direction.
 func (im *Impairments) SetDefault(p Profile) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	im.def = p
-	return nil
-}
-
-// SetDirection overrides the profile of the from→to direction only. Use two
-// calls for a symmetric link impairment.
-func (im *Impairments) SetDirection(from, to bgp.RouterID, p Profile) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	im.perDir[dirKey{from, to}] = p
 	return nil
 }
 
@@ -138,24 +123,16 @@ func (im *Impairments) AddWindow(start, end time.Duration, rate float64, from, t
 	im.windows = append(im.windows, window{start: start, end: end, rate: rate, from: from, to: to})
 }
 
-// Drops returns the number of messages this model has dropped.
-func (im *Impairments) Drops() uint64 { return im.drops }
-
 // Fork returns an independent copy at the same deterministic stream position:
-// profiles, windows, drop count and the exact RNG state. The copy and the
-// original consume their streams independently, so each fork of a network
-// snapshot reproduces the impairment decisions a from-scratch run would make.
+// profile, windows and the exact RNG state. The copy and the original
+// consume their streams independently, so each fork of a network snapshot
+// reproduces the impairment decisions a from-scratch run would make.
 func (im *Impairments) Fork() *Impairments {
 	c := &Impairments{
 		rng:     im.rng.Clone(),
 		seed:    im.seed,
 		def:     im.def,
-		perDir:  make(map[dirKey]Profile, len(im.perDir)),
 		windows: append([]window(nil), im.windows...),
-		drops:   im.drops,
-	}
-	for k, v := range im.perDir {
-		c.perDir[k] = v
 	}
 	if im.perLink != nil {
 		c.perLink = make(map[dirKey]*xrand.Rand, len(im.perLink))
@@ -171,11 +148,7 @@ func (im *Impairments) ForkImpairment() bgp.LinkImpairment { return im.Fork() }
 
 // Impair implements bgp.LinkImpairment.
 func (im *Impairments) Impair(at time.Duration, from, to bgp.RouterID) (bool, time.Duration) {
-	p, ok := im.perDir[dirKey{from, to}]
-	if !ok {
-		p = im.def
-	}
-	loss := p.Loss
+	loss := im.def.Loss
 	for _, w := range im.windows {
 		if at < w.start || at >= w.end {
 			continue
@@ -191,12 +164,11 @@ func (im *Impairments) Impair(at time.Duration, from, to bgp.RouterID) (bool, ti
 		rng = im.linkRNG(from, to)
 	}
 	if loss > 0 && (loss >= 1 || rng.Float64() < loss) {
-		im.drops++
 		return true, 0
 	}
 	var jitter time.Duration
-	if p.MaxJitter > 0 {
-		jitter = time.Duration(rng.Intn(int(p.MaxJitter)))
+	if im.def.MaxJitter > 0 {
+		jitter = time.Duration(rng.Intn(int(im.def.MaxJitter)))
 	}
 	return false, jitter
 }

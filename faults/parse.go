@@ -31,7 +31,7 @@ func ParsePlan(r io.Reader) (*Plan, error) {
 	p := &Plan{}
 	sc := bufio.NewScanner(r)
 	// The default Scanner token limit is 64 KiB, which a long generated
-	// comment can exceed; allow lines up to 1 MiB, like trace.ReadJSONL.
+	// comment can exceed; allow lines up to 1 MiB.
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineno := 0
 	for sc.Scan() {

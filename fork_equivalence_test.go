@@ -2,6 +2,7 @@ package rfd_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestForkEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			scratchRes, scratchTrace := tracedRun(t, base, experiment.Run)
 
-			cp, err := experiment.NewCheckpoint(base)
+			cp, err := experiment.NewCheckpointContext(context.Background(), base)
 			if err != nil {
 				t.Fatal(err)
 			}

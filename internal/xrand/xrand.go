@@ -12,10 +12,7 @@
 // instance. Derive independent child generators with Split.
 package xrand
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Rand is a deterministic pseudo-random number generator.
 // The zero value is not usable; construct with New.
@@ -74,11 +71,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0, mirroring
 // math/rand; callers control n and a non-positive bound is a programming
 // error, not a runtime condition.
@@ -99,44 +91,4 @@ func (r *Rand) Intn(n int) int {
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Uniform returns a uniform value in [lo, hi). It panics if hi < lo.
-func (r *Rand) Uniform(lo, hi float64) float64 {
-	if hi < lo {
-		panic("xrand: Uniform called with hi < lo")
-	}
-	return lo + (hi-lo)*r.Float64()
-}
-
-// ExpFloat64 returns an exponentially distributed value with rate 1, via
-// inverse-transform sampling (deterministic and branch-free, unlike ziggurat).
-func (r *Rand) ExpFloat64() float64 {
-	// 1-Float64() is in (0,1], so Log never sees zero.
-	return -math.Log(1 - r.Float64())
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the provided swap
-// function, mirroring math/rand.Shuffle.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("xrand: Shuffle called with negative n")
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -109,83 +109,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	r := New(17)
-	for i := 0; i < 1000; i++ {
-		v := r.Uniform(10, 20)
-		if v < 10 || v >= 20 {
-			t.Fatalf("Uniform(10,20) = %v out of range", v)
-		}
-	}
-}
-
-func TestUniformDegenerate(t *testing.T) {
-	r := New(17)
-	if v := r.Uniform(5, 5); v != 5 {
-		t.Fatalf("Uniform(5,5) = %v, want 5", v)
-	}
-}
-
-func TestUniformPanicsOnInvertedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Uniform(2,1) did not panic")
-		}
-	}()
-	New(1).Uniform(2, 1)
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(19)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 = %v < 0", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1.0) > 0.02 {
-		t.Fatalf("ExpFloat64 mean = %v, want ~1", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(23)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	r := New(29)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed element multiset: sum %d != %d", got, sum)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(31)
 	child := parent.Split()

@@ -1,9 +1,9 @@
 // Package metrics provides the measurement primitives the experiments use to
 // reproduce the paper's figures: event series with fixed-width binning (the
 // 5-second update series of Fig 10), step series (the damped-link count of
-// Fig 10), float series (the penalty traces of Figs 3 and 7), summary
-// statistics, and the paper's four-state phase decomposition
-// (charging / suppression / releasing / converged, Section 4.1).
+// Fig 10), float series (the penalty traces of Figs 3 and 7), and the
+// paper's four-state phase decomposition (charging / suppression /
+// releasing / converged, Section 4.1).
 //
 // The package is deliberately independent of the bgp engine; the experiment
 // layer translates bgp.Hooks callbacks into metric recordings.
@@ -11,7 +11,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -69,13 +68,6 @@ func (s *EventSeries) Last() (time.Duration, bool) {
 		return 0, false
 	}
 	return s.times[len(s.times)-1], true
-}
-
-// CountBetween returns how many events lie in [from, to).
-func (s *EventSeries) CountBetween(from, to time.Duration) int {
-	lo := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= from })
-	hi := sort.Search(len(s.times), func(i int) bool { return s.times[i] >= to })
-	return hi - lo
 }
 
 // Bin is one fixed-width histogram bucket.
@@ -176,19 +168,6 @@ func (s *StepSeries) Points() []StepPoint {
 	return out
 }
 
-// Sample evaluates the step function on a regular grid from start to end
-// (inclusive of start, exclusive of end) with the given spacing.
-func (s *StepSeries) Sample(start, end, spacing time.Duration) []StepPoint {
-	if spacing <= 0 {
-		panic("metrics: non-positive sample spacing")
-	}
-	var out []StepPoint
-	for t := start; t < end; t += spacing {
-		out = append(out, StepPoint{At: t, Value: s.ValueAt(t)})
-	}
-	return out
-}
-
 // FloatPoint is one sample of a real-valued series.
 type FloatPoint struct {
 	At    time.Duration
@@ -239,61 +218,4 @@ func (s *FloatSeries) Max() float64 {
 		}
 	}
 	return max
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N            int
-	Min, Max     float64
-	Mean, StdDev float64
-	Median       float64
-	P90, P99     float64
-	Sum          float64
-}
-
-// Summarize computes descriptive statistics. An empty input yields a zero
-// Summary with N == 0.
-func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	mean := sum / float64(len(sorted))
-	varSum := 0.0
-	for _, v := range sorted {
-		d := v - mean
-		varSum += d * d
-	}
-	return Summary{
-		N:      len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   mean,
-		StdDev: math.Sqrt(varSum / float64(len(sorted))),
-		Median: quantile(sorted, 0.5),
-		P90:    quantile(sorted, 0.9),
-		P99:    quantile(sorted, 0.99),
-		Sum:    sum,
-	}
-}
-
-// quantile returns the q-quantile of a sorted sample by linear interpolation.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

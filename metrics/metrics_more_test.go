@@ -8,7 +8,7 @@ import (
 
 // TestQuickBinsConserveEvents: for any event set and bin width, the bins
 // over the full range account for every in-range event exactly once, and
-// each bin agrees with CountBetween.
+// each bin holds exactly the events in its range.
 func TestQuickBinsConserveEvents(t *testing.T) {
 	f := func(raw []uint16, widthRaw uint8) bool {
 		width := time.Duration(int(widthRaw)+1) * time.Second
@@ -31,7 +31,13 @@ func TestQuickBinsConserveEvents(t *testing.T) {
 			if hi > end {
 				hi = end
 			}
-			if b.Count != s.CountBetween(b.Start, hi) {
+			in := 0
+			for _, at := range times {
+				if at >= b.Start && at < hi {
+					in++
+				}
+			}
+			if b.Count != in {
 				return false
 			}
 		}
@@ -91,23 +97,6 @@ func TestPhasesDegenerateOrderings(t *testing.T) {
 	}
 }
 
-func TestSummarizePercentiles(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i + 1) // 1..100
-	}
-	s := Summarize(vals)
-	if s.P90 < 89 || s.P90 > 91 {
-		t.Fatalf("P90 = %v", s.P90)
-	}
-	if s.P99 < 98 || s.P99 > 100 {
-		t.Fatalf("P99 = %v", s.P99)
-	}
-	if s.Median != 50.5 {
-		t.Fatalf("Median = %v", s.Median)
-	}
-}
-
 func TestFloatSeriesRejectsOutOfOrder(t *testing.T) {
 	var s FloatSeries
 	s.Record(5*time.Second, 1)
@@ -117,14 +106,4 @@ func TestFloatSeriesRejectsOutOfOrder(t *testing.T) {
 		}
 	}()
 	s.Record(time.Second, 2)
-}
-
-func TestStepSeriesSamplePanicsOnBadSpacing(t *testing.T) {
-	var s StepSeries
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero spacing did not panic")
-		}
-	}()
-	s.Sample(0, time.Second, 0)
 }

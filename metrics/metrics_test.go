@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -42,22 +41,6 @@ func TestEventSeriesRejectsOutOfOrder(t *testing.T) {
 		}
 	}()
 	s.Record(sec(4))
-}
-
-func TestEventSeriesCountBetween(t *testing.T) {
-	var s EventSeries
-	for _, at := range []int{0, 1, 2, 5, 5, 9} {
-		s.Record(sec(at))
-	}
-	if got := s.CountBetween(sec(1), sec(5)); got != 2 {
-		t.Fatalf("CountBetween(1,5) = %d, want 2", got)
-	}
-	if got := s.CountBetween(sec(5), sec(10)); got != 3 {
-		t.Fatalf("CountBetween(5,10) = %d, want 3", got)
-	}
-	if got := s.CountBetween(sec(100), sec(200)); got != 0 {
-		t.Fatalf("CountBetween empty range = %d", got)
-	}
 }
 
 func TestBins(t *testing.T) {
@@ -165,21 +148,6 @@ func TestStepSeriesRejectsOutOfOrder(t *testing.T) {
 	s.Record(sec(5), 2)
 }
 
-func TestStepSeriesSample(t *testing.T) {
-	var s StepSeries
-	s.Record(sec(10), 4)
-	samples := s.Sample(0, sec(20), sec(5))
-	if len(samples) != 4 {
-		t.Fatalf("got %d samples", len(samples))
-	}
-	want := []int{0, 0, 4, 4}
-	for i, w := range want {
-		if samples[i].Value != w {
-			t.Fatalf("sample %d = %d, want %d", i, samples[i].Value, w)
-		}
-	}
-}
-
 func TestFloatSeries(t *testing.T) {
 	var s FloatSeries
 	s.Record(sec(1), 100)
@@ -195,62 +163,6 @@ func TestFloatSeries(t *testing.T) {
 	pts[0].Value = -1
 	if s.Points()[0].Value != 100 {
 		t.Fatal("Points aliases internal storage")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Sum != 10 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if math.Abs(s.Mean-2.5) > 1e-12 {
-		t.Fatalf("Mean = %v", s.Mean)
-	}
-	if math.Abs(s.Median-2.5) > 1e-12 {
-		t.Fatalf("Median = %v", s.Median)
-	}
-	// Population stddev of {1,2,3,4} = sqrt(1.25).
-	if math.Abs(s.StdDev-math.Sqrt(1.25)) > 1e-12 {
-		t.Fatalf("StdDev = %v", s.StdDev)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Fatal("empty summary has N != 0")
-	}
-	s := Summarize([]float64{7})
-	if s.N != 1 || s.Min != 7 || s.Max != 7 || s.Median != 7 || s.P90 != 7 || s.StdDev != 0 {
-		t.Fatalf("single-value summary = %+v", s)
-	}
-}
-
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	in := []float64{3, 1, 2}
-	Summarize(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatal("Summarize sorted the caller's slice")
-	}
-}
-
-func TestQuickSummaryBounds(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			// Map arbitrary floats into a range where sums cannot overflow.
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				vals = append(vals, math.Mod(v, 1e9))
-			}
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		s := Summarize(vals)
-		return s.Min <= s.Median && s.Median <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max && s.StdDev >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

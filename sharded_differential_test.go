@@ -2,6 +2,7 @@ package rfd_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -390,7 +391,7 @@ func TestShardedForkDifferential(t *testing.T) {
 					t.Fatal("empty trace: the comparison is vacuous")
 				}
 
-				cp4, err := experiment.NewCheckpoint(mk(4))
+				cp4, err := experiment.NewCheckpointContext(context.Background(), mk(4))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -403,7 +404,7 @@ func TestShardedForkDifferential(t *testing.T) {
 					t.Fatal("sharded-fork Result differs from scratch sharded Result")
 				}
 
-				cp1, err := experiment.NewCheckpoint(mk(0))
+				cp1, err := experiment.NewCheckpointContext(context.Background(), mk(0))
 				if err != nil {
 					t.Fatal(err)
 				}

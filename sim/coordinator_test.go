@@ -102,7 +102,7 @@ func (s *randShard) HandleEvent(hops uint64) {
 		return
 	}
 	k := s.w.kernels[s.id]
-	rng := k.Rand()
+	rng := k.rng
 	if rng.Intn(3) == 0 {
 		k.AtHandler(k.Now()+time.Duration(rng.Intn(int(3*randL))), "local", s, hops-1)
 		return
@@ -138,7 +138,7 @@ func (w *randWorld) Pending() (time.Duration, bool) {
 	return min, ok
 }
 
-func newRandWorld(t *testing.T, k int, seed uint64, opts ...GroupOption) *randWorld {
+func newRandWorld(t *testing.T, k int, seed uint64) *randWorld {
 	t.Helper()
 	w := &randWorld{}
 	for s := 0; s < k; s++ {
@@ -150,7 +150,7 @@ func newRandWorld(t *testing.T, k int, seed uint64, opts ...GroupOption) *randWo
 			w.kernels[s].AtHandler(0, "start", w.shards[s], uint64(10+25*(s+c)))
 		}
 	}
-	g, err := NewShardGroup(randL, w.kernels, w, opts...)
+	g, err := NewShardGroup(randL, w.kernels, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +181,9 @@ func (w *randWorld) fork(t *testing.T) *randWorld {
 	return f
 }
 
-// Who runs an epoch — coordinator inline, coordinator plus workers, or the
-// sequential debug mode, before or after a fork — never changes what is in
-// it: the execution profile and every kernel's final clock are identical.
+// Who runs an epoch — coordinator inline or coordinator plus workers, before
+// or after a fork — never changes what is in it: the execution profile and
+// every kernel's final clock are identical.
 func TestShardGroupModesAgreeOnRandomSchedule(t *testing.T) {
 	const mid = 40 * randL
 	type outcome struct {
@@ -203,22 +203,15 @@ func TestShardGroupModesAgreeOnRandomSchedule(t *testing.T) {
 	}
 	for _, k := range []int{2, 4} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			runTo := func(opts ...GroupOption) *randWorld {
-				w := newRandWorld(t, k, seed, opts...)
-				if err := w.g.RunUntil(mid); err != nil {
-					t.Fatal(err)
-				}
-				return w
+			def := newRandWorld(t, k, seed)
+			if err := def.g.RunUntil(mid); err != nil {
+				t.Fatal(err)
 			}
-			def := runTo()
 			forked := def.fork(t)
 			want := finish(def)
 			st := want.Stats
 			if st.SoloEpochs == 0 || st.SoloEpochs == st.Epochs || st.Injected == 0 {
 				t.Fatalf("k=%d seed=%d: degenerate schedule (%d epochs, %d solo, %d injected)", k, seed, st.Epochs, st.SoloEpochs, st.Injected)
-			}
-			if got := finish(runTo(WithSequentialGroup())); !reflect.DeepEqual(got, want) {
-				t.Errorf("k=%d seed=%d: sequential group\n got %+v\nwant %+v", k, seed, got, want)
 			}
 			if got := finish(forked); !reflect.DeepEqual(got, want) {
 				t.Errorf("k=%d seed=%d: forked group\n got %+v\nwant %+v", k, seed, got, want)

@@ -126,16 +126,16 @@ func TestAdoptRebindsTimerToFork(t *testing.T) {
 
 func TestForkRNGIndependent(t *testing.T) {
 	k := NewKernel(WithSeed(3))
-	k.Rand().Uint64()
+	k.rng.Uint64()
 	fork := k.Fork()
 	// Same position: next draw matches…
-	a, b := k.Rand().Uint64(), fork.Rand().Uint64()
+	a, b := k.rng.Uint64(), fork.rng.Uint64()
 	if a != b {
 		t.Fatalf("fork RNG diverged immediately: %d vs %d", a, b)
 	}
 	// …but streams are independent: advancing one does not move the other.
-	k.Rand().Uint64()
-	c, d := k.Rand().Uint64(), fork.Rand().Uint64()
+	k.rng.Uint64()
+	c, d := k.rng.Uint64(), fork.rng.Uint64()
 	if c == d {
 		t.Fatal("fork RNG appears to share state with the original")
 	}

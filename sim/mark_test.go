@@ -80,8 +80,10 @@ func (s *markSched) onTick(id uint64) {
 		}
 		s.kept[id] = true
 		if gap := at - s.k.Now(); gap > 0 && s.side.Intn(2) == 0 {
-			// Push late, from an event strictly before the mark.
-			s.k.AtHandler(s.k.Now()+time.Duration(s.side.Intn(int(gap))), "pusher", &s.pusher, id)
+			// Push late, from an event strictly before the mark. The gap
+			// (up to 4 s in nanoseconds) overflows a 32-bit int, so the
+			// delay is drawn from 64 bits rather than with Intn.
+			s.k.AtHandler(s.k.Now()+time.Duration(s.side.Uint64()%uint64(gap)), "pusher", &s.pusher, id)
 		} else {
 			s.k.AtMark(m, "slot", &s.slot, id)
 		}

@@ -95,11 +95,6 @@ type ShardGroup struct {
 	lookahead time.Duration
 	exchange  Exchanger
 
-	// Sequential, when true, runs every epoch on the calling goroutine in
-	// shard order instead of fanning out to workers. Results are identical;
-	// the mode exists for debugging and for measuring coordination overhead.
-	sequential bool
-
 	stats ShardStats
 
 	// Worker pool state: workers persist across epochs so an epoch barrier
@@ -120,22 +115,12 @@ type workerDone struct {
 	err   error
 }
 
-// GroupOption configures a ShardGroup.
-type GroupOption func(*ShardGroup)
-
-// WithSequentialGroup makes the group run shards on the calling goroutine, in
-// shard order, instead of on worker goroutines. Byte-identical results —
-// useful for debugging and overhead measurement.
-func WithSequentialGroup() GroupOption {
-	return func(g *ShardGroup) { g.sequential = true }
-}
-
 // NewShardGroup builds a coordinator over the given kernels. The lookahead
 // must be positive: it is the guaranteed minimum latency of any cross-shard
 // event (for the BGP engine, the minimum cut-edge link delay plus the minimum
 // sender processing delay). The exchanger moves cross-shard traffic at
 // barriers; use NopExchanger when there is none.
-func NewShardGroup(lookahead time.Duration, kernels []*Kernel, ex Exchanger, opts ...GroupOption) (*ShardGroup, error) {
+func NewShardGroup(lookahead time.Duration, kernels []*Kernel, ex Exchanger) (*ShardGroup, error) {
 	if lookahead <= 0 {
 		return nil, fmt.Errorf("sim: sharded execution requires positive lookahead, got %v", lookahead)
 	}
@@ -155,18 +140,12 @@ func NewShardGroup(lookahead time.Duration, kernels []*Kernel, ex Exchanger, opt
 	for i, k := range kernels {
 		g.prevEpoch[i] = k.Executed()
 	}
-	for _, opt := range opts {
-		opt(g)
-	}
 	return g, nil
 }
 
 // Kernels returns the group's kernels (shard order). Do not drive them while
 // the group is running.
 func (g *ShardGroup) Kernels() []*Kernel { return g.kernels }
-
-// Lookahead returns the epoch length bound.
-func (g *ShardGroup) Lookahead() time.Duration { return g.lookahead }
 
 // Stats returns the execution profile accumulated so far.
 func (g *ShardGroup) Stats() ShardStats {
@@ -277,7 +256,7 @@ func (g *ShardGroup) runEpoch(horizon time.Duration) error {
 		g.stats.SoloEpochs++
 	}
 	var err error
-	if len(busy) <= 1 || g.sequential || g.closed {
+	if len(busy) <= 1 || g.closed {
 		for _, s := range busy {
 			if e := g.kernels[s].RunBefore(horizon); e != nil && err == nil {
 				err = e

@@ -22,18 +22,18 @@ import "time"
 // contract as Kernel.Fork. The original group is untouched and its worker
 // pool, if started, keeps running. Safe to call concurrently on the same
 // parked receiver — forking only reads.
-func (g *ShardGroup) Fork(ex Exchanger, opts ...GroupOption) (*ShardGroup, error) {
+func (g *ShardGroup) Fork(ex Exchanger) (*ShardGroup, error) {
 	kernels := make([]*Kernel, len(g.kernels))
 	for i, k := range g.kernels {
 		kernels[i] = k.Fork()
 	}
-	return newGroupFrom(g.lookahead, kernels, ex, g.Stats(), opts...)
+	return newGroupFrom(g.lookahead, kernels, ex, g.Stats())
 }
 
 // newGroupFrom builds a group over pre-positioned kernels and seeds its stats
 // with a captured profile (Stats() already deep-copied EventsPerShard).
-func newGroupFrom(lookahead time.Duration, kernels []*Kernel, ex Exchanger, stats ShardStats, opts ...GroupOption) (*ShardGroup, error) {
-	g, err := NewShardGroup(lookahead, kernels, ex, opts...)
+func newGroupFrom(lookahead time.Duration, kernels []*Kernel, ex Exchanger, stats ShardStats) (*ShardGroup, error) {
+	g, err := NewShardGroup(lookahead, kernels, ex)
 	if err != nil {
 		return nil, err
 	}

@@ -146,7 +146,7 @@ func (e *chanExchanger) Pending() (time.Duration, bool) {
 // pingPong builds a two-shard group where each shard bounces a message to the
 // other with latency exactly equal to the lookahead (the hardest legal case:
 // arrivals land exactly on epoch boundaries).
-func pingPong(t *testing.T, rounds int, opts ...GroupOption) (*ShardGroup, *[]time.Duration) {
+func pingPong(t *testing.T, rounds int) (*ShardGroup, *[]time.Duration) {
 	t.Helper()
 	const L = 10 * time.Millisecond
 	k0, k1 := NewKernel(), NewKernel()
@@ -165,7 +165,7 @@ func pingPong(t *testing.T, rounds int, opts ...GroupOption) (*ShardGroup, *[]ti
 		}
 	}
 	k0.At(0, "start", bounce(0, rounds))
-	g, err := NewShardGroup(L, ks, ex, opts...)
+	g, err := NewShardGroup(L, ks, ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,39 +174,31 @@ func pingPong(t *testing.T, rounds int, opts ...GroupOption) (*ShardGroup, *[]ti
 }
 
 func TestShardGroupPingPongRun(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []GroupOption
-	}{
-		{"parallel", nil},
-		{"sequential", []GroupOption{WithSequentialGroup()}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			g, log := pingPong(t, 5, mode.opts...)
-			if err := g.Run(); err != nil {
-				t.Fatal(err)
+	t.Run("parallel", func(t *testing.T) {
+		g, log := pingPong(t, 5)
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := []time.Duration{0, 10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond, 40 * time.Millisecond, 50 * time.Millisecond}
+		if len(*log) != len(want) {
+			t.Fatalf("fired %d events, want %d: %v", len(*log), len(want), *log)
+		}
+		for i, at := range want {
+			if (*log)[i] != at {
+				t.Fatalf("event %d at %v, want %v", i, (*log)[i], at)
 			}
-			want := []time.Duration{0, 10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond, 40 * time.Millisecond, 50 * time.Millisecond}
-			if len(*log) != len(want) {
-				t.Fatalf("fired %d events, want %d: %v", len(*log), len(want), *log)
-			}
-			for i, at := range want {
-				if (*log)[i] != at {
-					t.Fatalf("event %d at %v, want %v", i, (*log)[i], at)
-				}
-			}
-			st := g.Stats()
-			if st.Injected != 5 {
-				t.Errorf("injected = %d, want 5", st.Injected)
-			}
-			if st.TotalEvents != 6 {
-				t.Errorf("total events = %d, want 6", st.TotalEvents)
-			}
-			if g.Now() != 50*time.Millisecond {
-				t.Errorf("now = %v, want 50ms", g.Now())
-			}
-		})
-	}
+		}
+		st := g.Stats()
+		if st.Injected != 5 {
+			t.Errorf("injected = %d, want 5", st.Injected)
+		}
+		if st.TotalEvents != 6 {
+			t.Errorf("total events = %d, want 6", st.TotalEvents)
+		}
+		if g.Now() != 50*time.Millisecond {
+			t.Errorf("now = %v, want 50ms", g.Now())
+		}
+	})
 }
 
 func TestShardGroupRunUntilStopsAtHorizon(t *testing.T) {

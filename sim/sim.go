@@ -198,10 +198,6 @@ func NewKernel(opts ...Option) *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
 
-// Rand returns the kernel's random stream. Components that need isolated
-// streams should Split it once at construction.
-func (k *Kernel) Rand() *xrand.Rand { return k.rng }
-
 // Executed returns the number of events fired so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 

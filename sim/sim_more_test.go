@@ -90,7 +90,7 @@ func TestManySimultaneousTimersDeterministic(t *testing.T) {
 			k.At(time.Second, "e", func() {
 				order = append(order, i)
 				if i%10 == 0 {
-					k.After(time.Duration(k.Rand().Intn(100))*time.Millisecond, "re", func() {
+					k.After(time.Duration(k.rng.Intn(100))*time.Millisecond, "re", func() {
 						order = append(order, -i)
 					})
 				}

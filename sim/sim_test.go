@@ -291,7 +291,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		step = func() {
 			fires = append(fires, k.Now())
 			if len(fires) < 50 {
-				k.After(time.Duration(k.Rand().Intn(1000))*time.Millisecond, "step", step)
+				k.After(time.Duration(k.rng.Intn(1000))*time.Millisecond, "step", step)
 			}
 		}
 		k.After(0, "step", step)

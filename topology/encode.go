@@ -46,8 +46,8 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 
 // WriteTSV emits one line per edge: "a<TAB>b<TAB>rel" where rel is a's view
 // of b ("none", "customer", "provider", "peer"). The node count is encoded in
-// a leading "#nodes N" comment so isolated trailing nodes survive a
-// round-trip.
+// a leading "#nodes N" comment so isolated trailing nodes change the
+// encoding.
 func (g *Graph) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	b := append(bw.AvailableBuffer(), "#nodes\t"...)
@@ -93,77 +93,4 @@ func (g *Graph) TSVDigest() (hash.Hash, error) {
 	}
 	g.tsvDigest.Store(&state)
 	return h, nil
-}
-
-// ReadTSV parses the format produced by WriteTSV.
-func ReadTSV(name string, r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	var g *Graph
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Split(text, "\t")
-		if strings.HasPrefix(text, "#") {
-			if fields[0] == "#nodes" && len(fields) == 2 {
-				n, err := strconv.Atoi(fields[1])
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("topology: line %d: bad node count %q", line, fields[1])
-				}
-				g = New(name, n)
-			}
-			continue
-		}
-		if g == nil {
-			return nil, fmt.Errorf("topology: line %d: edge before #nodes header", line)
-		}
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("topology: line %d: want 2 or 3 fields, got %d", line, len(fields))
-		}
-		a, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("topology: line %d: bad node %q", line, fields[0])
-		}
-		b, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("topology: line %d: bad node %q", line, fields[1])
-		}
-		if err := g.AddEdge(NodeID(a), NodeID(b)); err != nil {
-			return nil, fmt.Errorf("topology: line %d: %w", line, err)
-		}
-		if len(fields) == 3 && fields[2] != "none" {
-			rel, err := parseRelationship(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("topology: line %d: %w", line, err)
-			}
-			if err := g.SetRelationship(NodeID(a), NodeID(b), rel); err != nil {
-				return nil, fmt.Errorf("topology: line %d: %w", line, err)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("topology: read: %w", err)
-	}
-	if g == nil {
-		return nil, fmt.Errorf("topology: empty input (missing #nodes header)")
-	}
-	return g, nil
-}
-
-func parseRelationship(s string) (Relationship, error) {
-	switch s {
-	case "none":
-		return RelNone, nil
-	case "customer":
-		return RelCustomer, nil
-	case "provider":
-		return RelProvider, nil
-	case "peer":
-		return RelPeer, nil
-	default:
-		return RelNone, fmt.Errorf("topology: unknown relationship %q", s)
-	}
 }

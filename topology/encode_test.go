@@ -9,93 +9,6 @@ import (
 	"testing"
 )
 
-func TestTSVRoundTrip(t *testing.T) {
-	g, err := InternetDerived(DefaultInternetConfig(50, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := g.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTSV("roundtrip", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
-		t.Fatalf("shape changed: %d/%d -> %d/%d",
-			g.NumNodes(), g.NumEdges(), back.NumNodes(), back.NumEdges())
-	}
-	for _, e := range g.Edges() {
-		if !back.HasEdge(e.A, e.B) {
-			t.Fatalf("edge %v lost", e)
-		}
-		if back.Relationship(e.A, e.B) != g.Relationship(e.A, e.B) {
-			t.Fatalf("relationship on %v changed", e)
-		}
-	}
-}
-
-func TestTSVRoundTripUnannotated(t *testing.T) {
-	g, err := Torus(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := g.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTSV("t", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Annotated() {
-		t.Fatal("unannotated graph gained annotations in round trip")
-	}
-	if back.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges: %d -> %d", g.NumEdges(), back.NumEdges())
-	}
-}
-
-func TestReadTSVErrors(t *testing.T) {
-	cases := []struct {
-		name  string
-		input string
-	}{
-		{"empty", ""},
-		{"edge before header", "0\t1\n"},
-		{"bad node count", "#nodes\tx\n"},
-		{"negative node count", "#nodes\t-5\n"},
-		{"bad node id", "#nodes\t3\na\t1\n"},
-		{"too many fields", "#nodes\t3\n0\t1\tpeer\textra\n"},
-		{"unknown relationship", "#nodes\t3\n0\t1\tboss\n"},
-		{"self loop", "#nodes\t3\n1\t1\n"},
-		{"duplicate edge", "#nodes\t3\n0\t1\n0\t1\n"},
-		{"out of range", "#nodes\t3\n0\t9\n"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if _, err := ReadTSV("bad", strings.NewReader(c.input)); err == nil {
-				t.Fatalf("input %q accepted", c.input)
-			}
-		})
-	}
-}
-
-func TestReadTSVSkipsBlankAndComments(t *testing.T) {
-	input := "# a comment\n#nodes\t3\n\n0\t1\n\n# another\n1\t2\tpeer\n"
-	g, err := ReadTSV("ok", strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 3 || g.NumEdges() != 2 {
-		t.Fatalf("parsed %d nodes %d edges", g.NumNodes(), g.NumEdges())
-	}
-	if g.Relationship(1, 2) != RelPeer {
-		t.Fatal("peer annotation lost")
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	g := New("dot test", 3)
 	if err := g.AddEdge(0, 1); err != nil {

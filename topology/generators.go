@@ -29,27 +29,6 @@ func Torus(rows, cols int) (*Graph, error) {
 	return g, nil
 }
 
-// Grid returns a rows×cols 2-D grid without wrap-around. Useful for tests and
-// ablations; the paper's mesh is the wrapped variant (Torus).
-func Grid(rows, cols int) (*Graph, error) {
-	if rows < 1 || cols < 1 {
-		return nil, fmt.Errorf("topology: grid dimensions %dx%d invalid", rows, cols)
-	}
-	g := New(fmt.Sprintf("grid-%dx%d", rows, cols), rows*cols)
-	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				g.mustEdge(id(r, c), id(r, c+1))
-			}
-			if r+1 < rows {
-				g.mustEdge(id(r, c), id(r+1, c))
-			}
-		}
-	}
-	return g, nil
-}
-
 // Line returns a path graph on n nodes (0-1-2-…-n-1).
 func Line(n int) (*Graph, error) {
 	if n < 2 {

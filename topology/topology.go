@@ -281,17 +281,6 @@ func (g *Graph) DegreeHistogram() map[int]int {
 	return h
 }
 
-// MaxDegree returns the largest node degree (0 for empty graphs).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for id := range g.adj {
-		if d := len(g.adj[id]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Clone returns a deep copy of the graph (nodes, edges, annotations). The
 // copy encodes identically, so it inherits a memoised TSVDigest.
 func (g *Graph) Clone() *Graph {

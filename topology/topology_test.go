@@ -105,27 +105,6 @@ func TestTorusNonSquare(t *testing.T) {
 	}
 }
 
-func TestGridShape(t *testing.T) {
-	g, err := Grid(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 12 {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	// Edges: 3*(4-1) horizontal + (3-1)*4 vertical = 9 + 8 = 17.
-	if g.NumEdges() != 17 {
-		t.Fatalf("edges = %d, want 17", g.NumEdges())
-	}
-	if !g.Connected() {
-		t.Fatal("grid not connected")
-	}
-	// Corner degree 2, edge degree 3, interior degree 4.
-	if g.Degree(0) != 2 {
-		t.Fatalf("corner degree = %d, want 2", g.Degree(0))
-	}
-}
-
 func TestLineRingStarFullMesh(t *testing.T) {
 	line, err := Line(5)
 	if err != nil {
@@ -177,9 +156,6 @@ func TestGeneratorArgumentValidation(t *testing.T) {
 	}
 	if _, err := FullMesh(1); err == nil {
 		t.Fatal("FullMesh(1) accepted")
-	}
-	if _, err := Grid(0, 5); err == nil {
-		t.Fatal("Grid(0,5) accepted")
 	}
 }
 
@@ -264,10 +240,14 @@ func TestInternetDerivedLongTail(t *testing.T) {
 	}
 	// Long-tailed distribution: max degree far above the mean (~4), and the
 	// majority of nodes at minimum degree.
-	if g.MaxDegree() < 12 {
-		t.Fatalf("max degree = %d, expected a hub >= 12", g.MaxDegree())
-	}
 	hist := g.DegreeHistogram()
+	maxDegree := 0
+	for d := range hist {
+		maxDegree = max(maxDegree, d)
+	}
+	if maxDegree < 12 {
+		t.Fatalf("max degree = %d, expected a hub >= 12", maxDegree)
+	}
 	low := hist[2] + hist[3]
 	if low < g.NumNodes()/2 {
 		t.Fatalf("only %d/%d nodes with degree 2-3; distribution not long-tailed", low, g.NumNodes())

@@ -1,7 +1,6 @@
 // Package trace records simulation events as a structured, bounded log that
-// can be rendered as text, streamed as JSON Lines, filtered, and read back.
-// It backs rfdsim's -trace flag and is handy when debugging why a particular
-// (router, peer) pair suppressed a route.
+// can be streamed as JSON Lines. It backs rfdsim's -trace flag and is handy
+// when debugging why a particular (router, peer) pair suppressed a route.
 //
 // The package is independent of the bgp engine; bgp.TraceHooks adapts a Log
 // to the engine's observation hooks.
@@ -12,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"time"
 )
@@ -141,31 +139,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Filter returns the stored events satisfying keep, in order.
-func (l *Log) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// WriteText renders one line per event.
-func (l *Log) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range l.events {
-		if _, err := fmt.Fprintln(bw, e); err != nil {
-			return err
-		}
-	}
-	if l.dropped > 0 {
-		fmt.Fprintf(bw, "... %d events dropped (log capacity %d)\n", l.dropped, l.capacity)
-	}
-	return bw.Flush()
-}
-
 // WriteJSONL streams the events as JSON Lines.
 func (l *Log) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -176,33 +149,4 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL parses a JSON Lines stream produced by WriteJSONL. Blank lines
-// are skipped. The returned log is genuinely unbounded: reading back a stream
-// longer than DefaultCapacity keeps every event (the bounded default exists
-// to cap live recording, not to silently truncate data already on disk).
-func ReadJSONL(r io.Reader) (*Log, error) {
-	l := &Log{capacity: math.MaxInt}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		l.Append(e)
-	}
-	if err := sc.Err(); err != nil {
-		// The scanner stops at the offending line, so the failure is at the
-		// line after the last successful scan.
-		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
-	}
-	return l, nil
 }
