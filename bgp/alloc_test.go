@@ -73,14 +73,12 @@ func TestSendPathDoesNotAllocate(t *testing.T) {
 	k, n := newConvergedNetwork(t, nil)
 	r := n.Router(0)
 	peer := r.peers[0]
-	e := func() *ribInEntry {
-		pid, ok := n.lookupPrefix(allocPrefix)
-		if !ok {
-			t.Fatal("prefix not interned after convergence")
-		}
-		return r.ribInAt(r.slotOf(peer), pid)
-	}()
-	if e == nil || e.path == nil {
+	pid, ok := n.lookupPrefix(allocPrefix)
+	if !ok {
+		t.Fatal("prefix not interned after convergence")
+	}
+	e := r.ribInAt(r.slotOf(peer), pid)
+	if e == nil || e.path == 0 {
 		t.Fatal("router 0 holds no RIB-IN route from its first peer")
 	}
 	// Re-delivering the exact advertised route is a pure duplicate: the
@@ -88,15 +86,15 @@ func TestSendPathDoesNotAllocate(t *testing.T) {
 	// store, decision process) and changes nothing. This exercises send,
 	// the FIFO/generation bookkeeping, the pooled message slab, the typed
 	// deliver event and receive.
-	msg := Message{From: peer, To: r.id, Prefix: allocPrefix, Path: e.path}
+	msg := pendingMsg{pid: pid, path: e.path}
 	slot := n.Router(peer).slotOf(r.id)
 	for i := 0; i < 32; i++ { // warm the message slab and event-queue slab
-		n.send(slot, msg)
+		n.send(peer, slot, msg)
 		for k.Step() {
 		}
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		n.send(slot, msg)
+		n.send(peer, slot, msg)
 		for k.Step() {
 		}
 	})

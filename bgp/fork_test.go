@@ -223,26 +223,55 @@ func TestConcurrentForksOfParkedTrunk(t *testing.T) {
 	}
 }
 
-// TestPathTableForkLayers forks an intern table again and again, interning
-// a new path between forks: every fork resolves every path interned before
-// it to the same canonical slice, however the layers were merged, and a
-// lookup never probes more than maxLayers of them.
+// TestPathTableForkLayers forks a path table again and again, numbering a
+// new path between forks: every fork resolves every path numbered before it
+// to the same id and the same canonical slice, however the layers were
+// merged, and a lookup never probes more than maxLayers of them.
 func TestPathTableForkLayers(t *testing.T) {
-	parent := &pathTable{}
-	var interned []Path
+	parent := newPathTable()
+	var ids []pathID
 	for i := 0; i < 3*maxLayers; i++ {
-		interned = append(interned, parent.intern(Path{RouterID(i), 99}))
+		ids = append(ids, parent.intern(Path{RouterID(i), 99}))
 		child := parent.fork()
 		if len(parent.layers) > maxLayers || len(child.layers) > maxLayers {
 			t.Fatalf("fork %d: %d layers, want <= %d", i, len(child.layers), maxLayers)
 		}
-		for _, p := range interned {
-			if c := child.intern(p.Clone()); &c[0] != &p[0] {
-				t.Fatalf("fork %d: path [%s] is not the parent's canonical slice", i, p)
+		for _, id := range ids {
+			p := parent.path(id)
+			if c := child.intern(p.Clone()); c != id || &child.path(c)[0] != &p[0] {
+				t.Fatalf("fork %d: path [%s] is not the parent's id %d and canonical slice", i, p, id)
 			}
 		}
 		if len(child.own) != 0 {
-			t.Fatalf("fork %d interned %d paths its parent already had", i, len(child.own))
+			t.Fatalf("fork %d numbered %d paths its parent already had", i, len(child.own))
+		}
+	}
+}
+
+// TestPathTableForksNumberApart fills a table past a chunk boundary, forks
+// it, and numbers different paths on each side: each side resolves its own
+// paths and every shared one, and neither sees the other's later paths.
+func TestPathTableForksNumberApart(t *testing.T) {
+	parent := newPathTable()
+	for i := 0; i < chunkLen+chunkLen/2; i++ {
+		parent.intern(Path{RouterID(i), RouterID(i + 1)})
+	}
+	child := parent.fork()
+	mine := parent.intern(Path{1, 2, 3})
+	theirs := child.intern(Path{4, 5, 6})
+	if mine != theirs {
+		t.Fatalf("the first paths numbered after a fork got ids %d and %d, want the same next id", mine, theirs)
+	}
+	if got := parent.path(mine).String(); got != "1 2 3" {
+		t.Errorf("parent resolves its id to [%s]", got)
+	}
+	if got := child.path(theirs).String(); got != "4 5 6" {
+		t.Errorf("fork resolves its id to [%s]", got)
+	}
+	for i := 0; i < chunkLen+chunkLen/2; i++ {
+		p := Path{RouterID(i), RouterID(i + 1)}
+		if a, b := parent.intern(p), child.intern(p); a != b || !parent.path(a).Equal(p) {
+			t.Fatalf("shared path [%s]: ids %d and %d", p, a, b)
 		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 
 // This file is the read-only inspection surface the runtime invariant checker
 // (package check) walks on every event. The views copy scalar state out of
-// the network's flat RIBs; paths are the engine's interned slices and must not
-// be mutated. Iteration order is deterministic: ascending peer slot (= peer
-// id) and prefix id.
+// the network's flat RIBs; paths are the engine's canonical slices, read by id
+// without a copy, and must not be mutated. Iteration order is deterministic:
+// ascending peer slot (= peer id) and prefix id.
 
 // RIBInView is a snapshot of one adj-RIB-in entry.
 type RIBInView struct {
@@ -68,7 +68,7 @@ func (r *Router) EachRIBIn(now time.Duration, fn func(RIBInView)) {
 			v := RIBInView{
 				Peer:        peer,
 				Prefix:      prefix,
-				Path:        e.path,
+				Path:        r.net.paths.path(e.path),
 				EverPresent: e.everPresent,
 				ReuseAt:     e.reuseTimer.When(),
 			}
@@ -94,9 +94,9 @@ func (r *Router) EachRIBOut(fn func(RIBOutView)) {
 			fn(RIBOutView{
 				Peer:        peer,
 				Prefix:      prefix,
-				Advertised:  e.advertised,
+				Advertised:  r.net.paths.path(e.advertised),
 				Pending:     e.pending,
-				PendingPath: e.pendingPath,
+				PendingPath: r.net.paths.path(e.pendingPath),
 				MRAIAt:      r.mraiEnd(e),
 			})
 		}
@@ -126,7 +126,7 @@ func (r *Router) EachLocal(fn func(LocalView)) {
 			HasRoute:       e.hasRoute,
 			SelfOriginated: e.hasRoute && e.bestPeer == selfPeer,
 			BestPeer:       e.bestPeer,
-			BestPath:       e.bestPath,
+			BestPath:       r.net.paths.path(e.bestPath),
 		})
 	}
 }

@@ -39,14 +39,18 @@ type LinkImpairment interface {
 	Impair(at time.Duration, from, to RouterID) (drop bool, extraDelay time.Duration)
 }
 
-// pendingMsg is an in-flight message parked in the network's slab between
-// send and deliver, stamped with the session generation it was sent on and
-// the receiver-side directed slot (To->From) of its link, so delivery looks
-// nothing up.
+// pendingMsg is an in-flight update parked in the network's slab between
+// send and deliver: its prefix and path as this network's ids, the session
+// generation it was sent on, and the receiver-side directed slot (To->From)
+// of its link, which names both routers, so delivery looks nothing up. It
+// holds no pointer. Message is its public form, built only for observers.
 type pendingMsg struct {
-	msg Message
-	gen uint64
-	dir int32
+	dir      int32
+	pid      int32
+	path     pathID
+	withdraw bool
+	gen      uint64
+	cause    rcn.Cause
 }
 
 // deliverHandler adapts the kernel's typed-event interface to message
@@ -58,9 +62,8 @@ func (h *deliverHandler) HandleEvent(arg uint64) {
 	n := h.n
 	idx := int32(arg)
 	pm := n.msgSlab[idx]
-	n.msgSlab[idx] = pendingMsg{}
 	n.msgFree = append(n.msgFree, idx)
-	n.deliver(pm.msg, pm.gen, pm.dir)
+	n.deliver(&pm)
 }
 
 // Network wires routers built from a topology onto a simulation kernel.
@@ -161,7 +164,7 @@ type Network struct {
 	mraiH  mraiHandler
 	reuseH reuseHandler
 
-	// paths interns every AS path the engine handles; prefixIDs/prefixes
+	// paths numbers every AS path the engine handles; prefixIDs/prefixes
 	// map prefixes to the dense ids the RIBs are indexed by, and
 	// prefixOrder lists the ids in ascending prefix order, the order every
 	// prefix walk takes.
@@ -236,7 +239,7 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 		downRouters: make([]bool, nn),
 		owner:       owner,
 		shardID:     shardID,
-		paths:       &pathTable{},
+		paths:       newPathTable(),
 	}
 	n.deliverH = deliverHandler{n: n}
 	n.mraiH = mraiHandler{n: n}
@@ -248,7 +251,7 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 		// One symmetric delay per link, drawn in deterministic edge order.
 		d := cfg.MinLinkDelay
 		if span := cfg.MaxLinkDelay - cfg.MinLinkDelay; span > 0 {
-			d += time.Duration(rng.Intn(int(span)))
+			d += time.Duration(rng.Uint64n(uint64(span)))
 		}
 		n.linkDelay[i] = d
 	}
@@ -723,50 +726,62 @@ func (n *Network) allocMsg(pm pendingMsg) int32 {
 	return int32(len(n.msgSlab) - 1)
 }
 
-// send schedules delivery of msg across the directed link (msg.From,
-// msg.To); slot is msg.To's peer slot at the sender. The message
+// message returns the public form of an in-flight update.
+func (n *Network) message(pm *pendingMsg) Message {
+	r, slot := n.dirRouter(pm.dir)
+	return Message{
+		From:     r.peers[slot],
+		To:       r.id,
+		Prefix:   n.prefixes[pm.pid],
+		Withdraw: pm.withdraw,
+		Path:     n.paths.path(pm.path),
+		Cause:    pm.cause,
+	}
+}
+
+// send schedules delivery of the update pm (prefix, path, withdraw flag and
+// cause filled in) from router from to the peer in its slot. The message
 // leaves after the sender's processing delay and arrives after the link's
 // propagation delay plus any impairment jitter; FIFO order per direction is
 // enforced so updates never overtake each other within a session. Messages
 // sent while no session is established, or dropped by the impairment model,
 // are lost.
-func (n *Network) send(slot int32, msg Message) {
-	sender := &n.routers[msg.From]
-	dir := n.adjStart[msg.From] + slot
+func (n *Network) send(from RouterID, slot int32, pm pendingMsg) {
+	dir := n.adjStart[from] + slot
+	to := n.adjNbr[dir]
 	edge := n.adjEdge[dir]
-	delay := n.linkDelay[edge]
-	if !n.sessionUpEdge(edge, msg.From, msg.To) {
+	if !n.sessionUpEdge(edge, from, to) {
 		return
 	}
+	pm.dir, pm.gen = n.adjRev[dir], n.sessionGen[edge]
 	if n.debugHooks.OnSend != nil {
-		n.debugHooks.OnSend(n.kernel.Now(), msg)
+		n.debugHooks.OnSend(n.kernel.Now(), n.message(&pm))
 	}
 	var extra time.Duration
 	if n.impair != nil {
-		drop, jitter := n.impair.Impair(n.kernel.Now(), msg.From, msg.To)
+		drop, jitter := n.impair.Impair(n.kernel.Now(), from, to)
 		if drop {
 			n.dropped++
 			if n.debugHooks.OnDrop != nil {
-				n.debugHooks.OnDrop(n.kernel.Now(), msg, DropImpairment)
+				n.debugHooks.OnDrop(n.kernel.Now(), n.message(&pm), DropImpairment)
 			}
 			return
 		}
 		if jitter < 0 {
-			panic(fmt.Sprintf("bgp: negative impairment jitter %v on %d->%d", jitter, msg.From, msg.To))
+			panic(fmt.Sprintf("bgp: negative impairment jitter %v on %d->%d", jitter, from, to))
 		}
 		extra = jitter
 	}
-	at := n.kernel.Now() + sender.procDelay() + delay + extra
+	at := n.kernel.Now() + n.routers[from].procDelay() + n.linkDelay[edge] + extra
 	if last := n.lastArrival[dir]; at <= last {
 		at = last + time.Nanosecond
 	}
 	n.lastArrival[dir] = at
-	pm := pendingMsg{msg: msg, gen: n.sessionGen[edge], dir: n.adjRev[dir]}
-	if n.owner != nil && n.owner[msg.To] != n.shardID {
+	if n.owner != nil && n.owner[to] != n.shardID {
 		// The receiver lives on another shard: park the message in the
 		// ensemble outbox instead of the local slab. The arrival time is
-		// final (FIFO stamp included) — only the owner of msg.From ever
-		// sends on this directed link, so its lastArrival is authoritative.
+		// final (FIFO stamp included) — only the sender's owner ever sends
+		// on this directed link, so its lastArrival is authoritative.
 		n.remoteSend(at, pm)
 		return
 	}
@@ -785,31 +800,33 @@ func (n *Network) injectDelivery(at time.Duration, pm pendingMsg) {
 }
 
 // deliver counts the message, notifies hooks, and hands it to the receiver.
-// dir is the receiver-side directed slot (msg.To->msg.From) of the link.
 // Messages whose session died while they were in flight — link failure,
 // session reset, or a crash of either endpoint — are lost, even when the
-// session has since been re-established (gen identifies the incarnation the
-// message was sent on).
-func (n *Network) deliver(msg Message, gen uint64, dir int32) {
+// session has since been re-established (pm.gen identifies the incarnation
+// the message was sent on).
+func (n *Network) deliver(pm *pendingMsg) {
 	n.pendingDeliveries--
-	edge := n.adjEdge[dir]
-	if n.sessionGen[edge] != gen || !n.sessionUpEdge(edge, msg.From, msg.To) {
+	r, slot := n.dirRouter(pm.dir)
+	edge := n.adjEdge[pm.dir]
+	if n.sessionGen[edge] != pm.gen || !n.sessionUpEdge(edge, r.peers[slot], r.id) {
 		n.dropped++
 		if n.debugHooks.OnDrop != nil {
-			n.debugHooks.OnDrop(n.kernel.Now(), msg, DropSevered)
+			n.debugHooks.OnDrop(n.kernel.Now(), n.message(pm), DropSevered)
 		}
 		return
 	}
 	n.delivered++
 	n.lastDelivery = n.kernel.Now()
-	if n.hooks.OnDeliver != nil {
-		n.hooks.OnDeliver(n.kernel.Now(), msg)
+	if n.hooks.OnDeliver != nil || n.debugHooks.OnDeliver != nil {
+		msg := n.message(pm)
+		if n.hooks.OnDeliver != nil {
+			n.hooks.OnDeliver(n.kernel.Now(), msg)
+		}
+		if n.debugHooks.OnDeliver != nil {
+			n.debugHooks.OnDeliver(n.kernel.Now(), msg)
+		}
 	}
-	if n.debugHooks.OnDeliver != nil {
-		n.debugHooks.OnDeliver(n.kernel.Now(), msg)
-	}
-	r := &n.routers[msg.To]
-	r.receive(dir-r.base, msg)
+	r.receive(slot, pm)
 }
 
 // CheckConsistency verifies steady-state invariants and returns the first
@@ -856,14 +873,14 @@ func (n *Network) CheckConsistency() error {
 				if out == nil {
 					continue
 				}
-				var held Path
+				var held pathID
 				if in := peer.ribInAt(backSlot, pid); in != nil {
 					held = in.path
 				}
-				if !out.advertised.Equal(held) {
+				if out.advertised != held {
 					return fmt.Errorf(
 						"bgp: session %d->%d prefix %s: RIB-OUT [%s] != peer RIB-IN [%s]",
-						r.id, q, n.prefixes[pid], out.advertised, held)
+						r.id, q, n.prefixes[pid], n.paths.path(out.advertised), n.paths.path(held))
 				}
 			}
 		}

@@ -15,15 +15,16 @@ import (
 const selfPeer = RouterID(-1)
 
 // ribInEntry is the adj-RIB-in state for one (directed slot, prefix id): the
-// last route received (nil when withdrawn), the flap history damping needs,
-// the damping state itself (zero and unused on a router without damping), and
-// the pending reuse timer. Entries live inline in the network's flat RIB-IN;
-// seen distinguishes a live entry from the zero-valued padding. The root
-// cause the route arrived with is kept beside it, in Network.inCause.
+// last route received (path id 0 when withdrawn), the flap history damping
+// needs, the damping state itself (zero and unused on a router without
+// damping), and the pending reuse timer. Entries live inline in the network's
+// flat RIB-IN; seen distinguishes a live entry from the zero-valued padding.
+// The root cause the route arrived with is kept beside it, in
+// Network.inCause.
 type ribInEntry struct {
-	path        Path
 	damp        damping.State
 	reuseTimer  sim.Timer
+	path        pathID
 	everPresent bool
 	seen        bool
 }
@@ -34,10 +35,10 @@ type ribInEntry struct {
 // is a reserved place in the kernel's event order, not an event: expiry is
 // pushed under it only while an announcement is pending, and cancelled when
 // none is. The pending announcement's root cause is kept beside it, in
-// Network.outCause.
+// Network.outCause. Both paths are ids (0 for none).
 type ribOutEntry struct {
-	advertised  Path
-	pendingPath Path
+	advertised  pathID
+	pendingPath pathID
 	mrai        sim.Mark
 	expiry      sim.Timer
 	pending     bool
@@ -48,14 +49,14 @@ type ribOutEntry struct {
 // entries the decision process has ever written (the dense equivalent of
 // map-key presence) and is ignored by equal.
 type localEntry struct {
+	bestPeer RouterID // selfPeer when originated locally
+	bestPath pathID   // the RIB-IN path of bestPeer (0 when self-originated)
 	hasRoute bool
 	seen     bool
-	bestPeer RouterID // selfPeer when originated locally
-	bestPath Path     // the RIB-IN path of bestPeer (nil when self-originated)
 }
 
 func (l localEntry) equal(o localEntry) bool {
-	return l.hasRoute == o.hasRoute && l.bestPeer == o.bestPeer && l.bestPath.Equal(o.bestPath)
+	return l.hasRoute == o.hasRoute && l.bestPeer == o.bestPeer && l.bestPath == o.bestPath
 }
 
 // origin is one router's origination state for one prefix id: on while it
@@ -176,7 +177,7 @@ func (r *Router) originationCause(pid int32, status rcn.Status) rcn.Cause {
 func (r *Router) LocalRoute(prefix Prefix) (Path, bool) {
 	pid, _ := r.net.lookupPrefix(prefix)
 	l := r.localAt(pid)
-	return l.bestPath.Clone(), l.hasRoute
+	return r.net.paths.path(l.bestPath).Clone(), l.hasRoute
 }
 
 // BestPeer returns the peer the current best route was learned from
@@ -278,42 +279,43 @@ func (r *Router) procDelay() time.Duration {
 	cfg := r.net.cfg
 	d := cfg.MinProcDelay
 	if span := cfg.MaxProcDelay - cfg.MinProcDelay; span > 0 {
-		d += time.Duration(r.rng.Intn(int(span)))
+		d += time.Duration(r.rng.Uint64n(uint64(span)))
 	}
 	return d
 }
 
 // receive processes one delivered update from the peer in slot: damping
 // charge, RIB-IN update, decision process, export.
-func (r *Router) receive(slot int32, msg Message) {
-	if !msg.Withdraw && msg.Path.Contains(r.id) {
+func (r *Router) receive(slot int32, pm *pendingMsg) {
+	if !pm.withdraw && r.net.paths.path(pm.path).Contains(r.id) {
 		// Sender-side loop filtering makes this unreachable in this engine,
 		// but a real peer could send such a route; BGP discards it.
 		return
 	}
-	pid := r.net.prefixID(msg.Prefix)
-	r.applyUpdate(slot, msg.From, pid, msg.Withdraw, msg.Path, msg.Cause)
-	r.reconcile(pid, msg.Cause)
+	r.applyUpdate(slot, pm.pid, pm.withdraw, pm.path, pm.cause)
+	r.reconcile(pm.pid, pm.cause)
 }
 
-// applyUpdate folds one update (received from the peer, or synthesized by a
-// session failure) into the RIB-IN entry and its damping state. path must be
-// interned (or nil): it is stored without copying.
-func (r *Router) applyUpdate(slot int32, from RouterID, pid int32, withdraw bool, path Path, cause rcn.Cause) {
-	now := r.net.kernel.Now()
-	if h := r.net.debugHooks.OnUpdate; h != nil {
-		h(now, r.id, from, r.net.prefixes[pid], withdraw, path, cause)
+// applyUpdate folds one update (received from the peer in slot, or
+// synthesized by a session failure) into the RIB-IN entry and its damping
+// state.
+func (r *Router) applyUpdate(slot, pid int32, withdraw bool, path pathID, cause rcn.Cause) {
+	n := r.net
+	now := n.kernel.Now()
+	from := r.peers[slot]
+	if h := n.debugHooks.OnUpdate; h != nil {
+		h(now, r.id, from, n.prefixes[pid], withdraw, n.paths.path(path), cause)
 	}
 	e := r.ensureRibIn(slot, pid)
 
-	present := e.path != nil
-	attrsDiffer := !withdraw && !path.Equal(e.path)
+	present := e.path != 0
+	attrsDiffer := !withdraw && path != e.path
 	kind := damping.Classify(withdraw, present, e.everPresent, attrsDiffer)
 
 	if r.damp != nil {
 		charge := true
 		chargeKind := kind
-		if r.net.cfg.SelectiveDamping && !withdraw && present && len(path) > len(e.path) {
+		if n.cfg.SelectiveDamping && !withdraw && present && n.paths.hops(path) > n.paths.hops(e.path) {
 			// Selective damping (Mao et al.): an announcement whose route is
 			// worse than the peer's previous one is judged to be path
 			// exploration and does not charge the penalty. The heuristic is
@@ -359,7 +361,7 @@ func (r *Router) applyUpdate(slot int32, from RouterID, pid int32, withdraw bool
 	}
 
 	if withdraw {
-		e.path = nil
+		e.path = 0
 	} else {
 		e.path = path
 		e.everPresent = true
@@ -385,14 +387,14 @@ func (r *Router) peerDown(peer RouterID) {
 	cause := r.linkCause(slot, peer, rcn.LinkDown)
 	for _, pid := range r.net.prefixOrder {
 		if out := r.ribOutAt(slot, pid); out != nil {
-			out.advertised = nil
+			out.advertised = 0
 			dropPending(out)
 			out.mrai = sim.Mark{}
 		}
 	}
 	for _, pid := range r.net.prefixOrder {
 		if r.ribInAt(slot, pid) != nil {
-			r.applyUpdate(slot, peer, pid, true, nil, cause)
+			r.applyUpdate(slot, pid, true, 0, cause)
 			r.reconcile(pid, cause)
 		}
 	}
@@ -407,7 +409,7 @@ func (r *Router) peerUp(peer RouterID) {
 	cause := r.linkCause(slot, peer, rcn.LinkUp)
 	for _, pid := range r.net.prefixOrder {
 		if r.hasLocalState(pid) {
-			var adv Path
+			var adv pathID
 			r.syncPeer(slot, peer, pid, cause, &adv)
 		}
 	}
@@ -476,29 +478,30 @@ func (r *Router) decide(pid int32) localEntry {
 		return localEntry{hasRoute: true, bestPeer: selfPeer}
 	}
 	var best localEntry
-	bestClass := 0
+	bestClass, bestHops := 0, 0
 	row := r.net.ribIdx(r.base, pid)
 	ins := r.net.ribIn[row : row+len(r.peers)]
 	for s, p := range r.peers {
 		e := &ins[s]
-		if !e.seen || e.path == nil || e.damp.Suppressed() {
+		if !e.seen || e.path == 0 || e.damp.Suppressed() {
 			continue
 		}
 		class := r.prefClass(p)
+		hops := r.net.paths.hops(e.path)
 		better := false
 		switch {
 		case !best.hasRoute:
 			better = true
 		case class != bestClass:
 			better = class > bestClass
-		case len(e.path) != len(best.bestPath):
-			better = len(e.path) < len(best.bestPath)
+		case hops != bestHops:
+			better = hops < bestHops
 		default:
 			better = p < best.bestPeer
 		}
 		if better {
 			best = localEntry{hasRoute: true, bestPeer: p, bestPath: e.path}
-			bestClass = class
+			bestClass, bestHops = class, hops
 		}
 	}
 	return best
@@ -515,7 +518,7 @@ func (r *Router) reconcile(pid int32, trigger rcn.Cause) bool {
 	}
 	best.seen = true
 	*l = best
-	var adv Path // built once, at the first peer the policy exports to
+	var adv pathID // built once, at the first peer the policy exports to
 	for s, q := range r.peers {
 		r.syncPeer(int32(s), q, pid, trigger, &adv)
 	}
@@ -523,14 +526,14 @@ func (r *Router) reconcile(pid int32, trigger rcn.Cause) bool {
 }
 
 // exportPath computes what (if anything) the router should advertise to peer
-// q for a prefix id under the active policy: the canonical (interned) best
-// path with the router prepended, or nil when filtered. adv caches the
-// prepended path across the peers of one decision: it is built on first use
-// (when *adv is nil) and reused after.
-func (r *Router) exportPath(q RouterID, pid int32, adv *Path) Path {
+// q for a prefix id under the active policy: the id of the best path with
+// the router prepended, or 0 when filtered. adv caches the prepended path
+// across the peers of one decision: it is built on first use (when *adv is
+// 0) and reused after.
+func (r *Router) exportPath(q RouterID, pid int32, adv *pathID) pathID {
 	l := r.local(pid)
 	if !l.hasRoute {
-		return nil
+		return 0
 	}
 	if r.net.cfg.Policy == NoValley && l.bestPeer != selfPeer {
 		// A route learned from a peer or a provider is exported only to
@@ -538,16 +541,16 @@ func (r *Router) exportPath(q RouterID, pid int32, adv *Path) Path {
 		// non-customers).
 		if r.net.graph.Relationship(r.id, l.bestPeer) != topology.RelCustomer &&
 			r.net.graph.Relationship(r.id, q) != topology.RelCustomer {
-			return nil
+			return 0
 		}
 	}
-	if *adv == nil {
+	if *adv == 0 {
 		*adv = r.net.paths.prepend(r.id, l.bestPath)
 	}
-	if adv.Contains(q) {
+	if r.net.paths.path(*adv).Contains(q) {
 		// Sender-side loop filter; also covers "don't echo a route back to
 		// the peer it was learned from".
-		return nil
+		return 0
 	}
 	return *adv
 }
@@ -555,7 +558,7 @@ func (r *Router) exportPath(q RouterID, pid int32, adv *Path) Path {
 // syncPeer brings the RIB-OUT for (q, prefix id) in line with the current
 // export decision. Withdrawals leave immediately; announcements respect the
 // MRAI interval (pending until it ends). adv is exportPath's cache.
-func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, adv *Path) {
+func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, adv *pathID) {
 	n := r.net
 	if !n.sessionUpEdge(n.adjEdge[r.base+slot], r.id, q) { // SessionUp, by slot
 		// No established session: nothing to synchronize. RIB-OUT state for
@@ -569,15 +572,15 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, 
 	out := r.ensureRibOut(slot, pid)
 	desired := r.exportPath(q, pid, adv)
 	switch {
-	case desired == nil && out.advertised == nil:
+	case desired == 0 && out.advertised == 0:
 		// Nothing advertised, nothing to advertise; drop any pending update.
 		dropPending(out)
-	case desired == nil:
+	case desired == 0:
 		// Withdrawals are not rate limited.
-		out.advertised = nil
+		out.advertised = 0
 		dropPending(out)
-		n.send(slot, Message{From: r.id, To: q, Prefix: n.prefixes[pid], Withdraw: true, Cause: trigger})
-	case desired.Equal(out.advertised):
+		n.send(r.id, slot, pendingMsg{pid: pid, withdraw: true, cause: trigger})
+	case desired == out.advertised:
 		dropPending(out)
 	case n.kernel.Ahead(out.mrai):
 		// The MRAI interval is running: hold the announcement, and push the
@@ -589,7 +592,7 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, 
 		out.pendingPath = desired
 		n.setCause(n.outCause, r.base+slot, pid, trigger)
 	default:
-		r.sendAnnouncement(slot, q, pid, out, desired, trigger)
+		r.sendAnnouncement(slot, pid, out, desired, trigger)
 	}
 }
 
@@ -605,11 +608,11 @@ func dropPending(out *ribOutEntry) {
 // sendAnnouncement transmits an announcement and starts an MRAI interval,
 // reserving its end in the event order (no event is queued until an
 // announcement waits for it). The caller holds no announcement, or is its
-// expiry. path must be interned: the message carries it without copying.
-func (r *Router) sendAnnouncement(slot int32, q RouterID, pid int32, out *ribOutEntry, path Path, cause rcn.Cause) {
+// expiry.
+func (r *Router) sendAnnouncement(slot, pid int32, out *ribOutEntry, path pathID, cause rcn.Cause) {
 	out.advertised = path
 	out.pending = false
-	r.net.send(slot, Message{From: r.id, To: q, Prefix: r.net.prefixes[pid], Path: path, Cause: cause})
+	r.net.send(r.id, slot, pendingMsg{pid: pid, path: path, cause: cause})
 	mrai := r.net.cfg.MRAI
 	if mrai <= 0 {
 		return
@@ -628,7 +631,7 @@ func (r *Router) mraiExpired(slot, pid int32) {
 	if out == nil || !out.pending {
 		return
 	}
-	r.sendAnnouncement(slot, r.peers[slot], pid, out, out.pendingPath, r.net.causeAt(r.net.outCause, r.base+slot, pid))
+	r.sendAnnouncement(slot, pid, out, out.pendingPath, r.net.causeAt(r.net.outCause, r.base+slot, pid))
 }
 
 // resetDamping clears damping penalties, suppression flags, reuse timers and
@@ -709,7 +712,7 @@ func (r *Router) checkLocalRIB(pid int32) error {
 	got := r.localAt(pid)
 	if !got.equal(want) {
 		return fmt.Errorf("bgp: router %d prefix %s: Local-RIB (peer %d, path [%s]) != decision (peer %d, path [%s])",
-			r.id, r.net.prefixes[pid], got.bestPeer, got.bestPath, want.bestPeer, want.bestPath)
+			r.id, r.net.prefixes[pid], got.bestPeer, r.net.paths.path(got.bestPath), want.bestPeer, r.net.paths.path(want.bestPath))
 	}
 	return nil
 }

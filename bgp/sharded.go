@@ -14,11 +14,17 @@ import (
 // the send and the next epoch barrier. at is the final arrival time (FIFO
 // stamp included) and pm the message with its session generation and
 // receiver-side directed slot; src/seq give the canonical injection order.
+// Path and prefix ids are the sending shard's, so the message also carries
+// their content — the sender's canonical path, immutable — for the
+// receiving shard to number on injection; to names the receiving router.
 type remoteMsg struct {
-	at  time.Duration
-	pm  pendingMsg
-	src int32
-	seq uint64
+	at     time.Duration
+	pm     pendingMsg
+	path   Path
+	prefix Prefix
+	to     RouterID
+	src    int32
+	seq    uint64
 }
 
 // ShardedNetwork runs one bgp.Network per shard, each on its own sim.Kernel,
@@ -106,8 +112,21 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32) (*ShardedN
 func (sn *ShardedNetwork) bindShard(n *Network, s int32) {
 	n.remoteSend = func(at time.Duration, pm pendingMsg) {
 		sn.seq[s]++
-		sn.outbox[s] = append(sn.outbox[s], remoteMsg{at: at, pm: pm, src: s, seq: sn.seq[s]})
+		to, _ := n.dirRouter(pm.dir)
+		sn.outbox[s] = append(sn.outbox[s], remoteMsg{
+			at: at, pm: pm, path: n.paths.path(pm.path), prefix: n.prefixes[pm.pid],
+			to: to.id, src: s, seq: sn.seq[s],
+		})
 	}
+}
+
+// injectRemote schedules a cross-shard message on its receiving shard,
+// renumbering its prefix and path in this network's tables.
+func (n *Network) injectRemote(m *remoteMsg) {
+	pm := m.pm
+	pm.pid = n.prefixID(m.prefix)
+	pm.path = n.paths.intern(m.path)
+	n.injectDelivery(m.at, pm)
 }
 
 // Flush implements sim.Exchanger: drain every outbox and inject the messages
@@ -129,8 +148,8 @@ func (sn *ShardedNetwork) Flush() int {
 	slices.SortFunc(buf, func(a, b remoteMsg) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
-	for _, m := range buf {
-		sn.shards[sn.owner[m.pm.msg.To]].injectDelivery(m.at, m.pm)
+	for i := range buf {
+		sn.shards[sn.owner[buf[i].to]].injectRemote(&buf[i])
 	}
 	sn.flushBuf = buf[:0]
 	return total
@@ -344,13 +363,13 @@ func (sn *ShardedNetwork) CheckConsistency() error {
 				var held Path
 				if ppid, ok := peerNet.lookupPrefix(n.prefixes[pid]); ok {
 					if in := peer.ribInAt(backSlot, ppid); in != nil {
-						held = in.path
+						held = peerNet.paths.path(in.path)
 					}
 				}
-				if !out.advertised.Equal(held) {
+				if advertised := n.paths.path(out.advertised); !advertised.Equal(held) {
 					return fmt.Errorf(
 						"bgp: cross-shard session %d->%d prefix %s: RIB-OUT [%s] != peer RIB-IN [%s]",
-						r.id, q, n.prefixes[pid], out.advertised, held)
+						r.id, q, n.prefixes[pid], advertised, held)
 				}
 			}
 		}
@@ -377,7 +396,7 @@ func (sn *ShardedNetwork) Fork() (*ShardedNetwork, error) {
 		seq:    append([]uint64(nil), sn.seq...),
 	}
 	for s, box := range sn.outbox {
-		f.outbox[s] = slices.Clone(box) // message paths are interned, immutable
+		f.outbox[s] = slices.Clone(box) // message paths are canonical, immutable
 	}
 	group, err := sn.group.Fork(f)
 	if err != nil {

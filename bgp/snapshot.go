@@ -11,10 +11,10 @@ package bgp
 // few memmoves and a few dozen allocations whatever the network's size (RCN
 // histories, per-session maps, are the exception: they clone one by one).
 // Immutable structure is shared: the topology graph, the CSR tables, the
-// prefix tables (replaced, never written in place) and the canonical
-// interned paths, which the parent's table freezes into read-only layers at
-// the fork (pathTable.fork). Sharing them keeps Path.Equal's pointer fast
-// path working across forks.
+// prefix tables (replaced, never written in place) and every path id
+// numbered so far with its canonical path, which the parent's table freezes
+// at the fork (pathTable.fork). The RIB entries copied by value hold ids, so
+// they mean the same paths in the fork.
 //
 // The intended use is the experiment layer's warm-up amortization and pulse
 // sweeps: converge once and fork the converged checkpoint per sweep, then
@@ -108,7 +108,7 @@ func (n *Network) Fork() (*sim.Kernel, *Network, error) {
 }
 
 // fork builds the copy. Concurrent forks of the same receiver are safe: they
-// read the receiver, apart from freezing its path-intern overlay, which they
+// read the receiver, apart from freezing its path-table overlay, which they
 // serialize (pathTable.fork). Running the receiver concurrently with forking
 // it is not.
 func (n *Network) fork() (*Network, error) {

@@ -168,7 +168,7 @@ func (im *Impairments) Impair(at time.Duration, from, to bgp.RouterID) (bool, ti
 	}
 	var jitter time.Duration
 	if im.def.MaxJitter > 0 {
-		jitter = time.Duration(rng.Intn(int(im.def.MaxJitter)))
+		jitter = time.Duration(rng.Uint64n(uint64(im.def.MaxJitter)))
 	}
 	return false, jitter
 }

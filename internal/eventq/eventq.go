@@ -10,13 +10,21 @@
 // O(log n) via the Handle returned at push time, which the BGP engine uses
 // for MRAI expiries and damping reuse timers.
 //
-// The queue is slab-backed: entries live in a freelist-managed slice of slots
-// rather than one heap allocation each, and handles are (index, generation)
-// pairs instead of pointers. In steady state — pushes balanced by pops and
-// cancels — scheduling allocates nothing, which keeps the simulator's
-// per-event cost out of the garbage collector entirely. The generation
-// counter makes stale handles (fired or cancelled entries, even after their
-// slot has been reused) reliably detectable.
+// The queue is slab-backed: payloads live in a freelist-managed slice of
+// slots rather than one heap allocation each, and handles are (index,
+// generation) pairs instead of pointers. The heap array itself holds each
+// entry's ordering key inline — (time, sequence number, slot index) — so a
+// sift compares contiguous memory and never follows an index into the slab;
+// a slot keeps only the payload, its generation and its heap position. Sifts
+// move a hole rather than swapping: one cell write and one position write per
+// level. In steady state — pushes balanced by pops and cancels — scheduling
+// allocates nothing, which keeps the simulator's per-event cost out of the
+// garbage collector entirely. The generation counter makes stale handles
+// (fired or cancelled entries, even after their slot has been reused)
+// reliably detectable.
+//
+// (time, seq) is unique among live entries, so the pop order is fully
+// determined by the keys: any correct heap layout pops the same sequence.
 package eventq
 
 import "time"
@@ -34,11 +42,22 @@ type Handle struct {
 // (invalidating outstanding handles) and zeroes the payload so the queue
 // never retains references through fired events.
 type slot[P any] struct {
-	time    time.Duration
-	seq     uint64
 	payload P
 	gen     uint32
 	pos     int32 // index into heap; -1 when free
+}
+
+// cell is one heap entry: the ordering key inline, and the slot holding the
+// payload.
+type cell struct {
+	time time.Duration
+	seq  uint64
+	slot int32
+}
+
+// before orders cells by (time, seq).
+func (c *cell) before(d *cell) bool {
+	return c.time < d.time || c.time == d.time && c.seq < d.seq
 }
 
 // Queue is a deterministic time-ordered priority queue with payload type P.
@@ -46,7 +65,7 @@ type slot[P any] struct {
 // times fire in push order (FIFO by sequence number).
 type Queue[P any] struct {
 	slots []slot[P]
-	heap  []int32 // heap[i] is a slot index
+	heap  []cell
 	free  []int32 // free slot indices
 	seq   uint64  // last sequence number handed out; the first is 1
 }
@@ -86,14 +105,10 @@ func (q *Queue[P]) PushReserved(t time.Duration, seq uint64, payload P) Handle {
 		q.slots = append(q.slots, slot[P]{gen: 1})
 		idx = int32(len(q.slots) - 1)
 	}
-	s := &q.slots[idx]
-	s.time = t
-	s.seq = seq
-	s.payload = payload
-	s.pos = int32(len(q.heap))
-	q.heap = append(q.heap, idx)
-	q.up(int(s.pos))
-	return Handle{idx: idx, gen: s.gen}
+	q.slots[idx].payload = payload
+	q.heap = append(q.heap, cell{})
+	q.up(len(q.heap)-1, cell{time: t, seq: seq, slot: idx})
+	return Handle{idx: idx, gen: q.slots[idx].gen}
 }
 
 // PeekTime returns the time of the earliest entry and whether one exists.
@@ -101,7 +116,7 @@ func (q *Queue[P]) PeekTime() (time.Duration, bool) {
 	if len(q.heap) == 0 {
 		return 0, false
 	}
-	return q.slots[q.heap[0]].time, true
+	return q.heap[0].time, true
 }
 
 // Pop removes the earliest entry and returns its time and payload. ok is
@@ -116,10 +131,10 @@ func (q *Queue[P]) PopSeq() (at time.Duration, seq uint64, payload P, ok bool) {
 	if len(q.heap) == 0 {
 		return 0, 0, payload, false
 	}
-	s := &q.slots[q.heap[0]]
-	at, seq, payload = s.time, s.seq, s.payload
+	top := q.heap[0]
+	payload = q.slots[top.slot].payload
 	q.removeAt(0)
-	return at, seq, payload, true
+	return top.time, top.seq, payload, true
 }
 
 // Cancel removes the entry h refers to. It reports whether the entry was
@@ -142,9 +157,14 @@ func (q *Queue[P]) Reschedule(h Handle, t time.Duration) bool {
 	if s == nil {
 		return false
 	}
-	s.time = t
-	if !q.down(int(s.pos)) {
-		q.up(int(s.pos))
+	i := int(s.pos)
+	c := q.heap[i]
+	earlier := t < c.time
+	c.time = t
+	if earlier {
+		q.up(i, c)
+	} else {
+		q.down(i, c)
 	}
 	return true
 }
@@ -159,7 +179,7 @@ func (q *Queue[P]) When(h Handle) (time.Duration, bool) {
 	if s == nil {
 		return 0, false
 	}
-	return s.time, true
+	return q.heap[s.pos].time, true
 }
 
 // Clone returns a deep copy of the queue. The copy is independently mutable,
@@ -175,7 +195,7 @@ func (q *Queue[P]) Clone() *Queue[P] {
 		c.slots = append(make([]slot[P], 0, len(q.slots)), q.slots...)
 	}
 	if q.heap != nil {
-		c.heap = append(make([]int32, 0, len(q.heap)), q.heap...)
+		c.heap = append(make([]cell, 0, len(q.heap)), q.heap...)
 	}
 	if q.free != nil {
 		c.free = append(make([]int32, 0, len(q.free)), q.free...)
@@ -187,9 +207,8 @@ func (q *Queue[P]) Clone() *Queue[P] {
 // so f may mutate it in place. Iteration order is heap order, not fire order;
 // f must not add or remove entries.
 func (q *Queue[P]) ForEach(f func(at time.Duration, payload *P)) {
-	for _, idx := range q.heap {
-		s := &q.slots[idx]
-		f(s.time, &s.payload)
+	for _, c := range q.heap {
+		f(c.time, &q.slots[c.slot].payload)
 	}
 }
 
@@ -205,17 +224,16 @@ func (q *Queue[P]) lookup(h Handle) *slot[P] {
 	return s
 }
 
-// removeAt deletes the heap entry at position i and frees its slot.
+// removeAt deletes the heap entry at position i and frees its slot: the last
+// cell fills the hole, sifting whichever way its key sends it.
 func (q *Queue[P]) removeAt(i int) {
-	idx := q.heap[i]
+	idx := q.heap[i].slot
 	last := len(q.heap) - 1
-	if i != last {
-		q.swap(i, last)
-	}
+	moved := q.heap[last]
 	q.heap = q.heap[:last]
 	if i < last {
-		if !q.down(i) {
-			q.up(i)
+		if q.down(i, moved) == i {
+			q.up(i, moved)
 		}
 	}
 	s := &q.slots[idx]
@@ -226,51 +244,44 @@ func (q *Queue[P]) removeAt(i int) {
 	q.free = append(q.free, idx)
 }
 
-// less orders heap positions by (time, seq).
-func (q *Queue[P]) less(i, j int) bool {
-	a, b := &q.slots[q.heap[i]], &q.slots[q.heap[j]]
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
+// place stores c at heap position i and records the position in its slot.
+func (q *Queue[P]) place(i int, c cell) {
+	q.heap[i] = c
+	q.slots[c.slot].pos = int32(i)
 }
 
-func (q *Queue[P]) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.slots[q.heap[i]].pos = int32(i)
-	q.slots[q.heap[j]].pos = int32(j)
-}
-
-func (q *Queue[P]) up(i int) {
+// up moves a hole at position i toward the root until c fits, and stores c
+// there.
+func (q *Queue[P]) up(i int, c cell) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !c.before(&q.heap[parent]) {
 			break
 		}
-		q.swap(i, parent)
+		q.place(i, q.heap[parent])
 		i = parent
 	}
+	q.place(i, c)
 }
 
-// down sifts the entry at position i toward the leaves; reports whether it
-// moved.
-func (q *Queue[P]) down(i int) bool {
-	start := i
+// down moves a hole at position i toward the leaves until c fits, stores c
+// there, and returns where that is.
+func (q *Queue[P]) down(i int, c cell) int {
 	n := len(q.heap)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := child + 1; right < n && q.heap[right].before(&q.heap[child]) {
 			child = right
 		}
-		if !q.less(child, i) {
+		if !q.heap[child].before(&c) {
 			break
 		}
-		q.swap(i, child)
+		q.place(i, q.heap[child])
 		i = child
 	}
-	return i != start
+	q.place(i, c)
+	return i
 }

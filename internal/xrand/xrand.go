@@ -78,12 +78,21 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with non-positive n")
 	}
+	return int(r.Uint64n(uint64(n)))
+}
+
+// Uint64n returns a uniform value in [0, n). It panics if n == 0. It draws
+// exactly as Intn does, so the two agree wherever both accept n; unlike
+// Intn it takes a time.Duration span of any length on a 32-bit int.
+func (r *Rand) Uint64n(n uint64) uint64 {
+	if n == 0 {
+		panic("xrand: Uint64n called with zero n")
+	}
 	// Lemire's multiply-shift rejection method: unbiased and branch-cheap.
-	bound := uint64(n)
 	for {
-		hi, lo := bits.Mul64(r.Uint64(), bound)
-		if lo >= bound || lo >= (-bound)%bound {
-			return int(hi)
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo >= n || lo >= (-n)%n {
+			return hi
 		}
 	}
 }

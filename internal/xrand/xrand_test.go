@@ -169,3 +169,49 @@ func BenchmarkIntn(b *testing.B) {
 		_ = r.Intn(1000)
 	}
 }
+
+// TestUint64nMatchesIntn pins that the two bounded draws consume the stream
+// identically: wherever Intn accepts a bound, Uint64n returns the same value,
+// so moving a draw from one to the other changes no run.
+func TestUint64nMatchesIntn(t *testing.T) {
+	f := func(seed uint64, n uint32) bool {
+		bound := int(n%math.MaxInt32) + 1 // 1 .. 2^31-1, an int on every GOARCH
+		a, b := New(seed), New(seed)
+		for i := 0; i < 10; i++ {
+			if uint64(a.Intn(bound)) != b.Uint64n(uint64(bound)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUint64nRangeBeyond32Bits draws against a 3 s bound in nanoseconds,
+// which no 32-bit int holds, and checks every draw stays in range.
+func TestUint64nRangeBeyond32Bits(t *testing.T) {
+	const bound = uint64(3e9)
+	r := New(17)
+	above := false
+	for i := 0; i < 10000; i++ {
+		v := r.Uint64n(bound)
+		if v >= bound {
+			t.Fatalf("Uint64n(%d) = %d out of range", bound, v)
+		}
+		above = above || v > 1<<31
+	}
+	if !above {
+		t.Fatal("Uint64n(3e9) never drew above 2^31 in 10000 draws")
+	}
+}
+
+func TestUint64nPanicsOnZero(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Uint64n(0) did not panic")
+		}
+	}()
+	New(1).Uint64n(0)
+}

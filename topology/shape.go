@@ -102,12 +102,22 @@ func (s Shape) Routers() int {
 // on any value and saturates at math.MaxInt.
 func (s Shape) Links() int {
 	n := s.Routers()
-	_, f, _ := s.lookup()
-	switch {
-	case n > math.MaxInt/2, f.dense && n > 1 && n-1 > math.MaxInt/n:
+	if _, f, _ := s.lookup(); f.dense {
+		// n(n-1)/2 with the even factor halved first, so the product
+		// overflows only when the count itself does.
+		a, b := n, n-1
+		if a%2 == 0 {
+			a /= 2
+		} else {
+			b /= 2
+		}
+		if a > 0 && b > math.MaxInt/a {
+			return math.MaxInt
+		}
+		return a * b
+	}
+	if n > math.MaxInt/2 {
 		return math.MaxInt
-	case f.dense:
-		return n * (n - 1) / 2
 	}
 	return 2 * n
 }
