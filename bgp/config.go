@@ -83,45 +83,37 @@ type Config struct {
 	// secondary charging. Mutually exclusive with EnableRCN.
 	SelectiveDamping bool
 
-	// RCNHistorySize bounds the per-peer root-cause history
-	// (rcn.DefaultHistorySize when 0).
-	RCNHistorySize int
-
 	// MRAI is the Minimum Route Advertisement Interval applied per (peer,
 	// prefix) to announcements (withdrawals are never delayed, matching the
-	// BGP-4 default and SSFNet). Zero disables rate limiting.
+	// BGP-4 default and SSFNet). Each interval is jittered by a uniform factor
+	// in [0.75, 1.0). Zero disables rate limiting.
 	MRAI time.Duration
-
-	// MRAIJitter applies the standard 0.75–1.00 jitter factor to each MRAI
-	// timer, which is what desynchronizes path exploration across routers.
-	MRAIJitter bool
-
-	// MinLinkDelay and MaxLinkDelay bound the per-link propagation delay,
-	// drawn once per link when the network is built.
-	MinLinkDelay, MaxLinkDelay time.Duration
-
-	// MinProcDelay and MaxProcDelay bound the per-update processing delay a
-	// router adds before its reaction to an update leaves the router.
-	MinProcDelay, MaxProcDelay time.Duration
 
 	// Seed drives link delays, jitter, and all other randomness.
 	Seed uint64
 }
 
+// The paper's network model (Section 5.1), which every run shares: each link
+// draws one propagation delay in [minLinkDelay, maxLinkDelay) when the network
+// is built, and each update a router reacts to adds a processing delay in
+// [minProcDelay, maxProcDelay) before the reaction leaves the router.
+// experiment's run fingerprint spells these values out: a change here must
+// change the fingerprint too, or cached Results go stale.
+const (
+	minLinkDelay = 10 * time.Millisecond
+	maxLinkDelay = 110 * time.Millisecond
+	minProcDelay = 1 * time.Millisecond
+	maxProcDelay = 10 * time.Millisecond
+)
+
 // DefaultConfig returns the configuration used throughout the paper's
-// simulations (Section 5.1): shortest-path policy, 30 s jittered MRAI, SSFNet
-// style link and processing delays, no damping. Experiments switch damping
-// and RCN on per run.
+// simulations (Section 5.1): shortest-path policy, 30 s MRAI, no damping.
+// Experiments switch damping and RCN on per run.
 func DefaultConfig() Config {
 	return Config{
-		Policy:       ShortestPath,
-		MRAI:         30 * time.Second,
-		MRAIJitter:   true,
-		MinLinkDelay: 10 * time.Millisecond,
-		MaxLinkDelay: 110 * time.Millisecond,
-		MinProcDelay: 1 * time.Millisecond,
-		MaxProcDelay: 10 * time.Millisecond,
-		Seed:         1,
+		Policy: ShortestPath,
+		MRAI:   30 * time.Second,
+		Seed:   1,
 	}
 }
 
@@ -132,12 +124,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("bgp: unknown policy %v", c.Policy)
 	case c.MRAI < 0:
 		return fmt.Errorf("bgp: negative MRAI %v", c.MRAI)
-	case c.MinLinkDelay < 0 || c.MaxLinkDelay < c.MinLinkDelay:
-		return fmt.Errorf("bgp: invalid link delay range [%v, %v]", c.MinLinkDelay, c.MaxLinkDelay)
-	case c.MinProcDelay < 0 || c.MaxProcDelay < c.MinProcDelay:
-		return fmt.Errorf("bgp: invalid processing delay range [%v, %v]", c.MinProcDelay, c.MaxProcDelay)
-	case c.RCNHistorySize < 0:
-		return fmt.Errorf("bgp: negative RCN history size %d", c.RCNHistorySize)
 	}
 	if c.Damping != nil {
 		if err := c.Damping.Validate(); err != nil {

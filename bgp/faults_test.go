@@ -9,17 +9,22 @@ import (
 	"rfd/topology"
 )
 
-// fixedDelayNet builds a network with a deterministic 10 s link delay and no
-// processing delay or MRAI, so arrival instants can be asserted exactly.
+// fixedDelayNet builds a network without MRAI and returns its first link's
+// drawn delay: with nextProcDelay, arrival instants on that link can be
+// asserted exactly.
 func fixedDelayNet(t *testing.T, g *topology.Graph) (*Network, time.Duration) {
 	t.Helper()
-	const linkDelay = 10 * time.Second
 	_, n := buildNet(t, g, func(c *Config) {
-		c.MinLinkDelay, c.MaxLinkDelay = linkDelay, linkDelay
-		c.MinProcDelay, c.MaxProcDelay = 0, 0
 		c.MRAI = 0
 	})
-	return n, linkDelay
+	return n, n.linkDelay[0]
+}
+
+// nextProcDelay returns the processing delay router id's next send will
+// draw, without drawing it.
+func nextProcDelay(n *Network, id RouterID) time.Duration {
+	probe := n.routers[id]
+	return probe.procDelay()
 }
 
 func TestLastArrivalClearedOnLinkFailure(t *testing.T) {
@@ -35,14 +40,19 @@ func TestLastArrivalClearedOnLinkFailure(t *testing.T) {
 
 	start := k.Now()
 	r := n.Router(0)
-	// Three toggles queue W, A, W, A: arrivals at start+10s, +1ns, +2ns, +3ns.
+	// Four toggles queue W, A, W, A, a second late each, FIFO-stamped
+	// behind one another: the direction's mark ends past any natural
+	// arrival of the recovery.
+	n.SetImpairment(dropDirection{from: -1, to: -1, delay: time.Second})
 	r.StopOriginating(testPrefix)
 	r.Originate(testPrefix)
 	r.StopOriginating(testPrefix)
 	r.Originate(testPrefix)
+	n.SetImpairment(nil)
 	if n.PendingDeliveries() != 4 {
 		t.Fatalf("PendingDeliveries = %d, want 4", n.PendingDeliveries())
 	}
+	want := start + linkDelay + nextProcDelay(n, 0)
 	if err := n.SetLinkState(0, 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +63,10 @@ func TestLastArrivalClearedOnLinkFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The four in-flight updates were lost; only the recovery
-	// re-advertisement arrives, exactly one link delay after the toggles.
-	if got := n.LastDelivery(); got != start+linkDelay {
-		t.Fatalf("last delivery at %v, want %v (stale FIFO state not cleared)", got, start+linkDelay)
+	// re-advertisement arrives, one processing and one link delay after the
+	// toggles.
+	if got := n.LastDelivery(); got != want {
+		t.Fatalf("last delivery at %v, want %v (stale FIFO state not cleared)", got, want)
 	}
 	if err := n.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -314,6 +325,7 @@ func TestSessionResetKillsInFlightMessages(t *testing.T) {
 	start := k.Now()
 	n.Router(0).StopOriginating(testPrefix)
 	n.Router(0).Originate(testPrefix)
+	want := start + linkDelay + nextProcDelay(n, 0)
 	if err := n.ResetSession(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +336,8 @@ func TestSessionResetKillsInFlightMessages(t *testing.T) {
 		t.Fatalf("Dropped = %d, want the 2 pre-reset messages", n.Dropped())
 	}
 	// Only the reset's own re-advertisement crosses, at its natural time.
-	if got := n.LastDelivery(); got != start+linkDelay {
-		t.Fatalf("last delivery at %v, want %v", got, start+linkDelay)
+	if got := n.LastDelivery(); got != want {
+		t.Fatalf("last delivery at %v, want %v", got, want)
 	}
 	if err := n.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -414,13 +426,13 @@ func TestImpairmentDropsAndDelays(t *testing.T) {
 
 	// Jitter path: every surviving message is delayed by a fixed second.
 	n.SetImpairment(dropDirection{from: -1, to: -1, delay: time.Second})
-	start := k.Now()
+	want := k.Now() + linkDelay + nextProcDelay(n, 0) + time.Second
 	n.Router(0).StopOriginating(testPrefix)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.LastDelivery(); got != start+linkDelay+time.Second {
-		t.Fatalf("jittered delivery at %v, want %v", got, start+linkDelay+time.Second)
+	if got := n.LastDelivery(); got != want {
+		t.Fatalf("jittered delivery at %v, want %v", got, want)
 	}
 
 	// Loss path: the re-announcement toward router 1 is dropped, leaving

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rfd/damping"
+	"rfd/rcn"
 )
 
 // TestMRAIPendingCollapsesToLatest: several best-path changes within one
@@ -14,7 +15,6 @@ func TestMRAIPendingCollapsesToLatest(t *testing.T) {
 	// Line 0-1-2: router 1's announcements toward 2 are rate limited.
 	k, n := buildNet(t, mustLine(t, 3), func(c *Config) {
 		c.MRAI = 30 * time.Second
-		c.MRAIJitter = false
 	})
 	converge(t, k, n, 0)
 
@@ -66,7 +66,6 @@ func TestMRAIPendingCollapsesToLatest(t *testing.T) {
 func TestMRAIWithdrawalCancelsPending(t *testing.T) {
 	k, n := buildNet(t, mustLine(t, 3), func(c *Config) {
 		c.MRAI = 30 * time.Second
-		c.MRAIJitter = false
 	})
 	converge(t, k, n, 0)
 	var last Message
@@ -171,18 +170,27 @@ func TestRIPE229Onset(t *testing.T) {
 	}
 }
 
-// TestRCNHistoryUnderChurn: with a tiny per-peer history, evicted causes
-// can re-charge — damping must still converge and stay consistent.
+// TestRCNHistoryUnderChurn: a flap leaves two causes in each history, so
+// more than rcn.DefaultHistorySize/2 pulses fill the ISP's history from the
+// origin and evict its oldest causes, which can then re-charge — damping
+// must still converge and stay consistent.
 func TestRCNHistoryUnderChurn(t *testing.T) {
-	k, n, origin, _ := dampedNet(t, func(c *Config) {
+	k, n, origin, isp := dampedNet(t, func(c *Config) {
 		c.EnableRCN = true
-		c.RCNHistorySize = 2 // pathologically small
 	})
-	for i := 0; i < 5; i++ {
+	for i := 0; i < rcn.DefaultHistorySize/2+8; i++ {
 		pulse(t, k, n, origin)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	r := n.Router(isp)
+	slot := r.slotOf(origin)
+	if slot < 0 {
+		t.Fatal("the ISP has no session with the origin")
+	}
+	if got := n.history[r.base+slot].Len(); got != rcn.DefaultHistorySize {
+		t.Fatalf("the ISP's history from the origin holds %d causes, want a full %d", got, rcn.DefaultHistorySize)
 	}
 	if err := n.CheckConsistency(); err != nil {
 		t.Fatal(err)

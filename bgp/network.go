@@ -249,11 +249,7 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 	rng := xrand.New(cfg.Seed)
 	for i := range edges {
 		// One symmetric delay per link, drawn in deterministic edge order.
-		d := cfg.MinLinkDelay
-		if span := cfg.MaxLinkDelay - cfg.MinLinkDelay; span > 0 {
-			d += time.Duration(rng.Uint64n(uint64(span)))
-		}
-		n.linkDelay[i] = d
+		n.linkDelay[i] = minLinkDelay + time.Duration(rng.Uint64n(uint64(maxLinkDelay-minLinkDelay)))
 	}
 	n.routers = make([]Router, nn)
 	for id := range n.routers {
@@ -285,7 +281,7 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 // newHistory returns a fresh per-session root-cause history (RCN only): a
 // header that grows as causes arrive.
 func (n *Network) newHistory() *rcn.History {
-	return rcn.NewHistory(n.cfg.RCNHistorySize)
+	return rcn.NewHistory(rcn.DefaultHistorySize)
 }
 
 // owns reports whether this network runs router id: always on the

@@ -230,14 +230,13 @@ func TestNoValleyOnTieredHierarchy(t *testing.T) {
 	// The tiered AS family: a prefix originated in one stub must reach
 	// every AS under no-valley export rules, and all delivered paths must
 	// be valley-free.
-	cfg := topology.DefaultTieredConfig(3)
-	g, err := topology.Tiered(cfg)
+	g, err := topology.Tiered(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Attach the origin as a customer of the first stub's tier-2 provider
-	// (IDs: tier-1 first, then tier-2, then stubs).
-	tier2 := topology.NodeID(cfg.Tier1)
+	// (IDs: the four tier-1s first, then tier-2, then stubs).
+	tier2 := topology.NodeID(4)
 	origin := g.AddNode()
 	if err := g.AddEdge(origin, tier2); err != nil {
 		t.Fatal(err)

@@ -276,12 +276,7 @@ func (r *Router) ensureRibOut(slot, pid int32) *ribOutEntry {
 
 // procDelay draws the router's per-update processing delay.
 func (r *Router) procDelay() time.Duration {
-	cfg := r.net.cfg
-	d := cfg.MinProcDelay
-	if span := cfg.MaxProcDelay - cfg.MinProcDelay; span > 0 {
-		d += time.Duration(r.rng.Uint64n(uint64(span)))
-	}
-	return d
+	return minProcDelay + time.Duration(r.rng.Uint64n(uint64(maxProcDelay-minProcDelay)))
 }
 
 // receive processes one delivered update from the peer in slot: damping
@@ -613,16 +608,17 @@ func (r *Router) sendAnnouncement(slot, pid int32, out *ribOutEntry, path pathID
 	out.advertised = path
 	out.pending = false
 	r.net.send(r.id, slot, pendingMsg{pid: pid, path: path, cause: cause})
-	mrai := r.net.cfg.MRAI
-	if mrai <= 0 {
-		return
+	if mrai := r.net.cfg.MRAI; mrai > 0 {
+		out.mrai = r.net.kernel.Reserve(r.net.kernel.Now() + r.mraiInterval(mrai))
 	}
-	if r.net.cfg.MRAIJitter {
-		// RFC 4271 §9.2.1.1 jitter: multiply by a uniform factor in
-		// [0.75, 1.0).
-		mrai = time.Duration(float64(mrai) * (0.75 + 0.25*r.rng.Float64()))
-	}
-	out.mrai = r.net.kernel.Reserve(r.net.kernel.Now() + mrai)
+}
+
+// mraiInterval draws the length of one MRAI interval: RFC 4271 §9.2.1.1
+// jitter multiplies mrai by a uniform factor in [0.75, 1.0), which is what
+// desynchronizes path exploration across routers. The conversion rounds the
+// product on its own, so no target fuses it into the sum.
+func (r *Router) mraiInterval(mrai time.Duration) time.Duration {
+	return time.Duration(float64(mrai) * (0.75 + float64(0.25*r.rng.Float64())))
 }
 
 // mraiExpired releases the pending announcement its expiry was pushed for.

@@ -35,7 +35,7 @@ type remoteMsg struct {
 // session state is replicated per shard and kept in sync by applying every
 // fault to every shard at the same virtual time.
 //
-// The lookahead is MinLinkDelay + MinProcDelay: a message sent at t arrives
+// The lookahead is minLinkDelay + minProcDelay: a message sent at t arrives
 // no earlier than t + lookahead, so events inside an epoch [T, T+L) cannot
 // produce cross-shard work inside the same epoch. Cross-shard messages
 // collect in per-shard outboxes and are injected at the barrier in
@@ -52,15 +52,9 @@ type ShardedNetwork struct {
 	flushBuf []remoteMsg
 }
 
-// Lookahead returns the conservative cross-shard latency bound for cfg, or
-// an error when the config cannot support sharded execution.
-func Lookahead(cfg Config) (time.Duration, error) {
-	l := cfg.MinLinkDelay + cfg.MinProcDelay
-	if l <= 0 {
-		return 0, fmt.Errorf("bgp: sharded execution needs MinLinkDelay+MinProcDelay > 0 (lookahead), got %v", l)
-	}
-	return l, nil
-}
+// lookahead is the conservative cross-shard latency bound: no message
+// arrives sooner after its send.
+const lookahead = minLinkDelay + minProcDelay
 
 // NewShardedNetwork partitions g's routers across shards per assign (node id
 // → shard, as produced by topology.Partition) and builds one shard network
@@ -77,10 +71,6 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32) (*ShardedN
 		if int(s)+1 > nshards {
 			nshards = int(s) + 1
 		}
-	}
-	lookahead, err := Lookahead(cfg)
-	if err != nil {
-		return nil, err
 	}
 	sn := &ShardedNetwork{
 		owner:   assign,

@@ -101,7 +101,7 @@ func (c *Checker) histFor(router, peer bgp.RouterID) *rcn.History {
 	k := histKey{Router: router, Peer: peer}
 	h := c.hists[k]
 	if h == nil {
-		h = rcn.NewHistory(c.cfg.RCNHistorySize)
+		h = rcn.NewHistory(rcn.DefaultHistorySize)
 		c.hists[k] = h
 	}
 	return h

@@ -118,12 +118,6 @@ func run(ctx context.Context, args []string) error {
 			// so a sharded faulty run is not comparable to a sequential one
 			// unless the sequential run also uses -shards-style streams.)
 			imp.UseLinkStreams()
-		} else {
-			// Faulty sequential runs drain under the watchdog: consistency is
-			// checked at quiescent instants and a livelock aborts with a
-			// diagnosis instead of burning the kernel's event limit. The
-			// watchdog drives a single kernel, so sharded runs skip it.
-			sc.Watchdog = true
 		}
 		if *faultFile != "" {
 			f, err := os.Open(*faultFile)

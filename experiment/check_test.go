@@ -65,13 +65,12 @@ func TestCheckedFaultyRun(t *testing.T) {
 		faults.CrashRouter(90*time.Second, 7, 20*time.Second),
 	)
 	sc := Scenario{
-		Graph:    smallMesh(t),
-		ISP:      0,
-		Config:   dampingCfg(),
-		Pulses:   2,
-		Impair:   imp,
-		Faults:   plan,
-		Watchdog: true,
+		Graph:  smallMesh(t),
+		ISP:    0,
+		Config: dampingCfg(),
+		Pulses: 2,
+		Impair: imp,
+		Faults: plan,
 	}
 	runChecked(t, sc)
 }
@@ -111,7 +110,8 @@ func TestCheckedFingerprintDistinct(t *testing.T) {
 // EndTime as a Run-drained one. Both drains settle the clock at the latest
 // MRAI interval end still running (sim.Kernel.Settle); the run is undamped,
 // so no reuse timer outlives that interval and the settle is what sets
-// EndTime.
+// EndTime. An empty fault plan puts the run under the watchdog and changes
+// nothing else.
 func TestWatchdogDrainKeepsEndTime(t *testing.T) {
 	sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: bgp.DefaultConfig(), Pulses: 2}
 	plain, err := Run(sc)
@@ -121,7 +121,7 @@ func TestWatchdogDrainKeepsEndTime(t *testing.T) {
 	if plain.EndTime <= plain.ConvergenceTime {
 		t.Fatalf("EndTime %v is the last delivery: no MRAI interval outlived it", plain.EndTime)
 	}
-	sc.Watchdog = true
+	sc.Faults = faults.NewPlan()
 	watched, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -70,9 +70,8 @@ func LossSweep(o Options, rates []float64, pulses int) ([]LossRow, error) {
 				return nil, fmt.Errorf("experiment: loss %g: %w", rate, err)
 			}
 			sc.Impair = imp
-			sc.Watchdog = true
-			// Around the cache: an impaired, watchdogged run has no
-			// fingerprint, and the cache's uncacheable count would log it.
+			// Around the cache: an impaired run has no fingerprint, and the
+			// cache's uncacheable count would log it.
 			res, err := (*RunCache)(nil).run(o.ctx(), sc, o.tokens(1))
 			if err != nil {
 				return nil, fmt.Errorf("experiment: loss %g (damped=%t): %w", rate, damped, err)

@@ -78,14 +78,15 @@ func TestLossSweep(t *testing.T) {
 
 func TestScenarioFaultPlan(t *testing.T) {
 	// A session reset mid-flap must charge damping beyond the lossless
-	// baseline, and the watchdog report must land on the Result.
+	// baseline, and the watchdog report must land on the Result. The
+	// baseline's plan is empty: it runs watched, with nothing injected.
 	g, err := topology.Torus(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := DefaultOptions()
 	base := Scenario{Graph: g, ISP: 0, Config: o.dampingConfig(), Pulses: 1,
-		Watchdog: true}
+		Faults: faults.NewPlan()}
 	clean, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +106,7 @@ func TestScenarioFaultPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.FaultReport == nil {
-		t.Fatal("no fault report with a watchdog configured")
+		t.Fatal("no fault report on a run with a fault plan")
 	}
 	if res.MessageCount <= clean.MessageCount {
 		t.Fatalf("session churn generated no extra updates (%d vs %d)",

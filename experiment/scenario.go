@@ -85,11 +85,13 @@ type Scenario struct {
 	// its epoch: every Event.At is relative to the same clock zero as the
 	// Result times. Its faults are typed kernel events, so a sweep's points
 	// branch off one flap trajectory with the plan's pending faults in it.
+	//
+	// A run with Impair or Faults on one network drains under the
+	// convergence watchdog (faults.Watch) instead of a bare kernel run:
+	// quiescent-instant consistency checks, livelock diagnosis, and a
+	// FaultReport on the Result. The watchdog drives a single kernel, so a
+	// sharded run drains bare.
 	Faults *faults.Plan
-	// Watchdog, when true, drains the run under the convergence watchdog
-	// (faults.Watch) instead of a bare kernel run: quiescent-instant
-	// consistency checks, livelock diagnosis, and a FaultReport on the Result.
-	Watchdog bool
 	// Shards, when > 1, runs the scenario on the sharded engine: the run
 	// topology is partitioned across Shards shard kernels coordinated by
 	// conservative-lookahead epochs (sim.ShardGroup). The run path is the
@@ -98,9 +100,9 @@ type Scenario struct {
 	// time after the drain, rather than the recorder as they happen). The
 	// Result is identical to a Shards<=1 run of the same scenario — the shard
 	// count is an execution detail, not a simulation input, which is why
-	// Fingerprint ignores it. Sharded runs require MinLinkDelay+MinProcDelay
-	// > 0 and are incompatible with Watchdog, Check, and impairment models
-	// that are not in per-link stream mode (faults.Impairments.UseLinkStreams).
+	// Fingerprint ignores it. Sharded runs are incompatible with Check and
+	// with impairment models that are not in per-link stream mode
+	// (faults.Impairments.UseLinkStreams).
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after
@@ -194,8 +196,8 @@ type Result struct {
 	// Dropped counts messages lost to impairments, session churn, and
 	// crashes (zero in a fault-free run).
 	Dropped uint64
-	// FaultReport is the watchdog's verdict when Scenario.Watchdog was true,
-	// nil otherwise.
+	// FaultReport is the watchdog's verdict when the run had Impair or
+	// Faults on one network, nil otherwise.
 	FaultReport *faults.Report
 	// Check is the invariant checker's report when Scenario.Check was set,
 	// nil otherwise. A run with violations fails outright, so a non-nil
@@ -565,8 +567,8 @@ func begin(sc Scenario, e engine) (*flight, error) {
 	// it observes (and chains to) the final observer configuration. Attaching
 	// here — on a converged network with damping state just reset — is the
 	// supported mode: every shadow damping stream starts in sync, and every
-	// fork of the flight forks the checker with it. Check and Watchdog attach
-	// to one network; validate rejects them on several.
+	// fork of the flight forks the checker with it. Check attaches to one
+	// network; validate rejects it on several.
 	if sc.Check {
 		chk, err := check.Attach(nets[0], check.Options{ISP: bgp.RouterID(sc.ISP), Origin: sc.OriginID(), Prefix: FlapPrefix})
 		if err != nil {
@@ -746,10 +748,11 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	res.Pulses = f.pulses
 
 	// Drain: every in-flight update and every reuse timer fires within the
-	// max hold-down horizon. With a watchdog the drain is supervised —
-	// quiescent-instant consistency checks, and a livelock diagnosis when
-	// the kernel's event budget runs out.
-	if sc.Watchdog {
+	// max hold-down horizon. A faulty run on one network drains under the
+	// watchdog — quiescent-instant consistency checks, and a livelock
+	// diagnosis when the kernel's event budget runs out.
+	watched := (sc.Impair != nil || sc.Faults != nil) && len(e.shards()) == 1
+	if watched {
 		res.FaultReport = faults.Watch(ctx, e.shards()[0])
 		if err := watchErr(ctx, res.FaultReport); err != nil {
 			return nil, err
@@ -777,7 +780,7 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	// on the Result). Without one, run it here — but a lossy run may
 	// legitimately diverge, so the failure is fatal only when no impairment
 	// was configured.
-	if sc.Watchdog {
+	if watched {
 		if res.FaultReport.Outcome == faults.Diverged && sc.Impair == nil {
 			return nil, fmt.Errorf("experiment: post-run consistency: %w", res.FaultReport.Err)
 		}
@@ -838,7 +841,7 @@ func (c *Checkpoint) Shards() int { return len(c.parked.shards()) }
 // NewCheckpointContext executes the scenario's warm-up once (exactly as Run
 // would) under ctx and parks the converged state. Only the warm-up inputs
 // matter here — the graph, ISP, Config and Shards; measurement-phase fields
-// (Pulses, FlapInterval, Watch, Trace, Impair, Faults, Watchdog) take effect
+// (Pulses, FlapInterval, Watch, Trace, Impair, Faults) take effect
 // in Checkpoint.Run. A tripped context stops it with a typed ErrCanceled /
 // ErrBudgetExceeded.
 // The warm-up reports to the context's Progress hook (WithProgress):

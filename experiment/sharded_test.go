@@ -232,12 +232,20 @@ func TestShardedValidation(t *testing.T) {
 			t.Fatal("accepted negative shard count")
 		}
 	})
+	// The watchdog drives one kernel: a sharded faulty run drains bare and
+	// carries no report, where the same run on one network is watched.
 	t.Run("watchdog", func(t *testing.T) {
-		sc := valid()
-		sc.Shards = 2
-		sc.Watchdog = true
-		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "watchdog") {
-			t.Fatalf("want watchdog error, got %v", err)
+		for _, shards := range []int{1, 2} {
+			sc := valid()
+			sc.Shards = shards
+			sc.Faults = faults.NewPlan()
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if watched := res.FaultReport != nil; watched != (shards == 1) {
+				t.Fatalf("shards=%d: watched=%t", shards, watched)
+			}
 		}
 	})
 	t.Run("check", func(t *testing.T) {
@@ -254,15 +262,6 @@ func TestShardedValidation(t *testing.T) {
 		sc.Impair = faults.NewImpairments(1) // no UseLinkStreams
 		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "per-link") {
 			t.Fatalf("want per-link stream error, got %v", err)
-		}
-	})
-	t.Run("zero-lookahead", func(t *testing.T) {
-		sc := valid()
-		sc.Shards = 2
-		sc.Config.MinLinkDelay = 0
-		sc.Config.MinProcDelay = 0
-		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "lookahead") {
-			t.Fatalf("want lookahead error, got %v", err)
 		}
 	})
 	// A checkpoint parks engine-specific state: it serves only the shard

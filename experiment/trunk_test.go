@@ -55,7 +55,8 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 		{"rcn", true, func(sc *Scenario) { sc.Config = rcn }},
 		{"via-link", true, func(sc *Scenario) { sc.FlapViaLink = true }},
 		{"watch", true, func(sc *Scenario) { sc.Watch = []PenaltyWatch{{Router: 0, Peer: sc.OriginID()}, {Router: 7, Peer: 2}} }},
-		{"watchdog", true, func(sc *Scenario) { sc.Watchdog = true }},
+		// An empty fault plan: the watchdog alone, with nothing injected.
+		{"watchdog", true, func(sc *Scenario) { sc.Faults = faults.NewPlan() }},
 		{"impaired", true, func(sc *Scenario) { sc.Impair = lossy() }},
 		{"sharded", true, func(sc *Scenario) { sc.Shards = 2 }},
 		{"sharded-impaired-watch", true, func(sc *Scenario) {
@@ -73,15 +74,14 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 			sc.Shards = 2
 			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
 		}},
-		// rfdsim's faulted run: loss and jitter, a fault plan and the
-		// watchdog together, so every point's FaultReport is pinned too.
+		// rfdsim's faulted run: loss and jitter and a fault plan together,
+		// so every point's FaultReport is pinned too.
 		{"faulted", true, func(sc *Scenario) {
 			sc.Impair = lossy()
 			sc.Faults = faults.NewPlan(
 				faults.ResetSession(90*time.Second, 1, 2),
 				faults.CrashRouter(200*time.Second, 7, 90*time.Second),
 			)
-			sc.Watchdog = true
 		}},
 		{"check", true, func(sc *Scenario) { sc.Check = true }},
 		{"trace", true, func(sc *Scenario) { sc.Trace = trace.NewLog(1 << 20) }},

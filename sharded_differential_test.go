@@ -474,8 +474,16 @@ func TestShardedForkDifferential(t *testing.T) {
 					if impaired && pt.Pulses > 0 && pt.Result.Dropped == 0 {
 						t.Fatalf("n=%d: the impaired sweep dropped nothing", pt.Pulses)
 					}
-					if !reflect.DeepEqual(want[i], pt.Result) {
-						t.Fatalf("sweep point n=%d differs from a standalone sequential run:\nwant %+v\ngot  %+v", pt.Pulses, want[i], pt.Result)
+					want := want[i]
+					if impaired && shards > 1 {
+						// The watchdog drives one kernel: a sharded impaired
+						// run drains bare and carries no report.
+						bare := *want
+						bare.FaultReport = nil
+						want = &bare
+					}
+					if !reflect.DeepEqual(want, pt.Result) {
+						t.Fatalf("sweep point n=%d differs from a standalone sequential run:\nwant %+v\ngot  %+v", pt.Pulses, want, pt.Result)
 					}
 				}
 			})

@@ -6,7 +6,7 @@ import (
 )
 
 func TestWaxmanBasics(t *testing.T) {
-	g, err := Waxman(DefaultWaxmanConfig(100, 3))
+	g, err := Waxman(100, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +27,11 @@ func TestWaxmanBasics(t *testing.T) {
 }
 
 func TestWaxmanDeterministic(t *testing.T) {
-	a, err := Waxman(DefaultWaxmanConfig(60, 9))
+	a, err := Waxman(60, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Waxman(DefaultWaxmanConfig(60, 9))
+	b, err := Waxman(60, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestWaxmanDeterministic(t *testing.T) {
 			t.Fatalf("edge %d differs", i)
 		}
 	}
-	c, err := Waxman(DefaultWaxmanConfig(60, 10))
+	c, err := Waxman(60, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +64,15 @@ func TestWaxmanDeterministic(t *testing.T) {
 }
 
 func TestWaxmanValidation(t *testing.T) {
-	if _, err := Waxman(WaxmanConfig{Nodes: 1, Alpha: 0.5, Beta: 0.5}); err == nil {
+	if _, err := Waxman(1, 0); err == nil {
 		t.Fatal("1 node accepted")
-	}
-	if _, err := Waxman(WaxmanConfig{Nodes: 10, Alpha: 0, Beta: 0.5}); err == nil {
-		t.Fatal("alpha 0 accepted")
-	}
-	if _, err := Waxman(WaxmanConfig{Nodes: 10, Alpha: 0.5, Beta: 1.5}); err == nil {
-		t.Fatal("beta > 1 accepted")
 	}
 }
 
 func TestQuickWaxmanAlwaysConnected(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%60) + 5
-		g, err := Waxman(DefaultWaxmanConfig(n, seed))
+		g, err := Waxman(n, seed)
 		return err == nil && g.Connected()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -87,14 +81,12 @@ func TestQuickWaxmanAlwaysConnected(t *testing.T) {
 }
 
 func TestTieredShape(t *testing.T) {
-	cfg := DefaultTieredConfig(5)
-	g, err := Tiered(cfg)
+	g, err := Tiered(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.Tier1 + cfg.Tier2*(1+cfg.StubsPerTier2)
-	if g.NumNodes() != want {
-		t.Fatalf("nodes = %d, want %d", g.NumNodes(), want)
+	if g.NumNodes() != 76 {
+		t.Fatalf("nodes = %d, want 4 + 12·(1+5) = 76", g.NumNodes())
 	}
 	if !g.Connected() {
 		t.Fatal("tiered graph not connected")
@@ -108,8 +100,7 @@ func TestTieredShape(t *testing.T) {
 }
 
 func TestTieredRelationshipStructure(t *testing.T) {
-	cfg := DefaultTieredConfig(7)
-	g, err := Tiered(cfg)
+	g, err := Tiered(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,52 +116,21 @@ func TestTieredRelationshipStructure(t *testing.T) {
 		}
 	}
 	// Peer links: exactly the tier-1 clique.
-	if wantPeers := cfg.Tier1 * (cfg.Tier1 - 1) / 2; peers != wantPeers {
+	if wantPeers := tier1Size * (tier1Size - 1) / 2; peers != wantPeers {
 		t.Fatalf("peer links = %d, want %d", peers, wantPeers)
 	}
 	// Customer links: stubs have exactly one provider; tier-2s one or two.
-	minC2P := cfg.Tier2 + cfg.Tier2*cfg.StubsPerTier2
-	maxC2P := 2*cfg.Tier2 + cfg.Tier2*cfg.StubsPerTier2
+	minC2P := tier2Size + tier2Size*stubsPerTier2
+	maxC2P := 2*tier2Size + tier2Size*stubsPerTier2
 	if c2p < minC2P || c2p > maxC2P {
 		t.Fatalf("customer links = %d, want in [%d, %d]", c2p, minC2P, maxC2P)
 	}
-	// Tier-1 ASes (IDs 0..Tier1-1) must have no providers.
-	for id := 0; id < cfg.Tier1; id++ {
+	// Tier-1 ASes (IDs 0..tier1Size-1) must have no providers.
+	for id := 0; id < tier1Size; id++ {
 		for _, nb := range g.Neighbors(NodeID(id)) {
 			if g.Relationship(NodeID(id), nb) == RelProvider {
 				t.Fatalf("tier-1 AS %d has a provider", id)
 			}
 		}
-	}
-}
-
-func TestTieredValidation(t *testing.T) {
-	bad := DefaultTieredConfig(1)
-	bad.Tier1 = 1
-	if _, err := Tiered(bad); err == nil {
-		t.Fatal("tier-1 size 1 accepted")
-	}
-	bad = DefaultTieredConfig(1)
-	bad.Tier2 = -1
-	if _, err := Tiered(bad); err == nil {
-		t.Fatal("negative tier-2 accepted")
-	}
-	bad = DefaultTieredConfig(1)
-	bad.StubsPerTier2 = -1
-	if _, err := Tiered(bad); err == nil {
-		t.Fatal("negative stubs accepted")
-	}
-}
-
-func TestTieredCoreOnly(t *testing.T) {
-	g, err := Tiered(TieredConfig{Tier1: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("core-only graph: %v", g)
-	}
-	if err := ValleyFree(g); err != nil {
-		t.Fatal(err)
 	}
 }

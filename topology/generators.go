@@ -84,14 +84,6 @@ type InternetConfig struct {
 	// Nodes is the number of ASes (the paper uses 100 for Figs 8/9 and 208
 	// for Fig 15).
 	Nodes int
-	// LinksPerNode is the number of links each newly attached AS brings
-	// (preferential attachment parameter m). 2 approximates the average
-	// degree of the mid-2000s AS graph (~4).
-	LinksPerNode int
-	// PeerFraction is the probability that a link whose endpoints are both
-	// in the highest-degree core is re-annotated peer-peer. All other links
-	// are customer-provider.
-	PeerFraction float64
 	// Seed drives all randomness in the construction.
 	Seed uint64
 }
@@ -99,13 +91,18 @@ type InternetConfig struct {
 // DefaultInternetConfig returns the configuration used by the paper-scale
 // experiments.
 func DefaultInternetConfig(nodes int, seed uint64) InternetConfig {
-	return InternetConfig{
-		Nodes:        nodes,
-		LinksPerNode: 2,
-		PeerFraction: 0.5,
-		Seed:         seed,
-	}
+	return InternetConfig{Nodes: nodes, Seed: seed}
 }
+
+// The Internet-derived generator's shape: each newly attached AS brings
+// linksPerNode links (the preferential attachment parameter m; 2 approximates
+// the average degree of the mid-2000s AS graph, ~4), and a link whose
+// endpoints are both in the highest-degree core is re-annotated peer-peer with
+// probability peerFraction. All other links are customer-provider.
+const (
+	linksPerNode = 2
+	peerFraction = 0.5
+)
 
 // InternetDerived generates a connected graph with a long-tailed degree
 // distribution via preferential attachment, annotated with valley-free
@@ -114,7 +111,7 @@ func DefaultInternetConfig(nodes int, seed uint64) InternetConfig {
 //   - Every attachment edge points from the newly added AS (customer) to an
 //     already-present AS (provider). Because "provider" always has a smaller
 //     node ID, the provider hierarchy is acyclic by construction.
-//   - A PeerFraction share of links whose endpoints are both in the top of
+//   - A peerFraction share of links whose endpoints are both in the top of
 //     the degree ranking is re-annotated peer-peer, modelling the
 //     settlement-free core.
 //
@@ -123,12 +120,6 @@ func DefaultInternetConfig(nodes int, seed uint64) InternetConfig {
 func InternetDerived(cfg InternetConfig) (*Graph, error) {
 	if cfg.Nodes < 3 {
 		return nil, fmt.Errorf("topology: internet-derived needs >= 3 nodes, got %d", cfg.Nodes)
-	}
-	if cfg.LinksPerNode < 1 {
-		return nil, fmt.Errorf("topology: LinksPerNode must be >= 1, got %d", cfg.LinksPerNode)
-	}
-	if cfg.PeerFraction < 0 || cfg.PeerFraction > 1 {
-		return nil, fmt.Errorf("topology: PeerFraction %v out of [0,1]", cfg.PeerFraction)
 	}
 	rng := xrand.New(cfg.Seed)
 	g := New(fmt.Sprintf("internet-%d", cfg.Nodes), cfg.Nodes)
@@ -143,12 +134,8 @@ func InternetDerived(cfg InternetConfig) (*Graph, error) {
 	repeated := []NodeID{0, 0, 1, 1, 2, 2}
 
 	for v := NodeID(3); int(v) < cfg.Nodes; v++ {
-		m := cfg.LinksPerNode
-		if int(v) < m {
-			m = int(v)
-		}
-		chosen := make(map[NodeID]bool, m)
-		for len(chosen) < m {
+		chosen := make(map[NodeID]bool, linksPerNode)
+		for len(chosen) < linksPerNode {
 			t := repeated[rng.Intn(len(repeated))]
 			if t != v && !chosen[t] {
 				chosen[t] = true
@@ -193,7 +180,7 @@ func InternetDerived(cfg InternetConfig) (*Graph, error) {
 		core[id] = true
 	}
 	for _, e := range g.edges {
-		if core[e.A] && core[e.B] && rng.Float64() < cfg.PeerFraction {
+		if core[e.A] && core[e.B] && rng.Float64() < peerFraction {
 			if err := g.SetRelationship(e.A, e.B, RelPeer); err != nil {
 				return nil, err
 			}

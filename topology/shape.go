@@ -16,7 +16,7 @@ type Shape struct {
 	// fullmesh.
 	Family string
 	// Rows and Cols size the mesh; Nodes sizes every other family but tiered,
-	// whose size DefaultTieredConfig fixes.
+	// whose size is fixed.
 	Rows, Cols, Nodes int
 	// Seed drives the randomised families: internet, waxman and tiered.
 	Seed uint64
@@ -32,8 +32,8 @@ type family struct {
 var families = map[string]family{
 	"mesh":     {grid: true, generate: func(s Shape) (*Graph, error) { return Torus(s.Rows, s.Cols) }},
 	"internet": {sized: true, seeded: true, generate: func(s Shape) (*Graph, error) { return InternetDerived(DefaultInternetConfig(s.Nodes, s.Seed)) }},
-	"waxman":   {sized: true, seeded: true, dense: true, generate: func(s Shape) (*Graph, error) { return Waxman(DefaultWaxmanConfig(s.Nodes, s.Seed)) }},
-	"tiered":   {seeded: true, generate: func(s Shape) (*Graph, error) { return Tiered(DefaultTieredConfig(s.Seed)) }},
+	"waxman":   {sized: true, seeded: true, dense: true, generate: func(s Shape) (*Graph, error) { return Waxman(s.Nodes, s.Seed) }},
+	"tiered":   {seeded: true, generate: func(s Shape) (*Graph, error) { return Tiered(s.Seed) }},
 	"ring":     {sized: true, generate: func(s Shape) (*Graph, error) { return Ring(s.Nodes) }},
 	"line":     {sized: true, generate: func(s Shape) (*Graph, error) { return Line(s.Nodes) }},
 	"star":     {sized: true, generate: func(s Shape) (*Graph, error) { return Star(s.Nodes) }},
@@ -92,7 +92,7 @@ func (s Shape) Routers() int {
 	case f.sized:
 		return s.Nodes
 	}
-	return DefaultTieredConfig(s.Seed).nodes()
+	return tieredNodes
 }
 
 // Links returns an upper bound on the links Generate would add, which for the

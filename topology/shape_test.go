@@ -31,8 +31,8 @@ func TestShapeGenerateMatchesGenerators(t *testing.T) {
 		{Shape{Family: "mesh", Rows: 4, Cols: 5, Nodes: 99, Seed: 7}, func() (*Graph, error) { return Torus(4, 5) }, 0},
 		{Shape{Rows: 3, Cols: 3}, func() (*Graph, error) { return Torus(3, 3) }, 0},
 		{Shape{Family: "internet", Rows: 9, Cols: 9, Nodes: 40, Seed: 3}, func() (*Graph, error) { return InternetDerived(DefaultInternetConfig(40, 3)) }, 20},
-		{Shape{Family: "waxman", Nodes: 30, Seed: 5}, func() (*Graph, error) { return Waxman(DefaultWaxmanConfig(30, 5)) }, 0},
-		{Shape{Family: "tiered", Nodes: 1, Seed: 9}, func() (*Graph, error) { return Tiered(DefaultTieredConfig(9)) }, 0},
+		{Shape{Family: "waxman", Nodes: 30, Seed: 5}, func() (*Graph, error) { return Waxman(30, 5) }, 0},
+		{Shape{Family: "tiered", Nodes: 1, Seed: 9}, func() (*Graph, error) { return Tiered(9) }, 0},
 		{Shape{Family: "ring", Nodes: 6, Seed: 1}, func() (*Graph, error) { return Ring(6) }, 0},
 		{Shape{Family: "line", Nodes: 5}, func() (*Graph, error) { return Line(5) }, 0},
 		{Shape{Family: "star", Nodes: 7}, func() (*Graph, error) { return Star(7) }, 0},
