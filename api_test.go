@@ -25,7 +25,6 @@ var orphanAllowlist = map[string]string{
 	"bgp.Router.DebugDampingState": "debug view; check and experiment tests read a router's damping state with it",
 	"bgp.Router.LocalRoute":        "debug view; faults tests read a router's best route with it",
 	"sim.WithMaxEvents":            "test seam; faults tests and damping's engine benchmark bound a kernel's event budget with it",
-	"sim.Timer.Active":             "debug view; damping's engine benchmark reads whether a timer is pending with it",
 }
 
 // docFiles are the documents whose code may name only what exists.

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -85,5 +86,41 @@ func BenchmarkNewNetwork(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(newNetworkHeap(b, g))/(1<<20), "live-MiB")
 		})
+	}
+}
+
+// pointerPaths returns the path of every field in t whose kind holds a
+// pointer the garbage collector must trace, walking structs and arrays.
+func pointerPaths(t reflect.Type, path string) []string {
+	switch t.Kind() {
+	case reflect.Struct:
+		var out []string
+		for i := range t.NumField() {
+			f := t.Field(i)
+			out = append(out, pointerPaths(f.Type, path+"."+f.Name)...)
+		}
+		return out
+	case reflect.Array:
+		return pointerPaths(t.Elem(), path+"[]")
+	case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Slice,
+		reflect.String, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		return []string{path + " (" + t.Kind().String() + ")"}
+	}
+	return nil
+}
+
+// TestRIBEntryLayout pins the RIB entries' layout: one RIB-IN and one
+// RIB-OUT entry exist per (directed slot, prefix), so each stays within 40
+// bytes (on 32-bit targets too) and holds no pointer, which keeps the RIBs
+// out of the garbage collector's scan and lets a fork copy them as they are.
+func TestRIBEntryLayout(t *testing.T) {
+	const maxSize = 40
+	for _, typ := range []reflect.Type{reflect.TypeFor[ribInEntry](), reflect.TypeFor[ribOutEntry]()} {
+		if size := typ.Size(); size > maxSize {
+			t.Errorf("%s is %d bytes, want at most %d", typ.Name(), size, maxSize)
+		}
+		for _, p := range pointerPaths(typ, typ.Name()) {
+			t.Errorf("%s holds a pointer: %s", typ.Name(), p)
+		}
 	}
 }

@@ -70,11 +70,11 @@ func (r *Router) EachRIBIn(now time.Duration, fn func(RIBInView)) {
 				Prefix:      prefix,
 				Path:        r.net.paths.path(e.path),
 				EverPresent: e.everPresent,
-				ReuseAt:     e.reuseTimer.When(),
+				ReuseAt:     r.net.kernel.When(e.reuseTimer),
 			}
 			if r.damp != nil {
 				v.HasDamping = true
-				v.Penalty = e.damp.Penalty(now)
+				v.Penalty = e.damp.Penalty(r.damp, now)
 				v.Suppressed = e.damp.Suppressed()
 			}
 			fn(v)
@@ -140,12 +140,13 @@ func (r *Router) DampingParams() (damping.Params, bool) {
 	return *r.damp, true
 }
 
-// DebugDampingState returns the live damping state for (peer, prefix), nil
-// when none exists. It is a deliberate back door for
-// fault-seeding tests of the invariant checker: mutating the returned state
-// desynchronizes the engine from its own bookkeeping, which is exactly what
-// such a test wants to provoke. Engine and experiment code must not use it.
-func (r *Router) DebugDampingState(peer RouterID, prefix Prefix) *damping.State {
+// DebugDampingState returns the live damping record for (peer, prefix), nil
+// when none exists; DampingParams returns the parameters that govern it. It
+// is a deliberate back door for fault-seeding tests of the invariant checker:
+// mutating the returned record desynchronizes the engine from its own
+// bookkeeping, which is exactly what such a test wants to provoke. Engine and
+// experiment code must not use it.
+func (r *Router) DebugDampingState(peer RouterID, prefix Prefix) *damping.Merit {
 	pid, ok := r.net.lookupPrefix(prefix)
 	if !ok {
 		return nil

@@ -16,13 +16,15 @@ const selfPeer = RouterID(-1)
 
 // ribInEntry is the adj-RIB-in state for one (directed slot, prefix id): the
 // last route received (path id 0 when withdrawn), the flap history damping
-// needs, the damping state itself (zero and unused on a router without
-// damping), and the pending reuse timer. Entries live inline in the network's
-// flat RIB-IN; seen distinguishes a live entry from the zero-valued padding.
+// needs, the damping record (zero and unused on a router without damping;
+// its parameters are the router's, Router.damp), and the pending reuse
+// timer. Entries live inline in the network's flat RIB-IN; seen distinguishes
+// a live entry from the zero-valued padding. An entry holds no pointer, so
+// the garbage collector never scans the RIB, and a fork copies it as it is.
 // The root cause the route arrived with is kept beside it, in
 // Network.inCause.
 type ribInEntry struct {
-	damp        damping.State
+	damp        damping.Merit
 	reuseTimer  sim.Timer
 	path        pathID
 	everPresent bool
@@ -35,7 +37,8 @@ type ribInEntry struct {
 // is a reserved place in the kernel's event order, not an event: expiry is
 // pushed under it only while an announcement is pending, and cancelled when
 // none is. The pending announcement's root cause is kept beside it, in
-// Network.outCause. Both paths are ids (0 for none).
+// Network.outCause. Both paths are ids (0 for none); like ribInEntry, the
+// entry holds no pointer.
 type ribOutEntry struct {
 	advertised  pathID
 	pendingPath pathID
@@ -206,7 +209,7 @@ func (r *Router) localAt(pid int32) localEntry {
 func (r *Router) Penalty(peer RouterID, prefix Prefix, now time.Duration) float64 {
 	pid, _ := r.net.lookupPrefix(prefix)
 	if e := r.ribInAt(r.slotOf(peer), pid); e != nil && r.damp != nil {
-		return e.damp.Penalty(now)
+		return e.damp.Penalty(r.damp, now)
 	}
 	return 0
 }
@@ -258,12 +261,7 @@ func (r *Router) ribOutAt(slot, pid int32) *ribOutEntry {
 // ensureRibIn returns (creating if needed) the RIB-IN entry for (slot, pid).
 func (r *Router) ensureRibIn(slot, pid int32) *ribInEntry {
 	e := r.ribIn(slot, pid)
-	if !e.seen {
-		e.seen = true
-		if r.damp != nil {
-			e.damp = *damping.NewState(*r.damp)
-		}
-	}
+	e.seen = true
 	return e
 }
 
@@ -338,7 +336,7 @@ func (r *Router) applyUpdate(slot, pid int32, withdraw bool, path pathID, cause 
 				}
 			}
 		}
-		ev := e.damp.Update(now, chargeKind, charge)
+		ev := e.damp.Update(r.damp, now, chargeKind, charge)
 		if h := r.net.hooks.OnPenalty; h != nil && ev.Increment != 0 {
 			h(now, r.id, from, r.net.prefixes[pid], ev.Penalty)
 		}
@@ -383,7 +381,7 @@ func (r *Router) peerDown(peer RouterID) {
 	for _, pid := range r.net.prefixOrder {
 		if out := r.ribOutAt(slot, pid); out != nil {
 			out.advertised = 0
-			dropPending(out)
+			r.dropPending(out)
 			out.mrai = sim.Mark{}
 		}
 	}
@@ -419,8 +417,9 @@ func (r *Router) hasLocalState(pid int32) bool {
 // armReuse replaces the entry's reuse timer with one firing at the given
 // virtual instant.
 func (r *Router) armReuse(e *ribInEntry, slot, pid int32, at time.Duration) {
-	e.reuseTimer.Cancel()
-	e.reuseTimer = r.net.kernel.AtHandler(at, "bgp.reuse", &r.net.reuseH, packDirPrefix(r.base+slot, pid))
+	k := r.net.kernel
+	k.Cancel(e.reuseTimer)
+	e.reuseTimer = k.AtHandler(at, "bgp.reuse", &r.net.reuseH, packDirPrefix(r.base+slot, pid))
 }
 
 // reuseExpired handles a reuse-timer firing: lift suppression if the penalty
@@ -432,10 +431,10 @@ func (r *Router) reuseExpired(slot, pid int32) {
 		return
 	}
 	now := r.net.kernel.Now()
-	if !e.damp.TryReuse(now) {
+	if !e.damp.TryReuse(r.damp, now) {
 		// The penalty was re-charged after this timer was armed (and the
 		// rearm raced with delivery); try again at the new reuse instant.
-		r.armReuse(e, slot, pid, now+e.damp.ReuseIn(now))
+		r.armReuse(e, slot, pid, now+e.damp.ReuseIn(r.damp, now))
 		return
 	}
 	peer := r.peers[slot]
@@ -569,14 +568,14 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, 
 	switch {
 	case desired == 0 && out.advertised == 0:
 		// Nothing advertised, nothing to advertise; drop any pending update.
-		dropPending(out)
+		r.dropPending(out)
 	case desired == 0:
 		// Withdrawals are not rate limited.
 		out.advertised = 0
-		dropPending(out)
+		r.dropPending(out)
 		n.send(r.id, slot, pendingMsg{pid: pid, withdraw: true, cause: trigger})
 	case desired == out.advertised:
-		dropPending(out)
+		r.dropPending(out)
 	case n.kernel.Ahead(out.mrai):
 		// The MRAI interval is running: hold the announcement, and push the
 		// interval's expiry if nothing waited for it yet.
@@ -593,10 +592,10 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, 
 
 // dropPending discards the entry's held announcement, if any, and the expiry
 // pushed for it. The MRAI interval itself keeps running.
-func dropPending(out *ribOutEntry) {
+func (r *Router) dropPending(out *ribOutEntry) {
 	if out.pending {
 		out.pending = false
-		out.expiry.Cancel()
+		r.net.kernel.Cancel(out.expiry)
 	}
 }
 
@@ -640,10 +639,8 @@ func (r *Router) resetDamping() {
 			if !e.seen {
 				continue
 			}
-			if r.damp != nil {
-				e.damp.Reset()
-			}
-			e.reuseTimer.Cancel()
+			e.damp.Reset()
+			n.kernel.Cancel(e.reuseTimer)
 			e.reuseTimer = sim.Timer{}
 		}
 		if n.history != nil {
@@ -665,7 +662,7 @@ func (r *Router) crash() {
 	for s, peer := range r.peers {
 		for pid := range n.prefixes {
 			e := r.ribIn(int32(s), int32(pid))
-			e.reuseTimer.Cancel()
+			n.kernel.Cancel(e.reuseTimer)
 			suppressed := e.seen && e.damp.Suppressed()
 			// Clear first: a hook reading DampedLinkCount sees the post-state.
 			*e = ribInEntry{}
@@ -676,7 +673,7 @@ func (r *Router) crash() {
 		}
 		for pid := range n.prefixes {
 			out := r.ribOut(int32(s), int32(pid))
-			out.expiry.Cancel()
+			n.kernel.Cancel(out.expiry)
 			*out = ribOutEntry{}
 			n.setCause(n.outCause, r.base+int32(s), int32(pid), rcn.Cause{})
 		}

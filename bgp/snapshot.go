@@ -3,13 +3,14 @@ package bgp
 // This file implements deterministic snapshot/fork of a running network.
 //
 // A fork copies everything mutable — the kernel's event queue, the flat
-// RIB-IN/RIB-OUT/Local-RIB/origination slices with their damping states
+// RIB-IN/RIB-OUT/Local-RIB/origination slices with their damping records
 // inline, the router slab with each router's RNG inline, link/session arrays,
 // the in-flight message slab — as a handful of slice copies, then makes one
-// pass that points each router at the fork and rebinds each RIB timer to the
-// forked kernel. Nothing is copied object by object, so a fork's cost is a
-// few memmoves and a few dozen allocations whatever the network's size (RCN
-// histories, per-session maps, are the exception: they clone one by one).
+// pass over the routers to point each at the fork. The RIB entries are
+// copied as they are: they hold no pointer. Nothing is copied object by
+// object, so a fork's cost is a few memmoves and a few dozen allocations
+// whatever the network's size (RCN histories, per-session maps, are the
+// exception: they clone one by one).
 // Immutable structure is shared: the topology graph, the CSR tables, the
 // prefix tables (replaced, never written in place) and every path id
 // numbered so far with its canonical path, which the parent's table freezes
@@ -20,9 +21,9 @@ package bgp
 // sweeps: converge once and fork the converged checkpoint per sweep, then
 // fork one flap trajectory at every pulse count. Because queue clones preserve
 // slot indices and generations, the Timer handles embedded in RIB entries
-// (a pending MRAI expiry, damping reuse) remain valid in the fork after
-// Kernel.Adopt rebinds them; MRAI interval ends are sim.Marks, plain values
-// that mean the same on the forked kernel.
+// (a pending MRAI expiry, damping reuse) name the same events on the forked
+// kernel; MRAI interval ends are sim.Marks, plain values that mean the same
+// there too.
 //
 // Pending events cross a fork whoever scheduled them, as long as their handler
 // can be rebound: the network's own handlers are, and so is any foreign one
@@ -117,8 +118,8 @@ func (n *Network) fork() (*Network, error) {
 
 // forkOnto builds the deep copy onto k2, which must be a fork of n's kernel
 // taken at the same instant (queue clones preserve slot indices and
-// generations, so the Timer handles embedded in RIB entries adopt cleanly
-// only against a true fork). The split exists for the sharded engine:
+// generations, so the Timer handles embedded in RIB entries name the right
+// events only on a true fork). The split exists for the sharded engine:
 // ShardedNetwork.Fork forks the whole kernel group first, then forks each
 // shard network onto its pre-forked kernel.
 func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
@@ -174,12 +175,6 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 	k2.SetMarks(f.latestMark)
 	for id := range f.routers {
 		f.routers[id].net = f
-	}
-	for i := range f.ribIn {
-		f.ribIn[i].reuseTimer = k2.Adopt(f.ribIn[i].reuseTimer)
-	}
-	for i := range f.ribOut {
-		f.ribOut[i].expiry = k2.Adopt(f.ribOut[i].expiry) // marks copy by value
 	}
 	if n.history != nil {
 		f.history = make([]*rcn.History, len(n.history))

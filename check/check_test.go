@@ -144,7 +144,8 @@ func TestSeededChargeDetected(t *testing.T) {
 	if st == nil {
 		t.Fatal("no damping state at isp after a pulse")
 	}
-	st.Update(k.Now(), damping.KindWithdrawal, true) // the seeded fault
+	p, _ := n.Router(isp).DampingParams()
+	st.Update(&p, k.Now(), damping.KindWithdrawal, true) // the seeded fault
 
 	pulse(t, k, n, origin)
 	rep := chk.Finish()
@@ -333,7 +334,8 @@ func TestForkIsolatesViolations(t *testing.T) {
 			if st == nil {
 				t.Fatal("no damping state at isp mid-flap")
 			}
-			st.Update(c.k.Now(), damping.KindWithdrawal, true) // the seeded fault
+			p, _ := c.n.Router(isp).DampingParams()
+			st.Update(&p, c.k.Now(), damping.KindWithdrawal, true) // the seeded fault
 			for _, c := range copies {
 				flapRest(t, c.k, c.n, origin)
 			}

@@ -182,8 +182,10 @@ func run(ctx context.Context, args []string) error {
 	if res.Check != nil {
 		fmt.Printf("invariant check   %s\n", res.Check)
 	}
-	if res.FaultReport != nil {
+	if sc.Impair != nil || sc.Faults != nil {
 		fmt.Printf("messages dropped  %d\n", res.Dropped)
+	}
+	if res.FaultReport != nil {
 		fmt.Printf("watchdog          %s\n", res.FaultReport)
 		if res.FaultReport.Outcome != faults.Converged {
 			for _, e := range res.FaultReport.Recent {

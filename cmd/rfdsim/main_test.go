@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -193,6 +194,31 @@ func TestRunSharded(t *testing.T) {
 	// -check needs the sequential engine.
 	if err := run(context.Background(), []string{"-rows", "4", "-cols", "4", "-shards", "2", "-check"}); err == nil {
 		t.Fatal("-shards with -check accepted")
+	}
+}
+
+// TestRunPrintsDropsOnBothEngines: an impaired run reports its drop count
+// whichever engine runs it, though only the sequential engine runs the
+// watchdog; a run without impairments or a fault plan prints neither line.
+func TestRunPrintsDropsOnBothEngines(t *testing.T) {
+	lossy := []string{"-rows", "6", "-cols", "6", "-loss", "0.01"}
+	for _, shards := range []string{"1", "2"} {
+		out, _ := capture(t, append(lossy, "-shards", shards)...)
+		var dropped uint64
+		if n := strings.Count(out, "messages dropped"); n != 1 {
+			t.Fatalf("-shards %s: %d drop lines, want 1:\n%s", shards, n, out)
+		}
+		line := out[strings.Index(out, "messages dropped"):]
+		if _, err := fmt.Sscanf(line, "messages dropped %d", &dropped); err != nil || dropped == 0 {
+			t.Errorf("-shards %s: drop line %q does not report the lost messages (%v)", shards, strings.SplitN(line, "\n", 2)[0], err)
+		}
+		if got, want := strings.Contains(out, "watchdog"), shards == "1"; got != want {
+			t.Errorf("-shards %s: watchdog line printed %t, want %t", shards, got, want)
+		}
+	}
+	clean, _ := capture(t, "-rows", "4", "-cols", "4", "-shards", "2")
+	if strings.Contains(clean, "messages dropped") {
+		t.Errorf("a run without impairments printed a drop count:\n%s", clean)
 	}
 }
 

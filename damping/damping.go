@@ -2,10 +2,12 @@
 // and studied in "Timer Interaction in Route Flap Damping" (Zhang, Pei,
 // Massey, Zhang — ICDCS 2005).
 //
-// A router keeps one State per (peer, destination prefix) pair. Every update
-// received for that pair adds a penalty increment that depends on the kind of
-// update (withdrawal, re-announcement, attribute change); between updates the
-// penalty decays exponentially with a configured half-life. When the penalty
+// A router keeps one Merit record per (peer, destination prefix) pair, all
+// governed by the router's one Params; State bundles a Merit with its Params
+// for a stream damped on its own. Every update received for a pair adds a
+// penalty increment that depends on the kind of update (withdrawal,
+// re-announcement, attribute change); between updates the penalty decays
+// exponentially with a configured half-life. When the penalty
 // exceeds the cut-off threshold the route is suppressed: it is excluded from
 // best-path selection until the penalty decays below the reuse threshold,
 // at which point a reuse timer fires and the route becomes usable again.

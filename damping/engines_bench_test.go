@@ -106,7 +106,7 @@ func benchUpdateExact(b *testing.B, n int) {
 		ev := states[idx].Update(now, kind, true)
 		// The per-prefix path: every suppressed update re-arms the
 		// stream's own reuse timer (bgp.Router.armReuse).
-		timers[idx].Cancel()
+		k.Cancel(timers[idx])
 		timers[idx] = k.AtHandler(now+ev.ReuseIn, "bench.reuse", &discard, uint64(idx))
 	}
 }
@@ -139,7 +139,7 @@ func benchUpdateWheel(b *testing.B, n int) {
 		states[idx].Update(now, kind, true)
 		// The batch path: one sweep timer per router, armed only when it
 		// is not already pending.
-		if !sweepTimer.Active() {
+		if k.When(sweepTimer) == sim.Never {
 			sweepTimer = k.AtHandler(w.NextSweepAt(now), "bench.sweep", &discard, 0)
 		}
 	}

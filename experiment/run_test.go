@@ -111,8 +111,9 @@ func TestRunErrorsNameNoSweep(t *testing.T) {
 					return nil, err
 				}
 				// An extra withdrawal charge the protocol never saw.
-				st := f.e.Router(bgp.RouterID(sc.ISP)).DebugDampingState(sc.OriginID(), FlapPrefix)
-				st.Update(f.e.now(), damping.KindWithdrawal, true)
+				isp := f.e.Router(bgp.RouterID(sc.ISP))
+				p, _ := isp.DampingParams()
+				isp.DebugDampingState(sc.OriginID(), FlapPrefix).Update(&p, f.e.now(), damping.KindWithdrawal, true)
 				return f.run(ctx, sc.Pulses)
 			}
 		}, text: "invariant check"},

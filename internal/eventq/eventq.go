@@ -30,7 +30,7 @@ package eventq
 import "time"
 
 // Handle identifies a scheduled entry. The zero Handle is invalid and inert:
-// Cancel, Reschedule, Scheduled and When all treat it as "not scheduled".
+// Cancel, Reschedule and When all treat it as "not scheduled".
 // Handles stay invalid after their entry fires or is cancelled, even once the
 // underlying slot is reused for a later entry.
 type Handle struct {
@@ -168,9 +168,6 @@ func (q *Queue[P]) Reschedule(h Handle, t time.Duration) bool {
 	}
 	return true
 }
-
-// Scheduled reports whether h refers to a still-pending entry.
-func (q *Queue[P]) Scheduled(h Handle) bool { return q.lookup(h) != nil }
 
 // When returns the time a still-scheduled entry fires at. ok is false for
 // fired, cancelled or zero handles.

@@ -81,7 +81,7 @@ func TestCancel(t *testing.T) {
 	if !q.Cancel(b) {
 		t.Fatal("Cancel(b) = false, want true")
 	}
-	if q.Scheduled(b) {
+	if _, ok := q.When(b); ok {
 		t.Fatal("b still reports scheduled after cancel")
 	}
 	if q.Cancel(b) {
@@ -128,9 +128,6 @@ func TestZeroHandleIsInert(t *testing.T) {
 	if q.Reschedule(h, time.Second) {
 		t.Fatal("Reschedule(zero) = true")
 	}
-	if q.Scheduled(h) {
-		t.Fatal("Scheduled(zero) = true")
-	}
 	if _, ok := q.When(h); ok {
 		t.Fatal("When(zero) reported a time")
 	}
@@ -146,13 +143,13 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	if a == b {
 		t.Fatal("recycled slot produced an identical handle")
 	}
-	if q.Scheduled(a) {
+	if _, ok := q.When(a); ok {
 		t.Fatal("stale handle reports scheduled after slot reuse")
 	}
 	if q.Cancel(a) {
 		t.Fatal("stale handle cancelled the slot's new entry")
 	}
-	if !q.Scheduled(b) {
+	if _, ok := q.When(b); !ok {
 		t.Fatal("new entry not scheduled")
 	}
 }
@@ -241,15 +238,12 @@ func TestPushReservedFiresAtReservation(t *testing.T) {
 func TestScheduledReporting(t *testing.T) {
 	var q Queue[string]
 	a := q.Push(1*time.Second, "a")
-	if !q.Scheduled(a) {
-		t.Fatal("freshly pushed entry not Scheduled")
-	}
 	if at, ok := q.When(a); !ok || at != time.Second {
 		t.Fatalf("When = (%v, %t), want (1s, true)", at, ok)
 	}
 	q.Pop()
-	if q.Scheduled(a) {
-		t.Fatal("popped entry still Scheduled")
+	if _, ok := q.When(a); ok {
+		t.Fatal("popped entry still scheduled")
 	}
 }
 
@@ -402,13 +396,13 @@ func driveModel(t *testing.T, name string, r *xrand.Rand, q *Queue[int], m *heap
 		case k == 9: // handles: live ones report their time, dead ones nothing
 			if len(m.live) > 0 {
 				e := m.live[m.victim(r)]
-				if at, ok := q.When(e.h); !ok || at != e.at || !q.Scheduled(e.h) {
+				if at, ok := q.When(e.h); !ok || at != e.at {
 					t.Fatalf("%s op %d: When = (%v, %t) for a live entry at %v", name, op, at, ok, e.at)
 				}
 			}
 			if len(m.dead) > 0 {
 				h := m.dead[r.Intn(len(m.dead))]
-				if _, ok := q.When(h); ok || q.Scheduled(h) || q.Cancel(h) || q.Reschedule(h, 0) {
+				if _, ok := q.When(h); ok || q.Cancel(h) || q.Reschedule(h, 0) {
 					t.Fatalf("%s op %d: a fired or cancelled handle still resolves", name, op)
 				}
 			}
@@ -421,7 +415,7 @@ func driveModel(t *testing.T, name string, r *xrand.Rand, q *Queue[int], m *heap
 
 // TestRandomizedHeapProperty checks the queue against a sorted (time, seq)
 // model under a random mix of Push, Reserve and out-of-order PushReserved,
-// Pop, Cancel, Reschedule, When and Scheduled. Midway it clones the queue
+// Pop, Cancel, Reschedule and When. Midway it clones the queue
 // and drives the clone and the original apart: each must keep matching its
 // own copy of the model, handles from before the clone resolving on both.
 func TestRandomizedHeapProperty(t *testing.T) {

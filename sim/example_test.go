@@ -20,7 +20,7 @@ func Example() {
 	doomed := k.After(3*time.Second, "never", func() {
 		fmt.Println("never printed")
 	})
-	doomed.Cancel()
+	k.Cancel(doomed)
 	if err := k.Run(); err != nil {
 		fmt.Println("error:", err)
 	}

@@ -7,9 +7,9 @@ import (
 
 // Fork returns an independent copy of the kernel at its current state: the
 // full event queue (slot indices, generations and sequence numbers preserved,
-// so outstanding Timer handles resolve identically in the copy once adopted
-// and Marks, being values, are ahead in the copy exactly when in the
-// original), the position in the event order, the RNG stream position and
+// so an outstanding Timer names the same event on the copy as on the
+// original, and Marks, being values, are ahead in the copy exactly when in
+// the original), the position in the event order, the RNG stream position and
 // the executed-event count. The fork shares no mutable state with the
 // original; pending events still reference the original's Handler values
 // until RemapHandlers rebinds them. No trace observer is installed on the
@@ -43,16 +43,4 @@ func (k *Kernel) RemapHandlers(f func(Handler) Handler) error {
 		}
 	})
 	return err
-}
-
-// Adopt rebinds a Timer taken out against another kernel to this one. Because
-// queue clones preserve slot indices and generations, a Timer captured before
-// a Fork refers to the same logical entry in the copy; Adopt makes the handle
-// operate on the copy instead of the original. The zero Timer adopts to the
-// zero Timer.
-func (k *Kernel) Adopt(t Timer) Timer {
-	if t.k == nil {
-		return Timer{}
-	}
-	return Timer{k: k, h: t.h}
 }

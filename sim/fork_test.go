@@ -96,31 +96,41 @@ func TestRemapHandlersRejectsNilReplacement(t *testing.T) {
 	}
 }
 
-func TestAdoptRebindsTimerToFork(t *testing.T) {
-	k, _, timer := seedKernel(t)
-	fork := k.Fork()
-	adopted := fork.Adopt(timer)
-
-	if !timer.Active() || !adopted.Active() {
-		t.Fatal("timer should be pending in both kernels")
-	}
-	if timer.When() != adopted.When() {
-		t.Fatalf("adopted When %v != original When %v", adopted.When(), timer.When())
-	}
-	// Cancelling the adopted handle must only affect the fork.
-	if !adopted.Cancel() {
-		t.Fatal("adopted Cancel reported not pending")
-	}
-	if adopted.Active() {
-		t.Fatal("adopted timer still active after Cancel")
-	}
-	if !timer.Active() {
-		t.Fatal("cancelling the fork's timer cancelled the original's")
-	}
-
-	var zero Timer
-	if got := fork.Adopt(zero); got.Active() || got.When() != Never {
-		t.Fatal("adopting the zero Timer should yield an inert zero Timer")
+// TestTimerValidAcrossFork pins the Timer contract: a handle taken before
+// Fork names the same event on the parent and on the fork, cancelling it on
+// either leaves the other's event pending, and the zero Timer is inert on
+// both.
+func TestTimerValidAcrossFork(t *testing.T) {
+	for _, cancelOnFork := range []bool{true, false} {
+		k, _, timer := seedKernel(t)
+		fork := k.Fork()
+		at := k.When(timer)
+		if at == Never || fork.When(timer) != at {
+			t.Fatalf("When: parent %v, fork %v; want the same pending instant", at, fork.When(timer))
+		}
+		cancelled, other := fork, k
+		if !cancelOnFork {
+			cancelled, other = k, fork
+		}
+		if !cancelled.Cancel(timer) {
+			t.Fatalf("cancelOnFork=%t: Cancel reported not pending", cancelOnFork)
+		}
+		if cancelled.When(timer) != Never {
+			t.Fatalf("cancelOnFork=%t: cancelled timer still pending", cancelOnFork)
+		}
+		if other.When(timer) != at {
+			t.Fatalf("cancelOnFork=%t: cancelling on one kernel moved the other's event to %v", cancelOnFork, other.When(timer))
+		}
+		pending := other.Pending()
+		var zero Timer
+		for _, kk := range []*Kernel{k, fork} {
+			if kk.Cancel(zero) || kk.When(zero) != Never {
+				t.Fatal("the zero Timer is not inert")
+			}
+		}
+		if other.Pending() != pending {
+			t.Fatal("cancelling the zero Timer removed an event")
+		}
 	}
 }
 

@@ -61,9 +61,9 @@ const StopCheckInterval = 1024
 // while still catching runaway schedules quickly.
 const DefaultMaxEvents = 200_000_000
 
-// Never is the sentinel Timer.When reports for a timer that is not pending —
-// fired, cancelled, or never scheduled. It is a virtual instant no event can
-// occupy (the kernel's clock never goes negative).
+// Never is the sentinel Kernel.When reports for a timer that is not pending
+// — fired, cancelled, or never scheduled. It is a virtual instant no event
+// can occupy (the kernel's clock never goes negative).
 const Never = time.Duration(-1 << 62)
 
 // Handler receives typed events scheduled with AtHandler/AfterHandler. The
@@ -75,50 +75,28 @@ type Handler interface {
 	HandleEvent(arg uint64)
 }
 
-// Timer is a value handle to a scheduled callback. The zero Timer is inert:
-// Active and When report not-pending, Cancel and Reschedule do nothing.
-// Timers stay inert after firing or cancellation, even though the kernel
-// reuses the underlying queue slot for later events.
-type Timer struct {
-	k *Kernel
-	h eventq.Handle
-}
+// Timer is a value handle to a scheduled event: the event queue's (slot,
+// generation) pair, 8 bytes with no pointer, so a component can keep
+// millions of them inline without the garbage collector scanning them. A
+// Timer names no kernel; Kernel.Cancel and Kernel.When resolve it. It is
+// valid on the kernel that scheduled it and on every fork of that kernel,
+// since a fork's queue keeps every slot index and generation: cancelling it
+// on one of them leaves the event pending on the others. On an unrelated
+// kernel a Timer may name whatever event holds that slot there, so handing it
+// one is a programming error. The zero Timer is inert on any kernel. Timers
+// stay inert after firing or cancellation, even though the kernel reuses the
+// underlying queue slot for later events.
+type Timer eventq.Handle
 
-// Active reports whether the timer is still pending.
-func (t Timer) Active() bool {
-	return t.k != nil && t.k.q.Scheduled(t.h)
-}
+// Cancel stops the timer t. It reports whether t was still pending.
+func (k *Kernel) Cancel(t Timer) bool { return k.q.Cancel(eventq.Handle(t)) }
 
-// Cancel stops the timer. It reports whether the timer was still pending.
-func (t Timer) Cancel() bool {
-	if t.k == nil {
-		return false
-	}
-	return t.k.q.Cancel(t.h)
-}
-
-// Reschedule moves a still-pending timer to virtual time at. It reports
-// whether the timer was pending. Rescheduling into the past (before Now) is a
-// programming error and panics, because it would silently corrupt causality.
-func (t Timer) Reschedule(at time.Duration) bool {
-	if t.k == nil {
-		return false
-	}
-	if at < t.k.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, t.k.now))
-	}
-	return t.k.q.Reschedule(t.h, at)
-}
-
-// When returns the virtual time the timer will fire at, or Never when the
-// timer is not pending (fired, cancelled, or the zero Timer). Callers that
-// compare When against the clock or another event time should treat Never as
-// "no deadline" — it is far earlier than any schedulable instant.
-func (t Timer) When() time.Duration {
-	if t.k == nil {
-		return Never
-	}
-	at, ok := t.k.q.When(t.h)
+// When returns the virtual time t will fire at, or Never when t is not
+// pending (fired, cancelled, or the zero Timer). Callers that compare When
+// against the clock or another event time should treat Never as "no
+// deadline" — it is far earlier than any schedulable instant.
+func (k *Kernel) When(t Timer) time.Duration {
+	at, ok := k.q.When(eventq.Handle(t))
 	if !ok {
 		return Never
 	}
@@ -278,8 +256,7 @@ func (k *Kernel) AtHandler(at time.Duration, name string, h Handler, arg uint64)
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
-	hd := k.q.Push(at, event{name: name, h: h, arg: arg})
-	return Timer{k: k, h: hd}
+	return Timer(k.q.Push(at, event{name: name, h: h, arg: arg}))
 }
 
 // AfterHandler schedules h.HandleEvent(arg) d after the current virtual
@@ -316,8 +293,7 @@ func (k *Kernel) AtMark(m Mark, name string, h Handler, arg uint64) Timer {
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
-	hd := k.q.PushReserved(m.at, m.seq, event{name: name, h: h, arg: arg})
-	return Timer{k: k, h: hd}
+	return Timer(k.q.PushReserved(m.at, m.seq, event{name: name, h: h, arg: arg}))
 }
 
 // SetMarks installs fn as the kernel's source of reserved marks (nil removes

@@ -42,19 +42,24 @@ func TestRunUntilDoesNotRewindClock(t *testing.T) {
 	}
 }
 
+// TestRescheduleDuringCallback re-arms a pending timer from inside a
+// callback, as the BGP engine re-arms a reuse timer: cancel it, push its
+// replacement.
 func TestRescheduleDuringCallback(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	var b Timer
+	fireB := func() { order = append(order, "b") }
 	k.At(time.Second, "a", func() {
 		order = append(order, "a")
-		// Push b from 2s out to 5s.
-		if !b.Reschedule(5 * time.Second) {
-			t.Error("reschedule failed")
+		// Move b from 2s out to 5s.
+		if !k.Cancel(b) {
+			t.Error("re-arm found b not pending")
 		}
+		b = k.At(5*time.Second, "b", fireB)
 		k.At(3*time.Second, "c", func() { order = append(order, "c") })
 	})
-	b = k.At(2*time.Second, "b", func() { order = append(order, "b") })
+	b = k.At(2*time.Second, "b", fireB)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +75,7 @@ func TestCancelDuringCallback(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	var victim Timer
-	k.At(time.Second, "killer", func() { victim.Cancel() })
+	k.At(time.Second, "killer", func() { k.Cancel(victim) })
 	victim = k.At(2*time.Second, "victim", func() { fired = true })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -121,7 +126,7 @@ func TestPendingCount(t *testing.T) {
 	if k.Pending() != 5 {
 		t.Fatalf("Pending = %d", k.Pending())
 	}
-	timers[2].Cancel()
+	k.Cancel(timers[2])
 	if k.Pending() != 4 {
 		t.Fatalf("Pending after cancel = %d", k.Pending())
 	}
@@ -178,10 +183,10 @@ func TestHandlerTimerCancel(t *testing.T) {
 	k := NewKernel()
 	h := &countingHandler{k: k}
 	tm := k.AfterHandler(time.Second, "typed", h, 7)
-	if !tm.Active() {
-		t.Fatal("fresh handler timer not active")
+	if k.When(tm) == Never {
+		t.Fatal("fresh handler timer not pending")
 	}
-	if !tm.Cancel() {
+	if !k.Cancel(tm) {
 		t.Fatal("Cancel returned false")
 	}
 	if err := k.Run(); err != nil {
@@ -226,14 +231,18 @@ func TestHandlerScheduleDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestTimerWhenReflectsReschedule re-arms a timer (cancel, push the
+// replacement): When follows the replacement and reports the old handle as
+// not pending.
 func TestTimerWhenReflectsReschedule(t *testing.T) {
 	k := NewKernel()
 	tm := k.After(time.Second, "e", func() {})
-	if tm.When() != time.Second {
-		t.Fatalf("When = %v", tm.When())
+	if k.When(tm) != time.Second {
+		t.Fatalf("When = %v", k.When(tm))
 	}
-	tm.Reschedule(9 * time.Second)
-	if tm.When() != 9*time.Second {
-		t.Fatalf("When after reschedule = %v", tm.When())
+	k.Cancel(tm)
+	re := k.After(9*time.Second, "e", func() {})
+	if k.When(re) != 9*time.Second || k.When(tm) != Never {
+		t.Fatalf("When after re-arm = %v (old handle %v), want 9s (Never)", k.When(re), k.When(tm))
 	}
 }

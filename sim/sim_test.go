@@ -110,16 +110,16 @@ func TestTimerCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	timer := k.After(time.Second, "x", func() { fired = true })
-	if !timer.Active() {
-		t.Fatal("fresh timer not active")
+	if k.When(timer) == Never {
+		t.Fatal("fresh timer not pending")
 	}
-	if !timer.Cancel() {
+	if !k.Cancel(timer) {
 		t.Fatal("Cancel returned false")
 	}
-	if timer.Active() {
-		t.Fatal("cancelled timer still active")
+	if k.When(timer) != Never {
+		t.Fatal("cancelled timer still pending")
 	}
-	if timer.Cancel() {
+	if k.Cancel(timer) {
 		t.Fatal("second Cancel returned true")
 	}
 	if err := k.Run(); err != nil {
@@ -131,18 +131,17 @@ func TestTimerCancel(t *testing.T) {
 }
 
 func TestZeroTimerSafe(t *testing.T) {
+	k := NewKernel()
+	k.After(time.Second, "bystander", func() {})
 	var timer Timer
-	if timer.Active() {
-		t.Fatal("zero timer active")
-	}
-	if timer.Cancel() {
+	if k.Cancel(timer) {
 		t.Fatal("zero timer cancel returned true")
 	}
-	if timer.Reschedule(time.Second) {
-		t.Fatal("zero timer reschedule returned true")
+	if k.When(timer) != Never {
+		t.Fatalf("zero timer When = %v, want Never", k.When(timer))
 	}
-	if timer.When() != Never {
-		t.Fatalf("zero timer When = %v, want Never", timer.When())
+	if k.Pending() != 1 {
+		t.Fatal("cancelling the zero timer removed an event")
 	}
 }
 
@@ -152,73 +151,30 @@ func TestZeroTimerSafe(t *testing.T) {
 func TestTimerWhenSentinel(t *testing.T) {
 	k := NewKernel()
 	fired := k.After(time.Second, "fires", func() {})
-	if fired.When() != time.Second {
-		t.Fatalf("pending When = %v, want 1s", fired.When())
+	if k.When(fired) != time.Second {
+		t.Fatalf("pending When = %v, want 1s", k.When(fired))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fired.When(); got != Never {
+	if got := k.When(fired); got != Never {
 		t.Fatalf("fired timer When = %v, want Never", got)
 	}
 
 	cancelled := k.After(time.Second, "cancelled", func() {})
-	cancelled.Cancel()
-	if got := cancelled.When(); got != Never {
+	k.Cancel(cancelled)
+	if got := k.When(cancelled); got != Never {
 		t.Fatalf("cancelled timer When = %v, want Never", got)
 	}
 
 	// Reuse the freed slot: the stale handle must keep reporting Never, not
 	// the new occupant's time.
 	replacement := k.After(5*time.Second, "replacement", func() {})
-	if got := cancelled.When(); got != Never {
+	if got := k.When(cancelled); got != Never {
 		t.Fatalf("stale timer When after slot reuse = %v, want Never", got)
 	}
-	if replacement.When() != k.Now()+5*time.Second {
-		t.Fatalf("replacement When = %v", replacement.When())
-	}
-}
-
-func TestTimerReschedule(t *testing.T) {
-	k := NewKernel()
-	var at time.Duration
-	timer := k.After(time.Second, "x", func() { at = k.Now() })
-	if !timer.Reschedule(7 * time.Second) {
-		t.Fatal("Reschedule returned false")
-	}
-	if timer.When() != 7*time.Second {
-		t.Fatalf("When = %v, want 7s", timer.When())
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 7*time.Second {
-		t.Fatalf("fired at %v, want 7s", at)
-	}
-}
-
-func TestTimerRescheduleIntoPastPanics(t *testing.T) {
-	k := NewKernel()
-	timer := k.After(30*time.Second, "victim", func() {})
-	k.After(10*time.Second, "attacker", func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("reschedule into the past did not panic")
-			}
-		}()
-		timer.Reschedule(time.Second)
-	})
-	_ = k.Run()
-}
-
-func TestTimerFiredCannotReschedule(t *testing.T) {
-	k := NewKernel()
-	timer := k.After(time.Second, "x", func() {})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if timer.Reschedule(10 * time.Second) {
-		t.Fatal("Reschedule of fired timer returned true")
+	if k.Cancel(cancelled) || k.When(replacement) != k.Now()+5*time.Second {
+		t.Fatalf("stale Cancel touched the replacement: When = %v", k.When(replacement))
 	}
 }
 
