@@ -25,16 +25,17 @@ package bgp
 // kernel; MRAI interval ends are sim.Marks, plain values that mean the same
 // there too.
 //
-// Pending events cross a fork whoever scheduled them, as long as their handler
-// can be rebound: the network's own handlers are, and so is any foreign one
-// that implements HandlerForker (package faults' fault plans do). Observation
-// hooks deliberately do not cross: forks start unobserved, since measurement
-// apparatus is per-run, not simulation state.
+// Pending events cross a fork whoever scheduled them, as long as their kind's
+// handler can be rebound: the network's own handlers are, and so is any
+// foreign one that implements HandlerForker (package faults' fault plans do).
+// The queued events themselves hold only a kind and an arg, so the queue is
+// copied as it is and the rebinding is one pass over a handful of kinds.
+// Observation hooks deliberately do not cross: forks start unobserved, since
+// measurement apparatus is per-run, not simulation state.
 
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"rfd/rcn"
 	"rfd/sim"
@@ -51,10 +52,12 @@ type ImpairmentForker interface {
 
 // HandlerForker is implemented by sim.Handler values outside this package
 // that schedule events against a network (package faults' fault plans do).
-// When such an event is pending at a fork, ForkHandler returns the handler
-// that acts on the forked network f instead, and every pending event of the
-// original handler is rebound to it. A pending event whose handler neither
-// belongs to the network nor implements this cannot be forked.
+// When the kernel has an event kind of such a handler at a fork, ForkHandler
+// returns the handler that acts on the forked network f instead, and every
+// kind of the original handler — with every event of those kinds — is
+// rebound to it: it is called once per handler, however many kinds name it.
+// A kind whose handler neither belongs to the network nor implements this
+// cannot be forked, even once its events have fired.
 type HandlerForker interface {
 	ForkHandler(f *Network) sim.Handler
 }
@@ -69,12 +72,9 @@ type Snapshot struct {
 	parked *Network
 }
 
-// Now returns the virtual time the snapshot was taken at.
-func (s *Snapshot) Now() time.Duration { return s.parked.kernel.Now() }
-
 // Snapshot captures the network and its kernel at the current instant. The
 // network is unaffected and may continue running. It returns an error when
-// the state cannot be forked: a pending event whose handler cannot be rebound
+// the state cannot be forked: an event kind whose handler cannot be rebound
 // (see HandlerForker) or an installed impairment model that does not
 // implement ImpairmentForker.
 func (n *Network) Snapshot() (*Snapshot, error) {
@@ -184,10 +184,9 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 			}
 		}
 	}
-	// The cloned queue's pending events still point at the original's handler
-	// values; rebind them to the fork's. A foreign handler is forked on first
-	// sight and remembered, so all its events share one copy.
-	var foreign map[sim.Handler]sim.Handler
+	// The forked kernel's event kinds still name the original's handler
+	// values; rebind them to the fork's. RemapHandlers asks once per handler,
+	// so a foreign handler's kinds all share one copy.
 	if err := k2.RemapHandlers(func(h sim.Handler) sim.Handler {
 		switch h {
 		case &n.deliverH:
@@ -197,17 +196,10 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		case &n.reuseH:
 			return &f.reuseH
 		}
-		to, ok := foreign[h]
-		if !ok {
-			if forker, isForker := h.(HandlerForker); isForker {
-				to = forker.ForkHandler(f)
-				if foreign == nil {
-					foreign = make(map[sim.Handler]sim.Handler, 1)
-				}
-				foreign[h] = to
-			}
+		if forker, ok := h.(HandlerForker); ok {
+			return forker.ForkHandler(f)
 		}
-		return to
+		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("bgp: fork: %w", err)
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rfd/bgp"
 	"rfd/damping"
+	"rfd/faults"
 	"rfd/sim"
 	"rfd/topology"
 )
@@ -133,14 +135,78 @@ func TestSnapshotForksAreIndependent(t *testing.T) {
 	}
 }
 
-// TestForkRejectsPendingClosure: a closure's handler is neither the network's
-// nor a HandlerForker, so a fork taken while one is pending must fail, naming
-// the event, rather than leave it mutating the original.
-func TestForkRejectsPendingClosure(t *testing.T) {
+// stray is a handler that neither belongs to a network nor implements
+// bgp.HandlerForker.
+type stray struct{}
+
+func (stray) HandleEvent(uint64) {}
+
+// TestForkRejectsUnforkableHandler: a stray handler cannot be rebound, so a
+// fork taken while the kernel has an event kind of it must fail, naming the
+// kind, rather than leave its events mutating the original.
+func TestForkRejectsUnforkableHandler(t *testing.T) {
 	k, n, _, _ := convergedMesh(t)
-	k.After(time.Second, "closure", func() {})
-	if _, _, err := n.Fork(); err == nil || !strings.Contains(err.Error(), "closure") {
-		t.Fatalf("Fork error = %v, want one naming the pending closure event", err)
+	k.AtHandler(k.Now()+time.Second, "test.stray", stray{}, 0)
+	if _, _, err := n.Fork(); err == nil || !strings.Contains(err.Error(), "test.stray") {
+		t.Fatalf("Fork error = %v, want one naming the stray event kind", err)
+	}
+}
+
+// TestConcurrentForksApplyOwnFaultPlans: each fork of a parked snapshot
+// gets its own copy of the kernel's event kinds, so two goroutines that fork
+// it at once and each apply a different fault plan see only their own plan
+// fire, and a later fork of the snapshot sees neither.
+func TestConcurrentForksApplyOwnFaultPlans(t *testing.T) {
+	_, n, _, _ := convergedMesh(t)
+	snap, err := n.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victims := []bgp.RouterID{3, 5}
+	nets := make([]*bgp.Network, len(victims))
+	errs := make([]error, len(victims))
+	var wg sync.WaitGroup
+	for i, victim := range victims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k, f, err := snap.Fork()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			plan := faults.NewPlan(faults.Event{At: time.Second, Kind: faults.KindRouterCrash, Router: victim})
+			if err := plan.Apply(f, k.Now(), nil); err != nil {
+				errs[i] = err
+				return
+			}
+			nets[i], errs[i] = f, k.Run()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("fork %d: %v", i, err)
+		}
+	}
+	for i, f := range nets {
+		for j, victim := range victims {
+			if up := f.RouterUp(victim); up == (i == j) {
+				t.Errorf("fork %d: router %d up = %t, want %t", i, victim, up, i != j)
+			}
+		}
+	}
+	k, f, err := snap.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, victim := range victims {
+		if !f.RouterUp(victim) {
+			t.Errorf("a later fork of the snapshot crashed router %d", victim)
+		}
 	}
 }
 

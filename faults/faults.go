@@ -240,9 +240,12 @@ func linkExists(n *bgp.Network, a, b bgp.RouterID) bool {
 // network (bgp.Network.SetImpairment) for the windows to take effect. Apply
 // is all-or-nothing: a plan it refuses leaves the kernel and imp untouched.
 //
-// The scheduled faults are typed events of one handler bound to n, so they
-// are simulation state like any timer: a fork of the network taken while
-// some are pending carries them, rebound to the fork (bgp.HandlerForker).
+// The scheduled faults are typed events of one handler bound to n, under
+// one kernel event kind per fault name (at most five), so they are
+// simulation state like any timer: a fork of the network carries the pending
+// ones, and rebinding those kinds forks the handler once (bgp.HandlerForker).
+// The kinds outlive the plan's last event, so every later fork of the network
+// forks the handler too.
 //
 // On the sharded engine, apply the plan to every shard network at the same
 // epoch (with that shard's own impairment model): each shard's kernel then

@@ -35,6 +35,24 @@ func buildNet(t testing.TB, seed uint64, opts ...sim.Option) (*sim.Kernel, *bgp.
 	return k, n
 }
 
+// funcs schedules closures on one kernel for tests. It is a single
+// sim.Handler whose arg indexes the closure to run, so the closures scheduled
+// through it under one name share one event kind.
+type funcs struct {
+	k   *sim.Kernel
+	fns []func()
+}
+
+func newFuncs(k *sim.Kernel) *funcs { return &funcs{k: k} }
+
+func (f *funcs) HandleEvent(arg uint64) { f.fns[arg]() }
+
+// At schedules fn at absolute virtual time at.
+func (f *funcs) At(at time.Duration, name string, fn func()) sim.Timer {
+	f.fns = append(f.fns, fn)
+	return f.k.AtHandler(at, name, f, uint64(len(f.fns)-1))
+}
+
 // gauntletPlan is the fault mix of the determinism test: a link flap, a
 // session reset, a router crash/restart, and a burst-loss window.
 func gauntletPlan() *Plan {
@@ -52,6 +70,7 @@ func gauntletPlan() *Plan {
 func runGauntlet(t testing.TB, seed uint64) (trace string, delivered, dropped uint64, rep *Report) {
 	t.Helper()
 	k, n := buildNet(t, seed)
+	fs := newFuncs(k)
 	var sb strings.Builder
 	k.SetTrace(func(at time.Duration, name string) {
 		fmt.Fprintf(&sb, "%d %s\n", at, name)
@@ -73,8 +92,8 @@ func runGauntlet(t testing.TB, seed uint64) (trace string, delivered, dropped ui
 	}
 	// One origination flap rides on top of the faults.
 	epoch := k.Now()
-	k.At(epoch+20*time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
-	k.At(epoch+40*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
+	fs.At(epoch+20*time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
+	fs.At(epoch+40*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
 
 	rep = Watch(context.Background(), n)
 	return sb.String(), n.Delivered(), n.Dropped(), rep

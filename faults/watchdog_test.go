@@ -14,6 +14,7 @@ import (
 
 func TestWatchdogConverges(t *testing.T) {
 	k, n := buildNet(t, 3)
+	fs := newFuncs(k)
 	n.Router(0).Originate(testPrefix)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -22,9 +23,9 @@ func TestWatchdogConverges(t *testing.T) {
 	// settles the watchdog sees a quiescent episode long before the no-op,
 	// so a mid-run consistency check fires in addition to the final one.
 	epoch := k.Now()
-	k.At(epoch+time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
-	k.At(epoch+2*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
-	k.At(epoch+time.Hour, "test.noop", func() {})
+	fs.At(epoch+time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
+	fs.At(epoch+2*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
+	fs.At(epoch+time.Hour, "test.noop", func() {})
 
 	rep := Watch(context.Background(), n)
 	if rep.Outcome != Converged || rep.Err != nil {
@@ -54,13 +55,14 @@ func TestWatchdogLivelock(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, n = buildNet(t, 3, sim.WithMaxEvents(k.Executed()+budget))
+	fs := newFuncs(k)
 	n.Router(0).Originate(testPrefix)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// A self-rearming event never lets the queue drain.
 	var rearm func()
-	rearm = func() { k.At(k.Now()+time.Second, "test.rearm", rearm) }
+	rearm = func() { fs.At(k.Now()+time.Second, "test.rearm", rearm) }
 	rearm()
 
 	rep := Watch(context.Background(), n)
@@ -93,6 +95,7 @@ func TestWatchdogLivelock(t *testing.T) {
 
 func TestWatchdogDiverges(t *testing.T) {
 	k, n := buildNet(t, 3)
+	fs := newFuncs(k)
 	n.Router(0).Originate(testPrefix)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -106,7 +109,7 @@ func TestWatchdogDiverges(t *testing.T) {
 	}
 	n.SetImpairment(imp)
 	epoch := k.Now()
-	k.At(epoch+time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
+	fs.At(epoch+time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
 
 	rep := Watch(context.Background(), n)
 	if rep.Outcome != Diverged {
@@ -128,6 +131,7 @@ func TestWatchdogDiverges(t *testing.T) {
 
 func TestWatchdogRestoresTrace(t *testing.T) {
 	k, n := buildNet(t, 3)
+	fs := newFuncs(k)
 	n.Router(0).Originate(testPrefix)
 	calls := 0
 	k.SetTrace(func(time.Duration, string) { calls++ })
@@ -137,7 +141,7 @@ func TestWatchdogRestoresTrace(t *testing.T) {
 	}
 	// The observer installed before Watch must be back afterwards.
 	before := calls
-	k.At(k.Now()+time.Second, "test.noop", func() {})
+	fs.At(k.Now()+time.Second, "test.noop", func() {})
 	k.Step()
 	if calls != before+1 {
 		t.Fatalf("trace observer not restored after Watch (calls %d, want %d)", calls, before+1)
@@ -168,12 +172,13 @@ func TestWatchdogRestoresAfterEvent(t *testing.T) {
 func rearmNet(t *testing.T) (*bgp.Network, func()) {
 	t.Helper()
 	k, n := buildNet(t, 3)
+	fs := newFuncs(k)
 	n.Router(0).Originate(testPrefix)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var rearm func()
-	rearm = func() { k.At(k.Now()+time.Millisecond, "test.rearm", rearm) }
+	rearm = func() { fs.At(k.Now()+time.Millisecond, "test.rearm", rearm) }
 	return n, rearm
 }
 
@@ -223,13 +228,14 @@ func TestWatchdogAbortsOnDeadline(t *testing.T) {
 // nothing about a healthy run.
 func TestWatchContextUncancelledMatchesWatch(t *testing.T) {
 	k, n := buildNet(t, 3)
+	fs := newFuncs(k)
 	n.Router(0).Originate(testPrefix)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	epoch := k.Now()
-	k.At(epoch+time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
-	k.At(epoch+2*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
+	fs.At(epoch+time.Second, "test.flapdown", func() { n.Router(0).StopOriginating(testPrefix) })
+	fs.At(epoch+2*time.Second, "test.flapup", func() { n.Router(0).Originate(testPrefix) })
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	rep := Watch(ctx, n)

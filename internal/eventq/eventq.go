@@ -183,9 +183,9 @@ func (q *Queue[P]) When(h Handle) (time.Duration, bool) {
 // and — because slot indices, generations and sequence numbers are preserved
 // exactly — a Handle obtained from the original resolves to the corresponding
 // entry in the clone, and a number reserved from the original may be pushed
-// on the clone. Payloads are copied by assignment; payloads containing
-// pointers share referents with the original, which the caller must remap if
-// the referents are themselves copied (see sim.Kernel.RemapHandlers).
+// on the clone. Payloads are copied by assignment, so payloads containing
+// pointers share referents with the original; the kernel's payloads hold
+// none, which makes its clone a plain copy.
 func (q *Queue[P]) Clone() *Queue[P] {
 	c := &Queue[P]{seq: q.seq}
 	if q.slots != nil {
@@ -198,15 +198,6 @@ func (q *Queue[P]) Clone() *Queue[P] {
 		c.free = append(make([]int32, 0, len(q.free)), q.free...)
 	}
 	return c
-}
-
-// ForEach calls f for every pending entry, passing a pointer to its payload
-// so f may mutate it in place. Iteration order is heap order, not fire order;
-// f must not add or remove entries.
-func (q *Queue[P]) ForEach(f func(at time.Duration, payload *P)) {
-	for _, c := range q.heap {
-		f(c.time, &q.slots[c.slot].payload)
-	}
 }
 
 // lookup resolves a handle to its live slot, nil when stale or invalid.

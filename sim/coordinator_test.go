@@ -14,8 +14,9 @@ func TestShardGroupSoloEpochsStartNoWorker(t *testing.T) {
 	const L = 10 * time.Millisecond
 	ks := []*Kernel{NewKernel(), NewKernel(), NewKernel()}
 	fired := 0
+	fs := newFuncs(ks[1])
 	for i := 0; i < 20; i++ {
-		ks[1].At(time.Duration(i)*3*L, "lonely", func() { fired++ })
+		fs.At(time.Duration(i)*3*L, "lonely", func() { fired++ })
 	}
 	before := runtime.NumGoroutine()
 	g, err := NewShardGroup(L, ks, nil)
@@ -55,8 +56,9 @@ func TestShardGroupLowestFailingShardWins(t *testing.T) {
 		ks := make([]*Kernel, len(limits))
 		for s, limit := range limits {
 			ks[s] = NewKernel(WithMaxEvents(limit))
+			fs := newFuncs(ks[s])
 			for i := 0; i < 20; i++ {
-				ks[s].At(time.Duration(i)*time.Microsecond, "burst", func() {})
+				fs.At(time.Duration(i)*time.Microsecond, "burst", func() {})
 			}
 		}
 		g, err := NewShardGroup(L, ks, nil)

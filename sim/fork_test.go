@@ -18,7 +18,7 @@ func (r *recorder) HandleEvent(arg uint64) {
 	r.lines = append(r.lines, fmt.Sprintf("%d %d %d", r.k.now, arg, r.k.rng.Uint64()))
 	if r.chain > 0 {
 		r.chain--
-		r.k.AfterHandler(time.Duration(1+r.k.rng.Uint64()%1000), "chain", r, arg+1)
+		r.k.AtHandler(r.k.Now()+time.Duration(1+r.k.rng.Uint64()%1000), "chain", r, arg+1)
 	}
 }
 

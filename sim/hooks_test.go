@@ -7,13 +7,18 @@ import (
 	"rfd/sim"
 )
 
+// nop is a Handler whose events do nothing.
+type nop struct{}
+
+func (nop) HandleEvent(uint64) {}
+
 func TestNextEventTime(t *testing.T) {
 	k := sim.NewKernel()
 	if _, ok := k.NextEventTime(); ok {
 		t.Fatal("empty kernel reports a next event")
 	}
-	k.At(5*time.Second, "b", func() {})
-	k.At(2*time.Second, "a", func() {})
+	k.AtHandler(5*time.Second, "b", nop{}, 0)
+	k.AtHandler(2*time.Second, "a", nop{}, 0)
 	if at, ok := k.NextEventTime(); !ok || at != 2*time.Second {
 		t.Fatalf("NextEventTime = %v, %v; want 2s, true", at, ok)
 	}
@@ -41,7 +46,7 @@ func TestTraceGetter(t *testing.T) {
 	// The returned observer is the live one: calling it and firing an event
 	// hit the same counter.
 	k.Trace()(0, "manual")
-	k.At(time.Second, "e", func() {})
+	k.AtHandler(time.Second, "e", nop{}, 0)
 	k.Run()
 	if calls != 2 {
 		t.Fatalf("calls = %d, want 2", calls)

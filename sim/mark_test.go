@@ -155,8 +155,9 @@ func TestMarksFireWhereEagerEventsWould(t *testing.T) {
 
 func TestMarkAheadAtRunUntil(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	early := k.Reserve(5 * time.Second)
-	k.At(5*time.Second, "e", func() {})
+	fs.At(5*time.Second, "e", func() {})
 	atH := k.Reserve(10 * time.Second)
 	late := k.Reserve(10*time.Second + 1)
 	if !k.Ahead(early) || !k.Ahead(atH) || !k.Ahead(late) {
@@ -184,8 +185,9 @@ func TestMarkAheadAtRunUntil(t *testing.T) {
 
 func TestMarkAheadAtRunBefore(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	before := k.Reserve(5 * time.Second)
-	k.At(5*time.Second, "e", func() {})
+	fs.At(5*time.Second, "e", func() {})
 	after := k.Reserve(5 * time.Second) // reserved after the event: fires after it
 	atH := k.Reserve(10 * time.Second)
 	if err := k.RunBefore(10 * time.Second); err != nil {
@@ -207,8 +209,9 @@ func TestMarkAheadAtRunBefore(t *testing.T) {
 
 func TestMarkAheadAtAdvanceTo(t *testing.T) {
 	k := NewKernel()
-	m := k.Reserve(10 * time.Second)    // low sequence number
-	k.At(5*time.Second, "e", func() {}) // higher one, fires first
+	fs := newFuncs(k)
+	m := k.Reserve(10 * time.Second)     // low sequence number
+	fs.At(5*time.Second, "e", func() {}) // higher one, fires first
 	if err := k.RunBefore(6 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,7 @@ func TestMarkAheadAtAdvanceTo(t *testing.T) {
 		t.Fatal("AdvanceTo(at) passed a mark at exactly at")
 	}
 	fired := false
-	k.AtMark(m, "m", wrap(func() { fired = true }), 0)
+	fs.AtMark(m, "m", func() { fired = true })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +231,7 @@ func TestMarkAheadAtAdvanceTo(t *testing.T) {
 
 func TestAtMarkPanicsOnPassedMark(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	m := k.Reserve(time.Second)
 	if err := k.RunUntil(time.Second); err != nil {
 		t.Fatal(err)
@@ -237,7 +241,7 @@ func TestAtMarkPanicsOnPassedMark(t *testing.T) {
 			t.Fatal("AtMark on a passed mark did not panic")
 		}
 	}()
-	k.AtMark(m, "late", wrap(func() {}), 0)
+	fs.AtMark(m, "late", func() {})
 }
 
 // liveMarks is a mark source over a set a test edits.
@@ -268,9 +272,10 @@ func TestDrainSettlesAtLatestLiveMark(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := NewKernel()
+			fs := newFuncs(k)
 			marks := liveMarks{}
 			k.SetMarks(marks.latest)
-			k.At(5*time.Second, "e", func() {
+			fs.At(5*time.Second, "e", func() {
 				marks["a"] = k.Reserve(k.Now() + 30*time.Second)
 				marks["b"] = k.Reserve(k.Now() + 20*time.Second)
 				marks["cancelled"] = k.Reserve(k.Now() + 60*time.Second)
@@ -294,16 +299,17 @@ func TestDrainSettlesAtLatestLiveMark(t *testing.T) {
 
 func TestSettleIgnoresPassedAndCancelledMarks(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	marks := liveMarks{}
 	k.SetMarks(marks.latest)
 	marks["passed"] = k.Reserve(10 * time.Second)
 	if err := k.RunUntil(40 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	k.At(50*time.Second, "e", func() {
+	fs.At(50*time.Second, "e", func() {
 		marks["cancelled"] = k.Reserve(k.Now() + 30*time.Second)
 	})
-	k.At(60*time.Second, "cancel", func() { delete(marks, "cancelled") })
+	fs.At(60*time.Second, "cancel", func() { delete(marks, "cancelled") })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,9 +327,10 @@ func TestShardGroupRunSettlesEachShard(t *testing.T) {
 	m0, m1 := liveMarks{}, liveMarks{}
 	k0.SetMarks(m0.latest)
 	k1.SetMarks(m1.latest)
-	k0.At(time.Second, "e0", func() { m0["x"] = k0.Reserve(k0.Now() + 30*time.Second) })
-	k1.At(2*time.Second, "e1", func() { m1["x"] = k1.Reserve(k1.Now() + 10*time.Second) })
-	k1.At(3*time.Second, "e1", func() {
+	fs0, fs1 := newFuncs(k0), newFuncs(k1)
+	fs0.At(time.Second, "e0", func() { m0["x"] = k0.Reserve(k0.Now() + 30*time.Second) })
+	fs1.At(2*time.Second, "e1", func() { m1["x"] = k1.Reserve(k1.Now() + 10*time.Second) })
+	fs1.At(3*time.Second, "e1", func() {
 		m1["y"] = k1.Reserve(k1.Now() + 50*time.Second)
 		delete(m1, "y")
 	})
@@ -346,7 +353,7 @@ func TestShardGroupRunSettlesEachShard(t *testing.T) {
 func TestShardGroupRunUntilPassesMarks(t *testing.T) {
 	k0, k1 := NewKernel(), NewKernel()
 	a := k0.Reserve(10 * time.Second)
-	k1.At(10*time.Second, "e", func() {})
+	newFuncs(k1).At(10*time.Second, "e", func() {})
 	b := k1.Reserve(10 * time.Second) // after the event at the same instant
 	c := k1.Reserve(11 * time.Second)
 	g, err := NewShardGroup(time.Millisecond, []*Kernel{k0, k1}, nil)
@@ -367,12 +374,13 @@ func TestShardGroupRunUntilPassesMarks(t *testing.T) {
 
 func TestForkPreservesMarks(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	var order []string
-	rec := func(name string) Handler { return wrap(func() { order = append(order, name) }) }
+	rec := func(name string) func() { return func() { order = append(order, name) } }
 	m := k.Reserve(10 * time.Second)
-	k.AtHandler(10*time.Second, "after", rec("after"), 0) // later sequence number, same instant
-	passed := k.Reserve(6 * time.Second)                  // passed by e, which fires at its instant
-	k.AtHandler(6*time.Second, "e", rec("e"), 0)
+	fs.At(10*time.Second, "after", rec("after")) // later sequence number, same instant
+	passed := k.Reserve(6 * time.Second)         // passed by e, which fires at its instant
+	fs.At(6*time.Second, "e", rec("e"))
 	if err := k.RunBefore(7 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +393,7 @@ func TestForkPreservesMarks(t *testing.T) {
 	if err := f.RemapHandlers(func(h Handler) Handler { return h }); err != nil {
 		t.Fatal(err)
 	}
-	f.AtMark(m, "mark", rec("mark"), 0)
+	f.AtMark(m, "mark", fs, fs.add(rec("mark")))
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}

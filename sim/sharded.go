@@ -178,16 +178,6 @@ func (g *ShardGroup) AdvanceTo(at time.Duration) {
 	}
 }
 
-// Pending returns the total number of events pending across shards (outbox
-// contents not included).
-func (g *ShardGroup) Pending() int {
-	total := 0
-	for _, k := range g.kernels {
-		total += k.Pending()
-	}
-	return total
-}
-
 // start spins up the worker pool: one goroutine per shard after the first.
 func (g *ShardGroup) start() {
 	if g.started {

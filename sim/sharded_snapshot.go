@@ -18,8 +18,8 @@ import "time"
 // cumulative stats; worker goroutines are not copied — the fork spins up its
 // own pool lazily on first use. The caller supplies the exchanger (already
 // routing to the components the forked kernels will run) and must rebind
-// pending handler events per kernel with Kernel.RemapHandlers — the same
-// contract as Kernel.Fork. The original group is untouched and its worker
+// each kernel's event kinds with Kernel.RemapHandlers — the same contract as
+// Kernel.Fork. The original group is untouched and its worker
 // pool, if started, keeps running. Safe to call concurrently on the same
 // parked receiver — forking only reads.
 func (g *ShardGroup) Fork(ex Exchanger) (*ShardGroup, error) {

@@ -44,8 +44,8 @@ type hmsg struct {
 }
 
 // handlerExchanger buffers cross-shard messages and injects them as typed
-// handler events at the barrier, so a fork's pending injections survive
-// RemapHandlers like every other queued event.
+// handler events at the barrier, so a fork's pending injections are rebound
+// by RemapHandlers with their kind like every other queued event.
 type handlerExchanger struct {
 	mu      sync.Mutex
 	w       *tickWorld
@@ -99,7 +99,7 @@ func newTickWorld(t *testing.T, rounds uint64) *tickWorld {
 
 // adopt wires a freshly forked group into a new
 // world: fork-local exchanger with the parent's un-flushed messages copied
-// over, and every pending handler event remapped onto the new world's shards.
+// over, and every event kind remapped onto the new world's shards.
 func adopt(t *testing.T, g *ShardGroup, parent *tickWorld) *tickWorld {
 	t.Helper()
 	f := &tickWorld{g: g, kernels: g.Kernels()}

@@ -36,8 +36,9 @@ func TestRunBoundarySemantics(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := NewKernel()
+			fs := newFuncs(k)
 			fired := false
-			k.At(tc.eventAt, "boundary", func() { fired = true })
+			fs.At(tc.eventAt, "boundary", func() { fired = true })
 			if err := tc.run(k); err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -60,12 +61,13 @@ func TestRunBoundarySemantics(t *testing.T) {
 func TestRunBeforeAllowsSchedulingAtHorizon(t *testing.T) {
 	const h = 50 * time.Millisecond
 	k := NewKernel()
-	k.At(h-time.Millisecond, "early", func() {})
+	fs := newFuncs(k)
+	fs.At(h-time.Millisecond, "early", func() {})
 	if err := k.RunBefore(h); err != nil {
 		t.Fatal(err)
 	}
 	fired := false
-	k.At(h, "injected", func() { fired = true }) // must not panic
+	fs.At(h, "injected", func() { fired = true }) // must not panic
 	if err := k.RunUntil(h); err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +78,7 @@ func TestRunBeforeAllowsSchedulingAtHorizon(t *testing.T) {
 
 func TestAdvanceTo(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	k.AdvanceTo(10 * time.Millisecond)
 	if got := k.Now(); got != 10*time.Millisecond {
 		t.Fatalf("now = %v, want 10ms", got)
@@ -86,7 +89,7 @@ func TestAdvanceTo(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		k.At(15*time.Millisecond, "pending", func() {})
+		fs.At(15*time.Millisecond, "pending", func() {})
 		k.AdvanceTo(20 * time.Millisecond)
 	})
 	t.Run("panics going backwards", func(t *testing.T) {
@@ -103,7 +106,7 @@ func TestAdvanceTo(t *testing.T) {
 // one shard are buffered and injected as events on the other at Flush.
 type chanExchanger struct {
 	mu      sync.Mutex
-	kernels []*Kernel
+	shards  []*funcs // one per kernel
 	pending []injected
 }
 
@@ -124,7 +127,7 @@ func (e *chanExchanger) Flush() int {
 	defer e.mu.Unlock()
 	n := len(e.pending)
 	for _, m := range e.pending {
-		e.kernels[m.shard].At(m.at, "injected", m.fn)
+		e.shards[m.shard].At(m.at, "injected", m.fn)
 	}
 	e.pending = e.pending[:0]
 	return n
@@ -151,7 +154,7 @@ func pingPong(t *testing.T, rounds int) (*ShardGroup, *[]time.Duration) {
 	const L = 10 * time.Millisecond
 	k0, k1 := NewKernel(), NewKernel()
 	ks := []*Kernel{k0, k1}
-	ex := &chanExchanger{kernels: ks}
+	ex := &chanExchanger{shards: []*funcs{newFuncs(k0), newFuncs(k1)}}
 	log := &[]time.Duration{}
 	var bounce func(shard, hops int) func()
 	bounce = func(shard, hops int) func() {
@@ -164,7 +167,7 @@ func pingPong(t *testing.T, rounds int) (*ShardGroup, *[]time.Duration) {
 			ex.send(ks[shard].Now()+L, next, bounce(next, hops-1))
 		}
 	}
-	k0.At(0, "start", bounce(0, rounds))
+	ex.shards[0].At(0, "start", bounce(0, rounds))
 	g, err := NewShardGroup(L, ks, ex)
 	if err != nil {
 		t.Fatal(err)
@@ -271,10 +274,11 @@ func TestShardGroupParallelismOnIndependentShards(t *testing.T) {
 	// Two shards with identical independent workloads: every epoch runs both
 	// in parallel, so the critical path is half the total.
 	k0, k1 := NewKernel(), NewKernel()
+	fs0, fs1 := newFuncs(k0), newFuncs(k1)
 	for i := 0; i < 10; i++ {
 		at := time.Duration(i) * time.Millisecond
-		k0.At(at, "w0", func() {})
-		k1.At(at, "w1", func() {})
+		fs0.At(at, "w0", func() {})
+		fs1.At(at, "w1", func() {})
 	}
 	g, err := NewShardGroup(100*time.Millisecond, []*Kernel{k0, k1}, nil)
 	if err != nil {

@@ -9,14 +9,15 @@
 // exactly reproducible. (Parallelism lives a level up — independent runs of a
 // parameter sweep execute on separate kernels in separate goroutines.)
 //
-// Every event is a typed one: AtHandler/AfterHandler take a Handler plus a
+// Every event is a typed one: AtHandler and AtMark take a Handler plus a
 // packed uint64 argument and allocate nothing in steady state — the event
 // queue is slab-backed, the Timer handle is a value, and no closure is
-// created. The BGP engine's hot path (deliver, MRAI, damping reuse) and fault
-// plans alike schedule this way, which is what lets Fork copy any pending
-// schedule: RemapHandlers rebinds each event to the forked component. At and
-// After wrap a closure in a handler of their own for tests and examples; a
-// fork cannot rebind such an event to anything.
+// created. A queued event is only (kind, arg): the kernel keeps a small table
+// of kinds, one per (name, Handler) pair ever scheduled, and finds a pair
+// there with ==, so a Handler's dynamic type must be comparable. The BGP
+// engine's hot path (deliver, MRAI, damping reuse) and fault plans alike
+// schedule this way, which is what lets Fork copy any pending schedule:
+// RemapHandlers rebinds each kind, not each event, to the forked component.
 //
 // A component may also hold a place in the event order without occupying the
 // queue: Reserve returns a Mark (an instant plus the sequence number an event
@@ -66,11 +67,12 @@ const DefaultMaxEvents = 200_000_000
 // can occupy (the kernel's clock never goes negative).
 const Never = time.Duration(-1 << 62)
 
-// Handler receives typed events scheduled with AtHandler/AfterHandler. The
+// Handler receives typed events scheduled with AtHandler or AtMark. The
 // packed arg is whatever the scheduler passed — typically an index into the
 // component's own state (a slab slot, or bit-packed peer/prefix ids).
 // Implementations live in the scheduling component; taking the interface of
-// a field pointer (&r.someHandler) avoids any per-schedule allocation.
+// a field pointer (&r.someHandler) avoids any per-schedule allocation. The
+// dynamic type must be comparable: the kernel finds an event's kind with ==.
 type Handler interface {
 	HandleEvent(arg uint64)
 }
@@ -119,12 +121,18 @@ func (m Mark) After(o Mark) bool {
 	return m.at > o.at || m.at == o.at && m.seq > o.seq
 }
 
-// event is what the queue stores: a typed handler/arg pair. The name is used
-// only for tracing and diagnostics.
+// event is what the queue stores: an index into the kernel's kinds and the
+// packed arg. It holds no pointer, so the queue's slab is never scanned.
 type event struct {
+	kind uint32
+	arg  uint64
+}
+
+// eventKind is what an event's kind names: the handler it fires and the name
+// traces and diagnostics see.
+type eventKind struct {
 	name string
 	h    Handler
-	arg  uint64
 }
 
 // TraceFunc observes every event as it fires; see Kernel.SetTrace.
@@ -133,8 +141,9 @@ type TraceFunc func(at time.Duration, name string)
 // Kernel is a deterministic discrete-event scheduler. Construct with
 // NewKernel; a Kernel must not be shared between goroutines.
 type Kernel struct {
-	q   eventq.Queue[event]
-	now time.Duration
+	q     eventq.Queue[event]
+	kinds []eventKind
+	now   time.Duration
 	// last is the sequence number of the last event fired at now (0 when
 	// none has): (now, last) is the kernel's position in the event order,
 	// which Ahead compares marks against.
@@ -222,47 +231,30 @@ func (k *Kernel) checkSchedule(at time.Duration, name string) {
 	}
 }
 
-// closure is the Handler At and After wrap a callback in.
-type closure struct{ fn func() }
-
-func (c *closure) HandleEvent(uint64) { c.fn() }
-
-func wrap(fn func()) Handler {
-	if fn == nil {
-		panic("sim: schedule with nil callback")
-	}
-	return &closure{fn}
-}
-
-// At schedules fn at absolute virtual time at, as AtHandler would a handler
-// that calls fn. It allocates, and a fork cannot rebind the event, so it is
-// for tests and examples only.
-func (k *Kernel) At(at time.Duration, name string, fn func()) Timer {
-	return k.AtHandler(at, name, wrap(fn), 0)
-}
-
-// After schedules fn d after the current virtual time. Negative d panics.
-func (k *Kernel) After(d time.Duration, name string, fn func()) Timer {
-	return k.AfterHandler(d, name, wrap(fn), 0)
-}
-
 // AtHandler schedules h.HandleEvent(arg) at absolute virtual time at. It is
 // the allocation-free scheduling path: no closure is created and the queue
 // entry lives in a pooled slab. Scheduling in the past panics: it would break
-// the causal order every experiment relies on. The name is used only for
-// tracing and diagnostics.
+// the causal order every experiment relies on. The name is what traces and
+// diagnostics see; with h, it selects the event's kind.
 func (k *Kernel) AtHandler(at time.Duration, name string, h Handler, arg uint64) Timer {
 	k.checkSchedule(at, name)
+	return Timer(k.q.Push(at, event{kind: k.kindOf(name, h), arg: arg}))
+}
+
+// kindOf returns the index of the (name, h) kind, adding it on first use. A
+// linear scan suffices: a kernel sees a handful of kinds (bgp schedules three,
+// and each applied fault plan adds up to five).
+func (k *Kernel) kindOf(name string, h Handler) uint32 {
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
-	return Timer(k.q.Push(at, event{name: name, h: h, arg: arg}))
-}
-
-// AfterHandler schedules h.HandleEvent(arg) d after the current virtual
-// time. Negative d panics.
-func (k *Kernel) AfterHandler(d time.Duration, name string, h Handler, arg uint64) Timer {
-	return k.AtHandler(k.now+d, name, h, arg)
+	for i := range k.kinds {
+		if kd := &k.kinds[i]; kd.h == h && kd.name == name {
+			return uint32(i)
+		}
+	}
+	k.kinds = append(k.kinds, eventKind{name: name, h: h})
+	return uint32(len(k.kinds) - 1)
 }
 
 // Reserve returns a Mark at instant at holding the sequence number AtHandler
@@ -290,10 +282,7 @@ func (k *Kernel) AtMark(m Mark, name string, h Handler, arg uint64) Timer {
 	if !k.Ahead(m) {
 		panic(fmt.Sprintf("sim: schedule %q at passed mark %v", name, m.at))
 	}
-	if h == nil {
-		panic("sim: schedule with nil handler")
-	}
-	return Timer(k.q.PushReserved(m.at, m.seq, event{name: name, h: h, arg: arg}))
+	return Timer(k.q.PushReserved(m.at, m.seq, event{kind: k.kindOf(name, h), arg: arg}))
 }
 
 // SetMarks installs fn as the kernel's source of reserved marks (nil removes
@@ -337,12 +326,13 @@ func (k *Kernel) Step() bool {
 	}
 	k.now, k.last = at, seq
 	k.executed++
+	kd := k.kinds[ev.kind] // a copy: the handler may add kinds
 	if k.trace != nil {
-		k.trace(k.now, ev.name)
+		k.trace(k.now, kd.name)
 	}
-	ev.h.HandleEvent(ev.arg)
+	kd.h.HandleEvent(ev.arg)
 	if k.afterEvent != nil {
-		k.afterEvent(k.now, ev.name)
+		k.afterEvent(k.now, kd.name)
 	}
 	return true
 }

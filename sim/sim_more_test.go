@@ -7,8 +7,9 @@ import (
 
 func TestRunUntilRepeatedAdvancesClock(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	fired := 0
-	k.At(10*time.Second, "e", func() { fired++ })
+	fs.At(10*time.Second, "e", func() { fired++ })
 	for horizon := time.Second; horizon <= 9*time.Second; horizon += time.Second {
 		if err := k.RunUntil(horizon); err != nil {
 			t.Fatal(err)
@@ -30,7 +31,8 @@ func TestRunUntilRepeatedAdvancesClock(t *testing.T) {
 
 func TestRunUntilDoesNotRewindClock(t *testing.T) {
 	k := NewKernel()
-	k.At(10*time.Second, "e", func() {})
+	fs := newFuncs(k)
+	fs.At(10*time.Second, "e", func() {})
 	if err := k.RunUntil(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -47,19 +49,20 @@ func TestRunUntilDoesNotRewindClock(t *testing.T) {
 // replacement.
 func TestRescheduleDuringCallback(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	var order []string
 	var b Timer
 	fireB := func() { order = append(order, "b") }
-	k.At(time.Second, "a", func() {
+	fs.At(time.Second, "a", func() {
 		order = append(order, "a")
 		// Move b from 2s out to 5s.
 		if !k.Cancel(b) {
 			t.Error("re-arm found b not pending")
 		}
-		b = k.At(5*time.Second, "b", fireB)
-		k.At(3*time.Second, "c", func() { order = append(order, "c") })
+		b = fs.At(5*time.Second, "b", fireB)
+		fs.At(3*time.Second, "c", func() { order = append(order, "c") })
 	})
-	b = k.At(2*time.Second, "b", fireB)
+	b = fs.At(2*time.Second, "b", fireB)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +76,11 @@ func TestRescheduleDuringCallback(t *testing.T) {
 
 func TestCancelDuringCallback(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	fired := false
 	var victim Timer
-	k.At(time.Second, "killer", func() { k.Cancel(victim) })
-	victim = k.At(2*time.Second, "victim", func() { fired = true })
+	fs.At(time.Second, "killer", func() { k.Cancel(victim) })
+	victim = fs.At(2*time.Second, "victim", func() { fired = true })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +92,15 @@ func TestCancelDuringCallback(t *testing.T) {
 func TestManySimultaneousTimersDeterministic(t *testing.T) {
 	run := func() []int {
 		k := NewKernel(WithSeed(5))
+		fs := newFuncs(k)
 		var order []int
 		for i := 0; i < 100; i++ {
 			i := i
 			// All at the same instant plus random later re-arms.
-			k.At(time.Second, "e", func() {
+			fs.At(time.Second, "e", func() {
 				order = append(order, i)
 				if i%10 == 0 {
-					k.After(time.Duration(k.rng.Intn(100))*time.Millisecond, "re", func() {
+					fs.After(time.Duration(k.rng.Intn(100))*time.Millisecond, "re", func() {
 						order = append(order, -i)
 					})
 				}
@@ -119,9 +124,10 @@ func TestManySimultaneousTimersDeterministic(t *testing.T) {
 
 func TestPendingCount(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	timers := make([]Timer, 5)
 	for i := range timers {
-		timers[i] = k.After(time.Duration(i+1)*time.Second, "e", func() {})
+		timers[i] = fs.After(time.Duration(i+1)*time.Second, "e", func() {})
 	}
 	if k.Pending() != 5 {
 		t.Fatalf("Pending = %d", k.Pending())
@@ -152,13 +158,14 @@ func (h *countingHandler) HandleEvent(arg uint64) {
 
 func TestHandlerEvents(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	h := &countingHandler{k: k}
 	var names []string
 	k.SetTrace(func(_ time.Duration, name string) { names = append(names, name) })
 	k.AtHandler(2*time.Second, "typed.b", h, 2)
 	k.AtHandler(1*time.Second, "typed.a", h, 1)
 	closureFired := false
-	k.After(1500*time.Millisecond, "closure", func() { closureFired = true })
+	fs.After(1500*time.Millisecond, "closure", func() { closureFired = true })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,7 @@ func TestHandlerEvents(t *testing.T) {
 func TestHandlerTimerCancel(t *testing.T) {
 	k := NewKernel()
 	h := &countingHandler{k: k}
-	tm := k.AfterHandler(time.Second, "typed", h, 7)
+	tm := k.AtHandler(k.Now()+time.Second, "typed", h, 7)
 	if k.When(tm) == Never {
 		t.Fatal("fresh handler timer not pending")
 	}
@@ -213,7 +220,7 @@ func TestHandlerScheduleDoesNotAllocate(t *testing.T) {
 	k := NewKernel()
 	h := &countingHandler{k: k}
 	for i := 0; i < 64; i++ {
-		k.AfterHandler(time.Duration(i)*time.Millisecond, "warm", h, 0)
+		k.AtHandler(k.Now()+time.Duration(i)*time.Millisecond, "warm", h, 0)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -221,7 +228,7 @@ func TestHandlerScheduleDoesNotAllocate(t *testing.T) {
 	h.args = h.args[:0]
 	h.at = h.at[:0]
 	allocs := testing.AllocsPerRun(1000, func() {
-		k.AfterHandler(time.Millisecond, "steady", h, 1)
+		k.AtHandler(k.Now()+time.Millisecond, "steady", h, 1)
 		k.Step()
 		h.args = h.args[:0]
 		h.at = h.at[:0]
@@ -236,12 +243,13 @@ func TestHandlerScheduleDoesNotAllocate(t *testing.T) {
 // not pending.
 func TestTimerWhenReflectsReschedule(t *testing.T) {
 	k := NewKernel()
-	tm := k.After(time.Second, "e", func() {})
+	fs := newFuncs(k)
+	tm := fs.After(time.Second, "e", func() {})
 	if k.When(tm) != time.Second {
 		t.Fatalf("When = %v", k.When(tm))
 	}
 	k.Cancel(tm)
-	re := k.After(9*time.Second, "e", func() {})
+	re := fs.After(9*time.Second, "e", func() {})
 	if k.When(re) != 9*time.Second || k.When(tm) != Never {
 		t.Fatalf("When after re-arm = %v (old handle %v), want 9s (Never)", k.When(re), k.When(tm))
 	}

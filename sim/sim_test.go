@@ -6,6 +6,39 @@ import (
 	"time"
 )
 
+// funcs schedules closures on one kernel for tests. It is a single Handler
+// whose arg indexes the closure to run, so the closures scheduled through it
+// under one name share one event kind.
+type funcs struct {
+	k   *Kernel
+	fns []func()
+}
+
+func newFuncs(k *Kernel) *funcs { return &funcs{k: k} }
+
+func (f *funcs) HandleEvent(arg uint64) { f.fns[arg]() }
+
+// add keeps fn and returns the arg that runs it.
+func (f *funcs) add(fn func()) uint64 {
+	f.fns = append(f.fns, fn)
+	return uint64(len(f.fns) - 1)
+}
+
+// At schedules fn at absolute virtual time at.
+func (f *funcs) At(at time.Duration, name string, fn func()) Timer {
+	return f.k.AtHandler(at, name, f, f.add(fn))
+}
+
+// After schedules fn d after the current virtual time.
+func (f *funcs) After(d time.Duration, name string, fn func()) Timer {
+	return f.At(f.k.Now()+d, name, fn)
+}
+
+// AtMark schedules fn under the mark m.
+func (f *funcs) AtMark(m Mark, name string, fn func()) Timer {
+	return f.k.AtMark(m, name, f, f.add(fn))
+}
+
 func TestRunEmptyKernel(t *testing.T) {
 	k := NewKernel()
 	if err := k.Run(); err != nil {
@@ -18,10 +51,11 @@ func TestRunEmptyKernel(t *testing.T) {
 
 func TestEventsFireInTimeOrder(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	var order []string
-	k.At(3*time.Second, "c", func() { order = append(order, "c") })
-	k.At(1*time.Second, "a", func() { order = append(order, "a") })
-	k.At(2*time.Second, "b", func() { order = append(order, "b") })
+	fs.At(3*time.Second, "c", func() { order = append(order, "c") })
+	fs.At(1*time.Second, "a", func() { order = append(order, "a") })
+	fs.At(2*time.Second, "b", func() { order = append(order, "b") })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +72,11 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 
 func TestEqualTimesFireInScheduleOrder(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
-		k.At(time.Second, "e", func() { order = append(order, i) })
+		fs.At(time.Second, "e", func() { order = append(order, i) })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -55,8 +90,9 @@ func TestEqualTimesFireInScheduleOrder(t *testing.T) {
 
 func TestClockAdvancesDuringCallback(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	var seen time.Duration
-	k.After(5*time.Second, "probe", func() { seen = k.Now() })
+	fs.After(5*time.Second, "probe", func() { seen = k.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +103,11 @@ func TestClockAdvancesDuringCallback(t *testing.T) {
 
 func TestCallbackMaySchedule(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	var times []time.Duration
-	k.After(time.Second, "first", func() {
+	fs.After(time.Second, "first", func() {
 		times = append(times, k.Now())
-		k.After(time.Second, "second", func() {
+		fs.After(time.Second, "second", func() {
 			times = append(times, k.Now())
 		})
 	})
@@ -84,32 +121,25 @@ func TestCallbackMaySchedule(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	k := NewKernel()
-	k.After(10*time.Second, "later", func() {
+	fs := newFuncs(k)
+	fs.After(10*time.Second, "later", func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(time.Second, "past", func() {})
+		fs.At(time.Second, "past", func() {})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestNilCallbackPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil callback did not panic")
-		}
-	}()
-	NewKernel().At(time.Second, "bad", nil)
-}
-
 func TestTimerCancel(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	fired := false
-	timer := k.After(time.Second, "x", func() { fired = true })
+	timer := fs.After(time.Second, "x", func() { fired = true })
 	if k.When(timer) == Never {
 		t.Fatal("fresh timer not pending")
 	}
@@ -132,7 +162,8 @@ func TestTimerCancel(t *testing.T) {
 
 func TestZeroTimerSafe(t *testing.T) {
 	k := NewKernel()
-	k.After(time.Second, "bystander", func() {})
+	fs := newFuncs(k)
+	fs.After(time.Second, "bystander", func() {})
 	var timer Timer
 	if k.Cancel(timer) {
 		t.Fatal("zero timer cancel returned true")
@@ -150,7 +181,8 @@ func TestZeroTimerSafe(t *testing.T) {
 // the kernel reuses the underlying queue slot for a later event.
 func TestTimerWhenSentinel(t *testing.T) {
 	k := NewKernel()
-	fired := k.After(time.Second, "fires", func() {})
+	fs := newFuncs(k)
+	fired := fs.After(time.Second, "fires", func() {})
 	if k.When(fired) != time.Second {
 		t.Fatalf("pending When = %v, want 1s", k.When(fired))
 	}
@@ -161,7 +193,7 @@ func TestTimerWhenSentinel(t *testing.T) {
 		t.Fatalf("fired timer When = %v, want Never", got)
 	}
 
-	cancelled := k.After(time.Second, "cancelled", func() {})
+	cancelled := fs.After(time.Second, "cancelled", func() {})
 	k.Cancel(cancelled)
 	if got := k.When(cancelled); got != Never {
 		t.Fatalf("cancelled timer When = %v, want Never", got)
@@ -169,7 +201,7 @@ func TestTimerWhenSentinel(t *testing.T) {
 
 	// Reuse the freed slot: the stale handle must keep reporting Never, not
 	// the new occupant's time.
-	replacement := k.After(5*time.Second, "replacement", func() {})
+	replacement := fs.After(5*time.Second, "replacement", func() {})
 	if got := k.When(cancelled); got != Never {
 		t.Fatalf("stale timer When after slot reuse = %v, want Never", got)
 	}
@@ -180,9 +212,10 @@ func TestTimerWhenSentinel(t *testing.T) {
 
 func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	var fired []string
-	k.At(time.Second, "a", func() { fired = append(fired, "a") })
-	k.At(5*time.Second, "b", func() { fired = append(fired, "b") })
+	fs.At(time.Second, "a", func() { fired = append(fired, "a") })
+	fs.At(5*time.Second, "b", func() { fired = append(fired, "b") })
 	if err := k.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +238,9 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 
 func TestRunUntilInclusiveOfHorizon(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	fired := false
-	k.At(2*time.Second, "edge", func() { fired = true })
+	fs.At(2*time.Second, "edge", func() { fired = true })
 	if err := k.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +251,10 @@ func TestRunUntilInclusiveOfHorizon(t *testing.T) {
 
 func TestEventLimit(t *testing.T) {
 	k := NewKernel(WithMaxEvents(100))
+	fs := newFuncs(k)
 	var rearm func()
-	rearm = func() { k.After(time.Millisecond, "loop", rearm) }
-	k.After(time.Millisecond, "loop", rearm)
+	rearm = func() { fs.After(time.Millisecond, "loop", rearm) }
+	fs.After(time.Millisecond, "loop", rearm)
 	err := k.Run()
 	if !errors.Is(err, ErrEventLimit) {
 		t.Fatalf("err = %v, want ErrEventLimit", err)
@@ -231,9 +266,10 @@ func TestEventLimit(t *testing.T) {
 
 func TestEventLimitRunUntil(t *testing.T) {
 	k := NewKernel(WithMaxEvents(10))
+	fs := newFuncs(k)
 	var rearm func()
-	rearm = func() { k.After(time.Millisecond, "loop", rearm) }
-	k.After(time.Millisecond, "loop", rearm)
+	rearm = func() { fs.After(time.Millisecond, "loop", rearm) }
+	fs.After(time.Millisecond, "loop", rearm)
 	if err := k.RunUntil(time.Hour); !errors.Is(err, ErrEventLimit) {
 		t.Fatalf("err = %v, want ErrEventLimit", err)
 	}
@@ -242,15 +278,16 @@ func TestEventLimitRunUntil(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []time.Duration {
 		k := NewKernel(WithSeed(42))
+		fs := newFuncs(k)
 		var fires []time.Duration
 		var step func()
 		step = func() {
 			fires = append(fires, k.Now())
 			if len(fires) < 50 {
-				k.After(time.Duration(k.rng.Intn(1000))*time.Millisecond, "step", step)
+				fs.After(time.Duration(k.rng.Intn(1000))*time.Millisecond, "step", step)
 			}
 		}
-		k.After(0, "step", step)
+		fs.After(0, "step", step)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -269,10 +306,11 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestTrace(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	var names []string
 	k.SetTrace(func(_ time.Duration, name string) { names = append(names, name) })
-	k.At(time.Second, "one", func() {})
-	k.At(2*time.Second, "two", func() {})
+	fs.At(time.Second, "one", func() {})
+	fs.At(2*time.Second, "two", func() {})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +321,9 @@ func TestTrace(t *testing.T) {
 
 func TestExecutedCount(t *testing.T) {
 	k := NewKernel()
+	fs := newFuncs(k)
 	for i := 0; i < 7; i++ {
-		k.After(time.Duration(i)*time.Second, "e", func() {})
+		fs.After(time.Duration(i)*time.Second, "e", func() {})
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -304,15 +343,16 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := NewKernel()
+		fs := newFuncs(k)
 		n := 0
 		var step func()
 		step = func() {
 			n++
 			if n < 1000 {
-				k.After(time.Millisecond, "step", step)
+				fs.After(time.Millisecond, "step", step)
 			}
 		}
-		k.After(0, "step", step)
+		fs.After(0, "step", step)
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}
