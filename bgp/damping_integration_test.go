@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rfd/damping"
+	"rfd/rcn"
 	"rfd/sim"
 	"rfd/topology"
 )
@@ -407,5 +408,39 @@ func TestCiscoVsJuniperSuppressionOnset(t *testing.T) {
 	}
 	if got := run(damping.Juniper()); got != 2 {
 		t.Fatalf("Juniper suppression at pulse %d, want 2", got)
+	}
+}
+
+// TestResetDampingRevivesSuppressedRoute: ResetDamping makes a suppressed
+// route usable without running the decision process, so the next reconcile
+// for the prefix must consider it whichever RIB-IN entry triggered it, even
+// one from a peer that is not the best and did not change. The muffled ispAS
+// has no route while the origin's is suppressed; after the reset, a reconcile
+// on behalf of a torus peer selects the origin's route.
+func TestResetDampingRevivesSuppressedRoute(t *testing.T) {
+	k, n, origin, isp := dampedNet(t, nil)
+	for i := 0; i < 3; i++ {
+		pulse(t, k, n, origin)
+	}
+	if err := k.RunUntil(k.Now() + 10*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	r := n.Router(isp)
+	if _, ok := r.LocalRoute(testPrefix); ok || !r.Suppressed(origin, testPrefix) {
+		t.Fatal("setup: isp not muffled by suppressing the origin")
+	}
+	n.ResetDamping()
+	pid, _ := n.lookupPrefix(testPrefix)
+	if !r.reconcile(pid, r.slotOf(r.peers[0]), rcn.Cause{}) {
+		t.Fatal("the reconcile after the reset changed nothing")
+	}
+	if best, ok := r.BestPeer(testPrefix); !ok || best != origin {
+		t.Fatalf("isp selects (%d, %t) after the reset, want the origin's route", best, ok)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

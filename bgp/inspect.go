@@ -137,15 +137,18 @@ func (r *Router) DampingParams() (damping.Params, bool) {
 	if r.damp == nil {
 		return damping.Params{}, false
 	}
-	return *r.damp, true
+	return r.damp.Params, true
 }
 
 // DebugDampingState returns the live damping record for (peer, prefix), nil
-// when none exists; DampingParams returns the parameters that govern it. It
-// is a deliberate back door for fault-seeding tests of the invariant checker:
+// when none exists; DampingParams returns the parameters that govern it
+// (damping.NewRules derives what the record's methods take). It is a
+// deliberate back door for fault-seeding tests of the invariant checker:
 // mutating the returned record desynchronizes the engine from its own
-// bookkeeping, which is exactly what such a test wants to provoke. Engine and
-// experiment code must not use it.
+// bookkeeping, which is exactly what such a test wants to provoke. The
+// prefix's Local-RIB entry is marked stale, so the next decision about it
+// reads every RIB-IN entry afresh. Engine and experiment code must not use
+// it.
 func (r *Router) DebugDampingState(peer RouterID, prefix Prefix) *damping.Merit {
 	pid, ok := r.net.lookupPrefix(prefix)
 	if !ok {
@@ -155,5 +158,6 @@ func (r *Router) DebugDampingState(peer RouterID, prefix Prefix) *damping.Merit 
 	if e == nil || r.damp == nil {
 		return nil
 	}
+	r.local(pid).stale = true
 	return &e.damp
 }

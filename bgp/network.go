@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"rfd/damping"
 	"rfd/internal/xrand"
 	"rfd/rcn"
 	"rfd/sim"
@@ -252,7 +253,15 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 		n.linkDelay[i] = minLinkDelay + time.Duration(rng.Uint64n(uint64(maxLinkDelay-minLinkDelay)))
 	}
 	n.routers = make([]Router, nn)
+	rules := make(map[damping.Params]*damping.Rules) // one per parameter set
 	for id := range n.routers {
+		var damp *damping.Rules
+		if p := cfg.dampingFor(RouterID(id)); p != nil {
+			if damp = rules[*p]; damp == nil {
+				damp = damping.NewRules(*p)
+				rules[*p] = damp
+			}
+		}
 		// Split for every router: unowned routers still consume their slot
 		// in the parent stream so owned routers get their sequential streams.
 		n.routers[id] = Router{
@@ -260,7 +269,7 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 			net:   n,
 			base:  n.adjStart[id],
 			peers: n.neighbors(RouterID(id)),
-			damp:  cfg.dampingFor(RouterID(id)),
+			damp:  damp,
 			rng:   *rng.Split(),
 		}
 	}

@@ -31,6 +31,12 @@ type ribInEntry struct {
 	seen        bool
 }
 
+// usable reports whether the entry's route may enter the Local-RIB: live,
+// announced and not suppressed.
+func (e *ribInEntry) usable() bool {
+	return e.seen && e.path != 0 && !e.damp.Suppressed()
+}
+
 // ribOutEntry is the adj-RIB-out state for one (directed slot, prefix id):
 // what has been advertised, the end of the MRAI interval the last
 // announcement started, and the announcement waiting for it. The interval end
@@ -50,12 +56,15 @@ type ribOutEntry struct {
 
 // localEntry is the Local-RIB entry for one (prefix id, router). seen marks
 // entries the decision process has ever written (the dense equivalent of
-// map-key presence) and is ignored by equal.
+// map-key presence); stale marks an entry whose RIB-IN changed without a
+// reconcile, so the next reconcile must run the full decision process (see
+// reselect). equal ignores both.
 type localEntry struct {
 	bestPeer RouterID // selfPeer when originated locally
 	bestPath pathID   // the RIB-IN path of bestPeer (0 when self-originated)
 	hasRoute bool
 	seen     bool
+	stale    bool
 }
 
 func (l localEntry) equal(o localEntry) bool {
@@ -107,10 +116,10 @@ type Router struct {
 	// construction, shared with the network and its forks): a peer's slot is
 	// its offset in the row.
 	peers []RouterID
-	// damp holds this router's damping parameters (nil = damping disabled
+	// damp holds this router's damping rules (nil = damping disabled
 	// here), resolved once at construction from Config.Damping /
-	// Config.DampingSelect.
-	damp *damping.Params
+	// Config.DampingSelect and shared by the routers with equal parameters.
+	damp *damping.Rules
 	rng  xrand.Rand
 }
 
@@ -134,7 +143,7 @@ func (r *Router) Originate(prefix Prefix) {
 		return
 	}
 	*o = origin{on: true, ever: true}
-	r.reconcile(pid, r.originationCause(pid, rcn.LinkUp))
+	r.reconcile(pid, noSlot, r.originationCause(pid, rcn.LinkUp))
 }
 
 // StopOriginating withdraws a locally originated prefix, modelling the
@@ -145,7 +154,7 @@ func (r *Router) StopOriginating(prefix Prefix) {
 		return
 	}
 	r.origin(pid).on = false
-	r.reconcile(pid, r.originationCause(pid, rcn.LinkDown))
+	r.reconcile(pid, noSlot, r.originationCause(pid, rcn.LinkDown))
 }
 
 // Originates reports whether the router currently originates prefix.
@@ -286,7 +295,7 @@ func (r *Router) receive(slot int32, pm *pendingMsg) {
 		return
 	}
 	r.applyUpdate(slot, pm.pid, pm.withdraw, pm.path, pm.cause)
-	r.reconcile(pm.pid, pm.cause)
+	r.reconcile(pm.pid, slot, pm.cause)
 }
 
 // applyUpdate folds one update (received from the peer in slot, or
@@ -336,20 +345,22 @@ func (r *Router) applyUpdate(slot, pid int32, withdraw bool, path pathID, cause 
 				}
 			}
 		}
-		ev := e.damp.Update(r.damp, now, chargeKind, charge)
-		if h := r.net.hooks.OnPenalty; h != nil && ev.Increment != 0 {
-			h(now, r.id, from, r.net.prefixes[pid], ev.Penalty)
+		inc, became := e.damp.Update(r.damp, now, chargeKind, charge)
+		if h := r.net.hooks.OnPenalty; h != nil && inc != 0 {
+			h(now, r.id, from, r.net.prefixes[pid], e.damp.Penalty(r.damp, now))
 		}
-		if ev.BecameSuppressed {
+		if became {
 			if h := r.net.hooks.OnSuppress; h != nil {
 				h(now, r.id, from, r.net.prefixes[pid], true)
 			}
 		}
-		if ev.Suppressed && ev.ReuseIn > 0 {
+		if e.damp.Suppressed() {
 			// (Re-)arm the reuse timer for the latest penalty value;
 			// charges while suppressed push the reuse instant later (the
 			// timer interaction at the heart of the paper).
-			r.armReuse(e, slot, pid, now+ev.ReuseIn)
+			if reuseIn := e.damp.ReuseIn(r.damp, now); reuseIn > 0 {
+				r.armReuse(e, slot, pid, now+reuseIn)
+			}
 		}
 	}
 
@@ -388,7 +399,7 @@ func (r *Router) peerDown(peer RouterID) {
 	for _, pid := range r.net.prefixOrder {
 		if r.ribInAt(slot, pid) != nil {
 			r.applyUpdate(slot, pid, true, 0, cause)
-			r.reconcile(pid, cause)
+			r.reconcile(pid, slot, cause)
 		}
 	}
 }
@@ -441,7 +452,7 @@ func (r *Router) reuseExpired(slot, pid int32) {
 	if h := r.net.hooks.OnSuppress; h != nil {
 		h(now, r.id, peer, r.net.prefixes[pid], false)
 	}
-	noisy := r.reconcile(pid, r.net.causeAt(r.net.inCause, r.base+slot, pid))
+	noisy := r.reconcile(pid, slot, r.net.causeAt(r.net.inCause, r.base+slot, pid))
 	if h := r.net.hooks.OnReuse; h != nil {
 		h(now, r.id, peer, r.net.prefixes[pid], noisy)
 	}
@@ -472,41 +483,58 @@ func (r *Router) decide(pid int32) localEntry {
 		return localEntry{hasRoute: true, bestPeer: selfPeer}
 	}
 	var best localEntry
-	bestClass, bestHops := 0, 0
+	var bestRank rank
 	row := r.net.ribIdx(r.base, pid)
 	ins := r.net.ribIn[row : row+len(r.peers)]
 	for s, p := range r.peers {
 		e := &ins[s]
-		if !e.seen || e.path == 0 || e.damp.Suppressed() {
+		if !e.usable() {
 			continue
 		}
-		class := r.prefClass(p)
-		hops := r.net.paths.hops(e.path)
-		better := false
-		switch {
-		case !best.hasRoute:
-			better = true
-		case class != bestClass:
-			better = class > bestClass
-		case hops != bestHops:
-			better = hops < bestHops
-		default:
-			better = p < best.bestPeer
-		}
-		if better {
+		if rk := r.rankOf(p, e.path); !best.hasRoute || rk.above(bestRank) {
 			best = localEntry{hasRoute: true, bestPeer: p, bestPath: e.path}
-			bestClass, bestHops = class, hops
+			bestRank = rk
 		}
 	}
 	return best
 }
 
-// reconcile re-runs the decision process and, if the Local-RIB changed,
-// synchronizes every RIB-OUT (sending or scheduling updates stamped with the
-// triggering root cause). It reports whether the Local-RIB changed.
-func (r *Router) reconcile(pid int32, trigger rcn.Cause) bool {
+// rank is what the decision process orders routes by: policy preference,
+// then shortest AS path, then lowest peer ID.
+type rank struct {
+	class, hops int
+	peer        RouterID
+}
+
+// above reports whether a route ranked a is preferred to one ranked b.
+func (a rank) above(b rank) bool {
+	switch {
+	case a.class != b.class:
+		return a.class > b.class
+	case a.hops != b.hops:
+		return a.hops < b.hops
+	}
+	return a.peer < b.peer
+}
+
+// rankOf ranks the route path learned from peer.
+func (r *Router) rankOf(peer RouterID, path pathID) rank {
+	return rank{class: r.prefClass(peer), hops: r.net.paths.hops(path), peer: peer}
+}
+
+// noSlot is reconcile's slot for a change no RIB-IN entry made: the
+// router's own origination.
+const noSlot = int32(-1)
+
+// reconcile brings the Local-RIB up to date after the RIB-IN entry for (slot,
+// prefix id) changed, or after an origination change (noSlot), and, if the
+// Local-RIB changed, synchronizes every RIB-OUT (sending or scheduling
+// updates stamped with the triggering root cause). It reports whether the
+// Local-RIB changed.
+func (r *Router) reconcile(pid, slot int32, trigger rcn.Cause) bool {
 	l := r.local(pid)
-	best := r.decide(pid)
+	best := r.reselect(l, pid, slot)
+	l.stale = false
 	if best.equal(*l) {
 		return false
 	}
@@ -517,6 +545,32 @@ func (r *Router) reconcile(pid int32, trigger rcn.Cause) bool {
 		r.syncPeer(int32(s), q, pid, trigger, &adv)
 	}
 	return true
+}
+
+// reselect returns what the decision process selects for prefix id pid now
+// that the RIB-IN entry in slot changed, given that l was its selection
+// before and nothing else changed since. A route that was not the best and is
+// no better than it leaves l as it is, and a better one wins: one comparison
+// either way. So does the best route staying as good. Only when the best
+// route worsens or leaves, for an origination change or a locally originated
+// prefix, and for a stale l, does the full decision process run.
+func (r *Router) reselect(l *localEntry, pid, slot int32) localEntry {
+	if slot == noSlot || l.stale || r.isOriginated(pid) {
+		return r.decide(pid)
+	}
+	e := r.ribIn(slot, pid)
+	peer := r.peers[slot]
+	cand := localEntry{hasRoute: true, bestPeer: peer, bestPath: e.path}
+	switch {
+	case l.hasRoute && l.bestPeer == peer:
+		if e.usable() && r.net.paths.hops(e.path) <= r.net.paths.hops(l.bestPath) {
+			return cand
+		}
+		return r.decide(pid)
+	case e.usable() && (!l.hasRoute || r.rankOf(peer, e.path).above(r.rankOf(l.bestPeer, l.bestPath))):
+		return cand
+	}
+	return *l
 }
 
 // exportPath computes what (if anything) the router should advertise to peer
@@ -639,6 +693,10 @@ func (r *Router) resetDamping() {
 			if !e.seen {
 				continue
 			}
+			if e.damp.Suppressed() {
+				// The route becomes usable with no reconcile to see it.
+				r.local(int32(pid)).stale = true
+			}
 			e.damp.Reset()
 			n.kernel.Cancel(e.reuseTimer)
 			e.reuseTimer = sim.Timer{}
@@ -693,7 +751,7 @@ func (r *Router) crash() {
 func (r *Router) restart() {
 	for _, pid := range r.net.prefixOrder {
 		if r.isOriginated(pid) {
-			r.reconcile(pid, r.originationCause(pid, rcn.LinkUp))
+			r.reconcile(pid, noSlot, r.originationCause(pid, rcn.LinkUp))
 		}
 	}
 }

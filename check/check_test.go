@@ -145,7 +145,7 @@ func TestSeededChargeDetected(t *testing.T) {
 		t.Fatal("no damping state at isp after a pulse")
 	}
 	p, _ := n.Router(isp).DampingParams()
-	st.Update(&p, k.Now(), damping.KindWithdrawal, true) // the seeded fault
+	st.Update(damping.NewRules(p), k.Now(), damping.KindWithdrawal, true) // the seeded fault
 
 	pulse(t, k, n, origin)
 	rep := chk.Finish()
@@ -335,7 +335,7 @@ func TestForkIsolatesViolations(t *testing.T) {
 				t.Fatal("no damping state at isp mid-flap")
 			}
 			p, _ := c.n.Router(isp).DampingParams()
-			st.Update(&p, c.k.Now(), damping.KindWithdrawal, true) // the seeded fault
+			st.Update(damping.NewRules(p), c.k.Now(), damping.KindWithdrawal, true) // the seeded fault
 			for _, c := range copies {
 				flapRest(t, c.k, c.n, origin)
 			}

@@ -213,28 +213,54 @@ func (p Params) Increment(k Kind) float64 {
 // for a damping state; clamping keeps the engine robust against clock skew
 // when used outside the simulator).
 func (p Params) Decay(penalty float64, elapsed time.Duration) float64 {
-	if elapsed <= 0 || penalty <= 0 {
-		if penalty < 0 {
-			return 0
-		}
-		return penalty
-	}
-	return penalty * math.Exp(-p.Lambda()*elapsed.Seconds())
+	return decay(p.Lambda(), penalty, elapsed)
 }
 
 // ReuseDelay returns how long it takes a penalty to decay to the reuse
 // threshold: r = (1/λ)·ln(p/Preuse) (Section 3). It returns 0 if the penalty
 // is already at or below the threshold, and caps the result at MaxHoldDown.
 func (p Params) ReuseDelay(penalty float64) time.Duration {
+	return p.reuseDelay(p.Lambda(), penalty)
+}
+
+// decay is Decay at decay rate lambda.
+func decay(lambda, penalty float64, elapsed time.Duration) float64 {
+	if elapsed <= 0 || penalty <= 0 {
+		if penalty < 0 {
+			return 0
+		}
+		return penalty
+	}
+	return penalty * math.Exp(-lambda*elapsed.Seconds())
+}
+
+// reuseDelay is ReuseDelay at decay rate lambda.
+func (p *Params) reuseDelay(lambda, penalty float64) time.Duration {
 	if penalty <= p.ReuseThreshold {
 		return 0
 	}
-	seconds := math.Log(penalty/p.ReuseThreshold) / p.Lambda()
+	seconds := math.Log(penalty/p.ReuseThreshold) / lambda
 	d := time.Duration(seconds * float64(time.Second))
 	if d > p.MaxHoldDown {
 		return p.MaxHoldDown
 	}
 	return d
+}
+
+// Rules are a Params with the two constants they imply computed once: the
+// decay rate λ (Params.Lambda) and the penalty ceiling (Params.MaxPenalty).
+// Every Merit method takes Rules, so a router that keeps one Rules for all
+// its records pays for neither on an update. The results are bit-identical
+// to computing them from the Params each time. Rules must not be modified
+// after NewRules.
+type Rules struct {
+	Params
+	lambda, maxPenalty float64
+}
+
+// NewRules derives the Rules for p.
+func NewRules(p Params) *Rules {
+	return &Rules{Params: p, lambda: p.Lambda(), maxPenalty: p.MaxPenalty()}
 }
 
 // Classify derives the update Kind from RIB-IN facts: whether the update is a

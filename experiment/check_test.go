@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rfd/bgp"
+	"rfd/damping"
 	"rfd/faults"
 	"rfd/topology"
 )
@@ -132,4 +133,79 @@ func TestWatchdogDrainKeepsEndTime(t *testing.T) {
 	if watched.EndTime != plain.EndTime {
 		t.Fatalf("watchdog-drained EndTime %v, Run-drained %v", watched.EndTime, plain.EndTime)
 	}
+}
+
+// TestCheckedDecisionMatrix runs the features that change which route a
+// router prefers, or when it stops using one, under the checker, on a mesh
+// and on internet-40. The routers decide incrementally — a change to a route
+// that was not the best costs one comparison — and the checker recomputes
+// the preference-best route of every router after every event, so it is the
+// oracle for those shortcuts. The mesh's no-valley run annotates the torus
+// as a hierarchy: of two neighbours, the lower id is the provider.
+func TestCheckedDecisionMatrix(t *testing.T) {
+	o := SmallOptions()
+	o.PolicyNodes = 40
+	cisco := damping.Cisco()
+	variants := []struct {
+		name  string
+		apply func(sc *Scenario)
+	}{
+		{"novalley", func(sc *Scenario) { sc.Config.Policy = bgp.NoValley }},
+		{"rcn", func(sc *Scenario) { sc.Config.EnableRCN, sc.FlapViaLink = true, true }},
+		{"selective", func(sc *Scenario) { sc.Config.SelectiveDamping = true }},
+		{"partial", func(sc *Scenario) {
+			sc.Config.Damping = nil
+			sc.Config.DampingSelect = func(id bgp.RouterID) *damping.Params {
+				if id%2 == 0 {
+					return &cisco
+				}
+				return nil
+			}
+		}},
+		{"faults", func(sc *Scenario) {
+			edges := sc.Graph.Edges()
+			link := edges[len(edges)/2]
+			crash := bgp.RouterID(sc.ISP) + 1
+			sc.Faults = faults.NewPlan(
+				faults.FlapLink(30*time.Second, bgp.RouterID(link.A), bgp.RouterID(link.B), 10*time.Second),
+				faults.CrashRouter(90*time.Second, crash, 20*time.Second),
+			)
+		}},
+	}
+	for _, topo := range []string{"mesh", "internet-40"} {
+		for _, v := range variants {
+			t.Run(topo+"/"+v.name, func(t *testing.T) {
+				var sc Scenario
+				var err error
+				if topo == "mesh" {
+					sc, err = o.meshScenario(o.dampingConfig())
+					if err == nil && v.name == "novalley" {
+						sc.Graph = hierarchy(t, sc.Graph)
+					}
+				} else {
+					sc, err = o.internetScenario(o.dampingConfig(), o.PolicyNodes, bgp.ShortestPath)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.Pulses = 3
+				v.apply(&sc)
+				runChecked(t, sc)
+			})
+		}
+	}
+}
+
+// hierarchy returns a copy of g in which every link's lower-numbered end is
+// the provider of the other.
+func hierarchy(t *testing.T, g *topology.Graph) *topology.Graph {
+	t.Helper()
+	h := g.Clone()
+	for _, e := range h.Edges() {
+		c, p := max(e.A, e.B), min(e.A, e.B)
+		if err := h.SetRelationship(c, p, topology.RelProvider); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h
 }

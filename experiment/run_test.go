@@ -113,7 +113,7 @@ func TestRunErrorsNameNoSweep(t *testing.T) {
 				// An extra withdrawal charge the protocol never saw.
 				isp := f.e.Router(bgp.RouterID(sc.ISP))
 				p, _ := isp.DampingParams()
-				isp.DebugDampingState(sc.OriginID(), FlapPrefix).Update(&p, f.e.now(), damping.KindWithdrawal, true)
+				isp.DebugDampingState(sc.OriginID(), FlapPrefix).Update(damping.NewRules(p), f.e.now(), damping.KindWithdrawal, true)
 				return f.run(ctx, sc.Pulses)
 			}
 		}, text: "invariant check"},

@@ -1,33 +1,50 @@
 // Package eventq implements the priority queue that drives the discrete-event
 // simulation kernel.
 //
-// It is an indexed binary min-heap ordered by (time, sequence number): events
-// scheduled for the same instant fire in the order they were scheduled, which
-// is what makes whole-network simulations deterministic. A sequence number
-// can also be reserved without pushing anything and used for a push later
-// (Reserve, PushReserved): the entry then fires exactly where an entry pushed
-// at reservation time would have. Entries can be cancelled or rescheduled in
-// O(log n) via the Handle returned at push time, which the BGP engine uses
-// for MRAI expiries and damping reuse timers.
+// Entries pop in (time, sequence number) order: events scheduled for the
+// same instant fire in the order they were scheduled, which is what makes
+// whole-network simulations deterministic. A sequence number can also be
+// reserved without pushing anything and used for a push later (Reserve,
+// PushReserved): the entry then fires exactly where an entry pushed at
+// reservation time would have. Entries can be cancelled in O(1), or
+// rescheduled, via the Handle returned at push time, which the BGP engine
+// uses for MRAI expiries and damping reuse timers.
 //
-// The queue is slab-backed: payloads live in a freelist-managed slice of
-// slots rather than one heap allocation each, and handles are (index,
-// generation) pairs instead of pointers. The heap array itself holds each
-// entry's ordering key inline — (time, sequence number, slot index) — so a
-// sift compares contiguous memory and never follows an index into the slab;
-// a slot keeps only the payload, its generation and its heap position. Sifts
-// move a hole rather than swapping: one cell write and one position write per
-// level. In steady state — pushes balanced by pops and cancels — scheduling
+// The queue is a monotone radix queue. It keeps base, the time of the last
+// entry popped, and files each entry in bucket bits.Len64(key ^ base) of 65,
+// where key is the entry's time as an order-preserving unsigned number:
+// bucket 0 holds the entries at base, and every key in bucket i is below
+// every key in bucket j > i. A pop takes the head of bucket 0; when bucket 0
+// is empty it first moves base to the smallest key of the lowest non-empty
+// bucket and refiles that bucket's entries, each into a lower bucket. An
+// entry is refiled at most once per bit of its distance from base, and a
+// simulation pushes most entries a few milliseconds to a few minutes ahead,
+// so a pop costs a few list moves instead of a heap's log n sifts. Bucket 0
+// is kept in sequence order; the other buckets are unordered, with a cached
+// minimum that a cancel of that minimum marks stale, to be found again by a
+// scan when PeekTime or a pop needs it. PeekTime never moves base. A push
+// below base (legal, though the kernel never does it) lowers base to the
+// pushed key: every bucket below the one the old and new base differ in
+// merges into that bucket, which is empty, in O(64) with no allocation.
+//
+// Each bucket is a doubly linked list through a slab of slots, and so is the
+// list of free slots, so a queue is one slice plus fixed-size state. Handles
+// are (index, generation) pairs instead of pointers, a cancel unlinks a slot,
+// and in steady state — pushes balanced by pops and cancels — scheduling
 // allocates nothing, which keeps the simulator's per-event cost out of the
 // garbage collector entirely. The generation counter makes stale handles
 // (fired or cancelled entries, even after their slot has been reused)
 // reliably detectable.
 //
 // (time, seq) is unique among live entries, so the pop order is fully
-// determined by the keys: any correct heap layout pops the same sequence.
+// determined by the keys: any correct layout pops the same sequence.
 package eventq
 
-import "time"
+import (
+	"math/bits"
+	"slices"
+	"time"
+)
 
 // Handle identifies a scheduled entry. The zero Handle is invalid and inert:
 // Cancel, Reschedule and When all treat it as "not scheduled".
@@ -38,40 +55,53 @@ type Handle struct {
 	gen uint32
 }
 
-// slot is one slab cell. A slot is live when pos >= 0; freeing it bumps gen
-// (invalidating outstanding handles) and zeroes the payload so the queue
-// never retains references through fired events.
+// slot is one slab cell: the payload and its key, and its links in its
+// bucket's list (in the free list when the slot is free: next only). Which
+// bucket is not stored: it is always bits.Len64(key ^ base). Slot 0 is a
+// sentinel that is never live, so index 0 ends every list. Freeing a slot
+// bumps gen (invalidating outstanding handles) and zeroes the payload so the
+// queue never retains references through fired events.
 type slot[P any] struct {
-	payload P
-	gen     uint32
-	pos     int32 // index into heap; -1 when free
+	payload    P
+	key        uint64
+	seq        uint64
+	next, prev int32
+	gen        uint32
+	live       bool
 }
 
-// cell is one heap entry: the ordering key inline, and the slot holding the
-// payload.
-type cell struct {
-	time time.Duration
-	seq  uint64
-	slot int32
+// list is one bucket: the ends of its slot list and, for buckets above 0,
+// the smallest key in it (see Queue.stale).
+type list struct {
+	head, tail int32
+	min        uint64
 }
 
-// before orders cells by (time, seq).
-func (c *cell) before(d *cell) bool {
-	return c.time < d.time || c.time == d.time && c.seq < d.seq
-}
+// nbuckets is one bucket per possible bits.Len64 of a 64-bit difference.
+const nbuckets = 65
 
 // Queue is a deterministic time-ordered priority queue with payload type P.
 // The zero value is an empty queue ready for use. Entries pushed with equal
 // times fire in push order (FIFO by sequence number).
 type Queue[P any] struct {
-	slots []slot[P]
-	heap  []cell
-	free  []int32 // free slot indices
-	seq   uint64  // last sequence number handed out; the first is 1
+	slots   []slot[P]
+	buckets [nbuckets]list
+	base    uint64 // the key of the last entry popped, or below it
+	used    uint64 // bit i-1 set when bucket i (1..64) is non-empty
+	stale   uint64 // bit i-1 set when bucket i's min is unknown
+	free    int32  // head of the free slot list, 0 when empty
+	n       int
+	seq     uint64 // last sequence number handed out; the first is 1
 }
 
+// keyOf maps a time to an unsigned key in the same order.
+func keyOf(t time.Duration) uint64 { return uint64(t) ^ 1<<63 }
+
+// timeOf inverts keyOf.
+func timeOf(k uint64) time.Duration { return time.Duration(k ^ 1<<63) }
+
 // Len returns the number of pending entries.
-func (q *Queue[P]) Len() int { return len(q.heap) }
+func (q *Queue[P]) Len() int { return q.n }
 
 // Push schedules payload at time t and returns a handle usable with Cancel,
 // Reschedule and When. Entries pushed with equal t fire in push order.
@@ -98,25 +128,32 @@ func (q *Queue[P]) LastSeq() uint64 { return q.seq }
 // time; it may be pushed again after its entry fired or was cancelled.
 func (q *Queue[P]) PushReserved(t time.Duration, seq uint64, payload P) Handle {
 	var idx int32
-	if n := len(q.free); n > 0 {
-		idx = q.free[n-1]
-		q.free = q.free[:n-1]
+	if q.free != 0 {
+		idx = q.free
+		q.free = q.slots[idx].next
 	} else {
+		if len(q.slots) == 0 {
+			q.slots = append(q.slots, slot[P]{}) // the sentinel
+		}
 		q.slots = append(q.slots, slot[P]{gen: 1})
 		idx = int32(len(q.slots) - 1)
 	}
-	q.slots[idx].payload = payload
-	q.heap = append(q.heap, cell{})
-	q.up(len(q.heap)-1, cell{time: t, seq: seq, slot: idx})
-	return Handle{idx: idx, gen: q.slots[idx].gen}
+	s := &q.slots[idx]
+	s.payload, s.key, s.seq, s.live = payload, keyOf(t), seq, true
+	q.file(idx)
+	q.n++
+	return Handle{idx: idx, gen: s.gen}
 }
 
 // PeekTime returns the time of the earliest entry and whether one exists.
 func (q *Queue[P]) PeekTime() (time.Duration, bool) {
-	if len(q.heap) == 0 {
+	if q.n == 0 {
 		return 0, false
 	}
-	return q.heap[0].time, true
+	if q.buckets[0].head != 0 {
+		return timeOf(q.base), true
+	}
+	return timeOf(q.min(bits.TrailingZeros64(q.used) + 1)), true
 }
 
 // Pop removes the earliest entry and returns its time and payload. ok is
@@ -128,23 +165,26 @@ func (q *Queue[P]) Pop() (at time.Duration, payload P, ok bool) {
 
 // PopSeq is Pop that also returns the entry's sequence number.
 func (q *Queue[P]) PopSeq() (at time.Duration, seq uint64, payload P, ok bool) {
-	if len(q.heap) == 0 {
+	if q.n == 0 {
 		return 0, 0, payload, false
 	}
-	top := q.heap[0]
-	payload = q.slots[top.slot].payload
-	q.removeAt(0)
-	return top.time, top.seq, payload, true
+	if q.buckets[0].head == 0 {
+		q.refill()
+	}
+	idx := q.buckets[0].head
+	s := &q.slots[idx]
+	at, seq, payload = timeOf(s.key), s.seq, s.payload
+	q.remove(idx)
+	return at, seq, payload, true
 }
 
 // Cancel removes the entry h refers to. It reports whether the entry was
 // still scheduled; cancelling a fired, cancelled or zero handle is a no-op.
 func (q *Queue[P]) Cancel(h Handle) bool {
-	s := q.lookup(h)
-	if s == nil {
+	if !q.live(h) {
 		return false
 	}
-	q.removeAt(int(s.pos))
+	q.remove(h.idx)
 	return true
 }
 
@@ -153,30 +193,22 @@ func (q *Queue[P]) Cancel(h Handle) bool {
 // keeps its original sequence number, so among equal times it still fires in
 // original push order.
 func (q *Queue[P]) Reschedule(h Handle, t time.Duration) bool {
-	s := q.lookup(h)
-	if s == nil {
+	if !q.live(h) {
 		return false
 	}
-	i := int(s.pos)
-	c := q.heap[i]
-	earlier := t < c.time
-	c.time = t
-	if earlier {
-		q.up(i, c)
-	} else {
-		q.down(i, c)
-	}
+	q.unlink(h.idx)
+	q.slots[h.idx].key = keyOf(t)
+	q.file(h.idx)
 	return true
 }
 
 // When returns the time a still-scheduled entry fires at. ok is false for
 // fired, cancelled or zero handles.
 func (q *Queue[P]) When(h Handle) (time.Duration, bool) {
-	s := q.lookup(h)
-	if s == nil {
+	if !q.live(h) {
 		return 0, false
 	}
-	return q.heap[s.pos].time, true
+	return timeOf(q.slots[h.idx].key), true
 }
 
 // Clone returns a deep copy of the queue. The copy is independently mutable,
@@ -187,89 +219,169 @@ func (q *Queue[P]) When(h Handle) (time.Duration, bool) {
 // pointers share referents with the original; the kernel's payloads hold
 // none, which makes its clone a plain copy.
 func (q *Queue[P]) Clone() *Queue[P] {
-	c := &Queue[P]{seq: q.seq}
-	if q.slots != nil {
-		c.slots = append(make([]slot[P], 0, len(q.slots)), q.slots...)
-	}
-	if q.heap != nil {
-		c.heap = append(make([]cell, 0, len(q.heap)), q.heap...)
-	}
-	if q.free != nil {
-		c.free = append(make([]int32, 0, len(q.free)), q.free...)
-	}
-	return c
+	c := *q
+	c.slots = slices.Clone(q.slots)
+	return &c
 }
 
-// lookup resolves a handle to its live slot, nil when stale or invalid.
-func (q *Queue[P]) lookup(h Handle) *slot[P] {
+// live reports whether h names a scheduled entry.
+func (q *Queue[P]) live(h Handle) bool {
 	if h.gen == 0 || int(h.idx) >= len(q.slots) {
-		return nil
+		return false
 	}
 	s := &q.slots[h.idx]
-	if s.gen != h.gen || s.pos < 0 {
-		return nil
-	}
-	return s
+	return s.gen == h.gen && s.live
 }
 
-// removeAt deletes the heap entry at position i and frees its slot: the last
-// cell fills the hole, sifting whichever way its key sends it.
-func (q *Queue[P]) removeAt(i int) {
-	idx := q.heap[i].slot
-	last := len(q.heap) - 1
-	moved := q.heap[last]
-	q.heap = q.heap[:last]
-	if i < last {
-		if q.down(i, moved) == i {
-			q.up(i, moved)
-		}
-	}
+// remove unlinks a live entry and frees its slot.
+func (q *Queue[P]) remove(idx int32) {
+	q.unlink(idx)
 	s := &q.slots[idx]
-	s.pos = -1
+	s.live = false
 	s.gen++
 	var zero P
 	s.payload = zero
-	q.free = append(q.free, idx)
+	s.next = q.free
+	q.free = idx
+	q.n--
 }
 
-// place stores c at heap position i and records the position in its slot.
-func (q *Queue[P]) place(i int, c cell) {
-	q.heap[i] = c
-	q.slots[c.slot].pos = int32(i)
-}
-
-// up moves a hole at position i toward the root until c fits, and stores c
-// there.
-func (q *Queue[P]) up(i int, c cell) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !c.before(&q.heap[parent]) {
-			break
-		}
-		q.place(i, q.heap[parent])
-		i = parent
+// file puts slot idx, whose key is set, into the bucket its key belongs in,
+// first lowering base to the key if it is below.
+func (q *Queue[P]) file(idx int32) {
+	k := q.slots[idx].key
+	if k < q.base {
+		q.lower(k)
 	}
-	q.place(i, c)
+	q.link(idx, bits.Len64(k^q.base))
 }
 
-// down moves a hole at position i toward the leaves until c fits, stores c
-// there, and returns where that is.
-func (q *Queue[P]) down(i int, c cell) int {
-	n := len(q.heap)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
+// link appends slot idx to bucket b — to bucket 0 in sequence order — and
+// keeps the bucket's minimum.
+func (q *Queue[P]) link(idx int32, b int) {
+	s := &q.slots[idx]
+	l := &q.buckets[b]
+	after := l.tail
+	if b == 0 {
+		for after != 0 && q.slots[after].seq > s.seq {
+			after = q.slots[after].prev
 		}
-		if right := child + 1; right < n && q.heap[right].before(&q.heap[child]) {
-			child = right
-		}
-		if !q.heap[child].before(&c) {
-			break
-		}
-		q.place(i, q.heap[child])
-		i = child
+	} else if bit := uint64(1) << (b - 1); q.used&bit == 0 {
+		q.used |= bit
+		l.min = s.key
+	} else if s.key < l.min {
+		l.min = s.key // a stale minimum is a lower bound, and stays one
 	}
-	q.place(i, c)
-	return i
+	s.prev = after
+	if after == 0 {
+		s.next = l.head
+		l.head = idx
+	} else {
+		s.next = q.slots[after].next
+		q.slots[after].next = idx
+	}
+	if s.next == 0 {
+		l.tail = idx
+	} else {
+		q.slots[s.next].prev = idx
+	}
+}
+
+// unlink takes live slot idx out of its bucket. Taking out a bucket's
+// minimum makes the cached minimum stale.
+func (q *Queue[P]) unlink(idx int32) {
+	s := &q.slots[idx]
+	b := bits.Len64(s.key ^ q.base)
+	l := &q.buckets[b]
+	if s.prev == 0 {
+		l.head = s.next
+	} else {
+		q.slots[s.prev].next = s.next
+	}
+	if s.next == 0 {
+		l.tail = s.prev
+	} else {
+		q.slots[s.next].prev = s.prev
+	}
+	if b == 0 {
+		return
+	}
+	bit := uint64(1) << (b - 1)
+	switch {
+	case l.head == 0:
+		q.used &^= bit
+		q.stale &^= bit
+	case s.key == l.min:
+		q.stale |= bit
+	}
+}
+
+// min returns the smallest key in non-empty bucket b, scanning for it when
+// the cached one is stale.
+func (q *Queue[P]) min(b int) uint64 {
+	l := &q.buckets[b]
+	if bit := uint64(1) << (b - 1); q.stale&bit != 0 {
+		m := q.slots[l.head].key
+		for i := q.slots[l.head].next; i != 0; i = q.slots[i].next {
+			m = min(m, q.slots[i].key)
+		}
+		l.min = m
+		q.stale &^= bit
+	}
+	return l.min
+}
+
+// refill moves base to the smallest key, which is in the lowest non-empty
+// bucket, and refiles that bucket's entries below it: the smallest key lands
+// in bucket 0. Bucket 0 must be empty.
+func (q *Queue[P]) refill() {
+	b := bits.TrailingZeros64(q.used) + 1
+	q.base = q.min(b)
+	i := q.buckets[b].head
+	q.buckets[b] = list{}
+	q.used &^= 1 << (b - 1)
+	for i != 0 {
+		next := q.slots[i].next
+		q.link(i, bits.Len64(q.slots[i].key^q.base))
+		i = next
+	}
+}
+
+// lower moves base down to k, below every key in the queue. The buckets below
+// d, the bucket old base and k differ in, hold keys that share every bit
+// from d-1 up with old base, so they all fall in bucket d against k; bucket d
+// itself is empty (its keys would be above old base with bit d-1 set, and old
+// base already has it). So those buckets are spliced, in order, into d, which
+// is the only bucket that changes.
+func (q *Queue[P]) lower(k uint64) {
+	d := bits.Len64(q.base ^ k)
+	dst := &q.buckets[d]
+	dbit := uint64(1) << (d - 1)
+	for b := 0; b < d; b++ {
+		l := &q.buckets[b]
+		if l.head == 0 {
+			continue
+		}
+		if q.used&dbit == 0 {
+			// The lowest bucket merged holds the smallest key.
+			q.used |= dbit
+			switch {
+			case b == 0:
+				dst.min = q.base
+			case q.stale&(1<<(b-1)) != 0:
+				q.stale |= dbit
+			default:
+				dst.min = l.min
+			}
+			*dst = list{head: l.head, tail: l.tail, min: dst.min}
+		} else {
+			q.slots[dst.tail].next = l.head
+			q.slots[l.head].prev = dst.tail
+			dst.tail = l.tail
+		}
+		*l = list{}
+	}
+	q.used &^= dbit - 1
+	q.stale &^= dbit - 1
+	q.base = k
 }

@@ -2,7 +2,6 @@ package eventq
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -467,6 +466,118 @@ func TestQuickPushPopSorted(t *testing.T) {
 	}
 }
 
+// FuzzQueueMatchesModel decodes the input as a program of queue operations,
+// three bytes each (an opcode and a 16-bit operand), and checks every result
+// against the sorted (time, seq) model TestRandomizedHeapProperty uses. Times
+// come from a narrow range, so pushes and reschedules often land below the
+// last popped key, and a cancel picks its victim by rank in the model's
+// order, so it often takes out a bucket's minimum. A Clone op continues on
+// the clone; every queue cloned away from is drained against its own model
+// at the end.
+func FuzzQueueMatchesModel(f *testing.F) {
+	f.Add([]byte{0, 9, 0, 0, 3, 0, 4, 0, 0, 0, 1, 0, 2, 0, 0})
+	f.Add([]byte{0, 200, 1, 0, 100, 0, 0, 50, 2, 4, 0, 0, 0, 10, 0, 3, 0, 0, 4, 0, 0, 6, 0, 0, 4, 0, 0})
+	f.Add([]byte{1, 0, 0, 0, 5, 0, 2, 7, 0, 5, 1, 0, 4, 0, 0, 0, 1, 0, 4, 0, 0, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		type pair struct {
+			q *Queue[int]
+			m *heapModel
+		}
+		q, m := &Queue[int]{}, &heapModel{}
+		var cloned []pair
+		for op := 0; op+3 <= len(prog); op += 3 {
+			code, arg := prog[op], int(prog[op+1])|int(prog[op+2])<<8
+			at := time.Duration(arg%512) * time.Millisecond
+			switch code % 7 {
+			case 0: // push
+				e := modelEntry{at: at, payload: m.next}
+				m.next++
+				e.h = q.Push(e.at, e.payload)
+				e.seq = q.LastSeq()
+				m.insert(e)
+			case 1: // reserve a number for a later push
+				m.reserved = append(m.reserved, q.Reserve())
+			case 2: // push a reservation
+				if len(m.reserved) == 0 {
+					continue
+				}
+				i := arg % len(m.reserved)
+				e := modelEntry{at: at, seq: m.reserved[i], payload: m.next}
+				m.next++
+				m.reserved = slices.Delete(m.reserved, i, i+1)
+				e.h = q.PushReserved(e.at, e.seq, e.payload)
+				m.insert(e)
+			case 3: // pop, or check PeekTime first
+				if pt, ok := q.PeekTime(); ok != (len(m.live) > 0) || ok && pt != m.live[0].at {
+					t.Fatalf("op %d: PeekTime = (%v, %t), model %v", op/3, pt, ok, m.live)
+				}
+				at, seq, got, ok := q.PopSeq()
+				if len(m.live) == 0 {
+					if ok {
+						t.Fatalf("op %d: popped (%v, %d) from an empty model", op/3, at, seq)
+					}
+					continue
+				}
+				want := m.live[0]
+				if !ok || at != want.at || seq != want.seq || got != want.payload {
+					t.Fatalf("op %d: popped (%v, %d, %d, %t), want (%v, %d, %d)",
+						op/3, at, seq, got, ok, want.at, want.seq, want.payload)
+				}
+				m.kill(0)
+			case 4: // cancel the entry of this rank
+				if len(m.live) == 0 {
+					continue
+				}
+				i := (arg >> 9) % len(m.live)
+				if !q.Cancel(m.live[i].h) {
+					t.Fatalf("op %d: Cancel of a live entry failed", op/3)
+				}
+				m.kill(i)
+			case 5: // reschedule the entry of this rank
+				if len(m.live) == 0 {
+					continue
+				}
+				i := (arg >> 9) % len(m.live)
+				e := m.live[i]
+				e.at = at
+				if !q.Reschedule(e.h, e.at) {
+					t.Fatalf("op %d: Reschedule of a live entry failed", op/3)
+				}
+				m.live = slices.Delete(m.live, i, i+1)
+				m.insert(e)
+			case 6: // clone, and go on with the clone
+				cloned = append(cloned, pair{q, m})
+				q, m = q.Clone(), m.clone()
+			}
+			if q.Len() != len(m.live) {
+				t.Fatalf("op %d: Len = %d, model holds %d", op/3, q.Len(), len(m.live))
+			}
+			for _, h := range m.dead {
+				if _, ok := q.When(h); ok {
+					t.Fatalf("op %d: a fired or cancelled handle still resolves", op/3)
+				}
+			}
+		}
+		for _, p := range append(cloned, pair{q, m}) {
+			for _, want := range p.m.live {
+				if at, ok := p.q.When(want.h); !ok || at != want.at {
+					t.Fatalf("When = (%v, %t) for a live entry at %v", at, ok, want.at)
+				}
+			}
+			for _, want := range p.m.live {
+				at, seq, got, ok := p.q.PopSeq()
+				if !ok || at != want.at || seq != want.seq || got != want.payload {
+					t.Fatalf("drain: popped (%v, %d, %d, %t), want (%v, %d, %d)",
+						at, seq, got, ok, want.at, want.seq, want.payload)
+				}
+			}
+			if p.q.Len() != 0 {
+				t.Fatalf("%d entries left after the model drained", p.q.Len())
+			}
+		}
+	})
+}
+
 // engineDelay draws a scheduling delay from the mix the BGP engine pushes:
 // about 80 % deliveries 1-50 ms out, 15 % MRAI expiries around 30 s, and 5 %
 // damping reuse timers 5-40 min out.
@@ -477,34 +588,65 @@ func engineDelay(r *xrand.Rand) time.Duration {
 	case k < 95:
 		return 22500*time.Millisecond + time.Duration(r.Uint64n(uint64(7500*time.Millisecond)))
 	default:
-		return 5*time.Minute + time.Duration(r.Uint64n(uint64(35*time.Minute)))
+		return reuseDelay(r)
 	}
 }
 
-// enginePayload is the size of the kernel's event (name, handler, arg).
+// reuseDelay draws a damping reuse timer's delay, 5-40 min out.
+func reuseDelay(r *xrand.Rand) time.Duration {
+	return 5*time.Minute + time.Duration(r.Uint64n(uint64(35*time.Minute)))
+}
+
+// enginePayload has the layout of the kernel's queued event (kind, arg).
 type enginePayload struct {
-	name string
-	h    any
+	kind uint32
 	arg  uint64
 }
 
 // BenchmarkPushPop measures one pop of the earliest entry plus one push at
 // the popped time plus an engine delay, at a steady queue depth: 370 is the
 // mean depth of the engine's queue under rfdd-mix shapes, 2000 above their
-// peak.
+// peak. The rearm cases hold half the depth in reuse timers, and each
+// iteration also re-arms one of them, as a charge to a suppressed route
+// does: a cancel, and a push minutes ahead.
 func BenchmarkPushPop(b *testing.B) {
-	for _, depth := range []int{370, 2000} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		depth int
+		rearm bool
+	}{
+		{"depth=370", 370, false},
+		{"depth=2000", 2000, false},
+		{"rearm/depth=370", 370, true},
+		{"rearm/depth=2000", 2000, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			r := xrand.New(1)
 			var q Queue[enginePayload]
-			for i := 0; i < depth; i++ {
+			var reuse []Handle // a reuse timer's arg is its index here plus 1
+			if tc.rearm {
+				reuse = make([]Handle, tc.depth/2)
+				for i := range reuse {
+					reuse[i] = q.Push(reuseDelay(r), enginePayload{arg: uint64(i + 1)})
+				}
+			}
+			for q.Len() < tc.depth {
 				q.Push(engineDelay(r), enginePayload{})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				at, p, _ := q.Pop()
-				q.Push(at+engineDelay(r), p)
+				if p.arg == 0 {
+					q.Push(at+engineDelay(r), p)
+				} else {
+					reuse[p.arg-1] = q.Push(at+reuseDelay(r), p)
+				}
+				if tc.rearm {
+					j := i % len(reuse)
+					q.Cancel(reuse[j])
+					reuse[j] = q.Push(at+reuseDelay(r), enginePayload{arg: uint64(j + 1)})
+				}
 			}
 		})
 	}
