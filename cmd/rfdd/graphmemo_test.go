@@ -28,17 +28,16 @@ func getHealthz(t testing.TB, h http.Handler) healthz {
 	return hz
 }
 
-// memoised returns the graph the server keeps for key, without counting a
-// lookup.
+// memoised returns the graph the server keeps for key; a lookup that has to
+// generate it fails the test.
 func memoised(t *testing.T, s *server, key topology.Shape) *topology.Graph {
 	t.Helper()
-	s.graphs.mu.Lock()
-	defer s.graphs.mu.Unlock()
-	el, ok := s.graphs.entries[key]
-	if !ok {
+	_, generated, _ := s.graphs.stats()
+	g, err := s.graphs.get(key)
+	if _, after, _ := s.graphs.stats(); err != nil || after != generated {
 		t.Fatalf("no graph remembered for %+v", key)
 	}
-	return el.Value.(*memoEntry).g
+	return g
 }
 
 func digest(t *testing.T, g *topology.Graph) string {
@@ -199,8 +198,8 @@ func TestScenarioMemoRefusedRequests(t *testing.T) {
 // holds snapshots; one shape more evicts the least recently used, and asking
 // for that one again rebuilds it with a byte-identical reply.
 func TestScenarioMemoBound(t *testing.T) {
-	if s := testServer(t, serverConfig{}); s.graphs.max != experiment.DefaultPoolSize {
-		t.Fatalf("memo bound with the pool off = %d, want experiment.DefaultPoolSize (%d)", s.graphs.max, experiment.DefaultPoolSize)
+	if s := testServer(t, serverConfig{}); s.graphs.cache.Max() != experiment.DefaultPoolSize {
+		t.Fatalf("memo bound with the pool off = %d, want experiment.DefaultPoolSize (%d)", s.graphs.cache.Max(), experiment.DefaultPoolSize)
 	}
 	const capacity = 3
 	s := testServer(t, serverConfig{Snapshots: capacity})

@@ -31,7 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"rfd/experiment"
 )
@@ -49,10 +49,7 @@ const headerLen = 12 + sha256.Size + 8
 type Cache struct {
 	dir string
 
-	mu                  sync.Mutex
-	loads, loadMisses   uint64
-	stores              uint64
-	corrupt, storeFails uint64
+	loads, loadMisses, stores, corrupt, storeFails atomic.Uint64
 }
 
 // Open prepares dir (creating it and its quarantine subdirectory as needed)
@@ -73,9 +70,7 @@ func (c *Cache) Dir() string { return c.dir }
 // Stats reports the cache's traffic: successful loads, load misses,
 // successful stores, entries quarantined as corrupt, and failed stores.
 func (c *Cache) Stats() (loads, misses, stores, corrupt, storeFails uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.loads, c.loadMisses, c.stores, c.corrupt, c.storeFails
+	return c.loads.Load(), c.loadMisses.Load(), c.stores.Load(), c.corrupt.Load(), c.storeFails.Load()
 }
 
 // sanitizeKey maps a fingerprint key ("<hex>:p<N>") to a safe file stem.
@@ -156,20 +151,20 @@ func (c *Cache) Load(key string) (*experiment.Result, bool, error) {
 	}
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		c.count(&c.loadMisses)
+		c.loadMisses.Add(1)
 		return nil, false, nil
 	}
 	if err != nil {
-		c.count(&c.loadMisses)
+		c.loadMisses.Add(1)
 		return nil, false, fmt.Errorf("diskcache: %w", err)
 	}
 	res, derr := decode(data)
 	if derr != nil {
 		c.quarantine(path)
-		c.count(&c.corrupt)
+		c.corrupt.Add(1)
 		return nil, false, nil
 	}
-	c.count(&c.loads)
+	c.loads.Add(1)
 	return res, true, nil
 }
 
@@ -183,41 +178,41 @@ func (c *Cache) Store(key string, res *experiment.Result) error {
 	}
 	data, err := encode(res)
 	if err != nil {
-		c.count(&c.storeFails)
+		c.storeFails.Add(1)
 		return err
 	}
 	path, err := c.entryPath(key, true)
 	if err != nil {
-		c.count(&c.storeFails)
+		c.storeFails.Add(1)
 		return fmt.Errorf("diskcache: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		c.count(&c.storeFails)
+		c.storeFails.Add(1)
 		return fmt.Errorf("diskcache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		c.count(&c.storeFails)
+		c.storeFails.Add(1)
 		return fmt.Errorf("diskcache: %w", err)
 	}
 	// Sync before rename: the rename must never become visible ahead of the
 	// data it names, or a crash could leave a valid-looking empty entry.
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		c.count(&c.storeFails)
+		c.storeFails.Add(1)
 		return fmt.Errorf("diskcache: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		c.count(&c.storeFails)
+		c.storeFails.Add(1)
 		return fmt.Errorf("diskcache: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		c.count(&c.storeFails)
+		c.storeFails.Add(1)
 		return fmt.Errorf("diskcache: %w", err)
 	}
-	c.count(&c.stores)
+	c.stores.Add(1)
 	return nil
 }
 
@@ -229,11 +224,4 @@ func (c *Cache) quarantine(path string) {
 	if err := os.Rename(path, dst); err != nil {
 		os.Remove(path)
 	}
-}
-
-// count bumps one stat under the lock.
-func (c *Cache) count(field *uint64) {
-	c.mu.Lock()
-	*field++
-	c.mu.Unlock()
 }

@@ -1,10 +1,12 @@
 package experiment
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"rfd/internal/lru"
 )
 
 // DefaultPoolSize is the capacity, in parked engines, NewCheckpointPool uses
@@ -28,39 +30,27 @@ const DefaultPoolSize = 16
 // trunk in its place. Every input a flight depends on is part of the key, so
 // a parked flight serves any request of the key.
 //
-// Population is singleflight: concurrent requests for the same key converge
-// on one warm-up, with waiters blocking on the owner (or their own context).
-// Failed populations are never cached — the entry is removed before waiters
-// are released, so the next request retries. Capacity counts parked engines:
-// an entry weighs 1, or 2 while it holds a flight. LRU eviction drops whole
-// resolved entries, flight included, and never one still being populated. It
-// only drops the pool's reference to a checkpoint, never invalidating one
-// already handed out (a checkpoint is only ever forked, which is safe
-// concurrently); a parked flight belongs to the pool alone until a sweep takes
-// it, so eviction closes it. A flight that does not fit after evicting other
-// entries is not parked, so a capacity-1 pool holds checkpoints only.
+// The pool is an internal/lru cache whose capacity counts parked engines: an
+// entry weighs 1, or 2 while it holds a flight. Eviction closes the flight,
+// which the pool alone owns, but not the checkpoint, which callers may still
+// be forking.
 //
 // A nil *CheckpointPool is valid and builds a fresh checkpoint per request.
 type CheckpointPool struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*list.Element // value: *poolEntry
-	lru     *list.List               // front = most recently used
-	flights int                      // entries holding a parked flight
+	cache *lru.Cache[string, *Checkpoint]
 
-	hits, misses, evictions, resumes uint64
+	// mu guards every entry's flight. It is held around each cache call that
+	// can evict, so the on-evict callback runs under it.
+	mu      sync.Mutex
+	resumes atomic.Uint64
 }
 
-// poolEntry is one singleflight slot: the owner converges the scenario,
-// resolves cp/err, then closes done; everyone else waits on done.
+// poolEntry is what a pooled checkpoint knows of its slot: where sweeps take
+// and park its trunks.
 type poolEntry struct {
-	pool     *CheckpointPool
-	key      string
-	done     chan struct{}
-	cp       *Checkpoint
-	err      error
-	resolved bool    // set under the pool mutex before done closes
-	flight   *flight // parked: never run, owned by the pool (under its mutex)
+	pool   *CheckpointPool
+	slot   *lru.Entry[string, *Checkpoint]
+	flight *flight // parked: never run, owned by the pool (under its mutex)
 }
 
 // NewCheckpointPool returns an empty pool holding at most max parked engines
@@ -69,11 +59,15 @@ func NewCheckpointPool(max int) *CheckpointPool {
 	if max <= 0 {
 		max = DefaultPoolSize
 	}
-	return &CheckpointPool{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
+	p := &CheckpointPool{}
+	p.cache = lru.New[string](int64(max), func(cp *Checkpoint) {
+		// Under p.mu; a never-run flight closes at once.
+		if e := cp.entry; e.flight != nil {
+			e.flight.close()
+			e.flight = nil
+		}
+	})
+	return p
 }
 
 // poolKey is the warm-up identity: the fingerprint base (topology, ISP,
@@ -105,85 +99,31 @@ func (p *CheckpointPool) Get(ctx context.Context, sc Scenario) (*Checkpoint, err
 	if !ok {
 		return NewCheckpointContext(ctx, sc)
 	}
-	p.mu.Lock()
-	if el, found := p.entries[key]; found {
-		e := el.Value.(*poolEntry)
-		p.lru.MoveToFront(el)
-		p.hits++
-		p.mu.Unlock()
-		select {
-		case <-e.done:
-			// Already-parked checkpoint: no warm-up happens (and none is
-			// reported) on this request's behalf.
-			return e.cp, e.err
-		default:
-		}
-		// A concurrent request is converging this warm-up right now
-		// (singleflight). The latency is real for this caller too, so its
-		// Progress hook sees the warm-up even though another request runs it.
-		pr := progressFrom(ctx)
-		pr.warmupStarted()
-		select {
-		case <-e.done:
-			if e.err == nil {
+	e, owner := p.cache.Claim(key)
+	if !owner {
+		// A warm-up a concurrent request is converging right now costs this
+		// caller the wait too, so its Progress hook sees it; a parked one
+		// reports nothing.
+		if !e.Resolved() {
+			pr := progressFrom(ctx)
+			pr.warmupStarted()
+			if !e.Wait(ctx) {
+				return nil, ctxErr(ctx)
+			}
+			if _, err := e.Value(); err == nil {
 				pr.warmupDone()
 			}
-			return e.cp, e.err
-		case <-ctx.Done():
-			return nil, ctxErr(ctx)
 		}
+		return e.Value()
 	}
-	e := &poolEntry{pool: p, key: key, done: make(chan struct{})}
-	el := p.lru.PushFront(e)
-	p.entries[key] = el
-	p.misses++
-	p.evictLocked(nil)
-	p.mu.Unlock()
-
 	cp, err := NewCheckpointContext(ctx, sc)
-	if cp != nil {
-		cp.entry = e
+	if err == nil {
+		cp.entry = &poolEntry{pool: p, slot: e}
 	}
-
 	p.mu.Lock()
-	e.cp, e.err = cp, err
-	e.resolved = true
-	if err != nil {
-		// No negative caching: a failed (or cancelled) warm-up is removed so
-		// the next request retries instead of replaying the error.
-		if cur, found := p.entries[key]; found && cur == el {
-			p.lru.Remove(el)
-			delete(p.entries, key)
-		}
-	} else {
-		p.evictLocked(nil)
-	}
+	p.cache.Resolve(e, cp, 1, err)
 	p.mu.Unlock()
-	close(e.done)
 	return cp, err
-}
-
-// evictLocked drops least-recently-used resolved entries other than keep
-// until the pool's parked engines fit its bound, closing the flights they
-// hold (never run, so closing one waits for nothing). Entries still
-// populating are skipped: evicting one would let a concurrent request start a
-// duplicate warm-up, so the pool instead overflows transiently until the
-// population resolves.
-func (p *CheckpointPool) evictLocked(keep *poolEntry) {
-	for el := p.lru.Back(); el != nil && p.lru.Len()+p.flights > p.max; {
-		prev := el.Prev()
-		if e := el.Value.(*poolEntry); e.resolved && e != keep {
-			p.lru.Remove(el)
-			delete(p.entries, e.key)
-			p.evictions++
-			if e.flight != nil {
-				e.flight.close()
-				e.flight = nil
-				p.flights--
-			}
-		}
-		el = prev
-	}
 }
 
 // take hands the caller the entry's parked flight if it stands at or below
@@ -201,17 +141,16 @@ func (e *poolEntry) take(n int) *flight {
 		return nil
 	}
 	e.flight = nil
-	p.flights--
-	p.resumes++
+	p.resumes.Add(1)
+	p.cache.Reweigh(e.slot, 1)
 	return f
 }
 
 // park offers the entry a fork of trunk, a sweep's flight standing right after
 // its largest count's re-announcement. The fork replaces the entry's flight
 // when it is deeper (a flight at pulse 0 is never parked: the checkpoint
-// already stands there) and fits the bound after evicting other entries; the
-// entry's own checkpoint stays. Parking only saves later sweeps work, so a
-// fork that fails or is not wanted leaves the entry as it was. Nil-safe.
+// already stands there) and the entry is still pooled; otherwise, or if the
+// fork fails, the entry stays as it was. Nil-safe.
 func (e *poolEntry) park(trunk *flight) {
 	if e == nil || trunk.pulses == 0 {
 		return
@@ -229,36 +168,22 @@ func (e *poolEntry) park(trunk *flight) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.wantsLocked(e, f.pulses) { // a concurrent sweep parked or evicted meanwhile
+	// A concurrent sweep may have parked deeper, or evicted e, meanwhile.
+	if !p.wantsLocked(e, f.pulses) || !p.cache.Reweigh(e.slot, 2) {
 		f.close()
 		return
 	}
 	if e.flight != nil {
 		e.flight.close()
-	} else {
-		p.flights++
 	}
 	e.flight = f
-	p.evictLocked(e)
 }
 
-// wantsLocked reports whether e, still pooled, would park a flight at the
-// given pulse count: one deeper than its own, that fits the bound once every
-// other resolved entry may be evicted.
+// wantsLocked reports whether e would park a flight at the given pulse count:
+// one deeper than its own, in a pool that has room for an entry with a
+// flight. Whether e is still pooled is Reweigh's to say.
 func (p *CheckpointPool) wantsLocked(e *poolEntry, pulses int) bool {
-	if el, found := p.entries[e.key]; !found || el.Value != e {
-		return false
-	}
-	if e.flight != nil && e.flight.pulses >= pulses {
-		return false
-	}
-	pinned := 2 // e, with its flight
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		if o := el.Value.(*poolEntry); !o.resolved {
-			pinned++
-		}
-	}
-	return pinned <= p.max
+	return (e.flight == nil || e.flight.pulses < pulses) && p.cache.Max() >= 2
 }
 
 // Len returns the number of pooled (including populating) entries.
@@ -266,9 +191,8 @@ func (p *CheckpointPool) Len() int {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.Len()
+	s := p.cache.Stats()
+	return s.Resident + s.Building
 }
 
 // Stats reports how many Get calls found a pooled warm-up (hits — including
@@ -278,9 +202,8 @@ func (p *CheckpointPool) Stats() (hits, misses, evictions uint64) {
 	if p == nil {
 		return 0, 0, 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses, p.evictions
+	s := p.cache.Stats()
+	return s.Hits, s.Misses, s.Evictions
 }
 
 // Flights reports how many entries hold a parked sweep flight now, and how
@@ -289,7 +212,6 @@ func (p *CheckpointPool) Flights() (parked int, resumes uint64) {
 	if p == nil {
 		return 0, 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flights, p.resumes
+	s := p.cache.Stats() // a resident entry weighs 1, plus 1 for a flight
+	return int(s.Weight) - s.Resident, p.resumes.Load()
 }

@@ -1,13 +1,15 @@
 package experiment
 
 import (
-	"container/list"
 	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"unsafe"
+
+	"rfd/internal/lru"
 )
 
 // Fingerprint returns a canonical content hash of everything that determines
@@ -109,21 +111,6 @@ func (r *Result) sizeBytes() int64 {
 	return n
 }
 
-// cacheEntry is one singleflight slot for the fingerprint key: the claimant
-// runs the scenario and closes done; everyone else waits on done and reads
-// res/err. A successfully resolved entry is on the cache's LRU (el non-nil,
-// size its Result's estimate), both under the cache mutex, until it is
-// evicted.
-type cacheEntry struct {
-	key  string
-	done chan struct{}
-	res  *Result
-	err  error
-
-	size int64
-	el   *list.Element
-}
-
 // RunCache deduplicates runs by scenario fingerprint: the first request for
 // a fingerprint executes it, concurrent requests for the same fingerprint
 // wait for that execution (singleflight), and later requests return the
@@ -134,36 +121,24 @@ type cacheEntry struct {
 // and as Fig 10/15 inputs); rfdd shares one across all requests, layered
 // over a persistent ResultStore.
 //
-// Failures are never cached: an entry whose run errors (or panics, or is
-// cancelled) is evicted before its waiters are released, so the next request
-// for that fingerprint retries instead of replaying a possibly transient
-// error forever. Owners release their waiters via defer — a panicking run
-// unblocks everyone with a *PanicError instead of deadlocking them.
-//
-// Memory is bounded by estimated bytes (DefaultCacheBytes). A successfully
-// resolved entry joins an LRU, and a hit moves it to the front; once the
-// resident total exceeds the bound, least-recently-used entries are dropped
-// from the back — the newest too, when it alone exceeds the bound. An entry
-// still being computed is not on the LRU, so it is never evicted, and its
-// waiters hold the entry itself, so eviction never takes a Result from a
-// caller. An evicted key is claimed afresh by its next request: served from
-// the ResultStore when one is layered, re-simulated otherwise.
+// The cache is an internal/lru cache, so no failure (an error, a panic, a
+// cancel) is cached and nothing still being computed is evicted. A Result
+// weighs its estimated bytes (sizeBytes) against DefaultCacheBytes, and an
+// evicted key is claimed afresh by its next request: served from the
+// ResultStore when one is layered, re-simulated otherwise.
 //
 // Cached Results are shared between callers and must be treated as
 // read-only. Scenarios whose Fingerprint reports ok=false (trace logs,
 // impairments, fault plans, damping selectors) bypass the cache and always
 // run. A nil *RunCache is valid and bypasses caching entirely.
 type RunCache struct {
-	mu       sync.Mutex
-	entries  map[string]*cacheEntry
-	lru      *list.List // resolved entries, front = most recently used
-	bytes    int64      // estimated size of the entries on lru
-	maxBytes int64
-	store    ResultStore
-	pool     *CheckpointPool
+	results *lru.Cache[string, *Result]
 
-	hits, misses, uncached, evictions uint64
-	diskHits, diskStoreErrors         uint64
+	mu    sync.Mutex
+	store ResultStore
+	pool  *CheckpointPool
+
+	uncached, diskHits, diskStoreErrors atomic.Uint64
 }
 
 // NewRunCache returns an empty cache bounded by DefaultCacheBytes.
@@ -173,7 +148,7 @@ func NewRunCache() *RunCache {
 
 // newRunCache returns an empty cache bounded by maxBytes.
 func newRunCache(maxBytes int64) *RunCache {
-	return &RunCache{entries: make(map[string]*cacheEntry), lru: list.New(), maxBytes: maxBytes}
+	return &RunCache{results: lru.New[string, *Result](maxBytes, nil)}
 }
 
 // SetStore layers a persistent store under the cache (nil detaches it).
@@ -197,11 +172,11 @@ func (c *RunCache) SetCheckpointPool(p *CheckpointPool) {
 	c.pool = p
 }
 
-// checkpointPool returns the layered pool.
-func (c *RunCache) checkpointPool() *CheckpointPool {
+// layers returns the layered store and pool.
+func (c *RunCache) layers() (ResultStore, *CheckpointPool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pool
+	return c.store, c.pool
 }
 
 // Stats reports how many Run/Sweep points were served from cache (hits),
@@ -213,9 +188,8 @@ func (c *RunCache) Stats() (hits, misses, uncacheable uint64) {
 	if c == nil {
 		return 0, 0, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.uncached
+	s := c.results.Stats()
+	return s.Hits, s.Misses, c.uncached.Load()
 }
 
 // StoreStats reports the persistent layer's traffic: in-memory misses served
@@ -225,9 +199,7 @@ func (c *RunCache) StoreStats() (storeHits, storeErrors uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.diskHits, c.diskStoreErrors
+	return c.diskHits.Load(), c.diskStoreErrors.Load()
 }
 
 // Resident reports the Results held now — how many, and their estimated
@@ -237,80 +209,26 @@ func (c *RunCache) Resident() (entries int, bytes int64, evictions uint64) {
 	if c == nil {
 		return 0, 0, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len(), c.bytes, c.evictions
+	s := c.results.Stats()
+	return s.Resident, s.Weight, s.Evictions
 }
 
-// claim returns the entry for key and whether this caller owns its
-// execution (true exactly once per key while the entry lives). A hit on a
-// resolved entry refreshes its recency.
-func (c *RunCache) claim(key string) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, found := c.entries[key]; found {
-		c.hits++
-		if e.el != nil {
-			c.lru.MoveToFront(e.el)
+// finish resolves an owned entry, offering a fresh Result to the persistent
+// store first.
+func (c *RunCache) finish(e *lru.Entry[string, *Result], res *Result, err error) {
+	var size int64
+	if err == nil {
+		if !res.fromStore {
+			c.storeResult(e.Key(), res)
 		}
-		return e, false
+		size = res.sizeBytes()
 	}
-	e := &cacheEntry{done: make(chan struct{}), key: key}
-	c.entries[key] = e
-	c.misses++
-	return e, true
-}
-
-// keep puts a successfully resolved entry at the front of the LRU, then drops
-// least-recently-used entries from the back until the resident Results fit
-// the bound — e itself included, if it alone does not fit.
-func (c *RunCache) keep(e *cacheEntry) {
-	size := e.res.sizeBytes()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e.size = size
-	e.el = c.lru.PushFront(e)
-	c.bytes += size
-	for c.bytes > c.maxBytes {
-		old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
-		old.el = nil
-		delete(c.entries, old.key)
-		c.bytes -= old.size
-		c.evictions++
-	}
-}
-
-// evict removes e's key if it still maps to e — a failed execution must not
-// negative-cache, so the next claim retries the scenario.
-func (c *RunCache) evict(e *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries[e.key] == e {
-		delete(c.entries, e.key)
-	}
-}
-
-// finish resolves an owned entry: on failure the entry is evicted (no
-// negative caching), on success it is offered to the persistent store and
-// kept on the LRU; either way the waiters are released. It runs from the
-// owner's defer so a panic in the run still unblocks every waiter.
-func (c *RunCache) finish(e *cacheEntry) {
-	if e.err != nil {
-		c.evict(e)
-	} else if e.res != nil {
-		if !e.res.fromStore {
-			c.storeResult(e.key, e.res)
-		}
-		c.keep(e)
-	}
-	close(e.done)
+	c.results.Resolve(e, res, size, err)
 }
 
 // loadStored consults the persistent store for key (nil-safe).
 func (c *RunCache) loadStored(key string) (*Result, bool) {
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
+	store, _ := c.layers()
 	if store == nil {
 		return nil, false
 	}
@@ -319,9 +237,7 @@ func (c *RunCache) loadStored(key string) (*Result, bool) {
 		return nil, false
 	}
 	res.fromStore = true
-	c.mu.Lock()
-	c.diskHits++
-	c.mu.Unlock()
+	c.diskHits.Add(1)
 	return res, true
 }
 
@@ -336,16 +252,12 @@ func (r *Result) withoutSeries() *Result {
 // storeResult offers a fresh Result to the persistent store (nil-safe,
 // best-effort).
 func (c *RunCache) storeResult(key string, res *Result) {
-	c.mu.Lock()
-	store := c.store
-	c.mu.Unlock()
+	store, _ := c.layers()
 	if store == nil {
 		return
 	}
 	if err := store.Store(key, res); err != nil {
-		c.mu.Lock()
-		c.diskStoreErrors++
-		c.mu.Unlock()
+		c.diskStoreErrors.Add(1)
 	}
 }
 
@@ -400,28 +312,26 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 	}
 	baseKey, ok := base.fingerprintBase()
 	if !ok {
-		c.mu.Lock()
-		c.uncached += uint64(len(pulses))
-		c.mu.Unlock()
+		c.uncached.Add(uint64(len(pulses)))
 		return sweepWarm(ctx, nil, base, pulses, b)
 	}
 	pr := progressFrom(ctx)
-	entries := make([]*cacheEntry, len(pulses))
+	entries := make([]*lru.Entry[string, *Result], len(pulses))
 	// live marks the points this call claimed and will execute itself; every
 	// other point resolves without running here (an in-memory or stored hit,
 	// or a concurrent caller's execution) and reports CacheHit instead of the
 	// live Queued/Started/Done sequence.
 	live := make([]bool, len(pulses))
 	var missPulses []int
-	var missEntries []*cacheEntry
+	var missEntries []*lru.Entry[string, *Result]
 	fullKey := "" // base's key with series, computed on the first NoSeries store miss
 	for i, n := range pulses {
-		e, owner := c.claim(fmt.Sprintf("%s:p%d", baseKey, n))
+		e, owner := c.results.Claim(fmt.Sprintf("%s:p%d", baseKey, n))
 		entries[i] = e
 		if !owner {
 			continue
 		}
-		stored, ok := c.loadStored(e.key)
+		stored, ok := c.loadStored(e.Key())
 		if !ok && base.NoSeries {
 			// A stored full Result serves a NoSeries point, its series
 			// dropped; never the reverse, as the noseries line keys them apart.
@@ -435,8 +345,7 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 			}
 		}
 		if ok {
-			e.res = stored
-			c.finish(e)
+			c.finish(e, stored, nil)
 			continue
 		}
 		live[i] = true
@@ -444,65 +353,19 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 		missEntries = append(missEntries, e)
 	}
 	if len(missPulses) > 0 {
-		// Release every claimed entry via defer: a panic on the sweep path
-		// must unblock concurrent waiters, not hang them.
-		released := false
-		release := func(panicked any) {
-			released = true
-			for j, e := range missEntries {
-				if e.res == nil && e.err == nil {
-					if panicked != nil {
-						e.err = &PanicError{Value: panicked, Fingerprint: e.key, Stack: stackTrace()}
-					} else {
-						e.err = fmt.Errorf("experiment: sweep did not produce n=%d", missPulses[j])
-					}
-				}
-				c.finish(e)
-			}
-		}
-		defer func() {
-			if released {
-				return
-			}
-			var panicked any
-			if r := recover(); r != nil {
-				panicked = r
-				release(panicked)
-				panic(r)
-			}
-			release(nil)
-		}()
-		pts, err := sweepWarm(ctx, c.checkpointPool(), base, missPulses, b)
-		if err == nil || pts != nil {
-			for j, e := range missEntries {
-				e.res, e.err = pts[j].Result, pts[j].Err
-			}
-		} else {
-			// Sweep-level failure before any point ran (e.g. the shared
-			// warm-up): every claimed point fails with it.
-			for _, e := range missEntries {
-				e.err = err
-			}
-		}
-		release(nil)
+		c.runMisses(ctx, base, missPulses, missEntries, b)
 	}
 	out := make([]SweepPoint, len(pulses))
 	errs := make([]error, 0, len(pulses))
 	for i, e := range entries {
 		out[i].Pulses = pulses[i]
-		// Prefer a resolved entry over a tripped context: after a mid-flight
-		// cancel both channels may be ready, and the entry's own outcome (a
-		// result, a panic, the point-level cancel) is the truer diagnosis.
-		select {
-		case <-e.done:
-			out[i].Result, out[i].Err = e.res, e.err
-		default:
-			select {
-			case <-e.done:
-				out[i].Result, out[i].Err = e.res, e.err
-			case <-ctx.Done():
-				out[i].Err = ctxErr(ctx)
-			}
+		// A resolved entry wins over a tripped context: after a mid-flight
+		// cancel both may be ready, and the entry's own outcome (a result, a
+		// panic, the point-level cancel) is the truer diagnosis.
+		if e.Wait(ctx) {
+			out[i].Result, out[i].Err = e.Value()
+		} else {
+			out[i].Err = ctxErr(ctx)
 		}
 		if out[i].Err != nil {
 			// Keep the pulse count in the diagnosis; points that already
@@ -517,4 +380,43 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 		}
 	}
 	return out, errors.Join(errs...)
+}
+
+// runMisses sweeps the points this call claimed and resolves their entries
+// with the points' outcomes — or via defer, so a panic on the sweep path
+// unblocks concurrent waiters instead of hanging them, with a *PanicError.
+func (c *RunCache) runMisses(ctx context.Context, base Scenario, pulses []int, entries []*lru.Entry[string, *Result], b budget) {
+	unproduced := func(j int) error {
+		return fmt.Errorf("experiment: sweep did not produce n=%d", pulses[j])
+	}
+	swept := false
+	defer func() {
+		if swept {
+			return
+		}
+		r := recover() // nil when the sweep's goroutine exits without panicking
+		for j, e := range entries {
+			err := unproduced(j)
+			if r != nil {
+				err = &PanicError{Value: r, Fingerprint: e.Key(), Stack: stackTrace()}
+			}
+			c.finish(e, nil, err)
+		}
+		if r != nil {
+			panic(r)
+		}
+	}()
+	_, pool := c.layers()
+	pts, err := sweepWarm(ctx, pool, base, pulses, b)
+	swept = true
+	for j, e := range entries {
+		res, perr := (*Result)(nil), err // the sweep failed before any point ran
+		if pts != nil {
+			res, perr = pts[j].Result, pts[j].Err
+		}
+		if res == nil && perr == nil {
+			perr = unproduced(j)
+		}
+		c.finish(e, res, perr)
+	}
 }
