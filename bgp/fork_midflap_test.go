@@ -11,6 +11,7 @@ import (
 	"rfd/bgp"
 	"rfd/damping"
 	"rfd/faults"
+	"rfd/internal/xrand"
 	"rfd/sim"
 	"rfd/topology"
 	"rfd/trace"
@@ -130,19 +131,47 @@ func (l midFlapLeg) config() bgp.Config {
 	return cfg
 }
 
-// impairment returns the leg's seeded loss-and-jitter model in per-link stream
-// mode (so the sharded engine consumes it like the sequential one), nil for an
-// unimpaired leg.
-func (l midFlapLeg) impairment(t testing.TB) *faults.Impairments {
+// impairment returns the leg's seeded loss-and-jitter model, nil for an
+// unimpaired leg. It draws per directed link, so the sharded engine consumes
+// it exactly as the sequential one does.
+func (l midFlapLeg) impairment() *linkStreams {
 	if !l.impair {
 		return nil
 	}
-	imp := faults.NewImpairments(23)
-	if err := imp.SetDefault(faults.Profile{Loss: 0.03, MaxJitter: 4 * time.Millisecond}); err != nil {
-		t.Fatal(err)
+	return &linkStreams{seed: 23, loss: 0.03, jitter: 4 * time.Millisecond, streams: map[[2]bgp.RouterID]*xrand.Rand{}}
+}
+
+// linkStreams loses and delays messages from one stream per directed link,
+// derived from (seed, from, to) on first use. Every directed link is sent on
+// from one shard, in FIFO order, so both engines consume each stream alike;
+// faults.Impairments draws from one stream in the sequential engine's send
+// order instead. loss and jitter must both be positive.
+type linkStreams struct {
+	seed    uint64
+	loss    float64
+	jitter  time.Duration
+	streams map[[2]bgp.RouterID]*xrand.Rand
+}
+
+func (l *linkStreams) Impair(_ time.Duration, from, to bgp.RouterID) (bool, time.Duration) {
+	k := [2]bgp.RouterID{from, to}
+	r := l.streams[k]
+	if r == nil {
+		r = xrand.New(l.seed ^ uint64(uint32(from))<<32 ^ uint64(uint32(to))*0x9E3779B97F4A7C15).Split()
+		l.streams[k] = r
 	}
-	imp.UseLinkStreams()
-	return imp
+	if r.Float64() < l.loss {
+		return true, 0
+	}
+	return false, time.Duration(r.Uint64n(uint64(l.jitter)))
+}
+
+func (l *linkStreams) ForkImpairment() bgp.LinkImpairment {
+	c := &linkStreams{seed: l.seed, loss: l.loss, jitter: l.jitter, streams: make(map[[2]bgp.RouterID]*xrand.Rand, len(l.streams))}
+	for k, r := range l.streams {
+		c.streams[k] = r.Clone()
+	}
+	return c
 }
 
 // convergedSeq builds the leg's sequential network on g, converged on origin's
@@ -162,7 +191,7 @@ func convergedSeq(t testing.TB, g *topology.Graph, l midFlapLeg, origin bgp.Rout
 	}
 	n.ResetDamping()
 	n.ResetCounters()
-	if imp := l.impairment(t); imp != nil {
+	if imp := l.impairment(); imp != nil {
 		n.SetImpairment(imp)
 	}
 	l.applyPlan(t, n)
@@ -306,10 +335,10 @@ func TestShardedForkMidFlapMatchesSequential(t *testing.T) {
 					sn.Align()
 					sn.ResetDamping()
 					sn.ResetCounters()
-					imp := leg.impairment(t)
+					imp := leg.impairment()
 					for s := 0; s < sn.NumShards(); s++ {
 						if imp != nil {
-							sn.Shard(s).SetImpairment(imp.Fork())
+							sn.Shard(s).SetImpairment(imp.ForkImpairment())
 						}
 						leg.applyPlan(t, sn.Shard(s))
 					}

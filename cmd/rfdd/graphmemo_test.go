@@ -76,7 +76,7 @@ func TestScenarioMemo(t *testing.T) {
 	for _, same := range []string{
 		`{"pulses":[3], "damping":"juniper", "cols":4, "rows":4}`,
 		`{"topology":"mesh","rows":4,"cols":4,"seed":77,"pulses":[1]}`,
-		`{"rows":4,"cols":4,"damping":"cisco","rcn":true,"shards":2,"pulses":[1]}`,
+		`{"rows":4,"cols":4,"damping":"cisco","rcn":true,"pulses":[1]}`,
 	} {
 		if rec, _ := postSweep(t, h, same); rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d, body %s", same, rec.Code, rec.Body)
@@ -173,7 +173,6 @@ func TestScenarioMemoRefusedRequests(t *testing.T) {
 		`{"rows":4,"cols":4,"rcn":true}`,
 		`{"rows":4,"cols":4,"topology":"hypercube"}`,
 		`{"rows":4,"cols":4,"damping_engine":"sundial"}`,
-		`{"rows":4,"cols":4,"shards":65}`,
 		`{"rows":4,"cols":4,"flap_interval_s":-1}`,
 		`{"rows":4,"cols":4,"pulses":[` + strings.Repeat("1,", 64) + `1]}`,
 		`{"rows":-4,"cols":4}`,

@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"time"
 
 	"rfd/experiment"
@@ -47,7 +46,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		workers  = fs.Int("workers", runtime.NumCPU(), "simulations running at once across the build")
 		cacheDir = fs.String("cachedir", "", "persist the run cache in this directory (shared with rfdd; survives restarts)")
 		check    = fs.Bool("check", false, "run every scenario under the runtime invariant checker (slower; any violation fails the figure)")
-		shards   = fs.Int("shards", 1, "run every scenario on the sharded engine with this many shards (1 = sequential; figures are identical either way, and -fig loss or all needs 1: the loss figure runs under the convergence watchdog, which supervises one kernel)")
 		progress = fs.Bool("progress", false, "print a live line per warm-up/point (sweep points and single runs) to stderr as each completes (long figure builds stop being silent)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the figure build to this file")
 		memProf  = fs.String("memprofile", "", "write a post-build heap profile to this file")
@@ -58,9 +56,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	todo := jobs(*fig)
 	if len(todo) == 0 {
 		return fmt.Errorf("unknown -fig %q", *fig)
-	}
-	if *shards > 1 && slices.ContainsFunc(todo, func(f figure) bool { return f.name == "loss" }) {
-		return fmt.Errorf("-fig %s with -shards %d: the loss figure runs under the convergence watchdog, which cannot supervise a sharded run (use -shards 1)", *fig, *shards)
 	}
 
 	stop, err := cli.Profile(*cpuProf, *memProf)
@@ -76,7 +71,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	opts.Seed = *seed
 	opts.Workers = *workers
 	opts.Check = *check
-	opts.Shards = *shards // as given: experiment says which counts (and -check) a run refuses
 	opts.Ctx = ctx
 	if *progress {
 		// Every sweep/checkpoint a figure runs reports through the options

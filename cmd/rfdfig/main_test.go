@@ -51,48 +51,6 @@ func TestFigureNamesUnique(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadShards: -shards reaches experiment as given, so the rule
-// book's own message is what the user sees. Pre-fix a negative count was
-// dropped and the figure ran sequentially without a word.
-func TestRunRejectsBadShards(t *testing.T) {
-	for _, tc := range []struct {
-		args    []string
-		wantErr string
-	}{
-		{[]string{"-shards", "-2"}, "negative shard count -2"},
-		{[]string{"-shards", "4", "-check"}, "invariant checker"},
-	} {
-		args := append([]string{"-fig", "fig7", "-small", "-noplot", "-out", t.TempDir()}, tc.args...)
-		if err := run(context.Background(), args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
-		}
-	}
-}
-
-// TestRunRefusesShardedLossFigure: the loss figure runs under the
-// convergence watchdog, which drives one kernel, so -shards > 1 with -fig
-// loss or all is refused while the flags are read — before any figure is
-// built — naming the figure. Other figures still take -shards.
-func TestRunRefusesShardedLossFigure(t *testing.T) {
-	for _, fig := range []string{"loss", "all"} {
-		dir := t.TempDir()
-		args := []string{"-fig", fig, "-small", "-noplot", "-shards", "2", "-out", dir}
-		err := run(context.Background(), args, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "-fig "+fig) || !strings.Contains(err.Error(), "loss figure") {
-			t.Errorf("-fig %s -shards 2: err = %v, want a refusal naming the figure", fig, err)
-		}
-		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-			t.Errorf("-fig %s -shards 2 wrote %d files before refusing", fig, len(entries))
-		}
-	}
-	if err := run(context.Background(), []string{"-fig", "loss", "-small", "-noplot", "-shards", "1", "-out", t.TempDir()}, io.Discard); err != nil {
-		t.Errorf("-fig loss -shards 1: %v", err)
-	}
-	if err := run(context.Background(), []string{"-fig", "fig7", "-small", "-noplot", "-shards", "2", "-out", t.TempDir()}, io.Discard); err != nil {
-		t.Errorf("-fig fig7 -shards 2: %v", err)
-	}
-}
-
 // TestRunWritesProfiles: -cpuprofile / -memprofile leave a profile each behind
 // a figure build, as rfdsim's pair does behind a run.
 func TestRunWritesProfiles(t *testing.T) {
@@ -196,26 +154,34 @@ func TestBuildIndependentOfWorkers(t *testing.T) {
 }
 
 // TestRunFailureStopsBuild: the error of a failing build is that of the first
-// failing figure in figures order — fig7, as in TestRunRejectsBadShards; every
-// figure simulating after it is cancelled — and a cancelled context stops the
-// build with a typed ErrCanceled. Either way no figure goroutine outlives run.
+// failing figure in figures order — fig7 here, made to fail; every figure
+// simulating after it is cancelled — and a cancelled context stops the build
+// with a typed ErrCanceled. Either way no figure goroutine outlives run.
 func TestRunFailureStopsBuild(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
+	errInjected := errors.New("injected figure failure")
 	for _, tc := range []struct {
 		name  string
 		ctx   context.Context
-		args  []string
+		fail  string // the figure made to fail, if any
 		check func(error) bool
 	}{
-		{"bad shards", context.Background(), []string{"-shards", "-2"}, func(err error) bool {
-			return strings.HasPrefix(err.Error(), "fig7: ") && strings.Contains(err.Error(), "negative shard count -2")
+		{"failing figure", context.Background(), "fig7", func(err error) bool {
+			return strings.HasPrefix(err.Error(), "fig7: ") && errors.Is(err, errInjected)
 		}},
-		{"cancelled", cancelled, nil, func(err error) bool { return errors.Is(err, experiment.ErrCanceled) }},
+		{"cancelled", cancelled, "", func(err error) bool { return errors.Is(err, experiment.ErrCanceled) }},
 	} {
 		before := runtime.NumGoroutine()
-		args := append([]string{"-fig", "all", "-small", "-noplot", "-out", t.TempDir()}, tc.args...)
-		if err := run(tc.ctx, args, io.Discard); err == nil || !tc.check(err) {
+		restore := func() {}
+		if i := slices.IndexFunc(figures, func(f figure) bool { return f.name == tc.fail }); i >= 0 {
+			orig := figures[i].fn
+			figures[i].fn = func(*generator) error { return errInjected }
+			restore = func() { figures[i].fn = orig }
+		}
+		err := run(tc.ctx, []string{"-fig", "all", "-small", "-noplot", "-out", t.TempDir()}, io.Discard)
+		restore()
+		if err == nil || !tc.check(err) {
 			t.Errorf("%s: err = %v", tc.name, err)
 		}
 		// A finished goroutine may take a moment to leave the count.

@@ -11,7 +11,6 @@
 //	rfdsim -pulses 3 -loss 0.01 -jitter 5ms   # 1% message loss, 5ms delay jitter
 //	rfdsim -pulses 1 -faults plan.txt         # scripted faults (see faults.ParsePlan)
 //	rfdsim -pulses 5 -cpuprofile cpu.out      # profile the run (go tool pprof cpu.out)
-//	rfdsim -pulses 3 -shards 4                # sharded parallel engine, 4 shards
 //	rfdsim -topology caida:as-rel.txt -pulses 1   # CAIDA AS-relationship import
 package main
 
@@ -59,7 +58,6 @@ func run(ctx context.Context, args []string) error {
 		faultFile = fs.String("faults", "", "apply the fault plan in this file (faults.ParsePlan format)")
 		loss      = fs.Float64("loss", 0, "uniform message-loss probability in [0, 1]")
 		jitter    = fs.Duration("jitter", 0, "maximum extra per-message delay (uniform in [0, jitter))")
-		shards    = fs.Int("shards", 1, "run on the sharded parallel engine with this many shards (1 = sequential; traces and results are identical)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = fs.String("memprofile", "", "write a post-run heap profile to this file")
 	)
@@ -76,7 +74,7 @@ func run(ctx context.Context, args []string) error {
 	// The run is the Spec rfdd would build from the same names, so rfdsim
 	// refuses what rfdd refuses; the rest of the flags adjust its scenario.
 	spec := experiment.Spec{Topology: *topo, Rows: *rows, Cols: *cols, Nodes: *nodes, Damping: *damp, RCN: *rcnOn,
-		Seed: *seed, FlapIntervalS: interval.Seconds(), Shards: *shards, Pulses: []int{*pulses}}
+		Seed: *seed, FlapIntervalS: interval.Seconds(), Pulses: []int{*pulses}}
 	if *sweep != "" {
 		if spec.Pulses, err = parseSweep(*sweep); err != nil {
 			return err
@@ -111,14 +109,6 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		sc.Impair = imp
-		if sc.Shards > 1 {
-			// The sharded engine requires engine-independent impairment
-			// randomness: one stream per directed link instead of the single
-			// global stream. (The two modes are different random sequences,
-			// so a sharded faulty run is not comparable to a sequential one
-			// unless the sequential run also uses -shards-style streams.)
-			imp.UseLinkStreams()
-		}
 		if *faultFile != "" {
 			f, err := os.Open(*faultFile)
 			if err != nil {
@@ -154,23 +144,6 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	fmt.Printf("topology          %s (isp=%d, origin=%d)\n", sc.Graph, res.ISP, res.Origin)
-	if sc.Shards > 1 {
-		fmt.Printf("shards            %d\n", sc.Shards)
-		if *verbose {
-			// Reconstruct the run topology (base graph + attached origin) the
-			// sharded engine partitioned and report the cut quality.
-			rg := sc.Graph.Clone()
-			o := rg.AddNode()
-			if err := rg.AddEdge(o, sc.ISP); err != nil {
-				return err
-			}
-			assign, err := topology.Partition(rg, sc.Shards)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("partition         %s\n", topology.AnalyzePartition(rg, assign))
-		}
-	}
 	fmt.Printf("workload          %d pulses, %v interval\n", res.Pulses, *interval)
 	fmt.Printf("damping           %s (rcn=%t, policy=%s, mrai=%v)\n", *damp, *rcnOn, sc.Config.Policy, *mrai)
 	fmt.Printf("convergence time  %.0f s\n", res.ConvergenceTime.Seconds())

@@ -122,30 +122,28 @@ func TestRunWritesTrace(t *testing.T) {
 
 // TestRunSweepWritesTrace: a traced sweep's file is the files of the
 // standalone traced runs of its pulse counts, one after another in ascending
-// order, on either engine.
+// order.
 func TestRunSweepWritesTrace(t *testing.T) {
 	dir := t.TempDir()
-	for _, shards := range []string{"1", "2"} {
-		args := []string{"-rows", "4", "-cols", "4", "-shards", shards}
-		path := filepath.Join(dir, "sweep.jsonl")
-		capture(t, append(args, "-sweep", "0:2", "-trace", path)...)
-		got, err := os.ReadFile(path)
+	args := []string{"-rows", "4", "-cols", "4"}
+	path := filepath.Join(dir, "sweep.jsonl")
+	capture(t, append(args, "-sweep", "0:2", "-trace", path)...)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for n := 0; n <= 2; n++ {
+		path := filepath.Join(dir, "pulses.jsonl")
+		capture(t, append(args, "-pulses", strconv.Itoa(n), "-trace", path)...)
+		one, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []byte
-		for n := 0; n <= 2; n++ {
-			path := filepath.Join(dir, "pulses.jsonl")
-			capture(t, append(args, "-pulses", strconv.Itoa(n), "-trace", path)...)
-			one, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, one...)
-		}
-		if len(want) == 0 || !bytes.Equal(got, want) {
-			t.Errorf("-shards %s: -sweep 0:2 trace (%d bytes) differs from the -pulses 0, 1, 2 traces concatenated (%d bytes)", shards, len(got), len(want))
-		}
+		want = append(want, one...)
+	}
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("-sweep 0:2 trace (%d bytes) differs from the -pulses 0, 1, 2 traces concatenated (%d bytes)", len(got), len(want))
 	}
 }
 
@@ -158,14 +156,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-damping", "huawei"}, "unknown damping preset"},
 		{[]string{"-policy", "chaos"}, "unknown policy"},
 		{[]string{"-topology", "ring", "-nodes", "2"}, "ring needs >= 3 nodes, got 2"},
-		// Pre-fix a negative shard count ran sequentially without a word.
-		{[]string{"-rows", "4", "-cols", "4", "-shards", "-2"}, "shards -2 outside [0, 64]"},
 		// rfdd's bounds, from the one Spec both build through.
 		{[]string{"-rows", "100000", "-cols", "100000"}, "router limit"},
 		{[]string{"-topology", "fullmesh", "-nodes", "513"}, "link limit"},
 		{[]string{"-rows", "4", "-cols", "4", "-interval", "48h"}, "flap_interval_s 172800 outside [0, 86400] s"},
-		{[]string{"-rows", "4", "-cols", "4", "-shards", "65"}, "shards 65 outside [0, 64]"},
-		{[]string{"-rows", "4", "-cols", "4", "-shards", "4", "-check"}, "invariant checker"},
+		// One engine: the sharded one is reachable only through Scenario.Shards.
+		{[]string{"-rows", "4", "-cols", "4", "-shards", "2"}, "flag provided but not defined: -shards"},
 		// Pre-fix the spec was scanned, not parsed: trailing input was ignored.
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", "1:2:9"}, `bad -sweep "1:2:9" (want "from:to"`},
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", "1:2abc"}, `bad -sweep "1:2abc" (want "from:to"`},
@@ -179,46 +175,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestRunSharded(t *testing.T) {
-	cases := [][]string{
-		{"-rows", "4", "-cols", "4", "-pulses", "1", "-shards", "4", "-v"},
-		{"-rows", "4", "-cols", "4", "-pulses", "1", "-shards", "2", "-loss", "0.01"},
-		{"-topology", "internet", "-nodes", "20", "-pulses", "1", "-shards", "2"},
-		{"-rows", "4", "-cols", "4", "-pulses", "1", "-shards", "2", "-sweep", "0:2"},
+// TestRunPrintsDrops: an impaired run reports its drop count and the
+// watchdog's verdict; a run without impairments or a fault plan prints
+// neither line.
+func TestRunPrintsDrops(t *testing.T) {
+	out, _ := capture(t, "-rows", "6", "-cols", "6", "-loss", "0.01")
+	var dropped uint64
+	if n := strings.Count(out, "messages dropped"); n != 1 {
+		t.Fatalf("%d drop lines, want 1:\n%s", n, out)
 	}
-	for _, args := range cases {
-		if err := run(context.Background(), args); err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
+	line := out[strings.Index(out, "messages dropped"):]
+	if _, err := fmt.Sscanf(line, "messages dropped %d", &dropped); err != nil || dropped == 0 {
+		t.Errorf("drop line %q does not report the lost messages (%v)", strings.SplitN(line, "\n", 2)[0], err)
 	}
-	// -check needs the sequential engine.
-	if err := run(context.Background(), []string{"-rows", "4", "-cols", "4", "-shards", "2", "-check"}); err == nil {
-		t.Fatal("-shards with -check accepted")
+	if !strings.Contains(out, "watchdog") {
+		t.Errorf("an impaired run printed no watchdog line:\n%s", out)
 	}
-}
-
-// TestRunPrintsDropsOnBothEngines: an impaired run reports its drop count
-// whichever engine runs it, though only the sequential engine runs the
-// watchdog; a run without impairments or a fault plan prints neither line.
-func TestRunPrintsDropsOnBothEngines(t *testing.T) {
-	lossy := []string{"-rows", "6", "-cols", "6", "-loss", "0.01"}
-	for _, shards := range []string{"1", "2"} {
-		out, _ := capture(t, append(lossy, "-shards", shards)...)
-		var dropped uint64
-		if n := strings.Count(out, "messages dropped"); n != 1 {
-			t.Fatalf("-shards %s: %d drop lines, want 1:\n%s", shards, n, out)
-		}
-		line := out[strings.Index(out, "messages dropped"):]
-		if _, err := fmt.Sscanf(line, "messages dropped %d", &dropped); err != nil || dropped == 0 {
-			t.Errorf("-shards %s: drop line %q does not report the lost messages (%v)", shards, strings.SplitN(line, "\n", 2)[0], err)
-		}
-		if got, want := strings.Contains(out, "watchdog"), shards == "1"; got != want {
-			t.Errorf("-shards %s: watchdog line printed %t, want %t", shards, got, want)
-		}
-	}
-	clean, _ := capture(t, "-rows", "4", "-cols", "4", "-shards", "2")
-	if strings.Contains(clean, "messages dropped") {
-		t.Errorf("a run without impairments printed a drop count:\n%s", clean)
+	clean, _ := capture(t, "-rows", "4", "-cols", "4")
+	if strings.Contains(clean, "messages dropped") || strings.Contains(clean, "watchdog") {
+		t.Errorf("a run without impairments printed a drop count or a watchdog line:\n%s", clean)
 	}
 }
 
@@ -286,7 +261,7 @@ func TestRunCAIDATopology(t *testing.T) {
 	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	args := []string{"-topology", "caida:" + path, "-pulses", "1", "-shards", "2"}
+	args := []string{"-topology", "caida:" + path, "-pulses", "1"}
 	if err := run(context.Background(), args); err != nil {
 		t.Fatal(err)
 	}

@@ -42,13 +42,6 @@ type Options struct {
 	// (Scenario.Check). Figures come out identical — the checker only
 	// observes — but any invariant violation fails the figure loudly.
 	Check bool
-	// Shards, when > 1, runs every figure scenario on the sharded engine
-	// (Scenario.Shards). Figures come out identical — the shard count is an
-	// execution detail, not a simulation input — and sweeps still warm up
-	// once and simulate each pulse once: one flight forks the sharded
-	// checkpoint and every point branches off it. Incompatible with Check
-	// (the invariant checker is sequential-engine).
-	Shards int
 	// Ctx, when non-nil, supervises every run and sweep the figure executes:
 	// cancelling it stops the figure with a typed ErrCanceled, a deadline
 	// with ErrBudgetExceeded. Nil means context.Background(). An un-tripped
@@ -203,7 +196,7 @@ func (o Options) scenarioFrom(sh topology.Shape, cfg bgp.Config, graph func(topo
 	if err != nil {
 		return Scenario{}, err
 	}
-	return Scenario{Graph: g, ISP: sh.DefaultISP(), Config: cfg, FlapInterval: o.FlapInterval, Check: o.Check, Shards: o.Shards}, nil
+	return Scenario{Graph: g, ISP: sh.DefaultISP(), Config: cfg, FlapInterval: o.FlapInterval, Check: o.Check}, nil
 }
 
 // meshScenario builds the torus scenario.

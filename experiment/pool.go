@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -91,7 +92,7 @@ func (s Scenario) poolKey() (string, bool) {
 // has yet (or if it was evicted). Unpoolable scenarios and a nil pool build a
 // fresh checkpoint. The returned Checkpoint is shared — callers only fork it,
 // which is safe concurrently.
-func (p *CheckpointPool) Get(ctx context.Context, sc Scenario) (*Checkpoint, error) {
+func (p *CheckpointPool) Get(ctx context.Context, sc Scenario) (cp *Checkpoint, err error) {
 	if p == nil {
 		return NewCheckpointContext(ctx, sc)
 	}
@@ -116,15 +117,26 @@ func (p *CheckpointPool) Get(ctx context.Context, sc Scenario) (*Checkpoint, err
 		}
 		return e.Value()
 	}
-	cp, err := NewCheckpointContext(ctx, sc)
-	if err == nil {
+	// Resolved from a defer, as lru.Cache.Get does: a warm-up that panics
+	// still releases its waiters and frees the key for the next claim.
+	err = errWarmUpPanicked
+	defer func() {
+		p.mu.Lock()
+		p.cache.Resolve(e, cp, 1, err)
+		p.mu.Unlock()
+	}()
+	if cp, err = poolWarmUp(ctx, sc); err == nil {
 		cp.entry = &poolEntry{pool: p, slot: e}
 	}
-	p.mu.Lock()
-	p.cache.Resolve(e, cp, 1, err)
-	p.mu.Unlock()
 	return cp, err
 }
+
+// errWarmUpPanicked is what the waiters of a pooled warm-up that panicked see.
+var errWarmUpPanicked = errors.New("experiment: the pooled warm-up panicked")
+
+// poolWarmUp builds the checkpoint a pool miss holds. It is a variable so the
+// robustness tests can make a warm-up panic on cue.
+var poolWarmUp = NewCheckpointContext
 
 // take hands the caller the entry's parked flight if it stands at or below
 // pulse n, and nil otherwise (or for a nil entry). The caller owns the flight

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"testing"
+	"time"
 )
 
 // TestCheckpointPoolFailedWarmUpEvictsNothing: the pool evicts only when an
@@ -37,5 +38,37 @@ func TestCheckpointPoolFailedWarmUpEvictsNothing(t *testing.T) {
 	}
 	if hits, misses, _ := pool.Stats(); again != cp || hits != 1 || misses != 3 {
 		t.Fatalf("A again: same checkpoint %t, hits/misses %d/%d; want true, 1/3", again == cp, hits, misses)
+	}
+}
+
+// TestCheckpointPoolPanickingWarmUpFreesKey: a warm-up that panics still
+// resolves its pool entry, so the key is not stranded in flight. The next
+// Get of it converges at once instead of waiting out its own deadline, and
+// Len counts no entry for it meanwhile.
+func TestCheckpointPoolPanickingWarmUpFreesKey(t *testing.T) {
+	pool := NewCheckpointPool(4)
+	sc := poolScenario(t, 1)
+	orig := poolWarmUp
+	poolWarmUp = func(context.Context, Scenario) (*Checkpoint, error) { panic("injected warm-up panic") }
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the injected warm-up panic did not reach the caller")
+			}
+		}()
+		pool.Get(context.Background(), sc)
+	}()
+	poolWarmUp = orig
+	if n := pool.Len(); n != 0 {
+		t.Errorf("after a panicking warm-up: Len %d, want 0", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cp, err := pool.Get(ctx, sc)
+	if err != nil || cp == nil {
+		t.Fatalf("Get after a panicking warm-up: %v", err)
+	}
+	if hits, misses, _ := pool.Stats(); hits != 0 || misses != 2 || pool.Len() != 1 {
+		t.Fatalf("hits/misses %d/%d, Len %d; want 0/2, 1", hits, misses, pool.Len())
 	}
 }

@@ -100,9 +100,8 @@ type Scenario struct {
 	// time after the drain, rather than the recorder as they happen). The
 	// Result is identical to a Shards<=1 run of the same scenario — the shard
 	// count is an execution detail, not a simulation input, which is why
-	// Fingerprint ignores it. Sharded runs are incompatible with Check and
-	// with impairment models that are not in per-link stream mode
-	// (faults.Impairments.UseLinkStreams).
+	// Fingerprint ignores it. Sharded runs refuse Check and Impair. No front
+	// end sets Shards: only a Scenario built in Go reaches the sharded engine.
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after
@@ -539,12 +538,11 @@ func begin(sc Scenario, e engine) (*flight, error) {
 	}
 
 	// Fault injection: impairments and the fault plan come alive at the
-	// epoch, after the clean warm-up, sharing the Result clock zero. Each
-	// network gets its own fork of the impairment model, so the caller's is
-	// never consumed and a shard consumes only the per-link streams of the
-	// links it sends on; the plan is replicated to every network at the same
-	// virtual times, which keeps their link/session replicas in lockstep. A
-	// trace is recorded into a log per network.
+	// epoch, after the clean warm-up, sharing the Result clock zero. The
+	// network gets a fork of the impairment model, so the caller's is never
+	// consumed (a sharded run has none); the plan is replicated to every
+	// network at the same virtual times, which keeps their link/session
+	// replicas in lockstep. A trace is recorded into a log per network.
 	for _, n := range nets {
 		imp := sc.Impair
 		if imp != nil {
@@ -817,7 +815,8 @@ func watchErr(ctx context.Context, rep *faults.Report) error {
 // checkpoint only serves scenarios with the shard count it was built with.
 // The run's Result is identical either way (the cache fingerprint
 // deliberately ignores Shards), but the parked kernel state is not
-// interchangeable.
+// interchangeable. Every front end parks sequential checkpoints; a sharded
+// one comes only from a Scenario built in Go with Shards > 1.
 type Checkpoint struct {
 	parked engine
 	// branch is set on the value a sweep hands one point's runner: a flight

@@ -14,8 +14,8 @@ func (s Scenario) validateSharded() error {
 	if s.Check {
 		return fmt.Errorf("experiment: the invariant checker attaches to a single network; it cannot observe a sharded run (Shards=%d)", s.Shards)
 	}
-	if s.Impair != nil && !s.Impair.LinkStreams() {
-		return fmt.Errorf("experiment: sharded runs need per-link impairment streams (faults.Impairments.UseLinkStreams); the global stream's consumption order is engine-dependent")
+	if s.Impair != nil {
+		return fmt.Errorf("experiment: Impair needs the sequential engine; it cannot impair a sharded run (Shards=%d)", s.Shards)
 	}
 	return nil
 }

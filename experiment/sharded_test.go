@@ -152,44 +152,6 @@ func TestRunShardedLinkFlapMatchesSequential(t *testing.T) {
 	assertResultsEqual(t, want, got)
 }
 
-// TestRunShardedImpairMatchesSequential pins impairment equivalence: per-link
-// streams are consumed identically by both engines, so a lossy sharded run
-// matches a lossy sequential run drop for drop.
-func TestRunShardedImpairMatchesSequential(t *testing.T) {
-	mkImpair := func() *faults.Impairments {
-		im := faults.NewImpairments(21)
-		im.UseLinkStreams()
-		if err := im.SetDefault(faults.Profile{Loss: 0.05}); err != nil {
-			t.Fatal(err)
-		}
-		return im
-	}
-	base := Scenario{
-		Graph:  smallMesh(t),
-		ISP:    12,
-		Config: dampingCfg(),
-		Pulses: 2,
-	}
-	base.Config.Seed = 17
-	seq := base
-	seq.Impair = mkImpair()
-	want, err := Run(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Dropped == 0 {
-		t.Fatal("impaired run dropped nothing; the leg proves nothing")
-	}
-	sh := base
-	sh.Impair = mkImpair()
-	sh.Shards = 4
-	got, err := Run(sh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, want, got)
-}
-
 // TestRunShardedFaultPlanMatchesSequential drives a fault plan through both
 // engines: the plan's events are replicated per shard at the same virtual
 // times, so the traces stay identical.
@@ -256,12 +218,14 @@ func TestShardedValidation(t *testing.T) {
 			t.Fatalf("want checker error, got %v", err)
 		}
 	})
+	// Any impairment model is refused: its one global stream is consumed in
+	// the sequential engine's send order, which a sharded run does not have.
 	t.Run("global-stream-impairment", func(t *testing.T) {
 		sc := valid()
 		sc.Shards = 2
-		sc.Impair = faults.NewImpairments(1) // no UseLinkStreams
-		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "per-link") {
-			t.Fatalf("want per-link stream error, got %v", err)
+		sc.Impair = faults.NewImpairments(1)
+		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "Impair needs the sequential engine") {
+			t.Fatalf("want an error naming Impair, got %v", err)
 		}
 	})
 	// A checkpoint parks engine-specific state: it serves only the shard

@@ -11,8 +11,8 @@ import (
 
 // Spec describes a run by names and sizes, the form it is asked for in, and is
 // rfdd's sweep request body: small, self-describing and reproducible, which
-// is what the content-addressed run cache keys on. A zero size, seed,
-// interval or shard count takes the value of the Options it is built with.
+// is what the content-addressed run cache keys on. A zero size, seed or
+// interval takes the value of the Options it is built with.
 type Spec struct {
 	// Topology is a topology.Shape family: "mesh" (default), "internet", ….
 	Topology string `json:"topology"`
@@ -26,9 +26,6 @@ type Spec struct {
 	RCN           bool    `json:"rcn"`
 	Seed          uint64  `json:"seed"`
 	FlapIntervalS float64 `json:"flap_interval_s"`
-	// Shards > 1 runs each point on the sharded engine; results and cache
-	// keys are those of a sequential run.
-	Shards int `json:"shards"`
 	// Pulses lists the pulse counts to run (0..Options.MaxPulses when empty).
 	Pulses []int `json:"pulses"`
 }
@@ -48,7 +45,6 @@ const (
 	maxRouters       = 1 << 16        // 65536 routers
 	maxLinks         = 2 * maxRouters // a 65536-router torus; 512 fully meshed routers
 	maxFlapIntervalS = 86400          // one day, vs. a 60 min max hold-down
-	maxShards        = 64
 	maxPulseCounts   = 64
 )
 
@@ -83,9 +79,6 @@ func (s Spec) Validate() error {
 	if f := s.FlapIntervalS; !(f >= 0 && f <= maxFlapIntervalS) {
 		return fmt.Errorf("flap_interval_s %v outside [0, %d] s", f, maxFlapIntervalS)
 	}
-	if s.Shards < 0 || s.Shards > maxShards {
-		return fmt.Errorf("shards %d outside [0, %d]", s.Shards, maxShards)
-	}
 	if len(s.Pulses) > maxPulseCounts {
 		return fmt.Errorf("pulses: too many pulse counts (%d, max %d)", len(s.Pulses), maxPulseCounts)
 	}
@@ -102,11 +95,10 @@ func (s Spec) Scenario(o Options, graph func(topology.Shape) (*topology.Graph, e
 	s.Cols = cmp.Or(s.Cols, o.MeshCols)
 	s.Nodes = cmp.Or(s.Nodes, o.InternetNodes)
 	s.Seed = cmp.Or(s.Seed, o.Seed)
-	s.Shards = cmp.Or(s.Shards, o.Shards)
 	if err = s.Validate(); err != nil {
 		return sc, nil, err
 	}
-	o.Seed, o.Shards = s.Seed, s.Shards
+	o.Seed = s.Seed
 	o.FlapInterval = cmp.Or(time.Duration(s.FlapIntervalS*float64(time.Second)), o.FlapInterval)
 	if pulses = s.Pulses; len(pulses) == 0 {
 		pulses = PulseRange(0, o.MaxPulses)

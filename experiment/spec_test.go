@@ -29,8 +29,6 @@ func TestSpecBounds(t *testing.T) {
 		{Spec{FlapIntervalS: 86401}, "flap_interval_s 86401 outside"},
 		{Spec{FlapIntervalS: math.NaN()}, "flap_interval_s NaN outside"},
 		{Spec{FlapIntervalS: math.Inf(1)}, "flap_interval_s +Inf outside"},
-		{Spec{Shards: -1}, "shards -1 outside [0, 64]"},
-		{Spec{Shards: 65}, "shards 65 outside [0, 64]"},
 		{Spec{Pulses: make([]int, 65)}, "pulses: too many pulse counts (65, max 64)"},
 	} {
 		if err := tc.spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -54,7 +52,6 @@ func TestSpecBounds(t *testing.T) {
 		{Topology: "ring", Nodes: 65536},
 		{Topology: "fullmesh", Nodes: 512},
 		{FlapIntervalS: 86400},
-		{Shards: 64},
 		{Pulses: make([]int, 64)},
 	} {
 		if err := ok.Validate(); err != nil {
@@ -93,8 +90,8 @@ func TestSpecScenarioLikeDaemonScenario(t *testing.T) {
 		{Spec{Topology: "mesh", Rows: 4, Cols: 6, Damping: "juniper", Seed: 3, FlapIntervalS: 30, Pulses: []int{2, 7}}, func(o *Options) {
 			o.MeshRows, o.MeshCols, o.Seed, o.FlapInterval = 4, 6, 3, 30*time.Second
 		}},
-		{Spec{Topology: "ring", Nodes: 9, Damping: "ripe229", Seed: 5, Shards: 2}, func(o *Options) {
-			o.InternetNodes, o.Seed, o.Shards = 9, 5, 2
+		{Spec{Topology: "ring", Nodes: 9, Damping: "ripe229", Seed: 5}, func(o *Options) {
+			o.InternetNodes, o.Seed = 9, 5
 		}},
 	} {
 		o := SmallOptions()
@@ -109,9 +106,9 @@ func TestSpecScenarioLikeDaemonScenario(t *testing.T) {
 		}
 		gotKey, ok1 := got.Fingerprint()
 		wantKey, ok2 := want.Fingerprint()
-		if !ok1 || !ok2 || gotKey != wantKey || got.ISP != want.ISP || got.FlapInterval != want.FlapInterval || got.Shards != want.Shards {
-			t.Errorf("%+v: key %s isp %d interval %v shards %d; DaemonScenario gives %s isp %d interval %v shards %d",
-				tc.spec, gotKey, got.ISP, got.FlapInterval, got.Shards, wantKey, want.ISP, want.FlapInterval, want.Shards)
+		if !ok1 || !ok2 || gotKey != wantKey || got.ISP != want.ISP || got.FlapInterval != want.FlapInterval {
+			t.Errorf("%+v: key %s isp %d interval %v; DaemonScenario gives %s isp %d interval %v",
+				tc.spec, gotKey, got.ISP, got.FlapInterval, wantKey, want.ISP, want.FlapInterval)
 		}
 		wantPulses := tc.spec.Pulses
 		if wantPulses == nil {

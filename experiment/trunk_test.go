@@ -59,12 +59,6 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 		{"watchdog", true, func(sc *Scenario) { sc.Faults = faults.NewPlan() }},
 		{"impaired", true, func(sc *Scenario) { sc.Impair = lossy() }},
 		{"sharded", true, func(sc *Scenario) { sc.Shards = 2 }},
-		{"sharded-impaired-watch", true, func(sc *Scenario) {
-			sc.Shards = 3
-			sc.Impair = lossy()
-			sc.Impair.UseLinkStreams()
-			sc.Watch = []PenaltyWatch{{Router: 0, Peer: sc.OriginID()}}
-		}},
 		{"fault-plan", true, func(sc *Scenario) {
 			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
 		}},

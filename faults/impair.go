@@ -47,62 +47,15 @@ type window struct {
 // own instance.
 type Impairments struct {
 	rng     *xrand.Rand
-	seed    uint64
 	def     Profile
 	windows []window
-	// perLink, when non-nil, holds one lazily-derived RNG stream per
-	// directed link instead of the single global stream (see
-	// UseLinkStreams).
-	perLink map[dirKey]*xrand.Rand
-}
-
-// dirKey keys a directed link endpoint pair.
-type dirKey struct {
-	from, to bgp.RouterID
 }
 
 // NewImpairments returns an impairment model with a perfect default profile,
 // drawing randomness from a stream derived from seed (independent of the
 // network's own streams for the same seed).
 func NewImpairments(seed uint64) *Impairments {
-	return &Impairments{
-		rng:  xrand.New(seed).Split(),
-		seed: seed,
-	}
-}
-
-// UseLinkStreams switches the model from the single global stream — consumed
-// in the engine's global send order — to an independent stream per directed
-// link, derived deterministically from (seed, from, to) on first use.
-//
-// The global stream's consumption order is an artifact of the sequential
-// engine: the sharded engine interleaves sends from different shards
-// differently, so the same seed would impair different messages. Per-link
-// streams are engine-independent — each directed link is sent from exactly
-// one shard, in FIFO order, so every engine consumes each stream
-// identically. Enable it before the run starts, and on both engines when
-// comparing traces; the two modes are deliberately different random
-// sequences even on the sequential engine.
-func (im *Impairments) UseLinkStreams() {
-	im.perLink = make(map[dirKey]*xrand.Rand)
-}
-
-// LinkStreams reports whether the model is in per-link stream mode (see
-// UseLinkStreams). The sharded engine requires it.
-func (im *Impairments) LinkStreams() bool { return im.perLink != nil }
-
-// linkRNG returns the directed link's stream, deriving it on first use.
-func (im *Impairments) linkRNG(from, to bgp.RouterID) *xrand.Rand {
-	k := dirKey{from, to}
-	if r, ok := im.perLink[k]; ok {
-		return r
-	}
-	// Mix the endpoints into the seed; xrand.New splitmixes the result, so
-	// adjacent (seed, from, to) triples still yield unrelated streams.
-	h := im.seed ^ uint64(uint32(from))<<32 ^ uint64(uint32(to))*0x9E3779B97F4A7C15
-	r := xrand.New(h).Split()
-	im.perLink[k] = r
-	return r
+	return &Impairments{rng: xrand.New(seed).Split()}
 }
 
 // SetDefault installs the profile applied to every direction.
@@ -128,19 +81,11 @@ func (im *Impairments) AddWindow(start, end time.Duration, rate float64, from, t
 // consume their streams independently, so each fork of a network snapshot
 // reproduces the impairment decisions a from-scratch run would make.
 func (im *Impairments) Fork() *Impairments {
-	c := &Impairments{
+	return &Impairments{
 		rng:     im.rng.Clone(),
-		seed:    im.seed,
 		def:     im.def,
 		windows: append([]window(nil), im.windows...),
 	}
-	if im.perLink != nil {
-		c.perLink = make(map[dirKey]*xrand.Rand, len(im.perLink))
-		for k, r := range im.perLink {
-			c.perLink[k] = r.Clone()
-		}
-	}
-	return c
 }
 
 // ForkImpairment implements bgp.ImpairmentForker.
@@ -159,16 +104,12 @@ func (im *Impairments) Impair(at time.Duration, from, to bgp.RouterID) (bool, ti
 			}
 		}
 	}
-	rng := im.rng
-	if im.perLink != nil {
-		rng = im.linkRNG(from, to)
-	}
-	if loss > 0 && (loss >= 1 || rng.Float64() < loss) {
+	if loss > 0 && (loss >= 1 || im.rng.Float64() < loss) {
 		return true, 0
 	}
 	var jitter time.Duration
 	if im.def.MaxJitter > 0 {
-		jitter = time.Duration(rng.Uint64n(uint64(im.def.MaxJitter)))
+		jitter = time.Duration(im.rng.Uint64n(uint64(im.def.MaxJitter)))
 	}
 	return false, jitter
 }

@@ -17,6 +17,7 @@ import (
 	"rfd/damping"
 	"rfd/experiment"
 	"rfd/faults"
+	"rfd/internal/xrand"
 	"rfd/sim"
 	"rfd/topology"
 	"rfd/trace"
@@ -85,6 +86,50 @@ type faultDrive interface {
 	ResetSession(a, b bgp.RouterID) error
 }
 
+// linkStreams is an engine-independent loss-and-jitter model: each directed
+// link draws from its own stream, derived from (seed, from, to) on first use.
+// Every directed link is sent on from one shard, in FIFO order, so both
+// engines consume each stream identically. faults.Impairments draws from one
+// stream in the sequential engine's send order, so experiment refuses it on a
+// sharded run; this model keeps the sharded engine's impairment path under
+// test at the bgp level. loss and jitter must both be positive.
+type linkStreams struct {
+	seed    uint64
+	loss    float64
+	jitter  time.Duration
+	streams map[[2]bgp.RouterID]*xrand.Rand
+}
+
+func newLinkStreams(seed uint64, loss float64, jitter time.Duration) *linkStreams {
+	return &linkStreams{seed: seed, loss: loss, jitter: jitter, streams: make(map[[2]bgp.RouterID]*xrand.Rand)}
+}
+
+// Impair implements bgp.LinkImpairment.
+func (l *linkStreams) Impair(_ time.Duration, from, to bgp.RouterID) (bool, time.Duration) {
+	k := [2]bgp.RouterID{from, to}
+	r := l.streams[k]
+	if r == nil {
+		// xrand.New splitmixes the mixed seed, so adjacent (seed, from, to)
+		// triples still yield unrelated streams.
+		r = xrand.New(l.seed ^ uint64(uint32(from))<<32 ^ uint64(uint32(to))*0x9E3779B97F4A7C15).Split()
+		l.streams[k] = r
+	}
+	if r.Float64() < l.loss {
+		return true, 0
+	}
+	return false, time.Duration(r.Uint64n(uint64(l.jitter)))
+}
+
+// ForkImpairment implements bgp.ImpairmentForker: every stream at its
+// position.
+func (l *linkStreams) ForkImpairment() bgp.LinkImpairment {
+	c := newLinkStreams(l.seed, l.loss, l.jitter)
+	for k, r := range l.streams {
+		c.streams[k] = r.Clone()
+	}
+	return c
+}
+
 // canonicalSharded runs warm-up plus pulses (and optionally faults) on either
 // engine — shards <= 1 selects the sequential engine — and returns the
 // canonical trace bytes.
@@ -101,7 +146,7 @@ func canonicalSharded(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bg
 		drive   faultDrive
 		logs    func() []*trace.Log
 		counts  func() (uint64, uint64)
-		impair  func(*faults.Impairments)
+		impair  func(bgp.LinkImpairment)
 		cleanup func()
 	}
 	var eng engine
@@ -122,7 +167,7 @@ func canonicalSharded(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bg
 			drive:   n,
 			logs:    func() []*trace.Log { return []*trace.Log{log} },
 			counts:  func() (uint64, uint64) { return n.Delivered(), n.Dropped() },
-			impair:  func(im *faults.Impairments) { n.SetImpairment(im) },
+			impair:  func(im bgp.LinkImpairment) { n.SetImpairment(im) },
 			cleanup: func() {},
 		}
 	} else {
@@ -149,9 +194,9 @@ func canonicalSharded(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bg
 			drive:  sn,
 			logs:   func() []*trace.Log { return logs },
 			counts: func() (uint64, uint64) { return sn.Delivered(), sn.Dropped() },
-			impair: func(im *faults.Impairments) {
+			impair: func(im bgp.LinkImpairment) {
 				for s := 0; s < sn.NumShards(); s++ {
-					sn.Shard(s).SetImpairment(im.Fork())
+					sn.Shard(s).SetImpairment(im.(bgp.ImpairmentForker).ForkImpairment())
 				}
 			},
 			cleanup: sn.Close,
@@ -166,14 +211,7 @@ func canonicalSharded(t *testing.T, g *topology.Graph, cfg bgp.Config, origin bg
 	eng.align()
 
 	if withFaults {
-		// Per-link streams on both engines: the global stream's consumption
-		// order is engine-dependent, per-link streams are not.
-		im := faults.NewImpairments(cfg.Seed)
-		im.UseLinkStreams()
-		if err := im.SetDefault(faults.Profile{Loss: 0.01, MaxJitter: 2 * time.Millisecond}); err != nil {
-			t.Fatal(err)
-		}
-		eng.impair(im)
+		eng.impair(newLinkStreams(cfg.Seed, 0.01, 2*time.Millisecond))
 	}
 
 	const interval = 60 * time.Second
@@ -356,9 +394,9 @@ func TestShardedForkDifferential(t *testing.T) {
 			gr, withFaults := gr, withFaults
 			t.Run(gr.name+"/exact/"+fname, func(t *testing.T) {
 				g := gr.graph(t)
-				// mk builds a fresh scenario per leg: impairment streams are
-				// consumed during a run, so legs must never share an
-				// Impairments instance (same seed → identical streams).
+				// mk builds a fresh scenario per leg. The faulty legs flap a
+				// link and reset a session; experiment refuses an impairment
+				// model on a sharded run, so they lose no message.
 				mk := func(shards int) experiment.Scenario {
 					cfg := bgp.DefaultConfig()
 					params := damping.Cisco()
@@ -372,12 +410,6 @@ func TestShardedForkDifferential(t *testing.T) {
 						Shards: shards,
 					}
 					if withFaults {
-						im := faults.NewImpairments(cfg.Seed)
-						im.UseLinkStreams()
-						if err := im.SetDefault(faults.Profile{Loss: 0.01, MaxJitter: 2 * time.Millisecond}); err != nil {
-							t.Fatal(err)
-						}
-						sc.Impair = im
 						sc.Faults = faults.NewPlan(
 							faults.FlapLink(30*time.Second, 0, 1, 30*time.Second),
 							faults.ResetSession(45*time.Second, 2, 3),
@@ -432,8 +464,9 @@ func TestShardedForkDifferential(t *testing.T) {
 	// Sweep rows: on either engine, every point of a pulse sweep — a branch
 	// forked off one shared flap trajectory, mid-flap, with cross-shard
 	// announcements parked in outboxes — must equal a standalone sequential
-	// run of its pulse count. The impaired legs still branch (stream positions
-	// fork with the engine); a fault plan would not — the matrix above has it.
+	// run of its pulse count. The impaired leg, sequential only (experiment
+	// refuses Impair on a sharded run), still branches: stream positions fork
+	// with the engine.
 	g, err := topology.Torus(6, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +480,6 @@ func TestShardedForkDifferential(t *testing.T) {
 			sc := experiment.Scenario{Graph: g, ISP: topology.NodeID(g.NumNodes() / 2), Config: cfg, Shards: shards}
 			if impaired {
 				im := faults.NewImpairments(cfg.Seed)
-				im.UseLinkStreams()
 				if err := im.SetDefault(faults.Profile{Loss: 0.01, MaxJitter: 2 * time.Millisecond}); err != nil {
 					t.Fatal(err)
 				}
@@ -465,6 +497,9 @@ func TestShardedForkDifferential(t *testing.T) {
 			}
 		}
 		for _, shards := range []int{0, 4} {
+			if impaired && shards > 1 {
+				continue
+			}
 			t.Run(fmt.Sprintf("sweep/mesh6x6/impaired=%t/shards=%d", impaired, shards), func(t *testing.T) {
 				pts, err := experiment.SweepParallel(mk(shards), pulses, 2)
 				if err != nil {
@@ -474,15 +509,7 @@ func TestShardedForkDifferential(t *testing.T) {
 					if impaired && pt.Pulses > 0 && pt.Result.Dropped == 0 {
 						t.Fatalf("n=%d: the impaired sweep dropped nothing", pt.Pulses)
 					}
-					want := want[i]
-					if impaired && shards > 1 {
-						// The watchdog drives one kernel: a sharded impaired
-						// run drains bare and carries no report.
-						bare := *want
-						bare.FaultReport = nil
-						want = &bare
-					}
-					if !reflect.DeepEqual(want, pt.Result) {
+					if want := want[i]; !reflect.DeepEqual(want, pt.Result) {
 						t.Fatalf("sweep point n=%d differs from a standalone sequential run:\nwant %+v\ngot  %+v", pt.Pulses, want, pt.Result)
 					}
 				}
@@ -531,5 +558,54 @@ func TestShardedGoldenInternet208(t *testing.T) {
 	}
 	if sharded := render(canonicalSharded(t, g, cfg, origin, 1, 4, true)); sharded != got {
 		t.Fatalf("sharded digest diverged from sequential:\nseq   %sshard %s", got, sharded)
+	}
+}
+
+// TestShardedRunMatchesSequential runs experiment.Run on Shards 1 and 2 and
+// compares the whole Results, as a front end would read them with the
+// sequential engine's defaults (zero Options, Cisco damping, one pulse).
+//   - internet300-series keeps the per-minute series: one network reads its
+//     damped-link count off the RIB-INs at every flip, several networks
+//     replay a running ±1 count from their observation feeds, and the whole
+//     series must agree, not just the peak.
+//   - internet5000-undamped delivers more than 2^20 updates per shard, so
+//     each shard's observation feed must hold more records than a trace log's
+//     default bound. It takes seconds, so it runs only when RFD_SHARDED_SCALE
+//     is set (CI's sharded job sets it).
+func TestShardedRunMatchesSequential(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spec  experiment.Spec
+		scale bool
+	}{
+		{"internet300-series", experiment.Spec{Topology: "internet", Nodes: 300, Damping: "cisco", Seed: 1, Pulses: []int{1}}, false},
+		{"internet5000-undamped", experiment.Spec{Topology: "internet", Nodes: 5000, Damping: "none", Seed: 1, Pulses: []int{30}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.scale && os.Getenv("RFD_SHARDED_SCALE") == "" {
+				t.Skip("set RFD_SHARDED_SCALE=1 to run this leg (seconds, not milliseconds)")
+			}
+			sc, pulses, err := tc.spec.Scenario(experiment.Options{}, topology.Shape.Generate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Pulses = pulses[0]
+			sc.FlapInterval = experiment.DefaultFlapInterval
+			want, err := experiment.Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.MessageCount == 0 || want.Damped == nil {
+				t.Fatal("the run sent no message or kept no series: the comparison is vacuous")
+			}
+			sc.Shards = 2
+			got, err := experiment.Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("Shards=2 Result differs from Shards=1:\nwant %+v\ngot  %+v", want, got)
+			}
+		})
 	}
 }
