@@ -187,8 +187,8 @@ func newServer(cfg serverConfig) (*server, error) {
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/v1/sweep", s.handleSweep)
-	mux.HandleFunc("/v1/sweep/stream", s.handleSweepStream)
+	mux.HandleFunc("/v1/sweep", s.handleSweep(false))
+	mux.HandleFunc("/v1/sweep/stream", s.handleSweep(true))
 	mux.HandleFunc("/v1/figure", s.handleFigure)
 	return mux
 }
@@ -218,13 +218,12 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 // requestContext bounds r's context by the server timeout, tightened to the
-// request's own timeout_ms when smaller.
+// request's own timeout_ms when smaller. The two are compared in milliseconds,
+// so a timeout_ms too large for a time.Duration leaves the cap in place.
 func (s *server) requestContext(r *http.Request, requestedMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.Timeout
-	if requestedMS > 0 {
-		if req := time.Duration(requestedMS) * time.Millisecond; req < d {
-			d = req
-		}
+	if requestedMS > 0 && requestedMS <= d.Milliseconds() {
+		d = time.Duration(requestedMS) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -310,33 +309,6 @@ func pointJSON(p experiment.SweepPoint) sweepPointJSON {
 	return pt
 }
 
-func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req, base, pulses, ok := s.decodeSweep(w, r)
-	if !ok {
-		return
-	}
-	release, admitted := s.admit(w, r)
-	if !admitted {
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
-	pts, sweepErr := s.cache.SweepContext(ctx, base, pulses, s.cfg.Workers)
-	resp := sweepResponse{Points: pointsJSON(pts)}
-	if sweepErr != nil {
-		resp.Error = sweepErr.Error()
-		// Partial results still ship, with the status telling the class of
-		// failure: deadline -> 504, cancel -> 499-style 503, else 500.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(statusForErr(sweepErr))
-		json.NewEncoder(w).Encode(resp)
-		return
-	}
-	writeJSON(w, resp)
-}
-
 // streamEvent is one NDJSON line of POST /v1/sweep/stream. Event is "warmup",
 // "point" or "done":
 //
@@ -372,10 +344,12 @@ type streamEvent struct {
 // goroutines report concurrently, and http.ResponseWriter is not safe for
 // concurrent use, so every write holds the mutex and flushes before release —
 // a client reading the connection sees each event as soon as it happened.
+// live and cached count the point events streamed so far, by kind.
 type eventStream struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	fl  http.Flusher
+	mu           sync.Mutex
+	enc          *json.Encoder
+	fl           http.Flusher
+	live, cached atomic.Int64
 }
 
 func (es *eventStream) emit(ev streamEvent) {
@@ -388,78 +362,89 @@ func (es *eventStream) emit(ev streamEvent) {
 	}
 }
 
-// handleSweepStream is POST /v1/sweep/stream — same request, admission control,
-// deadlines, panic isolation and partial-result semantics — but with the
-// response streamed as NDJSON progress events instead of one buffered JSON
-// document: a warm-up event pair when a convergence runs, one point event as
-// each pulse count settles (cache hits flagged), and a terminal done event
-// whose Points array is byte-identical to the buffered endpoint's.
-func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	req, base, pulses, ok := s.decodeSweep(w, r)
-	if !ok {
-		return
+// progress returns the hooks that stream a sweep's warm-up and point events,
+// each point counted on the stream and in streamed.
+func (es *eventStream) progress(streamed *atomic.Uint64) *experiment.Progress {
+	point := func(n *atomic.Int64, cached bool) func(experiment.SweepPoint) {
+		return func(p experiment.SweepPoint) {
+			n.Add(1)
+			streamed.Add(1)
+			pt := pointJSON(p)
+			es.emit(streamEvent{Event: "point", Cached: cached, Point: &pt})
+		}
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("streaming unsupported by this connection"))
-		return
-	}
-	release, admitted := s.admit(w, r)
-	if !admitted {
-		return
-	}
-	defer release()
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
-	s.streamsActive.Add(1)
-	defer s.streamsActive.Add(-1)
-
-	// From here on the response is committed: failures ride in the terminal
-	// done event (with the status the buffered endpoint would have used),
-	// because the 200 header is already on the wire.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	es := &eventStream{enc: json.NewEncoder(w), fl: fl}
-
-	var live, cached atomic.Int64
-	prog := &experiment.Progress{
+	return &experiment.Progress{
 		WarmupStarted: func() { es.emit(streamEvent{Event: "warmup", Status: "started"}) },
 		WarmupDone:    func() { es.emit(streamEvent{Event: "warmup", Status: "done"}) },
-		PointDone: func(p experiment.SweepPoint) {
-			live.Add(1)
-			s.streamedPoints.Add(1)
-			pt := pointJSON(p)
-			es.emit(streamEvent{Event: "point", Point: &pt})
-		},
-		CacheHit: func(p experiment.SweepPoint) {
-			cached.Add(1)
-			s.streamedPoints.Add(1)
-			pt := pointJSON(p)
-			es.emit(streamEvent{Event: "point", Cached: true, Point: &pt})
-		},
+		PointDone:     point(&es.live, false),
+		CacheHit:      point(&es.cached, true),
 	}
+}
 
-	pts, sweepErr := s.cache.SweepContext(experiment.WithProgress(ctx, prog), base, pulses, s.cfg.Workers)
+// handleSweep serves POST /v1/sweep and, when stream is set, POST
+// /v1/sweep/stream: the same request, admission control, deadlines, panic
+// isolation and partial-result semantics. The buffered reply is one JSON
+// document. The streamed one is NDJSON progress events: a warm-up event pair
+// when a convergence runs, one point event as each pulse count settles (cache
+// hits flagged), and a terminal done event whose Points array is
+// byte-identical to the buffered reply's.
+func (s *server) handleSweep(stream bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, base, pulses, ok := s.decodeSweep(w, r)
+		if !ok {
+			return
+		}
+		fl, ok := w.(http.Flusher)
+		if stream && !ok {
+			httpError(w, http.StatusInternalServerError, errors.New("streaming unsupported by this connection"))
+			return
+		}
+		release, admitted := s.admit(w, r)
+		if !admitted {
+			return
+		}
+		defer release()
+		ctx, cancel := s.requestContext(r, req.TimeoutMS)
+		defer cancel()
 
-	hits, misses, _ := s.cache.Stats()
-	done := streamEvent{
-		Event:        "done",
-		HTTPStatus:   http.StatusOK,
-		Points:       pointsJSON(pts),
-		LivePoints:   int(live.Load()),
-		CachedPoints: int(cached.Load()),
-		CacheHits:    hits,
-		CacheMisses:  misses,
+		var es *eventStream
+		if stream {
+			s.streamsActive.Add(1)
+			defer s.streamsActive.Add(-1)
+			// From here on the response is committed: failures ride in the
+			// terminal done event (with the status the buffered endpoint would
+			// have used), because the 200 header is already on the wire.
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			es = &eventStream{enc: json.NewEncoder(w), fl: fl}
+			ctx = experiment.WithProgress(ctx, es.progress(&s.streamedPoints))
+		}
+
+		pts, sweepErr := s.cache.SweepContext(ctx, base, pulses, s.cfg.Workers)
+		// Partial results still ship, with the status telling the class of
+		// failure: deadline -> 504, cancel -> 499-style 503, else 500.
+		status, errMsg := http.StatusOK, ""
+		if sweepErr != nil {
+			status, errMsg = statusForErr(sweepErr), sweepErr.Error()
+		}
+		if !stream {
+			writeJSON(w, status, sweepResponse{Points: pointsJSON(pts), Error: errMsg})
+			return
+		}
+		done := streamEvent{
+			Event:        "done",
+			HTTPStatus:   status,
+			Error:        errMsg,
+			Points:       pointsJSON(pts),
+			LivePoints:   int(es.live.Load()),
+			CachedPoints: int(es.cached.Load()),
+		}
+		done.CacheHits, done.CacheMisses, _ = s.cache.Stats()
+		if s.pool != nil {
+			done.SnapshotHits, done.SnapshotMiss, _ = s.pool.Stats()
+		}
+		es.emit(done)
 	}
-	if s.pool != nil {
-		done.SnapshotHits, done.SnapshotMiss, _ = s.pool.Stats()
-	}
-	if sweepErr != nil {
-		done.Error = sweepErr.Error()
-		done.HTTPStatus = statusForErr(sweepErr)
-	}
-	es.emit(done)
 }
 
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -632,7 +617,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.SnapshotHits, h.SnapshotMisses, h.SnapshotEvictions = s.pool.Stats()
 	}
 	h.FlightsParked, h.FlightResumes = s.pool.Flights()
-	writeJSON(w, h)
+	writeJSON(w, http.StatusOK, h)
 }
 
 // statusForErr maps the experiment error taxonomy to HTTP statuses.
@@ -652,12 +637,11 @@ type errorResponse struct {
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }

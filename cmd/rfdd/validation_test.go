@@ -174,6 +174,26 @@ func TestFigureTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutBeyondCap: a timeout_ms past the largest time.Duration leaves
+// the server's cap in place, on both endpoints that read it. Pre-fix the
+// millisecond conversion wrapped negative and the request failed at once with
+// 504 "run budget exceeded".
+func TestTimeoutBeyondCap(t *testing.T) {
+	s := testServer(t, serverConfig{})
+	h := s.routes()
+	const huge = "10000000000000" // ms; ×1e6 ns overflows int64
+	rec, resp := postSweep(t, h, `{"rows":4,"cols":3,"pulses":[0],"timeout_ms":`+huge+`}`)
+	if rec.Code != http.StatusOK || resp.Error != "" {
+		t.Errorf("sweep: status = %d error %q, want 200 under the server's cap", rec.Code, resp.Error)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/figure?name=fig8&small=1&timeout_ms="+huge, nil)
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Errorf("figure: status = %d (%s), want 200 under the server's cap", rec.Code, rec.Body)
+	}
+}
+
 // TestHealthzQueuedClamp: running and queued come from two unsynchronized
 // channel reads, so a request observed in runSlots but already released from
 // queueSlots would pre-fix report a negative queue depth. Model that skew

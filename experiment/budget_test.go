@@ -14,13 +14,13 @@ import (
 // the points in flight at the pointRunner seam count simulations running.
 func TestSharedBudgetBoundsBuild(t *testing.T) {
 	var inFlight, peak atomic.Int64
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
 		n := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 		}
 		time.Sleep(2 * time.Millisecond) // let the other submissions pile up
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	})
 	o := Options{Workers: 2}.SharedBudget()
 	var wg sync.WaitGroup

@@ -78,6 +78,7 @@ func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
 		return nil, err
 	}
 
+	ctx := o.ctx()
 	var out []EventMeasurement
 	measure := func(event string, act func() error) error {
 		n.ResetCounters()
@@ -85,8 +86,8 @@ func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
 		if err := act(); err != nil {
 			return err
 		}
-		if err := k.Run(); err != nil {
-			return fmt.Errorf("experiment: %s: %w", event, err)
+		if err := k.RunContext(ctx); err != nil {
+			return wrapInterrupt(ctx, event, err)
 		}
 		conv := time.Duration(0)
 		if n.Delivered() > 0 {

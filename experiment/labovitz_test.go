@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 )
 
@@ -40,6 +42,19 @@ func TestConvergenceEventsOrdering(t *testing.T) {
 	if byName["Tdown"].Messages <= byName["Tup"].Messages {
 		t.Fatalf("Tdown (%d msgs) not costlier than Tup (%d msgs)",
 			byName["Tdown"].Messages, byName["Tup"].Messages)
+	}
+}
+
+// TestConvergenceEventsCanceled: the baseline drains under Options.Ctx like
+// every other figure, so a tripped context stops it with the typed error.
+func TestConvergenceEventsCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := testOptions()
+	o.Ctx = ctx
+	rows, err := ConvergenceEvents(o)
+	if !errors.Is(err, ErrCanceled) || rows != nil {
+		t.Fatalf("cancelled baseline returned %d rows, err %v; want none and ErrCanceled", len(rows), err)
 	}
 }
 

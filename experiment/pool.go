@@ -31,14 +31,14 @@ const DefaultPoolSize = 16
 // trunk in its place. Every input a flight depends on is part of the key, so
 // a parked flight serves any request of the key.
 //
-// The pool is an internal/lru cache whose capacity counts parked engines: an
-// entry weighs 1, or 2 while it holds a flight. Eviction closes the flight,
-// which the pool alone owns, but not the checkpoint, which callers may still
-// be forking.
+// The pool is an internal/lru cache of entries whose capacity counts parked
+// engines: an entry weighs 1, or 2 while it holds a flight. Eviction closes
+// the flight, which the entry alone owns, but not the checkpoint, which
+// callers may still be forking.
 //
 // A nil *CheckpointPool is valid and builds a fresh checkpoint per request.
 type CheckpointPool struct {
-	cache *lru.Cache[string, *Checkpoint]
+	cache *lru.Cache[string, *poolEntry]
 
 	// mu guards every entry's flight. It is held around each cache call that
 	// can evict, so the on-evict callback runs under it.
@@ -46,12 +46,14 @@ type CheckpointPool struct {
 	resumes atomic.Uint64
 }
 
-// poolEntry is what a pooled checkpoint knows of its slot: where sweeps take
-// and park its trunks.
+// poolEntry is one pooled warm-up: its checkpoint, the sweep flight parked
+// beside it, and the slot that holds both, where sweeps take and park their
+// trunks.
 type poolEntry struct {
+	cp     *Checkpoint
 	pool   *CheckpointPool
-	slot   *lru.Entry[string, *Checkpoint]
-	flight *flight // parked: never run, owned by the pool (under its mutex)
+	slot   *lru.Entry[string, *poolEntry]
+	flight *flight // parked: never run, owned by the entry (under pool.mu)
 }
 
 // NewCheckpointPool returns an empty pool holding at most max parked engines
@@ -61,14 +63,17 @@ func NewCheckpointPool(max int) *CheckpointPool {
 		max = DefaultPoolSize
 	}
 	p := &CheckpointPool{}
-	p.cache = lru.New[string](int64(max), func(cp *Checkpoint) {
-		// Under p.mu; a never-run flight closes at once.
-		if e := cp.entry; e.flight != nil {
-			e.flight.close()
-			e.flight = nil
-		}
-	})
+	p.cache = lru.New[string](int64(max), (*poolEntry).evicted)
 	return p
+}
+
+// evicted closes the flight of an entry the pool dropped; a never-run flight
+// closes at once. It runs under pool.mu.
+func (e *poolEntry) evicted() {
+	if e.flight != nil {
+		e.flight.close()
+		e.flight = nil
+	}
 }
 
 // poolKey is the warm-up identity: the fingerprint base (topology, ISP,
@@ -92,43 +97,55 @@ func (s Scenario) poolKey() (string, bool) {
 // has yet (or if it was evicted). Unpoolable scenarios and a nil pool build a
 // fresh checkpoint. The returned Checkpoint is shared — callers only fork it,
 // which is safe concurrently.
-func (p *CheckpointPool) Get(ctx context.Context, sc Scenario) (cp *Checkpoint, err error) {
-	if p == nil {
+func (p *CheckpointPool) Get(ctx context.Context, sc Scenario) (*Checkpoint, error) {
+	e, err := p.entry(ctx, sc)
+	switch {
+	case err != nil:
+		return nil, err
+	case e == nil:
 		return NewCheckpointContext(ctx, sc)
+	}
+	return e.cp, nil
+}
+
+// entry returns the pool entry of sc's warm-up, converging its checkpoint if
+// no one has yet (or if it was evicted), or nil for a nil pool and an
+// unpoolable scenario.
+func (p *CheckpointPool) entry(ctx context.Context, sc Scenario) (e *poolEntry, err error) {
+	if p == nil {
+		return nil, nil
 	}
 	key, ok := sc.poolKey()
 	if !ok {
-		return NewCheckpointContext(ctx, sc)
+		return nil, nil
 	}
-	e, owner := p.cache.Claim(key)
+	slot, owner := p.cache.Claim(key)
 	if !owner {
 		// A warm-up a concurrent request is converging right now costs this
 		// caller the wait too, so its Progress hook sees it; a parked one
 		// reports nothing.
-		if !e.Resolved() {
+		if !slot.Resolved() {
 			pr := progressFrom(ctx)
 			pr.warmupStarted()
-			if !e.Wait(ctx) {
+			if !slot.Wait(ctx) {
 				return nil, ctxErr(ctx)
 			}
-			if _, err := e.Value(); err == nil {
+			if _, err := slot.Value(); err == nil {
 				pr.warmupDone()
 			}
 		}
-		return e.Value()
+		return slot.Value()
 	}
 	// Resolved from a defer, as lru.Cache.Get does: a warm-up that panics
 	// still releases its waiters and frees the key for the next claim.
-	err = errWarmUpPanicked
+	e, err = &poolEntry{pool: p, slot: slot}, errWarmUpPanicked
 	defer func() {
 		p.mu.Lock()
-		p.cache.Resolve(e, cp, 1, err)
+		p.cache.Resolve(slot, e, 1, err)
 		p.mu.Unlock()
 	}()
-	if cp, err = poolWarmUp(ctx, sc); err == nil {
-		cp.entry = &poolEntry{pool: p, slot: e}
-	}
-	return cp, err
+	e.cp, err = poolWarmUp(ctx, sc)
+	return e, err
 }
 
 // errWarmUpPanicked is what the waiters of a pooled warm-up that panicked see.
@@ -139,12 +156,9 @@ var errWarmUpPanicked = errors.New("experiment: the pooled warm-up panicked")
 var poolWarmUp = NewCheckpointContext
 
 // take hands the caller the entry's parked flight if it stands at or below
-// pulse n, and nil otherwise (or for a nil entry). The caller owns the flight
-// from then on, and the entry holds none until a sweep parks another.
+// pulse n, and nil otherwise. The caller owns the flight from then on, and the
+// entry holds none until a sweep parks another.
 func (e *poolEntry) take(n int) *flight {
-	if e == nil {
-		return nil
-	}
 	p := e.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -158,11 +172,23 @@ func (e *poolEntry) take(n int) *flight {
 	return f
 }
 
+// trunk begins the flight a sweep's points branch off, sc.Pulses being the
+// smallest count it is to reach. The flight parked beside the checkpoint, when
+// it stands at or below that count, is taken as it stands — no fork — and
+// flies sc from there; otherwise the trunk begins from the checkpoint.
+func (e *poolEntry) trunk(sc Scenario) (*flight, error) {
+	if f := e.take(sc.Pulses); f != nil {
+		f.sc = sc
+		return f, nil
+	}
+	return e.cp.begin(sc)
+}
+
 // park offers the entry a fork of trunk, a sweep's flight standing right after
 // its largest count's re-announcement. The fork replaces the entry's flight
 // when it is deeper (a flight at pulse 0 is never parked: the checkpoint
 // already stands there) and the entry is still pooled; otherwise, or if the
-// fork fails, the entry stays as it was. Nil-safe.
+// fork fails, the entry stays as it was. A nil entry parks nothing.
 func (e *poolEntry) park(trunk *flight) {
 	if e == nil || trunk.pulses == 0 {
 		return

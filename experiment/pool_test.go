@@ -105,11 +105,11 @@ func TestPoolPanickingPointLeavesEntryUsable(t *testing.T) {
 	base := poolScenario(t, 1)
 	want := standalone(t, base, 1, 2, 3)
 	var panicked atomic.Bool
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
 		if sc.Pulses == 2 && panicked.CompareAndSwap(false, true) {
 			panic("injected point panic")
 		}
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	})
 	pool := NewCheckpointPool(4)
 	pts, err := poolSweep(context.Background(), pool, base, 1, 2)
@@ -193,7 +193,7 @@ func TestPoolConcurrentSweepsTakeOneFlight(t *testing.T) {
 	arrived.Add(2)
 	both := make(chan struct{})
 	go func() { arrived.Wait(); close(both) }()
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
 		if sc.Pulses == 3 {
 			// With one worker the n=3 branch drains on the trunk's goroutine,
 			// so both trunks have started and neither has parked.
@@ -204,7 +204,7 @@ func TestPoolConcurrentSweepsTakeOneFlight(t *testing.T) {
 				return nil, errors.New("the other sweep never reached n=3")
 			}
 		}
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	})
 	var wg sync.WaitGroup
 	for range 2 {
@@ -522,12 +522,12 @@ func TestRunCacheCrossEngineCheckpoints(t *testing.T) {
 func TestSweepShardedForksPerPoint(t *testing.T) {
 	var forked atomic.Int32
 	old := pointRunner
-	pointRunner = func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
-		if cp.Shards() != sc.Shards {
-			return nil, fmt.Errorf("point n=%d forked a Shards=%d checkpoint for a Shards=%d scenario", sc.Pulses, cp.Shards(), sc.Shards)
+	pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+		if shards := len(f.e.shards()); shards != sc.Shards {
+			return nil, fmt.Errorf("point n=%d forked a Shards=%d checkpoint for a Shards=%d scenario", sc.Pulses, shards, sc.Shards)
 		}
 		forked.Add(1)
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	}
 	defer func() { pointRunner = old }()
 

@@ -214,12 +214,15 @@ func (c *RunCache) Resident() (entries int, bytes int64, evictions uint64) {
 }
 
 // finish resolves an owned entry, offering a fresh Result to the persistent
-// store first.
-func (c *RunCache) finish(e *lru.Entry[string, *Result], res *Result, err error) {
+// store first (best-effort: a failure only counts in StoreStats); stored says
+// res was loaded from there, so it is not written straight back.
+func (c *RunCache) finish(e *lru.Entry[string, *Result], res *Result, stored bool, err error) {
 	var size int64
 	if err == nil {
-		if !res.fromStore {
-			c.storeResult(e.Key(), res)
+		if store, _ := c.layers(); store != nil && !stored {
+			if store.Store(e.Key(), res) != nil {
+				c.diskStoreErrors.Add(1)
+			}
 		}
 		size = res.sizeBytes()
 	}
@@ -236,7 +239,6 @@ func (c *RunCache) loadStored(key string) (*Result, bool) {
 	if err != nil || !ok || res == nil {
 		return nil, false
 	}
-	res.fromStore = true
 	c.diskHits.Add(1)
 	return res, true
 }
@@ -247,18 +249,6 @@ func (r *Result) withoutSeries() *Result {
 	c := *r
 	c.Updates, c.Damped, c.NoisyReuseTimes = nil, nil, nil
 	return &c
-}
-
-// storeResult offers a fresh Result to the persistent store (nil-safe,
-// best-effort).
-func (c *RunCache) storeResult(key string, res *Result) {
-	store, _ := c.layers()
-	if store == nil {
-		return
-	}
-	if err := store.Store(key, res); err != nil {
-		c.diskStoreErrors.Add(1)
-	}
 }
 
 // Run executes the scenario through the cache: a fingerprint hit returns the
@@ -345,7 +335,7 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 			}
 		}
 		if ok {
-			c.finish(e, stored, nil)
+			c.finish(e, stored, true, nil)
 			continue
 		}
 		live[i] = true
@@ -400,7 +390,7 @@ func (c *RunCache) runMisses(ctx context.Context, base Scenario, pulses []int, e
 			if r != nil {
 				err = &PanicError{Value: r, Fingerprint: e.Key(), Stack: stackTrace()}
 			}
-			c.finish(e, nil, err)
+			c.finish(e, nil, false, err)
 		}
 		if r != nil {
 			panic(r)
@@ -417,6 +407,6 @@ func (c *RunCache) runMisses(ctx context.Context, base Scenario, pulses []int, e
 		if res == nil && perr == nil {
 			perr = unproduced(j)
 		}
-		c.finish(e, res, perr)
+		c.finish(e, res, false, perr)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // swapPointRunner installs fn as the run function of every sweep point — and
 // so of every Run — for the test. The hook exists because a deterministic
 // scenario cannot fail transiently on cue; it is restored on cleanup.
-func swapPointRunner(t *testing.T, fn func(context.Context, *Checkpoint, Scenario) (*Result, error)) {
+func swapPointRunner(t *testing.T, fn func(context.Context, *flight, Scenario) (*Result, error)) {
 	t.Helper()
 	orig := pointRunner
 	pointRunner = fn
@@ -29,11 +29,11 @@ func swapPointRunner(t *testing.T, fn func(context.Context, *Checkpoint, Scenari
 func TestRunCacheRetriesAfterError(t *testing.T) {
 	sc := cancelScenario(t, 1)
 	var calls atomic.Int64
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("injected transient failure")
 		}
-		return cp.RunContext(ctx, s)
+		return f.run(ctx, s)
 	})
 	c := NewRunCache()
 	if _, err := c.Run(sc); err == nil {
@@ -65,11 +65,11 @@ func TestRunCacheSweepRetriesAfterError(t *testing.T) {
 	base := cancelScenario(t, 0)
 	var failOnce atomic.Bool
 	failOnce.Store(true)
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
 		if sc.Pulses == 1 && failOnce.Swap(false) {
 			return nil, errors.New("injected transient failure")
 		}
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	})
 	c := NewRunCache()
 	pts, err := c.Sweep(base, []int{0, 1, 2}, 2)
@@ -103,12 +103,12 @@ func TestRunCachePanicUnblocksWaiters(t *testing.T) {
 	sc := cancelScenario(t, 1)
 	var calls atomic.Int64
 	release := make(chan struct{})
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
 		if calls.Add(1) == 1 {
 			<-release // hold until the waiters have queued up
 			panic("injected owner panic")
 		}
-		return cp.RunContext(ctx, s)
+		return f.run(ctx, s)
 	})
 	c := NewRunCache()
 
@@ -170,10 +170,10 @@ func TestRunCacheWaiterHonorsOwnContext(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
 		once.Do(func() { close(started) })
 		<-release
-		return cp.RunContext(ctx, s)
+		return f.run(ctx, s)
 	})
 	c := NewRunCache()
 	go c.Run(sc) //nolint:errcheck — owner outcome is not under test
@@ -273,7 +273,7 @@ func TestChaosSweep(t *testing.T) {
 	defer cancel1()
 	cancelArmed := make(chan struct{}, 1)
 	chaosFired := make(chan struct{}, 2)
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
 		switch sc.Pulses {
 		case 2:
 			if panicsLeft.Add(-1) >= 0 {
@@ -298,7 +298,7 @@ func TestChaosSweep(t *testing.T) {
 			default:
 			}
 		}
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	})
 
 	store := &chaosStore{}
@@ -392,9 +392,9 @@ func withPulses(sc Scenario, n int) Scenario {
 func countRuns(t *testing.T) *atomic.Int64 {
 	t.Helper()
 	var runs atomic.Int64
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
 		runs.Add(1)
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	})
 	return &runs
 }
@@ -521,8 +521,6 @@ func TestRunCacheEvictedKeyRefetched(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Field by field: a store-served Result carries the unexported
-			// fromStore mark a fresh Run lacks.
 			if got.MessageCount != want.MessageCount || got.ConvergenceTime != want.ConvergenceTime ||
 				!reflect.DeepEqual(got.Updates.Times(), want.Updates.Times()) {
 				t.Fatal("refetched Result differs from a fresh Run")
@@ -554,10 +552,10 @@ func TestRunCacheTinyBoundServesWaiters(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
 		once.Do(func() { close(started) })
 		<-release
-		return cp.RunContext(ctx, s)
+		return f.run(ctx, s)
 	})
 	c := newRunCache(1)
 	const callers = 4

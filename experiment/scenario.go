@@ -203,10 +203,6 @@ type Result struct {
 	// report here is always clean; it still carries the sweep/oracle
 	// coverage counters.
 	Check *check.Report
-
-	// fromStore marks a Result loaded from a persistent ResultStore, so the
-	// RunCache does not write it straight back to disk.
-	fromStore bool
 }
 
 // Run executes the scenario and returns its measurements. The run is a pure
@@ -505,7 +501,7 @@ func (rc *recorder) replay(feeds [][]observation) {
 // they feed, and the number of pulses flapped so far. A run is begin → pulseTo
 // → finish; a sweep drives one flight through every pulse count it was asked
 // for and forks it at each, so the n-pulse and (n+1)-pulse points share the
-// simulation of their first n pulses (sweepCheckpointed).
+// simulation of their first n pulses (sweepTrunk).
 type flight struct {
 	sc    Scenario // sc.Pulses is not read: the caller says how far to pulse
 	e     engine
@@ -730,10 +726,16 @@ func (f *flight) pulseTo(ctx context.Context, n int) error {
 	return nil
 }
 
-// run pulses the flight to n and finishes it. It closes the flight.
-func (f *flight) run(ctx context.Context, n int) (*Result, error) {
+// run flies the flight as sc: it pulses on to sc.Pulses — never fewer than it
+// has flapped — and finishes into sc, whose trace log a sweep's branch records
+// into instead of the trunk's. It closes the flight.
+func (f *flight) run(ctx context.Context, sc Scenario) (*Result, error) {
 	defer f.close()
-	if err := f.pulseTo(ctx, n); err != nil {
+	if sc.Pulses < f.pulses {
+		return nil, fmt.Errorf("experiment: flight stands at pulse %d, past the %d asked of it", f.pulses, sc.Pulses)
+	}
+	f.sc = sc
+	if err := f.pulseTo(ctx, sc.Pulses); err != nil {
 		return nil, err
 	}
 	return f.finish(ctx)
@@ -807,9 +809,6 @@ func watchErr(ctx context.Context, rep *faults.Report) error {
 // and a sweep forks it once for all its pulse counts, which is how both
 // amortize warm-up. A Checkpoint is safe for concurrent Run calls — forking
 // only reads the parked state, and each call runs its own independent copy.
-// A checkpoint a CheckpointPool holds also leads to the sweep flight parked
-// beside it, which a sweep of the scenario resumes instead of beginning a
-// trunk here; Run always begins from the converged state.
 //
 // The parked state belongs to the engine that built it, partition included: a
 // checkpoint only serves scenarios with the shard count it was built with.
@@ -819,18 +818,6 @@ func watchErr(ctx context.Context, rep *faults.Report) error {
 // one comes only from a Scenario built in Go with Shards > 1.
 type Checkpoint struct {
 	parked engine
-	// branch is set on the value a sweep hands one point's runner: a flight
-	// of the sweep's scenario already pulsed to that point's count, on parked.
-	// The one RunContext call it is made for finishes it in place, under the
-	// scenario that call is given, no fork.
-	branch *flight
-	// own marks a warm-up no pool holds, handed to the flight of a single
-	// run: parked is then the converged engine itself, and begin takes it
-	// instead of forking it.
-	own bool
-	// entry is the pool slot holding the checkpoint (nil when none does),
-	// where sweeps take and park their trunks.
-	entry *poolEntry
 }
 
 // Shards returns the number of shard networks the checkpoint was built with
@@ -848,21 +835,21 @@ func (c *Checkpoint) Shards() int { return len(c.parked.shards()) }
 // warm-up dominates the latency of small sweeps, so a streaming client must
 // be able to see it.
 func NewCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error) {
-	cp, err := warmUp(ctx, sc)
+	e, err := warmUp(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	defer cp.parked.close()
-	parked, err := cp.parked.fork()
+	defer e.close()
+	parked, err := e.fork()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint: %w", err)
 	}
 	return &Checkpoint{parked: parked}, nil
 }
 
-// warmUp is the reported warm-up without the parking: the Checkpoint it
-// returns is own, the converged engine itself.
-func warmUp(ctx context.Context, sc Scenario) (*Checkpoint, error) {
+// warmUp is the reported warm-up without the parking: it returns the converged
+// engine itself, which the caller owns.
+func warmUp(ctx context.Context, sc Scenario) (engine, error) {
 	pr := progressFrom(ctx)
 	pr.warmupStarted()
 	e, err := converge(ctx, sc)
@@ -870,7 +857,7 @@ func warmUp(ctx context.Context, sc Scenario) (*Checkpoint, error) {
 		return nil, err
 	}
 	pr.warmupDone()
-	return &Checkpoint{parked: e, own: true}, nil
+	return e, nil
 }
 
 // Run forks the converged checkpoint and measures the scenario's flap phase
@@ -890,44 +877,21 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	if c.branch != nil {
-		if sc.Pulses < c.branch.pulses {
-			return nil, fmt.Errorf("experiment: sweep branch stands at pulse %d, past the %d asked of it", c.branch.pulses, sc.Pulses)
-		}
-		c.branch.sc = sc // the branch finishes into sc's trace log, not the trunk's
-		return c.branch.run(ctx, sc.Pulses)
-	}
 	f, err := c.begin(sc)
 	if err != nil {
 		return nil, err
 	}
-	return f.run(ctx, sc.Pulses)
+	return f.run(ctx, sc)
 }
 
-// begin forks the parked engine and begins a flight of sc on the fork — or,
-// when the checkpoint is own, on the engine itself.
+// begin forks the parked engine and begins a flight of sc on the fork.
 func (c *Checkpoint) begin(sc Scenario) (*flight, error) {
 	if want := max(sc.Shards, 1); want != c.Shards() {
 		return nil, fmt.Errorf("experiment: checkpoint built with Shards=%d cannot run a Shards=%d scenario (the engine and its partition are part of the parked state)", c.Shards(), want)
 	}
-	e := c.parked
-	if !c.own {
-		var err error
-		if e, err = c.parked.fork(); err != nil {
-			return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
-		}
+	e, err := c.parked.fork()
+	if err != nil {
+		return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)
 	}
 	return begin(sc, e)
-}
-
-// trunk begins the flight a sweep's points branch off, sc.Pulses being the
-// smallest count it is to reach. A flight parked beside a pooled checkpoint at
-// or below that count is taken as it stands — no fork — and flies sc from
-// there; otherwise the trunk begins from the checkpoint.
-func (c *Checkpoint) trunk(sc Scenario) (*flight, error) {
-	if f := c.entry.take(sc.Pulses); f != nil {
-		f.sc = sc
-		return f, nil
-	}
-	return c.begin(sc)
 }

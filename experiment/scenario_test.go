@@ -302,9 +302,9 @@ func TestFlapViaLinkWithRCN(t *testing.T) {
 func TestSweepOrderAndParallel(t *testing.T) {
 	var runs atomic.Int64
 	orig := pointRunner
-	pointRunner = func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+	pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
 		runs.Add(1)
-		return orig(ctx, cp, sc)
+		return orig(ctx, f, sc)
 	}
 	defer func() { pointRunner = orig }()
 

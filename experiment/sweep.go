@@ -76,13 +76,13 @@ func SweepParallel(base Scenario, pulses []int, workers int) ([]SweepPoint, erro
 	return SweepParallelContext(context.Background(), base, pulses, workers)
 }
 
-// pointRunner executes one sweep point: cp carries the branch of the sweep's
-// trunk standing at the point's pulse count, and cp.RunContext(ctx, sc) is the
-// point's run. It is a variable so the robustness tests can inject transient
-// errors and panics into the sweep without needing a scenario that misbehaves
-// on cue.
-var pointRunner = func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
-	return cp.RunContext(ctx, sc)
+// pointRunner executes one sweep point: f is a branch of the sweep's trunk —
+// or, for the largest count, the trunk itself — standing at the point's pulse
+// count, and the default finishes it into sc. It is a variable so the
+// robustness tests can inject transient errors and panics into the sweep
+// without needing a scenario that misbehaves on cue.
+var pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+	return f.run(ctx, sc)
 }
 
 // SweepParallelContext is SweepParallel under a supervising context. A
@@ -123,46 +123,46 @@ func (b budget) spawn(wg *sync.WaitGroup, job func()) {
 	}
 }
 
-// sweepWarm runs one sweep under a token of b: the warm-up checkpoint comes
-// from pool (and stays there, so repeat sweeps of the scenario skip it), the
-// points from sweepCheckpointed. With a nil pool the sweep converges afresh
-// and owns the converged engine, closed when the sweep is over.
+// sweepWarm runs one sweep under a token of b: the warm-up comes from pool's
+// entry for base (and stays there, so repeat sweeps of the scenario skip it),
+// the points from sweepTrunk. With a nil pool, or a base the pool cannot hold,
+// the sweep converges afresh and its trunk flies on the converged engine
+// itself, closed when the sweep is over.
 func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	if len(pulses) == 0 {
 		return nil, nil
 	}
 	b <- struct{}{}
 	defer func() { <-b }()
-	get := warmUp
-	if pool != nil {
-		get = pool.Get
-	}
-	cp, err := get(ctx, base)
+	e, err := pool.entry(ctx, base)
 	if err != nil {
 		return nil, err
 	}
-	if cp.own {
-		defer cp.parked.close() // again, if the flight took it; closing twice is safe
+	var warm engine
+	if e == nil {
+		if warm, err = warmUp(ctx, base); err != nil {
+			return nil, err
+		}
+		defer warm.close() // again, if the trunk took it; closing twice is safe
 	}
-	return sweepCheckpointed(ctx, cp, base, pulses, b)
+	return sweepTrunk(ctx, e, warm, base, pulses, b)
 }
 
-// sweepCheckpointed computes the points of a sweep from its converged
-// checkpoint; the caller holds one token of b. Each distinct pulse count is a
-// job, taken in ascending order, and every valid one rides the trunk (see
-// SweepParallel); a negative count fails validation and never flies. Each
-// point finishes into a trace log of its own (scWithPulses), and the sweep
-// appends them to base.Trace in ascending count order after the last point
-// has drained, so the log has one writer. The trunk of an own cp flies on the
-// converged engine itself.
+// sweepTrunk computes the points of a sweep; the caller holds one token of b.
+// Each distinct pulse count is a job, taken in ascending order, and every
+// valid one rides the trunk (see SweepParallel); a negative count fails
+// validation and never flies. Each point finishes into a trace log of its own
+// (scWithPulses), and the sweep appends them to base.Trace in ascending count
+// order after the last point has drained, so the log has one writer.
 //
-// A pooled cp lets the trunk outlive the sweep. The trunk takes the flight
-// parked beside cp when it stands at or below the smallest count the trunk
-// rides, and begins from cp otherwise (Checkpoint.trunk). Before draining the
-// largest count, the sweep offers the pool a fork of the trunk, parked when it
-// is deeper than the flight the pool holds then. A trunk that fails is closed
-// and never parked.
-func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
+// The trunk begins on warm, a converged engine the sweep owns, unforked — or,
+// when warm is nil, from the pool entry e, and then it outlives the sweep. It
+// takes the flight parked in e when that stands at or below the smallest
+// count the trunk rides, and begins from e's checkpoint otherwise
+// (poolEntry.trunk). Before draining the largest count, the sweep offers e a
+// fork of the trunk, parked when it is deeper than the flight e holds then. A
+// trunk that fails is closed and never parked.
+func sweepTrunk(ctx context.Context, e *poolEntry, warm engine, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	pr := progressFrom(ctx)
 	out := make([]SweepPoint, len(pulses))
 	asked := make(map[int][]int, len(pulses)) // pulse count → indices of out
@@ -187,7 +187,7 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 			pr.pointDone(out[i])
 		}
 	}
-	runPoint := func(from *Checkpoint, sc Scenario) {
+	runPoint := func(f *flight, sc Scenario) {
 		n := sc.Pulses
 		if ctx.Err() != nil {
 			// Mark skipped points instead of running them; the sweep still
@@ -198,7 +198,7 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 		for range asked[n] {
 			pr.pointStarted(n)
 		}
-		res, err := isolate(base, n, func() (*Result, error) { return pointRunner(ctx, from, sc) })
+		res, err := isolate(base, n, func() (*Result, error) { return pointRunner(ctx, f, sc) })
 		settle(n, res, err)
 	}
 
@@ -218,7 +218,13 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 				}
 				if trunk == nil {
 					var err error
-					if trunk, err = cp.trunk(scWithPulses(base, n)); err != nil {
+					sc := scWithPulses(base, n)
+					if warm != nil {
+						trunk, err = begin(sc, warm)
+					} else {
+						trunk, err = e.trunk(sc)
+					}
+					if err != nil {
 						return nil, err
 					}
 				}
@@ -232,8 +238,8 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 		sc := scWithPulses(base, n)
 		logs[k] = sc.Trace
 		if k == len(counts)-1 {
-			cp.entry.park(trunk)
-			runPoint(&Checkpoint{parked: trunk.e, branch: trunk}, sc)
+			e.park(trunk)
+			runPoint(trunk, sc)
 			break
 		}
 		branch, err := trunk.fork()
@@ -243,7 +249,7 @@ func sweepCheckpointed(ctx context.Context, cp *Checkpoint, base Scenario, pulse
 		}
 		b.spawn(&wg, func() {
 			defer branch.close() // a runner that fails before running it leaves it open
-			runPoint(&Checkpoint{parked: branch.e, branch: branch}, sc)
+			runPoint(branch, sc)
 		})
 	}
 	if trunk != nil {

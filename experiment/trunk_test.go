@@ -17,17 +17,18 @@ import (
 )
 
 // countBranches makes pointRunner count, for the rest of the test, the points
-// handed a trunk branch and the points handed the converged checkpoint.
+// handed a flight that rode the trunk to their pulse count and the points
+// handed one standing anywhere else.
 func countBranches(t *testing.T) (branched, solo *atomic.Int64) {
 	t.Helper()
 	branched, solo = new(atomic.Int64), new(atomic.Int64)
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
-		if cp.branch != nil {
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+		if f.pulses == sc.Pulses {
 			branched.Add(1)
 		} else {
 			solo.Add(1)
 		}
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	})
 	return branched, solo
 }
@@ -276,8 +277,8 @@ func TestSweepTrunkStopMarksTheRest(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	swapPointRunner(t, func(_ context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
-		res, err := cp.RunContext(context.Background(), sc)
+	swapPointRunner(t, func(_ context.Context, f *flight, sc Scenario) (*Result, error) {
+		res, err := f.run(context.Background(), sc)
 		if sc.Pulses == 1 {
 			cancel()
 		}
@@ -306,11 +307,11 @@ func TestSweepTrunkStopMarksTheRest(t *testing.T) {
 // runner is handed: a branch cannot run fewer pulses than it has flapped.
 func TestSweepBranchRefusesFewerPulses(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: bgp.DefaultConfig()}
-	swapPointRunner(t, func(ctx context.Context, cp *Checkpoint, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
 		if sc.Pulses == 2 {
 			sc.Pulses = 1
 		}
-		return cp.RunContext(ctx, sc)
+		return f.run(ctx, sc)
 	})
 	pts, err := SweepParallel(base, []int{0, 2}, 1)
 	if err == nil || pts[1].Err == nil || pts[1].Result != nil {
@@ -318,5 +319,76 @@ func TestSweepBranchRefusesFewerPulses(t *testing.T) {
 	}
 	if pts[0].Err != nil || pts[0].Result == nil {
 		t.Fatalf("n=0 should be unaffected: %v", pts[0].Err)
+	}
+}
+
+// forkCounter is an engine that counts the forks taken of it and of every fork
+// of it.
+type forkCounter struct {
+	engine
+	forks *atomic.Int64
+}
+
+func (c forkCounter) fork() (engine, error) {
+	c.forks.Add(1)
+	e, err := c.engine.fork()
+	if err != nil {
+		return nil, err
+	}
+	c.engine = e
+	return c, nil
+}
+
+// TestSweepForkBudget pins what a sweep of k distinct counts forks. A trunk on
+// an owned engine forks only its k−1 branches, so a run forks nothing. From a
+// fresh pool entry it forks k+1 times: the trunk off the checkpoint, the k−1
+// branches and the fork it parks. Resuming that parked flight saves the
+// trunk's fork.
+func TestSweepForkBudget(t *testing.T) {
+	ctx := context.Background()
+	base := poolScenario(t, 1)
+	want := standalone(t, base, 0, 1, 2, 3, 5, 6)
+	for _, pulses := range [][]int{{2}, {0, 3, 5, 1}} {
+		warm, err := warmUp(ctx, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forks := new(atomic.Int64)
+		pts, err := sweepTrunk(ctx, nil, forkCounter{warm, forks}, base, pulses, newBudget(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPoints(t, pts, want)
+		if got, k := forks.Load(), int64(len(pulses)); got != k-1 {
+			t.Errorf("owned sweep of %v forked %d times, want %d", pulses, got, k-1)
+		}
+	}
+
+	pool := NewCheckpointPool(4)
+	cp, err := pool.Get(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := new(atomic.Int64)
+	cp.parked = forkCounter{cp.parked, forks}
+	for _, tc := range []struct {
+		pulses []int
+		want   int64
+	}{
+		{[]int{3, 0, 2, 1}, 4 + 1}, // fresh: the trunk, 3 branches, the parked fork
+		{[]int{5, 6}, 2},           // resumed at pulse 3: 1 branch, the parked fork
+	} {
+		before := forks.Load()
+		pts, err := sweepWarm(ctx, pool, base, tc.pulses, newBudget(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPoints(t, pts, want)
+		if got := forks.Load() - before; got != tc.want {
+			t.Errorf("pooled sweep of %v forked %d times, want %d", tc.pulses, got, tc.want)
+		}
+	}
+	if _, resumes := pool.Flights(); resumes != 1 {
+		t.Errorf("%d sweeps resumed a parked flight, want 1", resumes)
 	}
 }
