@@ -312,10 +312,7 @@ func TestScenarioMemoConcurrent(t *testing.T) {
 // process: one cold request, then b.N byte-identical ones over real HTTP.
 // Every one of those must build no graph.
 func BenchmarkSweepCacheWarm(b *testing.B) {
-	s, err := newServer(serverConfig{Workers: 1, Concurrency: 2, Queue: 4, Snapshots: experiment.DefaultPoolSize})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newServer(serverConfig{Workers: 1, Concurrency: 2, Queue: 4, Snapshots: experiment.DefaultPoolSize})
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 	const body = `{"topology":"internet","nodes":300,"damping":"cisco","pulses":[0,1,2],"seed":7}`

@@ -1,8 +1,7 @@
 // Command rfdd serves the flap-damping experiment pipeline over HTTP: sweep
-// and figure requests run through a shared worker pool and a two-level run
-// cache (a byte-bounded in-memory LRU and singleflight over a crash-safe
-// persistent disk cache), so repeated requests for the same scenario are
-// served without re-simulating — across requests and across daemon restarts.
+// and figure requests run through a shared worker pool and a byte-bounded
+// in-memory run cache with singleflight, so repeated requests for the same
+// scenario are served without re-simulating. A restart starts cold.
 //
 // Endpoints:
 //
@@ -45,37 +44,33 @@ import (
 	"time"
 
 	"rfd/experiment"
-	"rfd/experiment/diskcache"
 	"rfd/internal/cli"
 )
 
 func main() { cli.Main("rfdd", serve) }
 
 func serve(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("rfdd", flag.ExitOnError)
+	fs := flag.NewFlagSet("rfdd", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
 		workers     = fs.Int("workers", runtime.NumCPU(), "parallel simulation runs per sweep")
-		cacheDir    = fs.String("cachedir", "", "persistent run cache directory (memory-only when empty)")
 		queue       = fs.Int("queue", 16, "max requests waiting for a simulation slot before 429")
 		concurrency = fs.Int("concurrency", 2, "max requests simulating at once")
 		timeout     = fs.Duration("timeout", 5*time.Minute, "per-request deadline cap")
 		drain       = fs.Duration("drain", 30*time.Second, "shutdown drain bound for in-flight requests")
 		snapshots   = fs.Int("snapshots", experiment.DefaultPoolSize, "converged-snapshot pool capacity, counting parked sweep trunks too (0 disables warm-up reuse)")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	srv, err := newServer(serverConfig{
+	srv := newServer(serverConfig{
 		Workers:     *workers,
-		CacheDir:    *cacheDir,
 		Queue:       *queue,
 		Concurrency: *concurrency,
 		Timeout:     *timeout,
 		Snapshots:   *snapshots,
 	})
-	if err != nil {
-		return err
-	}
 	return run(ctx, *addr, *drain, srv)
 }
 
@@ -102,12 +97,9 @@ func run(ctx context.Context, addr string, drain time.Duration, srv *server) err
 }
 
 // serverConfig sizes the daemon. The run cache is not configured here: it keeps
-// experiment.DefaultCacheBytes of the most recently used Results in memory,
-// and CacheDir only decides whether an evicted Result is reloaded from disk or
-// re-simulated.
+// experiment.DefaultCacheBytes of the most recently used Results in memory.
 type serverConfig struct {
 	Workers     int
-	CacheDir    string
 	Queue       int
 	Concurrency int
 	Timeout     time.Duration
@@ -118,14 +110,13 @@ type serverConfig struct {
 }
 
 // server is the shared state behind every request: one run cache (bounded in
-// memory by bytes, optionally persistent), the converged-snapshot pool, the
-// topologies of recently requested shapes, and the admission-control
-// semaphores. Each of the three memories is bounded, so the daemon's heap is
-// bounded by what it serves, not by how long it has run.
+// memory by bytes), the converged-snapshot pool, the topologies of recently
+// requested shapes, and the admission-control semaphores. Each of the three
+// memories is bounded, so the daemon's heap is bounded by what it serves, not
+// by how long it has run.
 type server struct {
 	cfg     serverConfig
 	cache   *experiment.RunCache
-	disk    *diskcache.Cache           // nil when memory-only
 	pool    *experiment.CheckpointPool // nil when disabled
 	graphs  *graphMemo
 	started time.Time
@@ -142,7 +133,7 @@ type server struct {
 	streamedPoints atomic.Uint64
 }
 
-func newServer(cfg serverConfig) (*server, error) {
+func newServer(cfg serverConfig) *server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
@@ -169,19 +160,11 @@ func newServer(cfg serverConfig) (*server, error) {
 		queueSlots: make(chan struct{}, cfg.Queue+cfg.Concurrency),
 		runSlots:   make(chan struct{}, cfg.Concurrency),
 	}
-	if cfg.CacheDir != "" {
-		disk, err := diskcache.Open(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		s.disk = disk
-		s.cache.SetStore(disk)
-	}
 	if cfg.Snapshots > 0 {
 		s.pool = experiment.NewCheckpointPool(cfg.Snapshots)
 		s.cache.SetCheckpointPool(s.pool)
 	}
-	return s, nil
+	return s
 }
 
 func (s *server) routes() http.Handler {
@@ -532,7 +515,7 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthz reports liveness plus the statistics an operator watches: cache
-// effectiveness, persistent-layer traffic, and admission pressure.
+// effectiveness and admission pressure.
 type healthz struct {
 	Status        string  `json:"status"`
 	UptimeSecs    float64 `json:"uptime_s"`
@@ -541,13 +524,6 @@ type healthz struct {
 	CacheHits     uint64  `json:"cache_hits"`
 	CacheMisses   uint64  `json:"cache_misses"`
 	Uncacheable   uint64  `json:"uncacheable"`
-	StoreHits     uint64  `json:"store_hits"`
-	StoreErrors   uint64  `json:"store_errors"`
-	DiskLoads     uint64  `json:"disk_loads,omitempty"`
-	DiskStores    uint64  `json:"disk_stores,omitempty"`
-	DiskCorrupt   uint64  `json:"disk_corrupt,omitempty"`
-	DiskCacheDir  string  `json:"disk_cache_dir,omitempty"`
-	MemoryOnly    bool    `json:"memory_only"`
 	Concurrency   int     `json:"concurrency"`
 	QueueCapacity int     `json:"queue_capacity"`
 	// Run cache residency: Results held now, their estimated bytes (bounded
@@ -579,7 +555,6 @@ type healthz struct {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hits, misses, uncacheable := s.cache.Stats()
-	storeHits, storeErrors := s.cache.StoreStats()
 	running := len(s.runSlots)
 	// The two channel reads are not atomic with each other: a request can
 	// take its run slot between them, making the difference transiently
@@ -596,20 +571,12 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		CacheHits:      hits,
 		CacheMisses:    misses,
 		Uncacheable:    uncacheable,
-		StoreHits:      storeHits,
-		StoreErrors:    storeErrors,
-		MemoryOnly:     s.disk == nil,
 		Concurrency:    s.cfg.Concurrency,
 		QueueCapacity:  s.cfg.Queue,
 		StreamsActive:  s.streamsActive.Load(),
 		StreamedPoints: s.streamedPoints.Load(),
 	}
 	h.CacheEntries, h.CacheBytes, h.CacheEvictions = s.cache.Resident()
-	if s.disk != nil {
-		loads, _, stores, corrupt, _ := s.disk.Stats()
-		h.DiskLoads, h.DiskStores, h.DiskCorrupt = loads, stores, corrupt
-		h.DiskCacheDir = s.disk.Dir()
-	}
 	h.ScenarioMemoHits, h.ScenarioMemoMisses, h.ScenarioMemoSize = s.graphs.stats()
 	if s.pool != nil {
 		h.SnapshotCapacity = s.cfg.Snapshots

@@ -29,11 +29,7 @@ func testServer(t *testing.T, cfg serverConfig) *server {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = time.Minute
 	}
-	s, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newServer(cfg)
 }
 
 func postSweep(t *testing.T, h http.Handler, body string) (*httptest.ResponseRecorder, sweepResponse) {
@@ -46,6 +42,24 @@ func postSweep(t *testing.T, h http.Handler, body string) (*httptest.ResponseRec
 		t.Fatalf("bad response body %q: %v", rec.Body.String(), err)
 	}
 	return rec, resp
+}
+
+// TestServeRejectsBadFlags: a flag error is returned, not an exit, and comes
+// before anything listens. The run cache lives in memory only, so there is
+// no -cachedir.
+func TestServeRejectsBadFlags(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // were a row to parse, serve would drain at once
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-cachedir", "x"}, "flag provided but not defined: -cachedir"},
+	} {
+		if err := serve(ctx, tc.args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
+		}
+	}
 }
 
 func TestSweepEndpoint(t *testing.T) {
@@ -236,8 +250,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	dir := t.TempDir()
-	s := testServer(t, serverConfig{CacheDir: dir})
+	s := testServer(t, serverConfig{})
 	h := s.routes()
 	// One sweep so the stats are non-trivial.
 	if rec, _ := postSweep(t, h, `{"rows":3,"cols":3,"pulses":[0,1]}`); rec.Code != http.StatusOK {
@@ -253,11 +266,11 @@ func TestHealthz(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &hz); err != nil {
 		t.Fatal(err)
 	}
-	if hz.Status != "ok" || hz.MemoryOnly {
+	if hz.Status != "ok" {
 		t.Fatalf("healthz = %+v", hz)
 	}
-	if hz.CacheMisses != 2 || hz.DiskStores != 2 {
-		t.Fatalf("healthz stats = %+v, want 2 misses stored to disk", hz)
+	if hz.CacheMisses != 2 {
+		t.Fatalf("healthz stats = %+v, want 2 misses", hz)
 	}
 	if hz.CacheEntries != 2 || hz.CacheBytes <= 0 || hz.CacheBytes > experiment.DefaultCacheBytes || hz.CacheEvictions != 0 {
 		t.Fatalf("healthz cache residency = %d entries, %d bytes, %d evictions; want both points resident within the bound",
@@ -265,9 +278,6 @@ func TestHealthz(t *testing.T) {
 	}
 	if hz.Running != 0 || hz.Queued != 0 {
 		t.Fatalf("healthz admission = running %d queued %d, want idle", hz.Running, hz.Queued)
-	}
-	if hz.DiskCacheDir != dir {
-		t.Fatalf("healthz cache dir = %q, want %q", hz.DiskCacheDir, dir)
 	}
 }
 

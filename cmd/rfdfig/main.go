@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"rfd/experiment"
-	"rfd/experiment/diskcache"
 	"rfd/internal/asciiplot"
 	"rfd/internal/cli"
 )
@@ -44,7 +43,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		seed     = fs.Uint64("seed", 1, "random seed")
 		noPlot   = fs.Bool("noplot", false, "suppress ASCII previews")
 		workers  = fs.Int("workers", runtime.NumCPU(), "simulations running at once across the build")
-		cacheDir = fs.String("cachedir", "", "persist the run cache in this directory (shared with rfdd; survives restarts)")
 		check    = fs.Bool("check", false, "run every scenario under the runtime invariant checker (slower; any violation fails the figure)")
 		progress = fs.Bool("progress", false, "print a live line per warm-up/point (sweep points and single runs) to stderr as each completes (long figure builds stop being silent)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the figure build to this file")
@@ -78,13 +76,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		opts.Ctx = experiment.WithProgress(ctx, experiment.TextProgress(os.Stderr))
 	}
 	opts.Cache = experiment.NewRunCache()
-	if *cacheDir != "" {
-		disk, err := diskcache.Open(*cacheDir)
-		if err != nil {
-			return err
-		}
-		opts.Cache.SetStore(disk)
-	}
 
 	g := generator{opts: opts.SharedBudget(), outDir: *outDir, plot: !*noPlot}
 	if err := build(g, todo, stdout); err != nil {
@@ -93,9 +84,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if hits, misses, uncacheable := opts.Cache.Stats(); hits+misses+uncacheable > 0 {
 		_, _, evicted := opts.Cache.Resident()
 		fmt.Fprintf(stdout, "run cache: %d hits, %d misses, %d uncacheable, %d evicted\n", hits, misses, uncacheable, evicted)
-		if storeHits, storeErrors := opts.Cache.StoreStats(); *cacheDir != "" {
-			fmt.Fprintf(stdout, "disk cache: %d served from %s, %d store errors\n", storeHits, *cacheDir, storeErrors)
-		}
 	}
 	return nil
 }

@@ -51,6 +51,21 @@ func TestFigureNamesUnique(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: the run cache lives in memory only, so there is no
+// -cachedir.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-cachedir", "x"}, "flag provided but not defined: -cachedir"},
+	} {
+		if err := run(context.Background(), tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
+		}
+	}
+}
+
 // TestRunWritesProfiles: -cpuprofile / -memprofile leave a profile each behind
 // a figure build, as rfdsim's pair does behind a run.
 func TestRunWritesProfiles(t *testing.T) {

@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"rfd/bgp"
+	"rfd/damping"
 	"rfd/faults"
 )
 
@@ -135,31 +138,70 @@ func TestPulseRangeEdgeCases(t *testing.T) {
 	}
 }
 
+// TestFingerprint: a key is stable across calls, moves with every field it
+// hashes — each row changes one and must key apart from the base and from
+// every other row — and is refused to a scenario whose run depends on state
+// outside those fields.
 func TestFingerprint(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Pulses: 2}
 	k1, ok := base.Fingerprint()
 	if !ok {
 		t.Fatal("plain scenario should be fingerprintable")
 	}
-	k2, ok := base.Fingerprint()
-	if !ok || k1 != k2 {
+	if k2, ok := base.Fingerprint(); !ok || k1 != k2 {
 		t.Fatal("fingerprint not stable across calls")
 	}
 
-	diff := base
-	diff.Pulses = 3
-	if k3, _ := diff.Fingerprint(); k3 == k1 {
-		t.Fatal("pulse count not part of the fingerprint")
+	damp := func(set func(*damping.Params)) func(*Scenario) {
+		return func(sc *Scenario) {
+			d := *sc.Config.Damping
+			set(&d)
+			sc.Config.Damping = &d
+		}
 	}
-	diff = base
-	diff.Config.Seed = 99
-	if k3, _ := diff.Fingerprint(); k3 == k1 {
-		t.Fatal("seed not part of the fingerprint")
-	}
-	diff = base
-	diff.Config.EnableRCN = true
-	if k3, _ := diff.Fingerprint(); k3 == k1 {
-		t.Fatal("RCN flag not part of the fingerprint")
+	keys := map[string]string{k1: "base"}
+	for _, row := range []struct {
+		field  string
+		mutate func(*Scenario)
+	}{
+		{"graph edge", func(sc *Scenario) {
+			sc.Graph = sc.Graph.Clone()
+			if err := sc.Graph.AddEdge(0, 12); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"isp", func(sc *Scenario) { sc.ISP = 1 }},
+		{"flap interval", func(sc *Scenario) { sc.FlapInterval = 2 * DefaultFlapInterval }},
+		{"flap via link", func(sc *Scenario) { sc.FlapViaLink = true }},
+		{"check", func(sc *Scenario) { sc.Check = true }},
+		{"policy", func(sc *Scenario) { sc.Config.Policy = bgp.NoValley }},
+		{"rcn", func(sc *Scenario) { sc.Config.EnableRCN = true }},
+		{"selective damping", func(sc *Scenario) { sc.Config.SelectiveDamping = true }},
+		{"mrai", func(sc *Scenario) { sc.Config.MRAI += time.Second }},
+		{"seed", func(sc *Scenario) { sc.Config.Seed = 99 }},
+		{"withdrawal penalty", damp(func(d *damping.Params) { d.WithdrawalPenalty++ })},
+		{"reannouncement penalty", damp(func(d *damping.Params) { d.ReannouncementPenalty++ })},
+		{"attribute change penalty", damp(func(d *damping.Params) { d.AttrChangePenalty++ })},
+		{"cutoff threshold", damp(func(d *damping.Params) { d.CutoffThreshold++ })},
+		{"reuse threshold", damp(func(d *damping.Params) { d.ReuseThreshold++ })},
+		{"half-life", damp(func(d *damping.Params) { d.HalfLife += time.Second })},
+		{"max hold-down", damp(func(d *damping.Params) { d.MaxHoldDown += time.Second })},
+		{"watch", func(sc *Scenario) { sc.Watch = []PenaltyWatch{{Router: 1, Peer: 2}} }},
+		{"no series", func(sc *Scenario) { sc.NoSeries = true }},
+		{"pulses", func(sc *Scenario) { sc.Pulses = 3 }},
+	} {
+		t.Run(row.field, func(t *testing.T) {
+			sc := base
+			row.mutate(&sc)
+			k, ok := sc.Fingerprint()
+			if !ok {
+				t.Fatal("scenario not fingerprintable")
+			}
+			if prev, dup := keys[k]; dup {
+				t.Fatalf("%s not part of the fingerprint: keys like %s", row.field, prev)
+			}
+			keys[k] = row.field
+		})
 	}
 
 	uncacheable := base

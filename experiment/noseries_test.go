@@ -54,6 +54,14 @@ func checkSeriesScalars(t *testing.T, res *Result) {
 	}
 }
 
+// withoutSeries returns a copy of r that holds what a NoSeries run of its
+// scenario would: the scalars, without the series.
+func (r *Result) withoutSeries() *Result {
+	c := *r
+	c.Updates, c.Damped, c.NoisyReuseTimes = nil, nil, nil
+	return &c
+}
+
 // checkNoSeries asserts that a NoSeries Result is the full one without its
 // series.
 func checkNoSeries(t *testing.T, full, lean *Result) {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -43,8 +44,7 @@ func (s Scenario) fingerprintBase() (string, bool) {
 		return "", false
 	}
 	// Resumes the graph's memoised encoding digest: only the first key asked
-	// of a topology encodes and hashes it, yet every key is byte-identical to
-	// hashing WriteTSV afresh (on-disk caches stay valid).
+	// of a topology encodes and hashes it.
 	h, err := s.Graph.TSVDigest()
 	if err != nil {
 		return "", false
@@ -56,13 +56,10 @@ func (s Scenario) fingerprintBase() (string, bool) {
 	cfg := s.Config
 	// Check does not change the Result's measurements, but a checked run
 	// carries a Result.Check report an unchecked one lacks — and a checked
-	// figure pass must not be satisfied by unchecked cached Results. The
-	// histsize, mraijitter, link and proc lines spell out package bgp's fixed
-	// network model as the keys have always recorded it, so every key stays
-	// what it was.
-	fmt.Fprintf(h, "isp %d\ninterval %d\nvialink %t\ncheck %t\npolicy %d\nrcn %t\nselective %t\nhistsize 0\nmrai %d\nmraijitter true\nlink 10000000 110000000\nproc 1000000 10000000\nseed %d\n",
+	// figure pass must not be satisfied by unchecked cached Results.
+	fmt.Fprintf(h, "isp %d\ninterval %d\nvialink %t\ncheck %t\npolicy %d\nrcn %t\nselective %t\nmrai %d\nseed %d\nnoseries %t\n",
 		s.ISP, interval, s.FlapViaLink, s.Check, cfg.Policy, cfg.EnableRCN,
-		cfg.SelectiveDamping, cfg.MRAI, cfg.Seed)
+		cfg.SelectiveDamping, cfg.MRAI, cfg.Seed, s.NoSeries)
 	if d := cfg.Damping; d != nil {
 		fmt.Fprintf(h, "damping %g %g %g %g %g %d %d\n",
 			d.WithdrawalPenalty, d.ReannouncementPenalty, d.AttrChangePenalty,
@@ -71,24 +68,7 @@ func (s Scenario) fingerprintBase() (string, bool) {
 	for _, w := range s.Watch {
 		fmt.Fprintf(h, "watch %d %d\n", w.Router, w.Peer)
 	}
-	// Written only when set, so every full key stays what it was.
-	if s.NoSeries {
-		fmt.Fprintf(h, "noseries\n")
-	}
 	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// ResultStore is a persistent layer under the in-memory RunCache: Load is
-// consulted on every in-memory miss (by the claiming owner, so singleflight
-// semantics extend to disk reads) — for a NoSeries point that misses its own
-// key, under its scenario's full key too — and Store is offered every freshly
-// computed Result. Implementations must be safe for concurrent use and must
-// treat stored Results as immutable. experiment/diskcache provides the
-// on-disk implementation; both methods are best-effort — a Load error is
-// treated as a miss and a Store error only surfaces in the stats.
-type ResultStore interface {
-	Load(key string) (*Result, bool, error)
-	Store(key string, res *Result) error
 }
 
 // DefaultCacheBytes is the bound, in estimated bytes of resident Results
@@ -118,14 +98,13 @@ func (r *Result) sizeBytes() int64 {
 // request — Run or Sweep — claims its points in the one singleflight,
 // RunCache.sweep. rfdfig uses one cache across all figures, which
 // share scenarios (e.g. the undamped mesh baseline appears in the Eval sweep
-// and as Fig 10/15 inputs); rfdd shares one across all requests, layered
-// over a persistent ResultStore.
+// and as Fig 10/15 inputs); rfdd shares one across all requests.
 //
 // The cache is an internal/lru cache, so no failure (an error, a panic, a
 // cancel) is cached and nothing still being computed is evicted. A Result
 // weighs its estimated bytes (sizeBytes) against DefaultCacheBytes, and an
-// evicted key is claimed afresh by its next request: served from the
-// ResultStore when one is layered, re-simulated otherwise.
+// evicted key is claimed afresh by its next request and re-simulated (from
+// the pooled warm-up snapshot when a CheckpointPool is layered).
 //
 // Cached Results are shared between callers and must be treated as
 // read-only. Scenarios whose Fingerprint reports ok=false (trace logs,
@@ -134,11 +113,10 @@ func (r *Result) sizeBytes() int64 {
 type RunCache struct {
 	results *lru.Cache[string, *Result]
 
-	mu    sync.Mutex
-	store ResultStore
-	pool  *CheckpointPool
+	mu   sync.Mutex
+	pool *CheckpointPool
 
-	uncached, diskHits, diskStoreErrors atomic.Uint64
+	uncached atomic.Uint64
 }
 
 // NewRunCache returns an empty cache bounded by DefaultCacheBytes.
@@ -151,55 +129,36 @@ func newRunCache(maxBytes int64) *RunCache {
 	return &RunCache{results: lru.New[string, *Result](maxBytes, nil)}
 }
 
-// SetStore layers a persistent store under the cache (nil detaches it).
-// Entries already resident in memory are unaffected.
-func (c *RunCache) SetStore(s ResultStore) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store = s
-}
-
 // SetCheckpointPool layers a converged-snapshot pool under the cache (nil
 // detaches it): cache misses then fork a pooled warm-up checkpoint instead of
 // re-converging from scratch, and resume the sweep trunk an earlier miss
 // parked there instead of re-flapping its pulses. Results are identical
 // either way — checkpoint and trunk forks are pinned byte-identical to
 // from-scratch runs — so the pool is a pure execution optimization, invisible
-// to cache keys and stored Results.
+// to cache keys and cached Results.
 func (c *RunCache) SetCheckpointPool(p *CheckpointPool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pool = p
 }
 
-// layers returns the layered store and pool.
-func (c *RunCache) layers() (ResultStore, *CheckpointPool) {
+// layers returns the layered pool.
+func (c *RunCache) layers() *CheckpointPool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.store, c.pool
+	return c.pool
 }
 
 // Stats reports how many Run/Sweep points were served from cache (hits),
 // executed and stored (misses), and executed uncached because the scenario
-// has no fingerprint (uncacheable). In-memory misses that a persistent store
-// satisfied count as misses here and as hits in StoreStats, and so does the
-// next request for a key the byte bound evicted.
+// has no fingerprint (uncacheable). The next request for a key the byte bound
+// evicted counts as a miss.
 func (c *RunCache) Stats() (hits, misses, uncacheable uint64) {
 	if c == nil {
 		return 0, 0, 0
 	}
 	s := c.results.Stats()
 	return s.Hits, s.Misses, c.uncached.Load()
-}
-
-// StoreStats reports the persistent layer's traffic: in-memory misses served
-// from the store, and Store calls that failed (failures are logged in the
-// stats only — a broken disk must not fail runs).
-func (c *RunCache) StoreStats() (storeHits, storeErrors uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.diskHits.Load(), c.diskStoreErrors.Load()
 }
 
 // Resident reports the Results held now — how many, and their estimated
@@ -213,42 +172,13 @@ func (c *RunCache) Resident() (entries int, bytes int64, evictions uint64) {
 	return s.Resident, s.Weight, s.Evictions
 }
 
-// finish resolves an owned entry, offering a fresh Result to the persistent
-// store first (best-effort: a failure only counts in StoreStats); stored says
-// res was loaded from there, so it is not written straight back.
-func (c *RunCache) finish(e *lru.Entry[string, *Result], res *Result, stored bool, err error) {
+// finish resolves an owned entry, weighing a fresh Result by its size.
+func (c *RunCache) finish(e *lru.Entry[string, *Result], res *Result, err error) {
 	var size int64
 	if err == nil {
-		if store, _ := c.layers(); store != nil && !stored {
-			if store.Store(e.Key(), res) != nil {
-				c.diskStoreErrors.Add(1)
-			}
-		}
 		size = res.sizeBytes()
 	}
 	c.results.Resolve(e, res, size, err)
-}
-
-// loadStored consults the persistent store for key (nil-safe).
-func (c *RunCache) loadStored(key string) (*Result, bool) {
-	store, _ := c.layers()
-	if store == nil {
-		return nil, false
-	}
-	res, ok, err := store.Load(key)
-	if err != nil || !ok || res == nil {
-		return nil, false
-	}
-	c.diskHits.Add(1)
-	return res, true
-}
-
-// withoutSeries returns a copy of r that holds what a NoSeries run of its
-// scenario would: the scalars, without the series.
-func (r *Result) withoutSeries() *Result {
-	c := *r
-	c.Updates, c.Damped, c.NoisyReuseTimes = nil, nil, nil
-	return &c
 }
 
 // Run executes the scenario through the cache: a fingerprint hit returns the
@@ -284,13 +214,13 @@ func (c *RunCache) Sweep(base Scenario, pulses []int, workers int) ([]SweepPoint
 }
 
 // SweepContext is SweepParallelContext through the cache: points whose
-// fingerprint is already cached (in memory or in the persistent store, or
-// claimed by a concurrent caller) are not re-run; only the missing pulse
-// counts execute, as one fork-amortized parallel sweep. Failure is per-point
-// exactly as in SweepParallelContext — a failed or cancelled point carries
-// its error, is evicted from the cache (so a retry re-runs it), and never
-// discards the other points. Unfingerprintable scenarios fall through to a
-// plain SweepParallelContext.
+// fingerprint is already cached (or claimed by a concurrent caller) are not
+// re-run; only the missing pulse counts execute, as one fork-amortized
+// parallel sweep. Failure is per-point exactly as in SweepParallelContext — a
+// failed or cancelled point carries its error, is evicted from the cache (so
+// a retry re-runs it), and never discards the other points; the joined error
+// names each distinct failure once. Unfingerprintable scenarios fall through
+// to a plain SweepParallelContext.
 func (c *RunCache) SweepContext(ctx context.Context, base Scenario, pulses []int, workers int) ([]SweepPoint, error) {
 	return c.sweep(ctx, base, pulses, newBudget(workers))
 }
@@ -308,34 +238,16 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 	pr := progressFrom(ctx)
 	entries := make([]*lru.Entry[string, *Result], len(pulses))
 	// live marks the points this call claimed and will execute itself; every
-	// other point resolves without running here (an in-memory or stored hit,
-	// or a concurrent caller's execution) and reports CacheHit instead of the
-	// live Queued/Started/Done sequence.
+	// other point resolves without running here (a cache hit, or a concurrent
+	// caller's execution) and reports CacheHit instead of the live
+	// Queued/Started/Done sequence.
 	live := make([]bool, len(pulses))
 	var missPulses []int
 	var missEntries []*lru.Entry[string, *Result]
-	fullKey := "" // base's key with series, computed on the first NoSeries store miss
 	for i, n := range pulses {
 		e, owner := c.results.Claim(fmt.Sprintf("%s:p%d", baseKey, n))
 		entries[i] = e
 		if !owner {
-			continue
-		}
-		stored, ok := c.loadStored(e.Key())
-		if !ok && base.NoSeries {
-			// A stored full Result serves a NoSeries point, its series
-			// dropped; never the reverse, as the noseries line keys them apart.
-			if fullKey == "" {
-				full := base
-				full.NoSeries = false
-				fullKey, _ = full.fingerprintBase()
-			}
-			if stored, ok = c.loadStored(fmt.Sprintf("%s:p%d", fullKey, n)); ok {
-				stored = stored.withoutSeries()
-			}
-		}
-		if ok {
-			c.finish(e, stored, true, nil)
 			continue
 		}
 		live[i] = true
@@ -346,7 +258,7 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 		c.runMisses(ctx, base, missPulses, missEntries, b)
 	}
 	out := make([]SweepPoint, len(pulses))
-	errs := make([]error, 0, len(pulses))
+	var errs []error
 	for i, e := range entries {
 		out[i].Pulses = pulses[i]
 		// A resolved entry wins over a tripped context: after a mid-flight
@@ -363,7 +275,12 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 			if _, isPanic := out[i].Err.(*PanicError); isPanic {
 				out[i].Err = &pointError{pulses[i], out[i].Err}
 			}
-			errs = append(errs, out[i].Err)
+			// Each distinct failure is reported once: a failed shared warm-up
+			// hands its one error to every point it was to serve.
+			msg := out[i].Err.Error()
+			if !slices.ContainsFunc(errs, func(e error) bool { return e.Error() == msg }) {
+				errs = append(errs, out[i].Err)
+			}
 		}
 		if !live[i] {
 			pr.cacheHit(out[i])
@@ -390,14 +307,13 @@ func (c *RunCache) runMisses(ctx context.Context, base Scenario, pulses []int, e
 			if r != nil {
 				err = &PanicError{Value: r, Fingerprint: e.Key(), Stack: stackTrace()}
 			}
-			c.finish(e, nil, false, err)
+			c.finish(e, nil, err)
 		}
 		if r != nil {
 			panic(r)
 		}
 	}()
-	_, pool := c.layers()
-	pts, err := sweepWarm(ctx, pool, base, pulses, b)
+	pts, err := sweepWarm(ctx, c.layers(), base, pulses, b)
 	swept = true
 	for j, e := range entries {
 		res, perr := (*Result)(nil), err // the sweep failed before any point ran
@@ -407,6 +323,6 @@ func (c *RunCache) runMisses(ctx context.Context, base Scenario, pulses []int, e
 		if res == nil && perr == nil {
 			perr = unproduced(j)
 		}
-		c.finish(e, res, false, perr)
+		c.finish(e, res, perr)
 	}
 }

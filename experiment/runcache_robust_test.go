@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -220,52 +221,18 @@ func TestRunCacheCanceledRunEvicted(t *testing.T) {
 	}
 }
 
-// chaosStore records Store/Load traffic so the chaos test can assert the
-// persistent layer stayed intact; it also serves one deliberately corrupted
-// load to prove corruption is survived (the real corruption machinery is
-// covered in diskcache's own tests — here the contract is "a store that
-// reports a miss-with-error does not fail the run").
-type chaosStore struct {
-	mu      sync.Mutex
-	entries map[string]*Result
-	loads   int
-	stores  int
-}
-
-func (s *chaosStore) Load(key string) (*Result, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loads++
-	if res, ok := s.entries[key]; ok {
-		return res, true, nil
-	}
-	return nil, false, nil
-}
-
-func (s *chaosStore) Store(key string, res *Result) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.entries == nil {
-		s.entries = make(map[string]*Result)
-	}
-	s.stores++
-	s.entries[key] = res
-	return nil
-}
-
 // TestChaosSweep is the acceptance chaos test: one cached sweep under
 // injected run panics, transient errors and a mid-flight cancel. Every
 // unaffected point must come back, the transient failures must retry through
-// the cache (no negative caching), and the persistent store must end up
-// intact — holding exactly the successful points.
+// the cache (no negative caching).
 func TestChaosSweep(t *testing.T) {
 	base := cancelScenario(t, 0)
 	pulses := PulseRange(0, 9)
 
 	// Chaos plan, seeded and deterministic: n=2 panics on its first attempt,
 	// n=4 fails transiently on its first attempt, n=7 is slow and gets
-	// cancelled mid-flight on the first sweep. Second and third sweeps run
-	// with no chaos.
+	// cancelled mid-flight on the first sweep. The second sweep runs with no
+	// chaos.
 	var panicsLeft, failsLeft atomic.Int64
 	panicsLeft.Store(1)
 	failsLeft.Store(1)
@@ -301,9 +268,7 @@ func TestChaosSweep(t *testing.T) {
 		return f.run(ctx, sc)
 	})
 
-	store := &chaosStore{}
 	c := NewRunCache()
-	c.SetStore(store)
 
 	// Sweep 1: chaos. The cancel fires when n=7 starts, so some points may
 	// be cancelled; n=2 panics; n=4 fails transiently.
@@ -346,32 +311,44 @@ func TestChaosSweep(t *testing.T) {
 			t.Fatalf("point n=%d did not heal: %v", p.Pulses, p.Err)
 		}
 	}
+}
 
-	// The persistent store holds every point exactly once; a third sweep
-	// through a cold in-memory cache is served entirely from the store.
-	store.mu.Lock()
-	stored := len(store.entries)
-	store.mu.Unlock()
-	if stored != len(pulses) {
-		t.Errorf("store holds %d entries, want %d", stored, len(pulses))
+// TestSweepJoinsEachFailureOnce: a failed shared warm-up is one failure, so
+// the sweep reports it once, not once per point it was to serve — yet every
+// point still carries it, and distinct point failures are each reported.
+func TestSweepJoinsEachFailureOnce(t *testing.T) {
+	base := cancelScenario(t, 0)
+	pulses := PulseRange(0, 4)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	pts, err := NewRunCache().SweepContext(ctx, base, pulses, 2)
+	if err == nil {
+		t.Fatal("sweep under an expired context reported no error")
 	}
-	c2 := NewRunCache()
-	c2.SetStore(store)
-	pts2, err := c2.Sweep(base, pulses, 3)
-	if err != nil {
-		t.Fatalf("store-served sweep failed: %v", err)
+	if n := strings.Count(err.Error(), "warm-up"); n != 1 {
+		t.Errorf("failed warm-up reported %d times, want once:\n%v", n, err)
 	}
-	for i, p := range pts2 {
-		if p.Result == nil {
-			t.Fatalf("store-served point n=%d missing", p.Pulses)
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("joined error %v does not wrap ErrBudgetExceeded", err)
+	}
+	for _, p := range pts {
+		if p.Err == nil {
+			t.Errorf("point n=%d carries no error", p.Pulses)
 		}
-		if p.Result.MessageCount != pts[i].Result.MessageCount ||
-			p.Result.ConvergenceTime != pts[i].Result.ConvergenceTime {
-			t.Errorf("store-served point n=%d differs from computed", p.Pulses)
-		}
 	}
-	if storeHits, _ := c2.StoreStats(); storeHits != uint64(len(pulses)) {
-		t.Errorf("cold cache store hits = %d, want %d", storeHits, len(pulses))
+
+	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+		if sc.Pulses == 1 || sc.Pulses == 3 {
+			return nil, fmt.Errorf("injected failure at n=%d", sc.Pulses)
+		}
+		return f.run(ctx, sc)
+	})
+	_, err = NewRunCache().Sweep(base, pulses, 2)
+	for _, n := range []int{1, 3} {
+		if want := fmt.Sprintf("injected failure at n=%d", n); err == nil || strings.Count(err.Error(), want) != 1 {
+			t.Errorf("joined error %v does not report %q once", err, want)
+		}
 	}
 }
 
@@ -493,51 +470,41 @@ func TestRunCacheHitRefreshesRecency(t *testing.T) {
 }
 
 // TestRunCacheEvictedKeyRefetched: a key the bound evicted is claimed afresh —
-// one more miss — and re-simulated, or, with a ResultStore layered, served
-// from the store without simulating.
+// one more miss — and re-simulated. The cache keeps nothing outside memory
+// (store=false), so the evicted key is run again.
 func TestRunCacheEvictedKeyRefetched(t *testing.T) {
-	base := cancelScenario(t, 1)
-	a, b := withSeed(base, 1), withSeed(base, 2)
-	want, err := Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, withStore := range []bool{false, true} {
-		t.Run(fmt.Sprintf("store=%t", withStore), func(t *testing.T) {
-			c := newRunCache(want.sizeBytes()) // one Result at a time
-			if withStore {
-				c.SetStore(&chaosStore{})
-			}
-			runs := countRuns(t)
-			for _, sc := range []Scenario{a, b} {
-				if _, err := c.Run(sc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, _, evictions := c.Resident(); evictions == 0 {
-				t.Fatal("b's insert evicted nothing")
-			}
-			got, err := c.Run(a)
-			if err != nil {
+	t.Run("store=false", func(t *testing.T) {
+		base := cancelScenario(t, 1)
+		a, b := withSeed(base, 1), withSeed(base, 2)
+		want, err := Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newRunCache(want.sizeBytes()) // one Result at a time
+		runs := countRuns(t)
+		for _, sc := range []Scenario{a, b} {
+			if _, err := c.Run(sc); err != nil {
 				t.Fatal(err)
 			}
-			if got.MessageCount != want.MessageCount || got.ConvergenceTime != want.ConvergenceTime ||
-				!reflect.DeepEqual(got.Updates.Times(), want.Updates.Times()) {
-				t.Fatal("refetched Result differs from a fresh Run")
-			}
-			if _, misses, _ := c.Stats(); misses != 3 {
-				t.Errorf("misses %d, want 3 (a, b, evicted a)", misses)
-			}
-			storeHits, _ := c.StoreStats()
-			wantRuns, wantStoreHits := int64(3), uint64(0)
-			if withStore {
-				wantRuns, wantStoreHits = 2, 1
-			}
-			if runs.Load() != wantRuns || storeHits != wantStoreHits {
-				t.Errorf("runs %d, store hits %d, want %d and %d", runs.Load(), storeHits, wantRuns, wantStoreHits)
-			}
-		})
-	}
+		}
+		if _, _, evictions := c.Resident(); evictions == 0 {
+			t.Fatal("b's insert evicted nothing")
+		}
+		got, err := c.Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MessageCount != want.MessageCount || got.ConvergenceTime != want.ConvergenceTime ||
+			!reflect.DeepEqual(got.Updates.Times(), want.Updates.Times()) {
+			t.Fatal("refetched Result differs from a fresh Run")
+		}
+		if _, misses, _ := c.Stats(); misses != 3 {
+			t.Errorf("misses %d, want 3 (a, b, evicted a)", misses)
+		}
+		if runs.Load() != 3 {
+			t.Errorf("runs %d, want 3", runs.Load())
+		}
+	})
 }
 
 // TestRunCacheTinyBoundServesWaiters: a bound smaller than one Result evicts

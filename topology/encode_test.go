@@ -35,9 +35,8 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-// TestWriteTSVGolden pins the canonical encoding byte for byte (recorded
-// before WriteTSV stopped using fmt and sort.Slice): cache keys are a hash of
-// these bytes, so any drift orphans every on-disk run cache.
+// TestWriteTSVGolden pins the canonical encoding byte for byte: it is
+// rfdtopo's TSV export format.
 func TestWriteTSVGolden(t *testing.T) {
 	g, err := InternetDerived(DefaultInternetConfig(6, 1))
 	if err != nil {
