@@ -42,10 +42,9 @@ type remoteMsg struct {
 // (time, source shard, sequence) order, making runs independent of goroutine
 // scheduling and byte-identical to the sequential engine per seed.
 type ShardedNetwork struct {
-	owner   []int32
-	shards  []*Network
-	kernels []*sim.Kernel
-	group   *sim.ShardGroup
+	owner  []int32
+	shards []*Network
+	group  *sim.ShardGroup
 
 	outbox   [][]remoteMsg
 	seq      []uint64
@@ -73,41 +72,35 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32) (*ShardedN
 		}
 	}
 	sn := &ShardedNetwork{
-		owner:   assign,
-		shards:  make([]*Network, nshards),
-		kernels: make([]*sim.Kernel, nshards),
-		outbox:  make([][]remoteMsg, nshards),
-		seq:     make([]uint64, nshards),
+		owner:  assign,
+		shards: make([]*Network, nshards),
+		outbox: make([][]remoteMsg, nshards),
+		seq:    make([]uint64, nshards),
 	}
-	for s := 0; s < nshards; s++ {
-		k := sim.NewKernel(sim.WithSeed(cfg.Seed))
-		n, err := newNetwork(k, g, cfg, assign, int32(s))
+	kernels := make([]*sim.Kernel, nshards)
+	for s := range int32(nshards) {
+		kernels[s] = sim.NewKernel()
+		n, err := newNetwork(kernels[s], g, cfg, assign, s)
 		if err != nil {
 			return nil, err
 		}
-		sn.bindShard(n, int32(s))
-		sn.kernels[s] = k
+		// Cross-shard sends park in this shard's outbox until the barrier.
+		n.remoteSend = func(at time.Duration, pm pendingMsg) {
+			sn.seq[s]++
+			to, _ := n.dirRouter(pm.dir)
+			sn.outbox[s] = append(sn.outbox[s], remoteMsg{
+				at: at, pm: pm, path: n.paths.path(pm.path), prefix: n.prefixes[pm.pid],
+				to: to.id, src: s, seq: sn.seq[s],
+			})
+		}
 		sn.shards[s] = n
 	}
-	group, err := sim.NewShardGroup(lookahead, sn.kernels, sn)
+	group, err := sim.NewShardGroup(lookahead, kernels, sn)
 	if err != nil {
 		return nil, err
 	}
 	sn.group = group
 	return sn, nil
-}
-
-// bindShard points a shard network's remote-send callback at this ensemble's
-// outbox (used at construction and again after Fork).
-func (sn *ShardedNetwork) bindShard(n *Network, s int32) {
-	n.remoteSend = func(at time.Duration, pm pendingMsg) {
-		sn.seq[s]++
-		to, _ := n.dirRouter(pm.dir)
-		sn.outbox[s] = append(sn.outbox[s], remoteMsg{
-			at: at, pm: pm, path: n.paths.path(pm.path), prefix: n.prefixes[pm.pid],
-			to: to.id, src: s, seq: sn.seq[s],
-		})
-	}
 }
 
 // injectRemote schedules a cross-shard message on its receiving shard,
@@ -365,42 +358,4 @@ func (sn *ShardedNetwork) CheckConsistency() error {
 		}
 	}
 	return nil
-}
-
-// Fork returns an independent copy of the ensemble, leaving the original
-// untouched. The ensemble must be parked at a barrier (between Run/RunUntil
-// calls); it need not be quiescent. Cross-shard messages still waiting in an
-// outbox — a stimulus applied at the barrier, such as Originate, can park one
-// there — are carried into the copy with their sequence numbers, so both
-// sides inject them at their next barrier exactly as an unforked run would.
-// The kernel group is forked as a unit (sim.ShardGroup.Fork), so the copy's
-// coordinator resumes with the parent's epoch statistics, exactly as a
-// from-scratch run would report; each shard network is then forked onto its
-// pre-forked kernel and rebound to the copy's outboxes. Safe for concurrent
-// Fork calls on the same parked ensemble — forking only reads.
-func (sn *ShardedNetwork) Fork() (*ShardedNetwork, error) {
-	f := &ShardedNetwork{
-		owner:  sn.owner,
-		shards: make([]*Network, len(sn.shards)),
-		outbox: make([][]remoteMsg, len(sn.shards)),
-		seq:    append([]uint64(nil), sn.seq...),
-	}
-	for s, box := range sn.outbox {
-		f.outbox[s] = slices.Clone(box) // message paths are canonical, immutable
-	}
-	group, err := sn.group.Fork(f)
-	if err != nil {
-		return nil, err
-	}
-	f.group = group
-	f.kernels = append([]*sim.Kernel(nil), group.Kernels()...)
-	for s, n := range sn.shards {
-		fn, err := n.forkOnto(f.kernels[s])
-		if err != nil {
-			return nil, err
-		}
-		f.bindShard(fn, int32(s))
-		f.shards[s] = fn
-	}
-	return f, nil
 }

@@ -3,6 +3,7 @@ package bgp_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,80 +143,6 @@ func TestShardedMatchesSequential(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestShardedForkEquivalence forks a converged sharded ensemble and verifies
-// the fork replays the same canonical trace as its parent under identical
-// stimuli.
-func TestShardedForkEquivalence(t *testing.T) {
-	g, err := topology.Torus(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := bgp.DefaultConfig()
-	params := damping.Cisco()
-	cfg.Damping = &params
-	cfg.Seed = 5
-	const prefix = bgp.Prefix("origin/8")
-	origin := bgp.RouterID(9)
-
-	assign, err := topology.Partition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := bgp.NewShardedNetwork(g, cfg, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sn.Close()
-	sn.Router(origin).Originate(prefix)
-	if err := sn.Group().Run(); err != nil {
-		t.Fatal(err)
-	}
-	sn.Align()
-	sn.ResetDamping()
-
-	fork1, err := sn.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fork1.Close()
-	fork2, err := sn.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fork2.Close()
-
-	a := drivePulses(t, fork1, origin, prefix)
-	b := drivePulses(t, fork2, origin, prefix)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two forks of the same sharded ensemble diverge: %s", diffPoint(a, b))
-	}
-	// The parent is untouched: its clock did not advance past warm-up.
-	if sn.PendingDeliveries() != 0 {
-		t.Fatalf("running forks left %d deliveries pending on the parent", sn.PendingDeliveries())
-	}
-}
-
-func drivePulses(t *testing.T, sn *bgp.ShardedNetwork, origin bgp.RouterID, prefix bgp.Prefix) []byte {
-	t.Helper()
-	logs := observeShards(sn)
-	g := sn.Group()
-	const interval = 60 * time.Second
-	for pulse := 0; pulse < 2; pulse++ {
-		sn.Router(origin).StopOriginating(prefix)
-		if err := g.RunUntil(g.Now() + interval); err != nil {
-			t.Fatal(err)
-		}
-		sn.Router(origin).Originate(prefix)
-		if err := g.RunUntil(g.Now() + interval); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return canonicalBytes(t, trace.Merge(logs...), sn.Delivered(), sn.Dropped())
 }
 
 // TestShardedFaultReplication drives link and router faults through the
@@ -365,5 +292,40 @@ func TestPartitionCoversGraph(t *testing.T) {
 				t.Fatalf("%s k=%d: partition covers %d of %d nodes", name, k, total, g.NumNodes())
 			}
 		}
+	}
+}
+
+// observeShards installs a fresh trace log on every shard network.
+func observeShards(sn *bgp.ShardedNetwork) []*trace.Log {
+	logs := make([]*trace.Log, sn.NumShards())
+	for s := range logs {
+		logs[s] = trace.NewLog(0)
+		sn.Shard(s).SetHooks(bgp.TraceHooks(logs[s]))
+	}
+	return logs
+}
+
+// TestShardNetworkRefusesFork: a shard network's cross-shard sends go to its
+// ensemble's outbox, so a copy of the network alone would fail at its first
+// one; Fork and Snapshot refuse it instead.
+func TestShardNetworkRefusesFork(t *testing.T) {
+	g, err := topology.Torus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := topology.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := bgp.NewShardedNetwork(g, bgp.DefaultConfig(), assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	if _, _, err := sn.Shard(0).Fork(); err == nil || !strings.Contains(err.Error(), "cannot fork") {
+		t.Errorf("Fork of a shard network: err = %v, want a refusal", err)
+	}
+	if _, err := sn.Shard(1).Snapshot(); err == nil || !strings.Contains(err.Error(), "cannot fork") {
+		t.Errorf("Snapshot of a shard network: err = %v, want a refusal", err)
 	}
 }

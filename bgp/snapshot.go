@@ -108,21 +108,17 @@ func (n *Network) Fork() (*sim.Kernel, *Network, error) {
 	return f.kernel, f, nil
 }
 
-// fork builds the copy. Concurrent forks of the same receiver are safe: they
-// read the receiver, apart from freezing its path-table overlay, which they
-// serialize (pathTable.fork). Running the receiver concurrently with forking
-// it is not.
+// fork builds the deep copy onto a fork of n's kernel (queue clones preserve
+// slot indices and generations, so the Timer handles embedded in RIB entries
+// name the right events). Concurrent forks of the same receiver are safe:
+// they read the receiver, apart from freezing its path-table overlay, which
+// they serialize (pathTable.fork). Running the receiver concurrently with
+// forking it is not. A shard network does not fork: its cross-shard sends
+// go to its ensemble's outbox, which the copy would not have.
 func (n *Network) fork() (*Network, error) {
-	return n.forkOnto(n.kernel.Fork())
-}
-
-// forkOnto builds the deep copy onto k2, which must be a fork of n's kernel
-// taken at the same instant (queue clones preserve slot indices and
-// generations, so the Timer handles embedded in RIB entries name the right
-// events only on a true fork). The split exists for the sharded engine:
-// ShardedNetwork.Fork forks the whole kernel group first, then forks each
-// shard network onto its pre-forked kernel.
-func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
+	if n.owner != nil {
+		return nil, fmt.Errorf("bgp: shard %d of a sharded network cannot fork", n.shardID)
+	}
 	var impair LinkImpairment
 	if n.impair != nil {
 		forker, ok := n.impair.(ImpairmentForker)
@@ -131,6 +127,7 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		}
 		impair = forker.ForkImpairment()
 	}
+	k2 := n.kernel.Fork()
 	f := &Network{
 		kernel:            k2,
 		graph:             n.graph, // never mutated after construction
@@ -145,8 +142,6 @@ func (n *Network) forkOnto(k2 *sim.Kernel) (*Network, error) {
 		downLinks:         slices.Clone(n.downLinks),
 		sessionGen:        slices.Clone(n.sessionGen),
 		downRouters:       slices.Clone(n.downRouters),
-		owner:             n.owner, // immutable partition assignment
-		shardID:           n.shardID,
 		impair:            impair,
 		pendingDeliveries: n.pendingDeliveries,
 		routers:           slices.Clone(n.routers),

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -103,7 +104,9 @@ func run(ctx context.Context, args []string) error {
 	if *traceFile != "" {
 		sc.Trace = trace.NewLog(0)
 	}
-	if *loss > 0 || *jitter > 0 || *faultFile != "" {
+	// Any loss or jitter flag set, negative ones included, goes through the
+	// profile's validation.
+	if *loss != 0 || *jitter != 0 || *faultFile != "" {
 		imp := faults.NewImpairments(*seed)
 		if err := imp.SetDefault(faults.Profile{Loss: *loss, MaxJitter: *jitter}); err != nil {
 			return err
@@ -144,7 +147,7 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	fmt.Printf("topology          %s (isp=%d, origin=%d)\n", sc.Graph, res.ISP, res.Origin)
-	fmt.Printf("workload          %d pulses, %v interval\n", res.Pulses, *interval)
+	fmt.Printf("workload          %d pulses, %v interval\n", res.Pulses, cmp.Or(sc.FlapInterval, experiment.DefaultFlapInterval))
 	fmt.Printf("damping           %s (rcn=%t, policy=%s, mrai=%v)\n", *damp, *rcnOn, sc.Config.Policy, *mrai)
 	fmt.Printf("convergence time  %.0f s\n", res.ConvergenceTime.Seconds())
 	fmt.Printf("message count     %d\n", res.MessageCount)
@@ -226,7 +229,7 @@ func runSweep(ctx context.Context, sc experiment.Scenario, pulses []int, workers
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sweep             pulses %d..%d, %d workers, shared warm-up\n", pulses[0], pulses[len(pulses)-1], workers)
+	fmt.Printf("sweep             pulses %d..%d, %d workers, shared warm-up\n", pulses[0], pulses[len(pulses)-1], max(workers, 1))
 	fmt.Printf("%6s %14s %9s %11s %6s %7s\n",
 		"pulses", "convergence_s", "messages", "max_damped", "noisy", "silent")
 	for _, p := range pts {

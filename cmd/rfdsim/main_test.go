@@ -167,6 +167,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", "1:2abc"}, `bad -sweep "1:2abc" (want "from:to"`},
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", ":3"}, `bad -sweep ":3" (want "from:to"`},
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", "a:b"}, `bad -sweep "a:b" (want "from:to"`},
+		// Pre-fix a negative (or NaN) loss or jitter skipped the impairment
+		// and ran clean.
+		{[]string{"-rows", "4", "-cols", "4", "-loss", "-0.5"}, "loss probability -0.5 outside [0, 1]"},
+		{[]string{"-rows", "4", "-cols", "4", "-loss", "NaN"}, "loss probability NaN outside [0, 1]"},
+		{[]string{"-rows", "4", "-cols", "4", "-jitter", "-1s"}, "negative jitter bound -1s"},
 	}
 	for _, tc := range cases {
 		if err := run(context.Background(), tc.args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -194,6 +199,25 @@ func TestRunPrintsDrops(t *testing.T) {
 	clean, _ := capture(t, "-rows", "4", "-cols", "4")
 	if strings.Contains(clean, "messages dropped") || strings.Contains(clean, "watchdog") {
 		t.Errorf("a run without impairments printed a drop count or a watchdog line:\n%s", clean)
+	}
+}
+
+// TestRunHeaderPrintsWhatRan: the header reads the values the run used, not
+// the flags: -interval 0 flaps at the default interval, and a -workers below
+// one runs one worker.
+func TestRunHeaderPrintsWhatRan(t *testing.T) {
+	args := []string{"-rows", "4", "-cols", "4"}
+	out, _ := capture(t, append(args, "-interval", "0")...)
+	if want := "workload          1 pulses, 1m0s interval\n"; !strings.Contains(out, want) {
+		t.Errorf("-interval 0 printed\n%s\nwant the line %q", out, want)
+	}
+	def, _ := capture(t, args...)
+	if withoutWallTime(out) != withoutWallTime(def) {
+		t.Errorf("-interval 0 ran differently from the default interval:\n%s\nwant\n%s", out, def)
+	}
+	out, _ = capture(t, append(args, "-sweep", "0:2", "-workers", "-5")...)
+	if want := "sweep             pulses 0..2, 1 workers, shared warm-up\n"; !strings.Contains(out, want) {
+		t.Errorf("-workers -5 printed\n%s\nwant the line %q", out, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"rfd/bgp"
@@ -26,11 +27,13 @@ type engine interface {
 	run(ctx context.Context) error
 	runUntil(ctx context.Context, t time.Duration) error
 	// shards lists the networks that carry the engine's routers (one for the
-	// sequential engine): hooks, impairments and fault plans install on each.
+	// sequential engine): observers install on each. What needs a single
+	// network — the checker, impairments, fault plans, the trace — installs
+	// on the first, and validate refuses it on several.
 	shards() []*bgp.Network
 	// fork returns an independent copy of the engine as it stands between
 	// run calls — in-flight messages, pending timers and faults, and stream
-	// positions included.
+	// positions included. Only the sequential engine forks.
 	fork() (engine, error)
 	close()
 }
@@ -72,8 +75,7 @@ func (e shardedEngine) shards() []*bgp.Network {
 	}
 	return nets
 }
-func (e shardedEngine) fork() (engine, error) {
-	sn, err := e.ShardedNetwork.Fork()
-	return shardedEngine{sn}, err
+func (shardedEngine) fork() (engine, error) {
+	return nil, errors.New("experiment: a sharded engine cannot fork")
 }
 func (e shardedEngine) close() { e.Close() }

@@ -72,7 +72,7 @@ func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
 	b := o.tokens(1)
 	b <- struct{}{}
 	defer func() { <-b }()
-	k := sim.NewKernel(sim.WithSeed(cfg.Seed))
+	k := sim.NewKernel()
 	n, err := bgp.NewNetwork(k, g, cfg)
 	if err != nil {
 		return nil, err

@@ -72,9 +72,9 @@ func checkNoSeries(t *testing.T, full, lean *Result) {
 }
 
 // TestNoSeriesMatchesFull: a NoSeries run records every scalar a full run
-// records — on both engines, at every point of a trunk, and across a fork in
-// the middle of a drain — and a full run's online scalars are exactly what
-// its series yield.
+// records — on both engines (the sharded one a Run per count), at every point
+// of a trunk, and across a fork in the middle of a drain — and a full run's
+// online scalars are exactly what its series yield.
 func TestNoSeriesMatchesFull(t *testing.T) {
 	counts := []int{0, 1, 2, 3, 5, 8}
 	for _, sh := range []topology.Shape{
@@ -91,17 +91,10 @@ func TestNoSeriesMatchesFull(t *testing.T) {
 						full := noSeriesScenario(t, sh, preset, rcn, shards)
 						lean := full
 						lean.NoSeries = true
-						fullPts, err := SweepParallel(full, counts, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						leanPts, err := SweepParallel(lean, counts, 1)
-						if err != nil {
-							t.Fatal(err)
-						}
+						fullRes, leanRes := sweepOrRuns(t, full, counts), sweepOrRuns(t, lean, counts)
 						for i := range counts {
-							checkSeriesScalars(t, fullPts[i].Result)
-							checkNoSeries(t, fullPts[i].Result, leanPts[i].Result)
+							checkSeriesScalars(t, fullRes[i])
+							checkNoSeries(t, fullRes[i], leanRes[i])
 						}
 					})
 				}
@@ -110,62 +103,86 @@ func TestNoSeriesMatchesFull(t *testing.T) {
 	}
 
 	// A crash discards suppressed states and a reset or link flap withdraws
-	// their routes: the running count must follow the scan through them.
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("faults/shards=%d", shards), func(t *testing.T) {
-			t.Parallel()
-			full := noSeriesScenario(t, topology.Shape{Rows: 10, Cols: 10}, "cisco", false, shards)
-			full.Faults = faults.NewPlan(
-				faults.ResetSession(90*time.Second, 0, 1),
-				faults.FlapLink(150*time.Second, 5, 6, 100*time.Second),
-				faults.CrashRouter(200*time.Second, 10, 90*time.Second),
-				faults.CrashRouter(400*time.Second, 11, 90*time.Second),
-			)
-			lean := full
-			lean.NoSeries = true
-			for _, n := range []int{1, 3, 6} {
-				full.Pulses, lean.Pulses = n, n
-				fullRes, err := Run(full)
-				if err != nil {
-					t.Fatal(err)
-				}
-				leanRes, err := Run(lean)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkSeriesScalars(t, fullRes)
-				checkNoSeries(t, fullRes, leanRes)
-			}
-		})
-	}
-
-	// A fork mid-drain clones the recorder with a release under way and a
-	// damped count pending at its instant.
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("fork-mid-drain/shards=%d", shards), func(t *testing.T) {
-			full := noSeriesScenario(t, topology.Shape{Family: "internet", Nodes: 208, Seed: 1}, "cisco", false, shards)
-			full.Pulses = 3
-			want, err := Run(full)
+	// their routes: the running count must follow the scan through them. This
+	// and the fork below need the sequential engine.
+	t.Run("faults/shards=1", func(t *testing.T) {
+		t.Parallel()
+		full := noSeriesScenario(t, topology.Shape{Rows: 10, Cols: 10}, "cisco", false, 1)
+		full.Faults = faults.NewPlan(
+			faults.ResetSession(90*time.Second, 0, 1),
+			faults.FlapLink(150*time.Second, 5, 6, 100*time.Second),
+			faults.CrashRouter(200*time.Second, 10, 90*time.Second),
+			faults.CrashRouter(400*time.Second, 11, 90*time.Second),
+		)
+		lean := full
+		lean.NoSeries = true
+		for _, n := range []int{1, 3, 6} {
+			full.Pulses, lean.Pulses = n, n
+			fullRes, err := Run(full)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSeriesScalars(t, want)
-			for _, noSeries := range []bool{false, true} {
-				sc := full
-				sc.NoSeries = noSeries
-				for _, at := range []time.Duration{want.FlapEnd + time.Second, want.Phases.ReleaseStart, (want.Phases.ReleaseStart + want.Phases.End) / 2} {
-					trunkRes, forkRes := forkMidDrain(t, sc, at)
-					for _, got := range []*Result{trunkRes, forkRes} {
-						if noSeries {
-							checkNoSeries(t, want, got)
-						} else if !reflect.DeepEqual(got, want) {
-							t.Errorf("fork at %v: Result differs from a standalone Run", at)
-						}
+			leanRes, err := Run(lean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSeriesScalars(t, fullRes)
+			checkNoSeries(t, fullRes, leanRes)
+		}
+	})
+
+	// A fork mid-drain clones the recorder with a release under way and a
+	// damped count pending at its instant.
+	t.Run("fork-mid-drain/shards=1", func(t *testing.T) {
+		full := noSeriesScenario(t, topology.Shape{Family: "internet", Nodes: 208, Seed: 1}, "cisco", false, 1)
+		full.Pulses = 3
+		want, err := Run(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSeriesScalars(t, want)
+		for _, noSeries := range []bool{false, true} {
+			sc := full
+			sc.NoSeries = noSeries
+			for _, at := range []time.Duration{want.FlapEnd + time.Second, want.Phases.ReleaseStart, (want.Phases.ReleaseStart + want.Phases.End) / 2} {
+				trunkRes, forkRes := forkMidDrain(t, sc, at)
+				for _, got := range []*Result{trunkRes, forkRes} {
+					if noSeries {
+						checkNoSeries(t, want, got)
+					} else if !reflect.DeepEqual(got, want) {
+						t.Errorf("fork at %v: Result differs from a standalone Run", at)
 					}
 				}
 			}
-		})
+		}
+	})
+}
+
+// sweepOrRuns returns sc's Results at counts: one sweep on the sequential
+// engine, one Run per count on the sharded one, which sweeps a single count.
+func sweepOrRuns(t *testing.T, sc Scenario, counts []int) []*Result {
+	t.Helper()
+	out := make([]*Result, len(counts))
+	if sc.Shards <= 1 {
+		pts, err := SweepParallel(sc, counts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range pts {
+			out[i] = pt.Result
+		}
+		return out
 	}
+	for i, n := range counts {
+		one := sc
+		one.Pulses = n
+		res, err := Run(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = res
+	}
+	return out
 }
 
 // forkMidDrain flies sc to its pulse count, drains it up to at (flap-relative)

@@ -14,9 +14,11 @@ import (
 
 // TestObserverConsumersAgree: the recorder and the trace read one stream. A
 // watched pair's penalty trace is that pair's penalty events in the trace log,
-// and neither consumer changes with the other switched off — on either engine,
-// in a single run and on a sweep's branches. A traced run observes every
-// penalty, a watched one the watched pairs', whichever the other asks for.
+// and neither consumer changes with the other switched off — in a single run
+// and on a sweep's branches. A traced run observes every penalty, a watched
+// one the watched pairs', whichever the other asks for. The sharded engine
+// neither traces nor forks: its watched runs, one per count, must record the
+// penalties the sequential log holds.
 func TestObserverConsumersAgree(t *testing.T) {
 	// The ISP watching the origin, and two of its neighbours watching it.
 	watch := []PenaltyWatch{{Router: 7, Peer: 25}, {Router: 2, Peer: 7}, {Router: 12, Peer: 7}}
@@ -32,13 +34,16 @@ func TestObserverConsumersAgree(t *testing.T) {
 			sc.Watch = watch
 		}
 		var results []*Result
-		if sweep {
+		switch {
+		case sweep && sc.Shards <= 1:
 			pts, err := Sweep(sc, []int{3, 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			results = []*Result{pts[1].Result, pts[0].Result}
-		} else {
+		case sweep:
+			results = sweepOrRuns(t, sc, []int{1, 3})
+		default:
 			res, err := Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -64,8 +69,9 @@ func TestObserverConsumersAgree(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for _, sweep := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/sweep=%t", shards, sweep), func(t *testing.T) {
-				sc := Scenario{Graph: smallMesh(t), ISP: 7, Config: dampingCfg(), Pulses: 3, Shards: shards}
+				sc := Scenario{Graph: smallMesh(t), ISP: 7, Config: dampingCfg(), Pulses: 3}
 				both, log := observe(t, sc, sweep, true, true)
+				sc.Shards = shards
 
 				fromLog := make(map[PenaltyWatch][]metrics.FloatPoint)
 				for _, e := range log.Events() {
@@ -89,6 +95,9 @@ func TestObserverConsumersAgree(t *testing.T) {
 
 				if watchedOnly, _ := observe(t, sc, sweep, false, true); !reflect.DeepEqual(watchedOnly, both) {
 					t.Errorf("watched-only penalty traces %v, traced and watched %v", watchedOnly, both)
+				}
+				if shards > 1 {
+					return
 				}
 				if _, tracedOnly := observe(t, sc, sweep, true, false); !bytes.Equal(jsonl(tracedOnly), jsonl(log)) {
 					t.Errorf("traced-only log (%d events) differs from the traced and watched one (%d events)", tracedOnly.Len(), log.Len())

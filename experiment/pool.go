@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -16,9 +15,7 @@ const DefaultPoolSize = 16
 
 // CheckpointPool caches converged warm-up checkpoints keyed by the scenario's
 // warm-up identity (the SHA-256 fingerprint base — everything but the pulse
-// count — plus the engine shard count, since a checkpoint parks
-// engine-specific kernel state even though Result fingerprints deliberately
-// ignore Shards). A hot scenario served repeatedly skips warm-up entirely:
+// count). A hot scenario served repeatedly skips warm-up entirely:
 // the first request converges and parks the snapshot, every later request —
 // any pulse count, sweep or single run — forks it (a sweep once, for the one
 // flight all its points branch off).
@@ -36,6 +33,8 @@ const DefaultPoolSize = 16
 // the flight, which the entry alone owns, but not the checkpoint, which
 // callers may still be forking.
 //
+// A checkpoint parks a sequential engine, so a sharded scenario (Shards > 1)
+// has no pool key: a RunCache runs it on a fresh engine, and Get refuses it.
 // A nil *CheckpointPool is valid and builds a fresh checkpoint per request.
 type CheckpointPool struct {
 	cache *lru.Cache[string, *poolEntry]
@@ -77,27 +76,24 @@ func (e *poolEntry) evicted() {
 }
 
 // poolKey is the warm-up identity: the fingerprint base (topology, ISP,
-// config, watch list — everything except the pulse count) plus the shard
-// count the checkpoint would be built with. ok is false for scenarios whose
-// identity cannot be captured by value (see Scenario.Fingerprint); those
-// bypass the pool.
+// config, watch list — everything except the pulse count). ok is false for a
+// sharded scenario and for scenarios whose identity cannot be captured by
+// value (see Scenario.Fingerprint); those bypass the pool.
 func (s Scenario) poolKey() (string, bool) {
-	base, ok := s.fingerprintBase()
-	if !ok {
+	if s.Shards > 1 {
 		return "", false
 	}
-	shards := s.Shards
-	if shards <= 1 {
-		shards = 1
-	}
-	return fmt.Sprintf("%s:s%d", base, shards), true
+	return s.fingerprintBase()
 }
 
 // Get returns the pooled checkpoint for sc's warm-up, converging it if no one
 // has yet (or if it was evicted). Unpoolable scenarios and a nil pool build a
-// fresh checkpoint. The returned Checkpoint is shared — callers only fork it,
-// which is safe concurrently.
+// fresh checkpoint; a sharded scenario is refused. The returned Checkpoint is
+// shared — callers only fork it, which is safe concurrently.
 func (p *CheckpointPool) Get(ctx context.Context, sc Scenario) (*Checkpoint, error) {
+	if err := sc.checkpointable("CheckpointPool.Get"); err != nil {
+		return nil, err
+	}
 	e, err := p.entry(ctx, sc)
 	switch {
 	case err != nil:

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -18,13 +17,13 @@ func poolScenario(t *testing.T, seed uint64) Scenario {
 	return Scenario{Graph: smallMesh(t), ISP: 0, Config: cfg, Pulses: 2}
 }
 
-// standalone returns the sequential standalone Run of base at each count.
+// standalone returns the standalone Run of base at each count.
 func standalone(t *testing.T, base Scenario, counts ...int) map[int]*Result {
 	t.Helper()
 	want := make(map[int]*Result, len(counts))
 	for _, n := range counts {
 		one := base
-		one.Pulses, one.Shards = n, 0
+		one.Pulses = n
 		res, err := Run(one)
 		if err != nil {
 			t.Fatal(err)
@@ -53,12 +52,11 @@ func checkPoints(t *testing.T, pts []SweepPoint, want map[int]*Result) {
 }
 
 // TestPoolResumedTrunkCancelled: a sweep that resumed the parked trunk and is
-// cancelled mid-flap closes it — no worker of the sharded trunk outlives the
-// sweep — and parks nothing, so the retry begins from the checkpoint and
-// equals a standalone Run.
+// cancelled mid-flap closes it — no goroutine of the sweep outlives it — and
+// parks nothing, so the retry begins from the checkpoint and equals a
+// standalone Run.
 func TestPoolResumedTrunkCancelled(t *testing.T) {
 	base := poolScenario(t, 1)
-	base.Shards = 2
 	want := standalone(t, base, 5)
 	pool := NewCheckpointPool(4)
 	flaps := countFlaps(t, pool, base)
@@ -133,13 +131,12 @@ func TestPoolPanickingPointLeavesEntryUsable(t *testing.T) {
 // TestCheckpointPoolFlightAccounting pins how parked flights count against
 // the bound: an entry holding one weighs two, so in a two-slot pool base B's
 // warm-up evicts base A together with its flight, and the counters stay
-// consistent — evictions = misses − Len(). A's flight is sharded and was never
-// run, so it holds no shard workers, and closing it on eviction leaves the
-// goroutine count as it was. A one-slot pool never parks.
+// consistent — evictions = misses − Len(). A's flight was never run, and
+// closing it on eviction leaves the goroutine count as it was. A one-slot pool
+// never parks.
 func TestCheckpointPoolFlightAccounting(t *testing.T) {
 	ctx := context.Background()
 	a, b := poolScenario(t, 1), poolScenario(t, 2)
-	a.Shards = 2
 	pool := NewCheckpointPool(2)
 	if _, err := poolSweep(ctx, pool, a, 0, 1); err != nil {
 		t.Fatal(err)
@@ -152,7 +149,7 @@ func TestCheckpointPoolFlightAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after := numGoroutineSettled(); after > before {
-		t.Errorf("goroutines grew from %d to %d on evicting a parked sharded flight", before, after)
+		t.Errorf("goroutines grew from %d to %d on evicting a parked flight", before, after)
 	}
 	_, misses, evictions := pool.Stats()
 	if parked, _ := pool.Flights(); parked != 0 || pool.Len() != 1 || evictions != 1 {
@@ -457,9 +454,9 @@ func TestRunCachePooledSweep(t *testing.T) {
 }
 
 // TestRunCacheCrossEngineCheckpoints pins the cache-identity design across
-// engines now that both fork checkpoints: fingerprints ignore Shards, so a
-// point computed via sharded fork is a cache hit for a sequential request and
-// vice versa — even though their checkpoints pool under distinct keys.
+// engines: fingerprints ignore Shards, so a point a sharded run computed is a
+// cache hit for a sequential request and vice versa — even though only the
+// sequential warm-up is pooled.
 func TestRunCacheCrossEngineCheckpoints(t *testing.T) {
 	base := poolScenario(t, 1)
 	sharded := base
@@ -467,10 +464,14 @@ func TestRunCacheCrossEngineCheckpoints(t *testing.T) {
 
 	t.Run("sharded-then-sequential", func(t *testing.T) {
 		c := NewRunCache()
-		c.SetCheckpointPool(NewCheckpointPool(4))
+		pool := NewCheckpointPool(4)
+		c.SetCheckpointPool(pool)
 		first, err := c.Run(sharded)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if pool.Len() != 0 {
+			t.Fatalf("the sharded run pooled %d warm-ups, want a fresh engine", pool.Len())
 		}
 		second, err := c.Run(base)
 		if err != nil {
@@ -501,53 +502,14 @@ func TestRunCacheCrossEngineCheckpoints(t *testing.T) {
 			t.Fatalf("cache stats hits=%d misses=%d, want 1/1", hits, misses)
 		}
 	})
-	// The pool, unlike the cache, must keep the engines apart: parked kernel
-	// state is engine-specific even when the Results are interchangeable.
+	// The pool, unlike the cache, must keep the engines apart: it parks
+	// sequential engines only, so a sharded warm-up has no pool key.
 	t.Run("pool-keys-distinct", func(t *testing.T) {
-		seqKey, ok1 := base.poolKey()
-		shKey, ok2 := sharded.poolKey()
-		if !ok1 || !ok2 {
-			t.Fatal("unpoolable scenarios")
+		if _, ok := base.poolKey(); !ok {
+			t.Fatal("the sequential warm-up is unpoolable")
 		}
-		if seqKey == shKey {
-			t.Fatal("sequential and sharded warm-ups share a pool key")
+		if key, ok := sharded.poolKey(); ok {
+			t.Fatalf("the sharded warm-up has pool key %q", key)
 		}
 	})
-}
-
-// TestSweepShardedForksPerPoint is the regression test for the silent
-// from-scratch fallback sharded sweeps used to take: every sharded sweep
-// point must now run through the fork-per-point runner on a sharded
-// checkpoint, and the points must match from-scratch sharded runs.
-func TestSweepShardedForksPerPoint(t *testing.T) {
-	var forked atomic.Int32
-	old := pointRunner
-	pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		if shards := len(f.e.shards()); shards != sc.Shards {
-			return nil, fmt.Errorf("point n=%d forked a Shards=%d checkpoint for a Shards=%d scenario", sc.Pulses, shards, sc.Shards)
-		}
-		forked.Add(1)
-		return f.run(ctx, sc)
-	}
-	defer func() { pointRunner = old }()
-
-	base := poolScenario(t, 1)
-	base.Shards = 2
-	pulses := []int{0, 1, 2}
-	pts, err := SweepParallel(base, pulses, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(forked.Load()) != len(pulses) {
-		t.Fatalf("forked %d points, want %d (sharded sweep fell back to from-scratch runs)", forked.Load(), len(pulses))
-	}
-	for _, pt := range pts {
-		sc := base
-		sc.Pulses = pt.Pulses
-		want, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsEqual(t, want, pt.Result)
-	}
 }

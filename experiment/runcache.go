@@ -226,7 +226,11 @@ func (c *RunCache) SweepContext(ctx context.Context, base Scenario, pulses []int
 }
 
 // sweep is SweepContext under a budget the caller may share between sweeps.
+// A sweep of a sharded base over several counts is refused before any lookup.
 func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
+	if err := base.sweepable(pulses); err != nil {
+		return nil, err
+	}
 	if c == nil {
 		return sweepWarm(ctx, nil, base, pulses, b)
 	}

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"rfd/bgp"
@@ -72,7 +71,8 @@ type Scenario struct {
 	// Trace, when non-nil, records every flap-phase event into the log
 	// (times are flap-relative, like all Result times). A sweep of a traced
 	// scenario appends its points' flap phases to the log one after another,
-	// in ascending pulse count, once every point has drained.
+	// in ascending pulse count, once every point has drained. Tracing needs
+	// the sequential engine.
 	Trace *trace.Log
 	// Impair, when non-nil, is installed on the network after warm-up — a
 	// fork of it, so the model itself is never consumed — and the flap phase
@@ -86,11 +86,10 @@ type Scenario struct {
 	// Result times. Its faults are typed kernel events, so a sweep's points
 	// branch off one flap trajectory with the plan's pending faults in it.
 	//
-	// A run with Impair or Faults on one network drains under the
-	// convergence watchdog (faults.Watch) instead of a bare kernel run:
-	// quiescent-instant consistency checks, livelock diagnosis, and a
-	// FaultReport on the Result. The watchdog drives a single kernel, so a
-	// sharded run drains bare.
+	// A run with Impair or Faults drains under the convergence watchdog
+	// (faults.Watch) instead of a bare kernel run: quiescent-instant
+	// consistency checks, livelock diagnosis, and a FaultReport on the
+	// Result. Both need the sequential engine.
 	Faults *faults.Plan
 	// Shards, when > 1, runs the scenario on the sharded engine: the run
 	// topology is partitioned across Shards shard kernels coordinated by
@@ -100,8 +99,13 @@ type Scenario struct {
 	// time after the drain, rather than the recorder as they happen). The
 	// Result is identical to a Shards<=1 run of the same scenario — the shard
 	// count is an execution detail, not a simulation input, which is why
-	// Fingerprint ignores it. Sharded runs refuse Check and Impair. No front
-	// end sets Shards: only a Scenario built in Go reaches the sharded engine.
+	// Fingerprint ignores it.
+	//
+	// A sharded scenario is one fresh run: Run, or a sweep of one pulse
+	// count, on a new engine that never forks. FlapViaLink, Watch and
+	// NoSeries work on it; Check, Impair, Faults and Trace are refused, as
+	// are checkpoints and a sweep of several counts. No front end sets
+	// Shards: only a Scenario built in Go reaches the sharded engine.
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after
@@ -272,7 +276,7 @@ func converge(ctx context.Context, sc Scenario) (engine, error) {
 		}
 		e = shardedEngine{sn}
 	} else {
-		n, err := bgp.NewNetwork(sim.NewKernel(sim.WithSeed(sc.Config.Seed)), g, sc.Config)
+		n, err := bgp.NewNetwork(sim.NewKernel(), g, sc.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -509,10 +513,9 @@ type flight struct {
 	rc    *recorder
 	// feeds holds one observation feed per network when there are several
 	// (replayed into rc by finish), each filled by its network's observer;
-	// logs holds one trace log per network when sc.Trace is set (appended to
-	// it by finish).
+	// log is the trace log when sc.Trace is set (appended to it by finish).
 	feeds [][]observation
-	logs  []*trace.Log
+	log   *trace.Log
 	chk   *check.Checker
 	// pulses counts the completed (withdrawal, announcement) pairs; between
 	// pulseTo calls the engine stands at the instant right after the last
@@ -536,24 +539,21 @@ func begin(sc Scenario, e engine) (*flight, error) {
 	// Fault injection: impairments and the fault plan come alive at the
 	// epoch, after the clean warm-up, sharing the Result clock zero. The
 	// network gets a fork of the impairment model, so the caller's is never
-	// consumed (a sharded run has none); the plan is replicated to every
-	// network at the same virtual times, which keeps their link/session
-	// replicas in lockstep. A trace is recorded into a log per network.
-	for _, n := range nets {
-		imp := sc.Impair
-		if imp != nil {
-			imp = imp.Fork()
-			n.SetImpairment(imp)
+	// consumed. Impairments, fault plans, the trace and the checker need a
+	// single network; validate refuses them on several.
+	imp := sc.Impair
+	if imp != nil {
+		imp = imp.Fork()
+		nets[0].SetImpairment(imp)
+	}
+	if sc.Faults != nil {
+		if err := sc.Faults.Apply(nets[0], f.epoch, imp); err != nil {
+			f.close()
+			return nil, fmt.Errorf("experiment: fault plan: %w", err)
 		}
-		if sc.Faults != nil {
-			if err := sc.Faults.Apply(n, f.epoch, imp); err != nil {
-				f.close()
-				return nil, fmt.Errorf("experiment: fault plan: %w", err)
-			}
-		}
-		if sc.Trace != nil {
-			f.logs = append(f.logs, trace.NewLog(math.MaxInt))
-		}
+	}
+	if sc.Trace != nil {
+		f.log = trace.NewLog(math.MaxInt)
 	}
 	f.observe()
 
@@ -561,8 +561,7 @@ func begin(sc Scenario, e engine) (*flight, error) {
 	// it observes (and chains to) the final observer configuration. Attaching
 	// here — on a converged network with damping state just reset — is the
 	// supported mode: every shadow damping stream starts in sync, and every
-	// fork of the flight forks the checker with it. Check attaches to one
-	// network; validate rejects it on several.
+	// fork of the flight forks the checker with it.
 	if sc.Check {
 		chk, err := check.Attach(nets[0], check.Options{ISP: bgp.RouterID(sc.ISP), Origin: sc.OriginID(), Prefix: FlapPrefix})
 		if err != nil {
@@ -575,10 +574,10 @@ func begin(sc Scenario, e engine) (*flight, error) {
 }
 
 // observe installs one observer on each of the flight's networks. One network
-// hands its observations to the recorder as they happen. Several fire their
-// hooks on worker goroutines, which must not share mutable state, so each
-// appends to a feed of its own, replayed by finish. A trace is a by-product
-// either way, recorded only on request, into the network's own log.
+// hands its observations to the recorder as they happen, and to the trace log
+// when the flight is traced. Several fire their hooks on worker goroutines,
+// which must not share mutable state, so each appends to a feed of its own,
+// replayed by finish.
 func (f *flight) observe() {
 	for s, n := range f.e.shards() {
 		emit := f.rc.record
@@ -589,8 +588,8 @@ func (f *flight) observe() {
 			f.rc.scan = n.DampedLinkCount
 		}
 		var tr bgp.Hooks
-		if f.logs != nil {
-			tr = bgp.TraceHooks(f.logs[s])
+		if f.log != nil {
+			tr = bgp.TraceHooks(f.log)
 		}
 		n.SetHooks(f.observer(emit, tr))
 	}
@@ -643,9 +642,9 @@ func (f *flight) observer(emit func(observation), tr bgp.Hooks) bgp.Hooks {
 
 // fork returns an independent copy of the flight at this instant: a fork of
 // the engine (in-flight messages, pending timers and stream positions
-// included), a deep copy of everything recorded so far — trace logs and the
-// invariant checker's shadow state too — and observers of its own feeding
-// that copy.
+// included), a deep copy of everything recorded so far — the trace log and
+// the invariant checker's shadow state too — and observers of its own feeding
+// that copy. Only a sequential flight forks, so it has no feeds to copy.
 func (f *flight) fork() (*flight, error) {
 	e, err := f.e.fork()
 	if err != nil {
@@ -654,15 +653,8 @@ func (f *flight) fork() (*flight, error) {
 	b := *f
 	b.e = e
 	b.rc = f.rc.clone()
-	if f.feeds != nil {
-		b.feeds = make([][]observation, len(f.feeds))
-		for s, feed := range f.feeds {
-			b.feeds[s] = slices.Clone(feed)
-		}
-	}
-	b.logs = slices.Clone(f.logs)
-	for s, log := range b.logs {
-		b.logs[s] = log.Clone()
+	if f.log != nil {
+		b.log = f.log.Clone()
 	}
 	b.observe()
 	if f.chk != nil {
@@ -748,10 +740,10 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	res.Pulses = f.pulses
 
 	// Drain: every in-flight update and every reuse timer fires within the
-	// max hold-down horizon. A faulty run on one network drains under the
-	// watchdog — quiescent-instant consistency checks, and a livelock
-	// diagnosis when the kernel's event budget runs out.
-	watched := (sc.Impair != nil || sc.Faults != nil) && len(e.shards()) == 1
+	// max hold-down horizon. A faulty run drains under the watchdog —
+	// quiescent-instant consistency checks, and a livelock diagnosis when the
+	// kernel's event budget runs out.
+	watched := sc.Impair != nil || sc.Faults != nil
 	if watched {
 		res.FaultReport = faults.Watch(ctx, e.shards()[0])
 		if err := watchErr(ctx, res.FaultReport); err != nil {
@@ -760,10 +752,8 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	} else if err := e.run(ctx); err != nil {
 		return nil, wrapInterrupt(ctx, "drain", err)
 	}
-	if len(f.logs) == 1 {
-		appendTrace(sc.Trace, f.logs[0]) // as recorded
-	} else if f.logs != nil {
-		appendTrace(sc.Trace, trace.Merge(f.logs...))
+	if f.log != nil {
+		appendTrace(sc.Trace, f.log)
 	}
 	if f.chk != nil {
 		res.Check = f.chk.Finish()
@@ -804,29 +794,20 @@ func watchErr(ctx context.Context, rep *faults.Report) error {
 }
 
 // Checkpoint is a scenario's converged warm-up state: a fork of the converged
-// engine, parked and never run. Building one costs a single warm-up; Run then
-// forks the checkpoint per measurement instead of re-converging from scratch,
-// and a sweep forks it once for all its pulse counts, which is how both
-// amortize warm-up. A Checkpoint is safe for concurrent Run calls — forking
-// only reads the parked state, and each call runs its own independent copy.
-//
-// The parked state belongs to the engine that built it, partition included: a
-// checkpoint only serves scenarios with the shard count it was built with.
-// The run's Result is identical either way (the cache fingerprint
-// deliberately ignores Shards), but the parked kernel state is not
-// interchangeable. Every front end parks sequential checkpoints; a sharded
-// one comes only from a Scenario built in Go with Shards > 1.
+// sequential engine, parked and never run. Building one costs a single
+// warm-up; Run then forks the checkpoint per measurement instead of
+// re-converging from scratch, and a sweep forks it once for all its pulse
+// counts, which is how both amortize warm-up. A Checkpoint is safe for
+// concurrent Run calls — forking only reads the parked state, and each call
+// runs its own independent copy. The sharded engine cannot fork, so neither
+// NewCheckpointContext nor Run takes a scenario with Shards > 1.
 type Checkpoint struct {
 	parked engine
 }
 
-// Shards returns the number of shard networks the checkpoint was built with
-// (1 for a sequential checkpoint).
-func (c *Checkpoint) Shards() int { return len(c.parked.shards()) }
-
 // NewCheckpointContext executes the scenario's warm-up once (exactly as Run
 // would) under ctx and parks the converged state. Only the warm-up inputs
-// matter here — the graph, ISP, Config and Shards; measurement-phase fields
+// matter here — the graph, ISP and Config; measurement-phase fields
 // (Pulses, FlapInterval, Watch, Trace, Impair, Faults) take effect
 // in Checkpoint.Run. A tripped context stops it with a typed ErrCanceled /
 // ErrBudgetExceeded.
@@ -835,6 +816,9 @@ func (c *Checkpoint) Shards() int { return len(c.parked.shards()) }
 // warm-up dominates the latency of small sweeps, so a streaming client must
 // be able to see it.
 func NewCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error) {
+	if err := sc.checkpointable("NewCheckpointContext"); err != nil {
+		return nil, err
+	}
 	e, err := warmUp(ctx, sc)
 	if err != nil {
 		return nil, err
@@ -862,9 +846,8 @@ func warmUp(ctx context.Context, sc Scenario) (engine, error) {
 
 // Run forks the converged checkpoint and measures the scenario's flap phase
 // on the fork, producing a Result identical to Run(sc) from scratch. sc must
-// describe the same warm-up the checkpoint was built from (same Graph, ISP,
-// Config and Shards); only the measurement-phase fields may differ between
-// calls.
+// describe the same warm-up the checkpoint was built from (same Graph, ISP and
+// Config); only the measurement-phase fields may differ between calls.
 func (c *Checkpoint) Run(sc Scenario) (*Result, error) {
 	return c.RunContext(context.Background(), sc)
 }
@@ -877,6 +860,9 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
+	if err := sc.checkpointable("Checkpoint.Run"); err != nil {
+		return nil, err
+	}
 	f, err := c.begin(sc)
 	if err != nil {
 		return nil, err
@@ -886,9 +872,6 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 
 // begin forks the parked engine and begins a flight of sc on the fork.
 func (c *Checkpoint) begin(sc Scenario) (*flight, error) {
-	if want := max(sc.Shards, 1); want != c.Shards() {
-		return nil, fmt.Errorf("experiment: checkpoint built with Shards=%d cannot run a Shards=%d scenario (the engine and its partition are part of the parked state)", c.Shards(), want)
-	}
 	e, err := c.parked.fork()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: checkpoint fork: %w", err)

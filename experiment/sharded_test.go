@@ -6,11 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"rfd/bgp"
 	"rfd/faults"
-	"rfd/topology"
 	"rfd/trace"
 )
 
@@ -79,52 +76,23 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 	}
 	mesh.Config.Seed = 9
 
-	// A router crashing while it holds suppressed states: the damped-link
-	// series counted from suppress/unsuppress events must agree with the
-	// live RIB-IN count, which needs the crash to report what it discards.
-	inet, err := topology.InternetDerived(topology.DefaultInternetConfig(60, 3))
+	want, err := Run(mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, nb2 := bgp.RouterID(inet.Neighbors(30)[0]), bgp.RouterID(inet.Neighbors(30)[1])
-	crash := Scenario{
-		Graph:  inet,
-		ISP:    30,
-		Config: dampingCfg(),
-		Pulses: 4,
-		Faults: faults.NewPlan(
-			faults.ResetSession(100*time.Second, 30, nb),
-			faults.CrashRouter(130*time.Second, nb, 40*time.Second),
-			faults.FlapLink(200*time.Second, 30, nb2, 10*time.Second),
-		),
-	}
-
-	for _, c := range []struct {
-		prefix string
-		base   Scenario
-		shards []int
-	}{
-		{"", mesh, []int{2, 4}},
-		{"crash-while-suppressed/", crash, []int{2}},
-	} {
-		want, err := Run(c.base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range c.shards {
-			t.Run(fmt.Sprintf("%sshards=%d", c.prefix, shards), func(t *testing.T) {
-				sc := c.base
-				sc.Shards = shards
-				got, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsEqual(t, want, got)
-				if !reflect.DeepEqual(want.Damped, got.Damped) {
-					t.Errorf("Damped series differs (max %d vs %d)", want.Damped.Max(), got.Damped.Max())
-				}
-			})
-		}
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sc := mesh
+			sc.Shards = shards
+			got, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEqual(t, want, got)
+			if !reflect.DeepEqual(want.Damped, got.Damped) {
+				t.Errorf("Damped series differs (max %d vs %d)", want.Damped.Max(), got.Damped.Max())
+			}
+		})
 	}
 }
 
@@ -152,40 +120,23 @@ func TestRunShardedLinkFlapMatchesSequential(t *testing.T) {
 	assertResultsEqual(t, want, got)
 }
 
-// TestRunShardedFaultPlanMatchesSequential drives a fault plan through both
-// engines: the plan's events are replicated per shard at the same virtual
-// times, so the traces stay identical.
-func TestRunShardedFaultPlanMatchesSequential(t *testing.T) {
-	plan, err := faults.ParsePlan(strings.NewReader(
-		"30s down 3 8\n90s up 3 8\n150s reset 0 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Scenario{
-		Graph:  smallMesh(t),
-		ISP:    3,
-		Config: dampingCfg(),
-		Pulses: 2,
-		Faults: plan,
-	}
-	base.Config.Seed = 8
-	want, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := base
-	sc.Shards = 2
-	got, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, want, got)
-}
-
+// TestShardedValidation pins what a sharded scenario may not do, each refusal
+// naming the field or the operation it refuses.
 func TestShardedValidation(t *testing.T) {
 	g := smallMesh(t)
 	valid := func() Scenario {
 		return Scenario{Graph: g, ISP: 0, Config: dampingCfg(), Pulses: 1}
+	}
+	sharded := func() Scenario {
+		sc := valid()
+		sc.Shards = 2
+		return sc
+	}
+	wantErr := func(t *testing.T, err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("want an error naming %q, got %v", want, err)
+		}
 	}
 	t.Run("negative", func(t *testing.T) {
 		sc := valid()
@@ -194,73 +145,89 @@ func TestShardedValidation(t *testing.T) {
 			t.Fatal("accepted negative shard count")
 		}
 	})
-	// The watchdog drives one kernel: a sharded faulty run drains bare and
-	// carries no report, where the same run on one network is watched.
+	// Every faulted run drains under the watchdog and carries its report.
 	t.Run("watchdog", func(t *testing.T) {
-		for _, shards := range []int{1, 2} {
-			sc := valid()
-			sc.Shards = shards
-			sc.Faults = faults.NewPlan()
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if watched := res.FaultReport != nil; watched != (shards == 1) {
-				t.Fatalf("shards=%d: watched=%t", shards, watched)
-			}
+		sc := valid()
+		sc.Faults = faults.NewPlan()
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FaultReport == nil {
+			t.Fatal("a faulted run carries no FaultReport")
 		}
 	})
 	t.Run("check", func(t *testing.T) {
-		sc := valid()
-		sc.Shards = 2
+		sc := sharded()
 		sc.Check = true
-		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "invariant checker") {
-			t.Fatalf("want checker error, got %v", err)
-		}
+		_, err := Run(sc)
+		wantErr(t, err, "invariant checker")
 	})
 	// Any impairment model is refused: its one global stream is consumed in
 	// the sequential engine's send order, which a sharded run does not have.
 	t.Run("global-stream-impairment", func(t *testing.T) {
-		sc := valid()
-		sc.Shards = 2
+		sc := sharded()
 		sc.Impair = faults.NewImpairments(1)
-		if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "Impair needs the sequential engine") {
-			t.Fatalf("want an error naming Impair, got %v", err)
+		_, err := Run(sc)
+		wantErr(t, err, "Impair needs the sequential engine")
+	})
+	t.Run("trace", func(t *testing.T) {
+		sc := sharded()
+		sc.Trace = trace.NewLog(0)
+		_, err := Run(sc)
+		wantErr(t, err, "Trace needs the sequential engine")
+	})
+	t.Run("faults", func(t *testing.T) {
+		sc := sharded()
+		sc.Faults = faults.NewPlan()
+		_, err := Run(sc)
+		wantErr(t, err, "Faults needs the sequential engine")
+	})
+	// A sharded engine cannot fork, so a sweep of several counts is refused
+	// before any cache lookup or warm-up — also when every point is cached.
+	// One count, asked for once or twice, is a Run.
+	pulses := []int{0, 1}
+	t.Run("sweep", func(t *testing.T) {
+		_, err := SweepParallel(sharded(), pulses, 1)
+		wantErr(t, err, "Sweep needs the sequential engine")
+	})
+	t.Run("sweep-cached", func(t *testing.T) {
+		c := NewRunCache()
+		if _, err := c.Sweep(valid(), pulses, 1); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses, _ := c.Stats()
+		pts, err := c.Sweep(sharded(), pulses, 1)
+		wantErr(t, err, "Sweep needs the sequential engine")
+		if pts != nil {
+			t.Fatalf("a refused sweep returned %d points", len(pts))
+		}
+		if h, m, _ := c.Stats(); h != hits || m != misses {
+			t.Fatalf("a refused sweep looked up the cache: hits %d -> %d, misses %d -> %d", hits, h, misses, m)
+		}
+
+		pts, err = c.Sweep(sharded(), []int{1, 1}, 1)
+		if err != nil || pts[0].Result == nil || pts[0].Result != pts[1].Result {
+			t.Fatalf("a sharded sweep of one count: %v", err)
 		}
 	})
-	// A checkpoint parks engine-specific state: it serves only the shard
-	// count it was built with, and every mismatch — sequential checkpoint with
-	// a sharded scenario, sharded with a sequential, sharded with another
-	// count — is the same clear error, not a silent from-scratch run.
+	t.Run("NewCheckpointContext", func(t *testing.T) {
+		_, err := NewCheckpointContext(context.Background(), sharded())
+		wantErr(t, err, "NewCheckpointContext")
+	})
+	t.Run("CheckpointPool.Get", func(t *testing.T) {
+		_, err := NewCheckpointPool(2).Get(context.Background(), sharded())
+		wantErr(t, err, "CheckpointPool.Get")
+	})
+	// A checkpoint parks a sequential engine: it refuses a sharded scenario
+	// rather than run it on the wrong engine.
 	t.Run("checkpoint-engine-mismatch", func(t *testing.T) {
-		seqCP, err := NewCheckpointContext(context.Background(), valid())
+		cp, err := NewCheckpointContext(context.Background(), valid())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded := valid()
-		sharded.Shards = 2
-		shCP, err := NewCheckpointContext(context.Background(), sharded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shCP.Shards() != 2 {
-			t.Fatalf("Shards() = %d, want 2", shCP.Shards())
-		}
-		other := valid()
-		other.Shards = 3
-		for _, c := range []struct {
-			cp   *Checkpoint
-			sc   Scenario
-			want string
-		}{
-			{seqCP, sharded, "built with Shards=1 cannot run a Shards=2 scenario"},
-			{shCP, valid(), "built with Shards=2 cannot run a Shards=1 scenario"},
-			{shCP, other, "built with Shards=2 cannot run a Shards=3 scenario"},
-		} {
-			if _, err := c.cp.Run(c.sc); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("want error %q, got %v", c.want, err)
-			}
-		}
+		_, err = cp.Run(sharded())
+		wantErr(t, err, "Checkpoint.Run")
 	})
 }
 
@@ -280,86 +247,5 @@ func TestFingerprintIgnoresShards(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("fingerprint depends on shard count: %s vs %s", a, b)
-	}
-}
-
-// TestSweepSharded runs a sweep with Shards>1 (full runs, no checkpoint) and
-// checks each point against the sequential sweep.
-func TestSweepSharded(t *testing.T) {
-	base := Scenario{Graph: smallMesh(t), ISP: 5, Config: dampingCfg()}
-	base.Config.Seed = 3
-	pulses := []int{1, 2}
-	want, err := SweepParallel(base, pulses, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := base
-	sharded.Shards = 2
-	got, err := SweepParallel(sharded, pulses, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pulses {
-		if want[i].Result == nil || got[i].Result == nil {
-			t.Fatalf("point %d missing result", i)
-		}
-		assertResultsEqual(t, want[i].Result, got[i].Result)
-	}
-}
-
-// TestRunShardedTrace checks the user-facing trace log — flap-relative times,
-// canonically equal to the sequential run's log — and that it is a by-product:
-// a sharded Result is the sequential one, field for field, whether or not the
-// run was traced and watched.
-func TestRunShardedTrace(t *testing.T) {
-	run := func(shards int, observed bool) (*Result, *trace.Log) {
-		t.Helper()
-		sc := Scenario{Graph: smallMesh(t), ISP: 7, Config: dampingCfg(), Pulses: 3, Shards: shards}
-		sc.Config.Seed = 6
-		var log *trace.Log
-		if observed {
-			log = trace.NewLog(0)
-			sc.Trace = log
-			sc.Watch = []PenaltyWatch{{Router: 7, Peer: 25}} // ISP watching the origin
-		}
-		res, err := Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, log
-	}
-	seq, seqLog := run(0, true)
-	sh, shLog := run(2, true)
-	if !reflect.DeepEqual(seq, sh) {
-		assertResultsEqual(t, seq, sh)
-		t.Errorf("traced and watched: sharded Result differs from sequential\nseq:   %+v\nshard: %+v", seq, sh)
-	}
-	if tr := sh.PenaltyTraces[PenaltyWatch{Router: 7, Peer: 25}]; tr.Len() == 0 || sh.Damped.Max() == 0 {
-		t.Fatal("degenerate scenario: no watched penalty or no suppression recorded")
-	}
-	a, b := seqLog.Canonical(), shLog.Canonical()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trace event %d differs:\nseq:   %+v\nshard: %+v", i, a[i], b[i])
-		}
-	}
-	if len(a) > 0 && a[0].At < 0 {
-		t.Fatalf("trace times not flap-relative: first at %v", a[0].At)
-	}
-
-	// Nothing requested: the shard networks observe no penalties and build
-	// no trace, and the rest of the Result does not notice.
-	seqBare, _ := run(0, false)
-	shBare, _ := run(2, false)
-	if !reflect.DeepEqual(seqBare, shBare) {
-		assertResultsEqual(t, seqBare, shBare)
-		t.Errorf("untraced: sharded Result differs from sequential\nseq:   %+v\nshard: %+v", seqBare, shBare)
-	}
-	shBare.PenaltyTraces = sh.PenaltyTraces
-	if !reflect.DeepEqual(sh, shBare) {
-		t.Errorf("sharded Result depends on Trace/Watch beyond PenaltyTraces")
 	}
 }

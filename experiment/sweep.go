@@ -48,7 +48,9 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // count asked for twice is simulated once. workers bounds the simulations
 // running at once, the trunk being one of them: with one worker the sweep is
 // strictly flap, drain, flap. Run is this sweep with one count and one
-// worker, whose one flight takes the converged engine itself, unforked.
+// worker, whose one flight takes the converged engine itself, unforked; a
+// sharded base cannot fork, so its sweep asks for one distinct count or is
+// refused.
 // Whatever a flight carries rides the trunk with it: a fault plan's pending
 // faults are kernel events, the invariant checker's shadow state forks with
 // its network, and a trace is recorded per flight and appended to the
@@ -93,7 +95,7 @@ var pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, er
 // Result. Every goroutine the sweep started has exited before the call
 // returns.
 func SweepParallelContext(ctx context.Context, base Scenario, pulses []int, workers int) ([]SweepPoint, error) {
-	return sweepWarm(ctx, nil, base, pulses, newBudget(workers))
+	return (*RunCache)(nil).sweep(ctx, base, pulses, newBudget(workers))
 }
 
 // budget bounds the simulations running at once — a warm-up, a trunk flapping

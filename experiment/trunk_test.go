@@ -59,14 +59,7 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 		// An empty fault plan: the watchdog alone, with nothing injected.
 		{"watchdog", true, func(sc *Scenario) { sc.Faults = faults.NewPlan() }},
 		{"impaired", true, func(sc *Scenario) { sc.Impair = lossy() }},
-		{"sharded", true, func(sc *Scenario) { sc.Shards = 2 }},
 		{"fault-plan", true, func(sc *Scenario) {
-			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
-		}},
-		// The n=1 branch forks the sharded trunk with the reset still pending
-		// on every shard's kernel.
-		{"sharded-fault-plan", true, func(sc *Scenario) {
-			sc.Shards = 2
 			sc.Faults = faults.NewPlan(faults.ResetSession(90*time.Second, 1, 2))
 		}},
 		// rfdsim's faulted run: loss and jitter and a fault plan together,
@@ -117,7 +110,8 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 // TestSweepTraceMatchesStandaloneRuns: a traced sweep leaves in its log its
 // points' flap phases one after another in ascending count order, byte for
 // byte what standalone traced Runs appended to one log leave — the log's
-// bound and drop count included — whatever the worker count, on either engine.
+// bound and drop count included — whatever the worker count. Only the
+// sequential engine (shards=0) traces.
 func TestSweepTraceMatchesStandaloneRuns(t *testing.T) {
 	const capacity = 3500 // the 3-pulse point's events straddle it
 	jsonl := func(log *trace.Log) []byte {
@@ -127,34 +121,32 @@ func TestSweepTraceMatchesStandaloneRuns(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	for _, shards := range []int{0, 2} {
-		base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Shards: shards}
-		want := trace.NewLog(capacity)
-		for n := 0; n <= 3; n++ {
-			one := base
-			one.Pulses, one.Trace = n, want
-			if _, err := Run(one); err != nil {
+	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
+	want := trace.NewLog(capacity)
+	for n := 0; n <= 3; n++ {
+		one := base
+		one.Pulses, one.Trace = n, want
+		if _, err := Run(one); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want.Dropped() == 0 {
+		t.Fatal("the standalone runs fit the log: its bound goes untested")
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=0/workers=%d", workers), func(t *testing.T) {
+			sc := base
+			sc.Trace = trace.NewLog(capacity)
+			if _, err := SweepParallel(sc, []int{3, 1, 0, 2}, workers); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if want.Dropped() == 0 {
-			t.Fatal("the standalone runs fit the log: its bound goes untested")
-		}
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				sc := base
-				sc.Trace = trace.NewLog(capacity)
-				if _, err := SweepParallel(sc, []int{3, 1, 0, 2}, workers); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(jsonl(sc.Trace), jsonl(want)) {
-					t.Errorf("sweep trace (%d events) differs from the standalone runs' (%d events)", sc.Trace.Len(), want.Len())
-				}
-				if sc.Trace.Dropped() != want.Dropped() {
-					t.Errorf("sweep trace dropped %d events, standalone runs %d", sc.Trace.Dropped(), want.Dropped())
-				}
-			})
-		}
+			if !bytes.Equal(jsonl(sc.Trace), jsonl(want)) {
+				t.Errorf("sweep trace (%d events) differs from the standalone runs' (%d events)", sc.Trace.Len(), want.Len())
+			}
+			if sc.Trace.Dropped() != want.Dropped() {
+				t.Errorf("sweep trace dropped %d events, standalone runs %d", sc.Trace.Dropped(), want.Dropped())
+			}
+		})
 	}
 }
 
@@ -214,25 +206,22 @@ func (c *flapCount) pulsesFlapped(run func()) int {
 // parks the warm-up in the pool, and later sweeps of other pulse counts
 // resume the trunk the previous one parked — flapping only the pulses it had
 // not reached — or, when that trunk is past their smallest count, begin from
-// the pooled checkpoint and leave the deeper trunk parked. Every point, on
-// either engine, equals a standalone sequential Run.
+// the pooled checkpoint and leave the deeper trunk parked. Every point equals
+// a standalone Run.
 func TestSweepSnapshotWarm(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		shards  int
 		sweeps  [][]int
 		flapped []int // pulses each sweep flaps; from pulse 0 every time: 1, 8, 10
 		resumes uint64
 	}{
-		{"in-order", 0, [][]int{{0, 1}, {6, 7, 8}, {9, 10}}, []int{1, 7, 2}, 2},
-		{"in-order-sharded", 2, [][]int{{0, 1}, {6, 7, 8}, {9, 10}}, []int{1, 7, 2}, 2},
+		{"in-order", [][]int{{0, 1}, {6, 7, 8}, {9, 10}}, []int{1, 7, 2}, 2},
 		// [2,3] starts from the checkpoint; [9,10] still resumes pulse 8.
-		{"out-of-order", 0, [][]int{{6, 7, 8}, {2, 3}, {9, 10}}, []int{8, 3, 2}, 1},
+		{"out-of-order", [][]int{{6, 7, 8}, {2, 3}, {9, 10}}, []int{8, 3, 2}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := poolScenario(t, 3)
 			want := standalone(t, base, slices.Concat(tc.sweeps...)...)
-			base.Shards = tc.shards
 			branched, solo := countBranches(t) // a Run is a sweep too: count after the references
 			pool := NewCheckpointPool(2)
 			flaps := countFlaps(t, pool, base)

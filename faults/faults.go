@@ -247,10 +247,8 @@ func linkExists(n *bgp.Network, a, b bgp.RouterID) bool {
 // The kinds outlive the plan's last event, so every later fork of the network
 // forks the handler too.
 //
-// On the sharded engine, apply the plan to every shard network at the same
-// epoch (with that shard's own impairment model): each shard's kernel then
-// executes every fault at the same virtual time against its own replica of
-// the link/session state, which is what keeps the replicas in lockstep.
+// A plan drives one network: experiment applies it on the sequential engine
+// only and refuses a fault plan on a sharded scenario.
 func (p *Plan) Apply(n *bgp.Network, epoch time.Duration, imp *Impairments) error {
 	if err := p.Validate(n); err != nil {
 		return err

@@ -21,7 +21,7 @@ type Profile struct {
 
 // Validate checks the profile's ranges.
 func (p Profile) Validate() error {
-	if p.Loss < 0 || p.Loss > 1 {
+	if !(p.Loss >= 0 && p.Loss <= 1) { // NaN too
 		return fmt.Errorf("faults: loss probability %g outside [0, 1]", p.Loss)
 	}
 	if p.MaxJitter < 0 {

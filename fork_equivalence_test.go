@@ -37,11 +37,6 @@ func forkEquivalenceScenarios(t *testing.T) map[string]experiment.Scenario {
 		"mesh-rcn":        {Graph: mesh, ISP: 0, Config: rcn, Pulses: 3},
 		"internet-damped": {Graph: inet, ISP: 15, Config: damped, Pulses: 3},
 		"internet-rcn":    {Graph: inet, ISP: 15, Config: rcn, Pulses: 3},
-		// Sharded legs: the same invariant on the parallel engine, where the
-		// checkpoint parks a whole kernel group plus the coordinator state and
-		// a fork must remap every shard's handlers onto its forked network.
-		"mesh-damped-sharded":     {Graph: mesh, ISP: 0, Config: damped, Pulses: 3, Shards: 2},
-		"internet-damped-sharded": {Graph: inet, ISP: 15, Config: damped, Pulses: 3, Shards: 2},
 	}
 }
 
@@ -104,10 +99,10 @@ func TestForkEquivalence(t *testing.T) {
 		})
 	}
 
-	// Sweep rows, one per engine: a pulse sweep flaps one trajectory and forks
-	// it mid-flight at every requested count, and each point must still be
-	// deeply equal to a from-scratch run of that count.
-	for _, name := range []string{"internet-rcn", "internet-damped-sharded"} {
+	// Sweep row: a pulse sweep flaps one trajectory and forks it mid-flight at
+	// every requested count, and each point must still be deeply equal to a
+	// from-scratch run of that count.
+	for _, name := range []string{"internet-rcn"} {
 		t.Run("sweep/"+name, func(t *testing.T) {
 			base := forkEquivalenceScenarios(t)[name]
 			pts, err := experiment.SweepParallel(base, experiment.PulseRange(0, base.Pulses), 2)

@@ -320,25 +320,21 @@ func TestShardedDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestShardedForkDifferential extends the differential matrix with the fork
-// legs the sharded checkpoint work introduces: for every {topology} ×
-// {clean, faulty} cell, a point resumed from a forked sharded
-// checkpoint must produce the byte-identical canonical trace of (a) a
-// from-scratch sharded run and (b) a run resumed from a sequential checkpoint
-// of the same scenario. (a) pins Snapshot/Fork round-tripping on the sharded
-// engine; (b) pins that checkpointing did not reintroduce an engine skew the
-// base matrix rules out for from-scratch runs.
+// TestShardedForkDifferential extends the differential matrix with fork legs.
+// Only the sequential engine forks, so for every {topology} × {clean, faulty}
+// cell a run resumed from a sequential checkpoint must produce the
+// byte-identical trace and the deeply equal Result of a from-scratch run; in
+// the clean cells it must also measure what a from-scratch sharded run does
+// (the sharded engine takes no fault plan), so checkpointing did not
+// reintroduce an engine skew the base matrix rules out for from-scratch runs.
 func TestShardedForkDifferential(t *testing.T) {
-	canonicalJSONL := func(t *testing.T, log *trace.Log) []byte {
+	jsonl := func(t *testing.T, log *trace.Log) []byte {
 		t.Helper()
 		if log.Dropped() != 0 {
 			t.Fatalf("trace dropped %d events", log.Dropped())
 		}
 		var buf bytes.Buffer
-		// Canonical (At, Router) order: the sequential engine records live in
-		// execution order, the sharded engine per shard — Merge maps both onto
-		// the one comparable sequence.
-		if err := trace.Merge(log).WriteJSONL(&buf); err != nil {
+		if err := log.WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -351,7 +347,7 @@ func TestShardedForkDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, canonicalJSONL(t, sc.Trace)
+		return res, jsonl(t, sc.Trace)
 	}
 	diverge := func(t *testing.T, leg string, want, got []byte) {
 		t.Helper()
@@ -362,7 +358,7 @@ func TestShardedForkDifferential(t *testing.T) {
 		for i < len(want) && i < len(got) && want[i] == got[i] {
 			i++
 		}
-		t.Fatalf("%s trace diverges from scratch sharded at byte %d (len %d vs %d)",
+		t.Fatalf("%s trace diverges from scratch at byte %d (len %d vs %d)",
 			leg, i, len(want), len(got))
 	}
 
@@ -395,8 +391,7 @@ func TestShardedForkDifferential(t *testing.T) {
 			t.Run(gr.name+"/exact/"+fname, func(t *testing.T) {
 				g := gr.graph(t)
 				// mk builds a fresh scenario per leg. The faulty legs flap a
-				// link and reset a session; experiment refuses an impairment
-				// model on a sharded run, so they lose no message.
+				// link and reset a session.
 				mk := func(shards int) experiment.Scenario {
 					cfg := bgp.DefaultConfig()
 					params := damping.Cisco()
@@ -418,66 +413,49 @@ func TestShardedForkDifferential(t *testing.T) {
 					return sc
 				}
 
-				scratchRes, scratchTrace := runLeg(t, mk(4), experiment.Run)
+				scratchRes, scratchTrace := runLeg(t, mk(0), experiment.Run)
 				if len(scratchTrace) == 0 {
 					t.Fatal("empty trace: the comparison is vacuous")
 				}
 
-				cp4, err := experiment.NewCheckpointContext(context.Background(), mk(4))
+				cp, err := experiment.NewCheckpointContext(context.Background(), mk(0))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cp4.Shards() != 4 {
-					t.Fatalf("checkpoint shards = %d, want 4", cp4.Shards())
-				}
-				shRes, shTrace := runLeg(t, mk(4), cp4.Run)
-				diverge(t, "sharded-fork", scratchTrace, shTrace)
-				if !reflect.DeepEqual(scratchRes, shRes) {
-					t.Fatal("sharded-fork Result differs from scratch sharded Result")
-				}
-
-				cp1, err := experiment.NewCheckpointContext(context.Background(), mk(0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				seqRes, seqTrace := runLeg(t, mk(0), cp1.Run)
+				seqRes, seqTrace := runLeg(t, mk(0), cp.Run)
 				diverge(t, "sequential-fork", scratchTrace, seqTrace)
-				// Cross-engine Results are built by different observers
-				// (live hooks vs trace reconstruction); compare the
-				// measured quantities rather than the struct graphs.
-				if seqRes.MessageCount != scratchRes.MessageCount ||
-					seqRes.ConvergenceTime != scratchRes.ConvergenceTime ||
-					seqRes.FlapStart != scratchRes.FlapStart ||
-					seqRes.FlapEnd != scratchRes.FlapEnd ||
-					seqRes.EndTime != scratchRes.EndTime ||
-					seqRes.MaxDamped != scratchRes.MaxDamped ||
-					seqRes.NoisyReuses != scratchRes.NoisyReuses ||
-					seqRes.SilentReuses != scratchRes.SilentReuses ||
-					seqRes.OriginSuppressed != scratchRes.OriginSuppressed ||
-					seqRes.Dropped != scratchRes.Dropped {
-					t.Fatalf("sequential-fork Result diverges:\nseq:     %+v\nsharded: %+v", seqRes, scratchRes)
+				if !reflect.DeepEqual(scratchRes, seqRes) {
+					t.Fatal("sequential-fork Result differs from scratch Result")
+				}
+				if withFaults {
+					return
+				}
+				shRes, err := experiment.Run(mk(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(seqRes, shRes) {
+					t.Fatalf("sequential-fork Result differs from scratch sharded:\nseq:     %+v\nsharded: %+v", seqRes, shRes)
 				}
 			})
 		}
 	}
 
-	// Sweep rows: on either engine, every point of a pulse sweep — a branch
-	// forked off one shared flap trajectory, mid-flap, with cross-shard
-	// announcements parked in outboxes — must equal a standalone sequential
-	// run of its pulse count. The impaired leg, sequential only (experiment
-	// refuses Impair on a sharded run), still branches: stream positions fork
-	// with the engine.
+	// Sweep rows: every point of a pulse sweep — a branch forked off one
+	// shared flap trajectory, mid-flap — must equal a standalone run of its
+	// pulse count. The impaired leg still branches: stream positions fork
+	// with the engine. Only the sequential engine (shards=0) sweeps.
 	g, err := topology.Torus(6, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, impaired := range []bool{false, true} {
-		mk := func(shards int) experiment.Scenario {
+		mk := func() experiment.Scenario {
 			cfg := bgp.DefaultConfig()
 			params := damping.Cisco()
 			cfg.Damping = &params
 			cfg.Seed = 13
-			sc := experiment.Scenario{Graph: g, ISP: topology.NodeID(g.NumNodes() / 2), Config: cfg, Shards: shards}
+			sc := experiment.Scenario{Graph: g, ISP: topology.NodeID(g.NumNodes() / 2), Config: cfg}
 			if impaired {
 				im := faults.NewImpairments(cfg.Seed)
 				if err := im.SetDefault(faults.Profile{Loss: 0.01, MaxJitter: 2 * time.Millisecond}); err != nil {
@@ -490,31 +468,26 @@ func TestShardedForkDifferential(t *testing.T) {
 		pulses := experiment.PulseRange(0, 3)
 		want := make([]*experiment.Result, len(pulses))
 		for i, n := range pulses {
-			sc := mk(0)
+			sc := mk()
 			sc.Pulses = n
 			if want[i], err = experiment.Run(sc); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, shards := range []int{0, 4} {
-			if impaired && shards > 1 {
-				continue
+		t.Run(fmt.Sprintf("sweep/mesh6x6/impaired=%t/shards=0", impaired), func(t *testing.T) {
+			pts, err := experiment.SweepParallel(mk(), pulses, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(fmt.Sprintf("sweep/mesh6x6/impaired=%t/shards=%d", impaired, shards), func(t *testing.T) {
-				pts, err := experiment.SweepParallel(mk(shards), pulses, 2)
-				if err != nil {
-					t.Fatal(err)
+			for i, pt := range pts {
+				if impaired && pt.Pulses > 0 && pt.Result.Dropped == 0 {
+					t.Fatalf("n=%d: the impaired sweep dropped nothing", pt.Pulses)
 				}
-				for i, pt := range pts {
-					if impaired && pt.Pulses > 0 && pt.Result.Dropped == 0 {
-						t.Fatalf("n=%d: the impaired sweep dropped nothing", pt.Pulses)
-					}
-					if want := want[i]; !reflect.DeepEqual(want, pt.Result) {
-						t.Fatalf("sweep point n=%d differs from a standalone sequential run:\nwant %+v\ngot  %+v", pt.Pulses, want, pt.Result)
-					}
+				if want := want[i]; !reflect.DeepEqual(want, pt.Result) {
+					t.Fatalf("sweep point n=%d differs from a standalone run:\nwant %+v\ngot  %+v", pt.Pulses, want, pt.Result)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

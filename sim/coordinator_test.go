@@ -84,8 +84,7 @@ func TestShardGroupLowestFailingShardWins(t *testing.T) {
 const randL = 5 * time.Millisecond
 
 // randWorld is a K-shard workload with a seeded random mix of local follow-up
-// events and cross-shard messages, built from typed handler events so it
-// forks. Every draw comes from the owning kernel's RNG and every shard writes
+// events and cross-shard messages, built from typed handler events. Every draw comes from the owning kernel's RNG and every shard writes
 // only its own outbox, so a run is independent of goroutine scheduling.
 type randWorld struct {
 	kernels []*Kernel
@@ -97,6 +96,13 @@ type randShard struct {
 	w   *randWorld
 	id  int
 	out []hmsg
+}
+
+// hmsg is a cross-shard message waiting in its source shard's outbox.
+type hmsg struct {
+	at    time.Duration
+	shard int
+	arg   uint64
 }
 
 func (s *randShard) HandleEvent(hops uint64) {
@@ -161,38 +167,21 @@ func newRandWorld(t *testing.T, k int, seed uint64) *randWorld {
 	return w
 }
 
-// fork copies the parked world: forked kernels, pending events rebound to the
-// copy's shards. Outboxes are empty at a barrier, so there is nothing else.
-func (w *randWorld) fork(t *testing.T) *randWorld {
-	t.Helper()
-	f := &randWorld{}
-	for s := range w.shards {
-		f.shards = append(f.shards, &randShard{w: f, id: s})
-	}
-	g, err := w.g.Fork(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(g.Close)
-	f.g, f.kernels = g, g.Kernels()
-	for _, k := range f.kernels {
-		if err := k.RemapHandlers(func(h Handler) Handler { return f.shards[h.(*randShard).id] }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return f
-}
-
-// Who runs an epoch — coordinator inline or coordinator plus workers, before
-// or after a fork — never changes what is in it: the execution profile and
-// every kernel's final clock are identical.
+// Who runs an epoch — coordinator inline or coordinator plus workers, in
+// whatever order the goroutines are scheduled — never changes what is in it:
+// two runs of one world, parked once mid-schedule, agree on the execution
+// profile and every kernel's final clock.
 func TestShardGroupModesAgreeOnRandomSchedule(t *testing.T) {
 	const mid = 40 * randL
 	type outcome struct {
 		Stats  ShardStats
 		Clocks []time.Duration
 	}
+	// finish parks the world at mid, then drains it.
 	finish := func(w *randWorld) outcome {
+		if err := w.g.RunUntil(mid); err != nil {
+			t.Fatal(err)
+		}
 		if err := w.g.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -205,18 +194,13 @@ func TestShardGroupModesAgreeOnRandomSchedule(t *testing.T) {
 	}
 	for _, k := range []int{2, 4} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			def := newRandWorld(t, k, seed)
-			if err := def.g.RunUntil(mid); err != nil {
-				t.Fatal(err)
-			}
-			forked := def.fork(t)
-			want := finish(def)
+			want := finish(newRandWorld(t, k, seed))
 			st := want.Stats
 			if st.SoloEpochs == 0 || st.SoloEpochs == st.Epochs || st.Injected == 0 {
 				t.Fatalf("k=%d seed=%d: degenerate schedule (%d epochs, %d solo, %d injected)", k, seed, st.Epochs, st.SoloEpochs, st.Injected)
 			}
-			if got := finish(forked); !reflect.DeepEqual(got, want) {
-				t.Errorf("k=%d seed=%d: forked group\n got %+v\nwant %+v", k, seed, got, want)
+			if got := finish(newRandWorld(t, k, seed)); !reflect.DeepEqual(got, want) {
+				t.Errorf("k=%d seed=%d: second run\n got %+v\nwant %+v", k, seed, got, want)
 			}
 		}
 	}

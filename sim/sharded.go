@@ -143,10 +143,6 @@ func NewShardGroup(lookahead time.Duration, kernels []*Kernel, ex Exchanger) (*S
 	return g, nil
 }
 
-// Kernels returns the group's kernels (shard order). Do not drive them while
-// the group is running.
-func (g *ShardGroup) Kernels() []*Kernel { return g.kernels }
-
 // Stats returns the execution profile accumulated so far.
 func (g *ShardGroup) Stats() ShardStats {
 	s := g.stats

@@ -213,7 +213,7 @@ func TestShardGroupRunUntilStopsAtHorizon(t *testing.T) {
 	if len(*log) != 3 {
 		t.Fatalf("fired %d events, want 3: %v", len(*log), *log)
 	}
-	for _, k := range g.Kernels() {
+	for _, k := range g.kernels {
 		if k.Now() != 25*time.Millisecond {
 			t.Fatalf("shard clock %v, want 25ms", k.Now())
 		}

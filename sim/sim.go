@@ -159,8 +159,8 @@ type Kernel struct {
 // Option configures a Kernel.
 type Option func(*Kernel)
 
-// WithSeed sets the seed for the kernel's random stream. Runs with equal
-// seeds and equal schedules are identical. Default seed is 1.
+// WithSeed sets the seed for the kernel's random stream (default 1). Nothing
+// in the simulation draws from it; Fork copies it.
 func WithSeed(seed uint64) Option {
 	return func(k *Kernel) { k.rng = xrand.New(seed) }
 }
