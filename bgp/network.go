@@ -92,11 +92,13 @@ type Network struct {
 	// Router.peers is that row, so a peer slot is the offset into it. A
 	// directed link (from,to) is identified by its slot in adjNbr; adjEdge
 	// maps the slot to the undirected edge id (the index into graph.Edges()
-	// order) and adjRev to the slot of the reverse link (to,from).
+	// order), adjRev to the slot of the reverse link (to,from) and adjOwner
+	// to from, the router whose row holds the slot.
 	adjStart []int32
 	adjNbr   []RouterID
 	adjEdge  []int32
 	adjRev   []int32
+	adjOwner []RouterID
 
 	// linkDelay holds the symmetric propagation delay per undirected edge,
 	// fixed at construction and shared by forks.
@@ -164,6 +166,10 @@ type Network struct {
 	// timers; the event arg names the directed slot and prefix id.
 	mraiH  mraiHandler
 	reuseH reuseHandler
+	// deliverKind, mraiKind and reuseKind are the kernel's event kinds of
+	// deliverH, mraiH and reuseH, looked up once at construction; a fork's
+	// kernel copies the kind table, so they hold there too.
+	deliverKind, mraiKind, reuseKind sim.Kind
 
 	// paths numbers every AS path the engine handles; prefixIDs/prefixes
 	// map prefixes to the dense ids the RIBs are indexed by, and
@@ -245,6 +251,9 @@ func newNetwork(k *sim.Kernel, g *topology.Graph, cfg Config, owner []int32, sha
 	n.deliverH = deliverHandler{n: n}
 	n.mraiH = mraiHandler{n: n}
 	n.reuseH = reuseHandler{n: n}
+	n.deliverKind = k.Kind("bgp.deliver", &n.deliverH)
+	n.mraiKind = k.Kind("bgp.mrai", &n.mraiH)
+	n.reuseKind = k.Kind("bgp.reuse", &n.reuseH)
 	k.SetMarks(n.latestMark)
 	n.buildCSR(edges)
 	rng := xrand.New(cfg.Seed)
@@ -311,7 +320,7 @@ func (n *Network) router(id RouterID) *Router {
 // dirRouter returns the router a directed slot belongs to and the slot's
 // offset in its row.
 func (n *Network) dirRouter(dir int32) (*Router, int32) {
-	r := &n.routers[n.adjNbr[n.adjRev[dir]]]
+	r := &n.routers[n.adjOwner[dir]]
 	return r, dir - r.base
 }
 
@@ -344,7 +353,7 @@ func (n *Network) locIdx(id RouterID, pid int32) int {
 
 // buildCSR fills the adjacency arrays from the edge list: counting sort into
 // per-node rows, then an in-row sort by neighbor id carrying edge ids along,
-// then the reverse slot of every directed link.
+// then the reverse slot and the owner of every directed link.
 func (n *Network) buildCSR(edges []topology.Edge) {
 	n.adjStart = make([]int32, n.nn+1)
 	for _, e := range edges {
@@ -373,9 +382,11 @@ func (n *Network) buildCSR(edges []topology.Edge) {
 		sort.Sort(row)
 	}
 	n.adjRev = make([]int32, 2*len(edges))
+	n.adjOwner = make([]RouterID, 2*len(edges))
 	for v := 0; v < n.nn; v++ {
 		for d := n.adjStart[v]; d < n.adjStart[v+1]; d++ {
 			n.adjRev[d] = n.dirSlot(n.adjNbr[d], RouterID(v))
+			n.adjOwner[d] = RouterID(v)
 		}
 	}
 }
@@ -801,7 +812,7 @@ func (n *Network) send(from RouterID, slot int32, pm pendingMsg) {
 func (n *Network) injectDelivery(at time.Duration, pm pendingMsg) {
 	n.pendingDeliveries++
 	idx := n.allocMsg(pm)
-	n.kernel.AtHandler(at, "bgp.deliver", &n.deliverH, uint64(uint32(idx)))
+	n.kernel.AtKind(at, n.deliverKind, uint64(uint32(idx)))
 }
 
 // deliver counts the message, notifies hooks, and hands it to the receiver.

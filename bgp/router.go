@@ -430,7 +430,7 @@ func (r *Router) hasLocalState(pid int32) bool {
 func (r *Router) armReuse(e *ribInEntry, slot, pid int32, at time.Duration) {
 	k := r.net.kernel
 	k.Cancel(e.reuseTimer)
-	e.reuseTimer = k.AtHandler(at, "bgp.reuse", &r.net.reuseH, packDirPrefix(r.base+slot, pid))
+	e.reuseTimer = k.AtKind(at, r.net.reuseKind, packDirPrefix(r.base+slot, pid))
 }
 
 // reuseExpired handles a reuse-timer firing: lift suppression if the penalty
@@ -635,7 +635,7 @@ func (r *Router) syncPeer(slot int32, q RouterID, pid int32, trigger rcn.Cause, 
 		// interval's expiry if nothing waited for it yet.
 		if !out.pending {
 			out.pending = true
-			out.expiry = n.kernel.AtMark(out.mrai, "bgp.mrai", &n.mraiH, packDirPrefix(r.base+slot, pid))
+			out.expiry = n.kernel.AtMark(out.mrai, n.mraiKind, packDirPrefix(r.base+slot, pid))
 		}
 		out.pendingPath = desired
 		n.setCause(n.outCause, r.base+slot, pid, trigger)

@@ -137,6 +137,7 @@ func (n *Network) fork() (*Network, error) {
 		adjNbr:            n.adjNbr,   // immutable after construction —
 		adjEdge:           n.adjEdge,  // shared, not copied
 		adjRev:            n.adjRev,
+		adjOwner:          n.adjOwner,
 		linkDelay:         n.linkDelay,
 		lastArrival:       slices.Clone(n.lastArrival),
 		downLinks:         slices.Clone(n.downLinks),
@@ -167,6 +168,7 @@ func (n *Network) fork() (*Network, error) {
 	f.deliverH = deliverHandler{n: f}
 	f.mraiH = mraiHandler{n: f}
 	f.reuseH = reuseHandler{n: f}
+	f.deliverKind, f.mraiKind, f.reuseKind = n.deliverKind, n.mraiKind, n.reuseKind
 	k2.SetMarks(f.latestMark)
 	for id := range f.routers {
 		f.routers[id].net = f

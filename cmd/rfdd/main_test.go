@@ -210,10 +210,11 @@ func TestOneVocabulary(t *testing.T) {
 
 func TestSweepDeadline(t *testing.T) {
 	s := testServer(t, serverConfig{})
-	// Paper-scale mesh: each point runs hundreds of thousands of events, so
-	// a 1 ms deadline is exhausted mid-run with certainty.
+	// A 40×40 torus: the sweep takes over 100 times the 1 ms deadline (its
+	// warm-up alone some 40 ms), so the deadline trips mid-run and the
+	// kernel's next context poll aborts it.
 	rec, resp := postSweep(t, s.routes(),
-		`{"rows":10,"cols":10,"damping":"cisco","pulses":[8,9,10],"timeout_ms":1}`)
+		`{"rows":40,"cols":40,"damping":"cisco","pulses":[8,9,10],"timeout_ms":1}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%s), want 504 for an exhausted deadline", rec.Code, rec.Body)
 	}

@@ -23,9 +23,12 @@ type engine interface {
 	// run drains the engine; runUntil fires every event up to and including
 	// t. Both leave every clock of the engine at now(), so stimuli applied
 	// to routers directly between calls are stamped identically on either
-	// engine.
+	// engine. runUntil reports dry when the events ran out on the way to t,
+	// and quiet, the engine time a drain would have stopped at then
+	// (sim.Kernel.RunUntilQuiet). The sharded engine never reports dry: a
+	// flight advances only to be forked (flight.advance), which it cannot be.
 	run(ctx context.Context) error
-	runUntil(ctx context.Context, t time.Duration) error
+	runUntil(ctx context.Context, t time.Duration) (quiet time.Duration, dry bool, err error)
 	// shards lists the networks that carry the engine's routers (one for the
 	// sequential engine): observers install on each. What needs a single
 	// network — the checker, impairments, fault plans, the trace — installs
@@ -42,8 +45,8 @@ type seqEngine struct{ *bgp.Network }
 
 func (e seqEngine) now() time.Duration            { return e.Kernel().Now() }
 func (e seqEngine) run(ctx context.Context) error { return e.Kernel().RunContext(ctx) }
-func (e seqEngine) runUntil(ctx context.Context, t time.Duration) error {
-	return e.Kernel().RunUntilContext(ctx, t)
+func (e seqEngine) runUntil(ctx context.Context, t time.Duration) (time.Duration, bool, error) {
+	return e.Kernel().RunUntilQuiet(ctx, t)
 }
 func (e seqEngine) shards() []*bgp.Network { return []*bgp.Network{e.Network} }
 func (e seqEngine) fork() (engine, error) {
@@ -65,8 +68,8 @@ func (e shardedEngine) run(ctx context.Context) error {
 	}
 	return err
 }
-func (e shardedEngine) runUntil(ctx context.Context, t time.Duration) error {
-	return e.Group().RunUntilContext(ctx, t)
+func (e shardedEngine) runUntil(ctx context.Context, t time.Duration) (time.Duration, bool, error) {
+	return 0, false, e.Group().RunUntilContext(ctx, t)
 }
 func (e shardedEngine) shards() []*bgp.Network {
 	nets := make([]*bgp.Network, e.NumShards())

@@ -202,7 +202,7 @@ func forkMidDrain(t *testing.T, sc Scenario, at time.Duration) (*Result, *Result
 	if err := f.pulseTo(ctx, sc.Pulses); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.e.runUntil(ctx, f.epoch+at); err != nil {
+	if _, _, err := f.e.runUntil(ctx, f.epoch+at); err != nil {
 		t.Fatal(err)
 	}
 	b, err := f.fork()

@@ -21,12 +21,13 @@ const DefaultPoolSize = 16
 // flight all its points branch off).
 //
 // Beside its checkpoint an entry holds at most one parked flight: a never-run
-// fork of a sweep's trunk, taken right after the sweep's largest count was
-// re-announced. The next sweep of the key whose smallest count is at or past
-// that flight's pulses takes it as its own trunk and flaps on from there
-// instead of from pulse 0; a sweep that reaches deeper parks a fork of its
-// trunk in its place. Every input a flight depends on is part of the key, so
-// a parked flight serves any request of the key.
+// fork of a sweep's trunk, taken after the sweep's largest count was
+// re-announced and the interval after it ran (unless the scenario is
+// watched: see flight.advance). The next sweep of the key whose smallest
+// count is at or past that flight's pulses takes it as its own trunk and
+// flaps on from there instead of from pulse 0; a sweep that reaches deeper
+// parks a fork of its trunk in its place. Every input a flight depends on is
+// part of the key, so a parked flight serves any request of the key.
 //
 // The pool is an internal/lru cache of entries whose capacity counts parked
 // engines: an entry weighs 1, or 2 while it holds a flight. Eviction closes
@@ -180,11 +181,12 @@ func (e *poolEntry) trunk(sc Scenario) (*flight, error) {
 	return e.cp.begin(sc)
 }
 
-// park offers the entry a fork of trunk, a sweep's flight standing right after
-// its largest count's re-announcement. The fork replaces the entry's flight
-// when it is deeper (a flight at pulse 0 is never parked: the checkpoint
-// already stands there) and the entry is still pooled; otherwise, or if the
-// fork fails, the entry stays as it was. A nil entry parks nothing.
+// park offers the entry a fork of trunk, a sweep's flight standing at its
+// largest count (after the interval that follows it: see flight.advance). The
+// fork replaces the entry's flight when it is deeper (a flight at pulse 0 is
+// never parked: the checkpoint already stands there) and the entry is still
+// pooled; otherwise, or if the fork fails, the entry stays as it was. A nil
+// entry parks nothing.
 func (e *poolEntry) park(trunk *flight) {
 	if e == nil || trunk.pulses == 0 {
 		return

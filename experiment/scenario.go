@@ -519,8 +519,14 @@ type flight struct {
 	chk   *check.Checker
 	// pulses counts the completed (withdrawal, announcement) pairs; between
 	// pulseTo calls the engine stands at the instant right after the last
-	// re-announcement (at the epoch when zero).
+	// re-announcement (at the epoch when zero), or at the end of the interval
+	// after it once advance has run that.
 	pulses int
+	// ran says advance has run the interval after the last re-announcement,
+	// and dry that the events ran out inside it; quiet is then the engine
+	// time the flight's drain ends at.
+	ran, dry bool
+	quiet    time.Duration
 }
 
 // begin turns a converged engine into a flight of sc: it installs the
@@ -685,28 +691,38 @@ func (f *flight) flap(up bool) error {
 	return nil
 }
 
+// interval is the time between consecutive flaps.
+func (f *flight) interval() time.Duration {
+	if f.sc.FlapInterval == 0 {
+		return DefaultFlapInterval
+	}
+	return f.sc.FlapInterval
+}
+
+// watched reports whether the flight drains under the convergence watchdog.
+func (f *flight) watched() bool { return f.sc.Impair != nil || f.sc.Faults != nil }
+
 // pulseTo flaps until n pulses are complete — the one flap loop. Each pulse
 // is a withdrawal, one interval of simulation and the re-announcement; one
-// more interval separates it from the next. It stops right after the n-th
-// re-announcement, before anything that re-announcement causes has run, which
-// is where an n-pulse run starts draining and an (n+1)-pulse run keeps
-// flapping. FlapStart stays zero: the first withdrawal is the epoch.
+// more interval separates it from the next, unless advance has run it
+// already. It stops right after the n-th re-announcement, before anything
+// that re-announcement causes has run, which is where an n-pulse run starts
+// draining and an (n+1)-pulse run keeps flapping. FlapStart stays zero: the
+// first withdrawal is the epoch.
 func (f *flight) pulseTo(ctx context.Context, n int) error {
-	interval := f.sc.FlapInterval
-	if interval == 0 {
-		interval = DefaultFlapInterval
-	}
+	interval := f.interval()
 	for f.pulses < n {
-		if f.pulses > 0 {
-			if err := f.e.runUntil(ctx, f.e.now()+interval); err != nil {
+		if f.pulses > 0 && !f.ran {
+			if _, _, err := f.e.runUntil(ctx, f.e.now()+interval); err != nil {
 				return wrapInterrupt(ctx, fmt.Sprintf("pulse %d", f.pulses), err)
 			}
 		}
+		f.ran, f.dry = false, false
 		i := f.pulses + 1
 		if err := f.flap(false); err != nil {
 			return fmt.Errorf("experiment: pulse %d down: %w", i, err)
 		}
-		if err := f.e.runUntil(ctx, f.e.now()+interval); err != nil {
+		if _, _, err := f.e.runUntil(ctx, f.e.now()+interval); err != nil {
 			return wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i), err)
 		}
 		if err := f.flap(true); err != nil {
@@ -715,6 +731,29 @@ func (f *flight) pulseTo(ctx context.Context, n int) error {
 		f.rc.res.FlapEnd = f.e.now() - f.epoch
 		f.pulses = i
 	}
+	return nil
+}
+
+// advance runs the interval after the last re-announcement now rather than
+// at the next pulse, so that a copy of the flight taken from here on has it
+// already: a sweep advances its trunk before it forks a point or parks it, and
+// the interval is simulated once instead of once more in each copy's drain.
+// The copy drains on from the interval's end, and pulseTo does not run the
+// interval again. An (n+1)-pulse run withdraws there, and an n-pulse run
+// drains through it: the two share it up to the withdrawal. If the events ran
+// out inside it, the n-pulse drain would have stopped there, and finish ends
+// the Result where they did. A flight at pulse 0 has no such interval, and a
+// watched one (Impair or Faults) does not advance: its watchdog counts the
+// interval's events and checks as part of the drain.
+func (f *flight) advance(ctx context.Context) error {
+	if f.ran || f.pulses == 0 || f.watched() {
+		return nil
+	}
+	quiet, dry, err := f.e.runUntil(ctx, f.e.now()+f.interval())
+	if err != nil {
+		return wrapInterrupt(ctx, fmt.Sprintf("pulse %d", f.pulses), err)
+	}
+	f.ran, f.dry, f.quiet = true, dry, quiet
 	return nil
 }
 
@@ -743,7 +782,7 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	// max hold-down horizon. A faulty run drains under the watchdog —
 	// quiescent-instant consistency checks, and a livelock diagnosis when the
 	// kernel's event budget runs out.
-	watched := sc.Impair != nil || sc.Faults != nil
+	watched := f.watched()
 	if watched {
 		res.FaultReport = faults.Watch(ctx, e.shards()[0])
 		if err := watchErr(ctx, res.FaultReport); err != nil {
@@ -764,6 +803,9 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	f.rc.replay(f.feeds)
 	f.rc.seal()
 	res.EndTime = e.now() - f.epoch
+	if f.dry {
+		res.EndTime = f.quiet - f.epoch
+	}
 	res.Dropped = e.Dropped()
 
 	// The watchdog already ran the final consistency check (its verdict is

@@ -35,12 +35,13 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // SweepParallel is Sweep with an explicit worker bound (minimum 1).
 //
 // The scenario's warm-up — identical for every pulse count, and the dominant
-// cost of small runs — executes exactly once. Every pulse is then simulated
-// once as well: the n-pulse and (n+1)-pulse runs are the same simulation up
-// to the n-th re-announcement, so the sweep forks the converged engine once,
-// flaps that one trunk through the requested counts in ascending order and
-// forks it at each — the branch drains into the n-pulse Result while the
-// trunk flaps on; the largest count drains on the trunk itself. A fork copies
+// cost of small runs — executes exactly once. Every flap interval is then
+// simulated once as well: the n-pulse and (n+1)-pulse runs are the same
+// simulation up to the (n+1)-th withdrawal, so the sweep forks the converged
+// engine once, flaps that one trunk through the requested counts in ascending
+// order and, at each, runs the interval after the re-announcement and forks
+// it — the branch drains on into the n-pulse Result while the trunk withdraws
+// and flaps on; the largest count drains on the trunk itself. A fork copies
 // everything that makes the simulation (in-flight messages, timers, RNG and
 // impairment stream positions) and everything recorded so far, so every
 // point is identical to a from-scratch Run of its pulse count, whatever the
@@ -164,6 +165,11 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 // (poolEntry.trunk). Before draining the largest count, the sweep offers e a
 // fork of the trunk, parked when it is deeper than the flight e holds then. A
 // trunk that fails is closed and never parked.
+//
+// Before each fork, of a branch or of the flight to park, the trunk runs the
+// interval after its count's re-announcement (flight.advance), so the copy
+// drains on from where the next withdrawal goes and the trunk does not run
+// the interval again.
 func sweepTrunk(ctx context.Context, e *poolEntry, warm engine, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	pr := progressFrom(ctx)
 	out := make([]SweepPoint, len(pulses))
@@ -230,7 +236,17 @@ func sweepTrunk(ctx context.Context, e *poolEntry, warm engine, base Scenario, p
 						return nil, err
 					}
 				}
-				return nil, trunk.pulseTo(ctx, n)
+				if err := trunk.pulseTo(ctx, n); err != nil {
+					return nil, err
+				}
+				// A copy is taken at n when n is not the last count (its
+				// point's branch) or when the pool may park one. Advancing
+				// the last count otherwise costs nothing: its drain runs the
+				// interval anyway.
+				if k < len(counts)-1 || e != nil {
+					return nil, trunk.advance(ctx)
+				}
+				return nil, nil
 			})
 		}
 		if trunkErr != nil {

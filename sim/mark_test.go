@@ -85,7 +85,7 @@ func (s *markSched) onTick(id uint64) {
 			// delay is drawn from 64 bits rather than with Intn.
 			s.k.AtHandler(s.k.Now()+time.Duration(s.side.Uint64()%uint64(gap)), "pusher", &s.pusher, id)
 		} else {
-			s.k.AtMark(m, "slot", &s.slot, id)
+			s.k.AtMark(m, s.k.Kind("slot", &s.slot), id)
 		}
 	}
 }
@@ -99,7 +99,7 @@ func (s *markSched) onPush(id uint64) {
 	if !s.k.Ahead(m) {
 		panic(fmt.Sprintf("slot %d passed before its pusher fired", id))
 	}
-	s.k.AtMark(m, "slot", &s.slot, id)
+	s.k.AtMark(m, s.k.Kind("slot", &s.slot), id)
 }
 
 // latest is the lazy kernel's mark source: every reserved slot, pushed or
@@ -393,11 +393,50 @@ func TestForkPreservesMarks(t *testing.T) {
 	if err := f.RemapHandlers(func(h Handler) Handler { return h }); err != nil {
 		t.Fatal(err)
 	}
-	f.AtMark(m, "mark", fs, fs.add(rec("mark")))
+	f.AtMark(m, f.Kind("mark", fs), fs.add(rec("mark")))
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprint(order); got != "[e mark after]" {
 		t.Fatalf("fork fired %s, want the mark before the later-pushed event at its instant", got)
+	}
+}
+
+// TestRunUntilQuietReportsTheDrainEnd: a run to a horizon that empties the
+// queue reports where a drain would have stopped at that moment — the latest
+// mark still ahead, else the last event — and still moves the clock on to the
+// horizon; a run that leaves an event pending reports no such end.
+func TestRunUntilQuietReportsTheDrainEnd(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		markAt    time.Duration // reserved by the last event; 0 for none
+		wantQuiet time.Duration
+	}{
+		{"mark ahead", 45 * time.Second, 45 * time.Second},
+		{"mark passed", 0, 30 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			fs := newFuncs(k)
+			var m Mark
+			k.SetMarks(func() Mark { return m })
+			fs.At(10*time.Second, "early", func() { m = k.Reserve(15 * time.Second) })
+			fs.At(30*time.Second, "last", func() {
+				if tc.markAt > 0 {
+					m = k.Reserve(tc.markAt)
+				}
+			})
+			if _, dry, err := k.RunUntilQuiet(ctx, 20*time.Second); err != nil || dry {
+				t.Fatalf("run to 20s with an event pending at 30s: dry %t, err %v", dry, err)
+			}
+			quiet, dry, err := k.RunUntilQuiet(ctx, time.Minute)
+			if err != nil || !dry || quiet != tc.wantQuiet {
+				t.Fatalf("run to 1m = quiet %v, dry %t, err %v; want %v, true", quiet, dry, err, tc.wantQuiet)
+			}
+			if k.Now() != time.Minute {
+				t.Fatalf("clock at %v after the run, want the 1m horizon", k.Now())
+			}
+		})
 	}
 }

@@ -9,15 +9,17 @@
 // exactly reproducible. (Parallelism lives a level up — independent runs of a
 // parameter sweep execute on separate kernels in separate goroutines.)
 //
-// Every event is a typed one: AtHandler and AtMark take a Handler plus a
-// packed uint64 argument and allocate nothing in steady state — the event
-// queue is slab-backed, the Timer handle is a value, and no closure is
-// created. A queued event is only (kind, arg): the kernel keeps a small table
-// of kinds, one per (name, Handler) pair ever scheduled, and finds a pair
-// there with ==, so a Handler's dynamic type must be comparable. The BGP
-// engine's hot path (deliver, MRAI, damping reuse) and fault plans alike
-// schedule this way, which is what lets Fork copy any pending schedule:
-// RemapHandlers rebinds each kind, not each event, to the forked component.
+// Every event is a typed one: AtKind and AtMark take an event kind (AtHandler
+// the name and Handler that select one) plus a packed uint64 argument and
+// allocate nothing in steady state — the event queue is slab-backed, the
+// Timer handle is a value, and no closure is created. A queued event is only
+// (kind, arg): the kernel keeps a small table of kinds, one per (name,
+// Handler) pair ever scheduled, and finds a pair there with == (Kind), so a
+// Handler's dynamic type must be comparable. A component that schedules one
+// pair on every event looks its Kind up once. The BGP engine's hot path
+// (deliver, MRAI, damping reuse) and fault plans alike schedule this way,
+// which is what lets Fork copy any pending schedule: RemapHandlers rebinds
+// each kind, not each event, to the forked component.
 //
 // A component may also hold a place in the event order without occupying the
 // queue: Reserve returns a Mark (an instant plus the sequence number an event
@@ -67,7 +69,7 @@ const DefaultMaxEvents = 200_000_000
 // can occupy (the kernel's clock never goes negative).
 const Never = time.Duration(-1 << 62)
 
-// Handler receives typed events scheduled with AtHandler or AtMark. The
+// Handler receives the typed events of its kinds (see Kind). The
 // packed arg is whatever the scheduler passed — typically an index into the
 // component's own state (a slab slot, or bit-packed peer/prefix ids).
 // Implementations live in the scheduling component; taking the interface of
@@ -231,30 +233,45 @@ func (k *Kernel) checkSchedule(at time.Duration, name string) {
 	}
 }
 
-// AtHandler schedules h.HandleEvent(arg) at absolute virtual time at. It is
-// the allocation-free scheduling path: no closure is created and the queue
-// entry lives in a pooled slab. Scheduling in the past panics: it would break
-// the causal order every experiment relies on. The name is what traces and
-// diagnostics see; with h, it selects the event's kind.
-func (k *Kernel) AtHandler(at time.Duration, name string, h Handler, arg uint64) Timer {
-	k.checkSchedule(at, name)
-	return Timer(k.q.Push(at, event{kind: k.kindOf(name, h), arg: arg}))
-}
+// Kind names one (name, Handler) pair in the kernel's table of event kinds: a
+// component that schedules the same pair on every event looks it up once with
+// Kernel.Kind and schedules by it (AtKind, AtMark). A Kind is valid on the
+// kernel that returned it and on every fork of that kernel, whose table is a
+// copy (see Fork).
+type Kind uint32
 
-// kindOf returns the index of the (name, h) kind, adding it on first use. A
-// linear scan suffices: a kernel sees a handful of kinds (bgp schedules three,
-// and each applied fault plan adds up to five).
-func (k *Kernel) kindOf(name string, h Handler) uint32 {
+// Kind returns the kind of the (name, h) pair, adding it to the table on
+// first use. A linear scan suffices: a kernel sees a handful of kinds (bgp
+// has three, and each applied fault plan adds up to five).
+func (k *Kernel) Kind(name string, h Handler) Kind {
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
 	for i := range k.kinds {
 		if kd := &k.kinds[i]; kd.h == h && kd.name == name {
-			return uint32(i)
+			return Kind(i)
 		}
 	}
 	k.kinds = append(k.kinds, eventKind{name: name, h: h})
-	return uint32(len(k.kinds) - 1)
+	return Kind(len(k.kinds) - 1)
+}
+
+// AtKind schedules an event of kind kd with arg at absolute virtual time at:
+// kd's handler receives HandleEvent(arg) then. It is the allocation-free
+// scheduling path: no closure is created and the queue entry lives in a
+// pooled slab. Scheduling in the past panics: it would break the causal order
+// every experiment relies on.
+func (k *Kernel) AtKind(at time.Duration, kd Kind, arg uint64) Timer {
+	if at < k.now {
+		k.checkSchedule(at, k.kinds[kd].name)
+	}
+	return Timer(k.q.Push(at, event{kind: uint32(kd), arg: arg}))
+}
+
+// AtHandler is AtKind for the kind of (name, h), looked up on every call. The
+// name is what traces and diagnostics see.
+func (k *Kernel) AtHandler(at time.Duration, name string, h Handler, arg uint64) Timer {
+	return k.AtKind(at, k.Kind(name, h), arg)
 }
 
 // Reserve returns a Mark at instant at holding the sequence number AtHandler
@@ -275,14 +292,15 @@ func (k *Kernel) Ahead(m Mark) bool {
 	return m.at > k.now || m.at == k.now && m.seq > k.last
 }
 
-// AtMark schedules h.HandleEvent(arg) under m's (time, sequence) key, so it
-// fires exactly where an event pushed at the reservation would have. The mark
-// must be ahead; at most one event may be pending under it at a time.
-func (k *Kernel) AtMark(m Mark, name string, h Handler, arg uint64) Timer {
+// AtMark schedules an event of kind kd with arg under m's (time, sequence)
+// key, so it fires exactly where an event pushed at the reservation would
+// have. The mark must be ahead; at most one event may be pending under it at
+// a time.
+func (k *Kernel) AtMark(m Mark, kd Kind, arg uint64) Timer {
 	if !k.Ahead(m) {
-		panic(fmt.Sprintf("sim: schedule %q at passed mark %v", name, m.at))
+		panic(fmt.Sprintf("sim: schedule %q at passed mark %v", k.kinds[kd].name, m.at))
 	}
-	return Timer(k.q.PushReserved(m.at, m.seq, event{kind: k.kindOf(name, h), arg: arg}))
+	return Timer(k.q.PushReserved(m.at, m.seq, event{kind: uint32(kd), arg: arg}))
 }
 
 // SetMarks installs fn as the kernel's source of reserved marks (nil removes
@@ -298,12 +316,20 @@ func (k *Kernel) SetMarks(fn func() Mark) { k.marks = fn }
 // RunContext (and so Run), a Step that finds the queue empty and a ShardGroup
 // drain call it; calling it again is harmless.
 func (k *Kernel) Settle() {
-	if k.q.Len() > 0 || k.marks == nil {
-		return
+	if k.q.Len() == 0 {
+		k.now, k.last = k.settled()
 	}
-	if m := k.marks(); k.Ahead(m) {
-		k.now, k.last = m.at, m.seq
+}
+
+// settled returns the position Settle moves an empty queue's clock to: the
+// latest mark still ahead, else where the clock stands.
+func (k *Kernel) settled() (time.Duration, uint64) {
+	if k.marks != nil {
+		if m := k.marks(); k.Ahead(m) {
+			return m.at, m.seq
+		}
 	}
+	return k.now, k.last
 }
 
 // passTo ends a run up to and including horizon: the clock moves to horizon
@@ -430,23 +456,38 @@ func (k *Kernel) RunContext(ctx context.Context) error {
 // does; on interrupt the clock is left at the last fired event's time, not
 // advanced to the horizon.
 func (k *Kernel) RunUntilContext(ctx context.Context, horizon time.Duration) error {
+	_, _, err := k.RunUntilQuiet(ctx, horizon)
+	return err
+}
+
+// RunUntilQuiet is RunUntilContext that also reports whether the queue ran
+// dry on the way to horizon. If it did, quiet is where a drain (RunContext)
+// would have left the clock at that moment — the latest mark still ahead,
+// else the last fired event — which is where a run that stopped flapping
+// there ends, although the clock itself moves on to horizon.
+func (k *Kernel) RunUntilQuiet(ctx context.Context, horizon time.Duration) (quiet time.Duration, dry bool, err error) {
 	next := k.executed
 	for {
 		headAt, ok := k.q.PeekTime()
-		if !ok || headAt > horizon {
+		if !ok {
+			quiet, _ = k.settled()
+			dry = true
+			break
+		}
+		if headAt > horizon {
 			break
 		}
 		if k.executed >= k.maxEvents {
-			return fmt.Errorf("%w (%d events, now %v)", ErrEventLimit, k.executed, k.now)
+			return 0, false, fmt.Errorf("%w (%d events, now %v)", ErrEventLimit, k.executed, k.now)
 		}
 		if k.executed >= next {
 			if err := ctx.Err(); err != nil {
-				return k.interrupted(ctx)
+				return 0, false, k.interrupted(ctx)
 			}
 			next = k.executed + StopCheckInterval
 		}
 		k.Step()
 	}
 	k.passTo(horizon)
-	return nil
+	return quiet, dry, nil
 }

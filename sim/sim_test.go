@@ -36,7 +36,7 @@ func (f *funcs) After(d time.Duration, name string, fn func()) Timer {
 
 // AtMark schedules fn under the mark m.
 func (f *funcs) AtMark(m Mark, name string, fn func()) Timer {
-	return f.k.AtMark(m, name, f, f.add(fn))
+	return f.k.AtMark(m, f.k.Kind(name, f), f.add(fn))
 }
 
 func TestRunEmptyKernel(t *testing.T) {
