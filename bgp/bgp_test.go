@@ -192,7 +192,7 @@ func TestLineConvergence(t *testing.T) {
 func TestOriginRouterPrefersItself(t *testing.T) {
 	k, n := buildNet(t, mustLine(t, 3), nil)
 	converge(t, k, n, 0)
-	peer, ok := n.Router(0).BestPeer(testPrefix)
+	peer, ok := bestPeerOf(n.Router(0), testPrefix)
 	if !ok || peer != selfPeer {
 		t.Fatalf("origin best peer = %d, ok=%t; want self", peer, ok)
 	}
@@ -282,7 +282,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 	}
 	k, n := buildNet(t, g, nil)
 	converge(t, k, n, 0)
-	peer, ok := n.Router(2).BestPeer(testPrefix)
+	peer, ok := bestPeerOf(n.Router(2), testPrefix)
 	if !ok {
 		t.Fatal("router 2 has no route")
 	}
@@ -392,10 +392,10 @@ func TestRouterAccessors(t *testing.T) {
 		t.Fatalf("peers = %v", r.peers)
 	}
 	converge(t, k, n, 0)
-	if n.Router(0).Penalty(1, testPrefix, k.Now()) != 0 {
+	if penaltyOf(n.Router(0), 1, testPrefix, k.Now()) != 0 {
 		t.Fatal("penalty nonzero with damping disabled")
 	}
-	if n.Router(0).Suppressed(1, testPrefix) {
+	if isSuppressed(n.Router(0), 1, testPrefix) {
 		t.Fatal("suppressed with damping disabled")
 	}
 	// Double-originate and double-withdraw are no-ops.
@@ -462,4 +462,29 @@ func TestPolicyString(t *testing.T) {
 	if Policy(9).String() != "Policy(9)" {
 		t.Fatal("unknown policy name wrong")
 	}
+}
+
+// bestPeerOf returns the peer r's best route for prefix was learned from
+// (selfPeer for a self-originated one) and whether a route is installed.
+func bestPeerOf(r *Router, prefix Prefix) (RouterID, bool) {
+	pid, _ := r.net.lookupPrefix(prefix)
+	l := r.localAt(pid)
+	return l.bestPeer, l.hasRoute
+}
+
+// penaltyOf returns r's damping penalty for (peer, prefix) at now; zero when
+// damping is disabled or no state exists.
+func penaltyOf(r *Router, peer RouterID, prefix Prefix, now time.Duration) float64 {
+	pid, _ := r.net.lookupPrefix(prefix)
+	if e := r.ribInAt(r.slotOf(peer), pid); e != nil && r.damp != nil {
+		return e.damp.Penalty(r.damp, now)
+	}
+	return 0
+}
+
+// isSuppressed reports whether r suppresses the route from peer for prefix.
+func isSuppressed(r *Router, peer RouterID, prefix Prefix) bool {
+	pid, _ := r.net.lookupPrefix(prefix)
+	e := r.ribInAt(r.slotOf(peer), pid)
+	return e != nil && e.damp.Suppressed()
 }

@@ -63,17 +63,17 @@ func dampedNet(t *testing.T, mutate func(*Config)) (*sim.Kernel, *Network, Route
 func TestIspSuppressesAtThirdPulse(t *testing.T) {
 	k, n, origin, isp := dampedNet(t, nil)
 	pulse(t, k, n, origin)
-	if n.Router(isp).Suppressed(origin, testPrefix) {
+	if isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("isp suppressed after 1 pulse")
 	}
 	pulse(t, k, n, origin)
-	if n.Router(isp).Suppressed(origin, testPrefix) {
+	if isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("isp suppressed after 2 pulses")
 	}
 	pulse(t, k, n, origin)
-	if !n.Router(isp).Suppressed(origin, testPrefix) {
+	if !isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatalf("isp not suppressed after 3 pulses (penalty %v)",
-			n.Router(isp).Penalty(origin, testPrefix, k.Now()))
+			penaltyOf(n.Router(isp), origin, testPrefix, k.Now()))
 	}
 }
 
@@ -84,7 +84,7 @@ func TestMufflingIspWithdrawsWhenSuppressing(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pulse(t, k, n, origin)
 	}
-	if !n.Router(isp).Suppressed(origin, testPrefix) {
+	if !isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("setup: isp not suppressed")
 	}
 	// Give in-flight exploration time to settle, then check unreachability.
@@ -133,7 +133,7 @@ func TestReuseEventuallyRestoresRoutes(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.Router(isp).Suppressed(origin, testPrefix) {
+	if isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("isp still suppressed after full drain")
 	}
 	for id := 0; id < n.NumRouters(); id++ {
@@ -161,7 +161,7 @@ func TestFalseSuppressionFromPathExploration(t *testing.T) {
 		}
 	}})
 	pulse(t, k, n, origin)
-	if n.Router(isp).Suppressed(origin, testPrefix) {
+	if isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("single pulse suppressed the origin link itself")
 	}
 	if suppressedAny == 0 {
@@ -301,11 +301,11 @@ func TestRCNStillSuppressesPersistentFlapping(t *testing.T) {
 	})
 	pulse(t, k, n, origin)
 	pulse(t, k, n, origin)
-	if n.Router(isp).Suppressed(origin, testPrefix) {
+	if isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("suppressed too early with RCN")
 	}
 	pulse(t, k, n, origin)
-	if !n.Router(isp).Suppressed(origin, testPrefix) {
+	if !isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("RCN damping failed to suppress the origin link at pulse 3")
 	}
 	if err := k.Run(); err != nil {
@@ -397,7 +397,7 @@ func TestCiscoVsJuniperSuppressionOnset(t *testing.T) {
 			if err := k.RunUntil(k.Now() + 60*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if n.Router(0).Suppressed(origin, testPrefix) {
+			if isSuppressed(n.Router(0), origin, testPrefix) {
 				return i
 			}
 		}
@@ -426,7 +426,7 @@ func TestResetDampingRevivesSuppressedRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := n.Router(isp)
-	if _, ok := r.LocalRoute(testPrefix); ok || !r.Suppressed(origin, testPrefix) {
+	if _, ok := r.LocalRoute(testPrefix); ok || !isSuppressed(r, origin, testPrefix) {
 		t.Fatal("setup: isp not muffled by suppressing the origin")
 	}
 	n.ResetDamping()
@@ -434,7 +434,7 @@ func TestResetDampingRevivesSuppressedRoute(t *testing.T) {
 	if !r.reconcile(pid, r.slotOf(r.peers[0]), rcn.Cause{}) {
 		t.Fatal("the reconcile after the reset changed nothing")
 	}
-	if best, ok := r.BestPeer(testPrefix); !ok || best != origin {
+	if best, ok := bestPeerOf(r, testPrefix); !ok || best != origin {
 		t.Fatalf("isp selects (%d, %t) after the reset, want the origin's route", best, ok)
 	}
 	if err := k.Run(); err != nil {

@@ -174,7 +174,7 @@ func TestHeterogeneousParamsSecondaryCharging(t *testing.T) {
 		OnReuse: func(at time.Duration, router, _ RouterID, _ Prefix, _ bool) {
 			if router == 1 && xReused == 0 {
 				xReused = at
-				yPenaltyAtXReuse = n.Router(2).Penalty(1, testPrefix, at)
+				yPenaltyAtXReuse = penaltyOf(n.Router(2), 1, testPrefix, at)
 			}
 		},
 		OnPenalty: func(at time.Duration, router, peer RouterID, _ Prefix, p float64) {
@@ -187,10 +187,10 @@ func TestHeterogeneousParamsSecondaryCharging(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		pulse(t, k, n, origin)
 	}
-	if !n.Router(1).Suppressed(0, testPrefix) {
+	if !isSuppressed(n.Router(1), 0, testPrefix) {
 		t.Fatal("setup: X did not suppress")
 	}
-	if !n.Router(2).Suppressed(1, testPrefix) {
+	if !isSuppressed(n.Router(2), 1, testPrefix) {
 		t.Fatal("setup: Y did not suppress")
 	}
 	if err := k.Run(); err != nil {
@@ -251,7 +251,7 @@ func TestSelectiveDampingStillSuppressesOrigin(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pulse(t, k, n, origin)
 	}
-	if !n.Router(isp).Suppressed(origin, testPrefix) {
+	if !isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("selective damping failed to suppress the flapping origin link")
 	}
 	if err := k.Run(); err != nil {

@@ -133,7 +133,7 @@ func TestLinkFailureWhileReuseTimerPending(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !n.Router(isp).Suppressed(origin, testPrefix) {
+	if !isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("isp not suppressed after 3 flaps")
 	}
 	if err := n.SetLinkState(origin, isp, false); err != nil {
@@ -148,10 +148,10 @@ func TestLinkFailureWhileReuseTimerPending(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.Router(isp).Suppressed(origin, testPrefix) {
+	if isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("suppression never lifted after full drain")
 	}
-	if peer, ok := n.Router(isp).BestPeer(testPrefix); !ok || peer != origin {
+	if peer, ok := bestPeerOf(n.Router(isp), testPrefix); !ok || peer != origin {
 		t.Fatalf("isp best peer = %d (ok=%t), want %d", peer, ok, origin)
 	}
 	if err := n.CheckConsistency(); err != nil {
@@ -284,7 +284,7 @@ func TestSessionResetChargesDampingAndReconverges(t *testing.T) {
 	}
 	// Router 1 saw the session flap as a route flap: withdrawal plus
 	// re-announcement must have charged its damping state for (0, prefix).
-	if p := n.Router(1).Penalty(0, testPrefix, k.Now()); p <= 0 {
+	if p := penaltyOf(n.Router(1), 0, testPrefix, k.Now()); p <= 0 {
 		t.Fatalf("penalty = %v after session reset, want > 0", p)
 	}
 	if n.Delivered() == 0 {

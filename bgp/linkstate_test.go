@@ -76,7 +76,7 @@ func TestLinkRecoveryRestoresRoutes(t *testing.T) {
 		}
 	}
 	// Router 1 must not be using the failed session.
-	if peer, _ := n.Router(1).BestPeer(testPrefix); peer == 0 {
+	if peer, _ := bestPeerOf(n.Router(1), testPrefix); peer == 0 {
 		t.Fatal("router 1 still routes via the failed link")
 	}
 	if err := n.SetLinkState(0, 1, true); err != nil {
@@ -86,7 +86,7 @@ func TestLinkRecoveryRestoresRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After recovery, 1's best is the direct link again.
-	if peer, _ := n.Router(1).BestPeer(testPrefix); peer != 0 {
+	if peer, _ := bestPeerOf(n.Router(1), testPrefix); peer != 0 {
 		t.Fatalf("router 1 best peer = %d after recovery, want 0", peer)
 	}
 	if err := n.CheckConsistency(); err != nil {
@@ -163,9 +163,9 @@ func TestLinkFlapChargesDamping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !n.Router(isp).Suppressed(origin, testPrefix) {
+	if !isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatalf("isp not suppressed after 3 link flaps (penalty %v)",
-			n.Router(isp).Penalty(origin, testPrefix, k.Now()))
+			penaltyOf(n.Router(isp), origin, testPrefix, k.Now()))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -114,14 +114,14 @@ func TestReuseTimerStaleRearm(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pulse(t, k, n, origin)
 	}
-	if !n.Router(isp).Suppressed(origin, testPrefix) {
+	if !isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("setup: not suppressed")
 	}
 	// Keep flapping: each pulse re-charges the suppressed entry and pushes
 	// its reuse out; the (stale) earlier timers must not unsuppress early.
 	for i := 0; i < 4; i++ {
 		pulse(t, k, n, origin)
-		if !n.Router(isp).Suppressed(origin, testPrefix) {
+		if !isSuppressed(n.Router(isp), origin, testPrefix) {
 			t.Fatalf("suppression lifted early during pulse %d", i+4)
 		}
 	}
@@ -129,7 +129,7 @@ func TestReuseTimerStaleRearm(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.Router(isp).Suppressed(origin, testPrefix) {
+	if isSuppressed(n.Router(isp), origin, testPrefix) {
 		t.Fatal("still suppressed after drain")
 	}
 	if err := n.CheckConsistency(); err != nil {
@@ -157,7 +157,7 @@ func TestRIPE229Onset(t *testing.T) {
 	onset := 0
 	for i := 1; i <= 8 && onset == 0; i++ {
 		pulse(t, k, n, origin)
-		if n.Router(isp).Suppressed(origin, testPrefix) {
+		if isSuppressed(n.Router(isp), origin, testPrefix) {
 			onset = i
 		}
 	}

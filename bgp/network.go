@@ -126,8 +126,8 @@ type Network struct {
 	// owns every router (the sequential engine). A shard network runs only
 	// the routers it owns and hands messages bound for remote owners to
 	// remoteSend instead of scheduling a local delivery. Link and session
-	// state is replicated per shard and kept in sync by applying every fault
-	// to every shard at the same virtual time.
+	// state is replicated per shard; a shard network takes no faults, so
+	// the replicas never change after construction.
 	owner   []int32
 	shardID int32
 	// remoteSend parks a cross-shard message — already FIFO-stamped with
@@ -589,6 +589,16 @@ func (n *Network) severSession(a, b RouterID) {
 	n.lastArrival[n.adjRev[d]] = 0
 }
 
+// faultable refuses the fault op on a shard network: the sharded engine
+// replicates link and session state per shard, and only the sequential
+// engine takes faults.
+func (n *Network) faultable(op string) error {
+	if n.owner != nil {
+		return fmt.Errorf("bgp: shard %d of a sharded network takes no %s", n.shardID, op)
+	}
+	return nil
+}
+
 // SetLinkState fails (up=false) or restores (up=true) the link between a
 // and b, modelling the paper's flapping [originAS, ispAS] link directly:
 //
@@ -600,8 +610,12 @@ func (n *Network) severSession(a, b RouterID) {
 //   - On recovery, both endpoints re-advertise their current best routes
 //     over the link per the export policy, stamped with a LinkUp cause.
 //
-// Setting the current state again is a no-op. Unknown links return an error.
+// Setting the current state again is a no-op. Unknown links return an
+// error, and so does a shard network.
 func (n *Network) SetLinkState(a, b RouterID, up bool) error {
+	if err := n.faultable("SetLinkState"); err != nil {
+		return err
+	}
 	key := n.edgeOf(a, b)
 	if key < 0 {
 		return fmt.Errorf("bgp: no link %d-%d", a, b)
@@ -609,23 +623,14 @@ func (n *Network) SetLinkState(a, b RouterID, up bool) error {
 	if n.downLinks[key] == !up {
 		return nil
 	}
+	n.downLinks[key] = !up
 	if up {
-		n.downLinks[key] = false
-		if r := n.router(a); r != nil {
-			r.peerUp(b)
-		}
-		if r := n.router(b); r != nil {
-			r.peerUp(a)
-		}
+		n.routers[a].peerUp(b)
+		n.routers[b].peerUp(a)
 	} else {
-		n.downLinks[key] = true
 		n.severSession(a, b)
-		if r := n.router(a); r != nil {
-			r.peerDown(b)
-		}
-		if r := n.router(b); r != nil {
-			r.peerDown(a)
-		}
+		n.routers[a].peerDown(b)
+		n.routers[b].peerDown(a)
 	}
 	return nil
 }
@@ -636,8 +641,12 @@ func (n *Network) SetLinkState(a, b RouterID, up bool) error {
 // over it as withdrawn, which charges damping exactly like real session
 // churn — and RIB-OUT, then re-advertise their current best routes per the
 // export policy. Resetting a session that is not established (link down or
-// an endpoint crashed) is a no-op; unknown links return an error.
+// an endpoint crashed) is a no-op; unknown links and a shard network return
+// an error.
 func (n *Network) ResetSession(a, b RouterID) error {
+	if err := n.faultable("ResetSession"); err != nil {
+		return err
+	}
 	if !n.hasLink(a, b) {
 		return fmt.Errorf("bgp: no link %d-%d", a, b)
 	}
@@ -645,18 +654,11 @@ func (n *Network) ResetSession(a, b RouterID) error {
 		return nil
 	}
 	n.severSession(a, b)
-	if r := n.router(a); r != nil {
-		r.peerDown(b)
-	}
-	if r := n.router(b); r != nil {
-		r.peerDown(a)
-	}
-	if r := n.router(a); r != nil {
-		r.peerUp(b)
-	}
-	if r := n.router(b); r != nil {
-		r.peerUp(a)
-	}
+	ra, rb := &n.routers[a], &n.routers[b]
+	ra.peerDown(b)
+	rb.peerDown(a)
+	ra.peerUp(b)
+	rb.peerUp(a)
 	return nil
 }
 
@@ -665,8 +667,12 @@ func (n *Network) ResetSession(a, b RouterID) error {
 // from it are lost, and its entire protocol state — RIB-IN, Local-RIB,
 // RIB-OUT, damping state, pending timers — is discarded. Only the origin
 // set survives, modelling static configuration that outlives a reboot.
-// Crashing a crashed router is a no-op; out-of-range ids return an error.
+// Crashing a crashed router is a no-op; out-of-range ids and a shard
+// network return an error.
 func (n *Network) CrashRouter(id RouterID) error {
+	if err := n.faultable("CrashRouter"); err != nil {
+		return err
+	}
 	if !n.inRange(id) {
 		return fmt.Errorf("bgp: no router %d", id)
 	}
@@ -674,25 +680,19 @@ func (n *Network) CrashRouter(id RouterID) error {
 		return nil
 	}
 	// Mark the router dead and sever its sessions first, so nothing the
-	// peers do below can reach it. Neighbors come from the CSR row — the
-	// same ascending order as Router.peers — so shard networks replay the
-	// identical sequence even when the crashed router itself is remote.
+	// peers do below can reach it.
 	n.downRouters[id] = true
 	for _, q := range n.neighbors(id) {
 		n.severSession(id, q)
 	}
-	if r := n.router(id); r != nil {
-		r.crash()
-	}
+	n.routers[id].crash()
 	for i, q := range n.neighbors(id) {
 		if n.downLinks[n.adjEdge[int(n.adjStart[id])+i]] || n.downRouters[q] {
 			// No session was established, so the peer has nothing to
 			// withdraw.
 			continue
 		}
-		if rq := n.router(q); rq != nil {
-			rq.peerDown(id)
-		}
+		n.routers[q].peerDown(id)
 	}
 	return nil
 }
@@ -701,8 +701,11 @@ func (n *Network) CrashRouter(id RouterID) error {
 // re-originates its configured origin set, and re-establishes every session
 // whose link is up — both ends re-advertise per the export policy, as after
 // a link recovery. Restarting a running router is a no-op; out-of-range ids
-// return an error.
+// and a shard network return an error.
 func (n *Network) RestartRouter(id RouterID) error {
+	if err := n.faultable("RestartRouter"); err != nil {
+		return err
+	}
 	if !n.inRange(id) {
 		return fmt.Errorf("bgp: no router %d", id)
 	}
@@ -710,22 +713,17 @@ func (n *Network) RestartRouter(id RouterID) error {
 		return nil
 	}
 	n.downRouters[id] = false
-	if r := n.router(id); r != nil {
-		r.restart()
-	}
+	n.routers[id].restart()
 	for _, q := range n.neighbors(id) {
-		if !n.SessionUp(id, q) {
-			continue
-		}
-		if rq := n.router(q); rq != nil {
-			rq.peerUp(id)
+		if n.SessionUp(id, q) {
+			n.routers[q].peerUp(id)
 		}
 	}
 	return nil
 }
 
 // neighbors returns id's CSR row: its neighbors in ascending id order. A
-// router's peers slice is this row. Valid for unowned routers too.
+// router's peers slice is this row.
 func (n *Network) neighbors(id RouterID) []RouterID {
 	return n.adjNbr[n.adjStart[id]:n.adjStart[id+1]]
 }

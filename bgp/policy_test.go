@@ -155,7 +155,7 @@ func TestNoValleyPrefersCustomerRoutes(t *testing.T) {
 		c.Policy = NoValley
 	})
 	converge(t, k, n, 3)
-	peer, ok := n.Router(2).BestPeer(testPrefix)
+	peer, ok := bestPeerOf(n.Router(2), testPrefix)
 	if !ok {
 		t.Fatal("router 2 has no route")
 	}

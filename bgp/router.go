@@ -192,14 +192,6 @@ func (r *Router) LocalRoute(prefix Prefix) (Path, bool) {
 	return r.net.paths.path(l.bestPath).Clone(), l.hasRoute
 }
 
-// BestPeer returns the peer the current best route was learned from
-// (selfPeer == -1 for self-originated) and whether a route is installed.
-func (r *Router) BestPeer(prefix Prefix) (RouterID, bool) {
-	pid, _ := r.net.lookupPrefix(prefix)
-	l := r.localAt(pid)
-	return l.bestPeer, l.hasRoute
-}
-
 // local returns the Local-RIB entry for prefix id pid.
 func (r *Router) local(pid int32) *localEntry {
 	return &r.net.local[r.net.locIdx(r.id, pid)]
@@ -211,23 +203,6 @@ func (r *Router) localAt(pid int32) localEntry {
 		return localEntry{}
 	}
 	return *r.local(pid)
-}
-
-// Penalty returns the damping penalty for (peer, prefix) at virtual time
-// now; zero when damping is disabled or no state exists.
-func (r *Router) Penalty(peer RouterID, prefix Prefix, now time.Duration) float64 {
-	pid, _ := r.net.lookupPrefix(prefix)
-	if e := r.ribInAt(r.slotOf(peer), pid); e != nil && r.damp != nil {
-		return e.damp.Penalty(r.damp, now)
-	}
-	return 0
-}
-
-// Suppressed reports whether the route from peer for prefix is suppressed.
-func (r *Router) Suppressed(peer RouterID, prefix Prefix) bool {
-	pid, _ := r.net.lookupPrefix(prefix)
-	e := r.ribInAt(r.slotOf(peer), pid)
-	return e != nil && e.damp.Suppressed()
 }
 
 // ribIn returns the RIB-IN entry for (peer slot, prefix id), live or not.

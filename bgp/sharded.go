@@ -32,8 +32,9 @@ type remoteMsg struct {
 // constructed from the same topology, config and seed — replaying the full
 // construction RNG sequence so each router receives exactly its sequential
 // stream — but instantiates only the routers its shard owns. Link and
-// session state is replicated per shard and kept in sync by applying every
-// fault to every shard at the same virtual time.
+// session state is replicated per shard, and never changes: a sharded
+// network takes no faults and no link flap (every fault entry point of a
+// shard network refuses), so the replicas cannot diverge.
 //
 // The lookahead is minLinkDelay + minProcDelay: a message sent at t arrives
 // no earlier than t + lookahead, so events inside an epoch [T, T+L) cannot
@@ -183,7 +184,6 @@ func (sn *ShardedNetwork) Now() time.Duration { return sn.group.Now() }
 // without aligning would be scheduled relative to different "now"s than the
 // sequential engine uses, breaking trace equivalence. RunUntil aligns
 // implicitly; call Align after Run (drain) before touching routers directly.
-// The ensemble's own mutation entry points call it themselves.
 func (sn *ShardedNetwork) Align() { sn.group.AdvanceTo(sn.group.Now()) }
 
 // Quiescent reports whether no deliveries are pending on any shard and no
@@ -246,73 +246,12 @@ func (sn *ShardedNetwork) ResetDamping() {
 	}
 }
 
-// SetLinkState applies the link fault to every shard's replicated state —
-// each shard bumps its session generation and its owned endpoints react —
-// keeping the replicas in lockstep. Call only between runs (at a barrier).
-func (sn *ShardedNetwork) SetLinkState(a, b RouterID, up bool) error {
-	sn.Align()
-	for _, n := range sn.shards {
-		if err := n.SetLinkState(a, b, up); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ResetSession applies a session reset to every shard's replicated state.
-func (sn *ShardedNetwork) ResetSession(a, b RouterID) error {
-	sn.Align()
-	for _, n := range sn.shards {
-		if err := n.ResetSession(a, b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CrashRouter applies a router crash to every shard's replicated state.
-func (sn *ShardedNetwork) CrashRouter(id RouterID) error {
-	sn.Align()
-	for _, n := range sn.shards {
-		if err := n.CrashRouter(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestartRouter applies a router restart to every shard's replicated state.
-func (sn *ShardedNetwork) RestartRouter(id RouterID) error {
-	sn.Align()
-	for _, n := range sn.shards {
-		if err := n.RestartRouter(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CheckConsistency runs the sequential engine's quiescent-state invariants
 // across the whole ensemble, pairing cross-shard sessions through their
-// owners' views. Replica agreement (session generations, link state) is
-// checked first: a divergence there means the fault replication broke.
+// owners' views.
 func (sn *ShardedNetwork) CheckConsistency() error {
 	if !sn.Quiescent() {
 		return fmt.Errorf("bgp: consistency check on a non-quiescent ensemble (%d deliveries in flight)", sn.PendingDeliveries())
-	}
-	ref := sn.shards[0]
-	for s := 1; s < len(sn.shards); s++ {
-		n := sn.shards[s]
-		for e := range ref.sessionGen {
-			if n.sessionGen[e] != ref.sessionGen[e] || n.downLinks[e] != ref.downLinks[e] {
-				return fmt.Errorf("bgp: shard %d link-state replica diverged from shard 0 at edge %d", s, e)
-			}
-		}
-		for id := range ref.downRouters {
-			if n.downRouters[id] != ref.downRouters[id] {
-				return fmt.Errorf("bgp: shard %d router-state replica diverged from shard 0 at router %d", s, id)
-			}
-		}
 	}
 	// Intra-shard invariants (incl. Local-RIB re-decision) per shard.
 	for _, n := range sn.shards {
@@ -325,15 +264,9 @@ func (sn *ShardedNetwork) CheckConsistency() error {
 	for id := range sn.owner {
 		r := sn.Router(RouterID(id))
 		n := sn.shards[sn.owner[id]]
-		if r == nil || n.downRouters[id] {
-			continue
-		}
 		for s, q := range r.peers {
 			if sn.owner[q] == sn.owner[id] {
 				continue // checked intra-shard
-			}
-			if !n.SessionUp(r.id, q) {
-				continue
 			}
 			peer := sn.Router(q)
 			peerNet := sn.shards[sn.owner[q]]

@@ -145,113 +145,6 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedFaultReplication drives link and router faults through the
-// ensemble-level entry points and checks the replicated state stays in
-// lockstep (CheckConsistency's replica-agreement pass) while still matching
-// the sequential engine's canonical trace.
-func TestShardedFaultsMatchSequential(t *testing.T) {
-	g, err := topology.Torus(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := bgp.DefaultConfig()
-	params := damping.Cisco()
-	cfg.Damping = &params
-	cfg.Seed = 11
-	const prefix = bgp.Prefix("origin/8")
-	origin := bgp.RouterID(9)
-
-	type netOps interface {
-		SetLinkState(a, b bgp.RouterID, up bool) error
-		ResetSession(a, b bgp.RouterID) error
-		CrashRouter(id bgp.RouterID) error
-		RestartRouter(id bgp.RouterID) error
-	}
-	drive := func(t *testing.T, n netOps, run func(time.Duration) error, now func() time.Duration, router func(bgp.RouterID) *bgp.Router) {
-		router(origin).Originate(prefix)
-		if err := run(0); err != nil { // d==0 means full drain
-			t.Fatal(err)
-		}
-		step := func(d time.Duration) {
-			if err := run(now() + d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := n.SetLinkState(origin, 5, false); err != nil {
-			t.Fatal(err)
-		}
-		step(30 * time.Second)
-		if err := n.SetLinkState(origin, 5, true); err != nil {
-			t.Fatal(err)
-		}
-		step(30 * time.Second)
-		if err := n.ResetSession(1, 2); err != nil {
-			t.Fatal(err)
-		}
-		step(30 * time.Second)
-		if err := n.CrashRouter(6); err != nil {
-			t.Fatal(err)
-		}
-		step(30 * time.Second)
-		if err := n.RestartRouter(6); err != nil {
-			t.Fatal(err)
-		}
-		step(120 * time.Second)
-	}
-
-	// Sequential leg.
-	k := sim.NewKernel(sim.WithSeed(cfg.Seed))
-	n, err := bgp.NewNetwork(k, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqLog := trace.NewLog(0)
-	n.SetHooks(bgp.TraceHooks(seqLog))
-	drive(t, n, func(d time.Duration) error {
-		if d == 0 {
-			return k.Run()
-		}
-		return k.RunUntil(d)
-	}, k.Now, n.Router)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := canonicalBytes(t, trace.Merge(seqLog), n.Delivered(), n.Dropped())
-
-	// Sharded leg.
-	assign, err := topology.Partition(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := bgp.NewShardedNetwork(g, cfg, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sn.Close()
-	logs := make([]*trace.Log, sn.NumShards())
-	for s := range logs {
-		logs[s] = trace.NewLog(0)
-		sn.Shard(s).SetHooks(bgp.TraceHooks(logs[s]))
-	}
-	grp := sn.Group()
-	drive(t, sn, func(d time.Duration) error {
-		if d == 0 {
-			return grp.Run()
-		}
-		return grp.RunUntil(d)
-	}, grp.Now, sn.Router)
-	if err := grp.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sn.CheckConsistency(); err != nil {
-		t.Fatalf("ensemble inconsistent after faults: %v", err)
-	}
-	got := canonicalBytes(t, trace.Merge(logs...), sn.Delivered(), sn.Dropped())
-	if !bytes.Equal(want, got) {
-		t.Fatalf("sharded faulty trace differs from sequential: %s", diffPoint(want, got))
-	}
-}
-
 // TestPartitionCoversGraph sanity-checks the partitioner on assorted graphs.
 func TestPartitionCoversGraph(t *testing.T) {
 	mk := func(f func() (*topology.Graph, error)) *topology.Graph {
@@ -305,10 +198,9 @@ func observeShards(sn *bgp.ShardedNetwork) []*trace.Log {
 	return logs
 }
 
-// TestShardNetworkRefusesFork: a shard network's cross-shard sends go to its
-// ensemble's outbox, so a copy of the network alone would fail at its first
-// one; Fork and Snapshot refuse it instead.
-func TestShardNetworkRefusesFork(t *testing.T) {
+// torusShards is a 4×4 torus on two shards, closed when the test ends.
+func torusShards(t *testing.T) *bgp.ShardedNetwork {
+	t.Helper()
 	g, err := topology.Torus(4, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -321,11 +213,46 @@ func TestShardNetworkRefusesFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sn.Close()
+	t.Cleanup(sn.Close)
+	return sn
+}
+
+// TestShardNetworkRefusesFork: a shard network's cross-shard sends go to its
+// ensemble's outbox, so a copy of the network alone would fail at its first
+// one; Fork and Snapshot refuse it instead.
+func TestShardNetworkRefusesFork(t *testing.T) {
+	sn := torusShards(t)
 	if _, _, err := sn.Shard(0).Fork(); err == nil || !strings.Contains(err.Error(), "cannot fork") {
 		t.Errorf("Fork of a shard network: err = %v, want a refusal", err)
 	}
 	if _, err := sn.Shard(1).Snapshot(); err == nil || !strings.Contains(err.Error(), "cannot fork") {
 		t.Errorf("Snapshot of a shard network: err = %v, want a refusal", err)
+	}
+}
+
+// TestShardNetworkRefusesFaults: only the sequential engine takes faults, so
+// each fault entry point of a shard network refuses, naming itself, and
+// leaves the replicated link and router state as it was.
+func TestShardNetworkRefusesFaults(t *testing.T) {
+	sn := torusShards(t)
+	for s := 0; s < sn.NumShards(); s++ {
+		n := sn.Shard(s)
+		for _, tc := range []struct {
+			op  string
+			err error
+		}{
+			{"SetLinkState", n.SetLinkState(0, 1, false)},
+			{"ResetSession", n.ResetSession(0, 1)},
+			{"CrashRouter", n.CrashRouter(0)},
+			{"RestartRouter", n.RestartRouter(0)},
+		} {
+			want := fmt.Sprintf("shard %d of a sharded network takes no %s", s, tc.op)
+			if tc.err == nil || !strings.Contains(tc.err.Error(), want) {
+				t.Errorf("%s on shard %d: err = %v, want one naming %q", tc.op, s, tc.err, want)
+			}
+		}
+		if !n.SessionUp(0, 1) || !n.RouterUp(0) {
+			t.Errorf("shard %d: a refused fault changed the link or router state", s)
+		}
 	}
 }

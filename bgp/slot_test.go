@@ -114,13 +114,13 @@ func checkSlotOf(t *testing.T, n *Network) {
 				t.Fatalf("dirSlot(%d, %d) = %d, want %d", id, q, got, wantDir)
 			}
 			if ok {
-				charged = charged || r.Penalty(q, allocPrefix, now) > 0
+				charged = charged || penaltyOf(r, q, allocPrefix, now) > 0
 				continue
 			}
-			if p := r.Penalty(q, allocPrefix, now); p != 0 {
+			if p := penaltyOf(r, q, allocPrefix, now); p != 0 {
 				t.Fatalf("router %d: Penalty from non-neighbour %d = %v, want 0", id, q, p)
 			}
-			if r.Suppressed(q, allocPrefix) {
+			if isSuppressed(r, q, allocPrefix) {
 				t.Fatalf("router %d: Suppressed from non-neighbour %d", id, q)
 			}
 		}

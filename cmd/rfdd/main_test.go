@@ -93,20 +93,38 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// partialSweep is a request whose first two points the run cache holds
+// once warmPartial has run, and whose last point cannot finish within the
+// 1 ms deadline: a 20×20 torus drains ten pulses in far more than that.
+const partialSweep = `{"rows":20,"cols":20,"damping":"cisco","pulses":[0,1,10],"timeout_ms":1}`
+
+func warmPartial(t *testing.T, h http.Handler) {
+	t.Helper()
+	if rec, _ := postSweep(t, h, `{"rows":20,"cols":20,"damping":"cisco","pulses":[0,1]}`); rec.Code != http.StatusOK {
+		t.Fatalf("warming sweep: status %d, body %s", rec.Code, rec.Body)
+	}
+}
+
+// TestSweepPartialFailure: a point that fails leaves the others' results in
+// the reply, with the status of its failure and a top-level error. A valid
+// request fails a point only by its deadline: the cached points resolve and
+// the live one runs out of budget.
 func TestSweepPartialFailure(t *testing.T) {
 	s := testServer(t, serverConfig{})
-	rec, resp := postSweep(t, s.routes(), `{"rows":3,"cols":3,"pulses":[0,-1,1]}`)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500 for a failed point", rec.Code)
+	h := s.routes()
+	warmPartial(t, h)
+	rec, resp := postSweep(t, h, partialSweep)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 for a point past its deadline", rec.Code)
 	}
 	if resp.Error == "" {
 		t.Fatal("no top-level error for a failed point")
 	}
-	if resp.Points[0].Error != "" || resp.Points[2].Error != "" {
-		t.Fatalf("healthy points carry errors: %+v", resp.Points)
+	if resp.Points[0].Error != "" || resp.Points[1].Error != "" || resp.Points[1].Messages == 0 {
+		t.Fatalf("healthy points carry errors or no result: %+v", resp.Points)
 	}
-	if resp.Points[1].Error == "" {
-		t.Fatal("invalid point carries no error")
+	if resp.Points[2].Error == "" {
+		t.Fatal("the point past its deadline carries no error")
 	}
 }
 
@@ -135,6 +153,10 @@ func TestSweepBadRequests(t *testing.T) {
 		{"rcn", `{"rcn":true}`, "EnableRCN requires damping"},
 		{"pulses", `{"pulses":[` + strings.Repeat("1,", 64) + `1]}`, "too many pulse counts"},
 		{"pulses", `{"pulses":3}`, "Spec.pulses"},
+		// Pre-fix a negative count failed after the warm-up, as a 500, and
+		// after the counts before it had run.
+		{"pulses", `{"pulses":[-1]}`, "pulses: negative pulse count -1"},
+		{"pulses", `{"pulses":[1,-3]}`, "pulses: negative pulse count -3"},
 		{"seed", `{"seed":-1}`, "Spec.seed"},
 		{"flap_interval_s", `{"flap_interval_s":-5}`, "flap_interval_s -5 outside"},
 		{"flap_interval_s", `{"flap_interval_s":1e10}`, "flap_interval_s 1e+10 outside"},

@@ -51,16 +51,19 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 	if preset == nil {
 		return fmt.Errorf("bad -params %q: no damping leaves nothing to replay", *name)
 	}
+	// Every override the command line sets applies, zero and negative values
+	// included, so Validate refuses what is out of range.
 	params := *preset
-	if *halfLife > 0 {
-		params.HalfLife = *halfLife
-	}
-	if *cutoff > 0 {
-		params.CutoffThreshold = *cutoff
-	}
-	if *reuse > 0 {
-		params.ReuseThreshold = *reuse
-	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "half-life":
+			params.HalfLife = *halfLife
+		case "cutoff":
+			params.CutoffThreshold = *cutoff
+		case "reuse":
+			params.ReuseThreshold = *reuse
+		}
+	})
 	if err := params.Validate(); err != nil {
 		return err
 	}

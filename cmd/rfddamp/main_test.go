@@ -65,9 +65,24 @@ func TestRunOverrides(t *testing.T) {
 	if !strings.Contains(out.String(), "suppressions:     0") {
 		t.Fatalf("high cutoff still suppressed:\n%s", out.String())
 	}
-	// Inconsistent override is rejected.
-	if err := run(context.Background(), []string{"-reuse", "5000"}, strings.NewReader(sampleLog), &bytes.Buffer{}); err == nil {
-		t.Fatal("reuse above cutoff accepted")
+	// Inconsistent or out-of-range overrides are rejected. Pre-fix a value
+	// that was not positive was ignored, and the preset ran.
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-reuse", "5000"}, "cutoff 2000 must exceed reuse threshold 5000"},
+		{[]string{"-cutoff", "-5", "-reuse", "-1", "-half-life", "-1m"}, "reuse threshold -1 must be positive"},
+		{[]string{"-cutoff", "-5"}, "cutoff -5 must exceed reuse threshold 750"},
+		{[]string{"-cutoff", "0"}, "cutoff 0 must exceed reuse threshold 750"},
+		{[]string{"-cutoff", "NaN"}, "cutoff NaN must exceed reuse threshold 750"},
+		{[]string{"-reuse", "0"}, "reuse threshold 0 must be positive"},
+		{[]string{"-half-life", "-1m"}, "half-life -1m0s must be positive"},
+	} {
+		err := run(context.Background(), tc.args, strings.NewReader(sampleLog), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want one mentioning %q", tc.args, err, tc.wantErr)
+		}
 	}
 }
 

@@ -65,6 +65,9 @@ func run(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *isp < -1 {
+		return fmt.Errorf("bad -isp %d: want a node id, or -1 for the default", *isp)
+	}
 
 	stop, err := cli.Profile(*cpuProf, *memProf)
 	if err != nil {

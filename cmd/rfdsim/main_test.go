@@ -167,6 +167,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", "1:2abc"}, `bad -sweep "1:2abc" (want "from:to"`},
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", ":3"}, `bad -sweep ":3" (want "from:to"`},
 		{[]string{"-rows", "4", "-cols", "4", "-sweep", "a:b"}, `bad -sweep "a:b" (want "from:to"`},
+		// Pre-fix a negative count warmed up and ran the valid counts first.
+		{[]string{"-rows", "4", "-cols", "4", "-sweep", "-2:1"}, "pulses: negative pulse count -2"},
+		// Pre-fix an -isp below -1 ran with the default ispAS.
+		{[]string{"-rows", "4", "-cols", "4", "-isp", "-5"}, "-isp -5"},
 		// Pre-fix a negative (or NaN) loss or jitter skipped the impairment
 		// and ran clean.
 		{[]string{"-rows", "4", "-cols", "4", "-loss", "-0.5"}, "loss probability -0.5 outside [0, 1]"},

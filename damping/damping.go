@@ -167,9 +167,9 @@ func (p Params) Validate() error {
 	switch {
 	case p.WithdrawalPenalty < 0 || p.ReannouncementPenalty < 0 || p.AttrChangePenalty < 0:
 		return fmt.Errorf("%w: negative penalty increment", errInvalidParams)
-	case p.ReuseThreshold <= 0:
+	case !(p.ReuseThreshold > 0): // NaN fails too
 		return fmt.Errorf("%w: reuse threshold %v must be positive", errInvalidParams, p.ReuseThreshold)
-	case p.CutoffThreshold <= p.ReuseThreshold:
+	case !(p.CutoffThreshold > p.ReuseThreshold):
 		return fmt.Errorf("%w: cutoff %v must exceed reuse threshold %v",
 			errInvalidParams, p.CutoffThreshold, p.ReuseThreshold)
 	case p.HalfLife <= 0:

@@ -163,9 +163,6 @@ func (s *State) Clone() *State {
 	return &c
 }
 
-// Reset clears penalty and suppression; see Merit.Reset.
-func (s *State) Reset() { s.m.Reset() }
-
 // String summarizes the state for diagnostics.
 func (s *State) String() string {
 	return fmt.Sprintf("damping.State{penalty: %.1f @ %v, suppressed: %t}",

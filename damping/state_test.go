@@ -203,16 +203,17 @@ func TestJuniperSuppressesFasterOnReannouncements(t *testing.T) {
 }
 
 func TestResetClearsEverything(t *testing.T) {
-	s := NewState(Cisco())
+	r := NewRules(Cisco())
+	var m Merit
 	for i := 0; i < 5; i++ {
-		s.Update(sec(float64(i)), KindWithdrawal, true)
+		m.Update(r, sec(float64(i)), KindWithdrawal, true)
 	}
-	if !s.Suppressed() {
+	if !m.Suppressed() {
 		t.Fatal("setup failed")
 	}
-	s.Reset()
-	if s.Suppressed() || s.Penalty(sec(10)) != 0 {
-		t.Fatalf("Reset left state dirty: %v", s)
+	m.Reset()
+	if m.Suppressed() || m.Penalty(r, sec(10)) != 0 {
+		t.Fatalf("Reset left state dirty: %+v", m)
 	}
 }
 

@@ -49,19 +49,6 @@ func (c WheelConfig) WithDefaults() WheelConfig {
 	return c
 }
 
-// Validate checks the geometry for internal consistency.
-func (c WheelConfig) Validate() error {
-	switch {
-	case c.DeltaT <= 0:
-		return fmt.Errorf("wheel: DeltaT must be positive, got %v", c.DeltaT)
-	case c.DeltaTReuse < c.DeltaT:
-		return fmt.Errorf("wheel: DeltaTReuse %v must be >= DeltaT %v", c.DeltaTReuse, c.DeltaT)
-	case c.MaxLists < 3:
-		return fmt.Errorf("wheel: MaxLists must be >= 3, got %d", c.MaxLists)
-	}
-	return nil
-}
-
 // maxDecayTable bounds the decay lookup table length regardless of how
 // long MaxHoldDown is relative to DeltaT.
 const maxDecayTable = 1 << 16
@@ -154,9 +141,6 @@ func NewWheel(params Params, cfg WheelConfig) *Wheel {
 	}
 	return w
 }
-
-// Params returns the damping parameters the wheel was built with.
-func (w *Wheel) Params() Params { return w.params }
 
 // Config returns the wheel geometry.
 func (w *Wheel) Config() WheelConfig { return w.cfg }
@@ -319,9 +303,6 @@ type WheelState struct {
 	suppressed bool
 }
 
-// Params returns the damping parameters of the owning wheel.
-func (s *WheelState) Params() Params { return s.w.params }
-
 // Suppressed reports whether the route is currently suppressed.
 func (s *WheelState) Suppressed() bool { return s.suppressed }
 
@@ -383,23 +364,6 @@ func (s *WheelState) Update(now time.Duration, kind Kind, charge bool) Event {
 		}
 	}
 	return ev
-}
-
-// ReuseIn returns the quantized delay until the state's reuse bucket is
-// swept, or until the penalty would reach the reuse threshold when the
-// state is not enrolled. Returns zero at or below the threshold.
-func (s *WheelState) ReuseIn(now time.Duration) time.Duration {
-	if s.dueTick >= 0 {
-		if due := time.Duration(s.dueTick) * s.w.cfg.DeltaTReuse; due > now {
-			return due - now
-		}
-		return 0
-	}
-	p := s.Penalty(now)
-	if p <= s.w.params.ReuseThreshold {
-		return 0
-	}
-	return time.Duration(s.w.reuseOffset(p)) * s.w.cfg.DeltaTReuse
 }
 
 // TryReuse lifts suppression if the quantized penalty has decayed to the

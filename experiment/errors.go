@@ -32,7 +32,7 @@ func ctxErr(ctx context.Context) error {
 // error instead of killing the process. The panic value and a quarantined
 // stack trace ride along for diagnosis; Fingerprint identifies the scenario
 // when it was cacheable (empty otherwise), so a poisoned input can be traced
-// across processes sharing a persistent cache.
+// to the scenario that caused it.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any

@@ -214,11 +214,11 @@ func TestFingerprint(t *testing.T) {
 func TestRunCacheHitsAndSharing(t *testing.T) {
 	c := NewRunCache()
 	sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Pulses: 1}
-	first, err := c.Run(sc)
+	first, err := c.RunContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.Run(sc)
+	second, err := c.RunContext(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRunCacheHitsAndSharing(t *testing.T) {
 	// An uncacheable scenario runs every time and is counted as such.
 	imp := sc
 	imp.Impair = faults.NewImpairments(1)
-	if _, err := c.Run(imp); err != nil {
+	if _, err := c.RunContext(context.Background(), imp); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, unc := c.Stats(); unc != 1 {
@@ -250,7 +250,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Run(sc)
+			res, err := c.RunContext(context.Background(), sc)
 			if err != nil {
 				t.Error(err)
 				return
@@ -316,7 +316,7 @@ func TestRunCacheSweepErrorUnblocksWaiters(t *testing.T) {
 	if _, err := c.Sweep(bad, []int{0, 1}, 2); err == nil {
 		t.Fatal("second sweep of failed points returned no error")
 	}
-	if _, err := c.Run(bad); err == nil {
+	if _, err := c.RunContext(context.Background(), bad); err == nil {
 		t.Fatal("cached failed point returned no error from Run")
 	}
 }
@@ -324,7 +324,7 @@ func TestRunCacheSweepErrorUnblocksWaiters(t *testing.T) {
 func TestNilRunCacheBypasses(t *testing.T) {
 	var c *RunCache
 	sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Pulses: 1}
-	res, err := c.Run(sc)
+	res, err := c.RunContext(context.Background(), sc)
 	if err != nil || res == nil {
 		t.Fatalf("nil cache Run = (%v, %v)", res, err)
 	}

@@ -402,11 +402,11 @@ func TestRunCachePooledRun(t *testing.T) {
 	c := NewRunCache()
 	pool := NewCheckpointPool(4)
 	c.SetCheckpointPool(pool)
-	got2, err := c.Run(base)
+	got2, err := c.RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3, err := c.Run(sc3)
+	got3, err := c.RunContext(context.Background(), sc3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestRunCachePooledRun(t *testing.T) {
 		t.Fatalf("pool stats hits=%d misses=%d, want 1/1 (second run reuses the warm-up)", hits, misses)
 	}
 	// A cache hit never touches the pool.
-	if _, err := c.Run(base); err != nil {
+	if _, err := c.RunContext(context.Background(), base); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses, _ := pool.Stats(); hits != 1 || misses != 1 {
@@ -466,14 +466,14 @@ func TestRunCacheCrossEngineCheckpoints(t *testing.T) {
 		c := NewRunCache()
 		pool := NewCheckpointPool(4)
 		c.SetCheckpointPool(pool)
-		first, err := c.Run(sharded)
+		first, err := c.RunContext(context.Background(), sharded)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pool.Len() != 0 {
 			t.Fatalf("the sharded run pooled %d warm-ups, want a fresh engine", pool.Len())
 		}
-		second, err := c.Run(base)
+		second, err := c.RunContext(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,11 +487,11 @@ func TestRunCacheCrossEngineCheckpoints(t *testing.T) {
 	t.Run("sequential-then-sharded", func(t *testing.T) {
 		c := NewRunCache()
 		c.SetCheckpointPool(NewCheckpointPool(4))
-		first, err := c.Run(base)
+		first, err := c.RunContext(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := c.Run(sharded)
+		second, err := c.RunContext(context.Background(), sharded)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,9 @@ import (
 // Progress observes the sweep pipeline as it executes: the shared warm-up
 // (the dominant latency of a small sweep), each point's lifecycle, and —
 // through RunCache.SweepContext — whether a point was computed live or served
-// from cache. A single run (Run, RunCache.Run) is a sweep of one count and
-// reports the same way: its warm-up and its one point, or a CacheHit when the
-// cache served it. Every field is optional; a nil field (or a nil *Progress)
+// from cache. A single run (Run, RunCache.RunContext) is a sweep of one count
+// and reports the same way: its warm-up and its one point, or a CacheHit when
+// the cache served it. Every field is optional; a nil field (or a nil *Progress)
 // is simply not called, and an unhooked sweep takes the exact same path as
 // before the hook existed.
 //
@@ -23,7 +23,7 @@ import (
 // and checkpoints. That also makes it singleflight-safe: a caller whose
 // points resolve from another request's in-flight execution sees them as
 // CacheHit on its own hook, while the owning request's hook sees the live
-// PointStarted/PointDone events. Callbacks may fire concurrently from sweep
+// PointQueued/PointDone events. Callbacks may fire concurrently from sweep
 // worker goroutines; implementations must be safe for concurrent use.
 type Progress struct {
 	// WarmupStarted fires when a warm-up (convergence) phase begins on this
@@ -36,16 +36,14 @@ type Progress struct {
 	// PointQueued fires once per pulse count when the sweep enqueues it for
 	// live execution (cache-served points are never queued).
 	PointQueued func(pulses int)
-	// PointStarted fires when a worker begins executing the point.
-	PointStarted func(pulses int)
 	// PointDone fires when a live point settles, successfully or not: the
 	// SweepPoint carries the Result or the error (including typed
 	// cancellation for points skipped after the context tripped). Every
 	// queued point eventually reports PointDone exactly once.
 	PointDone func(SweepPoint)
-	// CacheHit fires instead of the Queued/Started/Done sequence for a point
-	// served without running: an in-memory or persistent-store cache hit, or
-	// a point resolved by a concurrent request's execution (singleflight).
+	// CacheHit fires instead of the Queued/Done pair for a point served
+	// without running: a run-cache hit, or a point resolved by a concurrent
+	// request's execution (singleflight).
 	CacheHit func(SweepPoint)
 }
 
@@ -83,12 +81,6 @@ func (p *Progress) warmupDone() {
 func (p *Progress) pointQueued(pulses int) {
 	if p != nil && p.PointQueued != nil {
 		p.PointQueued(pulses)
-	}
-}
-
-func (p *Progress) pointStarted(pulses int) {
-	if p != nil && p.PointStarted != nil {
-		p.PointStarted(pulses)
 	}
 }
 

@@ -10,13 +10,13 @@ import (
 )
 
 // progressRecorder collects every hook invocation, concurrency-safe (the
-// sweep's worker pool fires PointStarted/PointDone from several goroutines).
+// sweep's worker pool fires PointDone from several goroutines).
 type progressRecorder struct {
 	mu            sync.Mutex
 	warmupStarted int
 	warmupDone    int
 	queued        []int
-	started       []int
+	started       []int // points whose PointDone carries a Result: they ran
 	done          []SweepPoint
 	cached        []SweepPoint
 }
@@ -26,9 +26,15 @@ func (r *progressRecorder) hook() *Progress {
 		WarmupStarted: func() { r.mu.Lock(); r.warmupStarted++; r.mu.Unlock() },
 		WarmupDone:    func() { r.mu.Lock(); r.warmupDone++; r.mu.Unlock() },
 		PointQueued:   func(n int) { r.mu.Lock(); r.queued = append(r.queued, n); r.mu.Unlock() },
-		PointStarted:  func(n int) { r.mu.Lock(); r.started = append(r.started, n); r.mu.Unlock() },
-		PointDone:     func(p SweepPoint) { r.mu.Lock(); r.done = append(r.done, p); r.mu.Unlock() },
-		CacheHit:      func(p SweepPoint) { r.mu.Lock(); r.cached = append(r.cached, p); r.mu.Unlock() },
+		PointDone: func(p SweepPoint) {
+			r.mu.Lock()
+			r.done = append(r.done, p)
+			if p.Result != nil {
+				r.started = append(r.started, p.Pulses)
+			}
+			r.mu.Unlock()
+		},
+		CacheHit: func(p SweepPoint) { r.mu.Lock(); r.cached = append(r.cached, p); r.mu.Unlock() },
 	}
 }
 
@@ -43,7 +49,7 @@ func progressScenario(t *testing.T) Scenario {
 }
 
 // TestSweepProgressEvents pins the live-sweep lifecycle: one warm-up pair,
-// then Queued/Started/Done exactly once per point, Done carrying the Result.
+// then Queued/Done exactly once per point, Done carrying the Result.
 func TestSweepProgressEvents(t *testing.T) {
 	rec := &progressRecorder{}
 	ctx := WithProgress(context.Background(), rec.hook())
@@ -55,9 +61,9 @@ func TestSweepProgressEvents(t *testing.T) {
 	if rec.warmupStarted != 1 || rec.warmupDone != 1 {
 		t.Fatalf("warm-up events = %d started / %d done, want 1/1", rec.warmupStarted, rec.warmupDone)
 	}
-	if len(rec.queued) != len(pulses) || len(rec.started) != len(pulses) || len(rec.done) != len(pulses) {
-		t.Fatalf("point events = %d queued / %d started / %d done, want %d each",
-			len(rec.queued), len(rec.started), len(rec.done), len(pulses))
+	if len(rec.queued) != len(pulses) || len(rec.done) != len(pulses) {
+		t.Fatalf("point events = %d queued / %d done, want %d each",
+			len(rec.queued), len(rec.done), len(pulses))
 	}
 	if len(rec.cached) != 0 {
 		t.Fatalf("uncached sweep reported %d cache hits", len(rec.cached))

@@ -12,8 +12,8 @@ import (
 	"rfd/damping"
 )
 
-// TestRunIsASweepOfOne pins the single-run path: Run and RunCache.Run are a
-// sweep of one pulse count, so a miss hands pointRunner exactly one point —
+// TestRunIsASweepOfOne pins the single-run path: Run and RunCache.RunContext
+// are a sweep of one pulse count, so a miss hands pointRunner exactly one point —
 // with or without a pool — and a cache hit hands it none. A panicking point
 // therefore comes back from Run as a *PanicError instead of crashing the
 // caller.
@@ -26,15 +26,18 @@ func TestRunIsASweepOfOne(t *testing.T) {
 	})
 	pooled := NewRunCache()
 	pooled.SetCheckpointPool(NewCheckpointPool(1))
+	through := func(c *RunCache) func(Scenario) (*Result, error) {
+		return func(sc Scenario) (*Result, error) { return c.RunContext(context.Background(), sc) }
+	}
 	for _, tc := range []struct {
 		name string
 		run  func(Scenario) (*Result, error)
 		want int64
 	}{
 		{"Run", Run, 1},
-		{"RunCache.Run", NewRunCache().Run, 1},
-		{"RunCache.Run with a pool", pooled.Run, 1},
-		{"RunCache.Run hit", pooled.Run, 0},
+		{"RunCache.RunContext", through(NewRunCache()), 1},
+		{"RunCache.RunContext with a pool", through(pooled), 1},
+		{"RunCache.RunContext hit", through(pooled), 0},
 	} {
 		before := points.Load()
 		if _, err := tc.run(sc); err != nil {
@@ -58,8 +61,8 @@ func TestRunIsASweepOfOne(t *testing.T) {
 // TestRunErrorsNameNoSweep: a single run's error reads as a run's. Whether
 // the failure is the sweep's (validation, a context tripped during warm-up)
 // or the one point's (a context tripped mid-flight, a checker violation, an
-// injected error or panic), Run and RunCache.Run return it without the
-// sweep's pulse-count prefix, and the typed errors stay reachable.
+// injected error or panic), Run and RunCache.RunContext return it without
+// the sweep's pulse-count prefix, and the typed errors stay reachable.
 func TestRunErrorsNameNoSweep(t *testing.T) {
 	type runner = func(context.Context, *flight, Scenario) (*Result, error)
 	injected := errors.New("injected point failure")

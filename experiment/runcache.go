@@ -181,17 +181,12 @@ func (c *RunCache) finish(e *lru.Entry[string, *Result], res *Result, err error)
 	c.results.Resolve(e, res, size, err)
 }
 
-// Run executes the scenario through the cache: a fingerprint hit returns the
-// cached (shared, read-only) Result, a miss runs and stores it, and
-// unfingerprintable scenarios run uncached. It is Sweep of the one count
-// sc.Pulses with one worker, so it shares the sweep's singleflight, pool,
-// progress reports and panic isolation.
-func (c *RunCache) Run(sc Scenario) (*Result, error) {
-	return c.RunContext(context.Background(), sc)
-}
-
-// RunContext is Run under a supervising context, as SweepContext is Sweep.
-// The error is the point's, without the sweep's pulse-count prefix.
+// RunContext executes the scenario through the cache under a supervising
+// context: a fingerprint hit returns the cached (shared, read-only) Result, a
+// miss runs and stores it, and unfingerprintable scenarios run uncached. It
+// is SweepContext of the one count sc.Pulses with one worker, so it shares
+// the sweep's singleflight, pool, progress reports and panic isolation. The
+// error is the point's, without the sweep's pulse-count prefix.
 func (c *RunCache) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	return c.run(ctx, sc, newBudget(1))
 }
@@ -244,7 +239,7 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 	// live marks the points this call claimed and will execute itself; every
 	// other point resolves without running here (a cache hit, or a concurrent
 	// caller's execution) and reports CacheHit instead of the live
-	// Queued/Started/Done sequence.
+	// Queued/Done pair.
 	live := make([]bool, len(pulses))
 	var missPulses []int
 	var missEntries []*lru.Entry[string, *Result]

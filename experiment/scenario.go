@@ -63,7 +63,8 @@ type Scenario struct {
 	// (Network.SetLinkState) instead of toggling origination — the paper's
 	// literal failure model. Both endpoints then stamp updates with link
 	// root causes when RCN is enabled. The default origination toggle is
-	// behaviourally equivalent and slightly cheaper.
+	// behaviourally equivalent and slightly cheaper. A link flap is a fault,
+	// so it needs the sequential engine.
 	FlapViaLink bool
 	// Watch lists damping states whose penalty traces to record. Router IDs
 	// refer to the base graph; use OriginID() for the attached origin.
@@ -102,10 +103,11 @@ type Scenario struct {
 	// Fingerprint ignores it.
 	//
 	// A sharded scenario is one fresh run: Run, or a sweep of one pulse
-	// count, on a new engine that never forks. FlapViaLink, Watch and
-	// NoSeries work on it; Check, Impair, Faults and Trace are refused, as
-	// are checkpoints and a sweep of several counts. No front end sets
-	// Shards: only a Scenario built in Go reaches the sharded engine.
+	// count, on a new engine that never forks and takes no fault. Watch and
+	// NoSeries work on it; Check, Impair, Faults, FlapViaLink and Trace are
+	// refused, as are checkpoints and a sweep of several counts. No front
+	// end sets Shards: only a Scenario built in Go reaches the sharded
+	// engine.
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after
@@ -222,9 +224,9 @@ func Run(sc Scenario) (*Result, error) {
 // the run stays byte-identical to Run(sc), because the cooperative stop check
 // only reads the context and never touches simulation state.
 //
-// A run is a sweep of one pulse count without a cache (see RunCache.Run): it
-// reports to the context's Progress hook, and a panic comes back as a
-// *PanicError.
+// A run is a sweep of one pulse count without a cache (see
+// RunCache.RunContext): it reports to the context's Progress hook, and a
+// panic comes back as a *PanicError.
 func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	return (*RunCache)(nil).RunContext(ctx, sc)
 }
@@ -682,7 +684,7 @@ func (f *flight) flap(up bool) error {
 	origin := f.sc.OriginID()
 	switch {
 	case f.sc.FlapViaLink:
-		return f.e.SetLinkState(origin, bgp.RouterID(f.sc.ISP), up)
+		return f.e.shards()[0].SetLinkState(origin, bgp.RouterID(f.sc.ISP), up)
 	case up:
 		f.e.Router(origin).Originate(FlapPrefix)
 	default:

@@ -230,8 +230,12 @@ func TestRunOriginWatch(t *testing.T) {
 	if tr.Len() < 3 {
 		t.Fatalf("origin-link trace has %d points, want >= 3 (one per withdrawal)", tr.Len())
 	}
-	if tr.Max() <= 2000 {
-		t.Fatalf("origin-link penalty peaked at %v, want > cutoff", tr.Max())
+	peak := 0.0
+	for _, p := range tr.Points() {
+		peak = max(peak, p.Value)
+	}
+	if peak <= 2000 {
+		t.Fatalf("origin-link penalty peaked at %v, want > cutoff", peak)
 	}
 }
 

@@ -11,56 +11,12 @@ import (
 	"rfd/trace"
 )
 
-// resultFields compares every externally meaningful Result field between a
-// sequential and a sharded run of the same scenario.
+// assertResultsEqual fails unless two runs of one scenario measured the same
+// Result, field for field.
 func assertResultsEqual(t *testing.T, want, got *Result) {
 	t.Helper()
-	if want.MessageCount != got.MessageCount {
-		t.Errorf("MessageCount: %d vs %d", want.MessageCount, got.MessageCount)
-	}
-	if want.ConvergenceTime != got.ConvergenceTime {
-		t.Errorf("ConvergenceTime: %v vs %v", want.ConvergenceTime, got.ConvergenceTime)
-	}
-	if want.FlapStart != got.FlapStart || want.FlapEnd != got.FlapEnd {
-		t.Errorf("flap window: [%v, %v] vs [%v, %v]", want.FlapStart, want.FlapEnd, got.FlapStart, got.FlapEnd)
-	}
-	if want.EndTime != got.EndTime {
-		t.Errorf("EndTime: %v vs %v", want.EndTime, got.EndTime)
-	}
-	if want.MaxDamped != got.MaxDamped {
-		t.Errorf("MaxDamped: %d vs %d", want.MaxDamped, got.MaxDamped)
-	}
-	if want.NoisyReuses != got.NoisyReuses || want.SilentReuses != got.SilentReuses {
-		t.Errorf("reuses: %d/%d vs %d/%d", want.NoisyReuses, want.SilentReuses, got.NoisyReuses, got.SilentReuses)
-	}
-	if want.OriginSuppressed != got.OriginSuppressed {
-		t.Errorf("OriginSuppressed: %t vs %t", want.OriginSuppressed, got.OriginSuppressed)
-	}
-	if want.Dropped != got.Dropped {
-		t.Errorf("Dropped: %d vs %d", want.Dropped, got.Dropped)
-	}
-	if want.Updates.Count() != got.Updates.Count() {
-		t.Errorf("Updates.Count: %d vs %d", want.Updates.Count(), got.Updates.Count())
-	}
-	if wl, wok := want.Updates.Last(); true {
-		gl, gok := got.Updates.Last()
-		if wok != gok || wl != gl {
-			t.Errorf("Updates.Last: %v/%t vs %v/%t", wl, wok, gl, gok)
-		}
-	}
-	if want.Phases != got.Phases {
-		t.Errorf("Phases: %+v vs %+v", want.Phases, got.Phases)
-	}
-	for w, tr := range want.PenaltyTraces {
-		gtr, ok := got.PenaltyTraces[w]
-		if !ok {
-			t.Errorf("PenaltyTraces missing %+v", w)
-			continue
-		}
-		if tr.Len() != gtr.Len() || tr.Max() != gtr.Max() {
-			t.Errorf("PenaltyTraces[%+v]: len %d max %g vs len %d max %g",
-				w, tr.Len(), tr.Max(), gtr.Len(), gtr.Max())
-		}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("Results differ:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 
@@ -89,35 +45,8 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertResultsEqual(t, want, got)
-			if !reflect.DeepEqual(want.Damped, got.Damped) {
-				t.Errorf("Damped series differs (max %d vs %d)", want.Damped.Max(), got.Damped.Max())
-			}
 		})
 	}
-}
-
-// TestRunShardedLinkFlapMatchesSequential covers the FlapViaLink path, which
-// exercises the replicated link-state machinery under the scenario driver.
-func TestRunShardedLinkFlapMatchesSequential(t *testing.T) {
-	base := Scenario{
-		Graph:       smallMesh(t),
-		ISP:         3,
-		Config:      dampingCfg(),
-		Pulses:      2,
-		FlapViaLink: true,
-	}
-	base.Config.Seed = 4
-	want, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := base
-	sc.Shards = 3
-	got, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, want, got)
 }
 
 // TestShardedValidation pins what a sharded scenario may not do, each refusal
@@ -182,6 +111,13 @@ func TestShardedValidation(t *testing.T) {
 		sc.Faults = faults.NewPlan()
 		_, err := Run(sc)
 		wantErr(t, err, "Faults needs the sequential engine")
+	})
+	// A link flap is a fault, and a shard network takes none.
+	t.Run("flap-via-link", func(t *testing.T) {
+		sc := sharded()
+		sc.FlapViaLink = true
+		_, err := Run(sc)
+		wantErr(t, err, "FlapViaLink needs the sequential engine")
 	})
 	// A sharded engine cannot fork, so a sweep of several counts is refused
 	// before any cache lookup or warm-up — also when every point is cached.

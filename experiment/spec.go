@@ -52,8 +52,8 @@ func (s Spec) shape() topology.Shape {
 	return topology.Shape{Family: s.Topology, Rows: s.Rows, Cols: s.Cols, Nodes: s.Nodes, Seed: s.Seed}
 }
 
-// Validate refuses a spec whose run would cost more than the bounds allow,
-// with an error that names the field. Every size field is bounded: like a
+// Validate refuses a spec whose run would cost more than the bounds allow, or
+// that asks for a negative pulse count, with an error that names the field. Every size field is bounded: like a
 // negative size, an absurd one is a caller's bug whether or not the family
 // reads it. What the shape and the damping name refuse is Scenario's to say.
 func (s Spec) Validate() error {
@@ -81,6 +81,11 @@ func (s Spec) Validate() error {
 	}
 	if len(s.Pulses) > maxPulseCounts {
 		return fmt.Errorf("pulses: too many pulse counts (%d, max %d)", len(s.Pulses), maxPulseCounts)
+	}
+	for _, n := range s.Pulses {
+		if n < 0 {
+			return fmt.Errorf("pulses: negative pulse count %d", n)
+		}
 	}
 	return nil
 }

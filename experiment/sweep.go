@@ -203,9 +203,6 @@ func sweepTrunk(ctx context.Context, e *poolEntry, warm engine, base Scenario, p
 			settle(n, nil, ctxErr(ctx))
 			return
 		}
-		for range asked[n] {
-			pr.pointStarted(n)
-		}
 		res, err := isolate(base, n, func() (*Result, error) { return pointRunner(ctx, f, sc) })
 		settle(n, res, err)
 	}

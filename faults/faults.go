@@ -223,9 +223,8 @@ func (p *Plan) Validate(n *bgp.Network) error {
 }
 
 // linkExists reports whether the topology has an a-b link regardless of its
-// current up/down state. The check is graph-based, not router-based: a shard
-// network of the sharded engine instantiates only the routers it owns, but
-// its topology still names every link.
+// current up/down state. A plan applies to a sequential network only: a
+// shard network of the sharded engine refuses every fault.
 func linkExists(n *bgp.Network, a, b bgp.RouterID) bool {
 	if a < 0 || b < 0 || int(a) >= n.NumRouters() || int(b) >= n.NumRouters() {
 		return false

@@ -149,7 +149,13 @@ func TestPlanApplyFaultSequence(t *testing.T) {
 	if err := k.RunUntil(k.Now() + 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if p := n.Router(1).Penalty(2, testPrefix, k.Now()); p <= 0 {
+	var p float64
+	n.Router(1).EachRIBIn(k.Now(), func(v bgp.RIBInView) {
+		if v.Peer == 2 && v.Prefix == testPrefix {
+			p = v.Penalty
+		}
+	})
+	if p <= 0 {
 		t.Fatalf("no damping charge at router 1 after session reset (penalty %v)", p)
 	}
 	if err := k.RunUntil(k.Now() + 20*time.Second); err != nil {

@@ -161,13 +161,6 @@ func (s *StepSeries) Max() int {
 	return max
 }
 
-// Points returns a copy of the change points.
-func (s *StepSeries) Points() []StepPoint {
-	out := make([]StepPoint, len(s.points))
-	copy(out, s.points)
-	return out
-}
-
 // FloatPoint is one sample of a real-valued series.
 type FloatPoint struct {
 	At    time.Duration
@@ -207,15 +200,4 @@ func (s *FloatSeries) Points() []FloatPoint {
 	out := make([]FloatPoint, len(s.points))
 	copy(out, s.points)
 	return out
-}
-
-// Max returns the largest sample value (0 when empty).
-func (s *FloatSeries) Max() float64 {
-	max := 0.0
-	for _, p := range s.points {
-		if p.Value > max {
-			max = p.Value
-		}
-	}
-	return max
 }

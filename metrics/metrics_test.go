@@ -132,7 +132,7 @@ func TestStepSeriesSameTimeOverwrites(t *testing.T) {
 	if got := s.ValueAt(sec(10)); got != 7 {
 		t.Fatalf("ValueAt = %d, want 7 (last write wins)", got)
 	}
-	if len(s.Points()) != 1 {
+	if len(s.points) != 1 {
 		t.Fatal("same-time record appended instead of overwriting")
 	}
 }
@@ -156,10 +156,10 @@ func TestFloatSeries(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.Max() != 300 {
-		t.Fatalf("Max = %v", s.Max())
-	}
 	pts := s.Points()
+	if pts[1].Value != 300 {
+		t.Fatalf("Points()[1] = %v, want 300", pts[1].Value)
+	}
 	pts[0].Value = -1
 	if s.Points()[0].Value != 100 {
 		t.Fatal("Points aliases internal storage")

@@ -112,12 +112,6 @@ func NewHistory(capacity int) *History {
 // Len returns the number of causes currently remembered.
 func (h *History) Len() int { return len(h.seen) }
 
-// Contains reports whether the cause is in the history without recording it.
-func (h *History) Contains(c Cause) bool {
-	_, ok := h.seen[c]
-	return ok
-}
-
 // Clone returns an independent copy of the history: same capacity, same
 // remembered causes, same eviction order, sharing no storage with the
 // original. Used by the simulator's network fork.
