@@ -45,6 +45,13 @@ var orphanAllowlist = map[string]string{
 	"damping.WheelState.TryReuse": "TestWheelTryReuseMatchesExactSemantics drives it",
 }
 
+// unsetAllowlist names the exported struct fields of library packages that no
+// non-test code writes, so they always hold their zero value, but that stay,
+// each with a reason. A key is "pkg.Type.Field".
+var unsetAllowlist = map[string]string{
+	"experiment.Result.FlapStart": "always 0, the zero of every Result time; bench's TestSmokeTraced reads it (bench/trace.go), so it goes with ROADMAP item 18",
+}
+
 // docFiles are the documents whose code may name only what exists.
 // CHANGES.md and ROADMAP.md record history and plans, so they are exempt.
 var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md"}
@@ -72,6 +79,7 @@ type moduleIndex struct {
 	declared map[string]bool // keys of every library declaration, test files included
 	defs     map[*ast.Ident]types.Object
 	used     map[types.Object]bool // what non-test code uses, generic objects by their origin
+	set      map[types.Object]bool // the struct fields non-test code writes, by their origin
 }
 
 var (
@@ -144,7 +152,7 @@ func buildIndex(fsys fs.FS) (*moduleIndex, error) {
 		return nil, err
 	}
 
-	ix := &moduleIndex{pkgs: map[string]bool{}, declared: map[string]bool{}, used: map[types.Object]bool{}}
+	ix := &moduleIndex{pkgs: map[string]bool{}, declared: map[string]bool{}, used: map[types.Object]bool{}, set: map[types.Object]bool{}}
 	var std []string
 	for _, ip := range order {
 		g := dirs[ip]
@@ -180,7 +188,12 @@ func buildIndex(fsys fs.FS) (*moduleIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Instances: map[*ast.Ident]types.Instance{}}
+	info := &types.Info{
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Instances: map[*ast.Ident]types.Instance{},
+		Types:     map[ast.Expr]types.TypeAndValue{}, // a positional literal's struct
+	}
 	checked := map[string]*types.Package{}
 	var imp importerFunc
 	imp = func(ip string) (*types.Package, error) {
@@ -208,6 +221,7 @@ func buildIndex(fsys fs.FS) (*moduleIndex, error) {
 	for _, g := range dirs {
 		for _, f := range g.files {
 			ix.addUses(f, info)
+			ix.addWrites(f, info)
 		}
 	}
 	// The standard library calls, through its own interfaces, the methods
@@ -305,6 +319,66 @@ func (ix *moduleIndex) addUses(f *ast.File, info *types.Info) {
 			return true
 		})
 	}
+}
+
+// addWrites records the struct fields the non-test file f writes: the keys of
+// a keyed composite literal, every field of a positional one, the target of
+// an assignment, ++ or -- (an element of an array, slice or map field
+// included), and a field whose address is taken.
+func (ix *moduleIndex) addWrites(f *ast.File, info *types.Info) {
+	field := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			ix.set[v.Origin()] = true
+		}
+	}
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				field(x.Sel)
+				return
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem() // an element literal whose &T is elided
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						field(id)
+					}
+				} else {
+					ix.set[st.Field(i).Origin()] = true
+				}
+			}
+		}
+		return true
+	})
 }
 
 // addInterfaceCalls marks every method that implements a used interface
@@ -439,6 +513,37 @@ func (ix *moduleIndex) orphans() []decl {
 	return out
 }
 
+// unset lists the exported struct fields of library packages that no
+// non-test code writes.
+func (ix *moduleIndex) unset() []decl {
+	var out []decl
+	for _, d := range ix.exported {
+		if v, ok := ix.defs[d.id].(*types.Var); ok && v.IsField() && !ix.set[v] {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestExportedFieldsAreSet fails for each exported field of a library struct
+// that no non-test code of the module (bench, cmd and examples included)
+// writes, unless unsetAllowlist keeps it: such a field always reads zero.
+func TestExportedFieldsAreSet(t *testing.T) {
+	ix := loadModule(t)
+	unset := map[string]bool{}
+	for _, d := range ix.unset() {
+		unset[d.key()] = true
+		if _, ok := unsetAllowlist[d.key()]; !ok {
+			t.Errorf("%s: %s is exported but no non-test code sets it; delete it or allowlist it with a reason", d.pos, d.key())
+		}
+	}
+	for k := range unsetAllowlist {
+		if !unset[k] {
+			t.Errorf("unsetAllowlist: %s is set or no longer declared; drop its entry", k)
+		}
+	}
+}
+
 // TestExportedNamesHaveCallers fails for each exported function, method,
 // type, const, var or struct field of a library package that no non-test
 // code of the module (bench, cmd and examples included) uses, unless
@@ -460,8 +565,10 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 }
 
 // indexFixture is a module in which each rule of the index decides one
-// method: bench drives a kernel through its pulser interface the way main
-// calls RunUntil, and lru's cache is generic like Box.
+// method or field: bench drives a kernel through its pulser interface the way
+// main calls RunUntil, lru's cache is generic like Box, and main writes each
+// field of Opts and Pair in one of the ways the index counts, except Unset,
+// which only a test writes.
 var indexFixture = fstest.MapFS{
 	"lib/lib.go": {Data: []byte(`package lib
 
@@ -476,10 +583,17 @@ type Box[T any] struct{ v T }
 func (b *Box[T]) Get() T { return b.v }
 
 func (b *Box[T]) Tested() T { return b.v }
+
+type Opts struct {
+	Keyed, Assigned, Counted, Addressed, Unset int
+	Slots                                      [2]int
+}
+
+type Pair struct{ A, B int }
 `)},
 	"lib/lib_test.go": {Data: []byte(`package lib
 
-func use() { _ = new(Box[int]).Tested() }
+func use() { _ = new(Box[int]).Tested(); _ = Opts{Unset: 1} }
 `)},
 	"cmd/use/main.go": {Data: []byte(`package main
 
@@ -489,6 +603,14 @@ func main() {
 	var r lib.Runner = &lib.Kernel{}
 	_ = r.RunUntil(1)
 	_ = new(lib.Box[string]).Get()
+
+	o := lib.Opts{Keyed: 1}
+	o.Assigned = 2
+	o.Counted++
+	p := &o.Addressed
+	o.Slots[0] = *p
+	pairs := []*lib.Pair{{1, 2}}
+	_ = o.Keyed + o.Assigned + o.Counted + o.Slots[1] + o.Unset + pairs[0].A + pairs[0].B
 }
 `)},
 }
@@ -516,6 +638,13 @@ func TestIndexRules(t *testing.T) {
 	}
 	if len(orphans) != 1 {
 		t.Errorf("orphans %v, want lib.Box.Tested alone", orphans)
+	}
+	var unset []string
+	for _, d := range ix.unset() {
+		unset = append(unset, d.key())
+	}
+	if want := []string{"lib.Opts.Unset"}; !slices.Equal(unset, want) {
+		t.Errorf("unset fields %v, want %v: a keyed literal, a positional one (its &T elided too), an assignment, ++, an element write and &x.f each set a field, and a test's write does not", unset, want)
 	}
 }
 

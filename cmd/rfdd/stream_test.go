@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -186,8 +187,8 @@ func TestSweepStreamCachedFlag(t *testing.T) {
 // TestSweepStreamPartialFailure: a failing point leaves the terminal done
 // shipping every healthy point and the failed one's error, flagging the
 // status the buffered endpoint would have answered (it is too late to change
-// the 200). Whether the failed point also streams an event of its own depends
-// on where its deadline trips: before the point is queued, or while it runs.
+// the 200). The failed point streams an event of its own too, wherever its
+// deadline trips: in the warm-up, on the trunk or in its drain.
 func TestSweepStreamPartialFailure(t *testing.T) {
 	s := testServer(t, serverConfig{})
 	h := s.routes()
@@ -200,15 +201,57 @@ func TestSweepStreamPartialFailure(t *testing.T) {
 	if done.Event != "done" || done.Error == "" || done.HTTPStatus != http.StatusGatewayTimeout {
 		t.Fatalf("done = %+v, want error + http_status 504", done)
 	}
+	failed := 0
 	for _, ev := range evs {
-		if ev.Event == "point" && ev.Point.Error != "" && ev.Point.Pulses != 10 {
-			t.Fatalf("healthy point streamed an error: %+v", ev.Point)
+		if ev.Event == "point" && ev.Point.Error != "" {
+			if ev.Point.Pulses != 10 {
+				t.Fatalf("healthy point streamed an error: %+v", ev.Point)
+			}
+			failed++
 		}
+	}
+	if failed != 1 {
+		t.Fatalf("the point past its deadline streamed %d error events, want 1: %+v", failed, evs)
 	}
 	for _, p := range done.Points {
 		if healthy := p.Pulses < 10; healthy != (p.Error == "") {
 			t.Fatalf("done point %+v: want an error on the point past its deadline only", p)
 		}
+	}
+}
+
+// TestSweepStreamFailedWarmUp: on a server without a snapshot pool, a sweep
+// whose deadline trips in its warm-up still streams one point event per pulse
+// count, each carrying the warm-up's error, before the terminal done.
+func TestSweepStreamFailedWarmUp(t *testing.T) {
+	s := testServer(t, serverConfig{})
+	// A 40×40 torus converges in tens of milliseconds, far past the deadline.
+	rec, evs := postStream(t, s.routes(), `{"rows":40,"cols":40,"damping":"cisco","pulses":[0,1,2],"timeout_ms":1}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+	}
+	done := evs[len(evs)-1]
+	if done.Event != "done" || done.HTTPStatus != http.StatusGatewayTimeout {
+		t.Fatalf("done = %+v, want http_status 504", done)
+	}
+	if n := strings.Count(done.Error, "warm-up"); n != 1 {
+		t.Errorf("done error names the warm-up %d times, want once: %q", n, done.Error)
+	}
+	points := map[int]int{}
+	for _, ev := range evs[:len(evs)-1] {
+		if ev.Event != "point" {
+			continue
+		}
+		points[ev.Point.Pulses]++
+		if ev.Cached || !strings.Contains(ev.Point.Error, "warm-up") {
+			t.Errorf("point event %+v (cached %t), want a live point failed by the warm-up", *ev.Point, ev.Cached)
+		}
+	}
+	if want := map[int]int{0: 1, 1: 1, 2: 1}; !maps.Equal(points, want) {
+		t.Fatalf("point events by pulse count = %v, want %v", points, want)
+	}
+	if done.LivePoints != 3 {
+		t.Errorf("done counts %d live points, want 3", done.LivePoints)
 	}
 }
 

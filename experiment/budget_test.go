@@ -14,13 +14,13 @@ import (
 // the points in flight at the pointRunner seam count simulations running.
 func TestSharedBudgetBoundsBuild(t *testing.T) {
 	var inFlight, peak atomic.Int64
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		n := inFlight.Add(1)
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
+		k := inFlight.Add(1)
 		defer inFlight.Add(-1)
-		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		for p := peak.Load(); k > p && !peak.CompareAndSwap(p, k); p = peak.Load() {
 		}
 		time.Sleep(2 * time.Millisecond) // let the other submissions pile up
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	o := Options{Workers: 2}.SharedBudget()
 	var wg sync.WaitGroup

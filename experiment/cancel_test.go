@@ -174,11 +174,11 @@ func TestSweepPartialResults(t *testing.T) {
 func TestSweepWorkerPanicIsolated(t *testing.T) {
 	orig := pointRunner
 	defer func() { pointRunner = orig }()
-	pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		if sc.Pulses == 1 {
+	pointRunner = func(ctx context.Context, f *flight, n int) (*Result, error) {
+		if n == 1 {
 			panic("injected worker panic")
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	}
 	pts, err := SweepParallel(cancelScenario(t, 0), []int{0, 1, 2}, 3)
 	if err == nil {

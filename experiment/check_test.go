@@ -45,7 +45,7 @@ func TestCheckedMeshDamped(t *testing.T) {
 func TestCheckedMeshRCN(t *testing.T) {
 	cfg := dampingCfg()
 	cfg.EnableRCN = true
-	runChecked(t, Scenario{Graph: smallMesh(t), ISP: 0, Config: cfg, Pulses: 3, FlapViaLink: true})
+	runChecked(t, Scenario{Graph: smallMesh(t), ISP: 0, Config: cfg, Pulses: 3})
 }
 
 func TestCheckedInternetDamped(t *testing.T) {
@@ -151,7 +151,7 @@ func TestCheckedDecisionMatrix(t *testing.T) {
 		apply func(sc *Scenario)
 	}{
 		{"novalley", func(sc *Scenario) { sc.Config.Policy = bgp.NoValley }},
-		{"rcn", func(sc *Scenario) { sc.Config.EnableRCN, sc.FlapViaLink = true, true }},
+		{"rcn", func(sc *Scenario) { sc.Config.EnableRCN = true }},
 		{"selective", func(sc *Scenario) { sc.Config.SelectiveDamping = true }},
 		{"partial", func(sc *Scenario) {
 			sc.Config.Damping = nil

@@ -30,8 +30,8 @@ type engine interface {
 	runUntil(ctx context.Context, t time.Duration) (quiet time.Duration, dry bool, err error)
 	// shards lists the networks that carry the engine's routers (one for the
 	// sequential engine): observers install on each. What needs a single
-	// network — the checker, impairments, fault plans, the link flap, the
-	// trace — acts on the first, and validate refuses it on several.
+	// network — the checker, impairments, fault plans, the trace — acts on
+	// the first, and validate refuses it on several.
 	shards() []*bgp.Network
 	// fork returns an independent copy of the engine as it stands between
 	// run calls — in-flight messages, pending timers and faults, and stream

@@ -172,7 +172,6 @@ func TestFingerprint(t *testing.T) {
 		}},
 		{"isp", func(sc *Scenario) { sc.ISP = 1 }},
 		{"flap interval", func(sc *Scenario) { sc.FlapInterval = 2 * DefaultFlapInterval }},
-		{"flap via link", func(sc *Scenario) { sc.FlapViaLink = true }},
 		{"check", func(sc *Scenario) { sc.Check = true }},
 		{"policy", func(sc *Scenario) { sc.Config.Policy = bgp.NoValley }},
 		{"rcn", func(sc *Scenario) { sc.Config.EnableRCN = true }},

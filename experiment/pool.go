@@ -169,13 +169,13 @@ func (e *poolEntry) take(n int) *flight {
 	return f
 }
 
-// trunk begins the flight a sweep's points branch off, sc.Pulses being the
+// trunk begins the flight of sc a sweep's points branch off, n being the
 // smallest count it is to reach. The flight parked beside the checkpoint, when
-// it stands at or below that count, is taken as it stands — no fork — and
-// flies sc from there; otherwise the trunk begins from the checkpoint.
-func (e *poolEntry) trunk(sc Scenario) (*flight, error) {
-	if f := e.take(sc.Pulses); f != nil {
-		f.sc = sc
+// it stands at or below n, is taken as it stands — no fork — and flies on from
+// there: every input it depends on is part of the pool key; otherwise the
+// trunk begins from the checkpoint.
+func (e *poolEntry) trunk(sc Scenario, n int) (*flight, error) {
+	if f := e.take(n); f != nil {
 		return f, nil
 	}
 	return e.cp.begin(sc)

@@ -103,11 +103,11 @@ func TestPoolPanickingPointLeavesEntryUsable(t *testing.T) {
 	base := poolScenario(t, 1)
 	want := standalone(t, base, 1, 2, 3)
 	var panicked atomic.Bool
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		if sc.Pulses == 2 && panicked.CompareAndSwap(false, true) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
+		if n == 2 && panicked.CompareAndSwap(false, true) {
 			panic("injected point panic")
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	pool := NewCheckpointPool(4)
 	pts, err := poolSweep(context.Background(), pool, base, 1, 2)
@@ -190,8 +190,8 @@ func TestPoolConcurrentSweepsTakeOneFlight(t *testing.T) {
 	arrived.Add(2)
 	both := make(chan struct{})
 	go func() { arrived.Wait(); close(both) }()
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		if sc.Pulses == 3 {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
+		if n == 3 {
 			// With one worker the n=3 branch drains on the trunk's goroutine,
 			// so both trunks have started and neither has parked.
 			arrived.Done()
@@ -201,7 +201,7 @@ func TestPoolConcurrentSweepsTakeOneFlight(t *testing.T) {
 				return nil, errors.New("the other sweep never reached n=3")
 			}
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	var wg sync.WaitGroup
 	for range 2 {

@@ -39,7 +39,10 @@ type Progress struct {
 	// PointDone fires when a live point settles, successfully or not: the
 	// SweepPoint carries the Result or the error (including typed
 	// cancellation for points skipped after the context tripped). Every
-	// queued point eventually reports PointDone exactly once.
+	// queued point reports PointDone exactly once, after its PointQueued, and
+	// every requested count gets exactly one PointDone or CacheHit: a sweep
+	// whose warm-up (or its wait for a pooled one) fails queues its points
+	// and settles each with that error.
 	PointDone func(SweepPoint)
 	// CacheHit fires instead of the Queued/Done pair for a point served
 	// without running: a run-cache hit, or a point resolved by a concurrent

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"errors"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -102,6 +104,66 @@ func TestSweepProgressReportsFailedPoints(t *testing.T) {
 	}
 	if len(rec.done) != 2 || failed != 1 {
 		t.Fatalf("done events = %d (%d failed), want 2 with 1 failure", len(rec.done), failed)
+	}
+}
+
+// TestSweepFailedWarmUpSettlesEveryPoint: a sweep whose warm-up fails still ends
+// every point it was asked for, with or without a cache and a pool: one
+// SweepPoint per entry of pulses, each carrying the warm-up's error, one
+// PointDone (after its PointQueued) or CacheHit per point, and the error
+// joined once.
+func TestSweepFailedWarmUpSettlesEveryPoint(t *testing.T) {
+	base := progressScenario(t)
+	pulses := []int{3, 0, 3, 1}
+	pooled := NewRunCache()
+	pooled.SetCheckpointPool(NewCheckpointPool(4))
+	for _, tc := range []struct {
+		name  string
+		sweep func(context.Context) ([]SweepPoint, error)
+	}{
+		{"no cache", func(ctx context.Context) ([]SweepPoint, error) {
+			return SweepParallelContext(ctx, base, pulses, 2)
+		}},
+		{"cache", func(ctx context.Context) ([]SweepPoint, error) {
+			return NewRunCache().SweepContext(ctx, base, pulses, 2)
+		}},
+		{"cache and pool", func(ctx context.Context) ([]SweepPoint, error) {
+			return pooled.SweepContext(ctx, base, pulses, 2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &progressRecorder{}
+			ctx, cancel := context.WithCancel(WithProgress(context.Background(), rec.hook()))
+			cancel()
+			pts, err := tc.sweep(ctx)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("sweep error %v, want ErrCanceled", err)
+			}
+			if n := strings.Count(err.Error(), "warm-up"); n != 1 {
+				t.Errorf("failed warm-up reported %d times, want once:\n%v", n, err)
+			}
+			if len(pts) != len(pulses) {
+				t.Fatalf("sweep returned %d points, want %d", len(pts), len(pulses))
+			}
+			for i, p := range pts {
+				if p.Pulses != pulses[i] || p.Result != nil || !errors.Is(p.Err, ErrCanceled) {
+					t.Errorf("point %d = %+v, want n=%d failed with ErrCanceled", i, p, pulses[i])
+				}
+			}
+			asked, ended := map[int]int{}, map[int]int{}
+			for _, n := range pulses {
+				asked[n]++
+			}
+			for _, p := range append(rec.done, rec.cached...) {
+				ended[p.Pulses]++
+			}
+			if !maps.Equal(ended, asked) {
+				t.Errorf("points ended %v (PointDone and CacheHit by count), want %v", ended, asked)
+			}
+			if len(rec.queued) != len(rec.done) {
+				t.Errorf("%d points queued, %d done: every PointDone follows its PointQueued", len(rec.queued), len(rec.done))
+			}
+		})
 	}
 }
 

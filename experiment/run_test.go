@@ -20,9 +20,9 @@ import (
 func TestRunIsASweepOfOne(t *testing.T) {
 	sc := poolScenario(t, 1)
 	var points atomic.Int64
-	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
 		points.Add(1)
-		return f.run(ctx, s)
+		return f.run(ctx, n)
 	})
 	pooled := NewRunCache()
 	pooled.SetCheckpointPool(NewCheckpointPool(1))
@@ -48,7 +48,7 @@ func TestRunIsASweepOfOne(t *testing.T) {
 		}
 	}
 
-	swapPointRunner(t, func(context.Context, *flight, Scenario) (*Result, error) {
+	swapPointRunner(t, func(context.Context, *flight, int) (*Result, error) {
 		panic("injected run panic")
 	})
 	_, err := Run(sc)
@@ -64,16 +64,16 @@ func TestRunIsASweepOfOne(t *testing.T) {
 // injected error or panic), Run and RunCache.RunContext return it without
 // the sweep's pulse-count prefix, and the typed errors stay reachable.
 func TestRunErrorsNameNoSweep(t *testing.T) {
-	type runner = func(context.Context, *flight, Scenario) (*Result, error)
+	type runner = func(context.Context, *flight, int) (*Result, error)
 	injected := errors.New("injected point failure")
 	// tripMidFlight stops the point's drain: the runner trips the context
 	// with cause just before running the point.
 	tripMidFlight := func(cause error) func(*Scenario) (context.Context, runner) {
 		return func(*Scenario) (context.Context, runner) {
 			ctx, cancel := context.WithCancelCause(context.Background())
-			return ctx, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+			return ctx, func(ctx context.Context, f *flight, n int) (*Result, error) {
 				cancel(cause)
-				return f.run(ctx, sc)
+				return f.run(ctx, n)
 			}
 		}
 	}
@@ -104,21 +104,21 @@ func TestRunErrorsNameNoSweep(t *testing.T) {
 		{name: "budget mid-flight", setup: tripMidFlight(context.DeadlineExceeded), is: []error{ErrBudgetExceeded, context.DeadlineExceeded}},
 		{name: "checker violation", setup: func(sc *Scenario) (context.Context, runner) {
 			sc.Check = true
-			return context.Background(), func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+			return context.Background(), func(ctx context.Context, f *flight, n int) (*Result, error) {
 				// An extra withdrawal charge the protocol never saw.
 				isp := f.e.Router(bgp.RouterID(sc.ISP))
 				p, _ := isp.DampingParams()
 				isp.DebugDampingState(sc.OriginID(), FlapPrefix).Update(damping.NewRules(p), f.e.now(), damping.KindWithdrawal, true)
-				return f.run(ctx, sc)
+				return f.run(ctx, n)
 			}
 		}, text: "invariant check"},
 		{name: "injected error", setup: func(*Scenario) (context.Context, runner) {
-			return context.Background(), func(context.Context, *flight, Scenario) (*Result, error) {
+			return context.Background(), func(context.Context, *flight, int) (*Result, error) {
 				return nil, injected
 			}
 		}, is: []error{injected}},
 		{name: "panic", setup: func(*Scenario) (context.Context, runner) {
-			return context.Background(), func(context.Context, *flight, Scenario) (*Result, error) {
+			return context.Background(), func(context.Context, *flight, int) (*Result, error) {
 				panic("injected run panic")
 			}
 		}, panics: true},

@@ -3,9 +3,7 @@ package experiment
 import (
 	"context"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -57,8 +55,8 @@ func (s Scenario) fingerprintBase() (string, bool) {
 	// Check does not change the Result's measurements, but a checked run
 	// carries a Result.Check report an unchecked one lacks — and a checked
 	// figure pass must not be satisfied by unchecked cached Results.
-	fmt.Fprintf(h, "isp %d\ninterval %d\nvialink %t\ncheck %t\npolicy %d\nrcn %t\nselective %t\nmrai %d\nseed %d\nnoseries %t\n",
-		s.ISP, interval, s.FlapViaLink, s.Check, cfg.Policy, cfg.EnableRCN,
+	fmt.Fprintf(h, "isp %d\ninterval %d\ncheck %t\npolicy %d\nrcn %t\nselective %t\nmrai %d\nseed %d\nnoseries %t\n",
+		s.ISP, interval, s.Check, cfg.Policy, cfg.EnableRCN,
 		cfg.SelectiveDamping, cfg.MRAI, cfg.Seed, s.NoSeries)
 	if d := cfg.Damping; d != nil {
 		fmt.Fprintf(h, "damping %g %g %g %g %g %d %d\n",
@@ -193,10 +191,7 @@ func (c *RunCache) RunContext(ctx context.Context, sc Scenario) (*Result, error)
 
 // run is RunContext under a token of a budget the caller may share.
 func (c *RunCache) run(ctx context.Context, sc Scenario, b budget) (*Result, error) {
-	pts, err := c.sweep(ctx, sc, []int{sc.Pulses}, b)
-	if pts == nil {
-		return nil, err // the uncached warm-up failed
-	}
+	pts, _ := c.sweep(ctx, sc, []int{sc.Pulses}, b)
 	if pe, ok := pts[0].Err.(*pointError); ok {
 		return nil, pe.err
 	}
@@ -257,7 +252,6 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 		c.runMisses(ctx, base, missPulses, missEntries, b)
 	}
 	out := make([]SweepPoint, len(pulses))
-	var errs []error
 	for i, e := range entries {
 		out[i].Pulses = pulses[i]
 		// A resolved entry wins over a tripped context: after a mid-flight
@@ -268,29 +262,17 @@ func (c *RunCache) sweep(ctx context.Context, base Scenario, pulses []int, b bud
 		} else {
 			out[i].Err = ctxErr(ctx)
 		}
-		if out[i].Err != nil {
-			// Keep the pulse count in the diagnosis; points that already
-			// carry it (the sweep's own errors) are left as-is.
-			if _, isPanic := out[i].Err.(*PanicError); isPanic {
-				out[i].Err = &pointError{pulses[i], out[i].Err}
-			}
-			// Each distinct failure is reported once: a failed shared warm-up
-			// hands its one error to every point it was to serve.
-			msg := out[i].Err.Error()
-			if !slices.ContainsFunc(errs, func(e error) bool { return e.Error() == msg }) {
-				errs = append(errs, out[i].Err)
-			}
-		}
 		if !live[i] {
 			pr.cacheHit(out[i])
 		}
 	}
-	return out, errors.Join(errs...)
+	return out, joinErrors(out)
 }
 
 // runMisses sweeps the points this call claimed and resolves their entries
 // with the points' outcomes — or via defer, so a panic on the sweep path
-// unblocks concurrent waiters instead of hanging them, with a *PanicError.
+// unblocks concurrent waiters instead of hanging them, with a *PanicError
+// named by its pulse count.
 func (c *RunCache) runMisses(ctx context.Context, base Scenario, pulses []int, entries []*lru.Entry[string, *Result], b budget) {
 	unproduced := func(j int) error {
 		return fmt.Errorf("experiment: sweep did not produce n=%d", pulses[j])
@@ -304,7 +286,7 @@ func (c *RunCache) runMisses(ctx context.Context, base Scenario, pulses []int, e
 		for j, e := range entries {
 			err := unproduced(j)
 			if r != nil {
-				err = &PanicError{Value: r, Fingerprint: e.Key(), Stack: stackTrace()}
+				err = &pointError{pulses[j], &PanicError{Value: r, Fingerprint: e.Key(), Stack: stackTrace()}}
 			}
 			c.finish(e, nil, err)
 		}
@@ -312,16 +294,13 @@ func (c *RunCache) runMisses(ctx context.Context, base Scenario, pulses []int, e
 			panic(r)
 		}
 	}()
-	pts, err := sweepWarm(ctx, c.layers(), base, pulses, b)
+	pts, _ := sweepWarm(ctx, c.layers(), base, pulses, b)
 	swept = true
 	for j, e := range entries {
-		res, perr := (*Result)(nil), err // the sweep failed before any point ran
-		if pts != nil {
-			res, perr = pts[j].Result, pts[j].Err
+		res, err := pts[j].Result, pts[j].Err
+		if res == nil && err == nil {
+			err = unproduced(j)
 		}
-		if res == nil && perr == nil {
-			perr = unproduced(j)
-		}
-		c.finish(e, res, perr)
+		c.finish(e, res, err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // swapPointRunner installs fn as the run function of every sweep point — and
 // so of every Run — for the test. The hook exists because a deterministic
 // scenario cannot fail transiently on cue; it is restored on cleanup.
-func swapPointRunner(t *testing.T, fn func(context.Context, *flight, Scenario) (*Result, error)) {
+func swapPointRunner(t *testing.T, fn func(context.Context, *flight, int) (*Result, error)) {
 	t.Helper()
 	orig := pointRunner
 	pointRunner = fn
@@ -30,11 +30,11 @@ func swapPointRunner(t *testing.T, fn func(context.Context, *flight, Scenario) (
 func TestRunCacheRetriesAfterError(t *testing.T) {
 	sc := cancelScenario(t, 1)
 	var calls atomic.Int64
-	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
 		if calls.Add(1) == 1 {
 			return nil, errors.New("injected transient failure")
 		}
-		return f.run(ctx, s)
+		return f.run(ctx, n)
 	})
 	c := NewRunCache()
 	if _, err := c.RunContext(context.Background(), sc); err == nil {
@@ -66,11 +66,11 @@ func TestRunCacheSweepRetriesAfterError(t *testing.T) {
 	base := cancelScenario(t, 0)
 	var failOnce atomic.Bool
 	failOnce.Store(true)
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		if sc.Pulses == 1 && failOnce.Swap(false) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
+		if n == 1 && failOnce.Swap(false) {
 			return nil, errors.New("injected transient failure")
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	c := NewRunCache()
 	pts, err := c.Sweep(base, []int{0, 1, 2}, 2)
@@ -104,12 +104,12 @@ func TestRunCachePanicUnblocksWaiters(t *testing.T) {
 	sc := cancelScenario(t, 1)
 	var calls atomic.Int64
 	release := make(chan struct{})
-	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
 		if calls.Add(1) == 1 {
 			<-release // hold until the waiters have queued up
 			panic("injected owner panic")
 		}
-		return f.run(ctx, s)
+		return f.run(ctx, n)
 	})
 	c := NewRunCache()
 
@@ -171,10 +171,10 @@ func TestRunCacheWaiterHonorsOwnContext(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
 		once.Do(func() { close(started) })
 		<-release
-		return f.run(ctx, s)
+		return f.run(ctx, n)
 	})
 	c := NewRunCache()
 	go c.RunContext(context.Background(), sc) //nolint:errcheck — owner outcome is not under test
@@ -240,12 +240,12 @@ func TestChaosSweep(t *testing.T) {
 	defer cancel1()
 	cancelArmed := make(chan struct{}, 1)
 	chaosFired := make(chan struct{}, 2)
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		switch sc.Pulses {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
+		switch n {
 		case 2:
 			if panicsLeft.Add(-1) >= 0 {
 				chaosFired <- struct{}{}
-				panic(fmt.Sprintf("chaos: injected panic at n=%d", sc.Pulses))
+				panic(fmt.Sprintf("chaos: injected panic at n=%d", n))
 			}
 		case 4:
 			if failsLeft.Add(-1) >= 0 {
@@ -265,7 +265,7 @@ func TestChaosSweep(t *testing.T) {
 			default:
 			}
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 
 	c := NewRunCache()
@@ -338,11 +338,11 @@ func TestSweepJoinsEachFailureOnce(t *testing.T) {
 		}
 	}
 
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		if sc.Pulses == 1 || sc.Pulses == 3 {
-			return nil, fmt.Errorf("injected failure at n=%d", sc.Pulses)
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
+		if n == 1 || n == 3 {
+			return nil, fmt.Errorf("injected failure at n=%d", n)
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	_, err = NewRunCache().Sweep(base, pulses, 2)
 	for _, n := range []int{1, 3} {
@@ -369,9 +369,9 @@ func withPulses(sc Scenario, n int) Scenario {
 func countRuns(t *testing.T) *atomic.Int64 {
 	t.Helper()
 	var runs atomic.Int64
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
 		runs.Add(1)
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	return &runs
 }
@@ -519,10 +519,10 @@ func TestRunCacheTinyBoundServesWaiters(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	swapPointRunner(t, func(ctx context.Context, f *flight, s Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
 		once.Do(func() { close(started) })
 		<-release
-		return f.run(ctx, s)
+		return f.run(ctx, n)
 	})
 	c := newRunCache(1)
 	const callers = 4

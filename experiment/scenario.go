@@ -59,13 +59,6 @@ type Scenario struct {
 	// FlapInterval separates consecutive flap events
 	// (DefaultFlapInterval when zero).
 	FlapInterval time.Duration
-	// FlapViaLink, when true, flaps the physical originAS–ispAS link
-	// (Network.SetLinkState) instead of toggling origination — the paper's
-	// literal failure model. Both endpoints then stamp updates with link
-	// root causes when RCN is enabled. The default origination toggle is
-	// behaviourally equivalent and slightly cheaper. A link flap is a fault,
-	// so it needs the sequential engine.
-	FlapViaLink bool
 	// Watch lists damping states whose penalty traces to record. Router IDs
 	// refer to the base graph; use OriginID() for the attached origin.
 	Watch []PenaltyWatch
@@ -104,10 +97,9 @@ type Scenario struct {
 	//
 	// A sharded scenario is one fresh run: Run, or a sweep of one pulse
 	// count, on a new engine that never forks and takes no fault. Watch and
-	// NoSeries work on it; Check, Impair, Faults, FlapViaLink and Trace are
-	// refused, as are checkpoints and a sweep of several counts. No front
-	// end sets Shards: only a Scenario built in Go reaches the sharded
-	// engine.
+	// NoSeries work on it; Check, Impair, Faults and Trace are refused, as
+	// are checkpoints and a sweep of several counts. No front end sets
+	// Shards: only a Scenario built in Go reaches the sharded engine.
 	Shards int
 	// Check, when true, runs the flap phase under the runtime invariant
 	// checker (package check): a full RIB/timer/conservation sweep after
@@ -164,8 +156,8 @@ type Result struct {
 	Origin, ISP bgp.RouterID
 	// FlapStart is the time of the first withdrawal and FlapEnd the time of
 	// the final announcement. All Result times share one clock whose zero is
-	// the first flap (so FlapStart is 0 whenever Pulses > 0), matching the
-	// paper's figure axes.
+	// the first flap, matching the paper's figure axes, so FlapStart is
+	// always 0 (nothing sets it).
 	FlapStart, FlapEnd time.Duration
 	// ConvergenceTime is the paper's metric: last update delivery minus
 	// FlapEnd (zero when nothing followed the final announcement).
@@ -515,10 +507,12 @@ type flight struct {
 	rc    *recorder
 	// feeds holds one observation feed per network when there are several
 	// (replayed into rc by finish), each filled by its network's observer;
-	// log is the trace log when sc.Trace is set (appended to it by finish).
-	feeds [][]observation
-	log   *trace.Log
-	chk   *check.Checker
+	// log is the flight's trace when sc.Trace is set, and drained says finish
+	// has run the drain, so the log holds the whole flap phase (drainedLog).
+	feeds   [][]observation
+	log     *trace.Log
+	drained bool
+	chk     *check.Checker
 	// pulses counts the completed (withdrawal, announcement) pairs; between
 	// pulseTo calls the engine stands at the instant right after the last
 	// re-announcement (at the epoch when zero), or at the end of the interval
@@ -679,20 +673,6 @@ func (f *flight) close() {
 	f.e.close()
 }
 
-// flap applies one half of a pulse at the origin.
-func (f *flight) flap(up bool) error {
-	origin := f.sc.OriginID()
-	switch {
-	case f.sc.FlapViaLink:
-		return f.e.shards()[0].SetLinkState(origin, bgp.RouterID(f.sc.ISP), up)
-	case up:
-		f.e.Router(origin).Originate(FlapPrefix)
-	default:
-		f.e.Router(origin).StopOriginating(FlapPrefix)
-	}
-	return nil
-}
-
 // interval is the time between consecutive flaps.
 func (f *flight) interval() time.Duration {
 	if f.sc.FlapInterval == 0 {
@@ -705,14 +685,15 @@ func (f *flight) interval() time.Duration {
 func (f *flight) watched() bool { return f.sc.Impair != nil || f.sc.Faults != nil }
 
 // pulseTo flaps until n pulses are complete — the one flap loop. Each pulse
-// is a withdrawal, one interval of simulation and the re-announcement; one
-// more interval separates it from the next, unless advance has run it
-// already. It stops right after the n-th re-announcement, before anything
+// is a withdrawal, one interval of simulation and the re-announcement, the
+// origin toggling its origination of the flap prefix (a literal flap of the
+// origin link is a fault plan's faults.FlapLink); one more interval separates
+// it from the next, unless advance has run it already. It stops right after the n-th re-announcement, before anything
 // that re-announcement causes has run, which is where an n-pulse run starts
 // draining and an (n+1)-pulse run keeps flapping. FlapStart stays zero: the
 // first withdrawal is the epoch.
 func (f *flight) pulseTo(ctx context.Context, n int) error {
-	interval := f.interval()
+	interval, origin := f.interval(), f.sc.OriginID()
 	for f.pulses < n {
 		if f.pulses > 0 && !f.ran {
 			if _, _, err := f.e.runUntil(ctx, f.e.now()+interval); err != nil {
@@ -721,15 +702,11 @@ func (f *flight) pulseTo(ctx context.Context, n int) error {
 		}
 		f.ran, f.dry = false, false
 		i := f.pulses + 1
-		if err := f.flap(false); err != nil {
-			return fmt.Errorf("experiment: pulse %d down: %w", i, err)
-		}
+		f.e.Router(origin).StopOriginating(FlapPrefix)
 		if _, _, err := f.e.runUntil(ctx, f.e.now()+interval); err != nil {
 			return wrapInterrupt(ctx, fmt.Sprintf("pulse %d", i), err)
 		}
-		if err := f.flap(true); err != nil {
-			return fmt.Errorf("experiment: pulse %d up: %w", i, err)
-		}
+		f.e.Router(origin).Originate(FlapPrefix)
 		f.rc.res.FlapEnd = f.e.now() - f.epoch
 		f.pulses = i
 	}
@@ -759,19 +736,27 @@ func (f *flight) advance(ctx context.Context) error {
 	return nil
 }
 
-// run flies the flight as sc: it pulses on to sc.Pulses — never fewer than it
-// has flapped — and finishes into sc, whose trace log a sweep's branch records
-// into instead of the trunk's. It closes the flight.
-func (f *flight) run(ctx context.Context, sc Scenario) (*Result, error) {
+// run flies the flight to n pulses — never fewer than it has flapped — and
+// finishes it. It closes the flight.
+func (f *flight) run(ctx context.Context, n int) (*Result, error) {
 	defer f.close()
-	if sc.Pulses < f.pulses {
-		return nil, fmt.Errorf("experiment: flight stands at pulse %d, past the %d asked of it", f.pulses, sc.Pulses)
+	if n < f.pulses {
+		return nil, fmt.Errorf("experiment: flight stands at pulse %d, past the %d asked of it", f.pulses, n)
 	}
-	f.sc = sc
-	if err := f.pulseTo(ctx, sc.Pulses); err != nil {
+	if err := f.pulseTo(ctx, n); err != nil {
 		return nil, err
 	}
 	return f.finish(ctx)
+}
+
+// drainedLog returns the flight's trace once finish has run its drain, and
+// nil before that or when the flight is untraced: a point's trace is its
+// flight's log, which the caller copies once into the scenario's.
+func (f *flight) drainedLog() *trace.Log {
+	if !f.drained {
+		return nil
+	}
+	return f.log
 }
 
 // finish drains the flight and computes its Result — the only place one is
@@ -793,9 +778,7 @@ func (f *flight) finish(ctx context.Context) (*Result, error) {
 	} else if err := e.run(ctx); err != nil {
 		return nil, wrapInterrupt(ctx, "drain", err)
 	}
-	if f.log != nil {
-		appendTrace(sc.Trace, f.log)
-	}
+	f.drained = true
 	if f.chk != nil {
 		res.Check = f.chk.Finish()
 		if err := res.Check.Err(); err != nil {
@@ -911,7 +894,9 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return f.run(ctx, sc)
+	res, err := f.run(ctx, sc.Pulses)
+	appendTrace(sc.Trace, f.drainedLog())
+	return res, err
 }
 
 // begin forks the parked engine and begins a flight of sc on the fork.

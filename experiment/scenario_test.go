@@ -239,66 +239,6 @@ func TestRunOriginWatch(t *testing.T) {
 	}
 }
 
-func TestFlapViaLinkEquivalence(t *testing.T) {
-	// The literal link-flap model must show the same qualitative behaviour
-	// as the origination toggle: origin suppressed at 3 pulses, false
-	// suppression present, reuse-timer-scale convergence.
-	run := func(viaLink bool, pulses int) *Result {
-		res, err := Run(Scenario{
-			Graph:       smallMesh(t),
-			ISP:         0,
-			Config:      dampingCfg(),
-			Pulses:      pulses,
-			FlapViaLink: viaLink,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	for _, pulses := range []int{1, 3} {
-		toggle := run(false, pulses)
-		link := run(true, pulses)
-		if toggle.OriginSuppressed != link.OriginSuppressed {
-			t.Fatalf("n=%d: origin suppression differs: toggle=%t link=%t",
-				pulses, toggle.OriginSuppressed, link.OriginSuppressed)
-		}
-		if (toggle.MaxDamped > 0) != (link.MaxDamped > 0) {
-			t.Fatalf("n=%d: false suppression differs: %d vs %d",
-				pulses, toggle.MaxDamped, link.MaxDamped)
-		}
-		// Same order of magnitude of convergence delay (both reuse-timer
-		// driven).
-		ratio := link.ConvergenceTime.Seconds() / toggle.ConvergenceTime.Seconds()
-		if ratio < 0.3 || ratio > 3 {
-			t.Fatalf("n=%d: convergence diverges: toggle %v, link %v",
-				pulses, toggle.ConvergenceTime, link.ConvergenceTime)
-		}
-	}
-}
-
-func TestFlapViaLinkWithRCN(t *testing.T) {
-	// RCN over the link-event cause path: one link flap, no suppression.
-	cfg := dampingCfg()
-	cfg.EnableRCN = true
-	res, err := Run(Scenario{
-		Graph:       smallMesh(t),
-		ISP:         0,
-		Config:      cfg,
-		Pulses:      1,
-		FlapViaLink: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxDamped != 0 {
-		t.Fatalf("RCN link flap suppressed %d links", res.MaxDamped)
-	}
-	if res.ConvergenceTime > 10*time.Minute {
-		t.Fatalf("RCN link-flap convergence %v", res.ConvergenceTime)
-	}
-}
-
 // TestSweepOrderAndParallel: whatever order the pulse counts are given in —
 // shuffled, descending, with repeats — the points come back in that order,
 // each distinct count is simulated once, every point equals a standalone Run
@@ -306,9 +246,9 @@ func TestFlapViaLinkWithRCN(t *testing.T) {
 func TestSweepOrderAndParallel(t *testing.T) {
 	var runs atomic.Int64
 	orig := pointRunner
-	pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+	pointRunner = func(ctx context.Context, f *flight, n int) (*Result, error) {
 		runs.Add(1)
-		return orig(ctx, f, sc)
+		return orig(ctx, f, n)
 	}
 	defer func() { pointRunner = orig }()
 

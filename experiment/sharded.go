@@ -23,9 +23,6 @@ func (s Scenario) validateSharded() error {
 	if s.Faults != nil {
 		return fmt.Errorf("experiment: Faults needs the sequential engine; it cannot apply a fault plan to a sharded run (Shards=%d)", s.Shards)
 	}
-	if s.FlapViaLink {
-		return fmt.Errorf("experiment: FlapViaLink needs the sequential engine; a sharded run (Shards=%d) takes no link flap", s.Shards)
-	}
 	if s.Trace != nil {
 		return fmt.Errorf("experiment: Trace needs the sequential engine; it cannot trace a sharded run (Shards=%d)", s.Shards)
 	}

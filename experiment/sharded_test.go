@@ -112,13 +112,6 @@ func TestShardedValidation(t *testing.T) {
 		_, err := Run(sc)
 		wantErr(t, err, "Faults needs the sequential engine")
 	})
-	// A link flap is a fault, and a shard network takes none.
-	t.Run("flap-via-link", func(t *testing.T) {
-		sc := sharded()
-		sc.FlapViaLink = true
-		_, err := Run(sc)
-		wantErr(t, err, "FlapViaLink needs the sequential engine")
-	})
 	// A sharded engine cannot fork, so a sweep of several counts is refused
 	// before any cache lookup or warm-up — also when every point is cached.
 	// One count, asked for once or twice, is a Run.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -66,10 +65,12 @@ func Sweep(base Scenario, pulses []int) ([]SweepPoint, error) {
 // Failure is per-point, not all-or-nothing: a point that errors (or panics —
 // the worker recovers it into a *PanicError carrying the quarantined stack)
 // sets its SweepPoint.Err, every other point still returns its Result, and
-// the returned error joins the per-point errors in pulses order. A failure of
-// the trunk itself fails the points it had not reached yet. Callers that only
-// check the error keep the old semantics; callers that want the partial
-// results read the slice despite the error.
+// the returned error joins the per-point errors in pulses order, each distinct
+// failure once. A failure of the trunk itself fails the points it had not
+// reached yet, and a failed warm-up fails them all; either way the slice holds
+// one point per entry of pulses. Callers that only check the error keep the
+// old semantics; callers that want the partial results read the slice despite
+// the error.
 //
 // A scenario-level Impair model is never consumed: a flight installs forks of
 // it, so every point sees the impairment stream from its warm-up-end position,
@@ -80,12 +81,12 @@ func SweepParallel(base Scenario, pulses []int, workers int) ([]SweepPoint, erro
 }
 
 // pointRunner executes one sweep point: f is a branch of the sweep's trunk —
-// or, for the largest count, the trunk itself — standing at the point's pulse
-// count, and the default finishes it into sc. It is a variable so the
-// robustness tests can inject transient errors and panics into the sweep
-// without needing a scenario that misbehaves on cue.
-var pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-	return f.run(ctx, sc)
+// or, for the largest count, the trunk itself — standing at or below the
+// point's pulse count n, and the default flies it to n and finishes it. It is
+// a variable so the robustness tests can inject transient errors and panics
+// into the sweep without needing a scenario that misbehaves on cue.
+var pointRunner = func(ctx context.Context, f *flight, n int) (*Result, error) {
+	return f.run(ctx, n)
 }
 
 // SweepParallelContext is SweepParallel under a supervising context. A
@@ -126,11 +127,51 @@ func (b budget) spawn(wg *sync.WaitGroup, job func()) {
 	}
 }
 
+// points is a sweep's outcome: one SweepPoint per pulse count asked, in the
+// order asked. Every point is queued once the warm-up has settled and is
+// itself settled exactly once, whatever ends it: its run, a failed warm-up, a
+// failed trunk or a tripped context.
+type points struct {
+	pr     *Progress
+	out    []SweepPoint
+	asked  map[int][]int // pulse count → indices of out
+	counts []int         // the keys of asked, ascending
+}
+
+// newPoints queues a point for each entry of pulses.
+func newPoints(pr *Progress, pulses []int) *points {
+	p := &points{pr: pr, out: make([]SweepPoint, len(pulses)), asked: make(map[int][]int, len(pulses))}
+	for i, n := range pulses {
+		p.out[i].Pulses = n
+		if p.asked[n] == nil {
+			p.counts = append(p.counts, n)
+		}
+		p.asked[n] = append(p.asked[n], i)
+		pr.pointQueued(n)
+	}
+	slices.Sort(p.counts)
+	return p
+}
+
+// settle ends every point of count n with res or err. Several goroutines may
+// settle at once, each a count of its own: they touch disjoint elements of out.
+func (p *points) settle(n int, res *Result, err error) {
+	if err != nil {
+		err = &pointError{n, err}
+	}
+	for _, i := range p.asked[n] {
+		p.out[i].Result, p.out[i].Err = res, err
+		p.pr.pointDone(p.out[i])
+	}
+}
+
 // sweepWarm runs one sweep under a token of b: the warm-up comes from pool's
 // entry for base (and stays there, so repeat sweeps of the scenario skip it),
 // the points from sweepTrunk. With a nil pool, or a base the pool cannot hold,
 // the sweep converges afresh and its trunk flies on the converged engine
-// itself, closed when the sweep is over.
+// itself, closed when the sweep is over. A warm-up that fails, or a wait for
+// a pooled one, settles every point with its one error. It returns one point
+// per entry of pulses.
 func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
 	if len(pulses) == 0 {
 		return nil, nil
@@ -138,15 +179,18 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 	b <- struct{}{}
 	defer func() { <-b }()
 	e, err := pool.entry(ctx, base)
-	if err != nil {
-		return nil, err
-	}
 	var warm engine
-	if e == nil {
-		if warm, err = warmUp(ctx, base); err != nil {
-			return nil, err
+	if err == nil && e == nil {
+		if warm, err = warmUp(ctx, base); err == nil {
+			defer warm.close() // again, if the trunk took it; closing twice is safe
 		}
-		defer warm.close() // again, if the trunk took it; closing twice is safe
+	}
+	if err != nil {
+		pts := newPoints(progressFrom(ctx), pulses)
+		for _, n := range pts.counts {
+			pts.settle(n, nil, err)
+		}
+		return pts.out, joinErrors(pts.out)
 	}
 	return sweepTrunk(ctx, e, warm, base, pulses, b)
 }
@@ -154,9 +198,9 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 // sweepTrunk computes the points of a sweep; the caller holds one token of b.
 // Each distinct pulse count is a job, taken in ascending order, and every
 // valid one rides the trunk (see SweepParallel); a negative count fails
-// validation and never flies. Each point finishes into a trace log of its own
-// (scWithPulses), and the sweep appends them to base.Trace in ascending count
-// order after the last point has drained, so the log has one writer.
+// validation and never flies. A point's trace is its flight's log: the sweep
+// appends the log of each flight that drained to base.Trace in ascending
+// count order after the last point has drained, so the log has one writer.
 //
 // The trunk begins on warm, a converged engine the sweep owns, unforked — or,
 // when warm is nil, from the pool entry e, and then it outlives the sweep. It
@@ -171,49 +215,28 @@ func sweepWarm(ctx context.Context, pool *CheckpointPool, base Scenario, pulses 
 // drains on from where the next withdrawal goes and the trunk does not run
 // the interval again.
 func sweepTrunk(ctx context.Context, e *poolEntry, warm engine, base Scenario, pulses []int, b budget) ([]SweepPoint, error) {
-	pr := progressFrom(ctx)
-	out := make([]SweepPoint, len(pulses))
-	asked := make(map[int][]int, len(pulses)) // pulse count → indices of out
-	for i, n := range pulses {
-		out[i].Pulses = n
-		asked[n] = append(asked[n], i)
-		pr.pointQueued(n)
-	}
-	counts := make([]int, 0, len(asked))
-	for n := range asked {
-		counts = append(counts, n)
-	}
-	slices.Sort(counts)
-	// settle and runPoint are called from several goroutines, each for a
-	// count of its own: they touch disjoint elements of out.
-	settle := func(n int, res *Result, err error) {
-		if err != nil {
-			err = &pointError{n, err}
-		}
-		for _, i := range asked[n] {
-			out[i].Result, out[i].Err = res, err
-			pr.pointDone(out[i])
-		}
-	}
-	runPoint := func(f *flight, sc Scenario) {
-		n := sc.Pulses
+	pts := newPoints(progressFrom(ctx), pulses)
+	counts := pts.counts
+	logs := make([]*trace.Log, len(counts)) // each drained point's trace, by count; a run writes its own
+	runPoint := func(k int, f *flight) {
+		n := counts[k]
 		if ctx.Err() != nil {
 			// Mark skipped points instead of running them; the sweep still
 			// reports every already-finished Result.
-			settle(n, nil, ctxErr(ctx))
+			pts.settle(n, nil, ctxErr(ctx))
 			return
 		}
-		res, err := isolate(base, n, func() (*Result, error) { return pointRunner(ctx, f, sc) })
-		settle(n, res, err)
+		res, err := isolate(base, n, func() (*Result, error) { return pointRunner(ctx, f, n) })
+		logs[k] = f.drainedLog()
+		pts.settle(n, res, err)
 	}
 
-	logs := make([]*trace.Log, len(counts)) // each point's trace, by count
 	var wg sync.WaitGroup
 	var trunk *flight
 	var trunkErr error // once set, fails every count the trunk had not reached
 	for k, n := range counts {
 		if n < 0 {
-			settle(n, nil, scWithPulses(base, n).validate())
+			pts.settle(n, nil, scWithPulses(base, n).validate())
 			continue
 		}
 		if trunkErr == nil {
@@ -223,11 +246,10 @@ func sweepTrunk(ctx context.Context, e *poolEntry, warm engine, base Scenario, p
 				}
 				if trunk == nil {
 					var err error
-					sc := scWithPulses(base, n)
 					if warm != nil {
-						trunk, err = begin(sc, warm)
+						trunk, err = begin(base, warm)
 					} else {
-						trunk, err = e.trunk(sc)
+						trunk, err = e.trunk(base, n)
 					}
 					if err != nil {
 						return nil, err
@@ -247,24 +269,22 @@ func sweepTrunk(ctx context.Context, e *poolEntry, warm engine, base Scenario, p
 			})
 		}
 		if trunkErr != nil {
-			settle(n, nil, trunkErr)
+			pts.settle(n, nil, trunkErr)
 			continue
 		}
-		sc := scWithPulses(base, n)
-		logs[k] = sc.Trace
 		if k == len(counts)-1 {
 			e.park(trunk)
-			runPoint(trunk, sc)
+			runPoint(k, trunk)
 			break
 		}
 		branch, err := trunk.fork()
 		if err != nil {
-			settle(n, nil, err)
+			pts.settle(n, nil, err)
 			continue
 		}
 		b.spawn(&wg, func() {
 			defer branch.close() // a runner that fails before running it leaves it open
-			runPoint(branch, sc)
+			runPoint(k, branch)
 		})
 	}
 	if trunk != nil {
@@ -272,17 +292,29 @@ func sweepTrunk(ctx context.Context, e *poolEntry, warm engine, base Scenario, p
 	}
 	wg.Wait()
 	for _, log := range logs {
-		if log != nil {
-			appendTrace(base.Trace, log)
+		appendTrace(base.Trace, log)
+	}
+	return pts.out, joinErrors(pts.out)
+}
+
+// joinErrors joins the points' errors in the order of pts, each distinct
+// failure once: a failed warm-up or trunk hands its one error to every point
+// it was to serve, and those errors differ only in the pulse count that
+// pointError puts before them.
+func joinErrors(pts []SweepPoint) error {
+	var errs []error
+	seen := make(map[string]bool)
+	for _, pt := range pts {
+		cause := pt.Err
+		if pe, ok := cause.(*pointError); ok {
+			cause = pe.err
+		}
+		if cause != nil && !seen[cause.Error()] {
+			seen[cause.Error()] = true
+			errs = append(errs, pt.Err)
 		}
 	}
-	errs := make([]error, 0, len(pulses))
-	for i := range out {
-		if out[i].Err != nil {
-			errs = append(errs, out[i].Err)
-		}
-	}
-	return out, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // pointError is a sweep point's failure, named by its pulse count. A single
@@ -312,20 +344,18 @@ func isolate(base Scenario, pulses int, run func() (*Result, error)) (res *Resul
 	return run()
 }
 
-// scWithPulses specializes the base scenario to one pulse count, giving a
-// traced scenario a log of its own, so no log is shared between workers. (No
-// impairment model is shared either: a flight installs forks of it.)
+// scWithPulses specializes the base scenario to one pulse count.
 func scWithPulses(base Scenario, pulses int) Scenario {
-	sc := base
-	sc.Pulses = pulses
-	if sc.Trace != nil {
-		sc.Trace = trace.NewLog(math.MaxInt)
-	}
-	return sc
+	base.Pulses = pulses
+	return base
 }
 
-// appendTrace appends src's events to dst, in order and under dst's bound.
+// appendTrace appends src's events, if any, to dst, in order and under dst's
+// bound.
 func appendTrace(dst, src *trace.Log) {
+	if src == nil {
+		return
+	}
 	for _, ev := range src.Events() {
 		dst.Append(ev)
 	}

@@ -40,13 +40,13 @@ func TestSweepQuietIntervalMatchesRuns(t *testing.T) {
 	}
 	var mu sync.Mutex
 	dry := make(map[cell]int)
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
 		if f.dry {
 			mu.Lock()
-			dry[cell{sc.Config.Seed, sc.Config.MRAI}]++
+			dry[cell{f.sc.Config.Seed, f.sc.Config.MRAI}]++
 			mu.Unlock()
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	dryPoints := func(seed uint64, mrai time.Duration) int {
 		mu.Lock()
@@ -120,10 +120,10 @@ func BenchmarkSweepTrunk(b *testing.B) {
 		drains, trunk uint64 // events fired by the points' drains; by the trunk before its own
 	)
 	orig := pointRunner
-	pointRunner = func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
+	pointRunner = func(ctx context.Context, f *flight, n int) (*Result, error) {
 		k := f.e.shards()[0].Kernel()
 		start := k.Executed()
-		res, err := f.run(ctx, sc)
+		res, err := f.run(ctx, n)
 		mu.Lock()
 		defer mu.Unlock()
 		// A branch starts with the trunk's events up to its fork, so the

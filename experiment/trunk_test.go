@@ -22,13 +22,13 @@ import (
 func countBranches(t *testing.T) (branched, solo *atomic.Int64) {
 	t.Helper()
 	branched, solo = new(atomic.Int64), new(atomic.Int64)
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		if f.pulses == sc.Pulses {
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
+		if f.pulses == n {
 			branched.Add(1)
 		} else {
 			solo.Add(1)
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	return branched, solo
 }
@@ -54,7 +54,6 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 	}{
 		{"plain", true, func(*Scenario) {}},
 		{"rcn", true, func(sc *Scenario) { sc.Config = rcn }},
-		{"via-link", true, func(sc *Scenario) { sc.FlapViaLink = true }},
 		{"watch", true, func(sc *Scenario) { sc.Watch = []PenaltyWatch{{Router: 0, Peer: sc.OriginID()}, {Router: 7, Peer: 2}} }},
 		// An empty fault plan: the watchdog alone, with nothing injected.
 		{"watchdog", true, func(sc *Scenario) { sc.Faults = faults.NewPlan() }},
@@ -151,8 +150,7 @@ func TestSweepTraceMatchesStandaloneRuns(t *testing.T) {
 }
 
 // flapCounter is an engine that counts the flaps flown on it and on every
-// fork of it: a flight asks for the origin's router once per half pulse. A
-// flap-via-link scenario flaps without asking, so it counts nothing.
+// fork of it: a flight asks for the origin's router once per half pulse.
 type flapCounter struct {
 	engine
 	*flapCount
@@ -266,9 +264,9 @@ func TestSweepTrunkStopMarksTheRest(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	swapPointRunner(t, func(_ context.Context, f *flight, sc Scenario) (*Result, error) {
-		res, err := f.run(context.Background(), sc)
-		if sc.Pulses == 1 {
+	swapPointRunner(t, func(_ context.Context, f *flight, n int) (*Result, error) {
+		res, err := f.run(context.Background(), n)
+		if n == 1 {
 			cancel()
 		}
 		return res, err
@@ -296,11 +294,11 @@ func TestSweepTrunkStopMarksTheRest(t *testing.T) {
 // runner is handed: a branch cannot run fewer pulses than it has flapped.
 func TestSweepBranchRefusesFewerPulses(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: bgp.DefaultConfig()}
-	swapPointRunner(t, func(ctx context.Context, f *flight, sc Scenario) (*Result, error) {
-		if sc.Pulses == 2 {
-			sc.Pulses = 1
+	swapPointRunner(t, func(ctx context.Context, f *flight, n int) (*Result, error) {
+		if n == 2 {
+			n = 1
 		}
-		return f.run(ctx, sc)
+		return f.run(ctx, n)
 	})
 	pts, err := SweepParallel(base, []int{0, 2}, 1)
 	if err == nil || pts[1].Err == nil || pts[1].Result != nil {
