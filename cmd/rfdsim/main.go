@@ -225,7 +225,7 @@ func parseSweep(spec string) ([]int, error) {
 // runSweep runs the scenario once per pulse count (ascending) and prints one
 // row per point. The warm-up and the flap phases are shared: the warm-up
 // executes once, and one flight flaps through every pulse count, each point
-// branching off it (see experiment.SweepParallel).
+// branching off it (see experiment.SweepParallelContext).
 func runSweep(ctx context.Context, sc experiment.Scenario, pulses []int, workers int) error {
 	start := time.Now()
 	pts, err := experiment.SweepParallelContext(ctx, sc, pulses, workers)

@@ -150,7 +150,7 @@ func TestSweepCancelMidFlight(t *testing.T) {
 // partial-result contract.
 func TestSweepPartialResults(t *testing.T) {
 	base := cancelScenario(t, 0)
-	pts, err := SweepParallel(base, []int{0, -1, 1}, 2)
+	pts, err := SweepParallelContext(context.Background(), base, []int{0, -1, 1}, 2)
 	if err == nil {
 		t.Fatal("sweep with an invalid point reported no error")
 	}
@@ -180,7 +180,7 @@ func TestSweepWorkerPanicIsolated(t *testing.T) {
 		}
 		return f.run(ctx, n)
 	}
-	pts, err := SweepParallel(cancelScenario(t, 0), []int{0, 1, 2}, 3)
+	pts, err := SweepParallelContext(context.Background(), cancelScenario(t, 0), []int{0, 1, 2}, 3)
 	if err == nil {
 		t.Fatal("sweep with a panicking point reported no error")
 	}
@@ -213,7 +213,7 @@ func TestSweepErrorOrderDeterministic(t *testing.T) {
 	base := cancelScenario(t, 0)
 	var first string
 	for trial := 0; trial < 4; trial++ {
-		_, err := SweepParallel(base, []int{-3, 0, -1}, 3)
+		_, err := SweepParallelContext(context.Background(), base, []int{-3, 0, -1}, 3)
 		if err == nil {
 			t.Fatal("sweep with invalid points reported no error")
 		}

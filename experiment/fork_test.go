@@ -17,7 +17,7 @@ import (
 // a from-scratch Run.
 func TestCheckpointRunMatchesRun(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
-	cp, err := NewCheckpointContext(context.Background(), base)
+	cp, err := newCheckpoint(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestCheckpointRunMatchesRun(t *testing.T) {
 func TestSweepParallelWorkerEquivalence(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
 	pulses := PulseRange(0, 3)
-	one, err := SweepParallel(base, pulses, 1)
+	one, err := SweepParallelContext(context.Background(), base, pulses, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := SweepParallel(base, pulses, 8)
+	eight, err := SweepParallelContext(context.Background(), base, pulses, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSweepParallelWorkerEquivalence(t *testing.T) {
 func TestSweepMatchesStandaloneRuns(t *testing.T) {
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
 	pulses := []int{0, 2}
-	pts, err := SweepParallel(base, pulses, 2)
+	pts, err := SweepParallelContext(context.Background(), base, pulses, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSweepImpairedMatchesStandaloneRuns(t *testing.T) {
 	}
 	base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Impair: mkImpair()}
 	pulses := []int{1, 2}
-	pts, err := SweepParallel(base, pulses, 2)
+	pts, err := SweepParallelContext(context.Background(), base, pulses, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSweepImpairedMatchesStandaloneRuns(t *testing.T) {
 			t.Fatalf("impaired sweep point n=%d differs from standalone Run", n)
 		}
 	}
-	cp, err := NewCheckpointContext(context.Background(), base)
+	cp, err := newCheckpoint(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestFingerprint(t *testing.T) {
 func TestRunCacheHitsAndSharing(t *testing.T) {
 	c := NewRunCache()
 	sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Pulses: 1}
-	first, err := c.RunContext(context.Background(), sc)
+	first, err := c.run(context.Background(), sc, newBudget(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.RunContext(context.Background(), sc)
+	second, err := c.run(context.Background(), sc, newBudget(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRunCacheHitsAndSharing(t *testing.T) {
 	// An uncacheable scenario runs every time and is counted as such.
 	imp := sc
 	imp.Impair = faults.NewImpairments(1)
-	if _, err := c.RunContext(context.Background(), imp); err != nil {
+	if _, err := c.run(context.Background(), imp, newBudget(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, unc := c.Stats(); unc != 1 {
@@ -249,7 +249,7 @@ func TestRunCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.RunContext(context.Background(), sc)
+			res, err := c.run(context.Background(), sc, newBudget(1))
 			if err != nil {
 				t.Error(err)
 				return
@@ -291,13 +291,13 @@ func TestRunCacheSweepReuse(t *testing.T) {
 			t.Fatalf("cached sweep point n=%d not shared", first[i].Pulses)
 		}
 	}
-	// Cached sweep results equal an uncached SweepParallel.
-	plain, err := SweepParallel(base, PulseRange(0, 5), 4)
+	// Cached sweep results equal an uncached SweepParallelContext.
+	plain, err := SweepParallelContext(context.Background(), base, PulseRange(0, 5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(second, plain) {
-		t.Fatal("cached sweep differs from plain SweepParallel")
+		t.Fatal("cached sweep differs from plain SweepParallelContext")
 	}
 }
 
@@ -315,7 +315,7 @@ func TestRunCacheSweepErrorUnblocksWaiters(t *testing.T) {
 	if _, err := c.Sweep(bad, []int{0, 1}, 2); err == nil {
 		t.Fatal("second sweep of failed points returned no error")
 	}
-	if _, err := c.RunContext(context.Background(), bad); err == nil {
+	if _, err := c.run(context.Background(), bad, newBudget(1)); err == nil {
 		t.Fatal("cached failed point returned no error from Run")
 	}
 }
@@ -323,7 +323,7 @@ func TestRunCacheSweepErrorUnblocksWaiters(t *testing.T) {
 func TestNilRunCacheBypasses(t *testing.T) {
 	var c *RunCache
 	sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg(), Pulses: 1}
-	res, err := c.RunContext(context.Background(), sc)
+	res, err := c.run(context.Background(), sc, newBudget(1))
 	if err != nil || res == nil {
 		t.Fatalf("nil cache Run = (%v, %v)", res, err)
 	}

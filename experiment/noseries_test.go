@@ -164,7 +164,7 @@ func sweepOrRuns(t *testing.T, sc Scenario, counts []int) []*Result {
 	t.Helper()
 	out := make([]*Result, len(counts))
 	if sc.Shards <= 1 {
-		pts, err := SweepParallel(sc, counts, 1)
+		pts, err := SweepParallelContext(context.Background(), sc, counts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

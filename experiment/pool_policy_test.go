@@ -48,8 +48,8 @@ func TestCheckpointPoolFailedWarmUpEvictsNothing(t *testing.T) {
 func TestCheckpointPoolPanickingWarmUpFreesKey(t *testing.T) {
 	pool := NewCheckpointPool(4)
 	sc := poolScenario(t, 1)
-	orig := poolWarmUp
-	poolWarmUp = func(context.Context, Scenario) (*Checkpoint, error) { panic("injected warm-up panic") }
+	orig := warmUp
+	warmUp = func(context.Context, Scenario) (engine, error) { panic("injected warm-up panic") }
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -58,7 +58,7 @@ func TestCheckpointPoolPanickingWarmUpFreesKey(t *testing.T) {
 		}()
 		pool.Get(context.Background(), sc)
 	}()
-	poolWarmUp = orig
+	warmUp = orig
 	if n := pool.Len(); n != 0 {
 		t.Errorf("after a panicking warm-up: Len %d, want 0", n)
 	}

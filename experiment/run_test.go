@@ -12,7 +12,7 @@ import (
 	"rfd/damping"
 )
 
-// TestRunIsASweepOfOne pins the single-run path: Run and RunCache.RunContext
+// TestRunIsASweepOfOne pins the single-run path: Run and RunCache.run
 // are a sweep of one pulse count, so a miss hands pointRunner exactly one point —
 // with or without a pool — and a cache hit hands it none. A panicking point
 // therefore comes back from Run as a *PanicError instead of crashing the
@@ -27,7 +27,7 @@ func TestRunIsASweepOfOne(t *testing.T) {
 	pooled := NewRunCache()
 	pooled.SetCheckpointPool(NewCheckpointPool(1))
 	through := func(c *RunCache) func(Scenario) (*Result, error) {
-		return func(sc Scenario) (*Result, error) { return c.RunContext(context.Background(), sc) }
+		return func(sc Scenario) (*Result, error) { return c.run(context.Background(), sc, newBudget(1)) }
 	}
 	for _, tc := range []struct {
 		name string
@@ -35,9 +35,9 @@ func TestRunIsASweepOfOne(t *testing.T) {
 		want int64
 	}{
 		{"Run", Run, 1},
-		{"RunCache.RunContext", through(NewRunCache()), 1},
-		{"RunCache.RunContext with a pool", through(pooled), 1},
-		{"RunCache.RunContext hit", through(pooled), 0},
+		{"RunCache.run", through(NewRunCache()), 1},
+		{"RunCache.run with a pool", through(pooled), 1},
+		{"RunCache.run hit", through(pooled), 0},
 	} {
 		before := points.Load()
 		if _, err := tc.run(sc); err != nil {
@@ -61,7 +61,7 @@ func TestRunIsASweepOfOne(t *testing.T) {
 // TestRunErrorsNameNoSweep: a single run's error reads as a run's. Whether
 // the failure is the sweep's (validation, a context tripped during warm-up)
 // or the one point's (a context tripped mid-flight, a checker violation, an
-// injected error or panic), Run and RunCache.RunContext return it without
+// injected error or panic), Run and RunCache.run return it without
 // the sweep's pulse-count prefix, and the typed errors stay reachable.
 func TestRunErrorsNameNoSweep(t *testing.T) {
 	type runner = func(context.Context, *flight, int) (*Result, error)
@@ -129,12 +129,12 @@ func TestRunErrorsNameNoSweep(t *testing.T) {
 		}{
 			{"Run", RunContext},
 			{"RunCache", func(ctx context.Context, sc Scenario) (*Result, error) {
-				return NewRunCache().RunContext(ctx, sc)
+				return NewRunCache().run(ctx, sc, newBudget(1))
 			}},
 			{"RunCache with a pool", func(ctx context.Context, sc Scenario) (*Result, error) {
 				c := NewRunCache()
 				c.SetCheckpointPool(NewCheckpointPool(1))
-				return c.RunContext(ctx, sc)
+				return c.run(ctx, sc, newBudget(1))
 			}},
 		} {
 			t.Run(tc.name+"/"+via.name, func(t *testing.T) {

@@ -37,10 +37,10 @@ func TestRunCacheRetriesAfterError(t *testing.T) {
 		return f.run(ctx, n)
 	})
 	c := NewRunCache()
-	if _, err := c.RunContext(context.Background(), sc); err == nil {
+	if _, err := c.run(context.Background(), sc, newBudget(1)); err == nil {
 		t.Fatal("first run should have failed")
 	}
-	res, err := c.RunContext(context.Background(), sc)
+	res, err := c.run(context.Background(), sc, newBudget(1))
 	if err != nil {
 		t.Fatalf("second run still failing: %v (negative caching?)", err)
 	}
@@ -48,7 +48,7 @@ func TestRunCacheRetriesAfterError(t *testing.T) {
 		t.Fatalf("second run did not re-execute (calls=%d)", calls.Load())
 	}
 	// Third call: a genuine cache hit, no third execution.
-	if _, err := c.RunContext(context.Background(), sc); err != nil {
+	if _, err := c.run(context.Background(), sc, newBudget(1)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -116,7 +116,7 @@ func TestRunCachePanicUnblocksWaiters(t *testing.T) {
 	ownerErr := make(chan error, 1)
 	go func() {
 		defer func() { recover() }() // the owner's own panic is re-surfaced as an error, not a panic
-		_, err := c.RunContext(context.Background(), sc)
+		_, err := c.run(context.Background(), sc, newBudget(1))
 		ownerErr <- err
 	}()
 	// Wait for the owner to claim, then pile on waiters.
@@ -129,7 +129,7 @@ func TestRunCachePanicUnblocksWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, waiterErrs[i] = c.RunContext(context.Background(), sc)
+			_, waiterErrs[i] = c.run(context.Background(), sc, newBudget(1))
 		}(i)
 	}
 	time.Sleep(5 * time.Millisecond) // let the waiters block on the entry
@@ -157,7 +157,7 @@ func TestRunCachePanicUnblocksWaiters(t *testing.T) {
 	}
 	// The panicked entry must have been evicted: a fresh call re-runs and
 	// succeeds.
-	res, err := c.RunContext(context.Background(), sc)
+	res, err := c.run(context.Background(), sc, newBudget(1))
 	if err != nil || res == nil {
 		t.Fatalf("run after panic eviction failed: %v", err)
 	}
@@ -177,13 +177,13 @@ func TestRunCacheWaiterHonorsOwnContext(t *testing.T) {
 		return f.run(ctx, n)
 	})
 	c := NewRunCache()
-	go c.RunContext(context.Background(), sc) //nolint:errcheck — owner outcome is not under test
+	go c.run(context.Background(), sc, newBudget(1)) //nolint:errcheck — owner outcome is not under test
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
 	waited := make(chan error, 1)
 	go func() {
-		_, err := c.RunContext(ctx, sc)
+		_, err := c.run(ctx, sc, newBudget(1))
 		waited <- err
 	}()
 	cancel()
@@ -212,10 +212,10 @@ func TestRunCacheCanceledRunEvicted(t *testing.T) {
 	c := NewRunCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunContext(ctx, sc); !errors.Is(err, ErrCanceled) {
+	if _, err := c.run(ctx, sc, newBudget(1)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("cancelled run error = %v, want ErrCanceled", err)
 	}
-	res, err := c.RunContext(context.Background(), sc)
+	res, err := c.run(context.Background(), sc, newBudget(1))
 	if err != nil || res == nil {
 		t.Fatalf("run after cancelled owner failed: %v (canceled result negative-cached?)", err)
 	}
@@ -451,7 +451,7 @@ func TestRunCacheHitRefreshesRecency(t *testing.T) {
 	c := newRunCache(total - 1) // any one eviction makes the three fit
 	runs := countRuns(t)
 	for _, sc := range []Scenario{a, b, a, cc} {
-		if _, err := c.RunContext(context.Background(), sc); err != nil {
+		if _, err := c.run(context.Background(), sc, newBudget(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -461,10 +461,10 @@ func TestRunCacheHitRefreshesRecency(t *testing.T) {
 	if entries, _, evictions := c.Resident(); entries != 2 || evictions != 1 {
 		t.Fatalf("resident %d, evictions %d, want 2 and 1", entries, evictions)
 	}
-	if _, err := c.RunContext(context.Background(), a); err != nil || runs.Load() != 3 {
+	if _, err := c.run(context.Background(), a, newBudget(1)); err != nil || runs.Load() != 3 {
 		t.Fatalf("re-touched a was evicted (runs %d, err %v)", runs.Load(), err)
 	}
-	if _, err := c.RunContext(context.Background(), b); err != nil || runs.Load() != 4 {
+	if _, err := c.run(context.Background(), b, newBudget(1)); err != nil || runs.Load() != 4 {
 		t.Fatalf("least recently used b was kept (runs %d, err %v)", runs.Load(), err)
 	}
 }
@@ -483,14 +483,14 @@ func TestRunCacheEvictedKeyRefetched(t *testing.T) {
 		c := newRunCache(want.sizeBytes()) // one Result at a time
 		runs := countRuns(t)
 		for _, sc := range []Scenario{a, b} {
-			if _, err := c.RunContext(context.Background(), sc); err != nil {
+			if _, err := c.run(context.Background(), sc, newBudget(1)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if _, _, evictions := c.Resident(); evictions == 0 {
 			t.Fatal("b's insert evicted nothing")
 		}
-		got, err := c.RunContext(context.Background(), a)
+		got, err := c.run(context.Background(), a, newBudget(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -532,14 +532,14 @@ func TestRunCacheTinyBoundServesWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		got[0], errs[0] = c.RunContext(context.Background(), sc)
+		got[0], errs[0] = c.run(context.Background(), sc, newBudget(1))
 	}()
 	<-started
 	for i := 1; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = c.RunContext(context.Background(), sc)
+			got[i], errs[i] = c.run(context.Background(), sc, newBudget(1))
 		}(i)
 	}
 	// Every waiter has joined the owner's entry once it counts as a hit.

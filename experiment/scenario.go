@@ -24,6 +24,7 @@ import (
 	"rfd/bgp"
 	"rfd/check"
 	"rfd/faults"
+	"rfd/internal/lru"
 	"rfd/metrics"
 	"rfd/sim"
 	"rfd/topology"
@@ -216,11 +217,11 @@ func Run(sc Scenario) (*Result, error) {
 // the run stays byte-identical to Run(sc), because the cooperative stop check
 // only reads the context and never touches simulation state.
 //
-// A run is a sweep of one pulse count without a cache (see
-// RunCache.RunContext): it reports to the context's Progress hook, and a
-// panic comes back as a *PanicError.
+// A run is a sweep of one pulse count with one worker and no cache (see
+// RunCache.run): it reports to the context's Progress hook, and a panic comes
+// back as a *PanicError.
 func RunContext(ctx context.Context, sc Scenario) (*Result, error) {
-	return (*RunCache)(nil).RunContext(ctx, sc)
+	return (*RunCache)(nil).run(ctx, sc, newBudget(1))
 }
 
 // wrapInterrupt maps a kernel/watchdog stop caused by the context into the
@@ -820,47 +821,46 @@ func watchErr(ctx context.Context, rep *faults.Report) error {
 	return nil
 }
 
-// Checkpoint is a scenario's converged warm-up state: a fork of the converged
+// Checkpoint is a scenario's converged warm-up state: the converged
 // sequential engine, parked and never run. Building one costs a single
-// warm-up; Run then forks the checkpoint per measurement instead of
+// warm-up; Run then forks the engine per measurement instead of
 // re-converging from scratch, and a sweep forks it once for all its pulse
 // counts, which is how both amortize warm-up. A Checkpoint is safe for
 // concurrent Run calls — forking only reads the parked state, and each call
 // runs its own independent copy. The sharded engine cannot fork, so neither
-// NewCheckpointContext nor Run takes a scenario with Shards > 1.
+// CheckpointPool.Get nor Run takes a scenario with Shards > 1.
+//
+// A pooled checkpoint is also its CheckpointPool's entry: pool and slot are
+// where it is pooled, and flight is the sweep trunk parked beside the engine
+// (see CheckpointPool). Only sweeps take and park that flight.
 type Checkpoint struct {
 	parked engine
+
+	pool   *CheckpointPool // nil when unpooled
+	slot   *lru.Entry[string, *Checkpoint]
+	flight *flight // parked: never run, owned by the checkpoint (under pool.mu)
 }
 
-// NewCheckpointContext executes the scenario's warm-up once (exactly as Run
-// would) under ctx and parks the converged state. Only the warm-up inputs
-// matter here — the graph, ISP and Config; measurement-phase fields
-// (Pulses, FlapInterval, Watch, Trace, Impair, Faults) take effect
-// in Checkpoint.Run. A tripped context stops it with a typed ErrCanceled /
-// ErrBudgetExceeded.
-// The warm-up reports to the context's Progress hook (WithProgress):
-// WarmupStarted before convergence begins, WarmupDone once it has converged —
-// warm-up dominates the latency of small sweeps, so a streaming client must
-// be able to see it.
-func NewCheckpointContext(ctx context.Context, sc Scenario) (*Checkpoint, error) {
-	if err := sc.checkpointable("NewCheckpointContext"); err != nil {
-		return nil, err
-	}
+// newCheckpoint executes the scenario's warm-up once (exactly as Run would)
+// under ctx and parks the engine it converged. Only the warm-up inputs matter
+// here — the graph, ISP and Config; measurement-phase fields (Pulses,
+// FlapInterval, Watch, Trace, Impair, Faults) take effect in Checkpoint.Run.
+// A tripped context stops it with a typed ErrCanceled / ErrBudgetExceeded.
+func newCheckpoint(ctx context.Context, sc Scenario) (*Checkpoint, error) {
 	e, err := warmUp(ctx, sc)
 	if err != nil {
 		return nil, err
 	}
-	defer e.close()
-	parked, err := e.fork()
-	if err != nil {
-		return nil, fmt.Errorf("experiment: checkpoint: %w", err)
-	}
-	return &Checkpoint{parked: parked}, nil
+	return &Checkpoint{parked: e}, nil
 }
 
-// warmUp is the reported warm-up without the parking: it returns the converged
-// engine itself, which the caller owns.
-func warmUp(ctx context.Context, sc Scenario) (engine, error) {
+// warmUp converges sc and returns the converged engine itself, which the
+// caller owns. It reports to the context's Progress hook (WithProgress):
+// WarmupStarted before convergence begins, WarmupDone once it has converged —
+// warm-up dominates the latency of small sweeps, so a streaming client must
+// be able to see it. It is a variable so the robustness tests can make a
+// warm-up panic on cue.
+var warmUp = func(ctx context.Context, sc Scenario) (engine, error) {
 	pr := progressFrom(ctx)
 	pr.warmupStarted()
 	e, err := converge(ctx, sc)
@@ -874,16 +874,10 @@ func warmUp(ctx context.Context, sc Scenario) (engine, error) {
 // Run forks the converged checkpoint and measures the scenario's flap phase
 // on the fork, producing a Result identical to Run(sc) from scratch. sc must
 // describe the same warm-up the checkpoint was built from (same Graph, ISP and
-// Config); only the measurement-phase fields may differ between calls.
+// Config); only the measurement-phase fields may differ between calls. Its
+// scenario may differ from a pooled checkpoint's key in Watch, FlapInterval,
+// NoSeries and Check, so Run never takes or parks the pool's flight.
 func (c *Checkpoint) Run(sc Scenario) (*Result, error) {
-	return c.RunContext(context.Background(), sc)
-}
-
-// RunContext is Run with the measurement phase supervised by ctx, exactly as
-// RunContext at package level: amortized cooperative stop checks, typed
-// ErrCanceled / ErrBudgetExceeded, byte-identical results when the context
-// never trips.
-func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
@@ -894,7 +888,7 @@ func (c *Checkpoint) RunContext(ctx context.Context, sc Scenario) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	res, err := f.run(ctx, sc.Pulses)
+	res, err := f.run(context.Background(), sc.Pulses)
 	appendTrace(sc.Trace, f.drainedLog())
 	return res, err
 }

@@ -85,7 +85,7 @@ func TestRunDoesNotMutateCallerGraph(t *testing.T) {
 	for name, run := range map[string]func() error{
 		"Run":         func() error { _, err := Run(sc); return err },
 		"Run sharded": func() error { sh := sc; sh.Shards = 2; _, err := Run(sh); return err },
-		"Sweep":       func() error { _, err := SweepParallel(sc, []int{0, 1}, 2); return err },
+		"Sweep":       func() error { _, err := SweepParallelContext(context.Background(), sc, []int{0, 1}, 2); return err },
 		"cache+pool":  func() error { _, err := pooled.Sweep(sc, []int{0, 1}, 2); return err },
 	} {
 		if err := run(); err != nil {
@@ -265,14 +265,14 @@ func TestSweepOrderAndParallel(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := Scenario{Graph: smallMesh(t), ISP: 0, Config: tc.cfg}
 			runs.Store(0)
-			seq, err := SweepParallel(sc, tc.pulses, 1)
+			seq, err := SweepParallelContext(context.Background(), sc, tc.pulses, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := runs.Load(); got != tc.distinct {
 				t.Errorf("sweep of %v ran %d points, want one per distinct count (%d)", tc.pulses, got, tc.distinct)
 			}
-			par, err := SweepParallel(sc, tc.pulses, 4)
+			par, err := SweepParallelContext(context.Background(), sc, tc.pulses, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

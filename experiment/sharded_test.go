@@ -117,7 +117,7 @@ func TestShardedValidation(t *testing.T) {
 	// One count, asked for once or twice, is a Run.
 	pulses := []int{0, 1}
 	t.Run("sweep", func(t *testing.T) {
-		_, err := SweepParallel(sharded(), pulses, 1)
+		_, err := SweepParallelContext(context.Background(), sharded(), pulses, 1)
 		wantErr(t, err, "Sweep needs the sequential engine")
 	})
 	t.Run("sweep-cached", func(t *testing.T) {
@@ -140,10 +140,6 @@ func TestShardedValidation(t *testing.T) {
 			t.Fatalf("a sharded sweep of one count: %v", err)
 		}
 	})
-	t.Run("NewCheckpointContext", func(t *testing.T) {
-		_, err := NewCheckpointContext(context.Background(), sharded())
-		wantErr(t, err, "NewCheckpointContext")
-	})
 	t.Run("CheckpointPool.Get", func(t *testing.T) {
 		_, err := NewCheckpointPool(2).Get(context.Background(), sharded())
 		wantErr(t, err, "CheckpointPool.Get")
@@ -151,7 +147,7 @@ func TestShardedValidation(t *testing.T) {
 	// A checkpoint parks a sequential engine: it refuses a sharded scenario
 	// rather than run it on the wrong engine.
 	t.Run("checkpoint-engine-mismatch", func(t *testing.T) {
-		cp, err := NewCheckpointContext(context.Background(), valid())
+		cp, err := newCheckpoint(context.Background(), valid())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,7 +92,7 @@ func TestSweepQuietIntervalMatchesRuns(t *testing.T) {
 				base := quietScenario(t, seed, mrai)
 				want := standalone(t, base, pulses...)
 				before := dryPoints(seed, mrai)
-				pts, err := SweepParallel(base, pulses, 2)
+				pts, err := SweepParallelContext(context.Background(), base, pulses, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func BenchmarkSweepTrunk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		drains, trunk = 0, 0
-		if _, err := SweepParallel(base, pulses, 1); err != nil {
+		if _, err := SweepParallelContext(context.Background(), base, pulses, 1); err != nil {
 			b.Fatal(err)
 		}
 		events += drains + trunk

@@ -78,7 +78,7 @@ func TestSweepTrunkDecidedByScenario(t *testing.T) {
 			base := Scenario{Graph: smallMesh(t), ISP: 0, Config: dampingCfg()}
 			tc.edit(&base)
 			pulses := []int{0, 1, 3}
-			pts, err := SweepParallel(base, pulses, 2)
+			pts, err := SweepParallelContext(context.Background(), base, pulses, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestSweepTraceMatchesStandaloneRuns(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=0/workers=%d", workers), func(t *testing.T) {
 			sc := base
 			sc.Trace = trace.NewLog(capacity)
-			if _, err := SweepParallel(sc, []int{3, 1, 0, 2}, workers); err != nil {
+			if _, err := SweepParallelContext(context.Background(), sc, []int{3, 1, 0, 2}, workers); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(jsonl(sc.Trace), jsonl(want)) {
@@ -300,7 +300,7 @@ func TestSweepBranchRefusesFewerPulses(t *testing.T) {
 		}
 		return f.run(ctx, n)
 	})
-	pts, err := SweepParallel(base, []int{0, 2}, 1)
+	pts, err := SweepParallelContext(context.Background(), base, []int{0, 2}, 1)
 	if err == nil || pts[1].Err == nil || pts[1].Result != nil {
 		t.Fatalf("a branch at pulse 2 ran a 1-pulse scenario: %+v", pts[1])
 	}

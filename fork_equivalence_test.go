@@ -70,7 +70,7 @@ func TestForkEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			scratchRes, scratchTrace := tracedRun(t, base, experiment.Run)
 
-			cp, err := experiment.NewCheckpointContext(context.Background(), base)
+			cp, err := (*experiment.CheckpointPool)(nil).Get(context.Background(), base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestForkEquivalence(t *testing.T) {
 	for _, name := range []string{"internet-rcn"} {
 		t.Run("sweep/"+name, func(t *testing.T) {
 			base := forkEquivalenceScenarios(t)[name]
-			pts, err := experiment.SweepParallel(base, experiment.PulseRange(0, base.Pulses), 2)
+			pts, err := experiment.SweepParallelContext(context.Background(), base, experiment.PulseRange(0, base.Pulses), 2)
 			if err != nil {
 				t.Fatal(err)
 			}

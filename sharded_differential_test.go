@@ -379,7 +379,7 @@ func TestShardedForkDifferential(t *testing.T) {
 					t.Fatal("empty trace: the comparison is vacuous")
 				}
 
-				cp, err := experiment.NewCheckpointContext(context.Background(), mk(0))
+				cp, err := (*experiment.CheckpointPool)(nil).Get(context.Background(), mk(0))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -436,7 +436,7 @@ func TestShardedForkDifferential(t *testing.T) {
 			}
 		}
 		t.Run(fmt.Sprintf("sweep/mesh6x6/impaired=%t/shards=0", impaired), func(t *testing.T) {
-			pts, err := experiment.SweepParallel(mk(), pulses, 2)
+			pts, err := experiment.SweepParallelContext(context.Background(), mk(), pulses, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
