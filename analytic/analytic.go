@@ -9,11 +9,13 @@
 // curves and the experiment package's intended-vs-actual comparisons are
 // computed here.
 //
-// The model deliberately reuses the damping package's State so the analytic
+// The model deliberately reuses the damping package so the analytic
 // prediction and the simulated routers share one penalty implementation —
 // any divergence between intended and actual behaviour is then attributable
 // to network effects (path exploration, timer interaction), exactly as in
-// the paper.
+// the paper. Predict reads damping.Replay's timeline, reuse included;
+// PenaltyTrace and OnsetPenalties drive a damping.State directly and model
+// no reuse, which the Fig 3 sawtooth and the cut-off tuning need.
 package analytic
 
 import (
@@ -23,29 +25,20 @@ import (
 	"rfd/damping"
 )
 
-// FlapEvent is one update the origin's neighbor (ispAS) receives, at a time
-// relative to the start of flapping.
-type FlapEvent struct {
-	// At is the event's offset from the first flap.
-	At time.Duration
-	// Kind is the damping classification of the update.
-	Kind damping.Kind
-}
-
 // PulseTrain builds the paper's workload (Section 5.1): n pulses at the
 // given flapping interval. A pulse is a withdrawal followed by an
 // announcement one interval later; consecutive pulses are separated by the
 // same interval, so events fall at 0, w, 2w, … and the final event — always
 // an announcement — falls at (2n−1)·w. n <= 0 yields nil.
-func PulseTrain(n int, interval time.Duration) []FlapEvent {
+func PulseTrain(n int, interval time.Duration) []damping.TimedUpdate {
 	if n <= 0 {
 		return nil
 	}
-	events := make([]FlapEvent, 0, 2*n)
+	events := make([]damping.TimedUpdate, 0, 2*n)
 	for i := 0; i < n; i++ {
 		events = append(events,
-			FlapEvent{At: time.Duration(2*i) * interval, Kind: damping.KindWithdrawal},
-			FlapEvent{At: time.Duration(2*i+1) * interval, Kind: damping.KindReannouncement},
+			damping.TimedUpdate{At: time.Duration(2*i) * interval, Kind: damping.KindWithdrawal},
+			damping.TimedUpdate{At: time.Duration(2*i+1) * interval, Kind: damping.KindReannouncement},
 		)
 	}
 	return events
@@ -69,38 +62,27 @@ type Prediction struct {
 	Convergence time.Duration
 }
 
-// Predict runs the single-router damping model over the event sequence.
-// tup is the network's ordinary up-convergence time (measured or assumed);
-// when the flaps never trigger suppression the intended convergence time is
-// simply tup.
-func Predict(params damping.Params, events []FlapEvent, tup time.Duration) (Prediction, error) {
-	if err := params.Validate(); err != nil {
+// Predict runs the single-router damping model over the updates the origin's
+// neighbor (ispAS) receives, at times relative to the start of flapping: it
+// is damping.Replay's timeline, reuse timers firing between updates exactly
+// as a router's would. tup is the network's ordinary up-convergence time
+// (measured or assumed); when the flaps never trigger suppression the
+// intended convergence time is simply tup.
+func Predict(params damping.Params, events []damping.TimedUpdate, tup time.Duration) (Prediction, error) {
+	rep, err := damping.Replay(params, events)
+	if err != nil {
 		return Prediction{}, err
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			return Prediction{}, fmt.Errorf("analytic: events out of order at index %d", i)
-		}
-	}
-	state := damping.NewState(params)
 	pred := Prediction{}
-	var lastAt time.Duration
-	for i, fe := range events {
-		// A long gap can let the penalty decay to the reuse threshold
-		// mid-train; model the reuse timer exactly as a router would.
-		if state.Suppressed() {
-			if due := lastAt + state.ReuseIn(lastAt); due <= fe.At {
-				state.TryReuse(due)
-			}
-		}
-		ev := state.Update(fe.At, fe.Kind, true)
-		lastAt = fe.At
-		pred.FinalPenalty = ev.Penalty
-		if ev.BecameSuppressed && pred.SuppressedAtEvent == 0 {
+	for i, pt := range rep.Points {
+		if pt.BecameSuppressed {
 			pred.SuppressedAtEvent = i + 1
+			break
 		}
 	}
-	pred.Suppressed = state.Suppressed()
+	if n := len(rep.Points); n > 0 {
+		pred.FinalPenalty, pred.Suppressed = rep.Points[n-1].Penalty, rep.Points[n-1].Suppressed
+	}
 	switch {
 	case len(events) == 0:
 		// No flap, no convergence event.
@@ -147,7 +129,7 @@ type PenaltyTracePoint struct {
 // regular grid of the given spacing, from t=0 through horizon. It also
 // injects a sample immediately after each event so the sawtooth's vertical
 // jumps are visible (this is how Fig 3 of the paper is rendered).
-func PenaltyTrace(params damping.Params, events []FlapEvent, horizon, spacing time.Duration) ([]PenaltyTracePoint, error) {
+func PenaltyTrace(params damping.Params, events []damping.TimedUpdate, horizon, spacing time.Duration) ([]PenaltyTracePoint, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}

@@ -155,7 +155,7 @@ func TestPredictMidTrainReuse(t *testing.T) {
 	// fire before the next (single) withdrawal; the final state must not be
 	// suppressed (one fresh withdrawal alone cannot re-suppress).
 	params := damping.Cisco()
-	events := []FlapEvent{
+	events := []damping.TimedUpdate{
 		{At: 0, Kind: damping.KindWithdrawal},
 		{At: 1 * time.Second, Kind: damping.KindReannouncement},
 		{At: 2 * time.Second, Kind: damping.KindWithdrawal},
@@ -181,7 +181,7 @@ func TestPredictRejectsBadInput(t *testing.T) {
 	if _, err := Predict(bad, nil, 0); err == nil {
 		t.Fatal("invalid params accepted")
 	}
-	events := []FlapEvent{
+	events := []damping.TimedUpdate{
 		{At: time.Minute, Kind: damping.KindWithdrawal},
 		{At: time.Second, Kind: damping.KindReannouncement},
 	}

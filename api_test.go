@@ -36,13 +36,6 @@ var orphanAllowlist = map[string]string{
 	"bgp.Router.LocalRoute":        "debug view; faults tests read a router's best route with it",
 	"sim.WithMaxEvents":            "test seam; faults tests and damping's engine benchmark bound a kernel's event budget with it",
 	"rcn.History.Len":              "test probe; rcn's history tests and bgp's TestRCNHistoryUnderChurn count a history's causes with it",
-	// The Wheel goes with the sharded engine (ROADMAP item 3); until then
-	// its own tests and benchmark drive these.
-	"damping.Wheel.Config":        "BenchmarkDampingEngines reads the reuse tick with it in its wheel sweeps",
-	"damping.Wheel.Reset":         "TestWheelResetDiscardsStates drives it",
-	"damping.WheelState.Penalty":  "TestWheelPenaltyBandAgainstExact compares it with the exact engine's",
-	"damping.WheelState.Reset":    "TestWheelStateResetDetaches drives it",
-	"damping.WheelState.TryReuse": "TestWheelTryReuseMatchesExactSemantics drives it",
 }
 
 // unsetAllowlist names the exported struct fields of library packages that no

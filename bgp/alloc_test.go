@@ -199,7 +199,7 @@ func TestHoldAndReleaseDoesNotAllocate(t *testing.T) {
 // walks the flat RIBs in the network's prefix order and builds nothing.
 func TestCheckConsistencyDoesNotAllocate(t *testing.T) {
 	g := forkTopology(t, "torus-5x5")
-	k, n := convergedForkNet(t, g)
+	k, n := convergedForkNet(t, g, false)
 	if err := forkPulses(k, n, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,14 +45,15 @@ func forkTopology(tb testing.TB, name string) *topology.Graph {
 	return g
 }
 
-// convergedForkNet builds a Cisco-damped network on g, originates forkPrefix
-// at router 0, drains to convergence and resets damping, as an experiment's
-// warm-up does.
-func convergedForkNet(tb testing.TB, g *topology.Graph) (*sim.Kernel, *Network) {
+// convergedForkNet builds a Cisco-damped network on g, RCN-enhanced when rcn
+// is set, originates forkPrefix at router 0, drains to convergence and resets
+// damping, as an experiment's warm-up does.
+func convergedForkNet(tb testing.TB, g *topology.Graph, rcn bool) (*sim.Kernel, *Network) {
 	tb.Helper()
 	cfg := DefaultConfig()
 	p := damping.Cisco()
 	cfg.Damping = &p
+	cfg.EnableRCN = rcn
 	k := sim.NewKernel(sim.WithSeed(cfg.Seed))
 	n, err := NewNetwork(k, g, cfg)
 	if err != nil {
@@ -82,10 +84,13 @@ func forkPulses(k *sim.Kernel, n *Network, count int) error {
 }
 
 // flappedForkNet is the fork fixture: a converged damped network three
-// pulses into a flap episode, with damped routes and reuse timers pending.
+// pulses into a flap episode, with damped routes and reuse timers pending. A
+// name ending in "-rcn" runs RCN-enhanced damping, so every session carries
+// a root-cause history for the fork to clone.
 func flappedForkNet(tb testing.TB, name string) *Network {
 	tb.Helper()
-	k, n := convergedForkNet(tb, forkTopology(tb, name))
+	topo, rcn := strings.CutSuffix(name, "-rcn")
+	k, n := convergedForkNet(tb, forkTopology(tb, topo), rcn)
 	if err := forkPulses(k, n, 3); err != nil {
 		tb.Fatal(err)
 	}
@@ -103,7 +108,7 @@ var forkSink *Network
 //
 //	go test ./bgp -run '^$' -bench NetworkFork -benchmem
 func BenchmarkNetworkFork(b *testing.B) {
-	for _, name := range []string{"torus-10x10", "internet-300"} {
+	for _, name := range []string{"torus-10x10", "torus-10x10-rcn", "internet-300"} {
 		b.Run(name, func(b *testing.B) {
 			n := flappedForkNet(b, name)
 			b.ReportAllocs()
@@ -184,7 +189,7 @@ func forkRecord(t *testing.T, k *sim.Kernel, n *Network, pulses int) []byte {
 func TestConcurrentForksOfParkedTrunk(t *testing.T) {
 	const trunkPulses, forks = 2, 4
 	g := forkTopology(t, "torus-5x5")
-	_, n := convergedForkNet(t, g)
+	_, n := convergedForkNet(t, g, false)
 	tk, trunk, err := n.Fork()
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +218,7 @@ func TestConcurrentForksOfParkedTrunk(t *testing.T) {
 	wg.Wait()
 
 	for i := range got {
-		k, n := convergedForkNet(t, g)
+		k, n := convergedForkNet(t, g, false)
 		if err := forkPulses(k, n, trunkPulses); err != nil {
 			t.Fatal(err)
 		}

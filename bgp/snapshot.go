@@ -9,8 +9,8 @@ package bgp
 // pass over the routers to point each at the fork. The RIB entries are
 // copied as they are: they hold no pointer. Nothing is copied object by
 // object, so a fork's cost is a few memmoves and a few dozen allocations
-// whatever the network's size (RCN histories, per-session maps, are the
-// exception: they clone one by one).
+// whatever the network's size (RCN histories, one short ring slice per
+// session, are the exception: they clone one by one).
 // Immutable structure is shared: the topology graph, the CSR tables, the
 // prefix tables (replaced, never written in place) and every path id
 // numbered so far with its canonical path, which the parent's table freezes

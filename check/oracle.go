@@ -311,11 +311,7 @@ func (c *Checker) finishAnalytic(at time.Duration) {
 	if st == nil || st.state == nil || st.desynced || !st.pure || !st.seenUpdate {
 		return
 	}
-	events := make([]analytic.FlapEvent, len(st.updates))
-	for i, u := range st.updates {
-		events[i] = analytic.FlapEvent{At: u.At, Kind: u.Kind}
-	}
-	pred, err := analytic.Predict(st.state.Params(), events, 0)
+	pred, err := analytic.Predict(st.state.Params(), st.updates, 0)
 	if err != nil {
 		c.record(at, c.opts.ISP, "analytic-oracle", fmt.Sprintf(
 			"origin %d prefix %s: predict failed: %v", c.opts.Origin, c.opts.Prefix, err))

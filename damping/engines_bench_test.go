@@ -209,7 +209,8 @@ func (h *wheelSweepHandler) HandleEvent(uint64) {
 func benchSweepWheel(b *testing.B, n int) {
 	params := Cisco()
 	k := benchKernel()
-	w := NewWheel(params, DefaultWheelConfig())
+	cfg := DefaultWheelConfig()
+	w := NewWheel(params, cfg)
 	states := make([]*WheelState, n)
 	for i := range states {
 		states[i] = w.NewState(uint64(i))
@@ -220,7 +221,7 @@ func benchSweepWheel(b *testing.B, n int) {
 	// enrollments in the same (warmed) buckets, so the measurement is the
 	// steady state rather than one-time list growth in rotating cold
 	// buckets.
-	revolution := w.Config().DeltaTReuse * time.Duration(len(w.lists))
+	revolution := cfg.DeltaTReuse * time.Duration(len(w.lists))
 	base := 10 * time.Second
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -101,7 +101,6 @@ type Wheel struct {
 	ceiling []float64 // ceiling[k] = ReuseThreshold * e^(lambda*(k+1)*DeltaTReuse)
 
 	lists     [][]*WheelState // ring of reuse lists keyed by dueTick % len(lists)
-	states    []*WheelState   // every state minted by NewState, creation order
 	enrolled  int
 	lastSweep int64 // last reuse tick fully swept
 }
@@ -142,9 +141,6 @@ func NewWheel(params Params, cfg WheelConfig) *Wheel {
 	return w
 }
 
-// Config returns the wheel geometry.
-func (w *Wheel) Config() WheelConfig { return w.cfg }
-
 // Enrolled returns how many streams currently sit in reuse lists. The
 // owning router keeps its sweep timer armed exactly while this is nonzero.
 func (w *Wheel) Enrolled() int { return w.enrolled }
@@ -152,9 +148,7 @@ func (w *Wheel) Enrolled() int { return w.enrolled }
 // NewState mints a fresh stream state owned by this wheel. key is an
 // opaque caller identifier handed back by Sweep's lift callback.
 func (w *Wheel) NewState(key uint64) *WheelState {
-	s := &WheelState{w: w, key: key, dueTick: -1}
-	w.states = append(w.states, s)
-	return s
+	return &WheelState{w: w, key: key, dueTick: -1}
 }
 
 // NextSweepAt returns the first sweep instant strictly after now: the next
@@ -189,24 +183,6 @@ func (w *Wheel) Sweep(now time.Duration, lift func(key uint64)) {
 			}
 		}
 	}
-}
-
-// Reset discards every state the wheel has minted and empties all reuse
-// lists. Used when a router crashes and drops its RIB wholesale; states
-// still referenced elsewhere become inert (reset, detached).
-func (w *Wheel) Reset() {
-	for _, s := range w.states {
-		s.penalty = 0
-		s.lastTick = 0
-		s.dueTick = -1
-		s.listPos = 0
-		s.suppressed = false
-	}
-	w.states = w.states[:0]
-	for i := range w.lists {
-		w.lists[i] = w.lists[i][:0]
-	}
-	w.enrolled = 0
 }
 
 func (w *Wheel) tick(t time.Duration) int64      { return int64(t / w.cfg.DeltaT) }
@@ -325,15 +301,6 @@ func (s *WheelState) materialize(now time.Duration) {
 	s.lastTick = nt
 }
 
-// Penalty returns the quantized penalty at now without mutating the state.
-func (s *WheelState) Penalty(now time.Duration) float64 {
-	nt := s.w.tick(now)
-	if nt <= s.lastTick {
-		return s.penalty
-	}
-	return s.w.decayBy(s.penalty, nt-s.lastTick)
-}
-
 // Update feeds one classified update into the state, mirroring
 // State.Update. When the stream becomes (or stays) suppressed the state
 // (re-)enrolls in the wheel's reuse lists; the returned Event.ReuseIn is
@@ -364,33 +331,6 @@ func (s *WheelState) Update(now time.Duration, kind Kind, charge bool) Event {
 		}
 	}
 	return ev
-}
-
-// TryReuse lifts suppression if the quantized penalty has decayed to the
-// reuse threshold, detaching the state from its reuse list.
-func (s *WheelState) TryReuse(now time.Duration) bool {
-	if !s.suppressed {
-		return true
-	}
-	s.materialize(now)
-	if s.penalty <= s.w.params.ReuseThreshold*(1+reuseTolerance) {
-		s.suppressed = false
-		if s.dueTick >= 0 {
-			s.w.remove(s)
-		}
-		return true
-	}
-	return false
-}
-
-// Reset clears penalty, suppression, and reuse list membership.
-func (s *WheelState) Reset() {
-	if s.dueTick >= 0 {
-		s.w.remove(s)
-	}
-	s.penalty = 0
-	s.lastTick = 0
-	s.suppressed = false
 }
 
 // String renders a compact debug description.

@@ -1,19 +1,9 @@
 package damping
 
 import (
-	"math"
 	"testing"
 	"time"
 )
-
-// wheelTickFactor is e^(lambda*DeltaT): the documented maximum ratio by
-// which the wheel's quantized penalty can deviate from the exact penalty
-// in either direction (update instants round down to ticks, so the
-// quantized interval between charge and query misses the exact one by
-// strictly less than one tick either way).
-func wheelTickFactor(p Params, cfg WheelConfig) float64 {
-	return math.Exp(p.Lambda() * cfg.DeltaT.Seconds())
-}
 
 // sweepTo drives the wheel through every sweep boundary up to now,
 // recording lifted keys.
@@ -25,43 +15,6 @@ func sweepTo(w *Wheel, now time.Duration, lifted *[]uint64) {
 // reuse threshold, starting from its state at the given instant.
 func exactReuseInstant(s *State, at time.Duration) time.Duration {
 	return at + s.ReuseIn(at)
-}
-
-func TestWheelPenaltyBandAgainstExact(t *testing.T) {
-	params := Cisco()
-	cfg := DefaultWheelConfig()
-	w := NewWheel(params, cfg)
-	ws := w.NewState(0)
-	ex := NewState(params)
-	factor := wheelTickFactor(params, cfg)
-
-	// Irregular sub-second update instants exercise the tick rounding.
-	instants := []time.Duration{
-		sec(0.4), sec(61.7), sec(122.01), sec(183.999), sec(245.5), sec(307.2),
-	}
-	for i, at := range instants {
-		kind := KindWithdrawal
-		if i%2 == 1 {
-			kind = KindReannouncement
-		}
-		we := ws.Update(at, kind, true)
-		ee := ex.Update(at, kind, true)
-		if we.Penalty < ee.Penalty/factor*(1-1e-12) {
-			t.Fatalf("update %d: wheel penalty %.9g below exact/e^(lambda*dt) = %.9g",
-				i, we.Penalty, ee.Penalty/factor)
-		}
-		if we.Penalty > ee.Penalty*factor*(1+1e-12) {
-			t.Fatalf("update %d: wheel penalty %.9g exceeds exact*e^(lambda*dt) = %.9g",
-				i, we.Penalty, ee.Penalty*factor)
-		}
-	}
-	// The band holds at query instants between updates too.
-	for _, at := range []time.Duration{sec(400), sec(1000), sec(2500), sec(3599.4)} {
-		wp, ep := ws.Penalty(at), ex.Penalty(at)
-		if wp < ep/factor*(1-1e-12)-1e-9 || wp > ep*factor*(1+1e-12)+1e-9 {
-			t.Fatalf("at %v: wheel penalty %.9g outside [%.9g, %.9g]", at, wp, ep/factor, ep*factor)
-		}
-	}
 }
 
 func TestWheelSuppressionAndReuseLag(t *testing.T) {
@@ -182,52 +135,6 @@ func TestWheelReuseLatencyDistribution(t *testing.T) {
 		n, sum/time.Duration(n), worst, cfg.DeltaT+cfg.DeltaTReuse)
 }
 
-func TestWheelStateResetDetaches(t *testing.T) {
-	params := Cisco()
-	w := NewWheel(params, DefaultWheelConfig())
-	s := w.NewState(3)
-	for k := 0; k < 3; k++ {
-		s.Update(sec(float64(k)), KindWithdrawal, true)
-	}
-	if !s.Suppressed() || w.Enrolled() != 1 {
-		t.Fatal("setup: state should be suppressed and enrolled")
-	}
-	s.Reset()
-	if s.Suppressed() || s.Penalty(sec(10)) != 0 {
-		t.Fatal("Reset must clear suppression and penalty")
-	}
-	if w.Enrolled() != 0 {
-		t.Fatalf("Reset left the state enrolled (Enrolled() = %d)", w.Enrolled())
-	}
-	if _, enrolled := s.ReuseAt(); enrolled {
-		t.Fatal("Reset state reports a reuse instant")
-	}
-}
-
-func TestWheelResetDiscardsStates(t *testing.T) {
-	params := Cisco()
-	w := NewWheel(params, DefaultWheelConfig())
-	s := w.NewState(1)
-	for k := 0; k < 3; k++ {
-		s.Update(sec(float64(k)), KindWithdrawal, true)
-	}
-	w.Reset()
-	if w.Enrolled() != 0 {
-		t.Fatalf("Enrolled() = %d after Reset", w.Enrolled())
-	}
-	if s.Suppressed() {
-		t.Fatal("orphaned state still suppressed after wheel Reset")
-	}
-	// The wheel keeps working for states minted after the reset.
-	s2 := w.NewState(2)
-	for k := 0; k < 3; k++ {
-		s2.Update(sec(100+float64(k)), KindWithdrawal, true)
-	}
-	if !s2.Suppressed() || w.Enrolled() != 1 {
-		t.Fatal("wheel unusable after Reset")
-	}
-}
-
 func TestWheelHorizonCapReEnrolls(t *testing.T) {
 	// A tiny wheel forces penalties whose reuse instant lies beyond the
 	// horizon to park in the farthest list and re-enroll when swept.
@@ -256,32 +163,6 @@ func TestWheelHorizonCapReEnrolls(t *testing.T) {
 	}
 	if now < exact-cfg.DeltaT-time.Millisecond || now > exact+cfg.DeltaT+cfg.DeltaTReuse {
 		t.Fatalf("capped wheel lifted at %v, exact %v", now, exact)
-	}
-}
-
-func TestWheelTryReuseMatchesExactSemantics(t *testing.T) {
-	params := Cisco()
-	w := NewWheel(params, DefaultWheelConfig())
-	s := w.NewState(4)
-	ex := NewState(params)
-	for k := 0; k < 3; k++ {
-		at := sec(float64(k))
-		s.Update(at, KindWithdrawal, true)
-		ex.Update(at, KindWithdrawal, true)
-	}
-	early := sec(10)
-	if s.TryReuse(early) {
-		t.Fatal("TryReuse must fail while the penalty is above the reuse threshold")
-	}
-	late := exactReuseInstant(ex, sec(2)) + DefaultWheelConfig().DeltaT
-	if !s.TryReuse(late) {
-		t.Fatalf("TryReuse at %v (past exact reuse + one tick) must succeed", late)
-	}
-	if s.Suppressed() || w.Enrolled() != 0 {
-		t.Fatal("TryReuse must lift suppression and detach from the reuse list")
-	}
-	if !s.TryReuse(late) {
-		t.Fatal("TryReuse on an unsuppressed state must report true")
 	}
 }
 

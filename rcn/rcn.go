@@ -17,6 +17,7 @@ package rcn
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Status is the reported state of the root-cause link.
@@ -43,7 +44,7 @@ func (s Status) String() string {
 
 // Cause is a root cause: the identity of one link status change. The zero
 // value means "no root cause attached" (e.g. RCN disabled); IsZero reports
-// that. Cause is comparable and is used directly as a map key.
+// that. Cause is comparable.
 type Cause struct {
 	// U, V are the endpoints of the root-cause link; U is the detecting
 	// node.
@@ -85,14 +86,15 @@ func (s *Sequencer) Next(u, v int, status Status) Cause {
 // this bound; it exists to bound memory in a long-lived daemon.
 const DefaultHistorySize = 1024
 
-// History is a bounded FIFO set of root causes seen from one peer.
+// History is a bounded FIFO set of root causes seen from one peer, kept as a
+// ring of causes in arrival order: a session witnesses two causes per flap,
+// so a history stays short, and a scan of it is cheaper than any index.
 // The zero value is unusable; construct with NewHistory. History is not safe
 // for concurrent use.
 type History struct {
 	capacity int
-	seen     map[Cause]struct{}
-	order    []Cause // FIFO eviction order
-	head     int     // index of oldest entry in order (ring semantics)
+	causes   []Cause // grows to capacity, then wraps
+	head     int     // index of the oldest cause once causes is full
 }
 
 // NewHistory returns a history that remembers up to capacity causes
@@ -103,31 +105,19 @@ func NewHistory(capacity int) *History {
 	if capacity <= 0 {
 		capacity = DefaultHistorySize
 	}
-	return &History{
-		capacity: capacity,
-		seen:     make(map[Cause]struct{}),
-	}
+	return &History{capacity: capacity}
 }
 
 // Len returns the number of causes currently remembered.
-func (h *History) Len() int { return len(h.seen) }
+func (h *History) Len() int { return len(h.causes) }
 
 // Clone returns an independent copy of the history: same capacity, same
 // remembered causes, same eviction order, sharing no storage with the
 // original. Used by the simulator's network fork.
 func (h *History) Clone() *History {
-	c := &History{
-		capacity: h.capacity,
-		seen:     make(map[Cause]struct{}, len(h.seen)),
-		head:     h.head,
-	}
-	for cause := range h.seen {
-		c.seen[cause] = struct{}{}
-	}
-	if h.order != nil {
-		c.order = append(make([]Cause, 0, len(h.order)), h.order...)
-	}
-	return c
+	c := *h
+	c.causes = slices.Clone(h.causes)
+	return &c
 }
 
 // Witness records the cause and reports whether it was NEW — i.e. whether an
@@ -136,23 +126,20 @@ func (h *History) Clone() *History {
 // in the history list, this update does not result in any penalty
 // increment."). Zero causes are never recorded and always report true, so
 // updates without root-cause information charge the penalty exactly as
-// classic damping does.
+// classic damping does. A new cause evicts the oldest once the history is
+// full.
 func (h *History) Witness(c Cause) bool {
 	if c.IsZero() {
 		return true
 	}
-	if _, ok := h.seen[c]; ok {
+	if slices.Contains(h.causes, c) {
 		return false
 	}
-	if len(h.seen) >= h.capacity {
-		// Evict the oldest.
-		oldest := h.order[h.head]
-		delete(h.seen, oldest)
-		h.order[h.head] = c
-		h.head = (h.head + 1) % h.capacity
+	if len(h.causes) < h.capacity {
+		h.causes = append(h.causes, c)
 	} else {
-		h.order = append(h.order, c)
+		h.causes[h.head] = c
+		h.head = (h.head + 1) % h.capacity
 	}
-	h.seen[c] = struct{}{}
 	return true
 }

@@ -2,6 +2,7 @@ package rcn
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -228,6 +229,5 @@ func ExampleHistory_Witness() {
 
 // holds reports whether the cause is in the history without recording it.
 func (h *History) holds(c Cause) bool {
-	_, ok := h.seen[c]
-	return ok
+	return slices.Contains(h.causes, c)
 }
