@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -16,8 +18,13 @@ var update = flag.Bool("update", false, "re-record testdata/outputs.sha256")
 
 // TestOutputDigests: rfdsim's stdout, without its wall time line, hashes to
 // its line in testdata/outputs.sha256 for the 10×10 mesh and internet-500 at
-// -pulses 3, plain and -v, at seeds 1–4. Run with -update to re-record after
-// an intentional change, and say in CHANGES.md why it moved.
+// -pulses 3, plain and -v, at seeds 1–4; and the -trace JSONL of the mesh at
+// -pulses 3, of the mesh at -rcn -loss 0.01 -sweep 0:4 and of internet-500 at
+// -pulses 3, at the same seeds, hashes to its line in testdata/traces.sha256.
+// A trace prints every penalty in full and math.Exp rounds differently on
+// 386, so 386 keeps its own trace table, testdata/traces-386.sha256. Run with
+// -update to re-record after an intentional change, and say in CHANGES.md why
+// it moved.
 func TestOutputDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, topo := range []struct {
@@ -39,7 +46,32 @@ func TestOutputDigests(t *testing.T) {
 			}
 		}
 	}
+	traces := map[string]string{}
+	for _, tr := range []struct {
+		name string
+		args []string
+	}{
+		{"mesh10", []string{"-rows", "10", "-cols", "10", "-pulses", "3"}},
+		{"mesh10-rcn-loss-sweep", []string{"-rows", "10", "-cols", "10", "-rcn", "-loss", "0.01", "-sweep", "0:4"}},
+		{"internet500", []string{"-topology", "internet", "-nodes", "500", "-pulses", "3"}},
+	} {
+		for seed := 1; seed <= 4; seed++ {
+			// Only the JSONL is hashed: stdout names the temporary file.
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			capture(t, append([]string{"-seed", fmt.Sprint(seed), "-trace", path}, tr.args...)...)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces[fmt.Sprintf("%s-seed%d", tr.name, seed)] = fmt.Sprintf("%x", sha256.Sum256(data))
+		}
+	}
 	checkDigests(t, "testdata/outputs.sha256", got)
+	tracePath := "testdata/traces.sha256"
+	if runtime.GOARCH == "386" {
+		tracePath = "testdata/traces-386.sha256"
+	}
+	checkDigests(t, tracePath, traces)
 }
 
 func checkDigests(t *testing.T, path string, got map[string]string) {
