@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rfd/bgp"
+	"rfd/check"
 	"rfd/sim"
 )
 
@@ -39,7 +40,8 @@ type EventMeasurement struct {
 // ConvergenceEvents measures the four events on the mesh with a dual-homed
 // origin: a direct (primary) link to the ispAS and a two-hop (backup) path
 // via a relay attached to the node farthest from the ispAS. Damping is off —
-// this is the plain-BGP baseline the paper compares against.
+// this is the plain-BGP baseline the paper compares against. With o.Check the
+// four events run under the runtime invariant checker, as a scenario does.
 func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
 	mesh, err := o.meshScenario(o.baseConfig())
 	if err != nil {
@@ -77,26 +79,34 @@ func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
 	if err != nil {
 		return nil, err
 	}
+	var chk *check.Checker
+	if o.Check {
+		if chk, err = check.Attach(n, check.Options{ISP: isp, Origin: origin, Prefix: FlapPrefix}); err != nil {
+			return nil, fmt.Errorf("experiment: invariant checker: %w", err)
+		}
+	}
 
 	ctx := o.ctx()
 	var out []EventMeasurement
 	measure := func(event string, act func() error) error {
-		n.ResetCounters()
-		start := k.Now()
+		// The counters run on across events: the checker holds the engine's
+		// count to the updates its hooks saw since it attached.
+		before, start := n.Delivered(), k.Now()
 		if err := act(); err != nil {
 			return err
 		}
 		if err := k.RunContext(ctx); err != nil {
 			return wrapInterrupt(ctx, event, err)
 		}
+		msgs := n.Delivered() - before
 		conv := time.Duration(0)
-		if n.Delivered() > 0 {
+		if msgs > 0 {
 			conv = n.LastDelivery() - start
 		}
 		out = append(out, EventMeasurement{
 			Event:       event,
 			Convergence: conv,
-			Messages:    int(n.Delivered()),
+			Messages:    int(msgs),
 		})
 		return n.CheckConsistency()
 	}
@@ -126,6 +136,11 @@ func ConvergenceEvents(o Options) ([]EventMeasurement, error) {
 		return nil
 	}); err != nil {
 		return nil, err
+	}
+	if chk != nil {
+		if err := chk.Finish().Err(); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

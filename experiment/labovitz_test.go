@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -42,6 +43,24 @@ func TestConvergenceEventsOrdering(t *testing.T) {
 	if byName["Tdown"].Messages <= byName["Tup"].Messages {
 		t.Fatalf("Tdown (%d msgs) not costlier than Tup (%d msgs)",
 			byName["Tdown"].Messages, byName["Tup"].Messages)
+	}
+}
+
+// TestConvergenceEventsChecked: the four events pass the runtime invariant
+// checker, which only observes, so the checked rows are the unchecked ones.
+func TestConvergenceEventsChecked(t *testing.T) {
+	plain, err := ConvergenceEvents(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := testOptions()
+	o.Check = true
+	checked, err := ConvergenceEvents(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(checked, plain) {
+		t.Fatalf("checked rows %v, unchecked %v", checked, plain)
 	}
 }
 
