@@ -134,7 +134,7 @@ func FilterComparison(o Options, pulses []int) ([]FilterRow, error) {
 
 	rows := make([]FilterRow, len(pulses))
 	for i, n := range pulses {
-		pred, err := analyticPrediction(n, o.FlapInterval, plain.ConvergenceTime)
+		calc, err := o.intended(n, plain.ConvergenceTime)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func FilterComparison(o Options, pulses []int) ([]FilterRow, error) {
 			ClassicDamped: classic[i].Result.MaxDamped,
 			SelDamped:     selective[i].Result.MaxDamped,
 			RCNDamped:     rcnRes[i].Result.MaxDamped,
-			Intended:      pred,
+			Intended:      calc,
 		}
 	}
 	return rows, nil

@@ -491,7 +491,7 @@ func Eval(o Options) (*EvalData, error) {
 
 	data := &EvalData{Rows: make([]EvalRow, len(pulses))}
 	for i, n := range pulses {
-		pred, err := analytic.PredictPulses(damping.Cisco(), n, o.FlapInterval, tup)
+		calc, err := o.intended(n, tup)
 		if err != nil {
 			return nil, err
 		}
@@ -505,17 +505,19 @@ func Eval(o Options) (*EvalData, error) {
 			DampingInternetMsgs: inet[i].Result.MessageCount,
 			RCNMeshConv:         rcnRes[i].Result.ConvergenceTime,
 			RCNMeshMsgs:         rcnRes[i].Result.MessageCount,
-			CalcConv:            pred.Convergence,
+			CalcConv:            calc,
 		}
 	}
 	data.Nh = criticalPoint(data.Rows)
 	return data, nil
 }
 
-// analyticPrediction returns the Section 3 intended convergence time for n
-// pulses at the given interval and t_up.
-func analyticPrediction(n int, interval, tup time.Duration) (time.Duration, error) {
-	pred, err := analytic.PredictPulses(damping.Cisco(), n, interval, tup)
+// intended returns the Section 3 intended convergence time for n pulses at
+// o.FlapInterval after t_up: the single-router calculation with Cisco
+// defaults, the curve Eval, Fig15 and FilterComparison set the measurements
+// against.
+func (o Options) intended(n int, tup time.Duration) (time.Duration, error) {
+	pred, err := analytic.PredictPulses(damping.Cisco(), n, o.FlapInterval, tup)
 	if err != nil {
 		return 0, err
 	}
@@ -638,7 +640,7 @@ func Fig15(o Options) (*Fig15Data, error) {
 	tup := plain1.ConvergenceTime
 	data := &Fig15Data{Nodes: o.PolicyNodes, Rows: make([]Fig15Row, len(pulses))}
 	for i, n := range pulses {
-		pred, err := analytic.PredictPulses(damping.Cisco(), n, o.FlapInterval, tup)
+		calc, err := o.intended(n, tup)
 		if err != nil {
 			return nil, err
 		}
@@ -646,7 +648,7 @@ func Fig15(o Options) (*Fig15Data, error) {
 			Pulses:       n,
 			WithPolicy:   polRes[i].Result.ConvergenceTime,
 			NoPolicy:     plainRes[i].Result.ConvergenceTime,
-			Intended:     pred.Convergence,
+			Intended:     calc,
 			PolicyMsgs:   polRes[i].Result.MessageCount,
 			NoPolicyMsgs: plainRes[i].Result.MessageCount,
 		}
