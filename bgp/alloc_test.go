@@ -52,15 +52,11 @@ func TestDecideDoesNotAllocate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, n := newConvergedNetwork(t, tc.damp)
 			r := n.Router(0)
-			pid, ok := n.lookupPrefix(allocPrefix)
-			if !ok {
-				t.Fatal("prefix not interned after convergence")
-			}
-			if l := r.localAt(pid); !l.hasRoute {
+			if _, ok := r.LocalRoute(allocPrefix); !ok {
 				t.Fatal("router 0 has no route after convergence")
 			}
 			allocs := testing.AllocsPerRun(1000, func() {
-				_ = r.decide(pid)
+				_ = r.decide()
 			})
 			if allocs != 0 {
 				t.Errorf("decision process allocates %.1f per run, want 0", allocs)
@@ -73,11 +69,7 @@ func TestSendPathDoesNotAllocate(t *testing.T) {
 	k, n := newConvergedNetwork(t, nil)
 	r := n.Router(0)
 	peer := r.peers[0]
-	pid, ok := n.lookupPrefix(allocPrefix)
-	if !ok {
-		t.Fatal("prefix not interned after convergence")
-	}
-	e := r.ribInAt(r.slotOf(peer), pid)
+	e := r.ribInAt(r.slotOf(peer))
 	if e == nil || e.path == 0 {
 		t.Fatal("router 0 holds no RIB-IN route from its first peer")
 	}
@@ -86,7 +78,7 @@ func TestSendPathDoesNotAllocate(t *testing.T) {
 	// store, decision process) and changes nothing. This exercises send,
 	// the FIFO/generation bookkeeping, the pooled message slab, the typed
 	// deliver event and receive.
-	msg := pendingMsg{pid: pid, path: e.path}
+	msg := pendingMsg{path: e.path}
 	slot := n.Router(peer).slotOf(r.id)
 	for i := 0; i < 32; i++ { // warm the message slab and event-queue slab
 		n.send(peer, slot, msg)

@@ -1,9 +1,12 @@
 package bgp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"rfd/damping"
 	"rfd/sim"
 	"rfd/topology"
 )
@@ -430,29 +433,54 @@ func TestPathExplorationOnWithdrawal(t *testing.T) {
 	}
 }
 
-func TestMultiPrefixIndependence(t *testing.T) {
-	k, n := buildNet(t, mustTorus(t, 4, 4), nil)
-	n.Router(0).Originate(Prefix("a/8"))
-	n.Router(5).Originate(Prefix("b/8"))
+// TestNetworkRoutesOnePrefix: the first Originate names the network's
+// prefix. Another prefix is originated nowhere and has no route and no
+// damping record, withdrawing it changes nothing, and originating it panics
+// naming both prefixes.
+func TestNetworkRoutesOnePrefix(t *testing.T) {
+	const other = Prefix("other/8")
+	k, n := buildNet(t, mustTorus(t, 4, 4), func(c *Config) {
+		p := damping.Cisco()
+		c.Damping = &p
+	})
+	origin := n.Router(0)
+	origin.Originate(testPrefix)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Withdrawing one prefix must not disturb the other.
-	n.Router(0).StopOriginating(Prefix("a/8"))
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+	peer := n.Router(origin.peers[0])
+	if peer.DebugDampingState(origin.id, testPrefix) == nil {
+		t.Fatal("setup: no damping record for the originated prefix")
 	}
-	for id := 0; id < n.NumRouters(); id++ {
-		if _, ok := n.Router(RouterID(id)).LocalRoute(Prefix("b/8")); !ok {
-			t.Fatalf("router %d lost b/8 when a/8 was withdrawn", id)
-		}
-		if _, ok := n.Router(RouterID(id)).LocalRoute(Prefix("a/8")); ok {
-			t.Fatalf("router %d kept withdrawn a/8", id)
+	if origin.Originates(other) {
+		t.Error("Originates reports a prefix nobody originated")
+	}
+	if path, ok := peer.LocalRoute(other); ok || path != nil {
+		t.Errorf("LocalRoute(%s) = [%s], %t; want none", other, path, ok)
+	}
+	if peer.DebugDampingState(origin.id, other) != nil {
+		t.Errorf("DebugDampingState(%s) returned a record", other)
+	}
+	origin.StopOriginating(other)
+	if !origin.Originates(testPrefix) || k.Pending() != 0 {
+		t.Fatalf("StopOriginating(%s) changed the network: originates %t, %d events queued",
+			other, origin.Originates(testPrefix), k.Pending())
+	}
+	for id := range n.NumRouters() {
+		if _, ok := n.Router(RouterID(id)).LocalRoute(testPrefix); !ok {
+			t.Fatalf("router %d has no route to %s", id, testPrefix)
 		}
 	}
 	if err := n.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, string(testPrefix)) || !strings.Contains(msg, string(other)) {
+			t.Fatalf("originating a second prefix: panic %q, want one naming %s and %s", msg, testPrefix, other)
+		}
+	}()
+	n.Router(5).Originate(other)
 }
 
 func TestPolicyString(t *testing.T) {
@@ -467,16 +495,14 @@ func TestPolicyString(t *testing.T) {
 // bestPeerOf returns the peer r's best route for prefix was learned from
 // (selfPeer for a self-originated one) and whether a route is installed.
 func bestPeerOf(r *Router, prefix Prefix) (RouterID, bool) {
-	pid, _ := r.net.lookupPrefix(prefix)
-	l := r.localAt(pid)
-	return l.bestPeer, l.hasRoute
+	l := r.local()
+	return l.bestPeer, prefix == r.net.prefix && l.hasRoute
 }
 
 // penaltyOf returns r's damping penalty for (peer, prefix) at now; zero when
 // damping is disabled or no state exists.
 func penaltyOf(r *Router, peer RouterID, prefix Prefix, now time.Duration) float64 {
-	pid, _ := r.net.lookupPrefix(prefix)
-	if e := r.ribInAt(r.slotOf(peer), pid); e != nil && r.damp != nil {
+	if e := r.ribInAt(r.slotOf(peer)); prefix == r.net.prefix && e != nil && r.damp != nil {
 		return e.damp.Penalty(r.damp, now)
 	}
 	return 0
@@ -484,7 +510,6 @@ func penaltyOf(r *Router, peer RouterID, prefix Prefix, now time.Duration) float
 
 // isSuppressed reports whether r suppresses the route from peer for prefix.
 func isSuppressed(r *Router, peer RouterID, prefix Prefix) bool {
-	pid, _ := r.net.lookupPrefix(prefix)
-	e := r.ribInAt(r.slotOf(peer), pid)
-	return e != nil && e.damp.Suppressed()
+	e := r.ribInAt(r.slotOf(peer))
+	return prefix == r.net.prefix && e != nil && e.damp.Suppressed()
 }

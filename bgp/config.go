@@ -83,10 +83,10 @@ type Config struct {
 	// secondary charging. Mutually exclusive with EnableRCN.
 	SelectiveDamping bool
 
-	// MRAI is the Minimum Route Advertisement Interval applied per (peer,
-	// prefix) to announcements (withdrawals are never delayed, matching the
-	// BGP-4 default and SSFNet). Each interval is jittered by a uniform factor
-	// in [0.75, 1.0). Zero disables rate limiting.
+	// MRAI is the Minimum Route Advertisement Interval applied per peer to
+	// announcements (withdrawals are never delayed, matching the BGP-4
+	// default and SSFNet). Each interval is jittered by a uniform factor in
+	// [0.75, 1.0). Zero disables rate limiting.
 	MRAI time.Duration
 
 	// Seed drives link delays, jitter, and all other randomness.

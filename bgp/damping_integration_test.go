@@ -430,8 +430,7 @@ func TestResetDampingRevivesSuppressedRoute(t *testing.T) {
 		t.Fatal("setup: isp not muffled by suppressing the origin")
 	}
 	n.ResetDamping()
-	pid, _ := n.lookupPrefix(testPrefix)
-	if !r.reconcile(pid, r.slotOf(r.peers[0]), rcn.Cause{}) {
+	if !r.reconcile(r.slotOf(r.peers[0]), rcn.Cause{}) {
 		t.Fatal("the reconcile after the reset changed nothing")
 	}
 	if best, ok := bestPeerOf(r, testPrefix); !ok || best != origin {

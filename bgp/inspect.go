@@ -10,8 +10,8 @@ import (
 // This file is the read-only inspection surface the runtime invariant checker
 // (package check) walks on every event. The views copy scalar state out of
 // the network's flat RIBs; paths are the engine's canonical slices, read by id
-// without a copy, and must not be mutated. Iteration order is deterministic:
-// ascending peer slot (= peer id) and prefix id.
+// without a copy, and must not be mutated. Every view names the network's one
+// prefix, and RIB views come in ascending peer slot (= peer id) order.
 
 // RIBInView is a snapshot of one adj-RIB-in entry.
 type RIBInView struct {
@@ -56,50 +56,45 @@ type LocalView struct {
 	BestPath       Path
 }
 
-// EachRIBIn calls fn for every live RIB-IN entry, in (peer slot, prefix id)
-// order. Penalties are decayed to the given instant.
+// EachRIBIn calls fn for every live RIB-IN entry, in peer slot order.
+// Penalties are decayed to the given instant.
 func (r *Router) EachRIBIn(now time.Duration, fn func(RIBInView)) {
 	for s, peer := range r.peers {
-		for pid, prefix := range r.net.prefixes {
-			e := r.ribIn(int32(s), int32(pid))
-			if !e.seen {
-				continue
-			}
-			v := RIBInView{
-				Peer:        peer,
-				Prefix:      prefix,
-				Path:        r.net.paths.path(e.path),
-				EverPresent: e.everPresent,
-				ReuseAt:     r.net.kernel.When(e.reuseTimer),
-			}
-			if r.damp != nil {
-				v.HasDamping = true
-				v.Penalty = e.damp.Penalty(r.damp, now)
-				v.Suppressed = e.damp.Suppressed()
-			}
-			fn(v)
+		e := r.ribIn(int32(s))
+		if !e.seen {
+			continue
 		}
+		v := RIBInView{
+			Peer:        peer,
+			Prefix:      r.net.prefix,
+			Path:        r.net.paths.path(e.path),
+			EverPresent: e.everPresent,
+			ReuseAt:     r.net.kernel.When(e.reuseTimer),
+		}
+		if r.damp != nil {
+			v.HasDamping = true
+			v.Penalty = e.damp.Penalty(r.damp, now)
+			v.Suppressed = e.damp.Suppressed()
+		}
+		fn(v)
 	}
 }
 
-// EachRIBOut calls fn for every live RIB-OUT entry, in (peer slot, prefix id)
-// order.
+// EachRIBOut calls fn for every live RIB-OUT entry, in peer slot order.
 func (r *Router) EachRIBOut(fn func(RIBOutView)) {
 	for s, peer := range r.peers {
-		for pid, prefix := range r.net.prefixes {
-			e := r.ribOut(int32(s), int32(pid))
-			if !e.seen {
-				continue
-			}
-			fn(RIBOutView{
-				Peer:        peer,
-				Prefix:      prefix,
-				Advertised:  r.net.paths.path(e.advertised),
-				Pending:     e.pending,
-				PendingPath: r.net.paths.path(e.pendingPath),
-				MRAIAt:      r.mraiEnd(e),
-			})
+		e := r.ribOut(int32(s))
+		if !e.seen {
+			continue
 		}
+		fn(RIBOutView{
+			Peer:        peer,
+			Prefix:      r.net.prefix,
+			Advertised:  r.net.paths.path(e.advertised),
+			Pending:     e.pending,
+			PendingPath: r.net.paths.path(e.pendingPath),
+			MRAIAt:      r.mraiEnd(e),
+		})
 	}
 }
 
@@ -112,17 +107,12 @@ func (r *Router) mraiEnd(e *ribOutEntry) time.Duration {
 	return e.mrai.At()
 }
 
-// EachLocal calls fn for every live Local-RIB entry, in prefix id order.
-// Prefixes the router originates but has no Local-RIB slot for yet are not
-// reported (they gain one on the first reconcile).
+// EachLocal calls fn for the router's Local-RIB entry once the decision
+// process has written it.
 func (r *Router) EachLocal(fn func(LocalView)) {
-	for pid, prefix := range r.net.prefixes {
-		e := r.local(int32(pid))
-		if !e.seen {
-			continue
-		}
+	if e := r.local(); e.seen {
 		fn(LocalView{
-			Prefix:         prefix,
+			Prefix:         r.net.prefix,
 			HasRoute:       e.hasRoute,
 			SelfOriginated: e.hasRoute && e.bestPeer == selfPeer,
 			BestPeer:       e.bestPeer,
@@ -146,18 +136,14 @@ func (r *Router) DampingParams() (damping.Params, bool) {
 // deliberate back door for fault-seeding tests of the invariant checker:
 // mutating the returned record desynchronizes the engine from its own
 // bookkeeping, which is exactly what such a test wants to provoke. The
-// prefix's Local-RIB entry is marked stale, so the next decision about it
-// reads every RIB-IN entry afresh. Engine and experiment code must not use
-// it.
+// Local-RIB entry is marked stale, so the next decision reads every RIB-IN
+// entry afresh. Another prefix than the network's has no record. Engine and
+// experiment code must not use it.
 func (r *Router) DebugDampingState(peer RouterID, prefix Prefix) *damping.Merit {
-	pid, ok := r.net.lookupPrefix(prefix)
-	if !ok {
+	e := r.ribInAt(r.slotOf(peer))
+	if prefix != r.net.prefix || e == nil || r.damp == nil {
 		return nil
 	}
-	e := r.ribInAt(r.slotOf(peer), pid)
-	if e == nil || r.damp == nil {
-		return nil
-	}
-	r.local(pid).stale = true
+	r.local().stale = true
 	return &e.damp
 }

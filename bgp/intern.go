@@ -20,16 +20,13 @@ package bgp
 // never printed or ordered by, so which side numbered a path first is
 // invisible.
 //
-// Prefixes: the RIBs are indexed by dense prefix id (and directed slot or
-// router id) instead of nested string-keyed maps; the Network owns the
-// Prefix <-> id mapping, and in-flight messages carry the id. Experiments use
-// a handful of prefixes, so the tables stay tiny; ids are assigned in
-// first-use order and are stable for the network's lifetime.
+// Prefixes need no table: a network routes one, so its RIBs are indexed by
+// directed slot or router id alone, and a message names its prefix only in
+// its public form (Network.message).
 
 import (
 	"maps"
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -165,52 +162,4 @@ func (t *pathTable) fork() *pathTable {
 	last := len(t.chunks) - 1
 	t.chunks[last] = slices.Clip(t.chunks[last])
 	return &pathTable{chunks: slices.Clone(t.chunks), layers: t.layers}
-}
-
-// prefixID returns the dense id for prefix, assigning the next one on first
-// sight and growing the flat RIBs by one row to cover it.
-func (n *Network) prefixID(prefix Prefix) int32 {
-	if id, ok := n.prefixIDs[prefix]; ok {
-		return id
-	}
-	// The prefix tables are shared with forks, so they are replaced, never
-	// written in place.
-	id := int32(len(n.prefixes))
-	ids := make(map[Prefix]int32, len(n.prefixIDs)+1)
-	maps.Copy(ids, n.prefixIDs)
-	ids[prefix] = id
-	n.prefixIDs = ids
-	n.prefixes = append(slices.Clip(n.prefixes), prefix)
-	at, _ := slices.BinarySearchFunc(n.prefixOrder, prefix, func(pid int32, p Prefix) int {
-		return strings.Compare(string(n.prefixes[pid]), string(p))
-	})
-	n.prefixOrder = slices.Insert(slices.Clip(n.prefixOrder), at, id)
-	dirs := len(n.adjNbr)
-	n.ribIn = extend(n.ribIn, len(n.ribIn)+dirs)
-	n.ribOut = extend(n.ribOut, len(n.ribOut)+dirs)
-	n.local = extend(n.local, len(n.local)+n.nn)
-	n.orig = extend(n.orig, len(n.orig)+n.nn)
-	if n.cfg.EnableRCN {
-		n.inCause = extend(n.inCause, len(n.inCause)+dirs)
-		n.outCause = extend(n.outCause, len(n.outCause)+dirs)
-		n.origSeq = extend(n.origSeq, len(n.origSeq)+n.nn)
-	}
-	return id
-}
-
-// lookupPrefix returns the dense id for prefix without assigning one: -1
-// and false when the prefix has none.
-func (n *Network) lookupPrefix(prefix Prefix) (int32, bool) {
-	if id, ok := n.prefixIDs[prefix]; ok {
-		return id, true
-	}
-	return -1, false
-}
-
-// extend grows s with zero values until it has length n.
-func extend[T any](s []T, n int) []T {
-	if len(s) >= n {
-		return s
-	}
-	return append(s, make([]T, n-len(s))...)
 }

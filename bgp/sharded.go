@@ -14,17 +14,16 @@ import (
 // the send and the next epoch barrier. at is the final arrival time (FIFO
 // stamp included) and pm the message with its session generation and
 // receiver-side directed slot; src/seq give the canonical injection order.
-// Path and prefix ids are the sending shard's, so the message also carries
-// their content — the sender's canonical path, immutable — for the
-// receiving shard to number on injection; to names the receiving router.
+// The path id is the sending shard's, so the message also carries its
+// content — the sender's canonical path, immutable — for the receiving shard
+// to number on injection; to names the receiving router.
 type remoteMsg struct {
-	at     time.Duration
-	pm     pendingMsg
-	path   Path
-	prefix Prefix
-	to     RouterID
-	src    int32
-	seq    uint64
+	at   time.Duration
+	pm   pendingMsg
+	path Path
+	to   RouterID
+	src  int32
+	seq  uint64
 }
 
 // ShardedNetwork runs one bgp.Network per shard, each on its own sim.Kernel,
@@ -90,8 +89,7 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32) (*ShardedN
 			sn.seq[s]++
 			to, _ := n.dirRouter(pm.dir)
 			sn.outbox[s] = append(sn.outbox[s], remoteMsg{
-				at: at, pm: pm, path: n.paths.path(pm.path), prefix: n.prefixes[pm.pid],
-				to: to.id, src: s, seq: sn.seq[s],
+				at: at, pm: pm, path: n.paths.path(pm.path), to: to.id, src: s, seq: sn.seq[s],
 			})
 		}
 		sn.shards[s] = n
@@ -104,11 +102,12 @@ func NewShardedNetwork(g *topology.Graph, cfg Config, assign []int32) (*ShardedN
 	return sn, nil
 }
 
-// injectRemote schedules a cross-shard message on its receiving shard,
-// renumbering its prefix and path in this network's tables.
-func (n *Network) injectRemote(m *remoteMsg) {
+// injectRemote schedules a cross-shard message for prefix on its receiving
+// shard, which learns the prefix from the first such message, renumbering
+// its path in this network's table.
+func (n *Network) injectRemote(m *remoteMsg, prefix Prefix) {
+	n.claim(prefix)
 	pm := m.pm
-	pm.pid = n.prefixID(m.prefix)
 	pm.path = n.paths.intern(m.path)
 	n.injectDelivery(m.at, pm)
 }
@@ -133,7 +132,8 @@ func (sn *ShardedNetwork) Flush() int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
 	for i := range buf {
-		sn.shards[sn.owner[buf[i].to]].injectRemote(&buf[i])
+		m := &buf[i]
+		sn.shards[sn.owner[m.to]].injectRemote(m, sn.shards[m.src].prefix)
 	}
 	sn.flushBuf = buf[:0]
 	return total
@@ -268,25 +268,19 @@ func (sn *ShardedNetwork) CheckConsistency() error {
 			if sn.owner[q] == sn.owner[id] {
 				continue // checked intra-shard
 			}
+			out := r.ribOutAt(int32(s))
+			if out == nil {
+				continue
+			}
 			peer := sn.Router(q)
-			peerNet := sn.shards[sn.owner[q]]
-			backSlot := n.adjRev[r.base+int32(s)] - peer.base
-			for _, pid := range n.prefixOrder {
-				out := r.ribOutAt(int32(s), pid)
-				if out == nil {
-					continue
-				}
-				var held Path
-				if ppid, ok := peerNet.lookupPrefix(n.prefixes[pid]); ok {
-					if in := peer.ribInAt(backSlot, ppid); in != nil {
-						held = peerNet.paths.path(in.path)
-					}
-				}
-				if advertised := n.paths.path(out.advertised); !advertised.Equal(held) {
-					return fmt.Errorf(
-						"bgp: cross-shard session %d->%d prefix %s: RIB-OUT [%s] != peer RIB-IN [%s]",
-						r.id, q, n.prefixes[pid], advertised, held)
-				}
+			var held Path
+			if in := peer.ribInAt(n.adjRev[r.base+int32(s)] - peer.base); in != nil {
+				held = peer.net.paths.path(in.path)
+			}
+			if advertised := n.paths.path(out.advertised); !advertised.Equal(held) {
+				return fmt.Errorf(
+					"bgp: cross-shard session %d->%d prefix %s: RIB-OUT [%s] != peer RIB-IN [%s]",
+					r.id, q, n.prefix, advertised, held)
 			}
 		}
 	}

@@ -1,9 +1,13 @@
 // Package bgp implements the path-vector routing engine the experiments run:
 // BGP-4 semantics as the paper's SSFNet simulations rely on them — RIB-IN /
 // Local-RIB / RIB-OUT per router (Figure 2 of the paper), a deterministic
-// decision process, per-(peer,prefix) MRAI rate limiting, AS-path loop
-// prevention, export policies (shortest-path and no-valley), and per-(peer,
-// prefix) route flap damping with optional RCN-enhanced penalty filtering.
+// decision process, per-peer MRAI rate limiting, AS-path loop prevention,
+// export policies (shortest-path and no-valley), and per-peer route flap
+// damping with optional RCN-enhanced penalty filtering.
+//
+// A network routes one prefix, as the paper's simulations flap one prefix
+// from one originAS (Section 5.1): the first Originate names it, and
+// originating another panics.
 //
 // The engine runs on the sim kernel: routers are plain structs, links are
 // FIFO channels with fixed propagation delay, and all processing is
@@ -22,8 +26,8 @@ import (
 // in the paper's simulations). It equals the node's topology.NodeID.
 type RouterID = topology.NodeID
 
-// Prefix names a destination. The experiments use a single flapping prefix,
-// but the engine supports any number.
+// Prefix names a destination. A network routes one: messages, hooks, views
+// and traces carry its name.
 type Prefix string
 
 // Path is an AS path: Path[0] is the router that advertised the route (the
