@@ -14,7 +14,7 @@ func csvSeconds(d time.Duration) string {
 	return fmt.Sprintf("%.0f", d.Seconds())
 }
 
-// WriteCSV emits Table 1 as CSV (parameter, cisco, juniper).
+// WriteTable1CSV emits Table 1 as CSV (parameter, cisco, juniper).
 func WriteTable1CSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "parameter,cisco,juniper")
